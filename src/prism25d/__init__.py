@@ -8,16 +8,12 @@ from .attention import (
     hierarchical_attention,
     kernel,
     kernel_attention,
-    project_nodes,
     standard_attention,
 )
 from .compact import (
-    AncestorMap,
     MatchParams,
-    attach_motion,
     build_ancestors,
     compact,
-    compaction_stats,
     corpus_stats,
     criterion,
     iou,

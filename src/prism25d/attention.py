@@ -38,14 +38,6 @@ class KernelConfig:
     def r_k(self) -> int:
         return self.latent_dim // self.heads
 
-    @staticmethod
-    def default_hierarchy(latent_dim: int = 32, heads: int = 4) -> "KernelConfig":
-        return KernelConfig(
-            levels=tuple((s, s) for s in DEFAULT_BANDWIDTHS),
-            heads=heads,
-            latent_dim=latent_dim,
-        )
-
 
 @dataclass
 class NodeFeatureMatrix:
@@ -118,11 +110,6 @@ def project_inputs(inputs: NodeInputs, mlp_s: MlpParams, mlp_d: MlpParams) -> No
     )
 
 
-def project_nodes(graph: SceneGraph25D, mlp_s: MlpParams, mlp_d: MlpParams) -> NodeFeatureMatrix:
-    """Project static/dynamic node features into the shared latent space."""
-    return project_inputs(node_inputs(graph), mlp_s, mlp_d)
-
-
 # ---------------------------------------------------------------------------
 # spatio-temporal kernel
 
@@ -161,17 +148,12 @@ def kernel_matrix(
     return np.exp(-d2 / sigma_s**2 - dt / sigma_t)
 
 
-def _row_softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def kernel_softmax_levels(
     positions: np.ndarray, time_obs: list[np.ndarray], cfg: KernelConfig
 ) -> list[Tensor]:
     """Row-softmaxed kernel matrices per level; parameter-free, safe to cache."""
     return [
-        Tensor(_row_softmax(kernel_matrix(positions, time_obs, s, t))) for s, t in cfg.levels
+        nc.softmax_rows(Tensor(kernel_matrix(positions, time_obs, s, t))) for s, t in cfg.levels
     ]
 
 
@@ -218,33 +200,14 @@ def standard_attention(feats: Tensor, params: AttentionParams, heads: int) -> Te
     return nc.concat(outs, axis=0)
 
 
-def kernel_attention(
-    nodes: NodeFeatureMatrix,
-    level: tuple[float, float],
-    value_weights: Tensor,
-    heads: int,
-    smax: Tensor | None = None,
-) -> Tensor:
-    """Attention whose mixing weights come from the spatio-temporal kernel.
+def kernel_attention(nodes: NodeFeatureMatrix, value_weights: Tensor, smax: Tensor) -> Tensor:
+    """Attention whose mixing weights are one level's row-softmaxed kernel matrix.
 
     The kernel matrix is shared across heads and row-softmaxed as-is (no
-    1/sqrt(r_k) scaling); only the value projection differs per head.
+    1/sqrt(r_k) scaling), so each head's output is its row block of
+    (W_v F) S^T and the heads need no separate pass.
     """
-    r = value_weights.data.shape[0]
-    if r % heads != 0:
-        raise ValidationError(f"latent width {r} not divisible by {heads} heads")
-    r_k = r // heads
-    if smax is None:
-        smax = Tensor(
-            _row_softmax(kernel_matrix(nodes.positions, nodes.time_obs, level[0], level[1]))
-        )
-    v = nc.matmul(value_weights, nodes.features)
-    s_t = nc.transpose(smax)
-    outs = []
-    for i in range(heads):
-        vi = nc.rows(v, i * r_k, (i + 1) * r_k)
-        outs.append(nc.matmul(vi, s_t))
-    return nc.concat(outs, axis=0)
+    return nc.matmul(nc.matmul(value_weights, nodes.features), nc.transpose(smax))
 
 
 def hierarchical_attention(
@@ -252,20 +215,20 @@ def hierarchical_attention(
     cfg: KernelConfig,
     level_mlps: list[MlpParams],
     value_weights: Tensor,
-    smax_levels: list[Tensor] | None = None,
+    smax_levels: list[Tensor],
 ) -> Tensor:
-    """Sum of per-bandwidth kernel attentions, each re-embedded by its own MLP."""
-    if len(level_mlps) != len(cfg.levels):
+    """Sum of per-bandwidth kernel attentions, each re-embedded by its own MLP.
+
+    `smax_levels` holds one `kernel_softmax_levels` matrix per level of `cfg`.
+    """
+    if not len(level_mlps) == len(smax_levels) == len(cfg.levels):
         raise ValidationError(
             f"{len(cfg.levels)} kernel levels but {len(level_mlps)} level MLPs"
+            f" and {len(smax_levels)} kernel matrices"
         )
-    if smax_levels is None:
-        smax_levels = kernel_softmax_levels(nodes.positions, nodes.time_obs, cfg)
     out = None
-    for level, mlp, smax in zip(cfg.levels, level_mlps, smax_levels):
-        branch = nc.mlp_forward(
-            mlp, kernel_attention(nodes, level, value_weights, cfg.heads, smax=smax)
-        )
+    for mlp, smax in zip(level_mlps, smax_levels):
+        branch = nc.mlp_forward(mlp, kernel_attention(nodes, value_weights, smax))
         out = branch if out is None else nc.add(out, branch)
     return out
 
@@ -316,7 +279,7 @@ def combined_encoding(
     nodes: NodeFeatureMatrix,
     cfg: KernelConfig,
     params: EncoderParams,
-    smax_levels: list[Tensor] | None = None,
+    smax_levels: list[Tensor],
 ) -> Tensor:
     """Hierarchical kernel encoding plus the MLP-re-embedded standard branch."""
     hier = hierarchical_attention(

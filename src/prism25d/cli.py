@@ -5,12 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .attention import DEFAULT_BANDWIDTHS
-from .compact import MatchParams, attach_motion, compact, corpus_stats
+from .compact import MatchParams, compact, corpus_stats
 from .errors import ParseError, PrismError
 from .graph import (
     ClassRegistry,
@@ -22,6 +21,8 @@ from .graph import (
 )
 from .lift import Intrinsics
 from .qa import (
+    METRICS_FORMAT,
+    METRICS_VERSION,
     ModelConfig,
     TrainConfig,
     evaluate,
@@ -36,8 +37,6 @@ from . import synthworld
 
 STATS_FORMAT = "prism25d-stats"
 STATS_VERSION = 1
-METRICS_FORMAT = "prism25d-metrics"
-METRICS_VERSION = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,32 +121,24 @@ class RunConfig:
         return Intrinsics(self.fx, self.fy, self.cx, self.cy)
 
 
-def _load_registry(path: str) -> ClassRegistry:
-    return ClassRegistry.load(path)
-
-
-def _pipeline_graphs(
-    detections: str, registry: ClassRegistry, cfg: RunConfig, jobs: int = 1
-) -> dict[str, SceneGraph25D]:
-    """ingest -> register -> compact -> attach_motion for every video in the file."""
-    graphs = load_detection_groups(
+def _load_graphs(detections: str, registry: str, cfg: RunConfig) -> list[SceneGraph25D]:
+    """One lifted graph per video of a detection file, classed by a registry file."""
+    return load_detection_groups(
         detections,
-        registry,
+        ClassRegistry.load(registry),
         max_frames=cfg.max_frames,
         intrinsics=cfg.intrinsics(),
         image_size=(cfg.image_w, cfg.image_h),
     )
+
+
+def _pipeline_graphs(detections: str, registry: str, cfg: RunConfig) -> dict[str, SceneGraph25D]:
+    """ingest -> register -> compact for every video in the file."""
     params = MatchParams(gamma=cfg.gamma, delta=cfg.delta)
-
-    def run(g: SceneGraph25D) -> SceneGraph25D:
-        return attach_motion(compact(register_frames(g, gamma=cfg.gamma), params))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(run, graphs))
-    else:
-        done = [run(g) for g in graphs]
-    return {g.video_id: g for g in done}
+    return {
+        g.video_id: compact(register_frames(g, gamma=cfg.gamma), params)
+        for g in _load_graphs(detections, registry, cfg)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +181,7 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     cfg = RunConfig.resolve(args)
-    registry = _load_registry(args.registry)
-    graphs = load_detection_groups(
-        args.inp,
-        registry,
-        max_frames=cfg.max_frames,
-        intrinsics=cfg.intrinsics(),
-        image_size=(cfg.image_w, cfg.image_h),
-    )
+    graphs = _load_graphs(args.inp, args.registry, cfg)
     if not args.no_register:
         graphs = [register_frames(g, gamma=cfg.gamma) for g in graphs]
     if len(graphs) == 1:
@@ -212,16 +196,7 @@ def cmd_compact(args) -> int:
     cfg = RunConfig.resolve(args)
     params = MatchParams(gamma=cfg.gamma, delta=cfg.delta)
     before = load_corpus(args.inp)
-
-    def run(g: SceneGraph25D) -> SceneGraph25D:
-        return compact(g, params)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            after = list(pool.map(run, before))
-    else:
-        after = [run(g) for g in before]
-
+    after = [compact(g, params) for g in before]
     if len(after) == 1:
         save_graph(after[0], args.out)
     else:
@@ -282,8 +257,7 @@ def _model_config(cfg: RunConfig, graphs: dict[str, SceneGraph25D]) -> ModelConf
 
 def cmd_train(args) -> int:
     cfg = RunConfig.resolve(args)
-    registry = _load_registry(args.registry)
-    graphs = _pipeline_graphs(args.detections, registry, cfg)
+    graphs = _pipeline_graphs(args.detections, args.registry, cfg)
     train_set = load_qa(args.qa)
     val_set = load_qa(args.val) if args.val else None
     model_cfg = _model_config(cfg, graphs)
@@ -311,25 +285,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = RunConfig.resolve(args)
-    registry = _load_registry(args.registry)
-    graphs = _pipeline_graphs(args.detections, registry, cfg, jobs=args.jobs)
+    graphs = _pipeline_graphs(args.detections, args.registry, cfg)
     instances = load_qa(args.qa)
     model, _header = load_model(args.model)
-
-    if args.jobs > 1:
-        by_video: dict[str, list] = {}
-        for inst in instances:
-            by_video.setdefault(inst.video_id, []).append(inst)
-        chunks = [by_video[v] for v in sorted(by_video)]
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda ch: evaluate(ch, graphs, model), chunks))
-        n = sum(len(ch) for ch in chunks)
-        accuracy = sum(r["accuracy"] * len(ch) for r, ch in zip(results, chunks)) / n
-        mean_rank = sum(r["mean_rank"] * len(ch) for r, ch in zip(results, chunks)) / n
-        result = {"accuracy": accuracy, "mean_rank": mean_rank}
-    else:
-        result = evaluate(instances, graphs, model)
-
+    result = evaluate(instances, graphs, model)
     if args.out:
         _write_json({"format": METRICS_FORMAT, "version": METRICS_VERSION, **result}, args.out)
     print(f"accuracy={result['accuracy']:.4f} mean_rank={result['mean_rank']:.4f}")
@@ -396,7 +355,6 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="inp", required=True, help="graph file from ingest")
     p.add_argument("--out", required=True, help="output compacted graph file")
     p.add_argument("--stats", help="write node-count stats JSON here")
-    p.add_argument("--jobs", type=int, default=1, help="videos compacted in parallel")
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_compact)
 
@@ -428,7 +386,6 @@ def build_parser() -> _Parser:
     p.add_argument("--qa", required=True)
     p.add_argument("--model", required=True, help="checkpoint from train")
     p.add_argument("--out", help="write metrics JSON here")
-    p.add_argument("--jobs", type=int, default=1, help="videos evaluated in parallel")
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_eval)
 

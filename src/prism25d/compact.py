@@ -23,14 +23,6 @@ class MatchParams:
             raise ValidationError(f"delta must be >= 1, got {self.delta}")
 
 
-@dataclass
-class AncestorMap:
-    parent: dict[int, int]  # node_id -> root ancestor node_id
-
-    def root(self, node_id: int) -> int:
-        return self.parent[node_id]
-
-
 def iou(a: Bbox, b: Bbox) -> float:
     ix1 = max(a[0], b[0])
     iy1 = max(a[1], b[1])
@@ -84,15 +76,15 @@ def match(
     return None if best is None else best[1]
 
 
-def build_ancestors(graph: SceneGraph25D, params: MatchParams) -> AncestorMap:
-    """Forward sweep over frames assigning each matched static node its match's ancestor."""
+def build_ancestors(graph: SceneGraph25D, params: MatchParams) -> dict[int, int]:
+    """Map each static node id to its root ancestor's id, in one forward sweep over frames."""
     static_by_frame = _static_ids_by_frame(graph)
     parent: dict[int, int] = {}
     for fs in graph.frames:
         for nid in static_by_frame[fs.frame_index]:
             m = match(graph.nodes[nid], graph, params, static_by_frame)
             parent[nid] = parent[m] if m is not None else nid
-    return AncestorMap(parent)
+    return parent
 
 
 def _merge_class(members: list[SceneNode], root: SceneNode) -> SceneNode:
@@ -114,15 +106,15 @@ def _merge_class(members: list[SceneNode], root: SceneNode) -> SceneNode:
     )
 
 
-def merge_static(graph: SceneGraph25D, ancestors: AncestorMap) -> SceneGraph25D:
+def merge_static(graph: SceneGraph25D, ancestors: dict[int, int]) -> SceneGraph25D:
     """Collapse each static equivalence class into its root-ancestor node.
 
     Merged features are the unweighted mean over members (ascending node_id);
     the merged centroid is the root's. Dynamic nodes pass through untouched.
     """
     classes: dict[int, list[int]] = {}
-    for nid in sorted(ancestors.parent):
-        classes.setdefault(ancestors.parent[nid], []).append(nid)
+    for nid in sorted(ancestors):
+        classes.setdefault(ancestors[nid], []).append(nid)
 
     nodes: dict[int, SceneNode] = {}
     for root_id, member_ids in classes.items():
@@ -131,7 +123,7 @@ def merge_static(graph: SceneGraph25D, ancestors: AncestorMap) -> SceneGraph25D:
     for nid in graph.dynamic_nodes:
         nodes[nid] = graph.nodes[nid]
 
-    remap = {nid: ancestors.parent.get(nid, nid) for nid in graph.nodes}
+    remap = {nid: ancestors.get(nid, nid) for nid in graph.nodes}
     frames = []
     for fs in graph.frames:
         seen: list[int] = []
@@ -162,16 +154,6 @@ def reduction_pct(full: float, after: float) -> float:
     return 100.0 * (1.0 - after / full)
 
 
-def compaction_stats(before: SceneGraph25D, after: SceneGraph25D) -> dict:
-    full = before.node_count()
-    return {
-        "full": full,
-        "static": len(after.static_nodes),
-        "dynamic": len(after.dynamic_nodes),
-        "reduction_pct": reduction_pct(full, after.node_count()),
-    }
-
-
 def corpus_stats(pairs: list[tuple[SceneGraph25D, SceneGraph25D]]) -> dict:
     """Per-video average node counts and the corpus-level reduction percentage."""
     if not pairs:
@@ -187,16 +169,3 @@ def corpus_stats(pairs: list[tuple[SceneGraph25D, SceneGraph25D]]) -> dict:
         "dynamic": dynamic / n,
         "reduction_pct": reduction_pct(full, static + dynamic),
     }
-
-
-def attach_motion(graph: SceneGraph25D) -> SceneGraph25D:
-    """Validate that every dynamic node can expose its combined object+motion feature.
-
-    The concatenated view itself is `SceneNode.combined_feature`; nothing is
-    mutated, so the operation is idempotent.
-    """
-    for nid in sorted(graph.dynamic_nodes):
-        node = graph.nodes[nid]
-        if node.motion_feature is None:
-            raise ValidationError(f"dynamic node {nid} lacks a motion feature")
-    return graph

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -292,6 +293,29 @@ def _parse_jsonl(path: str | Path) -> list[tuple[int, dict]]:
 _DETECTION_KEYS = ("video_id", "frame_index", "class_id", "bbox", "depth", "feature")
 
 
+def _check_detection(rec: dict, lineno: int) -> None:
+    """Reject a detection line with a missing field, a non-integer id or a non-finite number."""
+    missing = [k for k in _DETECTION_KEYS if k not in rec]
+    if missing:
+        raise ParseError(f"detection missing fields {missing}", line=lineno)
+    for key in ("frame_index", "class_id"):
+        if not isinstance(rec[key], int) or isinstance(rec[key], bool):
+            raise ParseError(f"{key} must be an integer, got {rec[key]!r}", line=lineno)
+    motion = rec.get("motion_feature")
+    for key, values in (
+        ("depth", [rec["depth"]]),
+        ("bbox", rec["bbox"]),
+        ("feature", rec["feature"]),
+        ("motion_feature", [] if motion is None else motion),
+    ):
+        try:
+            finite = isinstance(values, list) and all(map(math.isfinite, values))
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise ParseError(f"{key} must hold finite numbers only, got {rec[key]!r}", line=lineno)
+
+
 def load_detection_groups(
     path: str | Path,
     registry: ClassRegistry,
@@ -302,13 +326,8 @@ def load_detection_groups(
     """Load a detection JSONL file into one graph per video (first-appearance order)."""
     groups: dict[str, list[dict]] = {}
     for lineno, rec in _parse_jsonl(path):
-        missing = [k for k in _DETECTION_KEYS if k not in rec]
-        if missing:
-            raise ParseError(f"detection missing fields {missing}", line=lineno)
-        try:
-            groups.setdefault(str(rec["video_id"]), []).append(rec)
-        except TypeError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
+        _check_detection(rec, lineno)
+        groups.setdefault(str(rec["video_id"]), []).append(rec)
     if not groups:
         raise ValidationError(f"no detections in {path}")
     if max_frames is None:

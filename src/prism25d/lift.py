@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +18,6 @@ class Intrinsics:
     fy: float
     cx: float
     cy: float
-
-    def to_json(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Intrinsics":
-        return Intrinsics(float(obj["fx"]), float(obj["fy"]), float(obj["cx"]), float(obj["cy"]))
 
 
 def default_intrinsics(width: float, height: float) -> Intrinsics:
@@ -41,8 +35,8 @@ def validate_bbox(bbox: Bbox) -> None:
 def lift_centroid(bbox: Bbox, depth: float, intrinsics: Intrinsics) -> np.ndarray:
     """Back-project the bbox center at the given depth to a 3D camera-frame point."""
     validate_bbox(bbox)
-    if depth <= 0:
-        raise ValidationError(f"depth must be positive, got {depth}")
+    if not 0.0 < depth < math.inf:
+        raise ValidationError(f"depth must be positive and finite, got {depth}")
     u = (bbox[0] + bbox[2]) / 2.0
     v = (bbox[1] + bbox[3]) / 2.0
     x = (u - intrinsics.cx) * depth / intrinsics.fx

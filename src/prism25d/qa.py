@@ -255,17 +255,6 @@ def score_answers(fq: Tensor, answers: Tensor) -> Tensor:
     return nc.reshape(nc.matmul(nc.transpose(answers), fq), (answers.data.shape[1],))
 
 
-def predict_index(logits: Tensor | np.ndarray) -> int:
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    return int(np.argmax(data))  # ties break toward the lower candidate index
-
-
-def answer_probabilities(logits: Tensor) -> np.ndarray:
-    x = logits.data - logits.data.max()
-    e = np.exp(x)
-    return e / e.sum()
-
-
 def _logsumexp(x: Tensor) -> Tensor:
     c = float(x.data.max())
     return nc.log(nc.tsum(nc.exp(x - c))) + c
@@ -461,8 +450,9 @@ def evaluate(
     if not instances:
         raise ValidationError("empty evaluation dataset")
     if bundles is None:
+        used = {inst.video_id for inst in instances}
         bundles = build_bundles(
-            {v: g for v, g in graphs.items()}, model.config.kernel_config()
+            {v: g for v, g in graphs.items() if v in used}, model.config.kernel_config()
         )
     feat_cache: dict[str, Tensor] = {}
     correct = 0

@@ -53,14 +53,12 @@ def estimate_frame_transforms(graph: SceneGraph25D, gamma: float = 0.5) -> list[
     return transforms
 
 
-def register_frames(graph: SceneGraph25D, gamma: float = 0.5, delta: int = 1) -> SceneGraph25D:
+def register_frames(graph: SceneGraph25D, gamma: float = 0.5) -> SceneGraph25D:
     """Express every node's 3D centroid in frame 0's coordinate system.
 
     Both static and dynamic centroids are transformed; boxes, features, and
-    timestamps are untouched. `delta` is accepted for interface symmetry but
-    the transform chain itself always links consecutive frames.
+    timestamps are untouched. The transform chain links consecutive frames.
     """
-    del delta
     if len(graph.frames) <= 1:
         return graph
     transforms = estimate_frame_transforms(graph, gamma=gamma)

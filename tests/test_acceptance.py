@@ -12,7 +12,7 @@ import numpy as np
 from prism25d import numcore as nc
 from prism25d.attention import KernelConfig, NodeFeatureMatrix, DEFAULT_BANDWIDTHS, kernel_matrix
 from prism25d.cli import main
-from prism25d.compact import MatchParams, attach_motion, build_ancestors, compact
+from prism25d.compact import MatchParams, build_ancestors, compact
 from prism25d.graph import graph_from_records, load_graph, save_graph
 from prism25d.numcore import Tensor
 from prism25d.qa import (
@@ -46,7 +46,7 @@ def _world_pipeline(spec):
 def _computed_classes(graph):
     anc = build_ancestors(graph, PARAMS)
     groups = {}
-    for nid, root in anc.parent.items():
+    for nid, root in anc.items():
         groups.setdefault(root, set()).add(nid)
     return {root: frozenset(v) for root, v in groups.items()}
 
@@ -194,6 +194,7 @@ def test_c5_kernel_attention_property_suite():
         encoder_init,
         hierarchical_attention,
         kernel_attention,
+        kernel_softmax_levels,
         standard_attention,
     )
 
@@ -248,14 +249,16 @@ def test_c5_kernel_attention_property_suite():
             time_obs=[nfm.time_obs[i] for i in perm],
             node_ids=list(range(n)),
         )
+        smax = kernel_softmax_levels(nfm.positions, nfm.time_obs, cfg)
+        smax_p = kernel_softmax_levels(permuted.positions, permuted.time_obs, cfg)
         outs = (
             (standard_attention(nfm.features, enc.standard[0], 2),
              standard_attention(permuted.features, enc.standard[0], 2)),
-            (kernel_attention(nfm, cfg.levels[0], enc.kernel_values, 2),
-             kernel_attention(permuted, cfg.levels[0], enc.kernel_values, 2)),
-            (hierarchical_attention(nfm, cfg, enc.level_mlps, enc.kernel_values),
-             hierarchical_attention(permuted, cfg, enc.level_mlps, enc.kernel_values)),
-            (combined_encoding(nfm, cfg, enc), combined_encoding(permuted, cfg, enc)),
+            (kernel_attention(nfm, enc.kernel_values, smax[0]),
+             kernel_attention(permuted, enc.kernel_values, smax_p[0])),
+            (hierarchical_attention(nfm, cfg, enc.level_mlps, enc.kernel_values, smax),
+             hierarchical_attention(permuted, cfg, enc.level_mlps, enc.kernel_values, smax_p)),
+            (combined_encoding(nfm, cfg, enc, smax), combined_encoding(permuted, cfg, enc, smax_p)),
         )
         for base, after in outs:
             assert np.allclose(base.data[:, perm], after.data, atol=1e-9)
@@ -268,8 +271,9 @@ def test_c5_kernel_attention_property_suite():
         sigma = float(rng.uniform(0.05, 5.0))
         one = KernelConfig(levels=((sigma, sigma),), heads=2, latent_dim=8)
         wv = Tensor(rng.normal(size=(8, 8)))
-        hier = hierarchical_attention(nfm, one, [nc.mlp_identity(8)], wv)
-        ka = kernel_attention(nfm, (sigma, sigma), wv, heads=2)
+        smax = kernel_softmax_levels(nfm.positions, nfm.time_obs, one)
+        hier = hierarchical_attention(nfm, one, [nc.mlp_identity(8)], wv, smax)
+        ka = kernel_attention(nfm, wv, smax[0])
         assert np.allclose(hier.data, ka.data, atol=1e-12)
         cases += 1
 
@@ -292,7 +296,7 @@ def test_c6_gradient_fidelity_full_pipeline():
         {"video_id": "g", "frame_index": 1, "class_id": 101, "bbox": [60, 60, 90, 90],
          "depth": 2.5, "feature": [1.0, 1.0], "motion_feature": [0.3, 0.1]},
     ]
-    graph = attach_motion(graph_from_records(recs, REGISTRY))
+    graph = graph_from_records(recs, REGISTRY)
     instances = [
         QaInstance(video_id="g", question=(1, 5), candidates=((2,), (3,), (4,)), gt_index=0),
         QaInstance(video_id="g", question=(1, 6), candidates=((2,), (3,), (7,)), gt_index=2),
@@ -343,9 +347,7 @@ def _learning_corpus():
             world = sw.build_world(spec)
             records = sw.world_detections(world)
             truth = sw.world_truth(world)
-            graph = attach_motion(
-                compact(register_frames(graph_from_records(records, REGISTRY)), PARAMS)
-            )
+            graph = compact(register_frames(graph_from_records(records, REGISTRY)), PARAMS)
             graphs[spec.video_id] = graph
             insts, _ = sw.generate_qa(world, truth, "nearest_static", 4, seed=5)
             instances.extend(insts)
@@ -423,7 +425,7 @@ def test_c9_determinism_and_roundtrips(tmp_path):
     world = sw.build_world(spec)
     truth = sw.world_truth(world)
     instances, _ = sw.generate_qa(world, truth, "nearest_static", 6, seed=0)
-    graphs = {"d0": attach_motion(graph)}
+    graphs = {"d0": graph}
     config = ModelConfig(d_o=16, d_a=8, vocab_size=sw.VOCAB_SIZE, latent_dim=16, heads=2,
                          sigma_s=(0.1, 1.0))
     outputs = []

@@ -15,15 +15,18 @@ from prism25d.attention import (
     kernel,
     kernel_attention,
     kernel_matrix,
+    kernel_softmax_levels,
     min_time_gap,
-    project_nodes,
+    node_inputs,
+    project_inputs,
     standard_attention,
 )
 from prism25d.errors import ValidationError
 from prism25d.graph import graph_from_records
 from prism25d.numcore import Tensor
+from prism25d.qa import build_bundles
 
-from conftest import detection
+from helpers import detection
 
 
 def _nfm(rng, n=5, r=8, times=None, positions=None):
@@ -36,6 +39,15 @@ def _nfm(rng, n=5, r=8, times=None, positions=None):
         time_obs=times,
         node_ids=list(range(n)),
     )
+
+
+def _levels(nfm, cfg):
+    return kernel_softmax_levels(nfm.positions, nfm.time_obs, cfg)
+
+
+def _level(nfm, sigma_s, sigma_t):
+    """The row-softmaxed kernel matrix of one (sigma_s, sigma_t) level."""
+    return _levels(nfm, KernelConfig(levels=((sigma_s, sigma_t),)))[0]
 
 
 def _node_like(pos, times):
@@ -119,7 +131,7 @@ def test_project_node_counts_and_order(registry):
     rng = np.random.default_rng(0)
     mlp_s = nc.mlp_init([2, 4], rng)
     mlp_d = nc.mlp_init([4, 4], rng)
-    nfm = project_nodes(g, mlp_s, mlp_d)
+    nfm = project_inputs(node_inputs(g), mlp_s, mlp_d)
     assert nfm.features.data.shape == (4, 5)
     assert nfm.node_ids == [0, 1, 2, 3, 4]
     # each column equals a straight per-node evaluation
@@ -134,9 +146,18 @@ def test_project_node_counts_and_order(registry):
 def test_project_identity_mlp_passthrough(registry):
     recs = [detection(frame=0, class_id=1), detection(frame=1, class_id=2, bbox=(60, 60, 90, 90))]
     g = graph_from_records(recs, registry)
-    nfm = project_nodes(g, nc.mlp_identity(2), nc.mlp_identity(2))
+    nfm = project_inputs(node_inputs(g), nc.mlp_identity(2), nc.mlp_identity(2))
     for col, nid in enumerate(nfm.node_ids):
         assert np.allclose(nfm.features.data[:, col], g.nodes[nid].feature)
+
+
+def test_node_inputs_rejects_motionless_dynamic(registry):
+    g = graph_from_records([detection(class_id=101, motion=(0.5, 0.5))], registry)
+    g.nodes[0].motion_feature = None
+    with pytest.raises(ValidationError, match="lacks a motion feature"):
+        node_inputs(g)
+    with pytest.raises(ValidationError, match="lacks a motion feature"):
+        build_bundles({"v": g}, KernelConfig(levels=((1.0, 1.0),)))
 
 
 def test_project_dim_mismatch(registry):
@@ -144,7 +165,7 @@ def test_project_dim_mismatch(registry):
     g = graph_from_records(recs, registry)
     rng = np.random.default_rng(0)
     with pytest.raises(ValidationError):
-        project_nodes(g, nc.mlp_init([7, 4], rng), nc.mlp_init([4, 4], rng))
+        project_inputs(node_inputs(g), nc.mlp_init([7, 4], rng), nc.mlp_init([4, 4], rng))
 
 
 # -- standard attention ------------------------------------------------------------
@@ -212,7 +233,7 @@ def test_kernel_attention_single_node():
     rng = np.random.default_rng(5)
     nfm = _nfm(rng, n=1)
     wv = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
-    out = kernel_attention(nfm, (1.0, 1.0), wv, heads=2)
+    out = kernel_attention(nfm, wv, _level(nfm, 1.0, 1.0))
     assert np.allclose(out.data, wv.data @ nfm.features.data, atol=1e-12)
 
 
@@ -220,7 +241,7 @@ def test_kernel_attention_large_bandwidth_limit():
     rng = np.random.default_rng(6)
     nfm = _nfm(rng, n=6)
     wv = Tensor(rng.normal(size=(8, 8)))
-    out = kernel_attention(nfm, (1e9, 1e9), wv, heads=4)
+    out = kernel_attention(nfm, wv, _level(nfm, 1e9, 1e9))
     mean_col = (wv.data @ nfm.features.data).mean(axis=1)
     for col in range(6):
         assert np.allclose(out.data[:, col], mean_col, atol=1e-9)
@@ -230,7 +251,7 @@ def test_kernel_attention_matches_brute_force():
     rng = np.random.default_rng(7)
     nfm = _nfm(rng, n=5)
     wv = Tensor(rng.normal(size=(8, 8)))
-    out = kernel_attention(nfm, (0.8, 0.5), wv, heads=2)
+    out = kernel_attention(nfm, wv, _level(nfm, 0.8, 0.5))
     assert np.allclose(out.data, _brute_kernel_attention(nfm, 0.8, 0.5, wv, 2), atol=1e-12)
 
 
@@ -242,8 +263,8 @@ def test_hierarchical_single_level_identity_mlp_reduces_to_kernel_attention():
     nfm = _nfm(rng)
     cfg = KernelConfig(levels=((0.7, 0.7),), heads=2, latent_dim=8)
     wv = Tensor(rng.normal(size=(8, 8)))
-    hier = hierarchical_attention(nfm, cfg, [nc.mlp_identity(8)], wv)
-    ka = kernel_attention(nfm, (0.7, 0.7), wv, heads=2)
+    hier = hierarchical_attention(nfm, cfg, [nc.mlp_identity(8)], wv, _levels(nfm, cfg))
+    ka = kernel_attention(nfm, wv, _level(nfm, 0.7, 0.7))
     assert np.allclose(hier.data, ka.data, atol=1e-12)
 
 
@@ -258,8 +279,8 @@ def test_hierarchical_zero_second_branch():
         [Tensor(np.zeros((8, 1)), requires_grad=True)],
         ["identity"],
     )
-    hier = hierarchical_attention(nfm, cfg, [mlp1, zero], wv)
-    branch1 = nc.mlp_forward(mlp1, kernel_attention(nfm, (0.5, 0.5), wv, heads=2))
+    hier = hierarchical_attention(nfm, cfg, [mlp1, zero], wv, _levels(nfm, cfg))
+    branch1 = nc.mlp_forward(mlp1, kernel_attention(nfm, wv, _level(nfm, 0.5, 0.5)))
     assert np.allclose(hier.data, branch1.data, atol=1e-12)
 
 
@@ -269,7 +290,7 @@ def test_hierarchical_default_bandwidths_match_brute_force_sum():
     cfg = KernelConfig(levels=tuple((s, s) for s in DEFAULT_BANDWIDTHS), heads=2, latent_dim=8)
     wv = Tensor(rng.normal(size=(8, 8)))
     mlps = [nc.mlp_init([8, 8], rng) for _ in range(4)]
-    got = hierarchical_attention(nfm, cfg, mlps, wv).data
+    got = hierarchical_attention(nfm, cfg, mlps, wv, _levels(nfm, cfg)).data
     want = np.zeros_like(got)
     for (s, t), mlp in zip(cfg.levels, mlps):
         branch = _brute_kernel_attention(nfm, s, t, wv, 2)
@@ -282,7 +303,7 @@ def test_hierarchical_level_count_mismatch():
     nfm = _nfm(rng)
     cfg = KernelConfig(levels=((0.5, 0.5), (2.0, 2.0)), heads=2, latent_dim=8)
     with pytest.raises(ValidationError):
-        hierarchical_attention(nfm, cfg, [nc.mlp_identity(8)], Tensor(np.eye(8)))
+        hierarchical_attention(nfm, cfg, [nc.mlp_identity(8)], Tensor(np.eye(8)), _levels(nfm, cfg))
 
 
 # -- combined -----------------------------------------------------------------------
@@ -295,8 +316,8 @@ def test_combined_zero_comb_mlp_equals_hierarchical():
     enc = encoder_init(cfg, rng)
     enc.comb_mlp.weights[0].data[:] = 0.0
     enc.comb_mlp.biases[0].data[:] = 0.0
-    out = combined_encoding(nfm, cfg, enc)
-    hier = hierarchical_attention(nfm, cfg, enc.level_mlps, enc.kernel_values)
+    out = combined_encoding(nfm, cfg, enc, _levels(nfm, cfg))
+    hier = hierarchical_attention(nfm, cfg, enc.level_mlps, enc.kernel_values, _levels(nfm, cfg))
     assert np.allclose(out.data, hier.data, atol=1e-12)
 
 
@@ -305,7 +326,7 @@ def test_combined_matches_independent_evaluation():
     nfm = _nfm(rng, n=5)
     cfg = KernelConfig(levels=((0.3, 0.3), (3.0, 3.0)), heads=2, latent_dim=8)
     enc = encoder_init(cfg, rng)
-    got = combined_encoding(nfm, cfg, enc).data
+    got = combined_encoding(nfm, cfg, enc, _levels(nfm, cfg)).data
     want = np.zeros_like(got)
     for (s, t), mlp in zip(cfg.levels, enc.level_mlps):
         branch = _brute_kernel_attention(nfm, s, t, enc.kernel_values, 2)
@@ -335,14 +356,15 @@ def test_permutation_equivariance_all_encoders():
         enc = encoder_init(cfg, rng)
         perm = rng.permutation(6)
         permuted = _permute(nfm, perm)
+        smax, smax_p = _levels(nfm, cfg), _levels(permuted, cfg)
         pairs = [
             (standard_attention(nfm.features, enc.standard[0], 2),
              standard_attention(permuted.features, enc.standard[0], 2)),
-            (kernel_attention(nfm, cfg.levels[0], enc.kernel_values, 2),
-             kernel_attention(permuted, cfg.levels[0], enc.kernel_values, 2)),
-            (hierarchical_attention(nfm, cfg, enc.level_mlps, enc.kernel_values),
-             hierarchical_attention(permuted, cfg, enc.level_mlps, enc.kernel_values)),
-            (combined_encoding(nfm, cfg, enc), combined_encoding(permuted, cfg, enc)),
+            (kernel_attention(nfm, enc.kernel_values, smax[0]),
+             kernel_attention(permuted, enc.kernel_values, smax_p[0])),
+            (hierarchical_attention(nfm, cfg, enc.level_mlps, enc.kernel_values, smax),
+             hierarchical_attention(permuted, cfg, enc.level_mlps, enc.kernel_values, smax_p)),
+            (combined_encoding(nfm, cfg, enc, smax), combined_encoding(permuted, cfg, enc, smax_p)),
         ]
         for base, after in pairs:
             assert np.allclose(base.data[:, perm], after.data, atol=1e-9)
@@ -380,9 +402,10 @@ def test_encoder_gradients_match_finite_differences():
     nfm = _nfm(rng, n=4)
     params = [t for _, t in enc.named_parameters()]
     weights = np.random.default_rng(18).normal(size=(8, 4))
+    smax = _levels(nfm, cfg)
 
     def build():
-        out = combined_encoding(nfm, cfg, enc)
+        out = combined_encoding(nfm, cfg, enc, smax)
         return nc.tsum(nc.mul(out, Tensor(weights)))
 
     for p in params:

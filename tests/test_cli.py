@@ -6,6 +6,8 @@ from prism25d.cli import main
 from prism25d.graph import load_corpus, load_graph
 from prism25d import synthworld as sw
 
+from helpers import detection
+
 
 def _spec_file(tmp_path, worlds):
     path = tmp_path / "spec.json"
@@ -75,15 +77,6 @@ def test_stats_subcommand_prints_and_writes(tmp_path, capsys):
     assert stats["reduction_pct"] == pytest.approx(100 * (1 - (4 + 5) / (5 * 5)))
 
 
-def test_compact_jobs_preserve_output(tmp_path):
-    det, reg, _ = _synth_corpus(tmp_path, n_worlds=4, qa=False)
-    graph_file = str(tmp_path / "g.json")
-    main(["ingest", "--in", det, "--registry", reg, "--out", graph_file])
-    main(["compact", "--in", graph_file, "--out", str(tmp_path / "c1.json")])
-    main(["compact", "--in", graph_file, "--out", str(tmp_path / "c2.json"), "--jobs", "4"])
-    assert (tmp_path / "c1.json").read_bytes() == (tmp_path / "c2.json").read_bytes()
-
-
 def test_single_video_roundtrip_flat_graph_file(tmp_path):
     spec = _spec_file(tmp_path, [_world_json(7)])
     det = str(tmp_path / "d.jsonl")
@@ -121,13 +114,6 @@ def test_train_eval_cycle_and_eval_determinism(tmp_path, capsys):
         assert main(["eval", "--detections", det, "--registry", reg, "--qa", qa,
                      "--model", ckpt, "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / "e1.json").read_bytes() == (tmp_path / "e2.json").read_bytes()
-    jobs = str(tmp_path / "e3.json")
-    assert main(["eval", "--detections", det, "--registry", reg, "--qa", qa,
-                 "--model", ckpt, "--out", jobs, "--jobs", "3"]) == 0
-    a = json.loads((tmp_path / "e1.json").read_text())
-    b = json.loads(jobs and (tmp_path / "e3.json").read_text())
-    assert a["accuracy"] == pytest.approx(b["accuracy"])
-    assert a["mean_rank"] == pytest.approx(b["mean_rank"])
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -171,6 +157,49 @@ def test_validation_failure_exits_one(tmp_path, capsys):
                  "--out", str(tmp_path / "g.json")])
     assert code == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] in ("parse", "validation")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("depth", float("nan")),
+    ("depth", float("inf")),
+    ("depth", float("-inf")),
+    ("bbox", [10.0, 10.0, float("inf"), 50.0]),
+    ("feature", [float("nan"), 0.0]),
+    ("motion_feature", [0.0, float("inf")]),
+    ("class_id", "x"),
+    ("class_id", None),
+    ("frame_index", "x"),
+    ("frame_index", 1.5),
+])
+def test_bad_detection_field_exits_one(tmp_path, capsys, field, value):
+    bad = detection(frame=1, class_id=sw.DYNAMIC_CLASS_BASE, motion=(0.5, 0.5))
+    bad[field] = value
+    reg = tmp_path / "reg.json"
+    sw.default_registry().save(reg)
+    det = tmp_path / "d.jsonl"
+    good = detection(class_id=sw.STATIC_CLASS_BASE)
+    det.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")  # json writes NaN/Infinity
+    code = main(["ingest", "--in", str(det), "--registry", str(reg),
+                 "--out", str(tmp_path / "g.json")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1
+    obj = json.loads(err[0])
+    assert obj["error"] == "parse" and obj["message"].startswith("line 2:")
+    assert field in obj["message"]
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["compact", "--in", "g.json", "--out", "c.json"],
+    ["eval", "--detections", "d.jsonl", "--registry", "r.json", "--qa", "q.jsonl",
+     "--model", "m.ckpt"],
+])
+def test_jobs_flag_is_a_usage_error(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--jobs", "2"])
+    assert exc.value.code == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
 
 
 def test_bad_json_config_exits_one(tmp_path, capsys):

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from prism25d.compact import (
-    AncestorMap,
     MatchParams,
-    attach_motion,
     build_ancestors,
     compact,
-    compaction_stats,
     corpus_stats,
     criterion,
     iou,
@@ -138,14 +135,14 @@ def test_ancestor_chain():
     v1, v2, v3 = _node(0, 0), _node(1, 1), _node(2, 2)
     g = _graph([v1, v2, v3])
     anc = build_ancestors(g, MatchParams(gamma=0.5, delta=1))
-    assert anc.parent == {0: 0, 1: 0, 2: 0}
+    assert anc == {0: 0, 1: 0, 2: 0}
 
 
 def test_ancestors_without_matches():
     nodes = [_node(i, i, bbox=(i * 20, 0, i * 20 + 10, 10)) for i in range(3)]
     g = _graph(nodes)
     anc = build_ancestors(g, MatchParams(gamma=0.5, delta=3))
-    assert anc.parent == {0: 0, 1: 1, 2: 2}
+    assert anc == {0: 0, 1: 1, 2: 2}
 
 
 def test_ancestor_skips_gap_frame():
@@ -154,7 +151,7 @@ def test_ancestor_skips_gap_frame():
     v3 = _node(2, 2)
     g = _graph([v1, v2, v3])
     anc = build_ancestors(g, MatchParams(gamma=0.5, delta=2))
-    assert anc.parent[2] == 0
+    assert anc[2] == 0
 
 
 # -- merge_static -------------------------------------------------------------
@@ -189,7 +186,7 @@ def test_merge_singletons_is_identity():
 
 
 def test_merge_mixed_class_equivalence_is_internal_error():
-    anc = AncestorMap({0: 0, 1: 0})
+    anc = {0: 0, 1: 0}
     v1 = _node(0, 0, class_id=1)
     v2 = _node(1, 1, class_id=2)
     g = _graph([v1, v2])
@@ -267,7 +264,7 @@ def _brute_force_classes(g, params):
 def _ancestor_classes(g, params):
     anc = build_ancestors(g, params)
     groups = {}
-    for nid, root in anc.parent.items():
+    for nid, root in anc.items():
         groups.setdefault(root, set()).add(nid)
     return sorted(map(frozenset, groups.values()), key=sorted)
 
@@ -335,10 +332,10 @@ def test_compaction_stats_no_merges_and_empty():
     nodes = [_node(i, i, bbox=(i * 30, 0, i * 30 + 10, 10)) for i in range(3)]
     g = _graph(nodes)
     merged = compact(g, MatchParams())
-    stats = compaction_stats(g, merged)
-    assert stats == {"full": 3, "static": 3, "dynamic": 0, "reduction_pct": 0.0}
+    stats = corpus_stats([(g, merged)])
+    assert stats == {"videos": 1, "full": 3.0, "static": 3.0, "dynamic": 0.0, "reduction_pct": 0.0}
     empty = _graph([])
-    assert compaction_stats(empty, empty)["reduction_pct"] == 0.0
+    assert corpus_stats([(empty, empty)])["reduction_pct"] == 0.0
     assert corpus_stats([])["reduction_pct"] == 0.0
 
 
@@ -346,27 +343,6 @@ def test_compaction_stats_counts():
     nodes = [_node(i, i) for i in range(4)] + [_node(4, 0, class_id=3, motion=(1.0,))]
     g = _graph(nodes, dynamic=(4,))
     merged = compact(g, MatchParams())
-    stats = compaction_stats(g, merged)
+    stats = corpus_stats([(g, merged)])
     assert stats["full"] == 5 and stats["static"] == 1 and stats["dynamic"] == 1
     assert stats["reduction_pct"] == pytest.approx(100 * (1 - 2 / 5))
-
-
-# -- attach_motion --------------------------------------------------------------
-
-
-def test_attach_motion_lengths():
-    stat = _node(0, 0)
-    dyn = _node(1, 0, class_id=3, motion=np.arange(8.0))
-    dyn.feature = np.arange(16.0)
-    g = _graph([stat, dyn], dynamic=(1,))
-    out = attach_motion(g)
-    assert len(out.nodes[1].combined_feature) == 24
-    assert len(out.nodes[0].combined_feature) == 2
-    assert attach_motion(out) is out  # idempotent
-
-
-def test_attach_motion_rejects_motionless_dynamic():
-    dyn = _node(0, 0, class_id=3, motion=None)
-    g = _graph([dyn], dynamic=(0,))
-    with pytest.raises(ValidationError):
-        attach_motion(g)

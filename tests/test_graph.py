@@ -15,7 +15,7 @@ from prism25d.graph import (
     split_static_dynamic,
 )
 
-from conftest import detection, write_jsonl
+from helpers import detection, write_jsonl
 
 
 def test_load_counts_two_frames_three_each(tmp_path, registry):
@@ -73,6 +73,24 @@ def test_motion_feature_kind_mismatch_rejected(registry):
         graph_from_records([detection(class_id=1, motion=(0.1,))], registry)
     with pytest.raises(ValidationError):
         graph_from_records([detection(class_id=101, motion=None)], registry)
+
+
+def test_combined_feature_lengths(registry):
+    recs = [
+        detection(frame=0, class_id=1, feature=np.arange(16.0)),
+        detection(frame=0, class_id=101, bbox=(60, 10, 90, 40), feature=np.arange(16.0),
+                  motion=np.arange(8.0)),
+    ]
+    g = graph_from_records(recs, registry)
+    assert len(g.nodes[0].combined_feature) == 16
+    assert len(g.nodes[1].combined_feature) == 24
+    assert np.array_equal(g.nodes[1].combined_feature[16:], np.arange(8.0))
+
+
+def test_non_finite_depth_rejected_by_lift(registry):
+    for depth in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            graph_from_records([detection(depth=depth)], registry)
 
 
 def test_and_lift_applied_on_load(registry):

@@ -21,14 +21,16 @@ from prism25d.qa import (
     evaluate,
     init_model,
     load_model,
-    predict_index,
-    answer_probabilities,
     save_model,
     score_answers,
     train,
 )
 
-from conftest import detection
+from helpers import detection
+
+
+def _probabilities(logits):
+    return nc.softmax_rows(nc.reshape(logits, (1, -1))).data[0]
 
 
 def _text_params(rng, vocab=12, r=8):
@@ -150,7 +152,7 @@ def test_score_argmax_picks_aligned_column():
     basis = np.eye(4)
     fq = Tensor(basis[:, 2:3])
     logits = score_answers(fq, Tensor(basis))
-    assert predict_index(logits) == 2
+    assert int(np.argmax(logits.data)) == 2
 
 
 def test_score_identical_answers_give_uniform_probabilities():
@@ -158,7 +160,7 @@ def test_score_identical_answers_give_uniform_probabilities():
     fq = Tensor(rng.normal(size=(4, 1)))
     col = rng.normal(size=(4, 1))
     logits = score_answers(fq, Tensor(np.tile(col, (1, 5))))
-    assert np.allclose(answer_probabilities(logits), 0.2, atol=1e-12)
+    assert np.allclose(_probabilities(logits), 0.2, atol=1e-12)
 
 
 def test_score_probabilities_match_hand_softmax():
@@ -169,7 +171,7 @@ def test_score_probabilities_match_hand_softmax():
     raw = answers.T @ fq[:, 0]
     want = np.exp(raw - raw.max())
     want /= want.sum()
-    assert np.allclose(answer_probabilities(logits), want, atol=1e-12)
+    assert np.allclose(_probabilities(logits), want, atol=1e-12)
     assert np.allclose(logits.data, raw, atol=1e-12)
 
 
@@ -177,9 +179,9 @@ def test_prediction_scale_invariant():
     rng = np.random.default_rng(10)
     fq = Tensor(rng.normal(size=(4, 1)))
     answers = rng.normal(size=(4, 5))
-    base = predict_index(score_answers(fq, Tensor(answers)))
+    base = np.argmax(score_answers(fq, Tensor(answers)).data)
     for scale in (0.01, 3.0, 1000.0):
-        assert predict_index(score_answers(fq, Tensor(answers * scale))) == base
+        assert np.argmax(score_answers(fq, Tensor(answers * scale)).data) == base
 
 
 # -- augmented loss -----------------------------------------------------------------
@@ -363,6 +365,15 @@ def test_evaluate_order_independent(registry):
     forward = evaluate(insts, graphs, model)
     backward_order = evaluate(list(reversed(insts)), graphs, model)
     assert forward == backward_order
+
+
+def test_evaluate_builds_bundles_only_for_referenced_videos(registry):
+    model = init_model(_toy_config(), seed=4)
+    unused = _toy_graph(registry, vid="unused")
+    unused.nodes[2].motion_feature = None  # node_inputs rejects this graph
+    graphs = {"v": _toy_graph(registry), "unused": unused}
+    insts = [_instance((1, 5), [(2,), (3,), (4,)], gt=0)]
+    assert evaluate(insts, graphs, model) == evaluate(insts, {"v": graphs["v"]}, model)
 
 
 def test_unknown_video_rejected(registry):

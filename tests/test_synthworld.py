@@ -84,7 +84,7 @@ def _compactor_classes(records, gamma):
     g = register_frames(graph_from_records(records, REG), gamma=gamma)
     anc = build_ancestors(g, MatchParams(gamma=gamma, delta=3))
     groups = {}
-    for nid, root in anc.parent.items():
+    for nid, root in anc.items():
         groups.setdefault(root, set()).add(nid)
     return sorted(map(frozenset, groups.values()), key=sorted)
 

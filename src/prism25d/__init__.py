@@ -8,7 +8,7 @@ from .attention import (
     hierarchical_attention,
     kernel,
     kernel_attention,
-    standard_attention,
+    multihead_attention,
 )
 from .compact import (
     MatchParams,

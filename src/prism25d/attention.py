@@ -136,15 +136,13 @@ def kernel_matrix(
     n = positions.shape[0]
     diff = positions[:, None, :] - positions[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
-
-    if all(t.size == 1 for t in time_obs):
-        ts = np.array([t[0] for t in time_obs])
-        dt = np.abs(ts[:, None] - ts[None, :])
-    else:
-        dt = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                dt[i, j] = dt[j, i] = min_time_gap(time_obs[i], time_obs[j])
+    # dt[i, j] = min_time_gap(time_obs[i], time_obs[j]): node i's gap to each observation,
+    # min-reduced per node block; the empty array and reshape give (0, 0) for no nodes
+    t_all = np.concatenate([np.zeros(0), *time_obs])
+    starts = np.cumsum([0] + [t.size for t in time_obs[:-1]])
+    dt = np.array(
+        [np.minimum.reduceat(np.abs(t[:, None] - t_all).min(axis=0), starts) for t in time_obs]
+    ).reshape(n, n)
     return np.exp(-d2 / sigma_s**2 - dt / sigma_t)
 
 
@@ -172,6 +170,9 @@ class AttentionParams:
     def parameters(self) -> list[Tensor]:
         return [self.wq, self.wk, self.wv]
 
+    def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
+        return [(f"{prefix}.wq", self.wq), (f"{prefix}.wk", self.wk), (f"{prefix}.wv", self.wv)]
+
 
 def attention_init(r: int, rng: np.random.Generator) -> AttentionParams:
     bound = 1.0 / math.sqrt(r)
@@ -182,15 +183,17 @@ def attention_init(r: int, rng: np.random.Generator) -> AttentionParams:
     return AttentionParams(w(), w(), w())
 
 
-def standard_attention(feats: Tensor, params: AttentionParams, heads: int) -> Tensor:
-    """Scaled dot-product multi-head self-attention over node columns."""
-    r, _ = feats.data.shape
+def multihead_attention(
+    queries: Tensor, keys: Tensor, params: AttentionParams, heads: int
+) -> Tensor:
+    """Scaled dot-product multi-head attention of query columns over key (and value) columns."""
+    r = queries.data.shape[0]
     if r % heads != 0:
         raise ValidationError(f"latent width {r} not divisible by {heads} heads")
     r_k = r // heads
-    q = nc.matmul(params.wq, feats)
-    k = nc.matmul(params.wk, feats)
-    v = nc.matmul(params.wv, feats)
+    q = nc.matmul(params.wq, queries)
+    k = nc.matmul(params.wk, keys)
+    v = nc.matmul(params.wv, keys)
     outs = []
     for i in range(heads):
         lo, hi = i * r_k, (i + 1) * r_k
@@ -245,14 +248,11 @@ class EncoderParams:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = []
         for i, blk in enumerate(self.standard):
-            out += [(f"std{i}.wq", blk.wq), (f"std{i}.wk", blk.wk), (f"std{i}.wv", blk.wv)]
+            out += blk.named_parameters(f"std{i}")
         out.append(("kernel.wv", self.kernel_values))
         for j, mlp in enumerate(self.level_mlps):
-            for li, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-                out += [(f"level{j}.w{li}", w), (f"level{j}.b{li}", b)]
-        for li, (w, b) in enumerate(zip(self.comb_mlp.weights, self.comb_mlp.biases)):
-            out += [(f"comb.w{li}", w), (f"comb.b{li}", b)]
-        return out
+            out += mlp.named_parameters(f"level{j}")
+        return out + self.comb_mlp.named_parameters("comb")
 
 
 def encoder_init(
@@ -268,13 +268,6 @@ def encoder_init(
     )
 
 
-def standard_stack(feats: Tensor, params: EncoderParams, heads: int) -> Tensor:
-    out = feats
-    for blk in params.standard:
-        out = standard_attention(out, blk, heads)
-    return out
-
-
 def combined_encoding(
     nodes: NodeFeatureMatrix,
     cfg: KernelConfig,
@@ -285,5 +278,7 @@ def combined_encoding(
     hier = hierarchical_attention(
         nodes, cfg, params.level_mlps, params.kernel_values, smax_levels
     )
-    std = nc.mlp_forward(params.comb_mlp, standard_stack(nodes.features, params, cfg.heads))
-    return nc.add(hier, std)
+    std = nodes.features
+    for blk in params.standard:
+        std = multihead_attention(std, std, blk, cfg.heads)
+    return nc.add(hier, nc.mlp_forward(params.comb_mlp, std))

@@ -397,10 +397,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
-        _emit_error("parse", exc)
-        return 1
-    except json.JSONDecodeError as exc:
+    except (ParseError, json.JSONDecodeError) as exc:
         _emit_error("parse", exc)
         return 1
     except PrismError as exc:

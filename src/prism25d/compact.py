@@ -50,30 +50,32 @@ def _static_ids_by_frame(graph: SceneGraph25D) -> dict[int, list[int]]:
     }
 
 
+def nearest(
+    v: SceneNode, graph: SceneGraph25D, candidate_ids: list[int], params: MatchParams
+) -> int | None:
+    """Criterion-passing candidate nearest to v in 3D (ties to the lower id), or None."""
+    best: tuple[float, int] | None = None
+    for wid in candidate_ids:
+        w = graph.nodes[wid]
+        if not criterion(v, w, params):
+            continue
+        key = (float(np.linalg.norm(v.centroid3d - w.centroid3d)), wid)
+        if best is None or key < best:
+            best = key
+    return None if best is None else best[1]
+
+
 def match(
     v: SceneNode,
     graph: SceneGraph25D,
     params: MatchParams,
     static_by_frame: dict[int, list[int]] | None = None,
 ) -> int | None:
-    """Nearest-3D-centroid candidate for v among static nodes of the previous delta frames.
-
-    Ties in centroid distance break toward the lower node id.
-    """
+    """Nearest candidate for v among static nodes of the previous delta frames."""
     if static_by_frame is None:
         static_by_frame = _static_ids_by_frame(graph)
-    t = v.source_frames[0]
-    best: tuple[float, int] | None = None
-    for frame in range(t - params.delta, t):
-        for wid in static_by_frame.get(frame, ()):
-            w = graph.nodes[wid]
-            if not criterion(v, w, params):
-                continue
-            dist = float(np.linalg.norm(v.centroid3d - w.centroid3d))
-            key = (dist, wid)
-            if best is None or key < best:
-                best = key
-    return None if best is None else best[1]
+    frames = range(v.source_frames[0] - params.delta, v.source_frames[0])
+    return nearest(v, graph, [w for f in frames for w in static_by_frame.get(f, ())], params)
 
 
 def build_ancestors(graph: SceneGraph25D, params: MatchParams) -> dict[int, int]:

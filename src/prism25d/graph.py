@@ -61,9 +61,15 @@ class ClassRegistry:
 
     @staticmethod
     def from_json(obj: dict) -> "ClassRegistry":
+        classes = obj.get("classes") if isinstance(obj, dict) else None
+        if not isinstance(classes, list):
+            raise ParseError("registry needs a 'classes' list")
         entries = {}
-        for item in obj["classes"]:
-            cid = int(item["id"])
+        for item in classes:
+            if not (isinstance(item, dict) and {"id", "name", "kind"} <= item.keys()
+                    and _is_int(item["id"])):
+                raise ParseError(f"registry class needs an integer id, name and kind: {item!r}")
+            cid = item["id"]
             if cid in entries:
                 raise ValidationError(f"duplicate class id {cid} in registry")
             entries[cid] = ClassEntry(str(item["name"]), str(item["kind"]))
@@ -293,13 +299,19 @@ def _parse_jsonl(path: str | Path) -> list[tuple[int, dict]]:
 _DETECTION_KEYS = ("video_id", "frame_index", "class_id", "bbox", "depth", "feature")
 
 
-def _check_detection(rec: dict, lineno: int) -> None:
-    """Reject a detection line with a missing field, a non-integer id or a non-finite number."""
+def _is_int(value) -> bool:
+    """A JSON integer: a Python int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_detection(rec: dict, lineno: int, widths: dict[str, int]) -> None:
+    """Reject a detection line with a missing field, a non-integer id, a non-finite number
+    or a feature width other than the one `widths` holds for its key (set by its first use)."""
     missing = [k for k in _DETECTION_KEYS if k not in rec]
     if missing:
         raise ParseError(f"detection missing fields {missing}", line=lineno)
     for key in ("frame_index", "class_id"):
-        if not isinstance(rec[key], int) or isinstance(rec[key], bool):
+        if not _is_int(rec[key]):
             raise ParseError(f"{key} must be an integer, got {rec[key]!r}", line=lineno)
     motion = rec.get("motion_feature")
     for key, values in (
@@ -314,6 +326,9 @@ def _check_detection(rec: dict, lineno: int) -> None:
             finite = False
         if not finite:
             raise ParseError(f"{key} must hold finite numbers only, got {rec[key]!r}", line=lineno)
+    for key in ("feature", "motion_feature"):
+        if rec.get(key) is not None and len(rec[key]) != widths.setdefault(key, len(rec[key])):
+            raise ParseError(f"{key} has {len(rec[key])} values, not {widths[key]}", line=lineno)
 
 
 def load_detection_groups(
@@ -325,8 +340,9 @@ def load_detection_groups(
 ) -> list[SceneGraph25D]:
     """Load a detection JSONL file into one graph per video (first-appearance order)."""
     groups: dict[str, list[dict]] = {}
+    widths: dict[str, int] = {}  # feature widths of the file's first record with each key
     for lineno, rec in _parse_jsonl(path):
-        _check_detection(rec, lineno)
+        _check_detection(rec, lineno, widths)
         groups.setdefault(str(rec["video_id"]), []).append(rec)
     if not groups:
         raise ValidationError(f"no detections in {path}")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,6 +15,8 @@ from .errors import FormatError, ValidationError
 
 CHECKPOINT_FORMAT = "prism25d-checkpoint"
 CHECKPOINT_VERSION = 1
+
+_recording = ContextVar("recording", default=True)  # False inside no_grad()
 
 
 class Tensor:
@@ -77,9 +81,19 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextmanager
+def no_grad():
+    """Run tensor operations without recording the autodiff tape."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._leaf = False
         out._parents = parents
@@ -318,11 +332,14 @@ class MlpParams:
     def out_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    def parameters(self) -> list[Tensor]:
+    def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            out += [(f"{prefix}.w{i}", w), (f"{prefix}.b{i}", b)]
         return out
+
+    def parameters(self) -> list[Tensor]:
+        return [t for _, t in self.named_parameters("")]
 
 
 def mlp_init(dims: list[int], rng: np.random.Generator, hidden_act: str = "relu") -> MlpParams:
@@ -336,15 +353,6 @@ def mlp_init(dims: list[int], rng: np.random.Generator, hidden_act: str = "relu"
         biases.append(Tensor(rng.uniform(-bound, bound, size=(dims[i + 1], 1)), requires_grad=True))
         acts.append(hidden_act if i < len(dims) - 2 else "identity")
     return MlpParams(weights, biases, acts)
-
-
-def mlp_identity(dim: int) -> MlpParams:
-    """Single exact-identity layer; useful as a neutral element in tests."""
-    return MlpParams(
-        [Tensor(np.eye(dim), requires_grad=True)],
-        [Tensor(np.zeros((dim, 1)), requires_grad=True)],
-        ["identity"],
-    )
 
 
 def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:

@@ -20,13 +20,13 @@ from .attention import (
     encoder_init,
     hierarchical_attention,
     kernel_softmax_levels,
+    multihead_attention,
     node_inputs,
     project_inputs,
-    standard_attention,
     DEFAULT_BANDWIDTHS,
 )
-from .errors import ValidationError
-from .graph import SceneGraph25D
+from .errors import ParseError, ValidationError
+from .graph import SceneGraph25D, _is_int, _parse_jsonl
 from .numcore import Adam, MlpParams, Tensor
 
 MASK_LOGIT = -1e30  # additive mask for duplicate in-batch answers
@@ -51,21 +51,35 @@ class QaInstance:
             raise ValidationError("empty question")
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
 def load_qa(path: str | Path) -> list[QaInstance]:
+    """Read a QA JSONL file; a line with a missing or mistyped field is a ParseError."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append(
-                QaInstance(
-                    video_id=str(rec["video_id"]),
-                    question=tuple(int(t) for t in rec["question"]),
-                    candidates=tuple(tuple(int(t) for t in c) for c in rec["candidates"]),
-                    gt_index=int(rec["gt"]),
-                )
+    for lineno, rec in _parse_jsonl(path):
+        candidates = rec.get("candidates")
+        if not (
+            "video_id" in rec
+            and _is_int(rec.get("gt"))
+            and _int_list(rec.get("question"))
+            and isinstance(candidates, list)
+            and all(map(_int_list, candidates))
+        ):
+            raise ParseError(
+                "a QA record needs video_id, an integer gt, and question and candidates"
+                " as lists of integers",
+                line=lineno,
             )
+        out.append(
+            QaInstance(
+                video_id=str(rec["video_id"]),
+                question=tuple(rec["question"]),
+                candidates=tuple(tuple(c) for c in candidates),
+                gt_index=rec["gt"],
+            )
+        )
     return out
 
 
@@ -159,21 +173,12 @@ class QaModel:
     cross: AttentionParams
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
-        for tag, mlp in (("mlp_s", self.mlp_s), ("mlp_d", self.mlp_d)):
-            for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-                out += [(f"{tag}.w{i}", w), (f"{tag}.b{i}", b)]
+        out = self.mlp_s.named_parameters("mlp_s") + self.mlp_d.named_parameters("mlp_d")
         out += [(f"enc.{n}", t) for n, t in self.encoder.named_parameters()]
         out.append(("text.embedding", self.text.embedding))
-        out += [
-            ("text.q.wq", self.text.q_attn.wq),
-            ("text.q.wk", self.text.q_attn.wk),
-            ("text.q.wv", self.text.q_attn.wv),
-        ]
-        for i, (w, b) in enumerate(zip(self.text.answer_mlp.weights, self.text.answer_mlp.biases)):
-            out += [(f"text.answer.w{i}", w), (f"text.answer.b{i}", b)]
-        out += [("cross.wq", self.cross.wq), ("cross.wk", self.cross.wk), ("cross.wv", self.cross.wv)]
-        return out
+        out += self.text.q_attn.named_parameters("text.q")
+        out += self.text.answer_mlp.named_parameters("text.answer")
+        return out + self.cross.named_parameters("cross")
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
@@ -213,7 +218,7 @@ def encode_question(tokens, text: TextParams, heads: int) -> Tensor:
         raise ValidationError("cannot encode an empty question")
     _check_tokens(tokens, text.embedding.data.shape[0])
     emb = nc.transpose(nc.gather_rows(text.embedding, list(tokens)))  # (r, len)
-    return standard_attention(emb, text.q_attn, heads)
+    return multihead_attention(emb, emb, text.q_attn, heads)
 
 
 def condition_on_question(
@@ -225,17 +230,7 @@ def condition_on_question(
         raise ValidationError("question and graph features disagree on latent width")
     if n == 0 or q_feats.data.shape[1] == 0:
         raise ValidationError("conditioning requires nonempty graph and question features")
-    r_k = r // heads
-    q = nc.matmul(cross.wq, q_feats)
-    k = nc.matmul(cross.wk, graph_feats)
-    v = nc.matmul(cross.wv, graph_feats)
-    outs = []
-    for i in range(heads):
-        lo, hi = i * r_k, (i + 1) * r_k
-        qi, ki, vi = nc.rows(q, lo, hi), nc.rows(k, lo, hi), nc.rows(v, lo, hi)
-        scores = nc.matmul(nc.transpose(qi), ki) * (1.0 / math.sqrt(r_k))
-        outs.append(nc.matmul(vi, nc.transpose(nc.softmax_rows(scores))))
-    return nc.tmean(nc.concat(outs, axis=0), axis=1, keepdims=True)
+    return nc.tmean(multihead_attention(q_feats, graph_feats, cross, heads), axis=1, keepdims=True)
 
 
 def encode_candidate(question, answer_tokens, text: TextParams) -> Tensor:
@@ -334,23 +329,28 @@ def encode_graph(model: QaModel, bundle: GraphBundle) -> Tensor:
     )
 
 
-def instance_fq(model: QaModel, bundle_feats: Tensor, inst: QaInstance) -> Tensor:
-    q_feats = encode_question(inst.question, model.text, model.config.heads)
-    return condition_on_question(bundle_feats, q_feats, model.cross, model.config.heads)
+def _question_features(
+    model: QaModel, bundles: dict[str, GraphBundle], instances: list[QaInstance]
+) -> list[Tensor]:
+    """Each instance's question-conditioned graph feature (r, 1); every graph is encoded once."""
+    heads = model.config.heads
+    graph_feats: dict[str, Tensor] = {}
+    fqs = []
+    for inst in instances:
+        if inst.video_id not in bundles:
+            raise ValidationError(f"instance references unknown video {inst.video_id!r}")
+        if inst.video_id not in graph_feats:
+            graph_feats[inst.video_id] = encode_graph(model, bundles[inst.video_id])
+        q_feats = encode_question(inst.question, model.text, heads)
+        fqs.append(condition_on_question(graph_feats[inst.video_id], q_feats, model.cross, heads))
+    return fqs
 
 
 def batch_forward(
     model: QaModel, bundles: dict[str, GraphBundle], batch: list[QaInstance]
 ) -> tuple[Tensor, int]:
     """Loss over one batch plus the number of correctly argmaxed instances."""
-    feat_cache: dict[str, Tensor] = {}
-    fqs = []
-    for inst in batch:
-        if inst.video_id not in bundles:
-            raise ValidationError(f"instance references unknown video {inst.video_id!r}")
-        if inst.video_id not in feat_cache:
-            feat_cache[inst.video_id] = encode_graph(model, bundles[inst.video_id])
-        fqs.append(instance_fq(model, feat_cache[inst.video_id], inst))
+    fqs = _question_features(model, bundles, batch)
     loss, own_logits = augmented_loss(batch, fqs, model.text)
     correct = sum(
         1 for inst, lg in zip(batch, own_logits) if int(np.argmax(lg)) == inst.gt_index
@@ -366,9 +366,6 @@ def batch_forward(
 class TrainConfig:
     lr: float = 1e-3
     batch_size: int = 16
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def _epoch_order(instances: list[QaInstance], seed: int, epoch: int) -> list[int]:
@@ -401,13 +398,7 @@ def train(
         raise ValidationError("empty training dataset")
     model = init_model(model_config, seed)
     bundles = build_bundles(graphs, model_config.kernel_config())
-    opt = Adam(
-        model.parameters(),
-        lr=train_config.lr,
-        beta1=train_config.beta1,
-        beta2=train_config.beta2,
-        eps=train_config.eps,
-    )
+    opt = Adam(model.parameters(), lr=train_config.lr)
     epoch_records = []
     for epoch in range(epochs):
         order = _epoch_order(instances, seed, epoch)
@@ -446,7 +437,7 @@ def evaluate(
     model: QaModel,
     bundles: dict[str, GraphBundle] | None = None,
 ) -> dict:
-    """Accuracy and 1-based mean rank of the ground-truth answer."""
+    """Accuracy and 1-based mean rank of the ground-truth answer; records no autodiff tape."""
     if not instances:
         raise ValidationError("empty evaluation dataset")
     if bundles is None:
@@ -454,22 +445,17 @@ def evaluate(
         bundles = build_bundles(
             {v: g for v, g in graphs.items() if v in used}, model.config.kernel_config()
         )
-    feat_cache: dict[str, Tensor] = {}
     correct = 0
     rank_sum = 0.0
-    for inst in instances:
-        if inst.video_id not in bundles:
-            raise ValidationError(f"instance references unknown video {inst.video_id!r}")
-        if inst.video_id not in feat_cache:
-            feat_cache[inst.video_id] = encode_graph(model, bundles[inst.video_id])
-        fq = instance_fq(model, feat_cache[inst.video_id], inst)
-        encs = [encode_candidate(inst.question, c, model.text) for c in inst.candidates]
-        logits = score_answers(fq, nc.concat(encs, axis=1)).data
-        gt = inst.gt_index
-        if int(np.argmax(logits)) == gt:
-            correct += 1
-        rank = 1 + int(np.sum(logits > logits[gt])) + int(np.sum(logits[:gt] == logits[gt]))
-        rank_sum += rank
+    with nc.no_grad():
+        for inst, fq in zip(instances, _question_features(model, bundles, instances)):
+            encs = [encode_candidate(inst.question, c, model.text) for c in inst.candidates]
+            logits = score_answers(fq, nc.concat(encs, axis=1)).data
+            gt = inst.gt_index
+            if int(np.argmax(logits)) == gt:
+                correct += 1
+            rank = 1 + int(np.sum(logits > logits[gt])) + int(np.sum(logits[:gt] == logits[gt]))
+            rank_sum += rank
     return {"accuracy": correct / len(instances), "mean_rank": rank_sum / len(instances)}
 
 

@@ -4,34 +4,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
-from .compact import MatchParams, criterion
+from .compact import MatchParams, _static_ids_by_frame, nearest
 from .graph import SceneGraph25D, SceneNode
 from .lift import RigidTransform, estimate_rigid
-
-
-def _pair_correspondences(
-    graph: SceneGraph25D, prev_ids: list[int], cur_ids: list[int], params: MatchParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Static-node correspondences (cur -> prev): criterion-passing nearest centroids."""
-    src, dst = [], []
-    for vid in cur_ids:
-        v = graph.nodes[vid]
-        best = None
-        for wid in prev_ids:
-            w = graph.nodes[wid]
-            if not criterion(v, w, params):
-                continue
-            dist = float(np.linalg.norm(v.centroid3d - w.centroid3d))
-            if best is None or (dist, wid) < best:
-                best = (dist, wid)
-        if best is not None:
-            src.append(v.centroid3d)
-            dst.append(graph.nodes[best[1]].centroid3d)
-    if not src:
-        return np.zeros((0, 3)), np.zeros((0, 3))
-    return np.stack(src), np.stack(dst)
 
 
 def estimate_frame_transforms(graph: SceneGraph25D, gamma: float = 0.5) -> list[RigidTransform]:
@@ -42,14 +17,18 @@ def estimate_frame_transforms(graph: SceneGraph25D, gamma: float = 0.5) -> list[
     intact.
     """
     params = MatchParams(gamma=gamma, delta=1)
-    static_by_frame = [
-        [nid for nid in fs.node_ids if nid in graph.static_nodes] for fs in graph.frames
-    ]
+    static_by_frame = _static_ids_by_frame(graph)
     transforms = [RigidTransform.identity()]
-    for k in range(1, len(graph.frames)):
-        src, dst = _pair_correspondences(graph, static_by_frame[k - 1], static_by_frame[k], params)
-        step = estimate_rigid(src, dst)  # frame k -> frame k-1
-        transforms.append(transforms[k - 1].compose(step))
+    for prev, cur in zip(graph.frames, graph.frames[1:]):
+        # correspondences cur -> prev: each static node and its nearest candidate in prev
+        src, dst = [], []
+        for vid in static_by_frame[cur.frame_index]:
+            wid = nearest(graph.nodes[vid], graph, static_by_frame[prev.frame_index], params)
+            if wid is not None:
+                src.append(graph.nodes[vid].centroid3d)
+                dst.append(graph.nodes[wid].centroid3d)
+        step = estimate_rigid(src, dst)  # frame cur -> frame prev
+        transforms.append(transforms[-1].compose(step))
     return transforms
 
 

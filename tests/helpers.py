@@ -2,6 +2,10 @@
 
 import json
 
+import numpy as np
+
+from prism25d.numcore import MlpParams, Tensor
+
 
 def detection(video_id="v", frame=0, class_id=1, bbox=(10.0, 10.0, 50.0, 50.0),
               depth=2.0, feature=(1.0, 0.0), motion=None):
@@ -14,6 +18,15 @@ def detection(video_id="v", frame=0, class_id=1, bbox=(10.0, 10.0, 50.0, 50.0),
         "feature": list(feature),
         "motion_feature": None if motion is None else list(motion),
     }
+
+
+def mlp_identity(dim):
+    """Single exact-identity layer, a neutral element for the MLP stages."""
+    return MlpParams(
+        [Tensor(np.eye(dim), requires_grad=True)],
+        [Tensor(np.zeros((dim, 1)), requires_grad=True)],
+        ["identity"],
+    )
 
 
 def write_jsonl(path, records):

@@ -29,6 +29,8 @@ from prism25d.qa import (
 from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
 
+from helpers import mlp_identity
+
 REGISTRY = sw.default_registry()
 PARAMS = MatchParams(gamma=0.5, delta=3)
 
@@ -195,7 +197,7 @@ def test_c5_kernel_attention_property_suite():
         hierarchical_attention,
         kernel_attention,
         kernel_softmax_levels,
-        standard_attention,
+        multihead_attention,
     )
 
     start = time.perf_counter()
@@ -252,8 +254,8 @@ def test_c5_kernel_attention_property_suite():
         smax = kernel_softmax_levels(nfm.positions, nfm.time_obs, cfg)
         smax_p = kernel_softmax_levels(permuted.positions, permuted.time_obs, cfg)
         outs = (
-            (standard_attention(nfm.features, enc.standard[0], 2),
-             standard_attention(permuted.features, enc.standard[0], 2)),
+            (multihead_attention(nfm.features, nfm.features, enc.standard[0], 2),
+             multihead_attention(permuted.features, permuted.features, enc.standard[0], 2)),
             (kernel_attention(nfm, enc.kernel_values, smax[0]),
              kernel_attention(permuted, enc.kernel_values, smax_p[0])),
             (hierarchical_attention(nfm, cfg, enc.level_mlps, enc.kernel_values, smax),
@@ -272,7 +274,7 @@ def test_c5_kernel_attention_property_suite():
         one = KernelConfig(levels=((sigma, sigma),), heads=2, latent_dim=8)
         wv = Tensor(rng.normal(size=(8, 8)))
         smax = kernel_softmax_levels(nfm.positions, nfm.time_obs, one)
-        hier = hierarchical_attention(nfm, one, [nc.mlp_identity(8)], wv, smax)
+        hier = hierarchical_attention(nfm, one, [mlp_identity(8)], wv, smax)
         ka = kernel_attention(nfm, wv, smax[0])
         assert np.allclose(hier.data, ka.data, atol=1e-12)
         cases += 1

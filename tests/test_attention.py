@@ -17,16 +17,16 @@ from prism25d.attention import (
     kernel_matrix,
     kernel_softmax_levels,
     min_time_gap,
+    multihead_attention,
     node_inputs,
     project_inputs,
-    standard_attention,
 )
 from prism25d.errors import ValidationError
 from prism25d.graph import graph_from_records
 from prism25d.numcore import Tensor
 from prism25d.qa import build_bundles
 
-from helpers import detection
+from helpers import detection, mlp_identity
 
 
 def _nfm(rng, n=5, r=8, times=None, positions=None):
@@ -106,14 +106,23 @@ def test_kernel_symmetry_and_monotonicity():
 
 def test_kernel_matrix_matches_pairwise_kernel():
     rng = np.random.default_rng(1)
-    times = [np.sort(rng.uniform(0, 1, size=rng.integers(1, 4))) for _ in range(6)]
-    positions = rng.uniform(-2, 2, size=(6, 3))
-    mat = kernel_matrix(positions, times, 0.9, 0.4)
-    for i in range(6):
-        for j in range(6):
-            vi = _node_like(positions[i], times[i])
-            vj = _node_like(positions[j], times[j])
-            assert mat[i, j] == pytest.approx(kernel(vi, vj, 0.9, 0.4), rel=1e-12)
+    grid = np.arange(24) / 24
+    node_times = [
+        [np.sort(rng.uniform(0, 1, size=rng.integers(1, 4))) for _ in range(6)],  # mixed
+        [np.array([t]) for t in rng.uniform(0, 1, size=6)],  # all singletons
+        [grid, grid[:1], np.sort(rng.choice(grid, 24 - 7, replace=False)), grid[5:6], grid],
+    ]
+    for times in node_times:
+        n = len(times)
+        positions = rng.uniform(-2, 2, size=(n, 3))
+        mat = kernel_matrix(positions, times, 0.9, 0.4)
+        assert mat.shape == (n, n)
+        for i in range(n):
+            for j in range(n):
+                vi = _node_like(positions[i], times[i])
+                vj = _node_like(positions[j], times[j])
+                assert mat[i, j] == pytest.approx(kernel(vi, vj, 0.9, 0.4), rel=1e-12)
+    assert kernel_matrix(np.zeros((0, 3)), [], 0.9, 0.4).shape == (0, 0)
 
 
 # -- projection ---------------------------------------------------------------
@@ -146,7 +155,7 @@ def test_project_node_counts_and_order(registry):
 def test_project_identity_mlp_passthrough(registry):
     recs = [detection(frame=0, class_id=1), detection(frame=1, class_id=2, bbox=(60, 60, 90, 90))]
     g = graph_from_records(recs, registry)
-    nfm = project_inputs(node_inputs(g), nc.mlp_identity(2), nc.mlp_identity(2))
+    nfm = project_inputs(node_inputs(g), mlp_identity(2), mlp_identity(2))
     for col, nid in enumerate(nfm.node_ids):
         assert np.allclose(nfm.features.data[:, col], g.nodes[nid].feature)
 
@@ -190,7 +199,7 @@ def test_standard_attention_single_node_is_value_projection():
     rng = np.random.default_rng(2)
     params = attention_init(8, rng)
     f = Tensor(rng.normal(size=(8, 1)))
-    out = standard_attention(f, params, heads=2)
+    out = multihead_attention(f, f, params, heads=2)
     assert np.allclose(out.data, params.wv.data @ f.data, atol=1e-12)
 
 
@@ -198,7 +207,8 @@ def test_standard_attention_identical_columns():
     rng = np.random.default_rng(3)
     params = attention_init(8, rng)
     col = rng.normal(size=(8, 1))
-    out = standard_attention(Tensor(np.tile(col, (1, 2))), params, heads=4)
+    f = Tensor(np.tile(col, (1, 2)))
+    out = multihead_attention(f, f, params, heads=4)
     assert np.allclose(out.data[:, 0], out.data[:, 1], atol=1e-12)
 
 
@@ -206,7 +216,7 @@ def test_standard_attention_matches_brute_force():
     rng = np.random.default_rng(4)
     params = attention_init(8, rng)
     f = rng.normal(size=(8, 4))
-    out = standard_attention(Tensor(f), params, heads=2)
+    out = multihead_attention(Tensor(f), Tensor(f), params, heads=2)
     assert np.allclose(out.data, _brute_standard(f, params, heads=2), atol=1e-12)
 
 
@@ -263,7 +273,7 @@ def test_hierarchical_single_level_identity_mlp_reduces_to_kernel_attention():
     nfm = _nfm(rng)
     cfg = KernelConfig(levels=((0.7, 0.7),), heads=2, latent_dim=8)
     wv = Tensor(rng.normal(size=(8, 8)))
-    hier = hierarchical_attention(nfm, cfg, [nc.mlp_identity(8)], wv, _levels(nfm, cfg))
+    hier = hierarchical_attention(nfm, cfg, [mlp_identity(8)], wv, _levels(nfm, cfg))
     ka = kernel_attention(nfm, wv, _level(nfm, 0.7, 0.7))
     assert np.allclose(hier.data, ka.data, atol=1e-12)
 
@@ -303,7 +313,7 @@ def test_hierarchical_level_count_mismatch():
     nfm = _nfm(rng)
     cfg = KernelConfig(levels=((0.5, 0.5), (2.0, 2.0)), heads=2, latent_dim=8)
     with pytest.raises(ValidationError):
-        hierarchical_attention(nfm, cfg, [nc.mlp_identity(8)], Tensor(np.eye(8)), _levels(nfm, cfg))
+        hierarchical_attention(nfm, cfg, [mlp_identity(8)], Tensor(np.eye(8)), _levels(nfm, cfg))
 
 
 # -- combined -----------------------------------------------------------------------
@@ -358,8 +368,8 @@ def test_permutation_equivariance_all_encoders():
         permuted = _permute(nfm, perm)
         smax, smax_p = _levels(nfm, cfg), _levels(permuted, cfg)
         pairs = [
-            (standard_attention(nfm.features, enc.standard[0], 2),
-             standard_attention(permuted.features, enc.standard[0], 2)),
+            (multihead_attention(nfm.features, nfm.features, enc.standard[0], 2),
+             multihead_attention(permuted.features, permuted.features, enc.standard[0], 2)),
             (kernel_attention(nfm, enc.kernel_values, smax[0]),
              kernel_attention(permuted, enc.kernel_values, smax_p[0])),
             (hierarchical_attention(nfm, cfg, enc.level_mlps, enc.kernel_values, smax),

@@ -170,6 +170,7 @@ def test_validation_failure_exits_one(tmp_path, capsys):
     ("class_id", None),
     ("frame_index", "x"),
     ("frame_index", 1.5),
+    ("feature", [1.0, 0.0, 0.5]),  # the first line's feature has 2 values
 ])
 def test_bad_detection_field_exits_one(tmp_path, capsys, field, value):
     bad = detection(frame=1, class_id=sw.DYNAMIC_CLASS_BASE, motion=(0.5, 0.5))
@@ -187,6 +188,53 @@ def test_bad_detection_field_exits_one(tmp_path, capsys, field, value):
     obj = json.loads(err[0])
     assert obj["error"] == "parse" and obj["message"].startswith("line 2:")
     assert field in obj["message"]
+    assert not (tmp_path / "g.json").exists()
+
+
+def _one_parse_error(capsys, code, line=None):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1
+    obj = json.loads(err[0])
+    assert obj["error"] == "parse"
+    if line is not None:
+        assert obj["message"].startswith(f"line {line}:")
+
+
+@pytest.mark.parametrize("change", [
+    lambda rec: rec.pop("gt"),
+    lambda rec: rec.update(gt="0"),
+    lambda rec: rec.update(question=[1, "x"]),
+    lambda rec: rec.update(candidates=[[2], [3.0]]),
+    lambda rec: rec.update(candidates=7),
+], ids=["no-gt", "string-gt", "string-token", "float-token", "candidates-not-a-list"])
+def test_bad_qa_line_exits_one(tmp_path, capsys, change):
+    det, reg, qa = _synth_corpus(tmp_path, n_worlds=1)
+    lines = (tmp_path / "qa.jsonl").read_text().splitlines()
+    rec = json.loads(lines[1])
+    change(rec)
+    lines[1] = json.dumps(rec)
+    (tmp_path / "qa.jsonl").write_text("\n".join(lines) + "\n")
+    code = main(["train", "--detections", det, "--registry", reg, "--qa", qa,
+                 "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"])
+    _one_parse_error(capsys, code, line=2)
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("registry", [
+    {"kinds": []},
+    {"classes": [{"id": 1, "name": "a"}]},
+    {"classes": [{"id": "1", "name": "a", "kind": "static"}]},
+    [],
+], ids=["no-classes", "no-kind", "string-id", "not-an-object"])
+def test_bad_registry_exits_one(tmp_path, capsys, registry):
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps(registry))
+    det = tmp_path / "d.jsonl"
+    det.write_text(json.dumps(detection(class_id=sw.STATIC_CLASS_BASE)) + "\n")
+    code = main(["ingest", "--in", str(det), "--registry", str(reg),
+                 "--out", str(tmp_path / "g.json")])
+    _one_parse_error(capsys, code)
     assert not (tmp_path / "g.json").exists()
 
 

@@ -6,6 +6,8 @@ from prism25d import numcore as nc
 from prism25d.errors import FormatError, ValidationError
 from prism25d.numcore import Adam, Tensor
 
+from helpers import mlp_identity
+
 
 def _param(rng, *shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
@@ -68,7 +70,7 @@ def test_softmax_rows_sum_to_one_and_shift_invariant(seed):
 
 def test_mlp_identity_layer():
     x = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
-    out = nc.mlp_forward(nc.mlp_identity(4), x)
+    out = nc.mlp_forward(mlp_identity(4), x)
     assert np.allclose(out.data, x.data)
 
 
@@ -202,7 +204,7 @@ def test_gradcheck_take_reshape_broadcast_bias():
 
 def test_gradcheck_attention_mlp_stack():
     # the full-stack gradient example: attention + MLP against finite differences
-    from prism25d.attention import attention_init, standard_attention
+    from prism25d.attention import attention_init, multihead_attention
 
     rng = np.random.default_rng(9)
     params = attention_init(8, rng)
@@ -210,7 +212,7 @@ def test_gradcheck_attention_mlp_stack():
     x = np.random.default_rng(10).normal(size=(8, 5))
 
     def build():
-        enc = standard_attention(Tensor(x), params, heads=2)
+        enc = multihead_attention(Tensor(x), Tensor(x), params, heads=2)
         return nc.tsum(nc.mul(nc.mlp_forward(mlp, enc), 0.1))
 
     _gradcheck(build, params.parameters() + mlp.parameters())

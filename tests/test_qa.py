@@ -26,7 +26,7 @@ from prism25d.qa import (
     train,
 )
 
-from helpers import detection
+from helpers import detection, mlp_identity
 
 
 def _probabilities(logits):
@@ -46,7 +46,7 @@ def _identity_text(vocab=12, r=None):
     return TextParams(
         embedding=Tensor(np.eye(vocab), requires_grad=True),
         q_attn=attention_init(vocab, np.random.default_rng(0)),
-        answer_mlp=nc.mlp_identity(vocab),
+        answer_mlp=mlp_identity(vocab),
     )
 
 
@@ -374,6 +374,35 @@ def test_evaluate_builds_bundles_only_for_referenced_videos(registry):
     graphs = {"v": _toy_graph(registry), "unused": unused}
     insts = [_instance((1, 5), [(2,), (3,), (4,)], gt=0)]
     assert evaluate(insts, graphs, model) == evaluate(insts, {"v": graphs["v"]}, model)
+
+
+def test_evaluate_records_no_tape_and_training_still_gets_gradients(registry, monkeypatch):
+    from prism25d import qa
+
+    graphs = {"v": _toy_graph(registry)}
+    insts = [_instance((1, 5 + i % 3), [(2,), (3,), (4,)], gt=i % 3) for i in range(4)]
+    model = init_model(_toy_config(), seed=4)
+    seen = []
+    score = qa.score_answers
+
+    def recording_score(fq, answers):
+        logits = score(fq, answers)
+        seen.extend([fq, answers, logits])
+        return logits
+
+    monkeypatch.setattr(qa, "score_answers", recording_score)
+    evaluate(insts, graphs, model)
+    assert len(seen) == 3 * len(insts)
+    for t in seen:
+        assert t._parents == () and t._backward is None and not t.requires_grad
+
+    bundles = build_bundles(graphs, model.config.kernel_config())
+    for p in model.parameters():
+        p.grad = None
+    loss, _ = batch_forward(model, bundles, insts)
+    nc.backward(loss)
+    assert all(p.grad is not None for p in model.parameters())
+    assert any(np.abs(p.grad).sum() > 0 for p in model.parameters())
 
 
 def test_unknown_video_rejected(registry):

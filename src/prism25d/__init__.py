@@ -44,8 +44,8 @@ from .qa import (
     QaModel,
     TrainConfig,
     augmented_loss,
-    condition_on_question,
-    encode_question,
+    condition_on_questions,
+    encode_questions,
     evaluate,
     init_model,
     load_model,

@@ -13,6 +13,7 @@ from .graph import SceneGraph25D, SceneNode
 from .numcore import MlpParams, Tensor
 
 DEFAULT_BANDWIDTHS = (0.01, 0.1, 1.0, 10.0)
+MASK_LOGIT = -1e30  # additive score mask for pairs that may not attend
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,10 @@ def kernel(v: SceneNode, w: SceneNode, sigma_s: float, sigma_t: float) -> float:
     return math.exp(-d2 / sigma_s**2 - dt / sigma_t)
 
 
-def kernel_matrix(
-    positions: np.ndarray, time_obs: list[np.ndarray], sigma_s: float, sigma_t: float
-) -> np.ndarray:
+def kernel_distances(
+    positions: np.ndarray, time_obs: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared 3D distances and smallest time gaps between every pair of nodes, (n, n) each."""
     n = positions.shape[0]
     diff = positions[:, None, :] - positions[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
@@ -143,6 +145,11 @@ def kernel_matrix(
     dt = np.array(
         [np.minimum.reduceat(np.abs(t[:, None] - t_all).min(axis=0), starts) for t in time_obs]
     ).reshape(n, n)
+    return d2, dt
+
+
+def kernel_matrix(d2: np.ndarray, dt: np.ndarray, sigma_s: float, sigma_t: float) -> np.ndarray:
+    """One bandwidth level's kernel over the pairwise distances of `kernel_distances`."""
     return np.exp(-d2 / sigma_s**2 - dt / sigma_t)
 
 
@@ -150,9 +157,8 @@ def kernel_softmax_levels(
     positions: np.ndarray, time_obs: list[np.ndarray], cfg: KernelConfig
 ) -> list[Tensor]:
     """Row-softmaxed kernel matrices per level; parameter-free, safe to cache."""
-    return [
-        nc.softmax_rows(Tensor(kernel_matrix(positions, time_obs, s, t))) for s, t in cfg.levels
-    ]
+    d2, dt = kernel_distances(positions, time_obs)
+    return [nc.softmax_rows(Tensor(kernel_matrix(d2, dt, s, t))) for s, t in cfg.levels]
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +190,38 @@ def attention_init(r: int, rng: np.random.Generator) -> AttentionParams:
 
 
 def multihead_attention(
-    queries: Tensor, keys: Tensor, params: AttentionParams, heads: int
+    queries: Tensor,
+    keys: Tensor,
+    params: AttentionParams,
+    heads: int,
+    mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Scaled dot-product multi-head attention of query columns over key (and value) columns."""
-    r = queries.data.shape[0]
+    """Scaled dot-product multi-head attention of query columns over key (and value) columns.
+
+    All heads run in one pass. The m projected queries are repeated once per
+    head and zeroed outside that head's rows, so row block h of the
+    (heads * m, n) score matrix holds head h's scores; the attended values
+    are masked the same way and the head blocks summed back to (r, m).
+    `mask`, an optional constant (m, n) array, is added to every head's
+    scores: 0 where a query may attend to a key, MASK_LOGIT where not.
+    """
+    r, m = queries.data.shape
     if r % heads != 0:
         raise ValidationError(f"latent width {r} not divisible by {heads} heads")
     r_k = r // heads
+    cols = np.arange(heads * m)
+    repeat = (np.arange(m)[:, None] == cols % m).astype(float)  # (m, heads * m): [I ... I]
+    head_rows = (np.arange(r)[:, None] // r_k == cols // m).astype(float)  # (r, heads * m)
     q = nc.matmul(params.wq, queries)
     k = nc.matmul(params.wk, keys)
     v = nc.matmul(params.wv, keys)
-    outs = []
-    for i in range(heads):
-        lo, hi = i * r_k, (i + 1) * r_k
-        qi, ki, vi = nc.rows(q, lo, hi), nc.rows(k, lo, hi), nc.rows(v, lo, hi)
-        scores = nc.matmul(nc.transpose(qi), ki) * (1.0 / math.sqrt(r_k))
-        outs.append(nc.matmul(vi, nc.transpose(nc.softmax_rows(scores))))
-    return nc.concat(outs, axis=0)
+    # the 1/sqrt(r_k) scaling rides on the constant head mask
+    q_heads = nc.matmul(q, Tensor(repeat)) * Tensor(head_rows * (1.0 / math.sqrt(r_k)))
+    scores = nc.matmul(nc.transpose(q_heads), k)
+    if mask is not None:
+        scores = scores + Tensor(np.tile(mask, (heads, 1)))
+    attended = nc.matmul(v, nc.transpose(nc.softmax_rows(scores))) * Tensor(head_rows)
+    return nc.matmul(attended, Tensor(repeat.T))
 
 
 def kernel_attention(nodes: NodeFeatureMatrix, value_weights: Tensor, smax: Tensor) -> Tensor:

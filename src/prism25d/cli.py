@@ -257,9 +257,9 @@ def _model_config(cfg: RunConfig, graphs: dict[str, SceneGraph25D]) -> ModelConf
 
 def cmd_train(args) -> int:
     cfg = RunConfig.resolve(args)
-    graphs = _pipeline_graphs(args.detections, args.registry, cfg)
     train_set = load_qa(args.qa)
     val_set = load_qa(args.val) if args.val else None
+    graphs = _pipeline_graphs(args.detections, args.registry, cfg)
     model_cfg = _model_config(cfg, graphs)
     if args.save_init:
         save_model(args.save_init, init_model(model_cfg, cfg.seed), seed=cfg.seed, step=0)
@@ -285,9 +285,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = RunConfig.resolve(args)
-    graphs = _pipeline_graphs(args.detections, args.registry, cfg)
     instances = load_qa(args.qa)
     model, _header = load_model(args.model)
+    graphs = _pipeline_graphs(args.detections, args.registry, cfg)
     result = evaluate(instances, graphs, model)
     if args.out:
         _write_json({"format": METRICS_FORMAT, "version": METRICS_VERSION, **result}, args.out)

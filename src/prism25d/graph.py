@@ -304,6 +304,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _finite_list(values) -> bool:
+    """A JSON list of finite numbers."""
+    try:
+        return isinstance(values, list) and all(map(math.isfinite, values))
+    except (TypeError, OverflowError):
+        return False
+
+
 def _check_detection(rec: dict, lineno: int, widths: dict[str, int]) -> None:
     """Reject a detection line with a missing field, a non-integer id, a non-finite number
     or a feature width other than the one `widths` holds for its key (set by its first use)."""
@@ -320,11 +328,7 @@ def _check_detection(rec: dict, lineno: int, widths: dict[str, int]) -> None:
         ("feature", rec["feature"]),
         ("motion_feature", [] if motion is None else motion),
     ):
-        try:
-            finite = isinstance(values, list) and all(map(math.isfinite, values))
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
+        if not _finite_list(values):
             raise ParseError(f"{key} must hold finite numbers only, got {rec[key]!r}", line=lineno)
     for key in ("feature", "motion_feature"):
         if rec.get(key) is not None and len(rec[key]) != widths.setdefault(key, len(rec[key])):

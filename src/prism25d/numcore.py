@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ParseError, ValidationError
 
 CHECKPOINT_FORMAT = "prism25d-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -281,7 +281,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited:
+            if p.requires_grad and id(p) not in visited:  # constants have no tape to walk
                 stack.append((p, False))
     return topo
 
@@ -421,16 +421,32 @@ def save_checkpoint(path: str | Path, header: dict, named_params: list[tuple[str
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
+def _manifest_entry(item) -> bool:
+    """A params entry: a name and a shape of non-negative JSON integers."""
+    return (
+        isinstance(item, dict)
+        and isinstance(item.get("name"), str)
+        and isinstance(item.get("shape"), list)
+        and all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in item["shape"])
+    )
+
+
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file") from exc
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
         if header.get("version") != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported version {header.get('version')!r}")
+        params = header.get("params")
+        if not isinstance(params, list) or not all(map(_manifest_entry, params)):
+            raise ParseError(f"{path}: checkpoint header needs a params list of names and shapes")
         arrays: dict[str, np.ndarray] = {}
-        for item in header["params"]:
-            shape = tuple(int(s) for s in item["shape"])
+        for item in params:
+            shape = tuple(item["shape"])
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * 8)
             if len(buf) != count * 8:

@@ -24,12 +24,11 @@ from .attention import (
     node_inputs,
     project_inputs,
     DEFAULT_BANDWIDTHS,
+    MASK_LOGIT,
 )
 from .errors import ParseError, ValidationError
-from .graph import SceneGraph25D, _is_int, _parse_jsonl
+from .graph import SceneGraph25D, _finite_list, _is_int, _parse_jsonl
 from .numcore import Adam, MlpParams, Tensor
-
-MASK_LOGIT = -1e30  # additive mask for duplicate in-batch answers
 
 METRICS_FORMAT = "prism25d-metrics"
 METRICS_VERSION = 1
@@ -72,14 +71,16 @@ def load_qa(path: str | Path) -> list[QaInstance]:
                 " as lists of integers",
                 line=lineno,
             )
-        out.append(
-            QaInstance(
+        try:
+            inst = QaInstance(
                 video_id=str(rec["video_id"]),
                 question=tuple(rec["question"]),
                 candidates=tuple(tuple(c) for c in candidates),
                 gt_index=rec["gt"],
             )
-        )
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+        out.append(inst)
     return out
 
 
@@ -141,19 +142,39 @@ class ModelConfig:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "ModelConfig":
+    def from_json(obj) -> "ModelConfig":
+        """Config from a checkpoint header; a missing or mistyped field is a ParseError."""
+        if not isinstance(obj, dict):
+            raise ParseError("checkpoint header: config is not a JSON object")
+        for key, valid in _CONFIG_FIELDS.items():
+            if key not in obj or not valid(obj[key]):
+                raise ParseError(f"checkpoint header: config field {key!r} is missing or mistyped")
         return ModelConfig(
-            d_o=int(obj["d_o"]),
-            d_a=int(obj["d_a"]),
-            vocab_size=int(obj["vocab_size"]),
-            latent_dim=int(obj["latent_dim"]),
-            heads=int(obj["heads"]),
+            d_o=obj["d_o"],
+            d_a=obj["d_a"],
+            vocab_size=obj["vocab_size"],
+            latent_dim=obj["latent_dim"],
+            heads=obj["heads"],
             sigma_s=tuple(float(s) for s in obj["sigma_s"]),
             sigma_t=None if obj["sigma_t"] is None else tuple(float(s) for s in obj["sigma_t"]),
-            feature_hidden=tuple(int(d) for d in obj["feature_hidden"]),
-            n_standard_layers=int(obj["n_standard_layers"]),
-            combine=bool(obj["combine"]),
+            feature_hidden=tuple(obj["feature_hidden"]),
+            n_standard_layers=obj["n_standard_layers"],
+            combine=obj["combine"],
         )
+
+
+_CONFIG_FIELDS = {
+    "d_o": _is_int,
+    "d_a": _is_int,
+    "vocab_size": _is_int,
+    "latent_dim": _is_int,
+    "heads": _is_int,
+    "sigma_s": _finite_list,
+    "sigma_t": lambda v: v is None or _finite_list(v),
+    "feature_hidden": _int_list,
+    "n_standard_layers": _is_int,
+    "combine": lambda v: isinstance(v, bool),
+}
 
 
 @dataclass
@@ -212,32 +233,63 @@ def _check_tokens(tokens, vocab: int) -> None:
             raise ValidationError(f"token id {t} outside vocabulary of size {vocab}")
 
 
-def encode_question(tokens, text: TextParams, heads: int) -> Tensor:
-    """Embed tokens and self-attend once; columns are token positions."""
-    if len(tokens) == 0:
+def _segment_ids(lengths: list[int]) -> np.ndarray:
+    return np.repeat(np.arange(len(lengths)), lengths)
+
+
+def _segment_mean(lengths: list[int]) -> np.ndarray:
+    """Constant (sum(lengths), len(lengths)) matrix; X @ it averages X's column runs."""
+    out = np.zeros((sum(lengths), len(lengths)))
+    weights = np.repeat(1.0 / np.asarray(lengths), lengths)
+    out[np.arange(out.shape[0]), _segment_ids(lengths)] = weights
+    return out
+
+
+def encode_questions(questions: list[tuple[int, ...]], text: TextParams, heads: int) -> Tensor:
+    """Embed every question's tokens and self-attend within each question.
+
+    Columns are token positions, question after question; a block mask keeps
+    each token's attention inside its own question.
+    """
+    if not questions or not all(questions):
         raise ValidationError("cannot encode an empty question")
+    tokens = [t for q in questions for t in q]
     _check_tokens(tokens, text.embedding.data.shape[0])
-    emb = nc.transpose(nc.gather_rows(text.embedding, list(tokens)))  # (r, len)
-    return multihead_attention(emb, emb, text.q_attn, heads)
+    seg = _segment_ids([len(q) for q in questions])
+    mask = np.where(seg[:, None] == seg[None, :], 0.0, MASK_LOGIT)
+    emb = nc.transpose(nc.gather_rows(text.embedding, tokens))  # (r, tokens)
+    return multihead_attention(emb, emb, text.q_attn, heads, mask=mask)
 
 
-def condition_on_question(
-    graph_feats: Tensor, q_feats: Tensor, cross: AttentionParams, heads: int
+def condition_on_questions(
+    graph_feats: Tensor, q_feats: Tensor, lengths: list[int], cross: AttentionParams, heads: int
 ) -> Tensor:
-    """Cross-attend question queries over graph keys/values, mean-pooled to (r, 1)."""
+    """Cross-attend question token columns over graph keys/values; (r, questions).
+
+    `lengths` splits the token columns into questions; each question's
+    attended tokens are mean-pooled into its column.
+    """
     r, n = graph_feats.data.shape
     if q_feats.data.shape[0] != r:
         raise ValidationError("question and graph features disagree on latent width")
     if n == 0 or q_feats.data.shape[1] == 0:
         raise ValidationError("conditioning requires nonempty graph and question features")
-    return nc.tmean(multihead_attention(q_feats, graph_feats, cross, heads), axis=1, keepdims=True)
+    if sum(lengths) != q_feats.data.shape[1]:
+        raise ValidationError("question lengths do not cover the question token columns")
+    attended = multihead_attention(q_feats, graph_feats, cross, heads)
+    return nc.matmul(attended, Tensor(_segment_mean(lengths)))
 
 
-def encode_candidate(question, answer_tokens, text: TextParams) -> Tensor:
-    """Candidate embedding: lookup of question||answer, mean-pool, MLP; (r, 1)."""
-    tokens = list(question) + list(answer_tokens)
+def encode_candidates(instances: list[QaInstance], text: TextParams) -> Tensor:
+    """Every candidate of the instances, in order: lookup of question||answer, mean-pool, MLP.
+
+    Returns (r, total candidates).
+    """
+    seqs = [inst.question + cand for inst in instances for cand in inst.candidates]
+    tokens = [t for seq in seqs for t in seq]
     _check_tokens(tokens, text.embedding.data.shape[0])
-    pooled = nc.tmean(nc.transpose(nc.gather_rows(text.embedding, tokens)), axis=1, keepdims=True)
+    emb = nc.transpose(nc.gather_rows(text.embedding, tokens))  # (r, tokens)
+    pooled = nc.matmul(emb, Tensor(_segment_mean([len(seq) for seq in seqs])))
     return nc.mlp_forward(text.answer_mlp, pooled)
 
 
@@ -250,50 +302,41 @@ def score_answers(fq: Tensor, answers: Tensor) -> Tensor:
     return nc.reshape(nc.matmul(nc.transpose(answers), fq), (answers.data.shape[1],))
 
 
-def _logsumexp(x: Tensor) -> Tensor:
-    c = float(x.data.max())
-    return nc.log(nc.tsum(nc.exp(x - c))) + c
-
-
 def augmented_loss(
-    batch: list[QaInstance], fqs: list[Tensor], text: TextParams
+    batch: list[QaInstance], fq: Tensor, text: TextParams
 ) -> tuple[Tensor, list[np.ndarray]]:
     """Cross-entropy over every candidate in the batch, duplicate answers masked.
 
-    Candidates byte-identical to an instance's ground-truth answer (other than
-    the ground truth itself) are pushed to -inf before the softmax. Returns the
+    `fq` holds one conditioned feature column per instance. The logits form
+    one (candidates, instances) matrix; in an instance's column, candidates
+    byte-identical to its ground-truth answer (other than the ground truth
+    itself) are pushed to -inf before the column's log-sum-exp. Returns the
     mean loss and each instance's raw logits over its own candidates.
     """
     if not batch:
         raise ValidationError("empty batch")
-    if len(fqs) != len(batch):
+    if fq.data.shape[1] != len(batch):
         raise ValidationError("one conditioned feature is needed per instance")
-    encs = []
-    answers = []
-    offsets = [0]
-    for inst in batch:
-        for cand in inst.candidates:
-            encs.append(encode_candidate(inst.question, cand, text))
-            answers.append(tuple(cand))
-        offsets.append(len(encs))
-    all_enc = nc.concat(encs, axis=1)  # (r, total)
-    total = len(encs)
-
-    loss_sum = None
-    own_logits: list[np.ndarray] = []
-    for i, (inst, fq) in enumerate(zip(batch, fqs)):
-        logits = nc.reshape(nc.matmul(nc.transpose(all_enc), fq), (total,))
-        gt_pos = offsets[i] + inst.gt_index
-        gt_answer = tuple(inst.candidates[inst.gt_index])
-        mask = np.zeros(total)
-        for j, ans in enumerate(answers):
-            if j != gt_pos and ans == gt_answer:
-                mask[j] = MASK_LOGIT
-        masked = logits + Tensor(mask)
-        li = _logsumexp(masked) - nc.take(masked, gt_pos)
-        loss_sum = li if loss_sum is None else loss_sum + li
-        own_logits.append(logits.data[offsets[i] : offsets[i + 1]].copy())
-    return loss_sum * (1.0 / len(batch)), own_logits
+    logits = nc.matmul(nc.transpose(encode_candidates(batch, text)), fq)  # (C, B)
+    offsets = np.cumsum([0] + [len(inst.candidates) for inst in batch])
+    cols = np.arange(len(batch))
+    gt_pos = offsets[:-1] + [inst.gt_index for inst in batch]
+    answer_ids: dict[tuple[int, ...], int] = {}  # equal answers share an id
+    ids = np.array(
+        [answer_ids.setdefault(c, len(answer_ids)) for inst in batch for c in inst.candidates]
+    )
+    duplicate = ids[:, None] == ids[gt_pos][None, :]
+    duplicate[gt_pos, cols] = False
+    masked = logits + Tensor(np.where(duplicate, MASK_LOGIT, 0.0))
+    shift = masked.data.max(axis=0, keepdims=True)  # constant, for a stable exp
+    lse = nc.log(nc.tsum(nc.exp(masked - shift), axis=0, keepdims=True)) + shift
+    gt_onehot = np.zeros(logits.data.shape)
+    gt_onehot[gt_pos, cols] = 1.0
+    picked = nc.tsum(logits * Tensor(gt_onehot), axis=0, keepdims=True)
+    own_logits = [
+        logits.data[lo:hi, b].copy() for b, lo, hi in zip(cols, offsets[:-1], offsets[1:])
+    ]
+    return nc.tsum(lse - picked) * (1.0 / len(batch)), own_logits
 
 
 # ---------------------------------------------------------------------------
@@ -329,29 +372,38 @@ def encode_graph(model: QaModel, bundle: GraphBundle) -> Tensor:
     )
 
 
-def _question_features(
+def question_features(
     model: QaModel, bundles: dict[str, GraphBundle], instances: list[QaInstance]
-) -> list[Tensor]:
-    """Each instance's question-conditioned graph feature (r, 1); every graph is encoded once."""
+) -> Tensor:
+    """Each instance's question-conditioned graph feature: one column per instance, in order.
+
+    Instances are grouped by video: each graph is encoded once, and all of
+    its questions are self-attended and then cross-attended over its nodes
+    together.
+    """
     heads = model.config.heads
-    graph_feats: dict[str, Tensor] = {}
-    fqs = []
-    for inst in instances:
-        if inst.video_id not in bundles:
-            raise ValidationError(f"instance references unknown video {inst.video_id!r}")
-        if inst.video_id not in graph_feats:
-            graph_feats[inst.video_id] = encode_graph(model, bundles[inst.video_id])
-        q_feats = encode_question(inst.question, model.text, heads)
-        fqs.append(condition_on_question(graph_feats[inst.video_id], q_feats, model.cross, heads))
-    return fqs
+    by_video: dict[str, list[int]] = {}
+    for i, inst in enumerate(instances):
+        by_video.setdefault(inst.video_id, []).append(i)
+    blocks = []
+    for vid, idxs in by_video.items():
+        if vid not in bundles:
+            raise ValidationError(f"instance references unknown video {vid!r}")
+        questions = [instances[i].question for i in idxs]
+        q_feats = encode_questions(questions, model.text, heads)
+        graph_feats = encode_graph(model, bundles[vid])
+        lengths = [len(q) for q in questions]
+        blocks.append(condition_on_questions(graph_feats, q_feats, lengths, model.cross, heads))
+    grouped = [i for idxs in by_video.values() for i in idxs]
+    return nc.gather_cols(nc.concat(blocks, axis=1), np.argsort(grouped))
 
 
 def batch_forward(
     model: QaModel, bundles: dict[str, GraphBundle], batch: list[QaInstance]
 ) -> tuple[Tensor, int]:
     """Loss over one batch plus the number of correctly argmaxed instances."""
-    fqs = _question_features(model, bundles, batch)
-    loss, own_logits = augmented_loss(batch, fqs, model.text)
+    fq = question_features(model, bundles, batch)
+    loss, own_logits = augmented_loss(batch, fq, model.text)
     correct = sum(
         1 for inst, lg in zip(batch, own_logits) if int(np.argmax(lg)) == inst.gt_index
     )
@@ -448,9 +500,12 @@ def evaluate(
     correct = 0
     rank_sum = 0.0
     with nc.no_grad():
-        for inst, fq in zip(instances, _question_features(model, bundles, instances)):
-            encs = [encode_candidate(inst.question, c, model.text) for c in inst.candidates]
-            logits = score_answers(fq, nc.concat(encs, axis=1)).data
+        fq = question_features(model, bundles, instances).data
+        for i, inst in enumerate(instances):
+            # one instance at a time: encode_candidates's (tokens, candidates) segment-mean
+            # matrix is quadratic in the number of instances encoded together
+            answers = encode_candidates([inst], model.text)
+            logits = score_answers(Tensor(fq[:, i : i + 1]), answers).data
             gt = inst.gt_index
             if int(np.argmax(logits)) == gt:
                 correct += 1
@@ -470,8 +525,11 @@ def save_model(path: str | Path, model: QaModel, seed: int, step: int) -> None:
 
 def load_model(path: str | Path) -> tuple[QaModel, dict]:
     header, arrays = nc.load_checkpoint(path)
-    config = ModelConfig.from_json(header["config"])
-    model = init_model(config, seed=int(header["seed"]))
+    for key in ("seed", "step"):
+        if not _is_int(header.get(key)):
+            raise ParseError(f"checkpoint header: {key!r} is missing or not an integer")
+    config = ModelConfig.from_json(header.get("config"))
+    model = init_model(config, seed=header["seed"])
     for name, tensor in model.named_parameters():
         if name not in arrays:
             raise ValidationError(f"checkpoint missing parameter {name}")

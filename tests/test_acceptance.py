@@ -10,7 +10,13 @@ import time
 import numpy as np
 
 from prism25d import numcore as nc
-from prism25d.attention import KernelConfig, NodeFeatureMatrix, DEFAULT_BANDWIDTHS, kernel_matrix
+from prism25d.attention import (
+    DEFAULT_BANDWIDTHS,
+    KernelConfig,
+    NodeFeatureMatrix,
+    kernel_distances,
+    kernel_matrix,
+)
 from prism25d.cli import main
 from prism25d.compact import MatchParams, build_ancestors, compact
 from prism25d.graph import graph_from_records, load_graph, save_graph
@@ -221,10 +227,11 @@ def test_c5_kernel_attention_property_suite():
         n = int(rng.integers(2, 7))
         nfm = random_nfm(n, multi_time=True)
         sigma = float(rng.uniform(0.05, 5.0))
-        k = kernel_matrix(nfm.positions, nfm.time_obs, sigma, sigma)
+        d2, dt = kernel_distances(nfm.positions, nfm.time_obs)
+        k = kernel_matrix(d2, dt, sigma, sigma)
         assert np.allclose(k, k.T, atol=1e-12)
         assert np.allclose(np.diag(k), 1.0, atol=1e-12)
-        k_small = kernel_matrix(nfm.positions, nfm.time_obs, sigma / 2, sigma / 2)
+        k_small = kernel_matrix(d2, dt, sigma / 2, sigma / 2)
         off = ~np.eye(n, dtype=bool)
         assert np.all(k_small[off] <= k[off] + 1e-12)
         cases += 1
@@ -234,7 +241,8 @@ def test_c5_kernel_attention_property_suite():
         n = int(rng.integers(2, 8))
         nfm = random_nfm(n)
         sigma = float(rng.uniform(0.01, 10.0))
-        s = nc.softmax_rows(Tensor(kernel_matrix(nfm.positions, nfm.time_obs, sigma, sigma)))
+        k = kernel_matrix(*kernel_distances(nfm.positions, nfm.time_obs), sigma, sigma)
+        s = nc.softmax_rows(Tensor(k))
         assert np.all(np.abs(s.data.sum(axis=1) - 1.0) <= 1e-9)
         cases += 1
 

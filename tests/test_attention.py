@@ -14,6 +14,7 @@ from prism25d.attention import (
     hierarchical_attention,
     kernel,
     kernel_attention,
+    kernel_distances,
     kernel_matrix,
     kernel_softmax_levels,
     min_time_gap,
@@ -115,14 +116,14 @@ def test_kernel_matrix_matches_pairwise_kernel():
     for times in node_times:
         n = len(times)
         positions = rng.uniform(-2, 2, size=(n, 3))
-        mat = kernel_matrix(positions, times, 0.9, 0.4)
+        mat = kernel_matrix(*kernel_distances(positions, times), 0.9, 0.4)
         assert mat.shape == (n, n)
         for i in range(n):
             for j in range(n):
                 vi = _node_like(positions[i], times[i])
                 vj = _node_like(positions[j], times[j])
                 assert mat[i, j] == pytest.approx(kernel(vi, vj, 0.9, 0.4), rel=1e-12)
-    assert kernel_matrix(np.zeros((0, 3)), [], 0.9, 0.4).shape == (0, 0)
+    assert kernel_matrix(*kernel_distances(np.zeros((0, 3)), []), 0.9, 0.4).shape == (0, 0)
 
 
 # -- projection ---------------------------------------------------------------
@@ -387,7 +388,7 @@ def test_attention_rows_stochastic():
         positions = rng.uniform(-2, 2, size=(n, 3))
         times = [np.array([t]) for t in rng.uniform(0, 1, n)]
         for sigma in (0.1, 1.0, 10.0):
-            kmat = kernel_matrix(positions, times, sigma, sigma)
+            kmat = kernel_matrix(*kernel_distances(positions, times), sigma, sigma)
             s = nc.softmax_rows(Tensor(kmat)).data
             assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-9)
 
@@ -400,7 +401,8 @@ def test_smaller_bandwidth_concentrates_attention():
         times = [np.array([t]) for t in rng.uniform(0, 1, n)]
         entropies = []
         for sigma in (10.0, 1.0, 0.1, 0.01):
-            s = nc.softmax_rows(Tensor(kernel_matrix(positions, times, sigma, sigma))).data
+            kmat = kernel_matrix(*kernel_distances(positions, times), sigma, sigma)
+            s = nc.softmax_rows(Tensor(kmat)).data
             entropies.append(float(-(s * np.log(s)).sum(axis=1).mean()))
         assert all(a >= b - 1e-12 for a, b in zip(entropies, entropies[1:]))
 

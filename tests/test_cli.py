@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from prism25d import cli
 from prism25d.cli import main
 from prism25d.graph import load_corpus, load_graph
+from prism25d.qa import ModelConfig, init_model, save_model
 from prism25d import synthworld as sw
 
-from helpers import detection
+from helpers import detection, write_jsonl
 
 
 def _spec_file(tmp_path, worlds):
@@ -191,6 +193,10 @@ def test_bad_detection_field_exits_one(tmp_path, capsys, field, value):
     assert not (tmp_path / "g.json").exists()
 
 
+def _pipeline_must_not_run(*_args):
+    raise AssertionError("the pipeline ran before the inputs were read")
+
+
 def _one_parse_error(capsys, code, line=None):
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 1
@@ -207,9 +213,14 @@ def _one_parse_error(capsys, code, line=None):
     lambda rec: rec.update(question=[1, "x"]),
     lambda rec: rec.update(candidates=[[2], [3.0]]),
     lambda rec: rec.update(candidates=7),
-], ids=["no-gt", "string-gt", "string-token", "float-token", "candidates-not-a-list"])
-def test_bad_qa_line_exits_one(tmp_path, capsys, change):
+    lambda rec: rec.update(gt=9),
+    lambda rec: rec.update(candidates=rec["candidates"][:1], gt=0),
+    lambda rec: rec.update(question=[]),
+], ids=["no-gt", "string-gt", "string-token", "float-token", "candidates-not-a-list",
+        "gt-out-of-range", "one-candidate", "empty-question"])
+def test_bad_qa_line_exits_one(tmp_path, capsys, monkeypatch, change):
     det, reg, qa = _synth_corpus(tmp_path, n_worlds=1)
+    monkeypatch.setattr(cli, "_pipeline_graphs", _pipeline_must_not_run)
     lines = (tmp_path / "qa.jsonl").read_text().splitlines()
     rec = json.loads(lines[1])
     change(rec)
@@ -219,6 +230,32 @@ def test_bad_qa_line_exits_one(tmp_path, capsys, change):
                  "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"])
     _one_parse_error(capsys, code, line=2)
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("change", [
+    lambda head: head["config"].pop("heads"),
+    lambda head: head["config"].update(latent_dim="32"),
+    lambda head: head["config"].update(sigma_s=["a"]),
+    lambda head: head.update(config=[]),
+    lambda head: head.update(seed="x"),
+    lambda head: head.pop("step"),
+    lambda head: head.update(params=7),
+], ids=["config-no-heads", "config-string-latent", "config-string-sigma", "config-not-an-object",
+        "string-seed", "no-step", "params-not-a-list"])
+def test_bad_checkpoint_header_exits_one(tmp_path, capsys, monkeypatch, change):
+    ckpt = tmp_path / "m.ckpt"
+    save_model(ckpt, init_model(ModelConfig(d_o=2, d_a=2, vocab_size=12), seed=0), seed=0, step=3)
+    head_line, blob = ckpt.read_bytes().split(b"\n", 1)
+    head = json.loads(head_line)
+    change(head)
+    ckpt.write_bytes(json.dumps(head).encode() + b"\n" + blob)
+    qa = write_jsonl(tmp_path / "qa.jsonl",
+                     [{"video_id": "v", "question": [1], "candidates": [[2], [3]], "gt": 0}])
+    monkeypatch.setattr(cli, "_pipeline_graphs", _pipeline_must_not_run)
+    code = main(["eval", "--detections", "d.jsonl", "--registry", "r.json", "--qa", str(qa),
+                 "--model", str(ckpt), "--out", str(tmp_path / "e.json")])
+    _one_parse_error(capsys, code)
+    assert not (tmp_path / "e.json").exists()
 
 
 @pytest.mark.parametrize("registry", [

@@ -288,9 +288,10 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 def test_checkpoint_rejects_wrong_format(tmp_path):
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(b'{"format": "other", "version": 1, "params": []}\n')
-    with pytest.raises(FormatError):
-        nc.load_checkpoint(path)
+    for head in (b'{"format": "other", "version": 1, "params": []}\n', b"\xff\xfe\n", b"[]\n"):
+        path.write_bytes(head)
+        with pytest.raises(FormatError):
+            nc.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_truncated_blob(tmp_path):

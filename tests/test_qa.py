@@ -16,11 +16,12 @@ from prism25d.qa import (
     augmented_loss,
     batch_forward,
     build_bundles,
-    condition_on_question,
-    encode_question,
+    condition_on_questions,
+    encode_questions,
     evaluate,
     init_model,
     load_model,
+    question_features,
     save_model,
     score_answers,
     train,
@@ -41,6 +42,10 @@ def _text_params(rng, vocab=12, r=8):
     )
 
 
+def _columns(tensors):
+    return Tensor(np.hstack([t.data for t in tensors]))
+
+
 def _identity_text(vocab=12, r=None):
     r = vocab if r is None else r
     return TextParams(
@@ -56,7 +61,7 @@ def _identity_text(vocab=12, r=None):
 def test_encode_question_single_token_is_value_projection():
     rng = np.random.default_rng(0)
     text = _text_params(rng)
-    out = encode_question((3,), text, heads=2)
+    out = encode_questions([(3,)], text, heads=2)
     want = text.q_attn.wv.data @ text.embedding.data[3][:, None]
     assert np.allclose(out.data, want, atol=1e-12)
 
@@ -64,8 +69,8 @@ def test_encode_question_single_token_is_value_projection():
 def test_encode_question_token_permutation_permutes_columns():
     rng = np.random.default_rng(1)
     text = _text_params(rng)
-    ab = encode_question((2, 7), text, heads=2).data
-    ba = encode_question((7, 2), text, heads=2).data
+    ab = encode_questions([(2, 7)], text, heads=2).data
+    ba = encode_questions([(7, 2)], text, heads=2).data
     assert np.allclose(ab[:, [1, 0]], ba, atol=1e-12)
 
 
@@ -73,7 +78,7 @@ def test_encode_question_double_evaluation():
     rng = np.random.default_rng(2)
     text = _text_params(rng)
     tokens = (1, 5, 5, 9)
-    got = encode_question(tokens, text, heads=2).data
+    got = encode_questions([tokens], text, heads=2).data
     emb = text.embedding.data[list(tokens)].T
     r, rk = 8, 4
     want = np.zeros_like(got)
@@ -90,9 +95,9 @@ def test_encode_question_double_evaluation():
 def test_encode_question_rejects_bad_input():
     text = _text_params(np.random.default_rng(3))
     with pytest.raises(ValidationError):
-        encode_question((), text, heads=2)
+        encode_questions([()], text, heads=2)
     with pytest.raises(ValidationError):
-        encode_question((99,), text, heads=2)
+        encode_questions([(99,)], text, heads=2)
 
 
 # -- conditioning --------------------------------------------------------------------
@@ -106,7 +111,7 @@ def test_condition_single_graph_node_ignores_question_content():
     q2 = Tensor(rng.normal(size=(8, 2)))
     want = cross.wv.data @ graph_feats.data
     for q in (q1, q2):
-        out = condition_on_question(graph_feats, q, cross, heads=2)
+        out = condition_on_questions(graph_feats, q, [q.shape[1]], cross, heads=2)
         assert np.allclose(out.data, want, atol=1e-12)
 
 
@@ -115,8 +120,8 @@ def test_condition_identical_question_columns_match_single_column():
     cross = attention_init(8, rng)
     graph_feats = Tensor(rng.normal(size=(8, 5)))
     col = rng.normal(size=(8, 1))
-    pooled = condition_on_question(graph_feats, Tensor(np.tile(col, (1, 4))), cross, heads=2)
-    single = condition_on_question(graph_feats, Tensor(col), cross, heads=2)
+    pooled = condition_on_questions(graph_feats, Tensor(np.tile(col, (1, 4))), [4], cross, heads=2)
+    single = condition_on_questions(graph_feats, Tensor(col), [1], cross, heads=2)
     assert np.allclose(pooled.data, single.data, atol=1e-12)
 
 
@@ -125,7 +130,7 @@ def test_condition_matches_brute_force():
     cross = attention_init(8, rng)
     g = rng.normal(size=(8, 4))
     qf = rng.normal(size=(8, 3))
-    got = condition_on_question(Tensor(g), Tensor(qf), cross, heads=2).data
+    got = condition_on_questions(Tensor(g), Tensor(qf), [3], cross, heads=2).data
     rk = 4
     q, k, v = cross.wq.data @ qf, cross.wk.data @ g, cross.wv.data @ g
     cols = np.zeros((8, 3))
@@ -142,7 +147,7 @@ def test_condition_matches_brute_force():
 def test_condition_rejects_empty_sides():
     cross = attention_init(8, np.random.default_rng(7))
     with pytest.raises(ValidationError):
-        condition_on_question(Tensor(np.zeros((8, 0))), Tensor(np.zeros((8, 2))), cross, 2)
+        condition_on_questions(Tensor(np.zeros((8, 0))), Tensor(np.zeros((8, 2))), [2], cross, 2)
 
 
 # -- scoring --------------------------------------------------------------------------
@@ -196,7 +201,7 @@ def test_augmented_loss_b1_equals_plain_cross_entropy():
     text = _identity_text(vocab=12)
     inst = _instance((0,), [(1,), (2,), (3,)], gt=1)
     fq = Tensor(rng.normal(size=(12, 1)))
-    loss, own = augmented_loss([inst], [fq], text)
+    loss, own = augmented_loss([inst], fq, text)
     # independent evaluation: logits are fq . mean(e_q, e_answer)
     logits = np.array([fq.data[:, 0] @ (np.eye(12)[0] + np.eye(12)[c]) / 2 for c in (1, 2, 3)])
     want = -(logits[1] - (np.log(np.exp(logits - logits.max()).sum()) + logits.max()))
@@ -212,7 +217,7 @@ def test_augmented_loss_two_instances_hand_computed():
         _instance((4,), [(5,), (6,), (7,)], gt=2),
     ]
     fqs = [Tensor(rng.normal(size=(12, 1))) for _ in insts]
-    loss, _ = augmented_loss(insts, fqs, text)
+    loss, _ = augmented_loss(insts, _columns(fqs), text)
 
     enc = np.stack(
         [(np.eye(12)[q] + np.eye(12)[c]) / 2 for q, c in ((0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7))]
@@ -235,7 +240,7 @@ def test_augmented_loss_masks_duplicate_gt_answers():
         _instance((0,), [(1,), (3,)], gt=1),
     ]
     fqs = [Tensor(rng.normal(size=(12, 1))) for _ in insts]
-    loss, _ = augmented_loss(insts, fqs, text)
+    loss, _ = augmented_loss(insts, _columns(fqs), text)
 
     enc = np.stack([(np.eye(12)[0] + np.eye(12)[c]) / 2 for c in (1, 2, 1, 3)])
     want = 0.0
@@ -253,7 +258,7 @@ def test_augmented_loss_vanishes_for_dominant_gt_logit():
     inst = _instance((0,), [(1,), (2,), (3,)], gt=1)
     fq = np.zeros((12, 1))
     fq[2, 0] = 200.0  # aligns with answer token 2, the ground truth
-    loss, _ = augmented_loss([inst], [Tensor(fq)], text)
+    loss, _ = augmented_loss([inst], Tensor(fq), text)
     assert 0.0 <= loss.item() < 1e-8
 
 
@@ -266,7 +271,7 @@ def test_augmented_loss_nonnegative_random():
             _instance((5,), [(6,), (7,), (8,)], gt=int(rng.integers(3))),
         ]
         fqs = [Tensor(rng.normal(size=(8, 1))) for _ in insts]
-        loss, _ = augmented_loss(insts, fqs, text)
+        loss, _ = augmented_loss(insts, _columns(fqs), text)
         assert loss.item() >= 0.0
 
 
@@ -403,6 +408,65 @@ def test_evaluate_records_no_tape_and_training_still_gets_gradients(registry, mo
     nc.backward(loss)
     assert all(p.grad is not None for p in model.parameters())
     assert any(np.abs(p.grad).sum() > 0 for p in model.parameters())
+
+
+def _second_graph(registry):
+    recs = [
+        detection(video_id="u", frame=0, class_id=1, bbox=(30, 20, 80, 70), feature=(0.5, -1)),
+        detection(video_id="u", frame=0, class_id=2, bbox=(120, 90, 160, 150), depth=3.0,
+                  feature=(-0.2, 0.7)),
+        detection(video_id="u", frame=1, class_id=101, bbox=(40, 60, 70, 95), depth=2.5,
+                  feature=(0.3, 1), motion=(-0.4, 0.2)),
+        detection(video_id="u", frame=2, class_id=101, bbox=(50, 64, 80, 99), depth=2.4,
+                  feature=(0.3, 1), motion=(-0.3, 0.2)),
+    ]
+    return graph_from_records(recs, registry)
+
+
+def _mixed_batch():
+    """Two videos, interleaved, with 1- and 3-token questions in each."""
+    return [
+        _instance((1,), [(2,), (3,), (4,)], gt=0, vid="v"),
+        _instance((6, 1, 9), [(2,), (7,), (4,)], gt=2, vid="u"),
+        _instance((5, 8, 5), [(3,), (2,), (4,)], gt=1, vid="v"),
+        _instance((9,), [(2,), (3,), (4,)], gt=1, vid="u"),
+    ]
+
+
+def test_mixed_batch_features_match_each_question_alone(registry):
+    graphs = {"v": _toy_graph(registry), "u": _second_graph(registry)}
+    model = init_model(_toy_config(), seed=6)
+    bundles = build_bundles(graphs, model.config.kernel_config())
+    batch = _mixed_batch()
+    mixed = question_features(model, bundles, batch).data
+    assert mixed.shape == (8, len(batch))
+    for i, inst in enumerate(batch):
+        alone = question_features(model, bundles, [inst]).data[:, 0]
+        assert np.allclose(mixed[:, i], alone, rtol=0.0, atol=1e-12)
+    # no two questions collapse to one feature
+    assert np.linalg.matrix_rank(mixed) == len(batch)
+
+
+def test_mixed_batch_gradients_match_finite_differences(registry):
+    graphs = {"v": _toy_graph(registry), "u": _second_graph(registry)}
+    model = init_model(_toy_config(), seed=7)
+    bundles = build_bundles(graphs, model.config.kernel_config())
+    batch = _mixed_batch()
+    named = model.named_parameters()
+    params = [t for _, t in named]
+
+    def build():
+        loss, _ = batch_forward(model, bundles, batch)
+        return loss
+
+    for p in params:
+        p.grad = np.zeros_like(p.data)
+    nc.backward(build())
+    ad = [p.grad.copy() for p in params]
+    fd = nc.fd_gradients(build, params, h=1e-5)
+    for (name, _), a, f in zip(named, ad, fd):
+        err = nc.max_relative_error(a, f)
+        assert err < 1e-4, f"{name}: rel err {err}"
 
 
 def test_unknown_video_rejected(registry):

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .attention import DEFAULT_BANDWIDTHS
@@ -14,6 +15,8 @@ from .errors import ParseError, PrismError
 from .graph import (
     ClassRegistry,
     SceneGraph25D,
+    _finite_list,
+    _is_int,
     load_corpus,
     load_detection_groups,
     save_corpus,
@@ -69,6 +72,20 @@ def _sigma_list(text: str) -> tuple[float, ...]:
     return values
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number: an int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# what a config file value must be, by the RunConfig field's type
+_CONFIG_VALUES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "tuple[float, ...]": (_finite_list, "a list of finite numbers"),
+}
+
+
 @dataclass
 class RunConfig:
     """Defaults for every tunable; config file values lose to explicit flags."""
@@ -98,10 +115,17 @@ class RunConfig:
     def resolve(args) -> "RunConfig":
         cfg = RunConfig()
         file_values = _read_json(args.config) if getattr(args, "config", None) else {}
+        if not isinstance(file_values, dict):
+            raise ParseError("config file must hold a JSON object")
+        by_name = {f.name: f for f in fields(RunConfig)}
         for key, value in file_values.items():
-            if not hasattr(cfg, key):
+            if key not in by_name:
                 raise ParseError(f"unknown config key {key!r}")
-            if key in ("sigmas", "sigma_t") and value is not None:
+            kind = by_name[key].type.removesuffix(" | None")
+            check, want = _CONFIG_VALUES[kind]
+            if not (value is None and by_name[key].default is None or check(value)):
+                raise ParseError(f"config {key!r} must be {want}, got {value!r}")
+            if kind == "tuple[float, ...]" and value is not None:
                 value = tuple(float(v) for v in value)
             setattr(cfg, key, value)
         for key in vars(cfg):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,49 +44,116 @@ def criterion(v: SceneNode, w: SceneNode, params: MatchParams) -> bool:
     return v.class_id == w.class_id and iou(v.bbox, w.bbox) > params.gamma
 
 
-def _static_ids_by_frame(graph: SceneGraph25D) -> dict[int, list[int]]:
-    return {
-        fs.frame_index: [nid for nid in fs.node_ids if nid in graph.static_nodes]
-        for fs in graph.frames
-    }
+def _ints(values: list[int]) -> np.ndarray:
+    """Integers as an int64 array, or as an object array when one does not fit int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+@dataclass(frozen=True)
+class StaticIndex:
+    """Static node occurrences as arrays, one row per listing of a node in a frame.
+
+    Rows are sorted by frame (stably, so a frame keeps its listing order), and
+    the occurrences of any frame range are one contiguous row range.
+    """
+
+    ids: list[int]
+    class_ids: np.ndarray  # (n,)
+    boxes: np.ndarray  # (n, 4)
+    centroids: np.ndarray  # (n, 3)
+    frames: list[int]  # ascending; a list, so any integer frame index works
+    rank: np.ndarray  # (n,) position of each id in ascending id order, for ties
+
+    def rows(self, lo_frame: int, hi_frame: int) -> tuple[int, int]:
+        """Row range [lo, hi) of the occurrences in frames lo_frame <= f < hi_frame."""
+        return bisect_left(self.frames, lo_frame), bisect_left(self.frames, hi_frame)
+
+
+def _index(nodes: list[SceneNode], frames: list[int]) -> StaticIndex:
+    ids = [n.node_id for n in nodes]
+    return StaticIndex(
+        ids=ids,
+        class_ids=_ints([n.class_id for n in nodes]),
+        boxes=np.array([n.bbox for n in nodes], dtype=np.float64).reshape(-1, 4),
+        centroids=np.array([n.centroid3d for n in nodes], dtype=np.float64).reshape(-1, 3),
+        frames=frames,
+        rank=np.argsort(np.argsort(_ints(ids), kind="stable")),  # each id's rank
+    )
+
+
+def static_index(graph: SceneGraph25D) -> StaticIndex:
+    occurrences = sorted(
+        ((fs.frame_index, nid) for fs in graph.frames for nid in fs.node_ids
+         if nid in graph.static_nodes),
+        key=lambda occ: occ[0],
+    )
+    return _index([graph.nodes[nid] for _, nid in occurrences], [f for f, _ in occurrences])
 
 
 def nearest(
-    v: SceneNode, graph: SceneGraph25D, candidate_ids: list[int], params: MatchParams
-) -> int | None:
-    """Criterion-passing candidate nearest to v in 3D (ties to the lower id), or None."""
-    best: tuple[float, int] | None = None
-    for wid in candidate_ids:
-        w = graph.nodes[wid]
-        if not criterion(v, w, params):
-            continue
-        key = (float(np.linalg.norm(v.centroid3d - w.centroid3d)), wid)
-        if best is None or key < best:
-            best = key
-    return None if best is None else best[1]
+    index: StaticIndex, queries: StaticIndex, lo: np.ndarray, hi: np.ndarray, gamma: float
+) -> np.ndarray:
+    """Row of `index` nearest in 3D to each query row among its rows [lo, hi) that pass
+    the merge criterion (ties to the lower id), or -1 where none does.
+
+    Works on one (queries x widest window) block, so memory grows with the window,
+    not with the square of the graph.
+    """
+    width = int(np.max(hi - lo, initial=0))
+    if width == 0:
+        return np.full(len(lo), -1, dtype=np.int64)
+    cols = lo[:, None] + np.arange(width)
+    valid = cols < hi[:, None]
+    cols = np.where(valid, cols, 0)  # padding reads row 0 and is masked out
+    a = queries.boxes[:, None, :]
+    b = index.boxes[cols]
+    # iou(), elementwise: an empty intersection divides 0 by a positive union
+    iw = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]))
+    ih = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]))
+    inter = iw * ih
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    passing = (
+        valid
+        & (index.class_ids[cols] == queries.class_ids[:, None])
+        & (inter / (area_a + area_b - inter) > gamma)
+    )
+    diff = queries.centroids[:, None, :] - index.centroids[cols]
+    # one BLAS dot per pair, as np.linalg.norm takes per vector: a plain sum of
+    # squares differs from it in the last bit on about a tenth of vectors
+    dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    best = np.where(passing, dist, np.inf).min(axis=1)
+    tied = passing & (dist == best[:, None])
+    pick = np.where(tied, index.rank[cols], len(index.ids)).argmin(axis=1)
+    return np.where(passing.any(axis=1), cols[np.arange(len(lo)), pick], -1)
 
 
-def match(
-    v: SceneNode,
-    graph: SceneGraph25D,
-    params: MatchParams,
-    static_by_frame: dict[int, list[int]] | None = None,
-) -> int | None:
+def match(v: SceneNode, graph: SceneGraph25D, params: MatchParams) -> int | None:
     """Nearest candidate for v among static nodes of the previous delta frames."""
-    if static_by_frame is None:
-        static_by_frame = _static_ids_by_frame(graph)
-    frames = range(v.source_frames[0] - params.delta, v.source_frames[0])
-    return nearest(v, graph, [w for f in frames for w in static_by_frame.get(f, ())], params)
+    index = static_index(graph)
+    f0 = v.source_frames[0]
+    lo, hi = index.rows(f0 - params.delta, f0)
+    row = nearest(index, _index([v], [f0]), np.array([lo]), np.array([hi]), params.gamma)[0]
+    return None if row < 0 else index.ids[row]
 
 
 def build_ancestors(graph: SceneGraph25D, params: MatchParams) -> dict[int, int]:
-    """Map each static node id to its root ancestor's id, in one forward sweep over frames."""
-    static_by_frame = _static_ids_by_frame(graph)
+    """Map each static node id to its root ancestor's id, in one forward sweep over frames.
+
+    Each occurrence's candidates are the static occurrences of frames
+    [f0 - delta, f0), f0 being its node's first source frame.
+    """
+    index = static_index(graph)
+    f0 = [graph.nodes[nid].source_frames[0] for nid in index.ids]
+    bounds = {f: index.rows(f - params.delta, f) for f in set(f0)}
+    lo, hi = np.array([bounds[f] for f in f0], dtype=np.int64).reshape(-1, 2).T
+    matches = nearest(index, index, lo, hi, params.gamma).tolist()
     parent: dict[int, int] = {}
-    for fs in graph.frames:
-        for nid in static_by_frame[fs.frame_index]:
-            m = match(graph.nodes[nid], graph, params, static_by_frame)
-            parent[nid] = parent[m] if m is not None else nid
+    for nid, m in zip(index.ids, matches):
+        parent[nid] = parent[index.ids[m]] if m >= 0 else nid
     return parent
 
 

@@ -2,7 +2,16 @@
 
 
 class PrismError(Exception):
-    """Base for all validation / contract failures raised by this package."""
+    """Base for all validation / contract failures raised by this package.
+
+    Carries the 1-based line number of the offending input line when known.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
 
 
 class ValidationError(PrismError):
@@ -10,13 +19,7 @@ class ValidationError(PrismError):
 
 
 class ParseError(PrismError):
-    """Malformed input file; carries a 1-based line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """Malformed input file."""
 
 
 class RegistryError(PrismError):

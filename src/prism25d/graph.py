@@ -11,7 +11,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ParseError, RegistryError, ValidationError
-from .lift import Bbox, Intrinsics, default_intrinsics, lift_centroid, validate_bbox
+from .lift import (
+    Bbox,
+    Intrinsics,
+    bad_depths,
+    default_intrinsics,
+    degenerate_boxes,
+    lift_centroid,
+    validate_bbox,
+)
 
 STATIC = "static"
 DYNAMIC = "dynamic"
@@ -204,37 +212,14 @@ def split_static_dynamic(graph: SceneGraph25D, registry: ClassRegistry) -> tuple
     return static, dynamic
 
 
-def _node_from_record(
-    rec: dict,
-    node_id: int,
-    registry: ClassRegistry,
-    max_frames: int,
-    intrinsics: Intrinsics,
-) -> SceneNode:
-    class_id = int(rec["class_id"])
-    kind = registry.kind(class_id)
-    bbox = tuple(float(v) for v in rec["bbox"])
-    if len(bbox) != 4:
-        raise ValidationError(f"bbox must have 4 coordinates, got {len(bbox)}")
-    centroid = lift_centroid(bbox, float(rec["depth"]), intrinsics)
-    motion = rec.get("motion_feature")
-    if kind == DYNAMIC and motion is None:
-        raise ValidationError(f"dynamic detection (class {class_id}) lacks motion_feature")
-    if kind == STATIC and motion is not None:
-        raise ValidationError(f"static detection (class {class_id}) carries motion_feature")
-    frame = int(rec["frame_index"])
-    if frame < 0 or frame >= max_frames:
-        raise ValidationError(f"frame_index {frame} outside [0, {max_frames})")
-    return SceneNode(
-        node_id=node_id,
-        class_id=class_id,
-        feature=np.asarray(rec["feature"], dtype=np.float64),
-        bbox=bbox,
-        centroid3d=centroid,
-        timestamps=[frame / max_frames],
-        source_frames=[frame],
-        motion_feature=None if motion is None else np.asarray(motion, dtype=np.float64),
-    )
+def _raise_first(faults, lines: list[int] | None) -> None:
+    """Raise for the first bad record; `faults` holds (bad-record mask, error class,
+    message for record i) in the order a record's own faults are reported."""
+    hits = [(int(np.argmax(bad)), k) for k, (bad, _, _) in enumerate(faults) if np.any(bad)]
+    if hits:
+        i, k = min(hits)
+        _, error, message = faults[k]
+        raise error(message(i), line=None if lines is None else lines[i])
 
 
 def graph_from_records(
@@ -243,12 +228,14 @@ def graph_from_records(
     max_frames: int | None = None,
     intrinsics: Intrinsics | None = None,
     image_size: tuple[float, float] = (256.0, 256.0),
+    lines: list[int] | None = None,
 ) -> SceneGraph25D:
     """Build a single-video graph from detection records (already-parsed JSONL lines).
 
     Node ids are assigned sequentially in record order. `max_frames` is the
     dataset-wide frame count used for temporal normalization; when omitted it
-    defaults to this video's frame span.
+    defaults to this video's frame span. `lines` gives each record's line in
+    its file, so that an error names the first bad line.
     """
     if not records:
         raise ValidationError("no detection records given")
@@ -257,17 +244,51 @@ def graph_from_records(
         raise ValidationError(f"records span multiple videos {sorted(video_ids)}; split them first")
     if intrinsics is None:
         intrinsics = default_intrinsics(*image_size)
+    frames = [int(r["frame_index"]) for r in records]
     if max_frames is None:
-        max_frames = max(int(r["frame_index"]) for r in records) + 1
+        max_frames = max(frames) + 1
     if max_frames <= 0:
         raise ValidationError(f"max_frames must be positive, got {max_frames}")
 
+    class_ids = [int(r["class_id"]) for r in records]
+    kinds = [registry.entries[c].kind if c in registry.entries else None for c in class_ids]
+    bboxes = [tuple(float(v) for v in r["bbox"]) for r in records]
+    motions = [r.get("motion_feature") for r in records]
+    _raise_first([  # box shapes first: the checks below take the boxes as one array
+        ([len(b) != 4 for b in bboxes], ValidationError,
+         lambda i: f"bbox must have 4 coordinates, got {len(bboxes[i])}"),
+    ], lines)
+    boxes = np.array(bboxes, dtype=np.float64).reshape(-1, 4)
+    depths = np.array([float(r["depth"]) for r in records])
+    _raise_first([
+        ([k is None for k in kinds], RegistryError, lambda i: f"unknown class_id {class_ids[i]}"),
+        (degenerate_boxes(boxes), ValidationError,
+         lambda i: f"degenerate bbox {bboxes[i]}: requires x1 < x2 and y1 < y2"),
+        (bad_depths(depths), ValidationError,
+         lambda i: f"depth must be positive and finite, got {depths[i]}"),
+        ([k == DYNAMIC and m is None for k, m in zip(kinds, motions)], ValidationError,
+         lambda i: f"dynamic detection (class {class_ids[i]}) lacks motion_feature"),
+        ([k == STATIC and m is not None for k, m in zip(kinds, motions)], ValidationError,
+         lambda i: f"static detection (class {class_ids[i]}) carries motion_feature"),
+        ([not 0 <= f < max_frames for f in frames], ValidationError,
+         lambda i: f"frame_index {frames[i]} outside [0, {max_frames})"),
+    ], lines)
+    centroids = lift_centroid(boxes, depths, intrinsics)
+
     nodes: dict[int, SceneNode] = {}
     by_frame: dict[int, list[int]] = {}
-    for node_id, rec in enumerate(records):
-        node = _node_from_record(rec, node_id, registry, max_frames, intrinsics)
-        nodes[node_id] = node
-        by_frame.setdefault(node.source_frames[0], []).append(node_id)
+    for node_id, (rec, frame, motion) in enumerate(zip(records, frames, motions)):
+        nodes[node_id] = SceneNode(
+            node_id=node_id,
+            class_id=class_ids[node_id],
+            feature=np.asarray(rec["feature"], dtype=np.float64),
+            bbox=bboxes[node_id],
+            centroid3d=centroids[node_id],
+            timestamps=[frame / max_frames],
+            source_frames=[frame],
+            motion_feature=None if motion is None else np.asarray(motion, dtype=np.float64),
+        )
+        by_frame.setdefault(frame, []).append(node_id)
 
     graph = SceneGraph25D(
         video_id=video_ids.pop(),
@@ -343,18 +364,20 @@ def load_detection_groups(
     image_size: tuple[float, float] = (256.0, 256.0),
 ) -> list[SceneGraph25D]:
     """Load a detection JSONL file into one graph per video (first-appearance order)."""
-    groups: dict[str, list[dict]] = {}
+    groups: dict[str, tuple[list[dict], list[int]]] = {}
     widths: dict[str, int] = {}  # feature widths of the file's first record with each key
     for lineno, rec in _parse_jsonl(path):
         _check_detection(rec, lineno, widths)
-        groups.setdefault(str(rec["video_id"]), []).append(rec)
+        recs, lines = groups.setdefault(str(rec["video_id"]), ([], []))
+        recs.append(rec)
+        lines.append(lineno)
     if not groups:
         raise ValidationError(f"no detections in {path}")
     if max_frames is None:
-        max_frames = max(int(r["frame_index"]) for recs in groups.values() for r in recs) + 1
+        max_frames = max(int(r["frame_index"]) for recs, _ in groups.values() for r in recs) + 1
     return [
-        graph_from_records(recs, registry, max_frames, intrinsics, image_size)
-        for recs in groups.values()
+        graph_from_records(recs, registry, max_frames, intrinsics, image_size, lines)
+        for recs, lines in groups.values()
     ]
 
 

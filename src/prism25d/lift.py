@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,22 +25,36 @@ def default_intrinsics(width: float, height: float) -> Intrinsics:
     return Intrinsics(fx=f, fy=f, cx=width / 2.0, cy=height / 2.0)
 
 
+def degenerate_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Mask over (..., 4) boxes: True where x1 < x2 and y1 < y2 fails."""
+    return ~((boxes[..., 0] < boxes[..., 2]) & (boxes[..., 1] < boxes[..., 3]))
+
+
 def validate_bbox(bbox: Bbox) -> None:
-    x1, y1, x2, y2 = bbox
-    if not (x1 < x2 and y1 < y2):
-        raise ValidationError(f"degenerate bbox {bbox}: requires x1 < x2 and y1 < y2")
+    if degenerate_boxes(np.asarray(bbox, dtype=np.float64)):
+        raise ValidationError(f"degenerate bbox {tuple(bbox)}: requires x1 < x2 and y1 < y2")
 
 
-def lift_centroid(bbox: Bbox, depth: float, intrinsics: Intrinsics) -> np.ndarray:
-    """Back-project the bbox center at the given depth to a 3D camera-frame point."""
-    validate_bbox(bbox)
-    if not 0.0 < depth < math.inf:
-        raise ValidationError(f"depth must be positive and finite, got {depth}")
-    u = (bbox[0] + bbox[2]) / 2.0
-    v = (bbox[1] + bbox[3]) / 2.0
+def bad_depths(depths: np.ndarray) -> np.ndarray:
+    """Mask over depths: True where a depth is not positive and finite."""
+    return ~((0.0 < depths) & (depths < np.inf))
+
+
+def lift_centroid(bbox, depth, intrinsics: Intrinsics) -> np.ndarray:
+    """Back-project (..., 4) bbox centers at (...) depths to (..., 3) camera-frame points."""
+    boxes = np.asarray(bbox, dtype=np.float64)
+    depth = np.asarray(depth, dtype=np.float64)
+    bad = degenerate_boxes(boxes)
+    if bad.any():
+        validate_bbox(boxes[bad][0].tolist())  # raises, naming the first degenerate box
+    bad = bad_depths(depth)
+    if bad.any():
+        raise ValidationError(f"depth must be positive and finite, got {depth[bad][0]}")
+    u = (boxes[..., 0] + boxes[..., 2]) / 2.0
+    v = (boxes[..., 1] + boxes[..., 3]) / 2.0
     x = (u - intrinsics.cx) * depth / intrinsics.fx
     y = (v - intrinsics.cy) * depth / intrinsics.fy
-    return np.array([x, y, depth], dtype=np.float64)
+    return np.stack([x, y, depth], axis=-1)
 
 
 @dataclass(frozen=True)

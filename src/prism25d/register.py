@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .compact import MatchParams, _static_ids_by_frame, nearest
+import numpy as np
+
+from .compact import MatchParams, nearest, static_index
 from .graph import SceneGraph25D, SceneNode
 from .lift import RigidTransform, estimate_rigid
 
@@ -17,16 +19,20 @@ def estimate_frame_transforms(graph: SceneGraph25D, gamma: float = 0.5) -> list[
     intact.
     """
     params = MatchParams(gamma=gamma, delta=1)
-    static_by_frame = _static_ids_by_frame(graph)
+    index = static_index(graph)
+    spans = [index.rows(fs.frame_index, fs.frame_index + 1) for fs in graph.frames]
+    # each static occurrence's candidates: the static occurrences of the previous frame
+    lo = np.zeros(len(index.ids), dtype=np.int64)
+    hi = np.zeros(len(index.ids), dtype=np.int64)
+    for (plo, phi), (a, b) in zip(spans, spans[1:]):
+        lo[a:b], hi[a:b] = plo, phi
+    matches = nearest(index, index, lo, hi, params.gamma)
     transforms = [RigidTransform.identity()]
-    for prev, cur in zip(graph.frames, graph.frames[1:]):
+    for a, b in spans[1:]:
         # correspondences cur -> prev: each static node and its nearest candidate in prev
-        src, dst = [], []
-        for vid in static_by_frame[cur.frame_index]:
-            wid = nearest(graph.nodes[vid], graph, static_by_frame[prev.frame_index], params)
-            if wid is not None:
-                src.append(graph.nodes[vid].centroid3d)
-                dst.append(graph.nodes[wid].centroid3d)
+        found = matches[a:b]
+        src = index.centroids[a:b][found >= 0]
+        dst = index.centroids[found[found >= 0]]
         step = estimate_rigid(src, dst)  # frame cur -> frame prev
         transforms.append(transforms[-1].compose(step))
     return transforms
@@ -41,9 +47,26 @@ def register_frames(graph: SceneGraph25D, gamma: float = 0.5) -> SceneGraph25D:
     if len(graph.frames) <= 1:
         return graph
     transforms = estimate_frame_transforms(graph, gamma=gamma)
-    by_frame = {fs.frame_index: t for fs, t in zip(graph.frames, transforms)}
-    nodes: dict[int, SceneNode] = {}
-    for nid, node in graph.nodes.items():
-        t = by_frame[node.source_frames[0]]
-        nodes[nid] = replace(node, centroid3d=t.apply(node.centroid3d))
-    return replace(graph, nodes=nodes)
+    position = {fs.frame_index: k for k, fs in enumerate(graph.frames)}
+    nodes = list(graph.nodes.values())
+    k = [position[n.source_frames[0]] for n in nodes]
+    rotation = np.stack([t.rotation for t in transforms])[k]
+    translation = np.stack([t.translation for t in transforms])[k]
+    points = np.array([n.centroid3d for n in nodes], dtype=np.float64).reshape(-1, 3)
+    # a (1, 3) @ (3, 3) product per point rounds as RigidTransform.apply on one
+    # point does; one (n, 3) @ (3, 3) product does not
+    moved = (points[:, None, :] @ rotation.transpose(0, 2, 1))[:, 0, :] + translation
+    registered = {
+        nid: SceneNode(
+            node_id=n.node_id,
+            class_id=n.class_id,
+            feature=n.feature,
+            bbox=n.bbox,
+            centroid3d=centroid,
+            timestamps=n.timestamps,
+            source_frames=n.source_frames,
+            motion_feature=n.motion_feature,
+        )
+        for (nid, n), centroid in zip(graph.nodes.items(), moved)
+    }
+    return replace(graph, nodes=registered)

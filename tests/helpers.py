@@ -1,9 +1,10 @@
-"""Plain record builders shared by the test modules."""
+"""Record builders and reference implementations shared by the test modules."""
 
 import json
 
 import numpy as np
 
+from prism25d.compact import MatchParams, criterion
 from prism25d.numcore import MlpParams, Tensor
 
 
@@ -34,3 +35,57 @@ def write_jsonl(path, records):
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
     return path
+
+
+# -- per-candidate merge search: the reference for compact.nearest -------------
+
+
+def oracle_nearest(v, graph, candidate_ids, params):
+    """Criterion-passing candidate nearest to v in 3D (ties to the lower id), or None,
+    one candidate at a time."""
+    best = None
+    for wid in candidate_ids:
+        w = graph.nodes[wid]
+        if not criterion(v, w, params):
+            continue
+        key = (float(np.linalg.norm(v.centroid3d - w.centroid3d)), wid)
+        if best is None or key < best:
+            best = key
+    return None if best is None else best[1]
+
+
+def oracle_static_by_frame(graph):
+    return {
+        fs.frame_index: [nid for nid in fs.node_ids if nid in graph.static_nodes]
+        for fs in graph.frames
+    }
+
+
+def oracle_ancestors(graph, params):
+    """build_ancestors with a per-node search over the previous delta frames."""
+    static_by_frame = oracle_static_by_frame(graph)
+    parent = {}
+    for fs in graph.frames:
+        for nid in static_by_frame[fs.frame_index]:
+            v = graph.nodes[nid]
+            frames = range(v.source_frames[0] - params.delta, v.source_frames[0])
+            candidates = [w for f in frames for w in static_by_frame.get(f, ())]
+            m = oracle_nearest(v, graph, candidates, params)
+            parent[nid] = parent[m] if m is not None else nid
+    return parent
+
+
+def oracle_correspondences(graph, gamma):
+    """Per consecutive frame pair, the (src, dst) centroid lists registration fits."""
+    params = MatchParams(gamma=gamma, delta=1)
+    static_by_frame = oracle_static_by_frame(graph)
+    pairs = []
+    for prev, cur in zip(graph.frames, graph.frames[1:]):
+        src, dst = [], []
+        for vid in static_by_frame[cur.frame_index]:
+            wid = oracle_nearest(graph.nodes[vid], graph, static_by_frame[prev.frame_index], params)
+            if wid is not None:
+                src.append(graph.nodes[vid].centroid3d)
+                dst.append(graph.nodes[wid].centroid3d)
+        pairs.append((np.array(src).reshape(-1, 3), np.array(dst).reshape(-1, 3)))
+    return pairs

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prism25d import cli
 from prism25d.cli import main
@@ -161,6 +166,17 @@ def test_validation_failure_exits_one(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] in ("parse", "validation")
 
 
+# well-formed values the graph checks reject (the others are rejected as the file is read)
+_BAD_DETECTION_VALUES = [
+    ("bbox", [50.0, 10.0, 10.0, 50.0]),
+    ("depth", -1.0),
+    ("depth", 0.0),
+    ("frame_index", -1),
+    ("class_id", 999),
+    ("motion_feature", None),
+]
+
+
 @pytest.mark.parametrize("field, value", [
     ("depth", float("nan")),
     ("depth", float("inf")),
@@ -173,6 +189,7 @@ def test_validation_failure_exits_one(tmp_path, capsys):
     ("frame_index", "x"),
     ("frame_index", 1.5),
     ("feature", [1.0, 0.0, 0.5]),  # the first line's feature has 2 values
+    *_BAD_DETECTION_VALUES,
 ])
 def test_bad_detection_field_exits_one(tmp_path, capsys, field, value):
     bad = detection(frame=1, class_id=sw.DYNAMIC_CLASS_BASE, motion=(0.5, 0.5))
@@ -188,7 +205,8 @@ def test_bad_detection_field_exits_one(tmp_path, capsys, field, value):
     assert code == 1
     assert len(err) == 1
     obj = json.loads(err[0])
-    assert obj["error"] == "parse" and obj["message"].startswith("line 2:")
+    kind = "validation" if (field, value) in _BAD_DETECTION_VALUES else "parse"
+    assert obj["error"] == kind and obj["message"].startswith("line 2:")
     assert field in obj["message"]
     assert not (tmp_path / "g.json").exists()
 
@@ -293,6 +311,98 @@ def test_bad_json_config_exits_one(tmp_path, capsys):
     code = main(["synth", "--spec", str(cfg), "--out-detections", str(tmp_path / "d.jsonl")])
     assert code == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "parse"
+
+
+@pytest.mark.parametrize("config", [
+    {"heads": "x"},
+    {"gamma": "0.5"},
+    [1, 2],
+    {"sigmas": "abc"},
+    {"sigmas": [0.1, "1"]},
+    {"delta": 2.5},
+    {"delta": True},
+    {"lr": float("nan")},
+    {"combine": 1},
+    {"gamma": None},
+    {"sigmas": None},
+], ids=["string-int", "string-float", "not-an-object", "string-list", "list-with-string",
+        "float-int", "bool-int", "nan", "int-bool", "null-float", "null-list"])
+def test_bad_config_value_exits_one(tmp_path, capsys, monkeypatch, config):
+    monkeypatch.setattr(cli, "_load_graphs", _pipeline_must_not_run)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["ingest", "--in", str(tmp_path / "d.jsonl"), "--registry", str(tmp_path / "r.json"),
+                 "--out", str(tmp_path / "g.json"), "--config", str(cfg)])
+    _one_parse_error(capsys, code)
+
+
+def test_config_null_where_the_default_is_null(tmp_path):
+    det = write_jsonl(tmp_path / "d.jsonl", [detection(class_id=sw.STATIC_CLASS_BASE)])
+    reg = tmp_path / "reg.json"
+    sw.default_registry().save(reg)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_frames": None, "fx": None, "sigma_t": None, "image_w": 256}))
+    assert main(["ingest", "--in", str(det), "--registry", str(reg),
+                 "--out", str(tmp_path / "g.json"), "--config", str(cfg)]) == 0
+
+
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([None, True, "x", [], [1.0], {"a": 1}, [[1.0]]]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(2**70), max_value=2**200),
+)
+
+
+@st.composite
+def _mutated_detections(draw):
+    """A valid four-line detection file over three frames, one line changed in one way."""
+    recs = [
+        detection(frame=0, class_id=sw.STATIC_CLASS_BASE),
+        detection(frame=1, class_id=sw.STATIC_CLASS_BASE, bbox=(11.0, 10.0, 51.0, 50.0)),
+        detection(frame=2, class_id=sw.STATIC_CLASS_BASE, bbox=(12.0, 10.0, 52.0, 50.0)),
+        detection(frame=1, class_id=sw.DYNAMIC_CLASS_BASE, bbox=(60.0, 60.0, 90.0, 90.0),
+                  motion=(0.5, 0.5)),
+    ]
+    rec = recs[draw(st.integers(0, len(recs) - 1))]
+    change = draw(st.sampled_from(["drop", "set", "set-item", "negative-depth",
+                                   "degenerate-bbox", "huge-frame"]))
+    if change == "drop":
+        del rec[draw(st.sampled_from(sorted(rec)))]
+    elif change == "set":
+        rec[draw(st.sampled_from(sorted(rec)))] = draw(_FUZZ_VALUES)
+    elif change == "set-item":
+        key = draw(st.sampled_from([k for k in ("bbox", "feature", "motion_feature") if rec[k]]))
+        rec[key][draw(st.integers(0, len(rec[key]) - 1))] = draw(_FUZZ_VALUES)
+    elif change == "negative-depth":
+        rec["depth"] = -draw(st.floats(min_value=0.0, max_value=1e300))
+    elif change == "degenerate-bbox":
+        x1, y1, x2, y2 = rec["bbox"]
+        rec["bbox"] = draw(st.sampled_from([[x2, y1, x1, y2], [x1, y2, x2, y1], [x1, y1, x1, y2]]))
+    else:
+        rec["frame_index"] = draw(st.integers(min_value=2**31, max_value=2**200))
+    return "".join(json.dumps(r) + "\n" for r in recs)
+
+
+def _reject_constant(token):
+    raise AssertionError(f"graph file holds {token}")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_mutated_detections())
+def test_ingest_fuzzed_detection_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        sw.default_registry().save(tmp / "reg.json")
+        (tmp / "d.jsonl").write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["ingest", "--in", str(tmp / "d.jsonl"), "--registry", str(tmp / "reg.json"),
+                         "--out", str(tmp / "g.json")])
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        assert len(lines) <= 1 and all(json.loads(line)["error"] for line in lines)
+        if (tmp / "g.json").exists():
+            json.loads((tmp / "g.json").read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
 def test_help_documents_flags(capsys):

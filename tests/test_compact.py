@@ -14,8 +14,12 @@ from prism25d.compact import (
 )
 from prism25d.errors import ValidationError
 from prism25d.graph import FrameSet, SceneGraph25D, SceneNode, graph_from_records
-from prism25d.register import register_frames
+from prism25d.lift import estimate_rigid
+from prism25d import register
+from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
+
+from helpers import oracle_ancestors, oracle_correspondences, oracle_nearest, oracle_static_by_frame
 
 
 
@@ -346,3 +350,114 @@ def test_compaction_stats_counts():
     stats = corpus_stats([(g, merged)])
     assert stats["full"] == 5 and stats["static"] == 1 and stats["dynamic"] == 1
     assert stats["reduction_pct"] == pytest.approx(100 * (1 - 2 / 5))
+
+
+# -- the windowed array search against the per-candidate loop -------------------
+
+
+def _grid_graph(rng, n_frames=7, per_frame=6):
+    """Static and dynamic nodes on small integer grids, so that IoU values meet gamma
+    and distances tie exactly, with frame gaps, frames without static nodes and ids
+    out of frame order."""
+    frames = sorted(rng.choice(2 * n_frames, size=n_frames, replace=False).tolist())
+    spec = []
+    for f in frames:
+        for _ in range(int(rng.integers(0, per_frame + 1))):
+            x, y = rng.integers(0, 2, size=2)
+            w, h = rng.integers(2, 5, size=2)
+            spec.append((f, int(rng.integers(1, 3)), (x, y, x + w, y + h),
+                         rng.integers(-1, 2, size=3), rng.random() < 0.2))
+    ids = rng.permutation(len(spec)).tolist()
+    nodes = [_node(nid, f, class_id=c, bbox=b, centroid=p, max_frames=2 * n_frames)
+             for nid, (f, c, b, p, _) in zip(ids, spec)]
+    dynamic = [nid for nid, s in zip(ids, spec) if s[4]]
+    graph = _graph(nodes, dynamic=dynamic)
+    graph.max_frames = 2 * n_frames
+    return graph
+
+
+def _grid_graphs(seed, count):
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        graph = _grid_graph(rng)
+        params = MatchParams(gamma=(1 / 3, 0.5)[k % 2], delta=int(rng.integers(1, 4)))
+        yield graph, params
+        # merged nodes: each listed in several frames, first source frame its root's
+        yield merge_static(graph, oracle_ancestors(graph, params)), params
+
+
+def _window(graph, v, params):
+    by_frame = oracle_static_by_frame(graph)
+    frames = range(v.source_frames[0] - params.delta, v.source_frames[0])
+    return [w for f in frames for w in by_frame.get(f, ())]
+
+
+def _coverage(graph, params):
+    """Counts of the cases the grids are there to produce: queries whose nearest
+    candidates tie in distance, candidate boxes at IoU exactly gamma, merged nodes."""
+    ties = at_gamma = 0
+    for vid in graph.static_nodes:
+        v = graph.nodes[vid]
+        passing = []
+        for wid in set(_window(graph, v, params)):
+            w = graph.nodes[wid]
+            at_gamma += v.class_id == w.class_id and iou(v.bbox, w.bbox) == params.gamma
+            if criterion(v, w, params):
+                passing.append(float(np.linalg.norm(v.centroid3d - w.centroid3d)))
+        passing.sort()
+        ties += len(passing) > 1 and passing[0] == passing[1]
+    merged = sum(len(graph.nodes[n].source_frames) > 1 for n in graph.static_nodes)
+    return np.array([ties, at_gamma, merged])
+
+
+def test_build_ancestors_matches_per_candidate_search():
+    seen = 0
+    for graph, params in _grid_graphs(11, 60):
+        assert build_ancestors(graph, params) == oracle_ancestors(graph, params)
+        seen = seen + _coverage(graph, params)
+    assert seen.all()
+
+
+def test_match_is_the_one_query_search():
+    seen = 0
+    for graph, params in _grid_graphs(12, 10):
+        for vid in graph.static_nodes:
+            v = graph.nodes[vid]
+            assert match(v, graph, params) == oracle_nearest(v, graph, _window(graph, v, params), params)
+        seen = seen + _coverage(graph, params)
+    assert seen.all()
+
+
+def test_registration_correspondences_match_per_candidate_search(monkeypatch):
+    seen = []
+
+    def record(src, dst):
+        seen.append((src, dst))
+        return estimate_rigid(src, dst)
+
+    monkeypatch.setattr(register, "estimate_rigid", record)
+    for graph, params in _grid_graphs(13, 30):
+        seen.clear()
+        estimate_frame_transforms(graph, gamma=params.gamma)
+        expected = oracle_correspondences(graph, params.gamma)
+        assert len(seen) == len(expected) == len(graph.frames) - 1
+        for (src, dst), (want_src, want_dst) in zip(seen, expected):
+            assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
+
+
+def test_search_on_graphs_without_static_nodes():
+    dynamic = [_node(i, i, motion=(1.0,)) for i in range(3)]
+    g = _graph(dynamic, dynamic=(0, 1, 2))
+    assert build_ancestors(g, MatchParams()) == {}
+    assert len(estimate_frame_transforms(g)) == 3
+    assert build_ancestors(_graph([]), MatchParams()) == {}
+
+
+def test_search_takes_ids_and_frames_beyond_int64():
+    big = 2**70
+    nodes = [_node(big + i, big + i // 2, class_id=big + i % 2,
+                   bbox=(0, 0, 10, 10 + i // 2), centroid=(i % 3, 0, 0)) for i in range(8)]
+    g = _graph(nodes)
+    params = MatchParams(gamma=0.5, delta=2)
+    assert build_ancestors(g, params) == oracle_ancestors(g, params)
+    assert len(estimate_frame_transforms(g)) == 4

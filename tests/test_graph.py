@@ -68,6 +68,20 @@ def test_degenerate_bbox_rejected(tmp_path, registry):
         load_detections(path, registry)
 
 
+def test_graph_check_names_the_first_bad_line(tmp_path, registry):
+    # line 2's fault (frame) is checked after line 3's (class): the lower line wins
+    recs = [detection(frame=0), detection(frame=-1), detection(frame=0, class_id=999),
+            detection(frame=0, depth=-2.0)]
+    path = write_jsonl(tmp_path / "d.jsonl", recs)
+    with pytest.raises(ValidationError, match="frame_index -1") as exc:
+        load_detections(path, registry)
+    assert exc.value.line == 2
+    path = write_jsonl(tmp_path / "d.jsonl", [recs[0], recs[2], recs[3]])
+    with pytest.raises(RegistryError, match="class_id 999") as exc:
+        load_detections(path, registry)
+    assert exc.value.line == 2
+
+
 def test_motion_feature_kind_mismatch_rejected(registry):
     with pytest.raises(ValidationError):
         graph_from_records([detection(class_id=1, motion=(0.1,))], registry)

@@ -175,3 +175,34 @@ def test_pose_recovery_translating_and_orbiting():
         for est, pose in zip(estimated, truth.poses):
             assert np.linalg.norm(est.rotation - pose.rotation) < 1e-6
             assert np.linalg.norm(est.translation - pose.translation) < 1e-6
+
+
+def test_registered_centroids_equal_per_point_apply():
+    for seed, camera in (
+        (41, sw.CameraSpec(kind="translating", velocity=(0.04, 0.02, 0.01))),
+        (42, sw.CameraSpec(kind="orbiting", angular_rate=0.02)),
+    ):
+        spec = sw.WorldSpec(seed=seed, video_id=f"a{seed}", n_frames=8, n_static=5,
+                            n_dynamic=2, camera=camera)
+        _, _, _, g = _world_graph(spec)
+        by_frame = dict(zip((fs.frame_index for fs in g.frames), estimate_frame_transforms(g)))
+        registered = register_frames(g)
+        for nid, node in g.nodes.items():
+            expect = by_frame[node.source_frames[0]].apply(node.centroid3d)
+            assert np.array_equal(registered.nodes[nid].centroid3d, expect)
+
+
+def test_lift_rows_equal_one_box_at_a_time():
+    rng = np.random.default_rng(4)
+    corner = rng.uniform(0, 200, size=(50, 2))
+    boxes = np.hstack([corner, corner + rng.uniform(1, 50, size=(50, 2))])
+    depths = rng.uniform(0.5, 9.0, size=50)
+    rows = lift_centroid(boxes, depths, INTR)
+    assert rows.shape == (50, 3)
+    for (x1, y1, x2, y2), depth, row in zip(boxes.tolist(), depths.tolist(), rows):
+        # one box in Python floats, in the array expression's operation order
+        u, v = (x1 + x2) / 2.0, (y1 + y2) / 2.0
+        expect = [(u - INTR.cx) * depth / INTR.fx, (v - INTR.cy) * depth / INTR.fy, depth]
+        assert row.tolist() == expect
+    with pytest.raises(ValidationError, match="depth"):
+        lift_centroid(boxes, np.where(np.arange(50) == 7, -1.0, depths), INTR)

@@ -30,8 +30,6 @@ from .graph import (
     graph_from_records,
     load_corpus,
     load_detection_groups,
-    load_detections,
-    load_graph,
     save_corpus,
     save_graph,
     split_static_dynamic,

@@ -4,24 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .attention import DEFAULT_BANDWIDTHS
 from .compact import MatchParams, compact, corpus_stats
 from .errors import ParseError, PrismError
-from .graph import (
-    ClassRegistry,
-    SceneGraph25D,
-    _finite_list,
-    _is_int,
-    load_corpus,
-    load_detection_groups,
-    save_corpus,
-    save_graph,
-)
+from .graph import ClassRegistry, SceneGraph25D, load_corpus, load_detection_groups, save_corpus, save_graph
 from .lift import Intrinsics
 from .qa import (
     METRICS_FORMAT,
@@ -36,6 +26,7 @@ from .qa import (
     train,
 )
 from .register import register_frames
+from .schema import OBJECT, check, list_of, read
 from . import synthworld
 
 STATS_FORMAT = "prism25d-stats"
@@ -72,20 +63,6 @@ def _sigma_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number: an int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-# what a config file value must be, by the RunConfig field's type
-_CONFIG_VALUES = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a finite number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "tuple[float, ...]": (_finite_list, "a list of finite numbers"),
-}
-
-
 @dataclass
 class RunConfig:
     """Defaults for every tunable; config file values lose to explicit flags."""
@@ -113,21 +90,8 @@ class RunConfig:
 
     @staticmethod
     def resolve(args) -> "RunConfig":
-        cfg = RunConfig()
         file_values = _read_json(args.config) if getattr(args, "config", None) else {}
-        if not isinstance(file_values, dict):
-            raise ParseError("config file must hold a JSON object")
-        by_name = {f.name: f for f in fields(RunConfig)}
-        for key, value in file_values.items():
-            if key not in by_name:
-                raise ParseError(f"unknown config key {key!r}")
-            kind = by_name[key].type.removesuffix(" | None")
-            check, want = _CONFIG_VALUES[kind]
-            if not (value is None and by_name[key].default is None or check(value)):
-                raise ParseError(f"config {key!r} must be {want}, got {value!r}")
-            if kind == "tuple[float, ...]" and value is not None:
-                value = tuple(float(v) for v in value)
-            setattr(cfg, key, value)
+        cfg = read(RunConfig, file_values, partial=True)
         for key in vars(cfg):
             flag = getattr(args, key, None)
             if flag is not None:
@@ -170,17 +134,16 @@ def _pipeline_graphs(detections: str, registry: str, cfg: RunConfig) -> dict[str
 
 
 def cmd_synth(args) -> int:
-    spec_obj = _read_json(args.spec)
-    specs = [
-        synthworld.WorldSpec.from_json(w)
-        for w in (spec_obj["worlds"] if "worlds" in spec_obj else [spec_obj])
-    ]
-    all_instances = []
+    worlds = [_read_json(args.spec)]  # one world, or {"worlds": [...]}
+    if isinstance(worlds[0], dict) and "worlds" in worlds[0]:
+        check(worlds[0], {"worlds": list_of(OBJECT)})
+        worlds = worlds[0]["worlds"]
+    specs = [synthworld.WorldSpec.from_json(w) for w in worlds]
+    all_records, all_instances = [], []
     truths = {}
-    first = True
     for spec in specs:
         world = synthworld.build_world(spec)
-        records = synthworld.world_detections(world)
+        all_records.extend(synthworld.world_detections(world))
         truth = synthworld.world_truth(world)
         if args.out_qa:
             instances, derivations = synthworld.generate_qa(
@@ -188,9 +151,8 @@ def cmd_synth(args) -> int:
             )
             all_instances.extend(instances)
             truth.qa = derivations
-        synthworld.write_detections(records, args.out_detections, append=not first)
         truths[spec.video_id] = truth.to_json()
-        first = False
+    synthworld.write_detections(all_records, args.out_detections)  # after every world is built
     if args.out_qa:
         from .qa import save_qa
 

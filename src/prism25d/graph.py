@@ -4,22 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ParseError, RegistryError, ValidationError
-from .lift import (
-    Bbox,
-    Intrinsics,
-    bad_depths,
-    default_intrinsics,
-    degenerate_boxes,
-    lift_centroid,
-    validate_bbox,
-)
+from .lift import Bbox, Intrinsics, bad_depths, default_intrinsics, degenerate_boxes, lift_centroid
+from .schema import INT, NUMBER, OBJECT, STR, check, check_rows, list_of, optional, read_jsonl
 
 STATIC = "static"
 DYNAMIC = "dynamic"
@@ -69,18 +61,14 @@ class ClassRegistry:
 
     @staticmethod
     def from_json(obj: dict) -> "ClassRegistry":
-        classes = obj.get("classes") if isinstance(obj, dict) else None
-        if not isinstance(classes, list):
-            raise ParseError("registry needs a 'classes' list")
+        check(obj, {"classes": list_of(OBJECT)})
+        check_rows(obj["classes"], _CLASS_FIELDS)
         entries = {}
-        for item in classes:
-            if not (isinstance(item, dict) and {"id", "name", "kind"} <= item.keys()
-                    and _is_int(item["id"])):
-                raise ParseError(f"registry class needs an integer id, name and kind: {item!r}")
+        for item in obj["classes"]:
             cid = item["id"]
             if cid in entries:
                 raise ValidationError(f"duplicate class id {cid} in registry")
-            entries[cid] = ClassEntry(str(item["name"]), str(item["kind"]))
+            entries[cid] = ClassEntry(item["name"], item["kind"])
         return ClassRegistry(entries)
 
     def save(self, path: str | Path) -> None:
@@ -89,6 +77,9 @@ class ClassRegistry:
     @staticmethod
     def load(path: str | Path) -> "ClassRegistry":
         return ClassRegistry.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+_CLASS_FIELDS = {"id": INT, "name": STR, "kind": STR}
 
 
 @dataclass
@@ -110,23 +101,6 @@ class SceneNode:
         if self.motion_feature is None:
             return self.feature
         return np.concatenate([self.feature, self.motion_feature])
-
-    def validate(self, registry: ClassRegistry) -> None:
-        validate_bbox(self.bbox)
-        ts = self.timestamps
-        if not ts:
-            raise ValidationError(f"node {self.node_id}: empty timestamp list")
-        if len(ts) != len(self.source_frames):
-            raise ValidationError(f"node {self.node_id}: timestamps and source_frames differ in length")
-        if any(t < 0.0 or t > 1.0 for t in ts):
-            raise ValidationError(f"node {self.node_id}: timestamps outside [0, 1]")
-        if any(a > b for a, b in zip(ts, ts[1:])):
-            raise ValidationError(f"node {self.node_id}: timestamps not sorted")
-        dynamic = registry.kind(self.class_id) == DYNAMIC
-        if dynamic and self.motion_feature is None:
-            raise ValidationError(f"node {self.node_id}: dynamic node lacks a motion feature")
-        if not dynamic and self.motion_feature is not None:
-            raise ValidationError(f"node {self.node_id}: static node carries a motion feature")
 
     def equals(self, other: "SceneNode") -> bool:
         if (
@@ -169,21 +143,33 @@ class SceneGraph25D:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def validate(self, registry: ClassRegistry) -> None:
+    def validate(self, registry: ClassRegistry | None = None) -> None:
+        """Check that the graph's parts agree; with a registry, also that each node's
+        partition fits its class kind."""
         ids = set(self.nodes)
         if self.static_nodes | self.dynamic_nodes != ids or self.static_nodes & self.dynamic_nodes:
             raise ValidationError("static/dynamic sets do not partition the node ids")
         for nid, node in self.nodes.items():
+            ts, frames = node.timestamps, node.source_frames
             if nid != node.node_id:
                 raise ValidationError(f"node keyed {nid} carries id {node.node_id}")
-            node.validate(registry)
-            in_static = nid in self.static_nodes
-            if in_static != registry.is_static(node.class_id):
+            if (not ts or len(ts) != len(frames) or ts != sorted(ts) or frames != sorted(frames)
+                    or ts[0] < 0.0 or ts[-1] > 1.0):
+                raise ValidationError(f"node {nid}: timestamps and source_frames must be nonempty, "
+                                      "sorted and of one length, and timestamps inside [0, 1]")
+            if (node.motion_feature is None) == (nid in self.dynamic_nodes):
+                raise ValidationError(f"node {nid}: dynamic nodes, and only they, carry a motion feature")
+            if registry is not None and (nid in self.static_nodes) != registry.is_static(node.class_id):
                 raise ValidationError(f"node {nid} is in the wrong partition for its class kind")
-        for fs in self.frames:
+        nodes = list(self.nodes.values())
+        boxes = np.array([n.bbox for n in nodes], dtype=np.float64).reshape(-1, 4)
+        _raise_first([(degenerate_boxes(boxes), ValidationError,
+                       lambda i: f"node {nodes[i].node_id}: degenerate bbox {nodes[i].bbox}")], None)
+        for fs in self.frames:  # compaction's sweep needs each listing among its node's frames
             for nid in fs.node_ids:
-                if nid not in ids:
-                    raise ValidationError(f"frame {fs.frame_index} references missing node {nid}")
+                if nid not in ids or fs.frame_index not in self.nodes[nid].source_frames:
+                    raise ValidationError(f"frame {fs.frame_index} lists node {nid}, which is missing "
+                                          "or has no source frame there")
 
     def equals(self, other: "SceneGraph25D") -> bool:
         if (
@@ -301,59 +287,22 @@ def graph_from_records(
     return graph
 
 
-def _parse_jsonl(path: str | Path) -> list[tuple[int, dict]]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if not isinstance(rec, dict):
-                raise ParseError("expected a JSON object", line=lineno)
-            out.append((lineno, rec))
-    return out
+_FEATURES = {"feature": list_of(NUMBER), "motion_feature": optional(list_of(NUMBER))}
+_DETECTION_FIELDS = {
+    "video_id": STR, "frame_index": INT, "class_id": INT, "bbox": list_of(NUMBER), "depth": NUMBER,
+    **_FEATURES,
+}
 
 
-_DETECTION_KEYS = ("video_id", "frame_index", "class_id", "bbox", "depth", "feature")
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: a Python int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _finite_list(values) -> bool:
-    """A JSON list of finite numbers."""
-    try:
-        return isinstance(values, list) and all(map(math.isfinite, values))
-    except (TypeError, OverflowError):
-        return False
-
-
-def _check_detection(rec: dict, lineno: int, widths: dict[str, int]) -> None:
-    """Reject a detection line with a missing field, a non-integer id, a non-finite number
-    or a feature width other than the one `widths` holds for its key (set by its first use)."""
-    missing = [k for k in _DETECTION_KEYS if k not in rec]
-    if missing:
-        raise ParseError(f"detection missing fields {missing}", line=lineno)
-    for key in ("frame_index", "class_id"):
-        if not _is_int(rec[key]):
-            raise ParseError(f"{key} must be an integer, got {rec[key]!r}", line=lineno)
-    motion = rec.get("motion_feature")
-    for key, values in (
-        ("depth", [rec["depth"]]),
-        ("bbox", rec["bbox"]),
-        ("feature", rec["feature"]),
-        ("motion_feature", [] if motion is None else motion),
-    ):
-        if not _finite_list(values):
-            raise ParseError(f"{key} must hold finite numbers only, got {rec[key]!r}", line=lineno)
-    for key in ("feature", "motion_feature"):
-        if rec.get(key) is not None and len(rec[key]) != widths.setdefault(key, len(rec[key])):
-            raise ParseError(f"{key} has {len(rec[key])} values, not {widths[key]}", line=lineno)
+def _check_widths(records: list[dict], widths: dict[str, int], lines: list[int] | None = None) -> None:
+    """One feature width per key and file: `widths` holds the width of each key's first use."""
+    for key in _FEATURES:
+        sizes = [len(r[key]) for r in records if r.get(key) is not None]
+        if sizes and set(sizes) != {widths.setdefault(key, sizes[0])}:
+            i = next(i for i, r in enumerate(records)
+                     if r.get(key) is not None and len(r[key]) != widths[key])
+            raise ParseError(f"{key} has {len(records[i][key])} values, not {widths[key]}",
+                             line=None if lines is None else lines[i])
 
 
 def load_detection_groups(
@@ -364,37 +313,22 @@ def load_detection_groups(
     image_size: tuple[float, float] = (256.0, 256.0),
 ) -> list[SceneGraph25D]:
     """Load a detection JSONL file into one graph per video (first-appearance order)."""
+    lines, records = read_jsonl(path)
+    check_rows(records, _DETECTION_FIELDS, lines)
+    _check_widths(records, {}, lines)
     groups: dict[str, tuple[list[dict], list[int]]] = {}
-    widths: dict[str, int] = {}  # feature widths of the file's first record with each key
-    for lineno, rec in _parse_jsonl(path):
-        _check_detection(rec, lineno, widths)
-        recs, lines = groups.setdefault(str(rec["video_id"]), ([], []))
+    for lineno, rec in zip(lines, records):
+        recs, video_lines = groups.setdefault(rec["video_id"], ([], []))
         recs.append(rec)
-        lines.append(lineno)
+        video_lines.append(lineno)
     if not groups:
         raise ValidationError(f"no detections in {path}")
     if max_frames is None:
         max_frames = max(int(r["frame_index"]) for recs, _ in groups.values() for r in recs) + 1
     return [
-        graph_from_records(recs, registry, max_frames, intrinsics, image_size, lines)
-        for recs, lines in groups.values()
+        graph_from_records(recs, registry, max_frames, intrinsics, image_size, video_lines)
+        for recs, video_lines in groups.values()
     ]
-
-
-def load_detections(
-    path: str | Path,
-    registry: ClassRegistry,
-    max_frames: int | None = None,
-    intrinsics: Intrinsics | None = None,
-    image_size: tuple[float, float] = (256.0, 256.0),
-) -> SceneGraph25D:
-    """Load a single-video detection JSONL file into a lifted, partitioned graph."""
-    graphs = load_detection_groups(path, registry, max_frames, intrinsics, image_size)
-    if len(graphs) != 1:
-        raise ValidationError(
-            f"{path} holds {len(graphs)} videos; use load_detection_groups"
-        )
-    return graphs[0]
 
 
 def _node_to_json(node: SceneNode) -> dict:
@@ -413,15 +347,15 @@ def _node_to_json(node: SceneNode) -> dict:
 
 
 def _node_from_json(obj: dict) -> SceneNode:
-    motion = obj["motion_feature"]
+    motion = obj.get("motion_feature")
     return SceneNode(
-        node_id=int(obj["node_id"]),
-        class_id=int(obj["class_id"]),
+        node_id=obj["node_id"],
+        class_id=obj["class_id"],
         feature=np.asarray(obj["feature"], dtype=np.float64),
-        bbox=tuple(float(v) for v in obj["bbox"]),
+        bbox=tuple(obj["bbox"]),
         centroid3d=np.asarray(obj["centroid3d"], dtype=np.float64),
-        timestamps=[float(t) for t in obj["timestamps"]],
-        source_frames=[int(f) for f in obj["source_frames"]],
+        timestamps=obj["timestamps"],
+        source_frames=obj["source_frames"],
         motion_feature=None if motion is None else np.asarray(motion, dtype=np.float64),
     )
 
@@ -437,21 +371,41 @@ def _graph_body(graph: SceneGraph25D) -> dict:
     }
 
 
-def _graph_from_body(obj: dict, digest: str | None) -> SceneGraph25D:
-    nodes = [_node_from_json(n) for n in obj["nodes"]]
-    return SceneGraph25D(
-        video_id=str(obj["video_id"]),
-        max_frames=int(obj["max_frames"]),
-        nodes={n.node_id: n for n in nodes},
-        frames=[FrameSet(int(f["frame_index"]), [int(i) for i in f["node_ids"]]) for f in obj["frames"]],
-        static_nodes={int(i) for i in obj["static_nodes"]},
-        dynamic_nodes={int(i) for i in obj["dynamic_nodes"]},
+_NODE_FIELDS = {
+    "node_id": INT, "class_id": INT, **_FEATURES, "bbox": list_of(NUMBER, 4),
+    "centroid3d": list_of(NUMBER, 3), "timestamps": list_of(NUMBER), "source_frames": list_of(INT),
+}
+_FRAME_FIELDS = {"frame_index": INT, "node_ids": list_of(INT)}
+_GRAPH_FIELDS = {
+    "video_id": STR, "max_frames": INT, "nodes": list_of(OBJECT), "frames": list_of(OBJECT),
+    "static_nodes": list_of(INT), "dynamic_nodes": list_of(INT),
+}
+_CORPUS_FIELDS = {"registry_digest": optional(STR), "graphs": list_of(OBJECT)}
+
+
+def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> SceneGraph25D:
+    check(obj, _GRAPH_FIELDS)
+    check_rows(obj["nodes"], _NODE_FIELDS)
+    _check_widths(obj["nodes"], widths)
+    check_rows(obj["frames"], _FRAME_FIELDS)
+    nodes = {n["node_id"]: _node_from_json(n) for n in obj["nodes"]}
+    if len(nodes) != len(obj["nodes"]):
+        raise ValidationError(f"video {obj['video_id']!r} repeats a node id")
+    graph = SceneGraph25D(
+        video_id=obj["video_id"],
+        max_frames=obj["max_frames"],
+        nodes=nodes,
+        frames=[FrameSet(f["frame_index"], f["node_ids"]) for f in obj["frames"]],
+        static_nodes=set(obj["static_nodes"]),
+        dynamic_nodes=set(obj["dynamic_nodes"]),
         registry_digest=digest,
     )
+    graph.validate()
+    return graph
 
 
 def _check_header(obj: dict, path: str | Path) -> None:
-    if obj.get("format") != GRAPH_FORMAT:
+    if not isinstance(obj, dict) or obj.get("format") != GRAPH_FORMAT:
         raise FormatError(f"{path}: not a {GRAPH_FORMAT} file")
     if obj.get("version") != GRAPH_VERSION:
         raise FormatError(f"{path}: unsupported version {obj.get('version')!r}")
@@ -467,14 +421,6 @@ def save_graph(graph: SceneGraph25D, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
 
 
-def load_graph(path: str | Path) -> SceneGraph25D:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    _check_header(obj, path)
-    if "graphs" in obj:
-        raise FormatError(f"{path}: corpus file; use load_corpus")
-    return _graph_from_body(obj, obj.get("registry_digest"))
-
-
 def save_corpus(graphs: list[SceneGraph25D], path: str | Path) -> None:
     digests = {g.registry_digest for g in graphs}
     obj = {
@@ -487,10 +433,15 @@ def save_corpus(graphs: list[SceneGraph25D], path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> list[SceneGraph25D]:
-    """Load a graph file holding either one video or a multi-video corpus."""
+    """Load a graph file holding either one video or a multi-video corpus.
+
+    A missing or mistyped field is a ParseError, and a graph whose parts
+    disagree (see `SceneGraph25D.validate`) is a ValidationError.
+    """
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     _check_header(obj, path)
-    digest = obj.get("registry_digest")
-    if "graphs" in obj:
-        return [_graph_from_body(g, digest) for g in obj["graphs"]]
-    return [_graph_from_body(obj, digest)]
+    if "graphs" not in obj:
+        obj = {"registry_digest": obj.get("registry_digest"), "graphs": [obj]}
+    check(obj, _CORPUS_FIELDS)
+    widths: dict[str, int] = {}  # feature widths of the file's first node with each key
+    return [_graph_from_body(g, obj["registry_digest"], widths) for g in obj["graphs"]]

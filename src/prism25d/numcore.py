@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParseError, ValidationError
+from .errors import FormatError, ValidationError
+from .schema import COUNT, OBJECT, STR, check, check_rows, list_of
 
 CHECKPOINT_FORMAT = "prism25d-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -421,14 +422,7 @@ def save_checkpoint(path: str | Path, header: dict, named_params: list[tuple[str
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
-def _manifest_entry(item) -> bool:
-    """A params entry: a name and a shape of non-negative JSON integers."""
-    return (
-        isinstance(item, dict)
-        and isinstance(item.get("name"), str)
-        and isinstance(item.get("shape"), list)
-        and all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in item["shape"])
-    )
+_MANIFEST_ENTRY = {"name": STR, "shape": list_of(COUNT)}
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -441,11 +435,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
         if header.get("version") != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported version {header.get('version')!r}")
-        params = header.get("params")
-        if not isinstance(params, list) or not all(map(_manifest_entry, params)):
-            raise ParseError(f"{path}: checkpoint header needs a params list of names and shapes")
+        check(header, {"params": list_of(OBJECT)})
+        check_rows(header["params"], _MANIFEST_ENTRY)
         arrays: dict[str, np.ndarray] = {}
-        for item in params:
+        for item in header["params"]:
             shape = tuple(item["shape"])
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * 8)
@@ -453,31 +446,3 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
                 raise FormatError(f"{path}: truncated parameter blob at {item['name']}")
             arrays[item["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return header, arrays
-
-
-# ---------------------------------------------------------------------------
-# finite differences (the independent oracle for every gradient test)
-
-
-def fd_gradients(f, params: list[Tensor], h: float = 1e-5) -> list[np.ndarray]:
-    """Central-difference gradients of the scalar-valued f() w.r.t. each parameter."""
-    grads = []
-    for p in params:
-        g = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = f().item()
-            flat[i] = orig - h
-            lo = f().item()
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2.0 * h)
-        grads.append(g)
-    return grads
-
-
-def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float((np.abs(a - b) / denom).max()) if a.size else 0.0

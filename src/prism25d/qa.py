@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,9 @@ from .attention import (
     MASK_LOGIT,
 )
 from .errors import ParseError, ValidationError
-from .graph import SceneGraph25D, _finite_list, _is_int, _parse_jsonl
+from .graph import SceneGraph25D
 from .numcore import Adam, MlpParams, Tensor
+from .schema import INT, STR, check, check_rows, list_of, read, read_jsonl
 
 METRICS_FORMAT = "prism25d-metrics"
 METRICS_VERSION = 1
@@ -50,32 +51,22 @@ class QaInstance:
             raise ValidationError("empty question")
 
 
-def _int_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_int, value))
+_QA_FIELDS = {
+    "video_id": STR, "question": list_of(INT), "candidates": list_of(list_of(INT)), "gt": INT,
+}
 
 
 def load_qa(path: str | Path) -> list[QaInstance]:
     """Read a QA JSONL file; a line with a missing or mistyped field is a ParseError."""
     out = []
-    for lineno, rec in _parse_jsonl(path):
-        candidates = rec.get("candidates")
-        if not (
-            "video_id" in rec
-            and _is_int(rec.get("gt"))
-            and _int_list(rec.get("question"))
-            and isinstance(candidates, list)
-            and all(map(_int_list, candidates))
-        ):
-            raise ParseError(
-                "a QA record needs video_id, an integer gt, and question and candidates"
-                " as lists of integers",
-                line=lineno,
-            )
+    lines, records = read_jsonl(path)
+    check_rows(records, _QA_FIELDS, lines)
+    for lineno, rec in zip(lines, records):
         try:
             inst = QaInstance(
-                video_id=str(rec["video_id"]),
+                video_id=rec["video_id"],
                 question=tuple(rec["question"]),
-                candidates=tuple(tuple(c) for c in candidates),
+                candidates=tuple(tuple(c) for c in rec["candidates"]),
                 gt_index=rec["gt"],
             )
         except ValidationError as exc:
@@ -128,53 +119,12 @@ class ModelConfig:
         )
 
     def to_json(self) -> dict:
-        return {
-            "d_o": self.d_o,
-            "d_a": self.d_a,
-            "vocab_size": self.vocab_size,
-            "latent_dim": self.latent_dim,
-            "heads": self.heads,
-            "sigma_s": list(self.sigma_s),
-            "sigma_t": None if self.sigma_t is None else list(self.sigma_t),
-            "feature_hidden": list(self.feature_hidden),
-            "n_standard_layers": self.n_standard_layers,
-            "combine": self.combine,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(obj) -> "ModelConfig":
         """Config from a checkpoint header; a missing or mistyped field is a ParseError."""
-        if not isinstance(obj, dict):
-            raise ParseError("checkpoint header: config is not a JSON object")
-        for key, valid in _CONFIG_FIELDS.items():
-            if key not in obj or not valid(obj[key]):
-                raise ParseError(f"checkpoint header: config field {key!r} is missing or mistyped")
-        return ModelConfig(
-            d_o=obj["d_o"],
-            d_a=obj["d_a"],
-            vocab_size=obj["vocab_size"],
-            latent_dim=obj["latent_dim"],
-            heads=obj["heads"],
-            sigma_s=tuple(float(s) for s in obj["sigma_s"]),
-            sigma_t=None if obj["sigma_t"] is None else tuple(float(s) for s in obj["sigma_t"]),
-            feature_hidden=tuple(obj["feature_hidden"]),
-            n_standard_layers=obj["n_standard_layers"],
-            combine=obj["combine"],
-        )
-
-
-_CONFIG_FIELDS = {
-    "d_o": _is_int,
-    "d_a": _is_int,
-    "vocab_size": _is_int,
-    "latent_dim": _is_int,
-    "heads": _is_int,
-    "sigma_s": _finite_list,
-    "sigma_t": lambda v: v is None or _finite_list(v),
-    "feature_hidden": _int_list,
-    "n_standard_layers": _is_int,
-    "combine": lambda v: isinstance(v, bool),
-}
+        return read(ModelConfig, obj)
 
 
 @dataclass
@@ -525,9 +475,7 @@ def save_model(path: str | Path, model: QaModel, seed: int, step: int) -> None:
 
 def load_model(path: str | Path) -> tuple[QaModel, dict]:
     header, arrays = nc.load_checkpoint(path)
-    for key in ("seed", "step"):
-        if not _is_int(header.get(key)):
-            raise ParseError(f"checkpoint header: {key!r} is missing or not an integer")
+    check(header, {"seed": INT, "step": INT})
     config = ModelConfig.from_json(header.get("config"))
     model = init_model(config, seed=header["seed"])
     for name, tensor in model.named_parameters():

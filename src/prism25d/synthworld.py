@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ from .errors import ValidationError
 from .graph import DYNAMIC, STATIC, ClassEntry, ClassRegistry
 from .lift import Intrinsics, RigidTransform, default_intrinsics
 from .qa import QaInstance
+from .schema import read
 
 STATIC_CLASS_BASE = 1
 DYNAMIC_CLASS_BASE = 101
@@ -28,6 +29,9 @@ COUNT_TOKEN_BASE = 70
 VOCAB_SIZE = 100
 
 N_CANDIDATES = 5
+MAX_FRAMES = 1000  # bounds on a spec's sizes, so that no spec exhausts time or memory
+MAX_WIDTH = 1024
+MAX_IMAGE_SIDE = 65536
 REACH_RADIUS = 0.5  # "reaching" a static object, for visited-order questions
 COUNT_RADIUS = 1.0  # entry radius for count questions
 
@@ -50,17 +54,8 @@ class CameraSpec:
     def __post_init__(self):
         if self.kind not in ("stationary", "translating", "orbiting"):
             raise ValidationError(f"unknown camera kind {self.kind!r}")
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "velocity": list(self.velocity), "angular_rate": self.angular_rate}
-
-    @staticmethod
-    def from_json(obj: dict) -> "CameraSpec":
-        return CameraSpec(
-            kind=str(obj.get("kind", "stationary")),
-            velocity=tuple(float(v) for v in obj.get("velocity", (0.0, 0.0, 0.0))),
-            angular_rate=float(obj.get("angular_rate", 0.0)),
-        )
+        if abs(self.angular_rate) > math.pi:  # beyond half a turn per frame, rotations alias
+            raise ValidationError(f"angular_rate must lie in [-pi, pi], got {self.angular_rate}")
 
 
 @dataclass(frozen=True)
@@ -68,12 +63,9 @@ class NoiseSpec:
     bbox_px: float = 0.0  # std-dev of per-corner pixel jitter
     depth: float = 0.0  # std-dev of depth jitter, world units
 
-    def to_json(self) -> dict:
-        return {"bbox_px": self.bbox_px, "depth": self.depth}
-
-    @staticmethod
-    def from_json(obj: dict) -> "NoiseSpec":
-        return NoiseSpec(bbox_px=float(obj.get("bbox_px", 0.0)), depth=float(obj.get("depth", 0.0)))
+    def __post_init__(self):
+        if self.bbox_px < 0.0 or self.depth < 0.0:
+            raise ValidationError("noise std-devs must not be negative")
 
 
 @dataclass(frozen=True)
@@ -97,57 +89,37 @@ class WorldSpec:
     n_dynamic_classes: int = 4
 
     def __post_init__(self):
-        if self.n_frames < 1 or self.n_static < 1:
-            raise ValidationError("world needs at least one frame and one static object")
+        if self.seed < 0:
+            raise ValidationError(f"seed must not be negative, got {self.seed}")
+        if not (1 <= self.n_frames <= MAX_FRAMES) or self.n_static < 1 or self.n_dynamic < 0:
+            raise ValidationError(f"world needs 1 to {MAX_FRAMES} frames, a static object, "
+                                  "and no negative object count")
+        if self.d_o > MAX_WIDTH or not (4 <= self.d_a <= MAX_WIDTH):  # motion: velocity and speed
+            raise ValidationError(f"d_o must be at most {MAX_WIDTH}, and d_a from 4 to {MAX_WIDTH}")
         if self.n_static > self.d_o // 2 or self.n_dynamic > self.d_o - self.d_o // 2:
             raise ValidationError("too many objects for the identity-coded feature width")
+        if not all(1 <= side <= MAX_IMAGE_SIDE for side in self.image_size):
+            raise ValidationError(f"image sides must be 1 to {MAX_IMAGE_SIDE} pixels")
+        if not (0.0 < self.extent_range[0] <= self.extent_range[1]
+                and 0.0 <= self.pass_distance[0] <= self.pass_distance[1]):
+            raise ValidationError("extent_range and pass_distance must be (low, high) with "
+                                  "0 < low <= high (0 <= low for pass_distance)")
         if self.traj_targets not in (1, 2):
             raise ValidationError("traj_targets must be 1 or 2")
-        if self.n_static_classes > len(_STATIC_NAMES) or self.n_dynamic_classes > len(_DYNAMIC_NAMES):
-            raise ValidationError("not enough registered classes")
+        if not (1 <= self.n_static_classes <= len(_STATIC_NAMES)
+                and 1 <= self.n_dynamic_classes <= len(_DYNAMIC_NAMES)):
+            raise ValidationError("class counts must be 1 to the number of registered classes")
 
     def intrinsics(self) -> Intrinsics:
         return default_intrinsics(*self.image_size)
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "video_id": self.video_id,
-            "n_frames": self.n_frames,
-            "n_static": self.n_static,
-            "n_dynamic": self.n_dynamic,
-            "camera": self.camera.to_json(),
-            "noise": self.noise.to_json(),
-            "image_size": list(self.image_size),
-            "view_distance": self.view_distance,
-            "d_o": self.d_o,
-            "d_a": self.d_a,
-            "extent_range": list(self.extent_range),
-            "static_separation": self.static_separation,
-            "pass_distance": list(self.pass_distance),
-            "traj_targets": self.traj_targets,
-            "n_static_classes": self.n_static_classes,
-            "n_dynamic_classes": self.n_dynamic_classes,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(obj: dict) -> "WorldSpec":
-        base = WorldSpec(seed=int(obj["seed"]), video_id=str(obj["video_id"]))
-        kwargs = {}
-        for name in (
-            "n_frames", "n_static", "n_dynamic", "view_distance", "d_o", "d_a",
-            "static_separation", "traj_targets", "n_static_classes", "n_dynamic_classes",
-        ):
-            if name in obj:
-                kwargs[name] = type(getattr(base, name))(obj[name])
-        if "camera" in obj:
-            kwargs["camera"] = CameraSpec.from_json(obj["camera"])
-        if "noise" in obj:
-            kwargs["noise"] = NoiseSpec.from_json(obj["noise"])
-        for name in ("image_size", "extent_range", "pass_distance"):
-            if name in obj:
-                kwargs[name] = tuple(obj[name])
-        return replace(base, **kwargs)
+        """Spec from a JSON object; fields with defaults may be left out."""
+        return read(WorldSpec, obj, partial=True)
 
 
 @dataclass
@@ -508,10 +480,13 @@ def world_detections(world: World) -> list[dict]:
     return records
 
 
-def write_detections(records: list[dict], path: str | Path, append: bool = False) -> None:
-    with open(path, "a" if append else "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+def write_detections(records: list[dict], path: str | Path) -> None:
+    try:
+        lines = [json.dumps(rec, allow_nan=False) + "\n" for rec in records]
+    except ValueError as exc:  # noise can push a box or depth beyond the float range
+        raise ValidationError(f"detections hold a non-finite number: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
 
 
 def oracle_merge(records: list[dict], truth: GroundTruth) -> dict[int, list[int]]:

@@ -30,6 +30,31 @@ def mlp_identity(dim):
     )
 
 
+def fd_gradients(f, params, h=1e-5):
+    """Central-difference gradients of the scalar-valued f() w.r.t. each parameter:
+    the independent oracle for every gradient test."""
+    grads = []
+    for p in params:
+        g = np.zeros_like(p.data)
+        flat = p.data.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = f().item()
+            flat[i] = orig - h
+            lo = f().item()
+            flat[i] = orig
+            gflat[i] = (hi - lo) / (2.0 * h)
+        grads.append(g)
+    return grads
+
+
+def max_relative_error(a, b, floor=1e-6):
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    return float((np.abs(a - b) / denom).max()) if a.size else 0.0
+
+
 def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:

@@ -19,7 +19,7 @@ from prism25d.attention import (
 )
 from prism25d.cli import main
 from prism25d.compact import MatchParams, build_ancestors, compact
-from prism25d.graph import graph_from_records, load_graph, save_graph
+from prism25d.graph import graph_from_records, load_corpus, save_graph
 from prism25d.numcore import Tensor
 from prism25d.qa import (
     ModelConfig,
@@ -35,7 +35,7 @@ from prism25d.qa import (
 from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
 
-from helpers import mlp_identity
+from helpers import fd_gradients, max_relative_error, mlp_identity
 
 REGISTRY = sw.default_registry()
 PARAMS = MatchParams(gamma=0.5, delta=3)
@@ -326,10 +326,10 @@ def test_c6_gradient_fidelity_full_pipeline():
         p.grad = np.zeros_like(p.data)
     nc.backward(loss_fn())
     reverse = [p.grad.copy() for p in params]
-    fd = nc.fd_gradients(loss_fn, params, h=1e-5)
+    fd = fd_gradients(loss_fn, params, h=1e-5)
     worst = 0.0
     for (name, _), a, b in zip(named, reverse, fd):
-        err = nc.max_relative_error(a, b)
+        err = max_relative_error(a, b)
         worst = max(worst, err)
         assert err < 1e-4, f"{name}: relative error {err:.2e}"
     n_scalars = sum(p.data.size for p in params)
@@ -430,7 +430,8 @@ def test_c9_determinism_and_roundtrips(tmp_path):
     for name in ("a", "b"):
         save_graph(graph, tmp_path / f"g-{name}.json")
     assert (tmp_path / "g-a.json").read_bytes() == (tmp_path / "g-b.json").read_bytes()
-    assert load_graph(tmp_path / "g-a.json").equals(graph)
+    (loaded,) = load_corpus(tmp_path / "g-a.json")
+    assert loaded.equals(graph)
 
     world = sw.build_world(spec)
     truth = sw.world_truth(world)

@@ -27,7 +27,7 @@ from prism25d.graph import graph_from_records
 from prism25d.numcore import Tensor
 from prism25d.qa import build_bundles
 
-from helpers import detection, mlp_identity
+from helpers import detection, fd_gradients, max_relative_error, mlp_identity
 
 
 def _nfm(rng, n=5, r=8, times=None, positions=None):
@@ -423,6 +423,6 @@ def test_encoder_gradients_match_finite_differences():
     for p in params:
         p.grad = np.zeros_like(p.data)
     nc.backward(build())
-    fd = nc.fd_gradients(build, params, h=1e-5)
+    fd = fd_gradients(build, params, h=1e-5)
     for p, f in zip(params, fd):
-        assert nc.max_relative_error(p.grad, f) < 1e-4
+        assert max_relative_error(p.grad, f) < 1e-4

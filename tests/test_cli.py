@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import tempfile
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prism25d import cli
 from prism25d.cli import main
-from prism25d.graph import load_corpus, load_graph
+from prism25d.graph import load_corpus
 from prism25d.qa import ModelConfig, init_model, save_model
 from prism25d import synthworld as sw
 
@@ -91,9 +92,9 @@ def test_single_video_roundtrip_flat_graph_file(tmp_path):
     main(["synth", "--spec", spec, "--out-detections", det, "--out-registry", reg])
     graph_file = str(tmp_path / "g.json")
     assert main(["ingest", "--in", det, "--registry", reg, "--out", graph_file]) == 0
-    g = load_graph(graph_file)  # flat single-video format
+    assert "graphs" not in json.loads(Path(graph_file).read_text())  # flat single-video format
+    (g,) = load_corpus(graph_file)
     assert g.video_id == "w7"
-    assert load_corpus(graph_file)[0].equals(g)
 
 
 def test_train_lr_zero_checkpoints_byte_identical(tmp_path):
@@ -293,6 +294,53 @@ def test_bad_registry_exits_one(tmp_path, capsys, registry):
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize("change", [
+    lambda obj: obj["graphs"][0]["nodes"][0].pop("bbox"),
+    lambda obj: obj["graphs"][0]["nodes"][0]["centroid3d"].__setitem__(2, float("nan")),
+    lambda obj: obj["graphs"][1]["nodes"][0].update(node_id="0"),
+    lambda obj: obj.update(graphs=7),
+    lambda obj: obj["graphs"][0]["nodes"][1].update(bbox=[10.0, 10.0, 50.0]),
+], ids=["no-bbox", "nan-centroid", "string-node-id", "graphs-not-a-list", "three-value-bbox"])
+def test_bad_graph_file_exits_one(tmp_path, capsys, change):
+    det, reg, _ = _synth_corpus(tmp_path, n_worlds=2, qa=False, n_frames=3)
+    graph_file = tmp_path / "g.json"
+    assert main(["ingest", "--in", det, "--registry", reg, "--out", str(graph_file)]) == 0
+    obj = json.loads(graph_file.read_text())
+    change(obj)
+    graph_file.write_text(json.dumps(obj))  # json writes NaN
+    capsys.readouterr()
+    code = main(["compact", "--in", str(graph_file), "--out", str(tmp_path / "c.json"),
+                 "--stats", str(tmp_path / "s.json")])
+    _one_parse_error(capsys, code)
+    assert not (tmp_path / "c.json").exists() and not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"seed": "x", "video_id": "w"},
+    {"seed": True, "video_id": "w"},
+    {"seed": 1, "video_id": "w", "n_frames": 2.7},
+    {"seed": 1, "video_id": "w", "camera": {"kind": "translating", "velocity": [float("nan"), 0, 0]}},
+    {"seed": 1, "video_id": "w", "image_size": ["a", 3]},
+    [{"seed": 1, "video_id": "w"}],
+    {"seed": 1, "video_id": "w", "n_frame": 3},
+], ids=["string-seed", "bool-seed", "float-frames", "nan-velocity", "string-image-size",
+        "top-level-list", "misspelt-key"])
+def test_bad_world_spec_exits_one(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["synth", "--spec", str(path), "--out-detections", str(tmp_path / "d.jsonl")])
+    _one_parse_error(capsys, code)
+    assert not (tmp_path / "d.jsonl").exists()
+
+
+def test_synth_writes_nothing_when_a_world_fails(tmp_path, capsys):
+    spec = _spec_file(tmp_path, [_world_json(1, n_frames=3), _world_json(2, static_separation=1e9)])
+    code = main(["synth", "--spec", spec, "--out-detections", str(tmp_path / "d.jsonl")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+    assert not (tmp_path / "d.jsonl").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["compact", "--in", "g.json", "--out", "c.json"],
     ["eval", "--detections", "d.jsonl", "--registry", "r.json", "--qa", "q.jsonl",
@@ -384,7 +432,19 @@ def _mutated_detections(draw):
 
 
 def _reject_constant(token):
-    raise AssertionError(f"graph file holds {token}")
+    raise AssertionError(f"written file holds {token}")
+
+
+def _run_cli(argv):
+    """Exit code of one in-process run, after checking the error contract: exit 0, 1 or 2,
+    and at most one stderr line, a JSON error."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1 and all(json.loads(line)["error"] for line in lines)
+    return code
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -394,15 +454,74 @@ def test_ingest_fuzzed_detection_line(text):
         tmp = Path(tmp)
         sw.default_registry().save(tmp / "reg.json")
         (tmp / "d.jsonl").write_text(text, encoding="utf-8")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["ingest", "--in", str(tmp / "d.jsonl"), "--registry", str(tmp / "reg.json"),
-                         "--out", str(tmp / "g.json")])
-        assert code in (0, 1, 2)
-        lines = err.getvalue().splitlines()
-        assert len(lines) <= 1 and all(json.loads(line)["error"] for line in lines)
+        _run_cli(["ingest", "--in", str(tmp / "d.jsonl"), "--registry", str(tmp / "reg.json"),
+                  "--out", str(tmp / "g.json")])
         if (tmp / "g.json").exists():
             json.loads((tmp / "g.json").read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+@functools.cache
+def _graph_file_text():
+    """An ingested two-video graph file, whose static nodes merge when compacted."""
+    with tempfile.TemporaryDirectory() as tmp:
+        det, reg, _ = _synth_corpus(Path(tmp), n_worlds=2, qa=False, n_frames=3, n_static=3,
+                                    n_dynamic=1)
+        assert _run_cli(["ingest", "--in", det, "--registry", reg, "--out", f"{tmp}/g.json"]) == 0
+        return Path(f"{tmp}/g.json").read_text(encoding="utf-8")
+
+
+def _mutate_field(draw, obj):
+    """Change one field of the JSON object in one way: drop it, set it, or set one of its items."""
+    key = draw(st.sampled_from(sorted(obj)))
+    change = draw(st.sampled_from(["drop", "set", "set-item"]))
+    if change == "drop":
+        del obj[key]
+    elif change == "set" or not isinstance(obj[key], list) or not obj[key]:
+        obj[key] = draw(_FUZZ_VALUES)
+    else:
+        obj[key][draw(st.integers(0, len(obj[key]) - 1))] = draw(_FUZZ_VALUES)
+
+
+@st.composite
+def _mutated_graph_file(draw):
+    """The ingested graph file, one field of one node changed in one way."""
+    obj = json.loads(_graph_file_text())
+    nodes = obj["graphs"][draw(st.integers(0, 1))]["nodes"]
+    _mutate_field(draw, nodes[draw(st.integers(0, len(nodes) - 1))])
+    return json.dumps(obj)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_mutated_graph_file())
+def test_compact_fuzzed_graph_node(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "g.json").write_text(text, encoding="utf-8")
+        _run_cli(["compact", "--in", str(tmp / "g.json"), "--out", str(tmp / "c.json")])
+        if (tmp / "c.json").exists():
+            json.loads((tmp / "c.json").read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+@st.composite
+def _mutated_world_spec(draw):
+    """A valid world spec, one field (of the spec, its camera or its noise) changed in one way."""
+    spec = json.loads(json.dumps(_world_json(1, n_frames=3, n_static=3, n_dynamic=1,
+                                             camera=sw.CameraSpec("translating", (0.02, 0.0, 0.0)))))
+    part = draw(st.sampled_from([None, "camera", "noise"]))
+    _mutate_field(draw, spec if part is None else spec[part])
+    return json.dumps(spec)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_mutated_world_spec())
+def test_synth_fuzzed_world_spec(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "spec.json").write_text(text, encoding="utf-8")
+        _run_cli(["synth", "--spec", str(tmp / "spec.json"), "--out-detections", str(tmp / "d.jsonl")])
+        if (tmp / "d.jsonl").exists():
+            for line in (tmp / "d.jsonl").read_text(encoding="utf-8").splitlines():
+                json.loads(line, parse_constant=_reject_constant)
 
 
 def test_help_documents_flags(capsys):

@@ -8,8 +8,6 @@ from prism25d.graph import (
     graph_from_records,
     load_corpus,
     load_detection_groups,
-    load_detections,
-    load_graph,
     save_corpus,
     save_graph,
     split_static_dynamic,
@@ -24,20 +22,20 @@ def test_load_counts_two_frames_three_each(tmp_path, registry):
             for f in (0, 1)
             for i, c in enumerate((1, 2, 101))]
     path = write_jsonl(tmp_path / "d.jsonl", recs)
-    g = load_detections(path, registry)
+    (g,) = load_detection_groups(path, registry)
     assert g.node_count() == 6
     assert [len(fs.node_ids) for fs in g.frames] == [3, 3]
 
 
 def test_static_class_lands_in_static_set(tmp_path, registry):
     path = write_jsonl(tmp_path / "d.jsonl", [detection(class_id=1)])
-    g = load_detections(path, registry)
+    (g,) = load_detection_groups(path, registry)
     assert g.static_nodes == {0} and not g.dynamic_nodes
 
 
 def test_timestamp_normalization(tmp_path, registry):
     path = write_jsonl(tmp_path / "d.jsonl", [detection(frame=5)])
-    g = load_detections(path, registry, max_frames=10)
+    (g,) = load_detection_groups(path, registry, max_frames=10)
     assert g.nodes[0].timestamps == [0.5]
 
 
@@ -52,20 +50,20 @@ def test_malformed_line_reports_line_number(tmp_path, registry):
     path = tmp_path / "d.jsonl"
     path.write_text(json.dumps(detection()) + "\n{broken\n", encoding="utf-8")
     with pytest.raises(ParseError) as exc:
-        load_detections(path, registry)
+        load_detection_groups(path, registry)
     assert exc.value.line == 2
 
 
 def test_unknown_class_rejected(tmp_path, registry):
     path = write_jsonl(tmp_path / "d.jsonl", [detection(class_id=999)])
     with pytest.raises(RegistryError):
-        load_detections(path, registry)
+        load_detection_groups(path, registry)
 
 
 def test_degenerate_bbox_rejected(tmp_path, registry):
     path = write_jsonl(tmp_path / "d.jsonl", [detection(bbox=(50, 10, 10, 50))])
     with pytest.raises(ValidationError):
-        load_detections(path, registry)
+        load_detection_groups(path, registry)
 
 
 def test_graph_check_names_the_first_bad_line(tmp_path, registry):
@@ -74,11 +72,11 @@ def test_graph_check_names_the_first_bad_line(tmp_path, registry):
             detection(frame=0, depth=-2.0)]
     path = write_jsonl(tmp_path / "d.jsonl", recs)
     with pytest.raises(ValidationError, match="frame_index -1") as exc:
-        load_detections(path, registry)
+        load_detection_groups(path, registry)
     assert exc.value.line == 2
     path = write_jsonl(tmp_path / "d.jsonl", [recs[0], recs[2], recs[3]])
     with pytest.raises(RegistryError, match="class_id 999") as exc:
-        load_detections(path, registry)
+        load_detection_groups(path, registry)
     assert exc.value.line == 2
 
 
@@ -127,12 +125,14 @@ def _sample_graph(registry):
 
 def test_roundtrip_bit_exact(tmp_path, registry):
     g = _sample_graph(registry)
-    # awkward floats survive the round trip exactly
-    g.nodes[0].feature = np.array([0.1 + 0.2, 1e-17, -0.0])
+    # awkward floats survive the round trip exactly (at the file's one feature width)
+    g.nodes[0].feature = np.array([0.1 + 0.2, 1e-17])
+    g.nodes[2].feature = np.array([-0.0, 1.0])
     path = tmp_path / "g.json"
     save_graph(g, path)
-    assert load_graph(path).equals(g)
-    save_graph(load_graph(path), tmp_path / "g2.json")
+    (loaded,) = load_corpus(path)
+    assert loaded.equals(g)
+    save_graph(loaded, tmp_path / "g2.json")
     assert (tmp_path / "g.json").read_bytes() == (tmp_path / "g2.json").read_bytes()
 
 
@@ -143,7 +143,8 @@ def test_roundtrip_empty_frames_graph(tmp_path, registry):
     g.static_nodes = set()
     g.dynamic_nodes = set()
     save_graph(g, tmp_path / "g.json")
-    assert load_graph(tmp_path / "g.json").equals(g)
+    (loaded,) = load_corpus(tmp_path / "g.json")
+    assert loaded.equals(g)
 
 
 def test_wrong_version_rejected(tmp_path, registry):
@@ -154,12 +155,12 @@ def test_wrong_version_rejected(tmp_path, registry):
     obj["version"] = 99
     path.write_text(json.dumps(obj))
     with pytest.raises(FormatError):
-        load_graph(path)
+        load_corpus(path)
     obj["version"] = 1
     obj["format"] = "something-else"
     path.write_text(json.dumps(obj))
     with pytest.raises(FormatError):
-        load_graph(path)
+        load_corpus(path)
 
 
 def test_corpus_roundtrip(tmp_path, registry):
@@ -211,11 +212,9 @@ def test_partition_property_random_graphs(registry):
         g.validate(registry)
 
 
-def test_multi_video_file_requires_group_loader(tmp_path, registry):
+def test_multi_video_file_loads_one_graph_per_video(tmp_path, registry):
     recs = [detection(video_id="a"), detection(video_id="b")]
     path = write_jsonl(tmp_path / "d.jsonl", recs)
-    with pytest.raises(ValidationError):
-        load_detections(path, registry)
     graphs = load_detection_groups(path, registry)
     assert [g.video_id for g in graphs] == ["a", "b"]
 

@@ -6,7 +6,7 @@ from prism25d import numcore as nc
 from prism25d.errors import FormatError, ValidationError
 from prism25d.numcore import Adam, Tensor
 
-from helpers import mlp_identity
+from helpers import fd_gradients, max_relative_error, mlp_identity
 
 
 def _param(rng, *shape):
@@ -139,9 +139,9 @@ def _gradcheck(build, params, rtol=1e-4, h=1e-5):
     for p in params:
         p.grad = np.zeros_like(p.data)
     nc.backward(build())
-    fd = nc.fd_gradients(build, params, h=h)
+    fd = fd_gradients(build, params, h=h)
     for p, f in zip(params, fd):
-        assert nc.max_relative_error(p.grad, f) < rtol
+        assert max_relative_error(p.grad, f) < rtol
 
 
 def test_gradcheck_elementwise_chain():

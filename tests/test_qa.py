@@ -27,7 +27,7 @@ from prism25d.qa import (
     train,
 )
 
-from helpers import detection, mlp_identity
+from helpers import detection, fd_gradients, max_relative_error, mlp_identity
 
 
 def _probabilities(logits):
@@ -463,9 +463,9 @@ def test_mixed_batch_gradients_match_finite_differences(registry):
         p.grad = np.zeros_like(p.data)
     nc.backward(build())
     ad = [p.grad.copy() for p in params]
-    fd = nc.fd_gradients(build, params, h=1e-5)
+    fd = fd_gradients(build, params, h=1e-5)
     for (name, _), a, f in zip(named, ad, fd):
-        err = nc.max_relative_error(a, f)
+        err = max_relative_error(a, f)
         assert err < 1e-4, f"{name}: rel err {err}"
 
 
@@ -522,7 +522,7 @@ def test_end_to_end_gradients_micro_problem(registry):
         p.grad = np.zeros_like(p.data)
     nc.backward(build())
     ad = [p.grad.copy() for p in params]
-    fd = nc.fd_gradients(build, params, h=1e-5)
+    fd = fd_gradients(build, params, h=1e-5)
     for name_t, a, f in zip(model.named_parameters(), ad, fd):
-        err = nc.max_relative_error(a, f)
+        err = max_relative_error(a, f)
         assert err < 1e-4, f"{name_t[0]}: rel err {err}"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,13 @@ def test_build_world_pure_function_of_spec():
     assert np.array_equal(w1.static_positions, w2.static_positions)
     assert np.array_equal(w1.dynamic_tracks, w2.dynamic_tracks)
     assert w1.dynamic_targets == w2.dynamic_targets
+
+
+def test_world_spec_json_round_trip():
+    spec = sw.WorldSpec(seed=3, video_id="r", n_frames=5, image_size=(320, 240),
+                        camera=sw.CameraSpec("orbiting", angular_rate=0.02),
+                        noise=sw.NoiseSpec(bbox_px=1.5), extent_range=(1, 2))
+    assert sw.WorldSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+    # a partial spec takes the defaults, ints given for floats included
+    assert sw.WorldSpec.from_json({"seed": 3, "video_id": "r", "view_distance": 6}) == sw.WorldSpec(3, "r")
+

@@ -1,8 +1,6 @@
 """(2.5+1)D spatio-temporal scene graphs with hierarchical kernel-transformer QA."""
 
 from .attention import (
-    KernelConfig,
-    NodeFeatureMatrix,
     DEFAULT_BANDWIDTHS,
     combined_encoding,
     hierarchical_attention,

@@ -16,101 +16,6 @@ DEFAULT_BANDWIDTHS = (0.01, 0.1, 1.0, 10.0)
 MASK_LOGIT = -1e30  # additive score mask for pairs that may not attend
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Bandwidth hierarchy plus head/latent dimensions of the encoder."""
-
-    levels: tuple[tuple[float, float], ...]  # (sigma_s, sigma_t) per level
-    heads: int = 4
-    latent_dim: int = 32
-
-    def __post_init__(self):
-        if len(self.levels) < 1:
-            raise ValidationError("kernel hierarchy needs at least one level")
-        for sigma_s, sigma_t in self.levels:
-            if sigma_s <= 0 or sigma_t <= 0:
-                raise ValidationError("kernel bandwidths must be positive")
-        if self.heads < 1 or self.latent_dim % self.heads != 0:
-            raise ValidationError(
-                f"latent_dim {self.latent_dim} must divide evenly into {self.heads} heads"
-            )
-
-    @property
-    def r_k(self) -> int:
-        return self.latent_dim // self.heads
-
-
-@dataclass
-class NodeFeatureMatrix:
-    """Latent node features as columns, with each node's geometry alongside."""
-
-    features: Tensor  # (r, n)
-    positions: np.ndarray  # (n, 3)
-    time_obs: list[np.ndarray]  # per node, sorted observation times
-    node_ids: list[int]  # ascending
-
-    @property
-    def count(self) -> int:
-        return len(self.node_ids)
-
-
-@dataclass
-class NodeInputs:
-    """Raw per-graph constants feeding the projection MLPs."""
-
-    static_cols: np.ndarray  # (d_o, n_s), columns in ascending static node id
-    dynamic_cols: np.ndarray  # (d_o + d_a, n_d)
-    perm: np.ndarray  # reorders [static | dynamic] columns into ascending node id
-    positions: np.ndarray
-    time_obs: list[np.ndarray]
-    node_ids: list[int]
-
-
-def node_inputs(graph: SceneGraph25D) -> NodeInputs:
-    all_ids = sorted(graph.nodes)
-    static_ids = sorted(graph.static_nodes)
-    dynamic_ids = sorted(graph.dynamic_nodes)
-    for nid in dynamic_ids:
-        if graph.nodes[nid].motion_feature is None:
-            raise ValidationError(f"dynamic node {nid} lacks a motion feature")
-
-    def cols(ids, pick):
-        if not ids:
-            return np.zeros((0, 0))
-        return np.stack([pick(graph.nodes[i]) for i in ids], axis=1)
-
-    order = {nid: i for i, nid in enumerate(static_ids + dynamic_ids)}
-    return NodeInputs(
-        static_cols=cols(static_ids, lambda n: n.feature),
-        dynamic_cols=cols(dynamic_ids, lambda n: n.combined_feature),
-        perm=np.array([order[nid] for nid in all_ids], dtype=np.int64),
-        positions=np.stack([graph.nodes[i].centroid3d for i in all_ids])
-        if all_ids
-        else np.zeros((0, 3)),
-        time_obs=[np.asarray(graph.nodes[i].timestamps, dtype=np.float64) for i in all_ids],
-        node_ids=all_ids,
-    )
-
-
-def project_inputs(inputs: NodeInputs, mlp_s: MlpParams, mlp_d: MlpParams) -> NodeFeatureMatrix:
-    blocks = []
-    if inputs.static_cols.shape[1] > 0:
-        blocks.append(nc.mlp_forward(mlp_s, Tensor(inputs.static_cols)))
-    if inputs.dynamic_cols.shape[1] > 0:
-        blocks.append(nc.mlp_forward(mlp_d, Tensor(inputs.dynamic_cols)))
-    if not blocks:
-        raise ValidationError("graph has no nodes to project")
-    stacked = blocks[0] if len(blocks) == 1 else nc.concat(blocks, axis=1)
-    if mlp_s.out_dim != mlp_d.out_dim:
-        raise ValidationError("static and dynamic projections disagree on latent width")
-    return NodeFeatureMatrix(
-        features=nc.gather_cols(stacked, inputs.perm),
-        positions=inputs.positions,
-        time_obs=inputs.time_obs,
-        node_ids=inputs.node_ids,
-    )
-
-
 # ---------------------------------------------------------------------------
 # spatio-temporal kernel
 
@@ -154,11 +59,65 @@ def kernel_matrix(d2: np.ndarray, dt: np.ndarray, sigma_s: float, sigma_t: float
 
 
 def kernel_softmax_levels(
-    positions: np.ndarray, time_obs: list[np.ndarray], cfg: KernelConfig
+    positions: np.ndarray, time_obs: list[np.ndarray], levels: tuple[tuple[float, float], ...]
 ) -> list[Tensor]:
-    """Row-softmaxed kernel matrices per level; parameter-free, safe to cache."""
+    """Row-softmaxed kernel matrix per (sigma_s, sigma_t) level; parameter-free, safe to cache."""
     d2, dt = kernel_distances(positions, time_obs)
-    return [nc.softmax_rows(Tensor(kernel_matrix(d2, dt, s, t))) for s, t in cfg.levels]
+    return [nc.softmax_rows(Tensor(kernel_matrix(d2, dt, s, t))) for s, t in levels]
+
+
+@dataclass
+class GraphBundle:
+    """A graph's parameter-free encoder inputs, built once and reused by every forward pass."""
+
+    static_cols: np.ndarray  # (d_o, n_s), columns in ascending static node id
+    dynamic_cols: np.ndarray  # (d_o + d_a, n_d)
+    perm: np.ndarray  # reorders [static | dynamic] columns into ascending node id
+    smax: list[Tensor]  # row-softmaxed kernel matrix per level, rows in ascending node id
+
+
+def _columns(vectors: list[np.ndarray]) -> np.ndarray:
+    return np.stack(vectors, axis=1) if vectors else np.zeros((0, 0))
+
+
+def build_bundles(
+    graphs: dict[str, SceneGraph25D], levels: tuple[tuple[float, float], ...]
+) -> dict[str, GraphBundle]:
+    """One bundle per graph, with a kernel matrix for each (sigma_s, sigma_t) of `levels`."""
+    bundles = {}
+    for vid, graph in graphs.items():
+        nodes = graph.nodes
+        all_ids = sorted(nodes)
+        static_ids = sorted(graph.static_nodes)
+        dynamic_ids = sorted(graph.dynamic_nodes)
+        for nid in dynamic_ids:
+            if nodes[nid].motion_feature is None:
+                raise ValidationError(f"dynamic node {nid} lacks a motion feature")
+        positions = np.stack([nodes[i].centroid3d for i in all_ids]) if all_ids else np.zeros((0, 3))
+        time_obs = [np.asarray(nodes[i].timestamps, dtype=np.float64) for i in all_ids]
+        bundles[vid] = GraphBundle(
+            static_cols=_columns([nodes[i].feature for i in static_ids]),
+            dynamic_cols=_columns([nodes[i].combined_feature for i in dynamic_ids]),
+            perm=np.argsort(static_ids + dynamic_ids),
+            smax=kernel_softmax_levels(positions, time_obs, levels),
+        )
+    return bundles
+
+
+def project_nodes(bundle: GraphBundle, mlp_s: MlpParams, mlp_d: MlpParams) -> Tensor:
+    """Latent node features as (r, n) columns in ascending node id: static nodes projected
+    by `mlp_s`, dynamic nodes (object and motion features) by `mlp_d`."""
+    blocks = []
+    if bundle.static_cols.shape[1] > 0:
+        blocks.append(nc.mlp_forward(mlp_s, Tensor(bundle.static_cols)))
+    if bundle.dynamic_cols.shape[1] > 0:
+        blocks.append(nc.mlp_forward(mlp_d, Tensor(bundle.dynamic_cols)))
+    if not blocks:
+        raise ValidationError("graph has no nodes to project")
+    stacked = blocks[0] if len(blocks) == 1 else nc.concat(blocks, axis=1)
+    if mlp_s.out_dim != mlp_d.out_dim:
+        raise ValidationError("static and dynamic projections disagree on latent width")
+    return nc.gather_cols(stacked, bundle.perm)
 
 
 # ---------------------------------------------------------------------------
@@ -224,35 +183,31 @@ def multihead_attention(
     return nc.matmul(attended, Tensor(repeat.T))
 
 
-def kernel_attention(nodes: NodeFeatureMatrix, value_weights: Tensor, smax: Tensor) -> Tensor:
+def kernel_attention(features: Tensor, value_weights: Tensor, smax: Tensor) -> Tensor:
     """Attention whose mixing weights are one level's row-softmaxed kernel matrix.
 
     The kernel matrix is shared across heads and row-softmaxed as-is (no
     1/sqrt(r_k) scaling), so each head's output is its row block of
     (W_v F) S^T and the heads need no separate pass.
     """
-    return nc.matmul(nc.matmul(value_weights, nodes.features), nc.transpose(smax))
+    return nc.matmul(nc.matmul(value_weights, features), nc.transpose(smax))
 
 
 def hierarchical_attention(
-    nodes: NodeFeatureMatrix,
-    cfg: KernelConfig,
+    features: Tensor,
     level_mlps: list[MlpParams],
     value_weights: Tensor,
     smax_levels: list[Tensor],
 ) -> Tensor:
     """Sum of per-bandwidth kernel attentions, each re-embedded by its own MLP.
 
-    `smax_levels` holds one `kernel_softmax_levels` matrix per level of `cfg`.
+    `smax_levels` holds one `kernel_softmax_levels` matrix per level MLP.
     """
-    if not len(level_mlps) == len(smax_levels) == len(cfg.levels):
-        raise ValidationError(
-            f"{len(cfg.levels)} kernel levels but {len(level_mlps)} level MLPs"
-            f" and {len(smax_levels)} kernel matrices"
-        )
+    if len(level_mlps) != len(smax_levels):
+        raise ValidationError(f"{len(level_mlps)} level MLPs but {len(smax_levels)} kernel matrices")
     out = None
     for mlp, smax in zip(level_mlps, smax_levels):
-        branch = nc.mlp_forward(mlp, kernel_attention(nodes, value_weights, smax))
+        branch = nc.mlp_forward(mlp, kernel_attention(features, value_weights, smax))
         out = branch if out is None else nc.add(out, branch)
     return out
 
@@ -277,29 +232,26 @@ class EncoderParams:
 
 
 def encoder_init(
-    cfg: KernelConfig, rng: np.random.Generator, n_standard_layers: int = 1
+    r: int, n_levels: int, rng: np.random.Generator, n_standard_layers: int = 1
 ) -> EncoderParams:
-    r = cfg.latent_dim
     bound = 1.0 / math.sqrt(r)
     return EncoderParams(
         standard=[attention_init(r, rng) for _ in range(n_standard_layers)],
         kernel_values=Tensor(rng.uniform(-bound, bound, size=(r, r)), requires_grad=True),
-        level_mlps=[nc.mlp_init([r, r], rng) for _ in cfg.levels],
+        level_mlps=[nc.mlp_init([r, r], rng) for _ in range(n_levels)],
         comb_mlp=nc.mlp_init([r, r], rng),
     )
 
 
 def combined_encoding(
-    nodes: NodeFeatureMatrix,
-    cfg: KernelConfig,
+    features: Tensor,
+    heads: int,
     params: EncoderParams,
     smax_levels: list[Tensor],
 ) -> Tensor:
     """Hierarchical kernel encoding plus the MLP-re-embedded standard branch."""
-    hier = hierarchical_attention(
-        nodes, cfg, params.level_mlps, params.kernel_values, smax_levels
-    )
-    std = nodes.features
+    hier = hierarchical_attention(features, params.level_mlps, params.kernel_values, smax_levels)
+    std = features
     for blk in params.standard:
-        std = multihead_attention(std, std, blk, cfg.heads)
+        std = multihead_attention(std, std, blk, heads)
     return nc.add(hier, nc.mlp_forward(params.comb_mlp, std))

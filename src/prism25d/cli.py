@@ -8,11 +8,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .attention import DEFAULT_BANDWIDTHS
 from .compact import MatchParams, compact, corpus_stats
-from .errors import ParseError, PrismError
+from .errors import ParseError, PrismError, located
 from .graph import ClassRegistry, SceneGraph25D, load_corpus, load_detection_groups, save_corpus, save_graph
-from .lift import Intrinsics
+from .lift import Intrinsics, default_intrinsics
 from .qa import (
     METRICS_FORMAT,
     METRICS_VERSION,
@@ -100,10 +102,10 @@ class RunConfig:
             cfg.combine = False
         return cfg
 
-    def intrinsics(self) -> Intrinsics | None:
+    def intrinsics(self) -> Intrinsics:
         given = [self.fx, self.fy, self.cx, self.cy]
         if all(v is None for v in given):
-            return None  # loader falls back to image-size defaults
+            return default_intrinsics(self.image_w, self.image_h)
         if any(v is None for v in given):
             raise ParseError("intrinsics need all of --fx --fy --cx --cy")
         return Intrinsics(self.fx, self.fy, self.cx, self.cy)
@@ -116,7 +118,6 @@ def _load_graphs(detections: str, registry: str, cfg: RunConfig) -> list[SceneGr
         ClassRegistry.load(registry),
         max_frames=cfg.max_frames,
         intrinsics=cfg.intrinsics(),
-        image_size=(cfg.image_w, cfg.image_h),
     )
 
 
@@ -134,11 +135,15 @@ def _pipeline_graphs(detections: str, registry: str, cfg: RunConfig) -> dict[str
 
 
 def cmd_synth(args) -> int:
-    worlds = [_read_json(args.spec)]  # one world, or {"worlds": [...]}
-    if isinstance(worlds[0], dict) and "worlds" in worlds[0]:
-        check(worlds[0], {"worlds": list_of(OBJECT)})
-        worlds = worlds[0]["worlds"]
-    specs = [synthworld.WorldSpec.from_json(w) for w in worlds]
+    obj = _read_json(args.spec)  # one world, or {"worlds": [...]}
+    if isinstance(obj, dict) and "worlds" in obj:
+        check(obj, {"worlds": list_of(OBJECT)})
+        specs = []
+        for i, world in enumerate(obj["worlds"]):
+            with located(f"worlds[{i}]"):
+                specs.append(synthworld.WorldSpec.from_json(world))
+    else:
+        specs = [synthworld.WorldSpec.from_json(obj)]
     all_records, all_instances = [], []
     truths = {}
     for spec in specs:
@@ -247,8 +252,6 @@ def cmd_train(args) -> int:
     val_set = load_qa(args.val) if args.val else None
     graphs = _pipeline_graphs(args.detections, args.registry, cfg)
     model_cfg = _model_config(cfg, graphs)
-    if args.save_init:
-        save_model(args.save_init, init_model(model_cfg, cfg.seed), seed=cfg.seed, step=0)
     model, metrics = train(
         train_set,
         graphs,
@@ -258,6 +261,8 @@ def cmd_train(args) -> int:
         seed=cfg.seed,
         val_instances=val_set,
     )
+    if args.save_init:  # init_model is deterministic, so the untrained model can be rebuilt
+        save_model(args.save_init, init_model(model_cfg, cfg.seed), seed=cfg.seed, step=0)
     save_model(args.out, model, seed=cfg.seed, step=metrics["steps"])
     if args.metrics:
         _write_json(metrics, args.metrics)
@@ -382,7 +387,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # overflow to inf or NaN stays silent: the checks and writers reject non-finite values
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ParseError, json.JSONDecodeError) as exc:
         _emit_error("parse", exc)
         return 1

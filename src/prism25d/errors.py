@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class PrismError(Exception):
     """Base for all validation / contract failures raised by this package.
@@ -12,6 +14,15 @@ class PrismError(Exception):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+@contextmanager
+def located(where: str):
+    """Prefix `where: ` to the message of a PrismError raised inside, keeping its class."""
+    try:
+        yield
+    except PrismError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 class ValidationError(PrismError):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParseError, RegistryError, ValidationError
+from .errors import FormatError, ParseError, RegistryError, ValidationError, located
 from .lift import Bbox, Intrinsics, bad_depths, default_intrinsics, degenerate_boxes, lift_centroid
 from .schema import INT, NUMBER, OBJECT, STR, check, check_rows, list_of, optional, read_jsonl
 
@@ -18,6 +18,7 @@ DYNAMIC = "dynamic"
 
 GRAPH_FORMAT = "prism25d-graph"
 GRAPH_VERSION = 1
+DEFAULT_INTRINSICS = default_intrinsics(256.0, 256.0)
 
 
 @dataclass(frozen=True)
@@ -212,8 +213,7 @@ def graph_from_records(
     records: list[dict],
     registry: ClassRegistry,
     max_frames: int | None = None,
-    intrinsics: Intrinsics | None = None,
-    image_size: tuple[float, float] = (256.0, 256.0),
+    intrinsics: Intrinsics = DEFAULT_INTRINSICS,
     lines: list[int] | None = None,
 ) -> SceneGraph25D:
     """Build a single-video graph from detection records (already-parsed JSONL lines).
@@ -228,8 +228,6 @@ def graph_from_records(
     video_ids = {str(r["video_id"]) for r in records}
     if len(video_ids) > 1:
         raise ValidationError(f"records span multiple videos {sorted(video_ids)}; split them first")
-    if intrinsics is None:
-        intrinsics = default_intrinsics(*image_size)
     frames = [int(r["frame_index"]) for r in records]
     if max_frames is None:
         max_frames = max(frames) + 1
@@ -260,6 +258,8 @@ def graph_from_records(
          lambda i: f"frame_index {frames[i]} outside [0, {max_frames})"),
     ], lines)
     centroids = lift_centroid(boxes, depths, intrinsics)
+    _raise_first([(~np.isfinite(centroids).all(axis=1), ValidationError,
+                   lambda i: f"lifted centroid {centroids[i].tolist()} is not finite")], lines)
 
     nodes: dict[int, SceneNode] = {}
     by_frame: dict[int, list[int]] = {}
@@ -309,8 +309,7 @@ def load_detection_groups(
     path: str | Path,
     registry: ClassRegistry,
     max_frames: int | None = None,
-    intrinsics: Intrinsics | None = None,
-    image_size: tuple[float, float] = (256.0, 256.0),
+    intrinsics: Intrinsics = DEFAULT_INTRINSICS,
 ) -> list[SceneGraph25D]:
     """Load a detection JSONL file into one graph per video (first-appearance order)."""
     lines, records = read_jsonl(path)
@@ -326,7 +325,7 @@ def load_detection_groups(
     if max_frames is None:
         max_frames = max(int(r["frame_index"]) for recs, _ in groups.values() for r in recs) + 1
     return [
-        graph_from_records(recs, registry, max_frames, intrinsics, image_size, video_lines)
+        graph_from_records(recs, registry, max_frames, intrinsics, video_lines)
         for recs, video_lines in groups.values()
     ]
 
@@ -385,22 +384,23 @@ _CORPUS_FIELDS = {"registry_digest": optional(STR), "graphs": list_of(OBJECT)}
 
 def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> SceneGraph25D:
     check(obj, _GRAPH_FIELDS)
-    check_rows(obj["nodes"], _NODE_FIELDS)
-    _check_widths(obj["nodes"], widths)
-    check_rows(obj["frames"], _FRAME_FIELDS)
-    nodes = {n["node_id"]: _node_from_json(n) for n in obj["nodes"]}
-    if len(nodes) != len(obj["nodes"]):
-        raise ValidationError(f"video {obj['video_id']!r} repeats a node id")
-    graph = SceneGraph25D(
-        video_id=obj["video_id"],
-        max_frames=obj["max_frames"],
-        nodes=nodes,
-        frames=[FrameSet(f["frame_index"], f["node_ids"]) for f in obj["frames"]],
-        static_nodes=set(obj["static_nodes"]),
-        dynamic_nodes=set(obj["dynamic_nodes"]),
-        registry_digest=digest,
-    )
-    graph.validate()
+    with located(f"video {obj['video_id']!r}"):
+        check_rows(obj["nodes"], _NODE_FIELDS)
+        _check_widths(obj["nodes"], widths)
+        check_rows(obj["frames"], _FRAME_FIELDS)
+        nodes = {n["node_id"]: _node_from_json(n) for n in obj["nodes"]}
+        if len(nodes) != len(obj["nodes"]):
+            raise ValidationError("repeats a node id")
+        graph = SceneGraph25D(
+            video_id=obj["video_id"],
+            max_frames=obj["max_frames"],
+            nodes=nodes,
+            frames=[FrameSet(f["frame_index"], f["node_ids"]) for f in obj["frames"]],
+            static_nodes=set(obj["static_nodes"]),
+            dynamic_nodes=set(obj["dynamic_nodes"]),
+            registry_digest=digest,
+        )
+        graph.validate()
     return graph
 
 
@@ -418,7 +418,7 @@ def save_graph(graph: SceneGraph25D, path: str | Path) -> None:
         "registry_digest": graph.registry_digest,
     }
     obj.update(_graph_body(graph))
-    Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    _write_graph_file(obj, path)
 
 
 def save_corpus(graphs: list[SceneGraph25D], path: str | Path) -> None:
@@ -429,7 +429,16 @@ def save_corpus(graphs: list[SceneGraph25D], path: str | Path) -> None:
         "registry_digest": digests.pop() if len(digests) == 1 else None,
         "graphs": [_graph_body(g) for g in graphs],
     }
-    Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    _write_graph_file(obj, path)
+
+
+def _write_graph_file(obj: dict, path: str | Path) -> None:
+    """Write the file only once all of it is known to be valid JSON: no NaN or infinity."""
+    try:
+        text = json.dumps(obj, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"graph holds a non-finite number: {exc}") from exc
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_corpus(path: str | Path) -> list[SceneGraph25D]:

@@ -18,6 +18,10 @@ class Intrinsics:
     cx: float
     cy: float
 
+    def __post_init__(self):
+        if not (0.0 < self.fx < np.inf and 0.0 < self.fy < np.inf):
+            raise ValidationError(f"focal lengths must be positive and finite, got {self.fx}, {self.fy}")
+
 
 def default_intrinsics(width: float, height: float) -> Intrinsics:
     """Pseudo-depth has no calibration; any fixed pinhole gives a consistent 3D space."""

@@ -13,16 +13,14 @@ from . import numcore as nc
 from .attention import (
     AttentionParams,
     EncoderParams,
-    KernelConfig,
-    NodeInputs,
+    GraphBundle,
     attention_init,
+    build_bundles,
     combined_encoding,
     encoder_init,
     hierarchical_attention,
-    kernel_softmax_levels,
     multihead_attention,
-    node_inputs,
-    project_inputs,
+    project_nodes,
     DEFAULT_BANDWIDTHS,
     MASK_LOGIT,
 )
@@ -108,15 +106,27 @@ class ModelConfig:
     n_standard_layers: int = 1
     combine: bool = True  # False feeds the hierarchical branch alone downstream
 
-    def kernel_config(self) -> KernelConfig:
-        sigma_t = self.sigma_s if self.sigma_t is None else self.sigma_t
-        if len(sigma_t) != len(self.sigma_s):
+    def __post_init__(self):
+        if self.sigma_t is not None and len(self.sigma_t) != len(self.sigma_s):
             raise ValidationError("sigma_s and sigma_t hierarchies differ in length")
-        return KernelConfig(
-            levels=tuple(zip(self.sigma_s, sigma_t)),
-            heads=self.heads,
-            latent_dim=self.latent_dim,
-        )
+        if not self.sigma_s:
+            raise ValidationError("kernel hierarchy needs at least one level")
+        if not all(sigma > 0 for sigma in (*self.sigma_s, *(self.sigma_t or ()))):
+            raise ValidationError("kernel bandwidths must be positive")
+        for name, low in (("d_o", 1), ("d_a", 0), ("vocab_size", 1), ("latent_dim", 1),
+                          ("n_standard_layers", 0)):
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not all(width >= 1 for width in self.feature_hidden):
+            raise ValidationError(f"feature_hidden widths must be at least 1, got {self.feature_hidden}")
+        if self.heads < 1 or self.latent_dim % self.heads != 0:
+            raise ValidationError(
+                f"latent_dim {self.latent_dim} must divide evenly into {self.heads} heads"
+            )
+
+    def kernel_config(self) -> tuple[tuple[float, float], ...]:
+        """The (sigma_s, sigma_t) pair of each kernel level."""
+        return tuple(zip(self.sigma_s, self.sigma_s if self.sigma_t is None else self.sigma_t))
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -159,10 +169,9 @@ def init_model(config: ModelConfig, seed: int) -> QaModel:
     rng = np.random.default_rng(seed)
     r = config.latent_dim
     hidden = list(config.feature_hidden)
-    cfg = config.kernel_config()
     mlp_s = nc.mlp_init([config.d_o, *hidden, r], rng)
     mlp_d = nc.mlp_init([config.d_o + config.d_a, *hidden, r], rng)
-    encoder = encoder_init(cfg, rng, n_standard_layers=config.n_standard_layers)
+    encoder = encoder_init(r, len(config.sigma_s), rng, n_standard_layers=config.n_standard_layers)
     bound = 1.0 / math.sqrt(r)
     text = TextParams(
         embedding=Tensor(rng.uniform(-bound, bound, size=(config.vocab_size, r)), requires_grad=True),
@@ -290,35 +299,15 @@ def augmented_loss(
 
 
 # ---------------------------------------------------------------------------
-# per-video caches and the full forward pass
-
-
-@dataclass
-class GraphBundle:
-    inputs: NodeInputs
-    smax: list[Tensor]  # row-softmaxed kernel matrix per level (parameter-free)
-
-
-def build_bundles(
-    graphs: dict[str, SceneGraph25D], cfg: KernelConfig
-) -> dict[str, GraphBundle]:
-    bundles = {}
-    for vid, g in graphs.items():
-        inputs = node_inputs(g)
-        bundles[vid] = GraphBundle(
-            inputs=inputs,
-            smax=kernel_softmax_levels(inputs.positions, inputs.time_obs, cfg),
-        )
-    return bundles
+# the full forward pass
 
 
 def encode_graph(model: QaModel, bundle: GraphBundle) -> Tensor:
-    cfg = model.config.kernel_config()
-    nfm = project_inputs(bundle.inputs, model.mlp_s, model.mlp_d)
+    features = project_nodes(bundle, model.mlp_s, model.mlp_d)
     if model.config.combine:
-        return combined_encoding(nfm, cfg, model.encoder, smax_levels=bundle.smax)
+        return combined_encoding(features, model.config.heads, model.encoder, bundle.smax)
     return hierarchical_attention(
-        nfm, cfg, model.encoder.level_mlps, model.encoder.kernel_values, smax_levels=bundle.smax
+        features, model.encoder.level_mlps, model.encoder.kernel_values, bundle.smax
     )
 
 
@@ -369,6 +358,12 @@ class TrainConfig:
     lr: float = 1e-3
     batch_size: int = 16
 
+    def __post_init__(self):
+        if not 0.0 <= self.lr < math.inf:
+            raise ValidationError(f"lr must be finite and not negative, got {self.lr}")
+        if self.batch_size < 1:
+            raise ValidationError(f"batch_size must be at least 1, got {self.batch_size}")
+
 
 def _epoch_order(instances: list[QaInstance], seed: int, epoch: int) -> list[int]:
     """Deterministic shuffle keeping each video's instances adjacent."""
@@ -398,6 +393,8 @@ def train(
     """Full pipeline training; deterministic in (configs, seed, data)."""
     if not instances:
         raise ValidationError("empty training dataset")
+    if epochs < 0:
+        raise ValidationError(f"epochs must not be negative, got {epochs}")
     model = init_model(model_config, seed)
     bundles = build_bundles(graphs, model_config.kernel_config())
     opt = Adam(model.parameters(), lr=train_config.lr)

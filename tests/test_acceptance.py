@@ -10,13 +10,7 @@ import time
 import numpy as np
 
 from prism25d import numcore as nc
-from prism25d.attention import (
-    DEFAULT_BANDWIDTHS,
-    KernelConfig,
-    NodeFeatureMatrix,
-    kernel_distances,
-    kernel_matrix,
-)
+from prism25d.attention import DEFAULT_BANDWIDTHS, kernel_distances, kernel_matrix
 from prism25d.cli import main
 from prism25d.compact import MatchParams, build_ancestors, compact
 from prism25d.graph import graph_from_records, load_corpus, save_graph
@@ -210,24 +204,21 @@ def test_c5_kernel_attention_property_suite():
     rng = np.random.default_rng(50_000)
     cases = 0
 
-    def random_nfm(n, multi_time=False):
+    def random_nodes(n, multi_time=False):
+        """(8, n) node features, each node's position and its sorted observation times."""
         times = [
             np.sort(rng.uniform(0, 1, size=rng.integers(1, 4) if multi_time else 1))
             for _ in range(n)
         ]
-        return NodeFeatureMatrix(
-            features=Tensor(rng.normal(size=(8, n))),
-            positions=rng.uniform(-2, 2, size=(n, 3)),
-            time_obs=times,
-            node_ids=list(range(n)),
-        )
+        features = Tensor(rng.normal(size=(8, n)))
+        return features, rng.uniform(-2, 2, size=(n, 3)), times
 
     # kernel symmetry, unit self-similarity, bandwidth monotonicity (400 cases)
     for _ in range(400):
         n = int(rng.integers(2, 7))
-        nfm = random_nfm(n, multi_time=True)
+        _, positions, times = random_nodes(n, multi_time=True)
         sigma = float(rng.uniform(0.05, 5.0))
-        d2, dt = kernel_distances(nfm.positions, nfm.time_obs)
+        d2, dt = kernel_distances(positions, times)
         k = kernel_matrix(d2, dt, sigma, sigma)
         assert np.allclose(k, k.T, atol=1e-12)
         assert np.allclose(np.diag(k), 1.0, atol=1e-12)
@@ -239,36 +230,31 @@ def test_c5_kernel_attention_property_suite():
     # row-stochasticity of every attention matrix in play (300 cases)
     for _ in range(300):
         n = int(rng.integers(2, 8))
-        nfm = random_nfm(n)
+        _, positions, times = random_nodes(n)
         sigma = float(rng.uniform(0.01, 10.0))
-        k = kernel_matrix(*kernel_distances(nfm.positions, nfm.time_obs), sigma, sigma)
+        k = kernel_matrix(*kernel_distances(positions, times), sigma, sigma)
         s = nc.softmax_rows(Tensor(k))
         assert np.all(np.abs(s.data.sum(axis=1) - 1.0) <= 1e-9)
         cases += 1
 
     # permutation equivariance of all four encoders (200 cases)
-    cfg = KernelConfig(levels=((0.5, 0.5), (2.0, 2.0)), heads=2, latent_dim=8)
+    levels = ((0.5, 0.5), (2.0, 2.0))
     for _ in range(200):
         n = int(rng.integers(2, 7))
-        nfm = random_nfm(n, multi_time=True)
-        enc = encoder_init(cfg, rng)
+        f, positions, times = random_nodes(n, multi_time=True)
+        enc = encoder_init(8, len(levels), rng)
         perm = rng.permutation(n)
-        permuted = NodeFeatureMatrix(
-            features=Tensor(nfm.features.data[:, perm].copy()),
-            positions=nfm.positions[perm].copy(),
-            time_obs=[nfm.time_obs[i] for i in perm],
-            node_ids=list(range(n)),
-        )
-        smax = kernel_softmax_levels(nfm.positions, nfm.time_obs, cfg)
-        smax_p = kernel_softmax_levels(permuted.positions, permuted.time_obs, cfg)
+        f_p = Tensor(f.data[:, perm].copy())
+        smax = kernel_softmax_levels(positions, times, levels)
+        smax_p = kernel_softmax_levels(positions[perm].copy(), [times[i] for i in perm], levels)
         outs = (
-            (multihead_attention(nfm.features, nfm.features, enc.standard[0], 2),
-             multihead_attention(permuted.features, permuted.features, enc.standard[0], 2)),
-            (kernel_attention(nfm, enc.kernel_values, smax[0]),
-             kernel_attention(permuted, enc.kernel_values, smax_p[0])),
-            (hierarchical_attention(nfm, cfg, enc.level_mlps, enc.kernel_values, smax),
-             hierarchical_attention(permuted, cfg, enc.level_mlps, enc.kernel_values, smax_p)),
-            (combined_encoding(nfm, cfg, enc, smax), combined_encoding(permuted, cfg, enc, smax_p)),
+            (multihead_attention(f, f, enc.standard[0], 2),
+             multihead_attention(f_p, f_p, enc.standard[0], 2)),
+            (kernel_attention(f, enc.kernel_values, smax[0]),
+             kernel_attention(f_p, enc.kernel_values, smax_p[0])),
+            (hierarchical_attention(f, enc.level_mlps, enc.kernel_values, smax),
+             hierarchical_attention(f_p, enc.level_mlps, enc.kernel_values, smax_p)),
+            (combined_encoding(f, 2, enc, smax), combined_encoding(f_p, 2, enc, smax_p)),
         )
         for base, after in outs:
             assert np.allclose(base.data[:, perm], after.data, atol=1e-9)
@@ -277,13 +263,12 @@ def test_c5_kernel_attention_property_suite():
     # single-level hierarchy with an identity MLP reduces to the kernel encoder (100 cases)
     for _ in range(100):
         n = int(rng.integers(2, 7))
-        nfm = random_nfm(n, multi_time=True)
+        f, positions, times = random_nodes(n, multi_time=True)
         sigma = float(rng.uniform(0.05, 5.0))
-        one = KernelConfig(levels=((sigma, sigma),), heads=2, latent_dim=8)
         wv = Tensor(rng.normal(size=(8, 8)))
-        smax = kernel_softmax_levels(nfm.positions, nfm.time_obs, one)
-        hier = hierarchical_attention(nfm, one, [mlp_identity(8)], wv, smax)
-        ka = kernel_attention(nfm, wv, smax[0])
+        smax = kernel_softmax_levels(positions, times, ((sigma, sigma),))
+        hier = hierarchical_attention(f, [mlp_identity(8)], wv, smax)
+        ka = kernel_attention(f, wv, smax[0])
         assert np.allclose(hier.data, ka.data, atol=1e-12)
         cases += 1
 

@@ -5,10 +5,9 @@ import pytest
 
 from prism25d import numcore as nc
 from prism25d.attention import (
-    KernelConfig,
-    NodeFeatureMatrix,
     DEFAULT_BANDWIDTHS,
     attention_init,
+    build_bundles,
     combined_encoding,
     encoder_init,
     hierarchical_attention,
@@ -19,36 +18,25 @@ from prism25d.attention import (
     kernel_softmax_levels,
     min_time_gap,
     multihead_attention,
-    node_inputs,
-    project_inputs,
+    project_nodes,
 )
 from prism25d.errors import ValidationError
 from prism25d.graph import graph_from_records
 from prism25d.numcore import Tensor
-from prism25d.qa import build_bundles
 
 from helpers import detection, fd_gradients, max_relative_error, mlp_identity
 
 
-def _nfm(rng, n=5, r=8, times=None, positions=None):
-    positions = rng.uniform(-2, 2, size=(n, 3)) if positions is None else positions
-    if times is None:
-        times = [np.array([t]) for t in rng.uniform(0, 1, size=n)]
-    return NodeFeatureMatrix(
-        features=Tensor(rng.normal(size=(r, n))),
-        positions=positions,
-        time_obs=times,
-        node_ids=list(range(n)),
-    )
+def _nodes(rng, n=5, r=8):
+    """Random (r, n) node features, with each node's position and observation times."""
+    positions = rng.uniform(-2, 2, size=(n, 3))
+    times = [np.array([t]) for t in rng.uniform(0, 1, size=n)]
+    return Tensor(rng.normal(size=(r, n))), positions, times
 
 
-def _levels(nfm, cfg):
-    return kernel_softmax_levels(nfm.positions, nfm.time_obs, cfg)
-
-
-def _level(nfm, sigma_s, sigma_t):
+def _level(positions, times, sigma_s, sigma_t):
     """The row-softmaxed kernel matrix of one (sigma_s, sigma_t) level."""
-    return _levels(nfm, KernelConfig(levels=((sigma_s, sigma_t),)))[0]
+    return kernel_softmax_levels(positions, times, ((sigma_s, sigma_t),))[0]
 
 
 def _node_like(pos, times):
@@ -141,33 +129,35 @@ def test_project_node_counts_and_order(registry):
     rng = np.random.default_rng(0)
     mlp_s = nc.mlp_init([2, 4], rng)
     mlp_d = nc.mlp_init([4, 4], rng)
-    nfm = project_inputs(node_inputs(g), mlp_s, mlp_d)
-    assert nfm.features.data.shape == (4, 5)
-    assert nfm.node_ids == [0, 1, 2, 3, 4]
+    bundle = build_bundles({"v": g}, ((0.9, 0.4),))["v"]
+    features = project_nodes(bundle, mlp_s, mlp_d)
+    assert features.data.shape == (4, 5)
+    assert sorted(g.nodes) == [0, 1, 2, 3, 4]
     # each column equals a straight per-node evaluation
-    for col, nid in enumerate(nfm.node_ids):
+    for col, nid in enumerate(sorted(g.nodes)):
         node = g.nodes[nid]
         params = mlp_s if nid in g.static_nodes else mlp_d
         want = params.weights[0].data @ node.combined_feature + params.biases[0].data[:, 0]
-        assert np.allclose(nfm.features.data[:, col], want, atol=1e-12)
-        assert np.allclose(nfm.positions[col], node.centroid3d)
+        assert np.allclose(features.data[:, col], want, atol=1e-12)
+    # the kernel rows and columns follow the same node order
+    positions = np.stack([g.nodes[nid].centroid3d for nid in sorted(g.nodes)])
+    times = [np.array(g.nodes[nid].timestamps) for nid in sorted(g.nodes)]
+    assert np.allclose(bundle.smax[0].data, _level(positions, times, 0.9, 0.4).data, atol=1e-12)
 
 
 def test_project_identity_mlp_passthrough(registry):
     recs = [detection(frame=0, class_id=1), detection(frame=1, class_id=2, bbox=(60, 60, 90, 90))]
     g = graph_from_records(recs, registry)
-    nfm = project_inputs(node_inputs(g), mlp_identity(2), mlp_identity(2))
-    for col, nid in enumerate(nfm.node_ids):
-        assert np.allclose(nfm.features.data[:, col], g.nodes[nid].feature)
+    features = project_nodes(build_bundles({"v": g}, ((1.0, 1.0),))["v"], mlp_identity(2), mlp_identity(2))
+    for col, nid in enumerate(sorted(g.nodes)):
+        assert np.allclose(features.data[:, col], g.nodes[nid].feature)
 
 
-def test_node_inputs_rejects_motionless_dynamic(registry):
+def test_build_bundles_rejects_motionless_dynamic(registry):
     g = graph_from_records([detection(class_id=101, motion=(0.5, 0.5))], registry)
     g.nodes[0].motion_feature = None
     with pytest.raises(ValidationError, match="lacks a motion feature"):
-        node_inputs(g)
-    with pytest.raises(ValidationError, match="lacks a motion feature"):
-        build_bundles({"v": g}, KernelConfig(levels=((1.0, 1.0),)))
+        build_bundles({"v": g}, ((1.0, 1.0),))
 
 
 def test_project_dim_mismatch(registry):
@@ -175,7 +165,8 @@ def test_project_dim_mismatch(registry):
     g = graph_from_records(recs, registry)
     rng = np.random.default_rng(0)
     with pytest.raises(ValidationError):
-        project_inputs(node_inputs(g), nc.mlp_init([7, 4], rng), nc.mlp_init([4, 4], rng))
+        project_nodes(build_bundles({"v": g}, ((1.0, 1.0),))["v"], nc.mlp_init([7, 4], rng),
+                      nc.mlp_init([4, 4], rng))
 
 
 # -- standard attention ------------------------------------------------------------
@@ -224,15 +215,15 @@ def test_standard_attention_matches_brute_force():
 # -- kernel attention ---------------------------------------------------------------
 
 
-def _brute_kernel_attention(nfm, sigma_s, sigma_t, wv, heads):
-    f = nfm.features.data
+def _brute_kernel_attention(features, positions, times, sigma_s, sigma_t, wv, heads):
+    f = features.data
     r, n = f.shape
     rk = r // heads
     kmat = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            d2 = np.sum((nfm.positions[i] - nfm.positions[j]) ** 2)
-            dt = np.abs(nfm.time_obs[i][:, None] - nfm.time_obs[j][None, :]).min()
+            d2 = np.sum((positions[i] - positions[j]) ** 2)
+            dt = np.abs(times[i][:, None] - times[j][None, :]).min()
             kmat[i, j] = math.exp(-d2 / sigma_s**2 - dt / sigma_t)
     e = np.exp(kmat - kmat.max(axis=1, keepdims=True))
     s = e / e.sum(axis=1, keepdims=True)
@@ -242,28 +233,28 @@ def _brute_kernel_attention(nfm, sigma_s, sigma_t, wv, heads):
 
 def test_kernel_attention_single_node():
     rng = np.random.default_rng(5)
-    nfm = _nfm(rng, n=1)
+    f, pos, times = _nodes(rng, n=1)
     wv = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
-    out = kernel_attention(nfm, wv, _level(nfm, 1.0, 1.0))
-    assert np.allclose(out.data, wv.data @ nfm.features.data, atol=1e-12)
+    out = kernel_attention(f, wv, _level(pos, times, 1.0, 1.0))
+    assert np.allclose(out.data, wv.data @ f.data, atol=1e-12)
 
 
 def test_kernel_attention_large_bandwidth_limit():
     rng = np.random.default_rng(6)
-    nfm = _nfm(rng, n=6)
+    f, pos, times = _nodes(rng, n=6)
     wv = Tensor(rng.normal(size=(8, 8)))
-    out = kernel_attention(nfm, wv, _level(nfm, 1e9, 1e9))
-    mean_col = (wv.data @ nfm.features.data).mean(axis=1)
+    out = kernel_attention(f, wv, _level(pos, times, 1e9, 1e9))
+    mean_col = (wv.data @ f.data).mean(axis=1)
     for col in range(6):
         assert np.allclose(out.data[:, col], mean_col, atol=1e-9)
 
 
 def test_kernel_attention_matches_brute_force():
     rng = np.random.default_rng(7)
-    nfm = _nfm(rng, n=5)
+    f, pos, times = _nodes(rng, n=5)
     wv = Tensor(rng.normal(size=(8, 8)))
-    out = kernel_attention(nfm, wv, _level(nfm, 0.8, 0.5))
-    assert np.allclose(out.data, _brute_kernel_attention(nfm, 0.8, 0.5, wv, 2), atol=1e-12)
+    out = kernel_attention(f, wv, _level(pos, times, 0.8, 0.5))
+    assert np.allclose(out.data, _brute_kernel_attention(f, pos, times, 0.8, 0.5, wv, 2), atol=1e-12)
 
 
 # -- hierarchical -------------------------------------------------------------------
@@ -271,18 +262,17 @@ def test_kernel_attention_matches_brute_force():
 
 def test_hierarchical_single_level_identity_mlp_reduces_to_kernel_attention():
     rng = np.random.default_rng(8)
-    nfm = _nfm(rng)
-    cfg = KernelConfig(levels=((0.7, 0.7),), heads=2, latent_dim=8)
+    f, pos, times = _nodes(rng)
     wv = Tensor(rng.normal(size=(8, 8)))
-    hier = hierarchical_attention(nfm, cfg, [mlp_identity(8)], wv, _levels(nfm, cfg))
-    ka = kernel_attention(nfm, wv, _level(nfm, 0.7, 0.7))
+    hier = hierarchical_attention(f, [mlp_identity(8)], wv, [_level(pos, times, 0.7, 0.7)])
+    ka = kernel_attention(f, wv, _level(pos, times, 0.7, 0.7))
     assert np.allclose(hier.data, ka.data, atol=1e-12)
 
 
 def test_hierarchical_zero_second_branch():
     rng = np.random.default_rng(9)
-    nfm = _nfm(rng)
-    cfg = KernelConfig(levels=((0.5, 0.5), (2.0, 2.0)), heads=2, latent_dim=8)
+    f, pos, times = _nodes(rng)
+    levels = ((0.5, 0.5), (2.0, 2.0))
     wv = Tensor(rng.normal(size=(8, 8)))
     mlp1 = nc.mlp_init([8, 8], rng)
     zero = nc.MlpParams(
@@ -290,31 +280,31 @@ def test_hierarchical_zero_second_branch():
         [Tensor(np.zeros((8, 1)), requires_grad=True)],
         ["identity"],
     )
-    hier = hierarchical_attention(nfm, cfg, [mlp1, zero], wv, _levels(nfm, cfg))
-    branch1 = nc.mlp_forward(mlp1, kernel_attention(nfm, wv, _level(nfm, 0.5, 0.5)))
+    hier = hierarchical_attention(f, [mlp1, zero], wv, kernel_softmax_levels(pos, times, levels))
+    branch1 = nc.mlp_forward(mlp1, kernel_attention(f, wv, _level(pos, times, 0.5, 0.5)))
     assert np.allclose(hier.data, branch1.data, atol=1e-12)
 
 
 def test_hierarchical_default_bandwidths_match_brute_force_sum():
     rng = np.random.default_rng(10)
-    nfm = _nfm(rng, n=6)
-    cfg = KernelConfig(levels=tuple((s, s) for s in DEFAULT_BANDWIDTHS), heads=2, latent_dim=8)
+    f, pos, times = _nodes(rng, n=6)
+    levels = tuple((s, s) for s in DEFAULT_BANDWIDTHS)
     wv = Tensor(rng.normal(size=(8, 8)))
     mlps = [nc.mlp_init([8, 8], rng) for _ in range(4)]
-    got = hierarchical_attention(nfm, cfg, mlps, wv, _levels(nfm, cfg)).data
+    got = hierarchical_attention(f, mlps, wv, kernel_softmax_levels(pos, times, levels)).data
     want = np.zeros_like(got)
-    for (s, t), mlp in zip(cfg.levels, mlps):
-        branch = _brute_kernel_attention(nfm, s, t, wv, 2)
+    for (s, t), mlp in zip(levels, mlps):
+        branch = _brute_kernel_attention(f, pos, times, s, t, wv, 2)
         want += mlp.weights[0].data @ branch + mlp.biases[0].data
     assert np.allclose(got, want, atol=1e-10)
 
 
 def test_hierarchical_level_count_mismatch():
     rng = np.random.default_rng(11)
-    nfm = _nfm(rng)
-    cfg = KernelConfig(levels=((0.5, 0.5), (2.0, 2.0)), heads=2, latent_dim=8)
+    f, pos, times = _nodes(rng)
+    smax = kernel_softmax_levels(pos, times, ((0.5, 0.5), (2.0, 2.0)))
     with pytest.raises(ValidationError):
-        hierarchical_attention(nfm, cfg, [mlp_identity(8)], Tensor(np.eye(8)), _levels(nfm, cfg))
+        hierarchical_attention(f, [mlp_identity(8)], Tensor(np.eye(8)), smax)
 
 
 # -- combined -----------------------------------------------------------------------
@@ -322,27 +312,27 @@ def test_hierarchical_level_count_mismatch():
 
 def test_combined_zero_comb_mlp_equals_hierarchical():
     rng = np.random.default_rng(12)
-    nfm = _nfm(rng)
-    cfg = KernelConfig(levels=((0.5, 0.5),), heads=2, latent_dim=8)
-    enc = encoder_init(cfg, rng)
+    f, pos, times = _nodes(rng)
+    enc = encoder_init(8, 1, rng)
     enc.comb_mlp.weights[0].data[:] = 0.0
     enc.comb_mlp.biases[0].data[:] = 0.0
-    out = combined_encoding(nfm, cfg, enc, _levels(nfm, cfg))
-    hier = hierarchical_attention(nfm, cfg, enc.level_mlps, enc.kernel_values, _levels(nfm, cfg))
+    smax = [_level(pos, times, 0.5, 0.5)]
+    out = combined_encoding(f, 2, enc, smax)
+    hier = hierarchical_attention(f, enc.level_mlps, enc.kernel_values, smax)
     assert np.allclose(out.data, hier.data, atol=1e-12)
 
 
 def test_combined_matches_independent_evaluation():
     rng = np.random.default_rng(13)
-    nfm = _nfm(rng, n=5)
-    cfg = KernelConfig(levels=((0.3, 0.3), (3.0, 3.0)), heads=2, latent_dim=8)
-    enc = encoder_init(cfg, rng)
-    got = combined_encoding(nfm, cfg, enc, _levels(nfm, cfg)).data
+    f, pos, times = _nodes(rng, n=5)
+    levels = ((0.3, 0.3), (3.0, 3.0))
+    enc = encoder_init(8, len(levels), rng)
+    got = combined_encoding(f, 2, enc, kernel_softmax_levels(pos, times, levels)).data
     want = np.zeros_like(got)
-    for (s, t), mlp in zip(cfg.levels, enc.level_mlps):
-        branch = _brute_kernel_attention(nfm, s, t, enc.kernel_values, 2)
+    for (s, t), mlp in zip(levels, enc.level_mlps):
+        branch = _brute_kernel_attention(f, pos, times, s, t, enc.kernel_values, 2)
         want += mlp.weights[0].data @ branch + mlp.biases[0].data
-    std = _brute_standard(nfm.features.data, enc.standard[0], 2)
+    std = _brute_standard(f.data, enc.standard[0], 2)
     want += enc.comb_mlp.weights[0].data @ std + enc.comb_mlp.biases[0].data
     assert np.allclose(got, want, atol=1e-10)
 
@@ -350,32 +340,24 @@ def test_combined_matches_independent_evaluation():
 # -- shared properties ---------------------------------------------------------------
 
 
-def _permute(nfm, perm):
-    return NodeFeatureMatrix(
-        features=Tensor(nfm.features.data[:, perm].copy()),
-        positions=nfm.positions[perm].copy(),
-        time_obs=[nfm.time_obs[i] for i in perm],
-        node_ids=list(range(len(perm))),
-    )
-
-
 def test_permutation_equivariance_all_encoders():
     rng = np.random.default_rng(14)
-    cfg = KernelConfig(levels=((0.5, 0.5), (2.0, 2.0)), heads=2, latent_dim=8)
+    levels = ((0.5, 0.5), (2.0, 2.0))
     for _ in range(10):
-        nfm = _nfm(rng, n=6)
-        enc = encoder_init(cfg, rng)
+        f, pos, times = _nodes(rng, n=6)
+        enc = encoder_init(8, len(levels), rng)
         perm = rng.permutation(6)
-        permuted = _permute(nfm, perm)
-        smax, smax_p = _levels(nfm, cfg), _levels(permuted, cfg)
+        f_p = Tensor(f.data[:, perm].copy())
+        smax = kernel_softmax_levels(pos, times, levels)
+        smax_p = kernel_softmax_levels(pos[perm].copy(), [times[i] for i in perm], levels)
         pairs = [
-            (multihead_attention(nfm.features, nfm.features, enc.standard[0], 2),
-             multihead_attention(permuted.features, permuted.features, enc.standard[0], 2)),
-            (kernel_attention(nfm, enc.kernel_values, smax[0]),
-             kernel_attention(permuted, enc.kernel_values, smax_p[0])),
-            (hierarchical_attention(nfm, cfg, enc.level_mlps, enc.kernel_values, smax),
-             hierarchical_attention(permuted, cfg, enc.level_mlps, enc.kernel_values, smax_p)),
-            (combined_encoding(nfm, cfg, enc, smax), combined_encoding(permuted, cfg, enc, smax_p)),
+            (multihead_attention(f, f, enc.standard[0], 2),
+             multihead_attention(f_p, f_p, enc.standard[0], 2)),
+            (kernel_attention(f, enc.kernel_values, smax[0]),
+             kernel_attention(f_p, enc.kernel_values, smax_p[0])),
+            (hierarchical_attention(f, enc.level_mlps, enc.kernel_values, smax),
+             hierarchical_attention(f_p, enc.level_mlps, enc.kernel_values, smax_p)),
+            (combined_encoding(f, 2, enc, smax), combined_encoding(f_p, 2, enc, smax_p)),
         ]
         for base, after in pairs:
             assert np.allclose(base.data[:, perm], after.data, atol=1e-9)
@@ -409,15 +391,14 @@ def test_smaller_bandwidth_concentrates_attention():
 
 def test_encoder_gradients_match_finite_differences():
     rng = np.random.default_rng(17)
-    cfg = KernelConfig(levels=((0.5, 0.5), (2.0, 2.0)), heads=2, latent_dim=8)
-    enc = encoder_init(cfg, rng)
-    nfm = _nfm(rng, n=4)
+    enc = encoder_init(8, 2, rng)
+    f, pos, times = _nodes(rng, n=4)
     params = [t for _, t in enc.named_parameters()]
     weights = np.random.default_rng(18).normal(size=(8, 4))
-    smax = _levels(nfm, cfg)
+    smax = kernel_softmax_levels(pos, times, ((0.5, 0.5), (2.0, 2.0)))
 
     def build():
-        out = combined_encoding(nfm, cfg, enc, smax)
+        out = combined_encoding(f, 2, enc, smax)
         return nc.tsum(nc.mul(out, Tensor(weights)))
 
     for p in params:

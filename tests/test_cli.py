@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -216,14 +217,23 @@ def _pipeline_must_not_run(*_args):
     raise AssertionError("the pipeline ran before the inputs were read")
 
 
-def _one_parse_error(capsys, code, line=None):
+def _one_error(capsys, code, kind="parse", line=None):
+    """Check for exit 1 and one JSON error line on stderr; return its message."""
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 1
     assert len(err) == 1
     obj = json.loads(err[0])
-    assert obj["error"] == "parse"
+    assert obj["error"] == kind
     if line is not None:
         assert obj["message"].startswith(f"line {line}:")
+    return obj["message"]
+
+
+def _edit_checkpoint_header(ckpt, change):
+    head_line, blob = ckpt.read_bytes().split(b"\n", 1)
+    head = json.loads(head_line)
+    change(head)
+    ckpt.write_bytes(json.dumps(head).encode() + b"\n" + blob)
 
 
 @pytest.mark.parametrize("change", [
@@ -247,7 +257,7 @@ def test_bad_qa_line_exits_one(tmp_path, capsys, monkeypatch, change):
     (tmp_path / "qa.jsonl").write_text("\n".join(lines) + "\n")
     code = main(["train", "--detections", det, "--registry", reg, "--qa", qa,
                  "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"])
-    _one_parse_error(capsys, code, line=2)
+    _one_error(capsys, code, line=2)
     assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -264,17 +274,49 @@ def test_bad_qa_line_exits_one(tmp_path, capsys, monkeypatch, change):
 def test_bad_checkpoint_header_exits_one(tmp_path, capsys, monkeypatch, change):
     ckpt = tmp_path / "m.ckpt"
     save_model(ckpt, init_model(ModelConfig(d_o=2, d_a=2, vocab_size=12), seed=0), seed=0, step=3)
-    head_line, blob = ckpt.read_bytes().split(b"\n", 1)
-    head = json.loads(head_line)
-    change(head)
-    ckpt.write_bytes(json.dumps(head).encode() + b"\n" + blob)
+    _edit_checkpoint_header(ckpt, change)
     qa = write_jsonl(tmp_path / "qa.jsonl",
                      [{"video_id": "v", "question": [1], "candidates": [[2], [3]], "gt": 0}])
     monkeypatch.setattr(cli, "_pipeline_graphs", _pipeline_must_not_run)
     code = main(["eval", "--detections", "d.jsonl", "--registry", "r.json", "--qa", str(qa),
                  "--model", str(ckpt), "--out", str(tmp_path / "e.json")])
-    _one_parse_error(capsys, code)
+    _one_error(capsys, code)
     assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("command, change", [
+    ("train", ["--latent", "0"]),
+    ("train", ["--batch", "0"]),
+    ("train", ["--fx", "0", "--fy", "1", "--cx", "0", "--cy", "0"]),
+    ("train", ["--epochs", "-1"]),
+    ("train", ["--standard-layers", "-1"]),
+    ("train", ["--heads", "3", "--latent", "32"]),
+    ("train", ["--sigmas", "0,1"]),
+    ("train", ["--sigmas", "0.1,1", "--sigma-t", "1"]),
+    ("train", ["--lr", "-1"]),
+    ("eval", {"latent_dim": 0}),
+    ("eval", {"d_o": 0}),
+    ("eval", {"feature_hidden": [-1]}),
+], ids=["zero-latent", "zero-batch", "zero-focal-length", "negative-epochs",
+        "negative-standard-layers", "heads-not-dividing-latent", "zero-sigma",
+        "sigma-t-length", "negative-lr", "checkpoint-zero-latent", "checkpoint-zero-d_o",
+        "checkpoint-negative-hidden-width"])
+def test_out_of_range_config_exits_one(tmp_path, capsys, command, change):
+    """`change` is the train flags, or the checkpoint config fields eval reads."""
+    det, reg, qa = _synth_corpus(tmp_path, n_worlds=1, n_frames=3)
+    out, init = tmp_path / "out", tmp_path / "init.ckpt"
+    args = [command, "--detections", det, "--registry", reg, "--qa", qa, "--out", str(out)]
+    if command == "train":
+        args += ["--save-init", str(init), "--epochs", "1", *change]
+    else:
+        ckpt = tmp_path / "bad.ckpt"
+        save_model(ckpt, init_model(ModelConfig(d_o=16, d_a=8, vocab_size=sw.VOCAB_SIZE), seed=0),
+                   seed=0, step=0)
+        _edit_checkpoint_header(ckpt, lambda head: head["config"].update(change))
+        args += ["--model", str(ckpt)]
+    capsys.readouterr()
+    _one_error(capsys, main(args), kind="validation")
+    assert not out.exists() and not init.exists()
 
 
 @pytest.mark.parametrize("registry", [
@@ -290,18 +332,21 @@ def test_bad_registry_exits_one(tmp_path, capsys, registry):
     det.write_text(json.dumps(detection(class_id=sw.STATIC_CLASS_BASE)) + "\n")
     code = main(["ingest", "--in", str(det), "--registry", str(reg),
                  "--out", str(tmp_path / "g.json")])
-    _one_parse_error(capsys, code)
+    _one_error(capsys, code)
     assert not (tmp_path / "g.json").exists()
 
 
-@pytest.mark.parametrize("change", [
-    lambda obj: obj["graphs"][0]["nodes"][0].pop("bbox"),
-    lambda obj: obj["graphs"][0]["nodes"][0]["centroid3d"].__setitem__(2, float("nan")),
-    lambda obj: obj["graphs"][1]["nodes"][0].update(node_id="0"),
-    lambda obj: obj.update(graphs=7),
-    lambda obj: obj["graphs"][0]["nodes"][1].update(bbox=[10.0, 10.0, 50.0]),
-], ids=["no-bbox", "nan-centroid", "string-node-id", "graphs-not-a-list", "three-value-bbox"])
-def test_bad_graph_file_exits_one(tmp_path, capsys, change):
+@pytest.mark.parametrize("change, where", [
+    (lambda obj: obj["graphs"][0]["nodes"][0].pop("bbox"), "video 'w100': "),
+    (lambda obj: obj["graphs"][0]["nodes"][0]["centroid3d"].__setitem__(2, float("nan")),
+     "video 'w100': "),
+    (lambda obj: obj["graphs"][1]["nodes"][0].update(node_id="0"), "video 'w101': "),
+    (lambda obj: obj.update(graphs=7), ""),
+    (lambda obj: obj["graphs"][0]["nodes"][1].update(bbox=[10.0, 10.0, 50.0]), "video 'w100': "),
+    (lambda obj: obj["graphs"][1]["nodes"][0].pop("bbox"), "video 'w101': missing field 'bbox'"),
+], ids=["no-bbox", "nan-centroid", "string-node-id", "graphs-not-a-list", "three-value-bbox",
+        "second-video-no-bbox"])
+def test_bad_graph_file_exits_one(tmp_path, capsys, change, where):
     det, reg, _ = _synth_corpus(tmp_path, n_worlds=2, qa=False, n_frames=3)
     graph_file = tmp_path / "g.json"
     assert main(["ingest", "--in", det, "--registry", reg, "--out", str(graph_file)]) == 0
@@ -311,25 +356,28 @@ def test_bad_graph_file_exits_one(tmp_path, capsys, change):
     capsys.readouterr()
     code = main(["compact", "--in", str(graph_file), "--out", str(tmp_path / "c.json"),
                  "--stats", str(tmp_path / "s.json")])
-    _one_parse_error(capsys, code)
+    assert _one_error(capsys, code).startswith(where)
     assert not (tmp_path / "c.json").exists() and not (tmp_path / "s.json").exists()
 
 
-@pytest.mark.parametrize("spec", [
-    {"seed": "x", "video_id": "w"},
-    {"seed": True, "video_id": "w"},
-    {"seed": 1, "video_id": "w", "n_frames": 2.7},
-    {"seed": 1, "video_id": "w", "camera": {"kind": "translating", "velocity": [float("nan"), 0, 0]}},
-    {"seed": 1, "video_id": "w", "image_size": ["a", 3]},
-    [{"seed": 1, "video_id": "w"}],
-    {"seed": 1, "video_id": "w", "n_frame": 3},
+@pytest.mark.parametrize("spec, where", [
+    ({"seed": "x", "video_id": "w"}, ""),
+    ({"seed": True, "video_id": "w"}, ""),
+    ({"seed": 1, "video_id": "w", "n_frames": 2.7}, ""),
+    ({"seed": 1, "video_id": "w", "camera": {"kind": "translating", "velocity": [float("nan"), 0, 0]}},
+     ""),
+    ({"seed": 1, "video_id": "w", "image_size": ["a", 3]}, ""),
+    ([{"seed": 1, "video_id": "w"}], ""),
+    ({"seed": 1, "video_id": "w", "n_frame": 3}, ""),
+    ({"worlds": [{"seed": 1, "video_id": "a"}, {"seed": "x", "video_id": "b"}]},
+     "worlds[1]: seed must be an integer"),
 ], ids=["string-seed", "bool-seed", "float-frames", "nan-velocity", "string-image-size",
-        "top-level-list", "misspelt-key"])
-def test_bad_world_spec_exits_one(tmp_path, capsys, spec):
+        "top-level-list", "misspelt-key", "second-world-string-seed"])
+def test_bad_world_spec_exits_one(tmp_path, capsys, spec, where):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     code = main(["synth", "--spec", str(path), "--out-detections", str(tmp_path / "d.jsonl")])
-    _one_parse_error(capsys, code)
+    assert _one_error(capsys, code).startswith(where)
     assert not (tmp_path / "d.jsonl").exists()
 
 
@@ -339,6 +387,31 @@ def test_synth_writes_nothing_when_a_world_fails(tmp_path, capsys):
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
     assert not (tmp_path / "d.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest"])
+def test_overflowing_input_gives_one_error_line_and_no_file(tmp_path, capsys, command):
+    """Finite inputs whose arithmetic overflows: no numpy warning, and the non-finite
+    result is reported as the one JSON error line instead of being written."""
+    out = tmp_path / "out"
+    if command == "synth":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "video_id": "a", "camera": {
+            "kind": "translating", "velocity": [1e308, 0, 0]}}))
+        args = ["synth", "--spec", str(spec), "--out-detections", str(out)]
+    else:
+        reg = tmp_path / "reg.json"
+        sw.default_registry().save(reg)
+        det = write_jsonl(tmp_path / "d.jsonl", [detection(
+            class_id=sw.STATIC_CLASS_BASE, bbox=(0, 0, 1e308, 1e308), depth=1e308)])
+        args = ["ingest", "--in", str(det), "--registry", str(reg), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(args)
+    message = _one_error(capsys, code, kind="validation")
+    if command == "ingest":
+        assert message.startswith("line 1: lifted centroid")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -381,7 +454,7 @@ def test_bad_config_value_exits_one(tmp_path, capsys, monkeypatch, config):
     cfg.write_text(json.dumps(config))
     code = main(["ingest", "--in", str(tmp_path / "d.jsonl"), "--registry", str(tmp_path / "r.json"),
                  "--out", str(tmp_path / "g.json"), "--config", str(cfg)])
-    _one_parse_error(capsys, code)
+    _one_error(capsys, code)
 
 
 def test_config_null_where_the_default_is_null(tmp_path):

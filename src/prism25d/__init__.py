@@ -29,7 +29,6 @@ from .graph import (
     load_corpus,
     load_detection_groups,
     save_corpus,
-    save_graph,
     split_static_dynamic,
 )
 from .lift import Intrinsics, RigidTransform, default_intrinsics, estimate_rigid, lift_centroid

@@ -13,7 +13,7 @@ import numpy as np
 from .attention import DEFAULT_BANDWIDTHS
 from .compact import MatchParams, compact, corpus_stats
 from .errors import ParseError, PrismError, located
-from .graph import ClassRegistry, SceneGraph25D, load_corpus, load_detection_groups, save_corpus, save_graph
+from .graph import ClassRegistry, SceneGraph25D, load_corpus, load_detection_groups, save_corpus
 from .lift import Intrinsics, default_intrinsics
 from .qa import (
     METRICS_FORMAT,
@@ -175,10 +175,7 @@ def cmd_ingest(args) -> int:
     graphs = _load_graphs(args.inp, args.registry, cfg)
     if not args.no_register:
         graphs = [register_frames(g, gamma=cfg.gamma) for g in graphs]
-    if len(graphs) == 1:
-        save_graph(graphs[0], args.out)
-    else:
-        save_corpus(graphs, args.out)
+    save_corpus(graphs, args.out)
     print(f"ingested {len(graphs)} videos -> {args.out}")
     return 0
 
@@ -188,10 +185,7 @@ def cmd_compact(args) -> int:
     params = MatchParams(gamma=cfg.gamma, delta=cfg.delta)
     before = load_corpus(args.inp)
     after = [compact(g, params) for g in before]
-    if len(after) == 1:
-        save_graph(after[0], args.out)
-    else:
-        save_corpus(after, args.out)
+    save_corpus(after, args.out)
     stats = corpus_stats(list(zip(before, after)))
     if args.stats:
         _write_json({"format": STATS_FORMAT, "version": STATS_VERSION, **stats}, args.stats)
@@ -290,10 +284,15 @@ def cmd_eval(args) -> int:
 # parser wiring
 
 
-def _add_pipeline_flags(p: _Parser) -> None:
+def _add_pipeline_flags(p: _Parser, delta: bool = True, detections: bool = True) -> None:
+    """The flags of the pipeline stages a subcommand runs: merging needs `delta`, and
+    reading detections the frame count and intrinsics."""
     p.add_argument("--config", help="JSON config file; explicit flags override it")
     p.add_argument("--gamma", type=float, help="IoU merge threshold (artifact default 0.5)")
-    p.add_argument("--delta", type=int, help="merge look-back window in frames (artifact default 3)")
+    if delta:
+        p.add_argument("--delta", type=int, help="merge look-back window in frames (artifact default 3)")
+    if not detections:
+        return
     p.add_argument("--max-frames", dest="max_frames", type=int,
                    help="dataset-wide frame count for temporal normalization")
     p.add_argument("--image-w", dest="image_w", type=float, help="image width for default intrinsics")
@@ -339,14 +338,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output graph file")
     p.add_argument("--no-register", dest="no_register", action="store_true",
                    help="skip frame registration")
-    _add_pipeline_flags(p)
+    _add_pipeline_flags(p, delta=False)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("compact", help="merge redundant static nodes")
     p.add_argument("--in", dest="inp", required=True, help="graph file from ingest")
     p.add_argument("--out", required=True, help="output compacted graph file")
     p.add_argument("--stats", help="write node-count stats JSON here")
-    _add_pipeline_flags(p)
+    _add_pipeline_flags(p, detections=False)
     p.set_defaults(func=cmd_compact)
 
     p = sub.add_parser("stats", help="node counts and reduction for a graph pair")

@@ -229,7 +229,7 @@ def corpus_stats(pairs: list[tuple[SceneGraph25D, SceneGraph25D]]) -> dict:
     if not pairs:
         return {"videos": 0, "full": 0.0, "static": 0.0, "dynamic": 0.0, "reduction_pct": 0.0}
     n = len(pairs)
-    full = sum(b.node_count() for b, _ in pairs)
+    full = sum(len(b.nodes) for b, _ in pairs)
     static = sum(len(a.static_nodes) for _, a in pairs)
     dynamic = sum(len(a.dynamic_nodes) for _, a in pairs)
     return {

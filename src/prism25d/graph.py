@@ -45,11 +45,7 @@ class ClassRegistry:
         return self.kind(class_id) == STATIC
 
     def digest(self) -> str:
-        canon = [
-            {"id": cid, "name": e.name, "kind": e.kind}
-            for cid, e in sorted(self.entries.items())
-        ]
-        blob = json.dumps(canon, separators=(",", ":")).encode("utf-8")
+        blob = json.dumps(self.to_json()["classes"], separators=(",", ":")).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
     def to_json(self) -> dict:
@@ -103,26 +99,9 @@ class SceneNode:
             return self.feature
         return np.concatenate([self.feature, self.motion_feature])
 
-    def equals(self, other: "SceneNode") -> bool:
-        if (
-            self.node_id != other.node_id
-            or self.class_id != other.class_id
-            or tuple(self.bbox) != tuple(other.bbox)
-            or self.timestamps != other.timestamps
-            or self.source_frames != other.source_frames
-        ):
-            return False
-        if not np.array_equal(self.feature, other.feature):
-            return False
-        if not np.array_equal(self.centroid3d, other.centroid3d):
-            return False
-        if (self.motion_feature is None) != (other.motion_feature is None):
-            return False
-        if self.motion_feature is not None and not np.array_equal(
-            self.motion_feature, other.motion_feature
-        ):
-            return False
-        return True
+    def __eq__(self, other) -> bool:
+        """Equal when both write the same graph-file entry."""
+        return isinstance(other, SceneNode) and _node_to_json(self) == _node_to_json(other)
 
 
 @dataclass
@@ -140,9 +119,6 @@ class SceneGraph25D:
     static_nodes: set[int] = field(default_factory=set)
     dynamic_nodes: set[int] = field(default_factory=set)
     registry_digest: str | None = None
-
-    def node_count(self) -> int:
-        return len(self.nodes)
 
     def validate(self, registry: ClassRegistry | None = None) -> None:
         """Check that the graph's parts agree; with a registry, also that each node's
@@ -172,21 +148,10 @@ class SceneGraph25D:
                     raise ValidationError(f"frame {fs.frame_index} lists node {nid}, which is missing "
                                           "or has no source frame there")
 
-    def equals(self, other: "SceneGraph25D") -> bool:
-        if (
-            self.video_id != other.video_id
-            or self.max_frames != other.max_frames
-            or self.static_nodes != other.static_nodes
-            or self.dynamic_nodes != other.dynamic_nodes
-            or self.registry_digest != other.registry_digest
-            or len(self.frames) != len(other.frames)
-            or set(self.nodes) != set(other.nodes)
-        ):
-            return False
-        for a, b in zip(self.frames, other.frames):
-            if a.frame_index != b.frame_index or a.node_ids != b.node_ids:
-                return False
-        return all(self.nodes[nid].equals(other.nodes[nid]) for nid in self.nodes)
+    def __eq__(self, other) -> bool:
+        """Equal when both write the same graph-file body under the same registry digest."""
+        return (isinstance(other, SceneGraph25D) and self.registry_digest == other.registry_digest
+                and _graph_body(self) == _graph_body(other))
 
 
 def split_static_dynamic(graph: SceneGraph25D, registry: ClassRegistry) -> tuple[set[int], set[int]]:
@@ -411,29 +376,17 @@ def _check_header(obj: dict, path: str | Path) -> None:
         raise FormatError(f"{path}: unsupported version {obj.get('version')!r}")
 
 
-def save_graph(graph: SceneGraph25D, path: str | Path) -> None:
-    obj = {
-        "format": GRAPH_FORMAT,
-        "version": GRAPH_VERSION,
-        "registry_digest": graph.registry_digest,
-    }
-    obj.update(_graph_body(graph))
-    _write_graph_file(obj, path)
-
-
 def save_corpus(graphs: list[SceneGraph25D], path: str | Path) -> None:
+    """Write one graph's body at the top level, or several under "graphs"; write the file
+    only once all of it is known to be valid JSON: no NaN or infinity."""
     digests = {g.registry_digest for g in graphs}
+    body = _graph_body(graphs[0]) if len(graphs) == 1 else {"graphs": [_graph_body(g) for g in graphs]}
     obj = {
         "format": GRAPH_FORMAT,
         "version": GRAPH_VERSION,
         "registry_digest": digests.pop() if len(digests) == 1 else None,
-        "graphs": [_graph_body(g) for g in graphs],
+        **body,
     }
-    _write_graph_file(obj, path)
-
-
-def _write_graph_file(obj: dict, path: str | Path) -> None:
-    """Write the file only once all of it is known to be valid JSON: no NaN or infinity."""
     try:
         text = json.dumps(obj, allow_nan=False)
     except ValueError as exc:

@@ -47,35 +47,12 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return add(self, neg(_wrap(other)))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), neg(self))
 
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ValidationError("tensor/tensor division not supported; use mul with a reciprocal")
-        return mul(self, Tensor(1.0 / float(other)))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def _wrap(x) -> Tensor:
@@ -309,18 +286,14 @@ def backward(loss: Tensor) -> None:
 
 @dataclass
 class MlpParams:
-    """Affine stack with per-layer relu/identity activations."""
+    """Affine stack with a relu between layers and none after the last."""
 
     weights: list[Tensor]  # each (out, in)
     biases: list[Tensor]  # each (out, 1)
-    activations: list[str]  # "relu" | "identity"
 
     def __post_init__(self):
-        if not (len(self.weights) == len(self.biases) == len(self.activations)):
+        if len(self.weights) != len(self.biases):
             raise ValidationError("mlp layer lists differ in length")
-        for act in self.activations:
-            if act not in ("relu", "identity"):
-                raise ValidationError(f"unknown activation {act!r}")
         for i in range(1, len(self.weights)):
             if self.weights[i].shape[1] != self.weights[i - 1].shape[0]:
                 raise ValidationError("mlp layer dims do not chain")
@@ -343,28 +316,25 @@ class MlpParams:
         return [t for _, t in self.named_parameters("")]
 
 
-def mlp_init(dims: list[int], rng: np.random.Generator, hidden_act: str = "relu") -> MlpParams:
-    """Uniform(+-1/sqrt(fan_in)) initialization; last layer activation is identity."""
+def mlp_init(dims: list[int], rng: np.random.Generator) -> MlpParams:
+    """Uniform(+-1/sqrt(fan_in)) initialization."""
     if len(dims) < 2:
         raise ValidationError("mlp needs at least input and output dims")
-    weights, biases, acts = [], [], []
+    weights, biases = [], []
     for i in range(len(dims) - 1):
         bound = 1.0 / math.sqrt(dims[i])
         weights.append(Tensor(rng.uniform(-bound, bound, size=(dims[i + 1], dims[i])), requires_grad=True))
         biases.append(Tensor(rng.uniform(-bound, bound, size=(dims[i + 1], 1)), requires_grad=True))
-        acts.append(hidden_act if i < len(dims) - 2 else "identity")
-    return MlpParams(weights, biases, acts)
+    return MlpParams(weights, biases)
 
 
 def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
     """Apply the stack to features-as-columns input (in_dim, n)."""
     if x.data.shape[0] != params.in_dim:
         raise ValidationError(f"mlp expects {params.in_dim} input rows, got {x.data.shape[0]}")
-    out = x
-    for w, b, act in zip(params.weights, params.biases, params.activations):
-        out = add(matmul(w, out), b)
-        if act == "relu":
-            out = relu(out)
+    out = add(matmul(params.weights[0], x), params.biases[0])
+    for w, b in zip(params.weights[1:], params.biases[1:]):
+        out = add(matmul(w, relu(out)), b)
     return out
 
 

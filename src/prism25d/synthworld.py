@@ -538,6 +538,8 @@ def generate_qa(
     """Machine-answerable questions over the world, with answer derivations."""
     if task not in TASK_TOKENS:
         raise ValidationError(f"unknown task {task!r}")
+    if n_instances < 1:
+        raise ValidationError(f"QA instances per world must be at least 1, got {n_instances}")
     spec = world.spec
     rng = np.random.default_rng([seed, spec.seed])
     instances, derivations = [], []

@@ -26,7 +26,6 @@ def mlp_identity(dim):
     return MlpParams(
         [Tensor(np.eye(dim), requires_grad=True)],
         [Tensor(np.zeros((dim, 1)), requires_grad=True)],
-        ["identity"],
     )
 
 

@@ -13,7 +13,7 @@ from prism25d import numcore as nc
 from prism25d.attention import DEFAULT_BANDWIDTHS, kernel_distances, kernel_matrix
 from prism25d.cli import main
 from prism25d.compact import MatchParams, build_ancestors, compact
-from prism25d.graph import graph_from_records, load_corpus, save_graph
+from prism25d.graph import graph_from_records, load_corpus, save_corpus
 from prism25d.numcore import Tensor
 from prism25d.qa import (
     ModelConfig,
@@ -413,10 +413,10 @@ def test_c9_determinism_and_roundtrips(tmp_path):
     records, _ = sw.generate_world(spec)
     graph = compact(register_frames(graph_from_records(records, REGISTRY)), PARAMS)
     for name in ("a", "b"):
-        save_graph(graph, tmp_path / f"g-{name}.json")
+        save_corpus([graph], tmp_path / f"g-{name}.json")
     assert (tmp_path / "g-a.json").read_bytes() == (tmp_path / "g-b.json").read_bytes()
     (loaded,) = load_corpus(tmp_path / "g-a.json")
-    assert loaded.equals(graph)
+    assert loaded == graph
 
     world = sw.build_world(spec)
     truth = sw.world_truth(world)

@@ -278,7 +278,6 @@ def test_hierarchical_zero_second_branch():
     zero = nc.MlpParams(
         [Tensor(np.zeros((8, 8)), requires_grad=True)],
         [Tensor(np.zeros((8, 1)), requires_grad=True)],
-        ["identity"],
     )
     hier = hierarchical_attention(f, [mlp1, zero], wv, kernel_softmax_levels(pos, times, levels))
     branch1 = nc.mlp_forward(mlp1, kernel_attention(f, wv, _level(pos, times, 0.5, 0.5)))

@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prism25d import cli
 from prism25d.cli import main
-from prism25d.graph import load_corpus
-from prism25d.qa import ModelConfig, init_model, save_model
+from prism25d.compact import MatchParams
+from prism25d.graph import DEFAULT_INTRINSICS, load_corpus
+from prism25d.qa import ModelConfig, TrainConfig, init_model, save_model
 from prism25d import synthworld as sw
 
 from helpers import detection, write_jsonl
@@ -424,6 +425,55 @@ def test_jobs_flag_is_a_usage_error(capsys, args):
         main(args + ["--jobs", "2"])
     assert exc.value.code == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("compact", ["--max-frames", "0"]),
+    ("compact", ["--image-w", "64"]),
+    ("compact", ["--image-h", "64"]),
+    ("compact", ["--fx", "-5"]),
+    ("compact", ["--fy", "100"]),
+    ("compact", ["--cx", "0"]),
+    ("compact", ["--cy", "0"]),
+    ("ingest", ["--delta", "0"]),
+], ids=["compact-max-frames", "compact-image-w", "compact-image-h", "compact-fx", "compact-fy",
+        "compact-cx", "compact-cy", "ingest-delta"])
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    reg = tmp_path / "reg.json"
+    sw.default_registry().save(reg)
+    det = write_jsonl(tmp_path / "d.jsonl", [detection(class_id=sw.STATIC_CLASS_BASE)])
+    graph_file, out = tmp_path / "g.json", tmp_path / "out.json"
+    assert main(["ingest", "--in", str(det), "--registry", str(reg), "--out", str(graph_file)]) == 0
+    args = {"compact": ["compact", "--in", str(graph_file)],
+            "ingest": ["ingest", "--in", str(det), "--registry", str(reg)]}[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(out), *flag])
+    _one_error(capsys, exc.value.code, kind="usage")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_synth_rejects_an_empty_qa_request(tmp_path, capsys, count):
+    det, qa = tmp_path / "d.jsonl", tmp_path / "qa.jsonl"
+    code = main(["synth", "--spec", _spec_file(tmp_path, [_world_json(5)]), "--out-detections", str(det),
+                 "--out-qa", str(qa), "--qa-per-world", count])
+    _one_error(capsys, code, kind="validation")
+    assert not det.exists() and not qa.exists()
+
+
+def test_run_config_defaults_match_the_library():
+    """The CLI restates the library's defaults: a default changed on one side only fails here."""
+    run = cli.RunConfig()
+    match = MatchParams()
+    model = ModelConfig(d_o=1, d_a=0, vocab_size=1)
+    train = TrainConfig()
+    assert (run.gamma, run.delta) == (match.gamma, match.delta)
+    assert (run.sigmas, run.sigma_t, run.heads, run.latent, run.standard_layers, run.combine) == (
+        model.sigma_s, model.sigma_t, model.heads, model.latent_dim, model.n_standard_layers,
+        model.combine)
+    assert (run.lr, run.batch) == (train.lr, train.batch_size)
+    assert run.intrinsics() == DEFAULT_INTRINSICS
 
 
 def test_bad_json_config_exits_one(tmp_path, capsys):

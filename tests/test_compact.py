@@ -168,7 +168,7 @@ def test_merge_averages_features():
     nodes[2].feature = np.array([3.0, 3.0])
     g = _graph(nodes)
     merged = compact(g, MatchParams(gamma=0.5, delta=3))
-    assert merged.node_count() == 1
+    assert len(merged.nodes) == 1
     assert np.allclose(merged.nodes[0].feature, [2.0, 2.0], atol=1e-12)
     assert merged.nodes[0].timestamps == [0.0, 0.1, 0.2]
     assert merged.nodes[0].source_frames == [0, 1, 2]
@@ -185,8 +185,8 @@ def test_merge_singletons_is_identity():
     nodes = [_node(i, i, bbox=(i * 30, 0, i * 30 + 10, 10)) for i in range(3)]
     g = _graph(nodes)
     merged = compact(g, MatchParams(gamma=0.5, delta=3))
-    assert merged.node_count() == 3
-    assert all(merged.nodes[i].equals(g.nodes[i]) for i in range(3))
+    assert len(merged.nodes) == 3
+    assert all(merged.nodes[i] == g.nodes[i] for i in range(3))
 
 
 def test_merge_mixed_class_equivalence_is_internal_error():
@@ -287,7 +287,7 @@ def test_compaction_monotone_on_abstract_graphs():
     for _ in range(10):
         g = _random_abstract_graph(rng)
         once = compact(g, params)
-        assert once.node_count() <= g.node_count()
+        assert len(once.nodes) <= len(g.nodes)
         assert len(once.dynamic_nodes) == len(g.dynamic_nodes)
 
 
@@ -301,7 +301,7 @@ def test_compaction_idempotent_on_synth_corpora():
         g = register_frames(graph_from_records(records, reg))
         once = compact(g, params)
         twice = compact(once, params)
-        assert twice.equals(once)
+        assert twice == once
 
 
 def test_compaction_deterministic():
@@ -310,7 +310,7 @@ def test_compaction_deterministic():
     params = MatchParams()
     a = compact(_random_abstract_graph(rng1), params)
     b = compact(_random_abstract_graph(rng2), params)
-    assert a.equals(b)
+    assert a == b
 
 
 def test_merged_feature_fixed_summation_order():

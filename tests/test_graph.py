@@ -9,7 +9,6 @@ from prism25d.graph import (
     load_corpus,
     load_detection_groups,
     save_corpus,
-    save_graph,
     split_static_dynamic,
 )
 
@@ -23,7 +22,7 @@ def test_load_counts_two_frames_three_each(tmp_path, registry):
             for i, c in enumerate((1, 2, 101))]
     path = write_jsonl(tmp_path / "d.jsonl", recs)
     (g,) = load_detection_groups(path, registry)
-    assert g.node_count() == 6
+    assert len(g.nodes) == 6
     assert [len(fs.node_ids) for fs in g.frames] == [3, 3]
 
 
@@ -129,10 +128,11 @@ def test_roundtrip_bit_exact(tmp_path, registry):
     g.nodes[0].feature = np.array([0.1 + 0.2, 1e-17])
     g.nodes[2].feature = np.array([-0.0, 1.0])
     path = tmp_path / "g.json"
-    save_graph(g, path)
+    save_corpus([g], path)
+    assert "graphs" not in json.loads(path.read_text())  # one graph is written flat
     (loaded,) = load_corpus(path)
-    assert loaded.equals(g)
-    save_graph(loaded, tmp_path / "g2.json")
+    assert loaded == g
+    save_corpus([loaded], tmp_path / "g2.json")
     assert (tmp_path / "g.json").read_bytes() == (tmp_path / "g2.json").read_bytes()
 
 
@@ -142,15 +142,15 @@ def test_roundtrip_empty_frames_graph(tmp_path, registry):
     g.frames = []
     g.static_nodes = set()
     g.dynamic_nodes = set()
-    save_graph(g, tmp_path / "g.json")
+    save_corpus([g], tmp_path / "g.json")
     (loaded,) = load_corpus(tmp_path / "g.json")
-    assert loaded.equals(g)
+    assert loaded == g
 
 
 def test_wrong_version_rejected(tmp_path, registry):
     g = _sample_graph(registry)
     path = tmp_path / "g.json"
-    save_graph(g, path)
+    save_corpus([g], path)
     obj = json.loads(path.read_text())
     obj["version"] = 99
     path.write_text(json.dumps(obj))
@@ -171,7 +171,76 @@ def test_corpus_roundtrip(tmp_path, registry):
     save_corpus([g1, g2], path)
     loaded = load_corpus(path)
     assert len(loaded) == 2
-    assert loaded[0].equals(g1) and loaded[1].equals(g2)
+    assert loaded[0] == g1 and loaded[1] == g2
+
+
+def _saved_copy(graph, path):
+    save_corpus([graph], path)
+    (copy,) = load_corpus(path)
+    return copy
+
+
+def _up(values):
+    """The next float up from each value: the smallest change a graph file records."""
+    return np.nextafter(np.asarray(values, dtype=np.float64), np.inf)
+
+
+# one edit per node field; node 1 is dynamic, so it carries a motion feature
+_NODE_EDITS = {
+    "node_id": lambda n: setattr(n, "node_id", n.node_id + 1),
+    "class_id": lambda n: setattr(n, "class_id", n.class_id + 1),
+    "feature": lambda n: setattr(n, "feature", _up(n.feature)),
+    "bbox": lambda n: setattr(n, "bbox", tuple(_up(n.bbox))),
+    "centroid3d": lambda n: setattr(n, "centroid3d", _up(n.centroid3d)),
+    "timestamps": lambda n: setattr(n, "timestamps", _up(n.timestamps).tolist()),
+    "source_frames": lambda n: setattr(n, "source_frames", [f + 1 for f in n.source_frames]),
+    "motion_feature": lambda n: setattr(n, "motion_feature", _up(n.motion_feature)),
+    "motion_feature-dropped": lambda n: setattr(n, "motion_feature", None),
+}
+
+# one edit per part of a graph besides its nodes' fields
+_GRAPH_EDITS = {
+    "video_id": lambda g: setattr(g, "video_id", g.video_id + "x"),
+    "max_frames": lambda g: setattr(g, "max_frames", g.max_frames + 1),
+    "frame-order": lambda g: g.frames.reverse(),
+    "frame-listing-order": lambda g: g.frames[0].node_ids.reverse(),
+    "partition": lambda g: (g.dynamic_nodes.discard(1), g.static_nodes.add(1)),
+    "registry_digest": lambda g: setattr(g, "registry_digest", "0" * 64),
+    "node-removed": lambda g: g.nodes.pop(3),
+    "node-field": lambda g: _NODE_EDITS["centroid3d"](g.nodes[1]),
+}
+
+
+def test_saved_copies_are_equal(tmp_path, registry):
+    g = _sample_graph(registry)
+    copy = _saved_copy(g, tmp_path / "g.json")
+    assert copy == g and g == copy
+    assert all(copy.nodes[nid] == node for nid, node in g.nodes.items())
+    assert load_corpus(tmp_path / "g.json") == [g]
+
+
+@pytest.mark.parametrize("field", _NODE_EDITS)
+def test_node_equality_sees_each_field(tmp_path, registry, field):
+    g = _sample_graph(registry)
+    copy = _saved_copy(g, tmp_path / "g.json")
+    _NODE_EDITS[field](copy.nodes[1])
+    assert copy.nodes[1] != g.nodes[1] and g.nodes[1] != copy.nodes[1]
+    assert copy != g
+
+
+@pytest.mark.parametrize("part", _GRAPH_EDITS)
+def test_graph_equality_sees_each_part(tmp_path, registry, part):
+    g = _sample_graph(registry)
+    copy = _saved_copy(g, tmp_path / "g.json")
+    _GRAPH_EDITS[part](copy)
+    assert copy != g and g != copy
+
+
+def test_equality_with_another_type_is_false(registry):
+    g = _sample_graph(registry)
+    for other in (None, "g", 0, g.nodes, list(g.nodes.values())):
+        assert (g == other) is False and (g.nodes[0] == other) is False
+    assert (g == g.nodes[0]) is False and (g.nodes[0] == g) is False
 
 
 def test_split_all_static(registry):

@@ -78,7 +78,6 @@ def test_mlp_zero_weights_give_bias():
     params = nc.MlpParams(
         [Tensor(np.zeros((2, 3)), requires_grad=True)],
         [Tensor(np.array([[5.0], [7.0]]), requires_grad=True)],
-        ["identity"],
     )
     out = nc.mlp_forward(params, Tensor(np.ones((3, 4))))
     assert np.array_equal(out.data, [[5.0] * 4, [7.0] * 4])

@@ -33,6 +33,7 @@ from . import synthworld
 
 STATS_FORMAT = "prism25d-stats"
 STATS_VERSION = 1
+_QA_DEFAULTS = {"task": "nearest_static", "qa_per_world": 4, "qa_seed": 0}  # with --out-qa only
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,6 +136,11 @@ def _pipeline_graphs(detections: str, registry: str, cfg: RunConfig) -> dict[str
 
 
 def cmd_synth(args) -> int:
+    given = {key: value for key in _QA_DEFAULTS if (value := getattr(args, key)) is not None}
+    if given and not args.out_qa:
+        flags = ", ".join("--" + key.replace("_", "-") for key in given)
+        args.usage_error(f"{flags} given without --out-qa")
+    qa = {**_QA_DEFAULTS, **given}
     obj = _read_json(args.spec)  # one world, or {"worlds": [...]}
     if isinstance(obj, dict) and "worlds" in obj:
         check(obj, {"worlds": list_of(OBJECT)})
@@ -152,7 +158,7 @@ def cmd_synth(args) -> int:
         truth = synthworld.world_truth(world)
         if args.out_qa:
             instances, derivations = synthworld.generate_qa(
-                world, truth, args.task, args.qa_per_world, args.qa_seed
+                world, truth, qa["task"], qa["qa_per_world"], qa["qa_seed"]
             )
             all_instances.extend(instances)
             truth.qa = derivations
@@ -284,11 +290,12 @@ def cmd_eval(args) -> int:
 # parser wiring
 
 
-def _add_pipeline_flags(p: _Parser, delta: bool = True, detections: bool = True) -> None:
+def _add_pipeline_flags(p: _Parser, delta: bool = True, detections: bool = True, gamma=None) -> None:
     """The flags of the pipeline stages a subcommand runs: merging needs `delta`, and
-    reading detections the frame count and intrinsics."""
+    reading detections the frame count and intrinsics. `--gamma` goes into `gamma`, a
+    group of `p`, when one is given."""
     p.add_argument("--config", help="JSON config file; explicit flags override it")
-    p.add_argument("--gamma", type=float, help="IoU merge threshold (artifact default 0.5)")
+    (gamma or p).add_argument("--gamma", type=float, help="IoU merge threshold (artifact default 0.5)")
     if delta:
         p.add_argument("--delta", type=int, help="merge look-back window in frames (artifact default 3)")
     if not detections:
@@ -327,18 +334,21 @@ def build_parser() -> _Parser:
     p.add_argument("--out-qa", dest="out_qa")
     p.add_argument("--out-truth", dest="out_truth")
     p.add_argument("--out-registry", dest="out_registry")
-    p.add_argument("--task", choices=sorted(synthworld.TASK_TOKENS), default="nearest_static")
-    p.add_argument("--qa-per-world", dest="qa_per_world", type=int, default=4)
-    p.add_argument("--qa-seed", dest="qa_seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth)
+    p.add_argument("--task", choices=sorted(synthworld.TASK_TOKENS),
+                   help="question family, with --out-qa (default nearest_static)")
+    p.add_argument("--qa-per-world", dest="qa_per_world", type=int,
+                   help="questions per world, with --out-qa (default 4)")
+    p.add_argument("--qa-seed", dest="qa_seed", type=int, help="question seed, with --out-qa (default 0)")
+    p.set_defaults(func=cmd_synth, usage_error=p.error)
 
     p = sub.add_parser("ingest", help="load detections, lift to 3D, register frames")
     p.add_argument("--in", dest="inp", required=True, help="detection JSONL file")
     p.add_argument("--registry", required=True, help="class registry JSON")
     p.add_argument("--out", required=True, help="output graph file")
-    p.add_argument("--no-register", dest="no_register", action="store_true",
-                   help="skip frame registration")
-    _add_pipeline_flags(p, delta=False)
+    register = p.add_mutually_exclusive_group()
+    register.add_argument("--no-register", dest="no_register", action="store_true",
+                          help="skip frame registration (and so take no --gamma)")
+    _add_pipeline_flags(p, delta=False, gamma=register)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("compact", help="merge redundant static nodes")

@@ -378,13 +378,17 @@ def _check_header(obj: dict, path: str | Path) -> None:
 
 def save_corpus(graphs: list[SceneGraph25D], path: str | Path) -> None:
     """Write one graph's body at the top level, or several under "graphs"; write the file
-    only once all of it is known to be valid JSON: no NaN or infinity."""
-    digests = {g.registry_digest for g in graphs}
+    only once all of it is known to be valid JSON: no NaN or infinity. The graphs must
+    share one registry digest, which the file carries once."""
+    digests = list(dict.fromkeys(g.registry_digest for g in graphs))
+    if len(digests) > 1:
+        raise ValidationError(f"graphs carry different registry digests {digests}; "
+                              "a graph file holds one")
     body = _graph_body(graphs[0]) if len(graphs) == 1 else {"graphs": [_graph_body(g) for g in graphs]}
     obj = {
         "format": GRAPH_FORMAT,
         "version": GRAPH_VERSION,
-        "registry_digest": digests.pop() if len(digests) == 1 else None,
+        "registry_digest": digests[0] if digests else None,
         **body,
     }
     try:

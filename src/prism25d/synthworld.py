@@ -34,6 +34,8 @@ MAX_WIDTH = 1024
 MAX_IMAGE_SIDE = 65536
 REACH_RADIUS = 0.5  # "reaching" a static object, for visited-order questions
 COUNT_RADIUS = 1.0  # entry radius for count questions
+MAX_ATTEMPTS = 60  # layouts sampled before a spec counts as infeasible
+IMAGE_MARGIN = 2.0  # pixels every noiseless box keeps from the image border
 
 
 def default_registry() -> ClassRegistry:
@@ -134,8 +136,10 @@ class World:
     dynamic_extents: np.ndarray  # (D, 2)
     dynamic_features: np.ndarray  # (D, d_o)
     dynamic_targets: list[list[int]]  # per object, static indices its path visits
-    camera_rotations: list[np.ndarray]  # world-from-camera rotation per frame
-    camera_centers: list[np.ndarray]
+    camera_rotations: np.ndarray  # (F, 3, 3) world-from-camera rotation per frame
+    camera_centers: np.ndarray  # (F, 3)
+    boxes: np.ndarray  # (F, S + D, 4) noiseless boxes, statics first
+    depths: np.ndarray  # (F, S + D)
 
 
 @dataclass
@@ -167,49 +171,46 @@ def _rot_y(theta: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def _camera_track(spec: WorldSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _camera_track(spec: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
     base = np.array([0.0, 0.0, -spec.view_distance])
-    rotations, centers = [], []
-    for t in range(spec.n_frames):
-        if spec.camera.kind == "stationary":
-            r, c = np.eye(3), base
-        elif spec.camera.kind == "translating":
-            r, c = np.eye(3), base + t * np.asarray(spec.camera.velocity, dtype=np.float64)
-        else:
-            r = _rot_y(spec.camera.angular_rate * t)
-            c = r @ base
-        rotations.append(r)
-        centers.append(c)
-    return rotations, centers
-
-
-def _to_camera(point: np.ndarray, rot: np.ndarray, center: np.ndarray) -> np.ndarray:
-    return rot.T @ (point - center)
+    if spec.camera.kind == "orbiting":
+        rotations = np.stack([_rot_y(spec.camera.angular_rate * t) for t in range(spec.n_frames)])
+        return rotations, rotations @ base
+    rotations = np.broadcast_to(np.eye(3), (spec.n_frames, 3, 3))
+    if spec.camera.kind == "stationary":
+        return rotations, np.broadcast_to(base, (spec.n_frames, 3))
+    velocity = np.asarray(spec.camera.velocity, dtype=np.float64)
+    return rotations, base + np.arange(spec.n_frames)[:, None] * velocity
 
 
 def _project(
-    point: np.ndarray, extent: np.ndarray, rot: np.ndarray, center: np.ndarray, intr: Intrinsics
-) -> tuple[tuple[float, float, float, float], float]:
-    cam = _to_camera(point, rot, center)
-    z = cam[2]
-    if z <= 0.5:
-        raise ValidationError("object behind or too close to the camera")
-    u = intr.fx * cam[0] / z + intr.cx
-    v = intr.fy * cam[1] / z + intr.cy
-    hw = intr.fx * (extent[0] / 2.0) / z
-    hh = intr.fy * (extent[1] / 2.0) / z
-    return (u - hw, v - hh, u + hw, v + hh), float(z)
+    points: np.ndarray, extents: np.ndarray, rotations: np.ndarray, centers: np.ndarray,
+    intr: Intrinsics,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Boxes (F, N, 4) and depths (F, N) of N objects at `points` (F, N, 3) seen from F
+    camera poses, or None when an object is behind or too close to the camera."""
+    cam = (points - centers[:, None]) @ rotations
+    z = cam[..., 2]
+    if (z <= 0.5).any():
+        return None
+    u = intr.fx * cam[..., 0] / z + intr.cx
+    v = intr.fy * cam[..., 1] / z + intr.cy
+    hw = intr.fx * (extents[:, 0] / 2.0) / z
+    hh = intr.fy * (extents[:, 1] / 2.0) / z
+    return np.stack([u - hw, v - hh, u + hw, v + hh], axis=-1), z
 
 
-def _in_image(bbox, spec: WorldSpec, margin: float = 2.0) -> bool:
-    w, h = spec.image_size
-    return (
-        bbox[0] >= margin and bbox[1] >= margin and bbox[2] <= w - margin and bbox[3] <= h - margin
-    )
+def _in_image(boxes: np.ndarray, spec: WorldSpec) -> bool:
+    far = np.asarray(spec.image_size) - IMAGE_MARGIN
+    return bool((boxes[..., :2] >= IMAGE_MARGIN).all() and (boxes[..., 2:] <= far).all())
 
 
-def _boxes_disjoint(a, b) -> bool:
-    return a[2] <= b[0] or b[2] <= a[0] or a[3] <= b[1] or b[3] <= a[1]
+def _overlap(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a box of `a` (F, 4) overlaps a box of `b` (F, 4), over every frame pair."""
+    a, b = a[:, None], b[None]
+    disjoint = ((a[..., 2] <= b[..., 0]) | (b[..., 2] <= a[..., 0])
+                | (a[..., 3] <= b[..., 1]) | (b[..., 3] <= a[..., 1]))
+    return not disjoint.all()
 
 
 def _placement_box(spec: WorldSpec) -> np.ndarray:
@@ -296,17 +297,7 @@ def _sample_trajectory(
     return None
 
 
-def _identity_features(spec: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
-    stat = np.zeros((spec.n_static, spec.d_o))
-    for i in range(spec.n_static):
-        stat[i, i] = 1.0
-    dyn = np.zeros((spec.n_dynamic, spec.d_o))
-    for j in range(spec.n_dynamic):
-        dyn[j, spec.d_o // 2 + j] = 1.0
-    return stat, dyn
-
-
-def build_world(spec: WorldSpec, max_attempts: int = 60) -> World:
+def build_world(spec: WorldSpec) -> World:
     """Sample a world satisfying every visibility and separation constraint.
 
     Re-samples from the seeded stream until the constraints hold, so the
@@ -315,72 +306,43 @@ def build_world(spec: WorldSpec, max_attempts: int = 60) -> World:
     rng = np.random.default_rng(spec.seed)
     rotations, centers = _camera_track(spec)
     intr = spec.intrinsics()
-    stat_feat, dyn_feat = _identity_features(spec)
+    static_classes = [STATIC_CLASS_BASE + i % spec.n_static_classes for i in range(spec.n_static)]
+    same_class = [(i, j) for i in range(spec.n_static) for j in range(i + 1, spec.n_static)
+                  if static_classes[i] == static_classes[j]]
 
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         statics = _sample_static_layout(spec, rng)
         if statics is None:
             continue
         static_extents = rng.uniform(*spec.extent_range, size=(spec.n_static, 2))
-        static_classes = [STATIC_CLASS_BASE + i % spec.n_static_classes for i in range(spec.n_static)]
 
         tracks, target_lists = [], []
-        ok = True
         for _ in range(spec.n_dynamic):
-            targets = list(
-                rng.choice(spec.n_static, size=min(spec.traj_targets, spec.n_static), replace=False)
-            )
+            targets = [int(t) for t in rng.choice(
+                spec.n_static, size=min(spec.traj_targets, spec.n_static), replace=False)]
             track = _sample_trajectory(spec, rng, statics, targets)
             if track is None:
-                ok = False
                 break
             tracks.append(track)
-            target_lists.append([int(t) for t in targets])
-        if not ok:
+            target_lists.append(targets)
+        if len(tracks) < spec.n_dynamic:
             continue
         dynamic_tracks = (
             np.stack(tracks) if tracks else np.zeros((0, spec.n_frames, 3))
         )
         dynamic_extents = rng.uniform(*spec.extent_range, size=(spec.n_dynamic, 2))
-        dynamic_classes = [
-            DYNAMIC_CLASS_BASE + j % spec.n_dynamic_classes for j in range(spec.n_dynamic)
-        ]
 
         # visibility of everything in every frame, on noiseless projections
-        visible = True
-        static_boxes: list[list] = [[] for _ in range(spec.n_static)]
-        for t in range(spec.n_frames):
-            try:
-                for i in range(spec.n_static):
-                    bbox, _ = _project(statics[i], static_extents[i], rotations[t], centers[t], intr)
-                    if not _in_image(bbox, spec):
-                        visible = False
-                    static_boxes[i].append(bbox)
-                for j in range(spec.n_dynamic):
-                    bbox, _ = _project(
-                        dynamic_tracks[j, t], dynamic_extents[j], rotations[t], centers[t], intr
-                    )
-                    if not _in_image(bbox, spec):
-                        visible = False
-            except ValidationError:
-                visible = False
-            if not visible:
-                break
-        if not visible:
+        points = np.concatenate([np.broadcast_to(statics, (spec.n_frames, *statics.shape)),
+                                 dynamic_tracks.transpose(1, 0, 2)], axis=1)
+        projection = _project(points, np.concatenate([static_extents, dynamic_extents]),
+                              rotations, centers, intr)
+        if projection is None or not _in_image(projection[0], spec):
             continue
-
         # same-class static boxes must never overlap, in any frame pair, so the
         # merge criterion cannot cross objects at any IoU threshold
-        clean = True
-        for i in range(spec.n_static):
-            for j in range(i + 1, spec.n_static):
-                if static_classes[i] != static_classes[j]:
-                    continue
-                for ba in static_boxes[i]:
-                    for bb in static_boxes[j]:
-                        if not _boxes_disjoint(ba, bb):
-                            clean = False
-        if not clean:
+        boxes, depths = projection
+        if any(_overlap(boxes[:, i], boxes[:, j]) for i, j in same_class):
             continue
 
         return World(
@@ -388,14 +350,18 @@ def build_world(spec: WorldSpec, max_attempts: int = 60) -> World:
             static_positions=statics,
             static_classes=static_classes,
             static_extents=static_extents,
-            static_features=stat_feat,
+            static_features=np.eye(spec.n_static, spec.d_o),
             dynamic_tracks=dynamic_tracks,
-            dynamic_classes=dynamic_classes,
+            dynamic_classes=[
+                DYNAMIC_CLASS_BASE + j % spec.n_dynamic_classes for j in range(spec.n_dynamic)
+            ],
             dynamic_extents=dynamic_extents,
-            dynamic_features=dyn_feat,
+            dynamic_features=np.eye(spec.n_dynamic, spec.d_o, k=spec.d_o // 2),
             dynamic_targets=target_lists,
             camera_rotations=rotations,
             camera_centers=centers,
+            boxes=boxes,
+            depths=depths,
         )
     raise ValidationError(f"could not satisfy world constraints for seed {spec.seed}")
 
@@ -421,13 +387,8 @@ def generate_world(spec: WorldSpec) -> tuple[list[dict], GroundTruth]:
 
 def world_truth(world: World) -> GroundTruth:
     spec = world.spec
-    det_to_obj = {}
-    det_id = 0
-    for _ in range(spec.n_frames):
-        for i in range(spec.n_static):
-            det_to_obj[det_id] = i
-            det_id += 1
-        det_id += spec.n_dynamic
+    per_frame = spec.n_static + spec.n_dynamic
+    det_to_obj = {t * per_frame + i: i for t in range(spec.n_frames) for i in range(spec.n_static)}
     r0, c0 = world.camera_rotations[0], world.camera_centers[0]
     poses = [
         RigidTransform(r0.T @ rk, r0.T @ (ck - c0))
@@ -445,36 +406,37 @@ def world_truth(world: World) -> GroundTruth:
 def world_detections(world: World) -> list[dict]:
     """Noiseless projection plus seeded post-projection jitter, frame-major order."""
     spec = world.spec
-    intr = spec.intrinsics()
-    noise_rng = np.random.default_rng([spec.seed, 7])
+    noise = spec.noise
+    boxes, depths = world.boxes, world.depths
+    # per object, frame-major: 4 box draws, then 1 depth draw, each while its noise is on
+    sigmas = [noise.bbox_px] * 4 * (noise.bbox_px > 0) + [noise.depth] * (noise.depth > 0)
+    draws = np.random.default_rng([spec.seed, 7]).standard_normal((*depths.shape, len(sigmas)))
+    with np.errstate(over="ignore"):  # an infinite jitter is left to write_detections to reject
+        jitter = np.asarray(sigmas) * draws
+    if noise.bbox_px > 0:
+        boxes = boxes + jitter[..., :4]
+        for lo, hi in ((0, 2), (1, 3)):  # keep each side at least 1e-6 long
+            least = boxes[..., lo] + 1e-6
+            boxes[..., hi] = np.where(least > boxes[..., hi], least, boxes[..., hi])
+    if noise.depth > 0:
+        depths = depths + jitter[..., -1]
+        depths = np.where(0.05 > depths, 0.05, depths)
+    classes = world.static_classes + world.dynamic_classes
+    features = np.concatenate([world.static_features, world.dynamic_features])
     records = []
     for t in range(spec.n_frames):
-        rot, cen = world.camera_rotations[t], world.camera_centers[t]
-        items = [
-            (world.static_positions[i], world.static_extents[i], world.static_classes[i],
-             world.static_features[i], None)
-            for i in range(spec.n_static)
-        ] + [
-            (world.dynamic_tracks[j, t], world.dynamic_extents[j], world.dynamic_classes[j],
-             world.dynamic_features[j], _motion_feature(world.dynamic_tracks[j], t, spec.d_a))
-            for j in range(spec.n_dynamic)
-        ]
-        for pos, ext, cls, feat, motion in items:
-            bbox, depth = _project(pos, ext, rot, cen, intr)
-            if spec.noise.bbox_px > 0:
-                x1, y1, x2, y2 = (c + noise_rng.normal(0.0, spec.noise.bbox_px) for c in bbox)
-                bbox = (x1, y1, max(x2, x1 + 1e-6), max(y2, y1 + 1e-6))
-            if spec.noise.depth > 0:
-                depth = max(depth + noise_rng.normal(0.0, spec.noise.depth), 0.05)
+        for n, cls in enumerate(classes):
+            motion = (None if n < spec.n_static else
+                      _motion_feature(world.dynamic_tracks[n - spec.n_static], t, spec.d_a).tolist())
             records.append(
                 {
                     "video_id": spec.video_id,
                     "frame_index": t,
                     "class_id": cls,
-                    "bbox": [float(v) for v in bbox],
-                    "depth": float(depth),
-                    "feature": [float(v) for v in feat],
-                    "motion_feature": None if motion is None else [float(v) for v in motion],
+                    "bbox": boxes[t, n].tolist(),
+                    "depth": float(depths[t, n]),
+                    "feature": features[n].tolist(),
+                    "motion_feature": motion,
                 }
             )
     return records
@@ -553,37 +515,7 @@ def generate_qa(
         raise ValidationError("count_dynamic needs at least 4 dynamic objects")
 
     for k in range(n_instances):
-        if task == "nearest_static":
-            d = k % spec.n_dynamic
-            dists = _track_static_dists(world, d).min(axis=0)
-            answer = int(np.argmin(dists))
-            candidates, gt_index = _candidate_row(
-                STATIC_TOKEN_BASE + answer, _static_token_pool(world, answer), rng
-            )
-            question = (TASK_TOKENS[task], DYNAMIC_TOKEN_BASE + d)
-            derivations.append(
-                {"task": task, "dynamic": d, "min_distances": [float(x) for x in dists],
-                 "answer_object": answer}
-            )
-        elif task == "visited_order":
-            d = k % spec.n_dynamic
-            dists = _track_static_dists(world, d)
-            reach_frames = [
-                int(np.argmax(dists[:, s] < REACH_RADIUS)) if (dists[:, s] < REACH_RADIUS).any() else -1
-                for s in range(spec.n_static)
-            ]
-            reached = [(f, s) for s, f in enumerate(reach_frames) if f >= 0]
-            if not reached:
-                raise ValidationError(f"dynamic object {d} never reaches a static object")
-            answer = min(reached)[1]
-            candidates, gt_index = _candidate_row(
-                STATIC_TOKEN_BASE + answer, _static_token_pool(world, answer), rng
-            )
-            question = (TASK_TOKENS[task], DYNAMIC_TOKEN_BASE + d)
-            derivations.append(
-                {"task": task, "dynamic": d, "reach_frames": reach_frames, "answer_object": answer}
-            )
-        else:
+        if task == "count_dynamic":
             s = int(rng.integers(spec.n_static))
             entered = [
                 bool(_track_static_dists(world, d)[:, s].min() < COUNT_RADIUS)
@@ -596,6 +528,28 @@ def generate_qa(
             derivations.append(
                 {"task": task, "static": s, "entered": entered, "answer_count": count}
             )
+        else:
+            d = k % spec.n_dynamic
+            dists = _track_static_dists(world, d)
+            derivation = {"task": task, "dynamic": d}
+            if task == "nearest_static":
+                nearest = dists.min(axis=0)
+                answer = int(np.argmin(nearest))
+                derivation["min_distances"] = [float(x) for x in nearest]
+            else:
+                reach = dists < REACH_RADIUS
+                reach_frames = [int(np.argmax(r)) if r.any() else -1 for r in reach.T]
+                reached = [(f, s) for s, f in enumerate(reach_frames) if f >= 0]
+                if not reached:
+                    raise ValidationError(f"dynamic object {d} never reaches a static object")
+                answer = min(reached)[1]
+                derivation["reach_frames"] = reach_frames
+            derivation["answer_object"] = answer
+            derivations.append(derivation)
+            candidates, gt_index = _candidate_row(
+                STATIC_TOKEN_BASE + answer, _static_token_pool(world, answer), rng
+            )
+            question = (TASK_TOKENS[task], DYNAMIC_TOKEN_BASE + d)
         instances.append(
             QaInstance(
                 video_id=spec.video_id,

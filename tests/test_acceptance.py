@@ -8,6 +8,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from prism25d import numcore as nc
 from prism25d.attention import DEFAULT_BANDWIDTHS, kernel_distances, kernel_matrix
@@ -369,6 +370,7 @@ def _learning_run(sigmas, seed):
     return _LEARN_CACHE[key]
 
 
+@pytest.mark.slow
 def test_c7_end_to_end_learning_signal():
     graphs, train_insts, val_insts, corpus_secs = _learning_corpus()
     assert len(train_insts) == 500 and len(val_insts) == 100
@@ -383,6 +385,7 @@ def test_c7_end_to_end_learning_signal():
               f"train acc {best_train:.3f} (>=0.90), held-out {final_val:.3f} (>=0.40), {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_c8_hierarchy_ablation_direction():
     four = []
     one = []

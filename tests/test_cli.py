@@ -462,6 +462,30 @@ def test_synth_rejects_an_empty_qa_request(tmp_path, capsys, count):
     assert not det.exists() and not qa.exists()
 
 
+def test_ingest_no_register_takes_no_gamma(tmp_path, capsys):
+    reg = tmp_path / "reg.json"
+    sw.default_registry().save(reg)
+    det = write_jsonl(tmp_path / "d.jsonl", [detection(class_id=sw.STATIC_CLASS_BASE)])
+    out = tmp_path / "g.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["ingest", "--in", str(det), "--registry", str(reg), "--out", str(out),
+              "--no-register", "--gamma", "5"])
+    _one_error(capsys, exc.value.code, kind="usage")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--task", "count_dynamic"], ["--task", "nearest_static"],
+                                  ["--qa-per-world", "0"], ["--qa-per-world", "4"],
+                                  ["--qa-seed", "3"]])
+def test_synth_qa_flag_without_out_qa_is_a_usage_error(tmp_path, capsys, flag):
+    det = tmp_path / "d.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--spec", _spec_file(tmp_path, [_world_json(5)]), "--out-detections", str(det),
+              *flag])
+    assert flag[0] in _one_error(capsys, exc.value.code, kind="usage")
+    assert not det.exists()
+
+
 def test_run_config_defaults_match_the_library():
     """The CLI restates the library's defaults: a default changed on one side only fails here."""
     run = cli.RunConfig()

@@ -174,6 +174,17 @@ def test_corpus_roundtrip(tmp_path, registry):
     assert loaded[0] == g1 and loaded[1] == g2
 
 
+def test_save_corpus_rejects_mixed_registry_digests(tmp_path, registry):
+    g1 = _sample_graph(registry)
+    g2 = graph_from_records([detection(video_id="w2", class_id=2)], registry)
+    g2.registry_digest = "0" * 64
+    path = tmp_path / "c.json"
+    with pytest.raises(ValidationError) as exc:
+        save_corpus([g1, g2], path)
+    assert g1.registry_digest in str(exc.value) and g2.registry_digest in str(exc.value)
+    assert not path.exists()
+
+
 def _saved_copy(graph, path):
     save_corpus([graph], path)
     (copy,) = load_corpus(path)

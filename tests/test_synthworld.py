@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from prism25d.compact import MatchParams, build_ancestors, compact
 from prism25d.errors import ValidationError
 from prism25d.graph import graph_from_records
+from prism25d.qa import save_qa
 from prism25d.register import register_frames
 from prism25d import synthworld as sw
 
@@ -237,3 +239,56 @@ def test_world_spec_json_round_trip():
     # a partial spec takes the defaults, ints given for floats included
     assert sw.WorldSpec.from_json({"seed": 3, "video_id": "r", "view_distance": 6}) == sw.WorldSpec(3, "r")
 
+
+
+# Specs whose generated files are pinned byte for byte: each camera kind with each noise
+# combination, edge-sized worlds, and rejected specs (their messages are pinned too).
+_PINNED_SPECS = [
+    {"camera": camera, "noise": {"bbox_px": bbox_px, "depth": depth}}
+    for camera in ({"kind": "stationary"}, {"kind": "translating", "velocity": [0.02, 0.01, -0.01]},
+                   {"kind": "orbiting", "angular_rate": 0.01})
+    for bbox_px in (0.0, 1.5) for depth in (0.0, 0.05)
+] + [
+    {"n_frames": 1},
+    {"n_dynamic": 0},
+    {"n_frames": 10, "n_static": 6, "traj_targets": 2},
+    {"n_static_classes": 1},
+    {"image_size": [320, 200], "noise": {"bbox_px": 1.0, "depth": 0.02}},
+    {"seed": 13, "view_distance": 3.5},  # objects at the image border: a margin 0.5 px
+    {"seed": 15, "view_distance": 3.5},  # wider (seed 13) or narrower (seed 15) changes these
+    {"n_frames": 0},
+    {"d_a": 2},
+    {"static_separation": 1e9},
+    {"view_distance": 0.3},
+    {"noise": {"bbox_px": 1e308}},
+]
+# recorded from the per-object generator that the array projection replaced
+PINNED_DIGEST = "14f4ca2769d748b78f6af0fd37b5deb58747bc9404e0bd27ab5f9f6d7a9221ba"
+
+
+def _generated_bytes(spec_json: dict, tmp_path) -> bytes:
+    """Detections, then per task the QA file and the truth file with its derivations."""
+    try:
+        world = sw.build_world(sw.WorldSpec.from_json(spec_json))
+        sw.write_detections(sw.world_detections(world), tmp_path / "d.jsonl")
+    except ValidationError as exc:
+        return f"rejected: {exc}".encode()
+    truth = sw.world_truth(world)
+    out = [(tmp_path / "d.jsonl").read_bytes()]
+    for task in sw.TASK_TOKENS:
+        try:
+            instances, truth.qa = sw.generate_qa(world, truth, task, 3, seed=1)
+        except ValidationError as exc:
+            out.append(f"rejected: {exc}".encode())
+            continue
+        save_qa(instances, tmp_path / "q.jsonl")
+        out += [(tmp_path / "q.jsonl").read_bytes(), json.dumps(truth.to_json()).encode()]
+    return b"\n".join(out)
+
+
+def test_generated_bytes_are_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for i, kw in enumerate(_PINNED_SPECS):
+        spec = {"seed": 40 + i, "video_id": f"p{i}", "n_frames": 5, "n_static": 4, "n_dynamic": 4, **kw}
+        digest.update(_generated_bytes(spec, tmp_path))
+    assert digest.hexdigest() == PINNED_DIGEST

@@ -12,7 +12,7 @@ import numpy as np
 
 from .attention import DEFAULT_BANDWIDTHS
 from .compact import MatchParams, compact, corpus_stats
-from .errors import ParseError, PrismError, located
+from .errors import ParseError, PrismError, ValidationError, located
 from .graph import ClassRegistry, SceneGraph25D, load_corpus, load_detection_groups, save_corpus
 from .lift import Intrinsics, default_intrinsics
 from .qa import (
@@ -144,10 +144,13 @@ def cmd_synth(args) -> int:
     obj = _read_json(args.spec)  # one world, or {"worlds": [...]}
     if isinstance(obj, dict) and "worlds" in obj:
         check(obj, {"worlds": list_of(OBJECT)})
-        specs = []
+        specs, first = [], {}  # first: the index of each video_id's first world
         for i, world in enumerate(obj["worlds"]):
             with located(f"worlds[{i}]"):
-                specs.append(synthworld.WorldSpec.from_json(world))
+                spec = synthworld.WorldSpec.from_json(world)
+                if (j := first.setdefault(spec.video_id, i)) != i:
+                    raise ValidationError(f"video_id {spec.video_id!r} repeats worlds[{j}]")
+            specs.append(spec)
     else:
         specs = [synthworld.WorldSpec.from_json(obj)]
     all_records, all_instances = [], []
@@ -261,9 +264,9 @@ def cmd_train(args) -> int:
         seed=cfg.seed,
         val_instances=val_set,
     )
+    save_model(args.out, model, seed=cfg.seed, step=metrics["steps"])  # refuses a diverged model first
     if args.save_init:  # init_model is deterministic, so the untrained model can be rebuilt
         save_model(args.save_init, init_model(model_cfg, cfg.seed), seed=cfg.seed, step=0)
-    save_model(args.out, model, seed=cfg.seed, step=metrics["steps"])
     if args.metrics:
         _write_json(metrics, args.metrics)
     last = metrics["epochs"][-1] if metrics["epochs"] else {}

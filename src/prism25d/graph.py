@@ -402,7 +402,8 @@ def load_corpus(path: str | Path) -> list[SceneGraph25D]:
     """Load a graph file holding either one video or a multi-video corpus.
 
     A missing or mistyped field is a ParseError, and a graph whose parts
-    disagree (see `SceneGraph25D.validate`) is a ValidationError.
+    disagree (see `SceneGraph25D.validate`) or a repeated video is a
+    ValidationError.
     """
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     _check_header(obj, path)
@@ -410,4 +411,10 @@ def load_corpus(path: str | Path) -> list[SceneGraph25D]:
         obj = {"registry_digest": obj.get("registry_digest"), "graphs": [obj]}
     check(obj, _CORPUS_FIELDS)
     widths: dict[str, int] = {}  # feature widths of the file's first node with each key
-    return [_graph_from_body(g, obj["registry_digest"], widths) for g in obj["graphs"]]
+    graphs = [_graph_from_body(g, obj["registry_digest"], widths) for g in obj["graphs"]]
+    seen: set[str] = set()
+    for g in graphs:
+        if g.video_id in seen:
+            raise ValidationError(f"{path}: video {g.video_id!r} appears more than once")
+        seen.add(g.video_id)
+    return graphs

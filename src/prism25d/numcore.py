@@ -380,6 +380,10 @@ class Adam:
 
 
 def save_checkpoint(path: str | Path, header: dict, named_params: list[tuple[str, Tensor]]) -> None:
+    """Writes the checkpoint; a non-finite parameter is a ValidationError and writes no file."""
+    for name, t in named_params:
+        if not np.isfinite(t.data).all():
+            raise ValidationError(f"{path}: parameter {name} holds a non-finite value")
     head = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -396,6 +400,7 @@ _MANIFEST_ENTRY = {"name": STR, "shape": list_of(COUNT)}
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and named parameters; a non-finite value is a ValidationError."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
@@ -415,4 +420,6 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             if len(buf) != count * 8:
                 raise FormatError(f"{path}: truncated parameter blob at {item['name']}")
             arrays[item["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(arrays[item["name"]]).all():
+                raise ValidationError(f"{path}: parameter {item['name']} holds a non-finite value")
     return header, arrays

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .schema import INT, STR, check, check_rows, list_of, read, read_jsonl
 
 METRICS_FORMAT = "prism25d-metrics"
 METRICS_VERSION = 1
+EVAL_BATCH = 16  # instances `evaluate` scores at once, as many as a default training batch
 
 
 @dataclass(frozen=True)
@@ -253,33 +255,34 @@ def encode_candidates(instances: list[QaInstance], text: TextParams) -> Tensor:
 
 
 def score_answers(fq: Tensor, answers: Tensor) -> Tensor:
-    """Inner-product logits of the conditioned feature against candidate columns."""
+    """Inner-product logits, (candidates, features): every answer column against every fq column."""
     if answers.data.shape[0] != fq.data.shape[0]:
         raise ValidationError("answer embeddings and conditioned feature widths differ")
-    if answers.data.shape[1] < 2:
-        raise ValidationError("scoring needs at least 2 candidates")
-    return nc.reshape(nc.matmul(nc.transpose(answers), fq), (answers.data.shape[1],))
+    return nc.matmul(nc.transpose(answers), fq)
 
 
 def augmented_loss(
     batch: list[QaInstance], fq: Tensor, text: TextParams
-) -> tuple[Tensor, list[np.ndarray]]:
+) -> tuple[Tensor, np.ndarray]:
     """Cross-entropy over every candidate in the batch, duplicate answers masked.
 
     `fq` holds one conditioned feature column per instance. The logits form
     one (candidates, instances) matrix; in an instance's column, candidates
     byte-identical to its ground-truth answer (other than the ground truth
     itself) are pushed to -inf before the column's log-sum-exp. Returns the
-    mean loss and each instance's raw logits over its own candidates.
+    mean loss and each instance's 1-based rank of its ground truth among its
+    own candidates' raw logits. A candidate ranks ahead unless its logit is
+    lower, or equal and later, so rank 1 is `np.argmax` on finite logits and
+    an instance with a NaN logit never ranks 1.
     """
     if not batch:
         raise ValidationError("empty batch")
     if fq.data.shape[1] != len(batch):
         raise ValidationError("one conditioned feature is needed per instance")
-    logits = nc.matmul(nc.transpose(encode_candidates(batch, text)), fq)  # (C, B)
-    offsets = np.cumsum([0] + [len(inst.candidates) for inst in batch])
+    logits = score_answers(fq, encode_candidates(batch, text))  # (C, B)
+    counts = [len(inst.candidates) for inst in batch]
     cols = np.arange(len(batch))
-    gt_pos = offsets[:-1] + [inst.gt_index for inst in batch]
+    gt_pos = np.cumsum([0] + counts[:-1]) + [inst.gt_index for inst in batch]
     answer_ids: dict[tuple[int, ...], int] = {}  # equal answers share an id
     ids = np.array(
         [answer_ids.setdefault(c, len(answer_ids)) for inst in batch for c in inst.candidates]
@@ -292,10 +295,11 @@ def augmented_loss(
     gt_onehot = np.zeros(logits.data.shape)
     gt_onehot[gt_pos, cols] = 1.0
     picked = nc.tsum(logits * Tensor(gt_onehot), axis=0, keepdims=True)
-    own_logits = [
-        logits.data[lo:hi, b].copy() for b, lo, hi in zip(cols, offsets[:-1], offsets[1:])
-    ]
-    return nc.tsum(lse - picked) * (1.0 / len(batch)), own_logits
+    raw, gt_raw = logits.data, logits.data[gt_pos, cols]
+    behind = (raw < gt_raw) | ((raw == gt_raw) & (np.arange(len(raw))[:, None] > gt_pos))
+    ahead = (_segment_ids(counts)[:, None] == cols) & ~behind
+    ahead[gt_pos, cols] = False
+    return nc.tsum(lse - picked) * (1.0 / len(batch)), 1 + ahead.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +346,8 @@ def batch_forward(
 ) -> tuple[Tensor, int]:
     """Loss over one batch plus the number of correctly argmaxed instances."""
     fq = question_features(model, bundles, batch)
-    loss, own_logits = augmented_loss(batch, fq, model.text)
-    correct = sum(
-        1 for inst, lg in zip(batch, own_logits) if int(np.argmax(lg)) == inst.gt_index
-    )
-    return loss, correct
+    loss, ranks = augmented_loss(batch, fq, model.text)
+    return loss, int(np.sum(ranks == 1))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,8 @@ def evaluate(
     model: QaModel,
     bundles: dict[str, GraphBundle] | None = None,
 ) -> dict:
-    """Accuracy and 1-based mean rank of the ground-truth answer; records no autodiff tape."""
+    """Accuracy and 1-based mean rank of the ground-truth answer, ranked by `augmented_loss` in
+    chunks of `EVAL_BATCH` instances; records no autodiff tape."""
     if not instances:
         raise ValidationError("empty evaluation dataset")
     if bundles is None:
@@ -444,21 +446,13 @@ def evaluate(
         bundles = build_bundles(
             {v: g for v, g in graphs.items() if v in used}, model.config.kernel_config()
         )
-    correct = 0
-    rank_sum = 0.0
     with nc.no_grad():
         fq = question_features(model, bundles, instances).data
-        for i, inst in enumerate(instances):
-            # one instance at a time: encode_candidates's (tokens, candidates) segment-mean
-            # matrix is quadratic in the number of instances encoded together
-            answers = encode_candidates([inst], model.text)
-            logits = score_answers(Tensor(fq[:, i : i + 1]), answers).data
-            gt = inst.gt_index
-            if int(np.argmax(logits)) == gt:
-                correct += 1
-            rank = 1 + int(np.sum(logits > logits[gt])) + int(np.sum(logits[:gt] == logits[gt]))
-            rank_sum += rank
-    return {"accuracy": correct / len(instances), "mean_rank": rank_sum / len(instances)}
+        spans = [slice(lo, lo + EVAL_BATCH) for lo in range(0, len(instances), EVAL_BATCH)]
+        ranks = np.concatenate(
+            [augmented_loss(instances[s], Tensor(fq[:, s]), model.text)[1] for s in spans]
+        )
+    return {"accuracy": int(np.sum(ranks == 1)) / len(ranks), "mean_rank": int(ranks.sum()) / len(ranks)}
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +465,16 @@ def save_model(path: str | Path, model: QaModel, seed: int, step: int) -> None:
 
 
 def load_model(path: str | Path) -> tuple[QaModel, dict]:
+    """A checkpoint's model, whose manifest lists its parameters in order; see `nc.load_checkpoint`."""
     header, arrays = nc.load_checkpoint(path)
     check(header, {"seed": INT, "step": INT})
     config = ModelConfig.from_json(header.get("config"))
     model = init_model(config, seed=header["seed"])
+    listed = [item["name"] for item in header["params"]]
+    for i, (got, want) in enumerate(zip_longest(listed, (n for n, _ in model.named_parameters()))):
+        if got != want:
+            raise ValidationError(f"checkpoint manifest entry {i} is {got!r}, the model's is {want!r}")
     for name, tensor in model.named_parameters():
-        if name not in arrays:
-            raise ValidationError(f"checkpoint missing parameter {name}")
         if arrays[name].shape != tensor.data.shape:
             raise ValidationError(f"checkpoint parameter {name} has the wrong shape")
         tensor.data = arrays[name]

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v` for the per-criterion verdicts;
 training-backed criteria share their runs through module-level caches.
 """
 
+import hashlib
 import json
 import time
 
@@ -445,3 +446,28 @@ def test_c9_determinism_and_roundtrips(tmp_path):
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     _passline(9, "determinism and round-trips",
               f"detections, graphs, checkpoints, metrics byte-identical; round-trips exact; {elapsed:.1f}s")
+
+
+# recorded from the per-instance evaluation that batched ranking replaced
+TRAIN_VAL_DIGEST = "8d9aad25a0f19c40c010cb0dc0b78f2b77f1df80a3a22b2ae5ddb355fe80aeb0"
+
+
+def test_train_val_bytes_are_pinned(tmp_path):
+    """A short `train --val` run on c9's world writes the same checkpoint and metrics bytes.
+
+    Pins this machine's training arithmetic: a change to it (a different pooling
+    rounding, say) shows here instead of only in c7's 50-epoch run.
+    """
+    spec = sw.WorldSpec(seed=90, video_id="d0", n_frames=6, n_static=5, n_dynamic=2,
+                        noise=sw.NoiseSpec(bbox_px=1.0, depth=0.02))
+    world = sw.build_world(spec)
+    graph = compact(register_frames(graph_from_records(sw.world_detections(world), REGISTRY)), PARAMS)
+    instances, _ = sw.generate_qa(world, sw.world_truth(world), "nearest_static", 6, seed=0)
+    config = ModelConfig(d_o=16, d_a=8, vocab_size=sw.VOCAB_SIZE, latent_dim=16, heads=2,
+                         sigma_s=(0.1, 1.0))
+    model, metrics = train(instances, {"d0": graph}, config, TrainConfig(), epochs=2, seed=7,
+                           val_instances=instances)
+    save_model(tmp_path / "m.ckpt", model, seed=7, step=metrics["steps"])
+    digest = hashlib.sha256((tmp_path / "m.ckpt").read_bytes())
+    digest.update(json.dumps(metrics).encode())
+    assert digest.hexdigest() == TRAIN_VAL_DIGEST

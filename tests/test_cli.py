@@ -2,10 +2,12 @@ import contextlib
 import functools
 import io
 import json
+import struct
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -107,6 +109,25 @@ def test_train_lr_zero_checkpoints_byte_identical(tmp_path):
                  "--out", str(final_ckpt), "--save-init", str(init_ckpt),
                  "--lr", "0.0", "--epochs", "2", "--latent", "16", "--heads", "2"]) == 0
     assert init_ckpt.read_bytes() == final_ckpt.read_bytes()
+
+
+def test_diverged_train_writes_nothing(tmp_path, capsys, monkeypatch):
+    det, reg, qa = _synth_corpus(tmp_path, n_worlds=1, n_frames=4, n_static=5, n_dynamic=2)
+    train = cli.train
+
+    def diverging_train(*args, **kwargs):
+        model, metrics = train(*args, **kwargs)
+        model.named_parameters()[3][1].data[0] = np.inf
+        return model, metrics
+
+    monkeypatch.setattr(cli, "train", diverging_train)
+    outs = [tmp_path / name for name in ("m.ckpt", "init.ckpt", "metrics.json")]
+    capsys.readouterr()
+    code = main(["train", "--detections", det, "--registry", reg, "--qa", qa,
+                 "--out", str(outs[0]), "--save-init", str(outs[1]), "--metrics", str(outs[2]),
+                 "--epochs", "1", "--latent", "16", "--heads", "2"])
+    assert "holds a non-finite value" in _one_error(capsys, code, kind="validation")
+    assert not any(path.exists() for path in outs)
 
 
 def test_train_eval_cycle_and_eval_determinism(tmp_path, capsys):
@@ -285,6 +306,39 @@ def test_bad_checkpoint_header_exits_one(tmp_path, capsys, monkeypatch, change):
     assert not (tmp_path / "e.json").exists()
 
 
+def _extra_entry(ckpt):
+    _edit_checkpoint_header(ckpt, lambda head: head["params"].append({"name": "bogus", "shape": [1]}))
+    ckpt.write_bytes(ckpt.read_bytes() + bytes(8))
+
+
+def _repeated_entry(ckpt):
+    _edit_checkpoint_header(ckpt, lambda head: head["params"][1].update(name=head["params"][0]["name"]))
+
+
+def _nan_weight(ckpt):
+    data = ckpt.read_bytes()
+    start = data.index(b"\n") + 1
+    ckpt.write_bytes(data[:start] + struct.pack("<d", float("nan")) + data[start + 8:])
+
+
+@pytest.mark.parametrize("change, message", [
+    (_extra_entry, "checkpoint manifest entry"),
+    (_repeated_entry, "checkpoint manifest entry 1 is 'mlp_s.w0', the model's is 'mlp_s.b0'"),
+    (_nan_weight, "holds a non-finite value"),
+], ids=["extra-entry", "repeated-entry", "nan-weight"])
+def test_bad_checkpoint_body_exits_one(tmp_path, capsys, monkeypatch, change, message):
+    ckpt = tmp_path / "m.ckpt"
+    save_model(ckpt, init_model(ModelConfig(d_o=2, d_a=2, vocab_size=12), seed=0), seed=0, step=3)
+    change(ckpt)
+    qa = write_jsonl(tmp_path / "qa.jsonl",
+                     [{"video_id": "v", "question": [1], "candidates": [[2], [3]], "gt": 0}])
+    monkeypatch.setattr(cli, "_pipeline_graphs", _pipeline_must_not_run)
+    code = main(["eval", "--detections", "d.jsonl", "--registry", "r.json", "--qa", str(qa),
+                 "--model", str(ckpt), "--out", str(tmp_path / "e.json")])
+    assert message in _one_error(capsys, code, kind="validation")
+    assert not (tmp_path / "e.json").exists()
+
+
 @pytest.mark.parametrize("command, change", [
     ("train", ["--latent", "0"]),
     ("train", ["--batch", "0"]),
@@ -359,6 +413,35 @@ def test_bad_graph_file_exits_one(tmp_path, capsys, change, where):
                  "--stats", str(tmp_path / "s.json")])
     assert _one_error(capsys, code).startswith(where)
     assert not (tmp_path / "c.json").exists() and not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("command", ["compact", "stats"])
+def test_graph_file_repeating_a_video_exits_one(tmp_path, capsys, command):
+    det, reg, _ = _synth_corpus(tmp_path, n_worlds=1, qa=False, n_frames=3)
+    graph_file = tmp_path / "g.json"
+    assert main(["ingest", "--in", det, "--registry", reg, "--out", str(graph_file)]) == 0
+    body = json.loads(graph_file.read_text())
+    header = {key: body.pop(key) for key in ("format", "version", "registry_digest")}
+    graph_file.write_text(json.dumps({**header, "graphs": [body, body]}))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    if command == "compact":
+        code = main(["compact", "--in", str(graph_file), "--out", str(out)])
+    else:
+        code = main(["stats", "--before", str(graph_file), "--after", str(graph_file), "--out", str(out)])
+    assert "video 'w100' appears more than once" in _one_error(capsys, code, kind="validation")
+    assert not out.exists()
+
+
+def test_synth_repeating_a_video_id_exits_one(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"worlds": [{"seed": 1, "video_id": "w"}, {"seed": 2, "video_id": "w"}]}))
+    outs = {"--out-detections": tmp_path / "d.jsonl", "--out-qa": tmp_path / "q.jsonl",
+            "--out-truth": tmp_path / "t.json", "--out-registry": tmp_path / "r.json"}
+    args = [arg for flag, path in outs.items() for arg in (flag, str(path))]
+    code = main(["synth", "--spec", str(spec), *args])
+    assert _one_error(capsys, code, kind="validation") == "worlds[1]: video_id 'w' repeats worlds[0]"
+    assert not any(path.exists() for path in outs.values())
 
 
 @pytest.mark.parametrize("spec, where", [

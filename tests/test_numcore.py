@@ -303,6 +303,17 @@ def test_checkpoint_rejects_truncated_blob(tmp_path):
         nc.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_save_rejects_non_finite_and_writes_nothing(tmp_path, bad):
+    rng = np.random.default_rng(0)
+    w = _param(rng, 4, 4)
+    w.data[2, 1] = bad
+    path = tmp_path / "n.ckpt"
+    with pytest.raises(ValidationError, match="parameter w holds a non-finite value"):
+        nc.save_checkpoint(path, {}, [("b", _param(rng, 1, 4)), ("w", w)])
+    assert not path.exists()
+
+
 # -- determinism ----------------------------------------------------------------
 
 

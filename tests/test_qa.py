@@ -17,6 +17,7 @@ from prism25d.qa import (
     batch_forward,
     build_bundles,
     condition_on_questions,
+    encode_candidates,
     encode_questions,
     evaluate,
     init_model,
@@ -31,7 +32,8 @@ from helpers import detection, fd_gradients, max_relative_error, mlp_identity
 
 
 def _probabilities(logits):
-    return nc.softmax_rows(nc.reshape(logits, (1, -1))).data[0]
+    """Softmax over candidates: one row per logit column."""
+    return nc.softmax_rows(nc.transpose(logits)).data
 
 
 def _text_params(rng, vocab=12, r=8):
@@ -155,14 +157,14 @@ def test_condition_rejects_empty_sides():
 
 def test_score_argmax_picks_aligned_column():
     basis = np.eye(4)
-    fq = Tensor(basis[:, 2:3])
-    logits = score_answers(fq, Tensor(basis))
-    assert int(np.argmax(logits.data)) == 2
+    logits = score_answers(Tensor(basis[:, [2, 0, 3]]), Tensor(basis))
+    assert logits.shape == (4, 3)
+    assert list(np.argmax(logits.data, axis=0)) == [2, 0, 3]
 
 
 def test_score_identical_answers_give_uniform_probabilities():
     rng = np.random.default_rng(8)
-    fq = Tensor(rng.normal(size=(4, 1)))
+    fq = Tensor(rng.normal(size=(4, 2)))
     col = rng.normal(size=(4, 1))
     logits = score_answers(fq, Tensor(np.tile(col, (1, 5))))
     assert np.allclose(_probabilities(logits), 0.2, atol=1e-12)
@@ -170,23 +172,24 @@ def test_score_identical_answers_give_uniform_probabilities():
 
 def test_score_probabilities_match_hand_softmax():
     rng = np.random.default_rng(9)
-    fq = rng.normal(size=(4, 1))
+    fq = rng.normal(size=(4, 2))
     answers = rng.normal(size=(4, 3))
     logits = score_answers(Tensor(fq), Tensor(answers))
-    raw = answers.T @ fq[:, 0]
-    want = np.exp(raw - raw.max())
-    want /= want.sum()
-    assert np.allclose(_probabilities(logits), want, atol=1e-12)
+    raw = np.array([[a @ f for f in fq.T] for a in answers.T])
+    want = np.exp(raw - raw.max(axis=0))
+    want /= want.sum(axis=0)
+    assert np.allclose(_probabilities(logits), want.T, atol=1e-12)
     assert np.allclose(logits.data, raw, atol=1e-12)
 
 
 def test_prediction_scale_invariant():
     rng = np.random.default_rng(10)
-    fq = Tensor(rng.normal(size=(4, 1)))
+    fq = Tensor(rng.normal(size=(4, 3)))
     answers = rng.normal(size=(4, 5))
-    base = np.argmax(score_answers(fq, Tensor(answers)).data)
+    base = np.argmax(score_answers(fq, Tensor(answers)).data, axis=0)
     for scale in (0.01, 3.0, 1000.0):
-        assert np.argmax(score_answers(fq, Tensor(answers * scale)).data) == base
+        scaled = np.argmax(score_answers(fq, Tensor(answers * scale)).data, axis=0)
+        assert list(scaled) == list(base)
 
 
 # -- augmented loss -----------------------------------------------------------------
@@ -201,12 +204,12 @@ def test_augmented_loss_b1_equals_plain_cross_entropy():
     text = _identity_text(vocab=12)
     inst = _instance((0,), [(1,), (2,), (3,)], gt=1)
     fq = Tensor(rng.normal(size=(12, 1)))
-    loss, own = augmented_loss([inst], fq, text)
+    loss, ranks = augmented_loss([inst], fq, text)
     # independent evaluation: logits are fq . mean(e_q, e_answer)
     logits = np.array([fq.data[:, 0] @ (np.eye(12)[0] + np.eye(12)[c]) / 2 for c in (1, 2, 3)])
     want = -(logits[1] - (np.log(np.exp(logits - logits.max()).sum()) + logits.max()))
     assert loss.item() == pytest.approx(want, rel=1e-12)
-    assert np.allclose(own[0], logits, atol=1e-12)
+    assert list(ranks) == [1 + int(np.sum(logits > logits[1]))]
 
 
 def test_augmented_loss_two_instances_hand_computed():
@@ -273,6 +276,61 @@ def test_augmented_loss_nonnegative_random():
         fqs = [Tensor(rng.normal(size=(8, 1))) for _ in insts]
         loss, _ = augmented_loss(insts, _columns(fqs), text)
         assert loss.item() >= 0.0
+
+
+def _ranks_of(logits, batch, monkeypatch):
+    """augmented_loss's ranks when the scorer returns `logits` (candidates, instances)."""
+    from prism25d import qa
+
+    monkeypatch.setattr(qa, "score_answers", lambda fq, answers: Tensor(logits))
+    fq = Tensor(np.zeros((12, len(batch))))
+    return augmented_loss(batch, fq, _identity_text(vocab=12))[1]
+
+
+def _rank_batch(rng, n):
+    out = []
+    for _ in range(n):
+        k = int(rng.integers(2, 6))
+        out.append(_instance((0,), [(c,) for c in range(1, k + 1)], gt=int(rng.integers(k))))
+    return out
+
+
+def _own_columns(logits, batch):
+    lo = 0
+    for b, inst in enumerate(batch):
+        yield inst, logits[lo : lo + len(inst.candidates), b]
+        lo += len(inst.candidates)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_augmented_loss_rank_one_is_argmax(ties, monkeypatch):
+    rng = np.random.default_rng(16 + ties)
+    batch = _rank_batch(rng, 40)
+    n_cands = sum(len(inst.candidates) for inst in batch)
+    shape = (n_cands, len(batch))
+    # exact ties: three logit values, so most columns repeat their maximum
+    logits = rng.integers(0, 3, size=shape).astype(float) if ties else rng.normal(size=shape)
+    ranks = _ranks_of(logits, batch, monkeypatch)
+    for (inst, own), rank in zip(_own_columns(logits, batch), ranks):
+        gt = inst.gt_index
+        assert (rank == 1) == (int(np.argmax(own)) == gt)
+        assert rank == 1 + np.sum(own > own[gt]) + np.sum(own[:gt] == own[gt])
+    if ties:
+        assert any(np.sum(own == own.max()) > 1 for _, own in _own_columns(logits, batch))
+
+
+def test_augmented_loss_nan_logit_never_ranks_first(monkeypatch):
+    rng = np.random.default_rng(18)
+    batch = _rank_batch(rng, 12)
+    n_cands = sum(len(inst.candidates) for inst in batch)
+    logits = rng.normal(size=(n_cands, len(batch)))
+    lo = 0
+    for b, inst in enumerate(batch):
+        own = logits[lo : lo + len(inst.candidates), b]
+        own[inst.gt_index] = 100.0  # would rank first
+        own[b % len(own)] = np.nan  # on the ground truth itself for some instances
+        lo += len(own)
+    assert np.all(_ranks_of(logits, batch, monkeypatch) > 1)
 
 
 # -- tiny corpora for train/evaluate -------------------------------------------------
@@ -385,20 +443,23 @@ def test_evaluate_records_no_tape_and_training_still_gets_gradients(registry, mo
     from prism25d import qa
 
     graphs = {"v": _toy_graph(registry)}
-    insts = [_instance((1, 5 + i % 3), [(2,), (3,), (4,)], gt=i % 3) for i in range(4)]
+    n = 2 * qa.EVAL_BATCH + 1
+    insts = [_instance((1, 5 + i % 3), [(2,), (3,), (4,)], gt=i % 3) for i in range(n)]
     model = init_model(_toy_config(), seed=4)
     seen = []
     score = qa.score_answers
 
     def recording_score(fq, answers):
         logits = score(fq, answers)
-        seen.extend([fq, answers, logits])
+        seen.append((fq, answers, logits))
         return logits
 
     monkeypatch.setattr(qa, "score_answers", recording_score)
     evaluate(insts, graphs, model)
-    assert len(seen) == 3 * len(insts)
-    for t in seen:
+    # one scoring call per chunk, each covering every candidate of the chunk
+    assert [fq.shape[1] for fq, _, _ in seen] == [qa.EVAL_BATCH, qa.EVAL_BATCH, 1]
+    assert [answers.shape[1] for _, answers, _ in seen] == [3 * qa.EVAL_BATCH, 3 * qa.EVAL_BATCH, 3]
+    for t in (t for call in seen for t in call):
         assert t._parents == () and t._backward is None and not t.requires_grad
 
     bundles = build_bundles(graphs, model.config.kernel_config())
@@ -467,6 +528,34 @@ def test_mixed_batch_gradients_match_finite_differences(registry):
     for (name, _), a, f in zip(named, ad, fd):
         err = max_relative_error(a, f)
         assert err < 1e-4, f"{name}: rel err {err}"
+
+
+def test_evaluate_matches_per_instance_scoring(registry):
+    """Batched evaluation against the per-instance logits and rank formula it replaced."""
+    graphs = {vid: _toy_graph(registry, vid=vid) for vid in ("v", "w")}
+    graphs["u"] = _second_graph(registry)
+    rng = np.random.default_rng(19)
+    pool = [tuple(int(t) for t in rng.integers(1, 12, size=rng.integers(1, 4))) for _ in range(12)]
+    insts = []
+    for i in range(45):  # videos interleaved, answers drawn from one shared pool
+        k = int(rng.integers(2, 6))
+        cands = [pool[j] for j in rng.choice(len(pool), size=k, replace=False)]
+        question = tuple(int(t) for t in rng.integers(1, 12, size=rng.integers(1, 4)))
+        insts.append(_instance(question, cands, gt=int(rng.integers(k)), vid="vwu"[i % 3]))
+    model = init_model(_toy_config(), seed=8)
+    bundles = build_bundles(graphs, model.config.kernel_config())
+    correct, rank_sum = 0, 0.0
+    with nc.no_grad():
+        for inst in insts:
+            fq = question_features(model, bundles, [inst]).data[:, 0]
+            answers = encode_candidates([inst], model.text).data
+            logits = answers.T @ fq
+            gt = inst.gt_index
+            correct += int(np.argmax(logits)) == gt
+            rank_sum += 1 + int(np.sum(logits > logits[gt])) + int(np.sum(logits[:gt] == logits[gt]))
+    want = {"accuracy": correct / len(insts), "mean_rank": rank_sum / len(insts)}
+    assert 0 < correct < len(insts)
+    assert evaluate(insts, graphs, model) == want
 
 
 def test_unknown_video_rejected(registry):

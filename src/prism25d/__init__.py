@@ -4,7 +4,6 @@ from .attention import (
     DEFAULT_BANDWIDTHS,
     combined_encoding,
     hierarchical_attention,
-    kernel,
     kernel_attention,
     multihead_attention,
 )

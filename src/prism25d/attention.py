@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import ValidationError
-from .graph import SceneGraph25D, SceneNode
+from .graph import SceneGraph25D
 from .numcore import MlpParams, Tensor
 
 DEFAULT_BANDWIDTHS = (0.01, 0.1, 1.0, 10.0)
@@ -20,22 +21,6 @@ MASK_LOGIT = -1e30  # additive score mask for pairs that may not attend
 # spatio-temporal kernel
 
 
-def min_time_gap(ta: np.ndarray, tb: np.ndarray) -> float:
-    """Smallest |t - t'| across the two observation lists.
-
-    Unmerged nodes carry one timestamp each, so this reduces to the plain
-    temporal distance; merged static nodes contribute their closest sighting.
-    """
-    return float(np.abs(np.asarray(ta)[:, None] - np.asarray(tb)[None, :]).min())
-
-
-def kernel(v: SceneNode, w: SceneNode, sigma_s: float, sigma_t: float) -> float:
-    """Spatio-temporal proximity in (0, 1]; 1 exactly when v and w coincide."""
-    d2 = float(np.sum((v.centroid3d - w.centroid3d) ** 2))
-    dt = min_time_gap(np.asarray(v.timestamps), np.asarray(w.timestamps))
-    return math.exp(-d2 / sigma_s**2 - dt / sigma_t)
-
-
 def kernel_distances(
     positions: np.ndarray, time_obs: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -43,8 +28,8 @@ def kernel_distances(
     n = positions.shape[0]
     diff = positions[:, None, :] - positions[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    # dt[i, j] = min_time_gap(time_obs[i], time_obs[j]): node i's gap to each observation,
-    # min-reduced per node block; the empty array and reshape give (0, 0) for no nodes
+    # dt[i, j] = min |t - t'| over t in time_obs[i], t' in time_obs[j]: node i's gap to each
+    # observation, min-reduced per node block; the empty array and reshape give (0, 0) for no nodes
     t_all = np.concatenate([np.zeros(0), *time_obs])
     starts = np.cumsum([0] + [t.size for t in time_obs[:-1]])
     dt = np.array(
@@ -167,20 +152,31 @@ def multihead_attention(
     r, m = queries.data.shape
     if r % heads != 0:
         raise ValidationError(f"latent width {r} not divisible by {heads} heads")
-    r_k = r // heads
-    cols = np.arange(heads * m)
-    repeat = (np.arange(m)[:, None] == cols % m).astype(float)  # (m, heads * m): [I ... I]
-    head_rows = (np.arange(r)[:, None] // r_k == cols // m).astype(float)  # (r, heads * m)
+    repeat, head_rows, scaled_rows = head_masks(r, heads, m)
     q = nc.matmul(params.wq, queries)
     k = nc.matmul(params.wk, keys)
     v = nc.matmul(params.wv, keys)
-    # the 1/sqrt(r_k) scaling rides on the constant head mask
-    q_heads = nc.matmul(q, Tensor(repeat)) * Tensor(head_rows * (1.0 / math.sqrt(r_k)))
+    q_heads = nc.matmul(q, Tensor(repeat)) * Tensor(scaled_rows)
     scores = nc.matmul(nc.transpose(q_heads), k)
     if mask is not None:
         scores = scores + Tensor(np.tile(mask, (heads, 1)))
     attended = nc.matmul(v, nc.transpose(nc.softmax_rows(scores))) * Tensor(head_rows)
     return nc.matmul(attended, Tensor(repeat.T))
+
+
+@functools.lru_cache(maxsize=32)
+def head_masks(r: int, heads: int, m: int) -> tuple[np.ndarray, ...]:
+    """`multihead_attention`'s constant masks for m queries: `repeat` (m, heads * m) = [I ... I],
+    `head_rows` (r, heads * m) selecting head h's rows in column block h, and `head_rows` times
+    the 1/sqrt(r_k) score scaling. Shared between calls, so read-only."""
+    r_k = r // heads
+    cols = np.arange(heads * m)
+    repeat = (np.arange(m)[:, None] == cols % m).astype(float)
+    head_rows = (np.arange(r)[:, None] // r_k == cols // m).astype(float)
+    masks = (repeat, head_rows, head_rows * (1.0 / math.sqrt(r_k)))
+    for a in masks:
+        a.flags.writeable = False
+    return masks
 
 
 def kernel_attention(features: Tensor, value_weights: Tensor, smax: Tensor) -> Tensor:

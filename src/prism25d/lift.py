@@ -82,23 +82,6 @@ class RigidTransform:
             self.rotation @ other.translation + self.translation,
         )
 
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
-
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        r = self.rotation
-        return (
-            np.abs(r.T @ r - np.eye(3)).max() <= tol
-            and abs(np.linalg.det(r) - 1.0) <= tol
-        )
-
-    def allclose(self, other: "RigidTransform", tol: float = 1e-9) -> bool:
-        return (
-            np.linalg.norm(self.rotation - other.rotation) <= tol
-            and np.linalg.norm(self.translation - other.translation) <= tol
-        )
-
 
 def estimate_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     """Least-squares rigid fit R @ src + t ~= dst (Kabsch, reflection-corrected).
@@ -117,7 +100,8 @@ def estimate_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     c_dst = dst.mean(axis=0)
     a = src - c_src
     b = dst - c_dst
-    if np.linalg.matrix_rank(a) < 2:
+    s = np.linalg.svd(a, compute_uv=False)  # rank < 2 at np.linalg.matrix_rank's default tolerance
+    if np.count_nonzero(s > s.max() * (max(a.shape) * np.finfo(np.float64).eps)) < 2:
         return RigidTransform.identity()
 
     h = a.T @ b

@@ -71,7 +71,12 @@ def no_grad():
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _recording.get() and any(p.requires_grad for p in parents):
+    for p in parents:
+        if p.requires_grad:
+            break
+    else:  # an op on constants records nothing
+        return out
+    if _recording.get():
         out.requires_grad = True
         out._leaf = False
         out._parents = parents
@@ -97,8 +102,10 @@ def add(a: Tensor, b) -> Tensor:
     b = _wrap(b)
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make(a.data + b.data, (a, b), bw)
 
@@ -111,8 +118,10 @@ def mul(a: Tensor, b) -> Tensor:
     b = _wrap(b)
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(a.data * b.data, (a, b), bw)
 
@@ -124,8 +133,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValidationError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
 
     def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), bw)
 
@@ -191,8 +202,9 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
     def bw(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = tuple(slice(lo, hi) if d == axis else slice(None) for d in range(g.ndim))
-            _accum(t, g[idx])
+            if t.requires_grad:
+                idx = tuple(slice(lo, hi) if d == axis else slice(None) for d in range(g.ndim))
+                _accum(t, g[idx])
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
 
@@ -247,20 +259,21 @@ def take(a: Tensor, index: int) -> Tensor:
 
 def _toposort(root: Tensor) -> list[Tensor]:
     topo: list[Tensor] = []
-    visited: set[int] = set()
+    visited: set[Tensor] = set()  # Tensor hashes by identity
     stack: list[tuple[Tensor, bool]] = [(root, False)]
+    emit, push, pop, seen = topo.append, stack.append, stack.pop, visited.add
     while stack:
-        node, processed = stack.pop()
+        node, processed = pop()
         if processed:
-            topo.append(node)
+            emit(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
+        seen(node)
+        push((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:  # constants have no tape to walk
-                stack.append((p, False))
+            if p.requires_grad and p not in visited:  # constants have no tape to walk
+                push((p, False))
     return topo
 
 
@@ -343,36 +356,43 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
 
 
 class Adam:
-    """Standard Adam with bias correction over a fixed parameter list."""
+    """Standard Adam with bias correction over a fixed parameter list. Building it makes each
+    parameter's `.data` a view into one flat f64 buffer, which a step updates in one pass."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
+        if len(set(self.params)) != len(self.params):
+            raise ValidationError("adam parameter list holds a tensor twice")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._flat = np.concatenate([np.zeros(0)] + [p.data.reshape(-1) for p in self.params])
+        offset = 0
+        for p in self.params:
+            p.data = self._flat[offset : offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = np.zeros_like(p.data)
 
     def step(self) -> None:
+        if any(p.grad is None for p in self.params):
+            raise ValidationError("adam step with a missing gradient; run backward first")
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                raise ValidationError("adam step with a missing gradient; run backward first")
-            g = p.grad
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self._m[i] / b1t
-            v_hat = self._v[i] / b2t
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g = np.concatenate([np.zeros(0)] + [p.grad.reshape(-1) for p in self.params])
+        self._m = self.beta1 * self._m + (1.0 - self.beta1) * g
+        self._v = self.beta2 * self._v + (1.0 - self.beta2) * g * g
+        m_hat = self._m / b1t
+        v_hat = self._v / b2t
+        self._flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 # ---------------------------------------------------------------------------

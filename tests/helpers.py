@@ -1,10 +1,12 @@
 """Record builders and reference implementations shared by the test modules."""
 
 import json
+import math
 
 import numpy as np
 
 from prism25d.compact import MatchParams, criterion
+from prism25d.lift import RigidTransform
 from prism25d.numcore import MlpParams, Tensor
 
 
@@ -113,3 +115,42 @@ def oracle_correspondences(graph, gamma):
                 dst.append(graph.nodes[wid].centroid3d)
         pairs.append((np.array(src).reshape(-1, 3), np.array(dst).reshape(-1, 3)))
     return pairs
+
+
+# -- pairwise kernel: the reference for attention.kernel_matrix -----------------
+
+
+def min_time_gap(ta, tb):
+    """Smallest |t - t'| across the two observation lists.
+
+    Unmerged nodes carry one timestamp each, so this reduces to the plain
+    temporal distance; merged static nodes contribute their closest sighting.
+    """
+    return float(np.abs(np.asarray(ta)[:, None] - np.asarray(tb)[None, :]).min())
+
+
+def kernel(v, w, sigma_s, sigma_t):
+    """Spatio-temporal proximity of two nodes in (0, 1]; 1 exactly when v and w coincide."""
+    d2 = float(np.sum((v.centroid3d - w.centroid3d) ** 2))
+    dt = min_time_gap(np.asarray(v.timestamps), np.asarray(w.timestamps))
+    return math.exp(-d2 / sigma_s**2 - dt / sigma_t)
+
+
+# -- rigid transforms -------------------------------------------------------------
+
+
+def rigid_inverse(t):
+    rt = t.rotation.T
+    return RigidTransform(rt, -rt @ t.translation)
+
+
+def is_proper_rotation(t, tol=1e-9):
+    r = t.rotation
+    return np.abs(r.T @ r - np.eye(3)).max() <= tol and abs(np.linalg.det(r) - 1.0) <= tol
+
+
+def rigid_allclose(a, b, tol=1e-9):
+    return (
+        np.linalg.norm(a.rotation - b.rotation) <= tol
+        and np.linalg.norm(a.translation - b.translation) <= tol
+    )

@@ -11,12 +11,10 @@ from prism25d.attention import (
     combined_encoding,
     encoder_init,
     hierarchical_attention,
-    kernel,
     kernel_attention,
     kernel_distances,
     kernel_matrix,
     kernel_softmax_levels,
-    min_time_gap,
     multihead_attention,
     project_nodes,
 )
@@ -24,7 +22,7 @@ from prism25d.errors import ValidationError
 from prism25d.graph import graph_from_records
 from prism25d.numcore import Tensor
 
-from helpers import detection, fd_gradients, max_relative_error, mlp_identity
+from helpers import detection, fd_gradients, kernel, max_relative_error, min_time_gap, mlp_identity
 
 
 def _nodes(rng, n=5, r=8):

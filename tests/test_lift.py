@@ -8,6 +8,8 @@ from prism25d.lift import Intrinsics, RigidTransform, default_intrinsics, estima
 from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
 
+from helpers import is_proper_rotation, rigid_allclose, rigid_inverse
+
 
 INTR = Intrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0)
 
@@ -44,7 +46,7 @@ def _noncollinear_points(rng, n=6):
 def test_estimate_rigid_identity_on_equal_sets():
     pts = _noncollinear_points(np.random.default_rng(0))
     t = estimate_rigid(pts, pts)
-    assert t.allclose(RigidTransform.identity(), tol=1e-12)
+    assert rigid_allclose(t, RigidTransform.identity(), tol=1e-12)
 
 
 def test_estimate_rigid_pure_translation():
@@ -56,9 +58,20 @@ def test_estimate_rigid_pure_translation():
 
 def test_estimate_rigid_degenerate_fallbacks():
     two = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    assert estimate_rigid(two, two + 5.0).allclose(RigidTransform.identity())
+    assert rigid_allclose(estimate_rigid(two, two + 5.0), RigidTransform.identity())
     collinear = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-    assert estimate_rigid(collinear, collinear + 1.0).allclose(RigidTransform.identity())
+    assert rigid_allclose(estimate_rigid(collinear, collinear + 1.0), RigidTransform.identity())
+
+
+def test_estimate_rigid_falls_back_exactly_when_matrix_rank_is_below_two():
+    rng = np.random.default_rng(13)
+    rot = Rotation.from_euler("xyz", [0.4, 0.1, -0.3]).as_matrix()
+    line = np.outer(np.arange(6.0), [1.0, 2.0, -0.5])
+    for k in range(60):
+        scale = 10.0 ** -rng.integers(8, 19)  # around the rank tolerance of a line
+        src = line + scale * rng.normal(size=line.shape) if k % 3 else rng.normal(size=(5, 3))
+        fell_back = rigid_allclose(estimate_rigid(src, src @ rot.T), RigidTransform.identity(), 0.0)
+        assert fell_back == (np.linalg.matrix_rank(src - src.mean(axis=0)) < 2)
 
 
 def test_estimate_rigid_length_mismatch():
@@ -84,14 +97,14 @@ def test_estimate_rigid_output_always_proper_rotation():
         src = rng.normal(size=(5, 3))
         dst = rng.normal(size=(5, 3))  # arbitrary, even non-rigid pairs
         est = estimate_rigid(src, dst)
-        assert est.is_valid(tol=1e-9)
+        assert is_proper_rotation(est, tol=1e-9)
 
 
 def test_compose_and_identity():
     rot = Rotation.from_euler("xyz", [0.3, -0.2, 0.5]).as_matrix()
     t = RigidTransform(rot, np.array([1.0, -2.0, 0.5]))
-    assert RigidTransform.identity().compose(t).allclose(t, tol=1e-15)
-    assert t.compose(t.inverse()).allclose(RigidTransform.identity(), tol=1e-12)
+    assert rigid_allclose(RigidTransform.identity().compose(t), t, tol=1e-15)
+    assert rigid_allclose(t.compose(rigid_inverse(t)), RigidTransform.identity(), tol=1e-12)
 
 
 # -- registration over synthetic worlds --------------------------------------
@@ -109,7 +122,7 @@ def test_register_stationary_is_identity():
     spec = sw.WorldSpec(seed=5, video_id="s", n_frames=6, n_static=4, n_dynamic=1)
     _, _, _, g = _world_graph(spec)
     for t in estimate_frame_transforms(g):
-        assert t.allclose(RigidTransform.identity(), tol=1e-12)
+        assert rigid_allclose(t, RigidTransform.identity(), tol=1e-12)
     registered = register_frames(g)
     for nid in g.nodes:
         assert np.allclose(registered.nodes[nid].centroid3d, g.nodes[nid].centroid3d, atol=1e-12)

@@ -217,7 +217,76 @@ def test_gradcheck_attention_mlp_stack():
     _gradcheck(build, params.parameters() + mlp.parameters())
 
 
+def test_backward_gives_constants_no_gradient():
+    rng = np.random.default_rng(11)
+    w, bias, v = _param(rng, 3, 4), _param(rng, 3, 1), _param(rng, 3, 2)
+    consts = [Tensor(rng.normal(size=shape)) for shape in ((4, 5), (3, 5), (3, 3), (2, 3))]
+
+    def build():
+        x, scale, extra, mix = consts
+        h = nc.mul(nc.add(nc.matmul(w, x), bias), scale)  # (3, 5)
+        joined = nc.concat([h, extra, v], axis=1)  # (3, 10)
+        return nc.tsum(nc.mul(joined, joined)) + nc.tsum(nc.matmul(mix, nc.concat([v, h], axis=1)))
+
+    _gradcheck(build, [w, bias, v])
+    assert all(c.grad is None and not c.requires_grad for c in consts)
+    # the leaf gradients are the same bits as when every operand takes a gradient
+    got = [p.grad for p in (w, bias, v)]
+    for c in consts:
+        c.requires_grad = True
+    for p in (w, bias, v, *consts):
+        p.grad = np.zeros_like(p.data)
+    nc.backward(build())
+    for p, g in zip((w, bias, v), got):
+        assert p.grad.tobytes() == g.tobytes()
+
+
+def test_head_masks_are_read_only():
+    from prism25d.attention import head_masks
+
+    for mask in head_masks(8, 2, 5):
+        with pytest.raises(ValueError):
+            mask[0, 0] = 1.0
+
+
 # -- adam -------------------------------------------------------------------------
+
+
+def _reference_adam(params, grads, t, m, v, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One step of per-tensor Adam with bias correction; returns the new parameter arrays."""
+    b1t, b2t = 1.0 - beta1**t, 1.0 - beta2**t
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g
+        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+        out.append(p - lr * (m[i] / b1t) / (np.sqrt(v[i] / b2t) + eps))
+    return out
+
+
+def test_adam_flat_buffer_matches_per_tensor_reference():
+    rng = np.random.default_rng(12)
+    shapes = [(6, 4), (6, 1), (4,), (3, 5), (1, 1)]
+    params = [_param(rng, *shape) for shape in shapes]
+    ref = [p.data.copy() for p in params]
+    m, v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+    opt = Adam(params, lr=0.01)
+    for p, want in zip(params, ref):
+        assert np.shares_memory(p.data, opt._flat) and p.data.shape == want.shape
+    for t in range(1, 6):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-4, 3) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        ref = _reference_adam(ref, grads, t, m, v, lr=0.01)
+        for p, want in zip(params, ref):
+            assert p.data.tobytes() == want.tobytes()
+
+
+def test_adam_rejects_a_repeated_parameter():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(ValidationError, match="twice"):
+        Adam([x, x])
+
 
 
 def test_adam_zero_gradient_keeps_params():

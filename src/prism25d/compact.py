@@ -121,10 +121,12 @@ def nearest(
         & (index.class_ids[cols] == queries.class_ids[:, None])
         & (inter / (area_a + area_b - inter) > gamma)
     )
-    diff = queries.centroids[:, None, :] - index.centroids[cols]
     # one BLAS dot per pair, as np.linalg.norm takes per vector: a plain sum of
-    # squares differs from it in the last bit on about a tenth of vectors
-    dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    # squares differs from it in the last bit on about a tenth of vectors. Far
+    # finite centroids overflow to an infinite distance, which ranks last.
+    with np.errstate(over="ignore"):
+        diff = queries.centroids[:, None, :] - index.centroids[cols]
+        dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
     best = np.where(passing, dist, np.inf).min(axis=1)
     tied = passing & (dist == best[:, None])
     pick = np.where(tied, index.rank[cols], len(index.ids)).argmin(axis=1)

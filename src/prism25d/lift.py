@@ -83,30 +83,48 @@ class RigidTransform:
         )
 
 
-def estimate_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
-    """Least-squares rigid fit R @ src + t ~= dst (Kabsch, reflection-corrected).
+def fit_rigid(src: np.ndarray, dst: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares rigid fits R @ src + t ~= dst (Kabsch, reflection-corrected): pair i
+    holds the next counts[i] rows of the (m, 3) src and dst. Returns (pairs, 3, 3)
+    rotations and (pairs, 3) translations.
 
-    Falls back to the identity when fewer than 3 correspondences are given or
-    the centered source points are rank-deficient (alignment underdetermined).
+    A pair falls back to the identity when it has fewer than 3 correspondences, or its
+    centered points are not finite, or its centered source points have rank < 2 at
+    np.linalg.matrix_rank's default tolerance (alignment underdetermined). The pairs
+    of one count form one stack, and each stacked numpy call rounds as per matrix.
     """
-    src = np.asarray(src, dtype=np.float64).reshape(-1, 3)
-    dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
+    counts = np.asarray(counts, dtype=np.int64)
+    rot, trans = np.tile(np.eye(3), (len(counts), 1, 1)), np.zeros((len(counts), 3))
+    starts = np.cumsum(counts) - counts
+    for k in sorted(set(counts[counts >= 3].tolist())):  # np.unique would import numpy.ma
+        pairs = np.flatnonzero(counts == k)
+        rows = starts[pairs, None] + np.arange(k)
+        p, q = src[rows], dst[rows]  # (g, k, 3)
+        with np.errstate(over="ignore", invalid="ignore"):  # such pairs are masked below
+            c_p, c_q = p.mean(axis=1), q.mean(axis=1)
+            a, b = p - c_p[:, None, :], q - c_q[:, None, :]
+            h = a.transpose(0, 2, 1) @ b
+        # a non-finite entry of a or b leaves a row or column of h non-finite
+        fit = np.isfinite(h).all(axis=(1, 2))
+        s = np.linalg.svd(a[fit], compute_uv=False)
+        tol = s.max(axis=1, keepdims=True) * (k * np.finfo(np.float64).eps)  # matrix_rank's, as k >= 3
+        fit[fit] = np.count_nonzero(s > tol, axis=1) >= 2
+        u, _, vt = np.linalg.svd(h[fit])
+        v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+        flip = np.tile(np.eye(3), (len(v), 1, 1))  # np.diag([1.0, 1.0, d]) per pair
+        flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+        rot[pairs[fit]] = r = v @ flip @ ut
+        trans[pairs[fit]] = c_q[fit] - (r @ c_p[fit][:, :, None])[:, :, 0]
+    return rot, trans
+
+
+def estimate_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
+    """fit_rigid for one pair of (k, 3) point lists."""
+    src, dst = np.asarray(src, dtype=np.float64), np.asarray(dst, dtype=np.float64)
+    for name, points in (("src", src), ("dst", dst)):
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValidationError(f"{name} points must have shape (k, 3), got {points.shape}")
     if src.shape != dst.shape:
         raise ValidationError(f"point lists differ in length: {src.shape[0]} vs {dst.shape[0]}")
-    if src.shape[0] < 3:
-        return RigidTransform.identity()
-
-    c_src = src.mean(axis=0)
-    c_dst = dst.mean(axis=0)
-    a = src - c_src
-    b = dst - c_dst
-    s = np.linalg.svd(a, compute_uv=False)  # rank < 2 at np.linalg.matrix_rank's default tolerance
-    if np.count_nonzero(s > s.max() * (max(a.shape) * np.finfo(np.float64).eps)) < 2:
-        return RigidTransform.identity()
-
-    h = a.T @ b
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    trans = c_dst - rot @ c_src
-    return RigidTransform(rot, trans)
+    rot, trans = fit_rigid(src, dst, [len(src)])
+    return RigidTransform(rot[0], trans[0])

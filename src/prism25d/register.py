@@ -8,33 +8,43 @@ import numpy as np
 
 from .compact import MatchParams, nearest, static_index
 from .graph import SceneGraph25D, SceneNode
-from .lift import RigidTransform, estimate_rigid
+from .lift import RigidTransform, fit_rigid
+
+
+def frame_correspondences(graph: SceneGraph25D, gamma: float = 0.5) -> tuple[np.ndarray, ...]:
+    """Every consecutive frame pair's static correspondences, as fit_rigid takes them:
+    src (m, 3), dst (m, 3) and counts (pairs,). Pair i's counts[i] rows hold the static
+    nodes of frame i + 1 that have a nearest candidate among the static nodes of
+    frame i, in src, and those candidates, in dst.
+    """
+    gamma = MatchParams(gamma=gamma, delta=1).gamma  # checks gamma
+    index = static_index(graph)
+    spans = np.array([index.rows(fs.frame_index, fs.frame_index + 1) for fs in graph.frames],
+                     dtype=np.int64).reshape(-1, 2)
+    prev, cur = spans[:-1], spans[1:]
+    sizes = cur[:, 1] - cur[:, 0]
+    pair = np.repeat(np.arange(len(cur)), sizes)
+    rows = np.arange(len(pair)) + np.repeat(cur[:, 0] - (np.cumsum(sizes) - sizes), sizes)
+    # each static occurrence's candidates: the static occurrences of the previous frame
+    lo, hi = np.zeros((2, len(index.ids)), dtype=np.int64)
+    lo[rows], hi[rows] = prev[pair].T
+    matches = nearest(index, index, lo, hi, gamma)[rows]
+    found = matches >= 0
+    counts = np.bincount(pair[found], minlength=len(cur))
+    return index.centroids[rows[found]], index.centroids[matches[found]], counts
 
 
 def estimate_frame_transforms(graph: SceneGraph25D, gamma: float = 0.5) -> list[RigidTransform]:
     """Cumulative transforms mapping each frame's coordinates into frame 0's.
 
-    Consecutive-frame static correspondences feed a least-squares rigid fit;
-    pairs with too few matches fall back to the identity, keeping the chain
-    intact.
+    Consecutive-frame static correspondences feed one stacked least-squares rigid
+    fit per correspondence count; pairs with too few matches fall back to the
+    identity, keeping the chain intact.
     """
-    params = MatchParams(gamma=gamma, delta=1)
-    index = static_index(graph)
-    spans = [index.rows(fs.frame_index, fs.frame_index + 1) for fs in graph.frames]
-    # each static occurrence's candidates: the static occurrences of the previous frame
-    lo = np.zeros(len(index.ids), dtype=np.int64)
-    hi = np.zeros(len(index.ids), dtype=np.int64)
-    for (plo, phi), (a, b) in zip(spans, spans[1:]):
-        lo[a:b], hi[a:b] = plo, phi
-    matches = nearest(index, index, lo, hi, params.gamma)
+    rotations, translations = fit_rigid(*frame_correspondences(graph, gamma))  # frame cur -> prev
     transforms = [RigidTransform.identity()]
-    for a, b in spans[1:]:
-        # correspondences cur -> prev: each static node and its nearest candidate in prev
-        found = matches[a:b]
-        src = index.centroids[a:b][found >= 0]
-        dst = index.centroids[found[found >= 0]]
-        step = estimate_rigid(src, dst)  # frame cur -> frame prev
-        transforms.append(transforms[-1].compose(step))
+    for rotation, translation in zip(rotations, translations):
+        transforms.append(transforms[-1].compose(RigidTransform(rotation, translation)))
     return transforms
 
 

@@ -56,6 +56,18 @@ def max_relative_error(a, b, floor=1e-6):
     return float((np.abs(a - b) / denom).max()) if a.size else 0.0
 
 
+# Three static boxes a sub-pixel off the image center of the default 256 x 256
+# intrinsics, at depths whose sum overflows: every lifted centroid is finite, but
+# each frame's mean centroid is not, so registration falls back to the identity.
+OVERFLOW_REGISTRY = {"classes": [{"id": 1, "name": "box", "kind": "static"}]}
+OVERFLOW_DETECTIONS = [
+    detection(frame=f, bbox=bbox, depth=depth)
+    for f in range(2)
+    for bbox, depth in (((127.0, 127.0, 128.0, 128.0), 1.0e308), ((128.0, 127.0, 129.0, 128.0), 1.7e308),
+                        ((127.0, 128.0, 128.0, 129.0), 1.2e308))
+]
+
+
 def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
@@ -154,3 +166,24 @@ def rigid_allclose(a, b, tol=1e-9):
         np.linalg.norm(a.rotation - b.rotation) <= tol
         and np.linalg.norm(a.translation - b.translation) <= tol
     )
+
+
+def oracle_rigid(src, dst):
+    """One Kabsch fit with one numpy call per step: the reference for lift.fit_rigid."""
+    src = np.asarray(src, dtype=np.float64).reshape(-1, 3)
+    dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
+    if src.shape[0] < 3:
+        return RigidTransform.identity()
+    c_src = src.mean(axis=0)
+    c_dst = dst.mean(axis=0)
+    a = src - c_src
+    b = dst - c_dst
+    s = np.linalg.svd(a, compute_uv=False)  # rank < 2 at np.linalg.matrix_rank's default tolerance
+    if np.count_nonzero(s > s.max() * (max(a.shape) * np.finfo(np.float64).eps)) < 2:
+        return RigidTransform.identity()
+    h = a.T @ b
+    u, _, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    trans = c_dst - rot @ c_src
+    return RigidTransform(rot, trans)

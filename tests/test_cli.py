@@ -1,8 +1,12 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import prism25d
 from prism25d import cli
 from prism25d.cli import main
 from prism25d.compact import MatchParams
@@ -18,7 +23,7 @@ from prism25d.graph import DEFAULT_INTRINSICS, load_corpus
 from prism25d.qa import ModelConfig, TrainConfig, init_model, save_model
 from prism25d import synthworld as sw
 
-from helpers import detection, write_jsonl
+from helpers import OVERFLOW_DETECTIONS, OVERFLOW_REGISTRY, detection, write_jsonl
 
 
 def _spec_file(tmp_path, worlds):
@@ -543,6 +548,25 @@ def test_synth_rejects_an_empty_qa_request(tmp_path, capsys, count):
                  "--out-qa", str(qa), "--qa-per-world", count])
     _one_error(capsys, code, kind="validation")
     assert not det.exists() and not qa.exists()
+
+
+# the graph file that ingest wrote for OVERFLOW_DETECTIONS before registration was
+# batched, when LAPACK printed its DLASCL complaint on the way to the same fallback
+OVERFLOW_GRAPH_SHA256 = "5227db958516a6e270a1193cde4048a86287dcf143624e282bb0fe44c1a2f482"
+
+
+def test_ingest_keeps_lapack_off_an_overflowing_mean_centroid(tmp_path):
+    """LAPACK prints its own errors from native code, so only a child process shows them."""
+    det = write_jsonl(tmp_path / "d.jsonl", OVERFLOW_DETECTIONS)
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps(OVERFLOW_REGISTRY))
+    out = tmp_path / "g.json"
+    src = str(Path(prism25d.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "prism25d.cli", "ingest", "--in", str(det), "--registry",
+                           str(reg), "--out", str(out)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"ingested 1 videos -> {out}\n", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OVERFLOW_GRAPH_SHA256
 
 
 def test_ingest_no_register_takes_no_gamma(tmp_path, capsys):

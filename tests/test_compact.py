@@ -14,7 +14,6 @@ from prism25d.compact import (
 )
 from prism25d.errors import ValidationError
 from prism25d.graph import FrameSet, SceneGraph25D, SceneNode, graph_from_records
-from prism25d.lift import estimate_rigid
 from prism25d import register
 from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
@@ -428,19 +427,13 @@ def test_match_is_the_one_query_search():
     assert seen.all()
 
 
-def test_registration_correspondences_match_per_candidate_search(monkeypatch):
-    seen = []
-
-    def record(src, dst):
-        seen.append((src, dst))
-        return estimate_rigid(src, dst)
-
-    monkeypatch.setattr(register, "estimate_rigid", record)
+def test_registration_correspondences_match_per_candidate_search():
     for graph, params in _grid_graphs(13, 30):
-        seen.clear()
-        estimate_frame_transforms(graph, gamma=params.gamma)
+        src, dst, counts = register.frame_correspondences(graph, gamma=params.gamma)
+        ends = np.cumsum(counts)
+        seen = list(zip(np.split(src, ends[:-1]), np.split(dst, ends[:-1])))
         expected = oracle_correspondences(graph, params.gamma)
-        assert len(seen) == len(expected) == len(graph.frames) - 1
+        assert len(seen) == len(expected) == len(graph.frames) - 1 and counts.sum() == len(src) == len(dst)
         for (src, dst), (want_src, want_dst) in zip(seen, expected):
             assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
 

@@ -1,14 +1,19 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 from prism25d.errors import ValidationError
-from prism25d.graph import graph_from_records
-from prism25d.lift import Intrinsics, RigidTransform, default_intrinsics, estimate_rigid, lift_centroid
+from prism25d.graph import ClassRegistry, graph_from_records
+from prism25d.lift import (Intrinsics, RigidTransform, default_intrinsics, estimate_rigid, fit_rigid,
+                          lift_centroid)
 from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
 
-from helpers import is_proper_rotation, rigid_allclose, rigid_inverse
+from helpers import (OVERFLOW_DETECTIONS, OVERFLOW_REGISTRY, is_proper_rotation, oracle_rigid, rigid_allclose,
+                     rigid_inverse)
 
 
 INTR = Intrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0)
@@ -77,6 +82,52 @@ def test_estimate_rigid_falls_back_exactly_when_matrix_rank_is_below_two():
 def test_estimate_rigid_length_mismatch():
     with pytest.raises(ValidationError):
         estimate_rigid(np.zeros((3, 3)), np.zeros((4, 3)))
+
+
+def test_estimate_rigid_rejects_points_not_shaped_k_by_3():
+    for src, dst in ((np.zeros((2, 6)), np.zeros((4, 3))), (np.zeros(9), np.zeros((3, 3))),
+                     (np.zeros((3, 3)), np.zeros((3, 3, 1))), (np.zeros((3, 2)), np.zeros((3, 2)))):
+        bad = str(src.shape if src.shape[1:] != (3,) else dst.shape)
+        with pytest.raises(ValidationError, match=rf"must have shape \(k, 3\), got {re.escape(bad)}"):
+            estimate_rigid(src, dst)
+
+
+def _random_pair(rng):
+    """A (src, dst) pair of 0-8 points: general, coincident, collinear at the rank
+    tolerance, or reflected, at a scale from 1e-3 to 1e3."""
+    k = int(rng.integers(0, 9))
+    kind = rng.integers(4)
+    if kind == 1:  # coincident: all points one point, or a general set with a repeat
+        src = np.repeat(rng.normal(size=(1, 3)), k, axis=0)
+        if k > 3 and rng.integers(2):
+            src[1:] = rng.normal(size=(k - 1, 3))
+            src[-1] = src[0]
+    elif kind == 2:  # on a line, plus noise around matrix_rank's tolerance
+        src = np.outer(rng.normal(size=k), rng.normal(size=3))
+        src += 10.0 ** -rng.integers(8, 19) * rng.normal(size=(k, 3))
+    else:
+        src = rng.normal(size=(k, 3))
+    src = src * 10.0 ** rng.uniform(-3, 3) + rng.normal(size=3)
+    rot = Rotation.random(random_state=int(rng.integers(1 << 30))).as_matrix()
+    if kind == 3:
+        rot = rot @ np.diag([1.0, 1.0, -1.0])  # a reflection: the fit flips its last axis
+    dst = src @ rot.T + rng.normal(size=3) + 1e-3 * rng.normal(size=(k, 3))
+    return src, dst
+
+
+def test_fit_rigid_equals_one_fit_per_pair_bit_for_bit():
+    rng = np.random.default_rng(17)
+    pairs = [_random_pair(rng) for _ in range(2400)]
+    counts = [len(src) for src, _ in pairs]
+    rot, trans = fit_rigid(np.concatenate([src for src, _ in pairs]),
+                           np.concatenate([dst for _, dst in pairs]), counts)
+    want = [oracle_rigid(src, dst) for src, dst in pairs]
+    assert rot.tobytes() == np.stack([t.rotation for t in want]).tobytes()
+    assert trans.tobytes() == np.stack([t.translation for t in want]).tobytes()
+    # every count from 0 to 8 came up, and of the pairs with 3 or more points some fell back and some did not
+    fell_back = (rot == np.eye(3)).all(axis=(1, 2)) & (trans == 0.0).all(axis=1)
+    assert set(counts) == set(range(9))
+    assert fell_back[np.array(counts) >= 3].any() and not fell_back[np.array(counts) >= 3].all()
 
 
 def test_estimate_rigid_recovers_random_transforms():
@@ -188,6 +239,16 @@ def test_pose_recovery_translating_and_orbiting():
         for est, pose in zip(estimated, truth.poses):
             assert np.linalg.norm(est.rotation - pose.rotation) < 1e-6
             assert np.linalg.norm(est.translation - pose.translation) < 1e-6
+
+
+def test_register_falls_back_silently_where_a_mean_centroid_overflows():
+    g = graph_from_records(OVERFLOW_DETECTIONS, ClassRegistry.from_json(OVERFLOW_REGISTRY))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        transforms = estimate_frame_transforms(g)
+        registered = register_frames(g)
+    assert all(rigid_allclose(t, RigidTransform.identity(), 0.0) for t in transforms)
+    assert registered == g
 
 
 def test_registered_centroids_equal_per_point_apply():

@@ -12,9 +12,6 @@ from .compact import (
     build_ancestors,
     compact,
     corpus_stats,
-    criterion,
-    iou,
-    match,
     merge_static,
 )
 from .errors import FormatError, ParseError, PrismError, RegistryError, ValidationError
@@ -30,7 +27,7 @@ from .graph import (
     save_corpus,
     split_static_dynamic,
 )
-from .lift import Intrinsics, RigidTransform, default_intrinsics, estimate_rigid, lift_centroid
+from .lift import Intrinsics, default_intrinsics, estimate_rigid, lift_centroid
 from .numcore import Adam, MlpParams, Tensor, backward, mlp_forward, softmax_rows
 from .qa import (
     ModelConfig,

@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import FrameSet, SceneGraph25D, SceneNode
-from .lift import Bbox
 
 
 @dataclass(frozen=True)
@@ -22,26 +21,6 @@ class MatchParams:
             raise ValidationError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.delta < 1:
             raise ValidationError(f"delta must be >= 1, got {self.delta}")
-
-
-def iou(a: Bbox, b: Bbox) -> float:
-    ix1 = max(a[0], b[0])
-    iy1 = max(a[1], b[1])
-    ix2 = min(a[2], b[2])
-    iy2 = min(a[3], b[3])
-    iw = max(0.0, ix2 - ix1)
-    ih = max(0.0, iy2 - iy1)
-    inter = iw * ih
-    if inter == 0.0:
-        return 0.0
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    return inter / (area_a + area_b - inter)
-
-
-def criterion(v: SceneNode, w: SceneNode, params: MatchParams) -> bool:
-    """Merge candidacy: same class and box IoU strictly above gamma."""
-    return v.class_id == w.class_id and iou(v.bbox, w.bbox) > params.gamma
 
 
 def _ints(values: list[int]) -> np.ndarray:
@@ -110,7 +89,7 @@ def nearest(
     cols = np.where(valid, cols, 0)  # padding reads row 0 and is masked out
     a = queries.boxes[:, None, :]
     b = index.boxes[cols]
-    # iou(), elementwise: an empty intersection divides 0 by a positive union
+    # box IoU, elementwise: an empty intersection divides 0 by a positive union
     iw = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]))
     ih = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]))
     inter = iw * ih
@@ -131,15 +110,6 @@ def nearest(
     tied = passing & (dist == best[:, None])
     pick = np.where(tied, index.rank[cols], len(index.ids)).argmin(axis=1)
     return np.where(passing.any(axis=1), cols[np.arange(len(lo)), pick], -1)
-
-
-def match(v: SceneNode, graph: SceneGraph25D, params: MatchParams) -> int | None:
-    """Nearest candidate for v among static nodes of the previous delta frames."""
-    index = static_index(graph)
-    f0 = v.source_frames[0]
-    lo, hi = index.rows(f0 - params.delta, f0)
-    row = nearest(index, _index([v], [f0]), np.array([lo]), np.array([hi]), params.gamma)[0]
-    return None if row < 0 else index.ids[row]
 
 
 def build_ancestors(graph: SceneGraph25D, params: MatchParams) -> dict[int, int]:

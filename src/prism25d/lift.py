@@ -34,11 +34,6 @@ def degenerate_boxes(boxes: np.ndarray) -> np.ndarray:
     return ~((boxes[..., 0] < boxes[..., 2]) & (boxes[..., 1] < boxes[..., 3]))
 
 
-def validate_bbox(bbox: Bbox) -> None:
-    if degenerate_boxes(np.asarray(bbox, dtype=np.float64)):
-        raise ValidationError(f"degenerate bbox {tuple(bbox)}: requires x1 < x2 and y1 < y2")
-
-
 def bad_depths(depths: np.ndarray) -> np.ndarray:
     """Mask over depths: True where a depth is not positive and finite."""
     return ~((0.0 < depths) & (depths < np.inf))
@@ -50,7 +45,8 @@ def lift_centroid(bbox, depth, intrinsics: Intrinsics) -> np.ndarray:
     depth = np.asarray(depth, dtype=np.float64)
     bad = degenerate_boxes(boxes)
     if bad.any():
-        validate_bbox(boxes[bad][0].tolist())  # raises, naming the first degenerate box
+        box = tuple(boxes[bad][0].tolist())  # the first degenerate box
+        raise ValidationError(f"degenerate bbox {box}: requires x1 < x2 and y1 < y2")
     bad = bad_depths(depth)
     if bad.any():
         raise ValidationError(f"depth must be positive and finite, got {depth[bad][0]}")
@@ -59,28 +55,6 @@ def lift_centroid(bbox, depth, intrinsics: Intrinsics) -> np.ndarray:
     x = (u - intrinsics.cx) * depth / intrinsics.fx
     y = (v - intrinsics.cy) * depth / intrinsics.fy
     return np.stack([x, y, depth], axis=-1)
-
-
-@dataclass(frozen=True)
-class RigidTransform:
-    rotation: np.ndarray  # (3, 3), orthonormal, det +1
-    translation: np.ndarray  # (3,)
-
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map points (..., 3) as R @ p + t."""
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Transform applying `other` first, then `self`."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
 
 
 def fit_rigid(src: np.ndarray, dst: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -118,8 +92,8 @@ def fit_rigid(src: np.ndarray, dst: np.ndarray, counts) -> tuple[np.ndarray, np.
     return rot, trans
 
 
-def estimate_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
-    """fit_rigid for one pair of (k, 3) point lists."""
+def estimate_rigid(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fit_rigid for one pair of (k, 3) point lists: its (3, 3) rotation and (3,) translation."""
     src, dst = np.asarray(src, dtype=np.float64), np.asarray(dst, dtype=np.float64)
     for name, points in (("src", src), ("dst", dst)):
         if points.ndim != 2 or points.shape[1] != 3:
@@ -127,4 +101,4 @@ def estimate_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     if src.shape != dst.shape:
         raise ValidationError(f"point lists differ in length: {src.shape[0]} vs {dst.shape[0]}")
     rot, trans = fit_rigid(src, dst, [len(src)])
-    return RigidTransform(rot[0], trans[0])
+    return rot[0], trans[0]

@@ -400,7 +400,8 @@ class Adam:
 
 
 def save_checkpoint(path: str | Path, header: dict, named_params: list[tuple[str, Tensor]]) -> None:
-    """Writes the checkpoint; a non-finite parameter is a ValidationError and writes no file."""
+    """Writes the checkpoint. A non-finite parameter is a ValidationError and a non-finite
+    header number a ValueError; either writes no file."""
     for name, t in named_params:
         if not np.isfinite(t.data).all():
             raise ValidationError(f"{path}: parameter {name} holds a non-finite value")
@@ -410,8 +411,9 @@ def save_checkpoint(path: str | Path, header: dict, named_params: list[tuple[str
         **header,
         "params": [{"name": n, "shape": list(t.data.shape)} for n, t in named_params],
     }
+    line = json.dumps(head, allow_nan=False) + "\n"
     with open(path, "wb") as fh:
-        fh.write((json.dumps(head) + "\n").encode("utf-8"))
+        fh.write(line.encode("utf-8"))
         for _, t in named_params:
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 

@@ -28,7 +28,7 @@ from .attention import (
 from .errors import ParseError, ValidationError
 from .graph import SceneGraph25D
 from .numcore import Adam, MlpParams, Tensor
-from .schema import INT, STR, check, check_rows, list_of, read, read_jsonl
+from .schema import COUNT, INT, STR, check, check_rows, list_of, read, read_jsonl
 
 METRICS_FORMAT = "prism25d-metrics"
 METRICS_VERSION = 1
@@ -113,8 +113,8 @@ class ModelConfig:
             raise ValidationError("sigma_s and sigma_t hierarchies differ in length")
         if not self.sigma_s:
             raise ValidationError("kernel hierarchy needs at least one level")
-        if not all(sigma > 0 for sigma in (*self.sigma_s, *(self.sigma_t or ()))):
-            raise ValidationError("kernel bandwidths must be positive")
+        if not all(0.0 < sigma < math.inf for sigma in (*self.sigma_s, *(self.sigma_t or ()))):
+            raise ValidationError("kernel bandwidths must be positive and finite")
         for name, low in (("d_o", 1), ("d_a", 0), ("vocab_size", 1), ("latent_dim", 1),
                           ("n_standard_layers", 0)):
             if getattr(self, name) < low:
@@ -396,6 +396,8 @@ def train(
         raise ValidationError("empty training dataset")
     if epochs < 0:
         raise ValidationError(f"epochs must not be negative, got {epochs}")
+    if seed < 0:
+        raise ValidationError(f"seed must not be negative, got {seed}")
     model = init_model(model_config, seed)
     bundles = build_bundles(graphs, model_config.kernel_config())
     opt = Adam(model.parameters(), lr=train_config.lr)
@@ -467,7 +469,7 @@ def save_model(path: str | Path, model: QaModel, seed: int, step: int) -> None:
 def load_model(path: str | Path) -> tuple[QaModel, dict]:
     """A checkpoint's model, whose manifest lists its parameters in order; see `nc.load_checkpoint`."""
     header, arrays = nc.load_checkpoint(path)
-    check(header, {"seed": INT, "step": INT})
+    check(header, {"seed": COUNT, "step": COUNT})
     config = ModelConfig.from_json(header.get("config"))
     model = init_model(config, seed=header["seed"])
     listed = [item["name"] for item in header["params"]]

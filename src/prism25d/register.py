@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 
 from .compact import MatchParams, nearest, static_index
-from .graph import SceneGraph25D, SceneNode
-from .lift import RigidTransform, fit_rigid
+from .graph import SceneGraph25D
+from .lift import fit_rigid
 
 
 def frame_correspondences(graph: SceneGraph25D, gamma: float = 0.5) -> tuple[np.ndarray, ...]:
@@ -34,18 +34,21 @@ def frame_correspondences(graph: SceneGraph25D, gamma: float = 0.5) -> tuple[np.
     return index.centroids[rows[found]], index.centroids[matches[found]], counts
 
 
-def estimate_frame_transforms(graph: SceneGraph25D, gamma: float = 0.5) -> list[RigidTransform]:
-    """Cumulative transforms mapping each frame's coordinates into frame 0's.
+def estimate_frame_transforms(graph: SceneGraph25D, gamma: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative transforms mapping each frame's coordinates into frame 0's: (frames, 3, 3)
+    rotations and (frames, 3) translations, frame 0's the identity.
 
     Consecutive-frame static correspondences feed one stacked least-squares rigid
     fit per correspondence count; pairs with too few matches fall back to the
     identity, keeping the chain intact.
     """
-    rotations, translations = fit_rigid(*frame_correspondences(graph, gamma))  # frame cur -> prev
-    transforms = [RigidTransform.identity()]
-    for rotation, translation in zip(rotations, translations):
-        transforms.append(transforms[-1].compose(RigidTransform(rotation, translation)))
-    return transforms
+    step_r, step_t = fit_rigid(*frame_correspondences(graph, gamma))  # frame cur -> prev
+    rotations = np.tile(np.eye(3), (len(step_r) + 1, 1, 1))
+    translations = np.zeros((len(step_r) + 1, 3))
+    for k, (r, t) in enumerate(zip(step_r, step_t), start=1):  # frame k -> k - 1, then k - 1 -> 0
+        rotations[k] = rotations[k - 1] @ r
+        translations[k] = rotations[k - 1] @ t + translations[k - 1]
+    return rotations, translations
 
 
 def register_frames(graph: SceneGraph25D, gamma: float = 0.5) -> SceneGraph25D:
@@ -56,27 +59,12 @@ def register_frames(graph: SceneGraph25D, gamma: float = 0.5) -> SceneGraph25D:
     """
     if len(graph.frames) <= 1:
         return graph
-    transforms = estimate_frame_transforms(graph, gamma=gamma)
+    rotations, translations = estimate_frame_transforms(graph, gamma=gamma)
     position = {fs.frame_index: k for k, fs in enumerate(graph.frames)}
-    nodes = list(graph.nodes.values())
-    k = [position[n.source_frames[0]] for n in nodes]
-    rotation = np.stack([t.rotation for t in transforms])[k]
-    translation = np.stack([t.translation for t in transforms])[k]
-    points = np.array([n.centroid3d for n in nodes], dtype=np.float64).reshape(-1, 3)
-    # a (1, 3) @ (3, 3) product per point rounds as RigidTransform.apply on one
-    # point does; one (n, 3) @ (3, 3) product does not
-    moved = (points[:, None, :] @ rotation.transpose(0, 2, 1))[:, 0, :] + translation
-    registered = {
-        nid: SceneNode(
-            node_id=n.node_id,
-            class_id=n.class_id,
-            feature=n.feature,
-            bbox=n.bbox,
-            centroid3d=centroid,
-            timestamps=n.timestamps,
-            source_frames=n.source_frames,
-            motion_feature=n.motion_feature,
-        )
-        for (nid, n), centroid in zip(graph.nodes.items(), moved)
-    }
+    k = [position[n.source_frames[0]] for n in graph.nodes.values()]
+    points = np.array([n.centroid3d for n in graph.nodes.values()], dtype=np.float64).reshape(-1, 3)
+    # a (1, 3) @ (3, 3) product per point rounds as one point's p @ R.T does; one
+    # (n, 3) @ (3, 3) product does not
+    moved = (points[:, None, :] @ rotations[k].transpose(0, 2, 1))[:, 0, :] + translations[k]
+    registered = {nid: replace(n, centroid3d=c) for (nid, n), c in zip(graph.nodes.items(), moved)}
     return replace(graph, nodes=registered)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import DYNAMIC, STATIC, ClassEntry, ClassRegistry
-from .lift import Intrinsics, RigidTransform, default_intrinsics
+from .lift import Intrinsics, default_intrinsics
 from .qa import QaInstance
 from .schema import read
 
@@ -146,7 +146,8 @@ class World:
 class GroundTruth:
     video_id: str
     detection_to_object: dict[int, int]  # static detection id -> world object id
-    poses: list[RigidTransform]  # frame-k camera coordinates -> frame-0 coordinates
+    rotations: np.ndarray  # (F, 3, 3) frame-k camera coordinates -> frame-0 coordinates,
+    translations: np.ndarray  # (F, 3) as p -> R_k @ p + t_k
     static_positions: np.ndarray
     dynamic_tracks: np.ndarray
     qa: list[dict] = field(default_factory=list)
@@ -155,11 +156,8 @@ class GroundTruth:
         return {
             "video_id": self.video_id,
             "detection_to_object": {str(k): v for k, v in self.detection_to_object.items()},
-            "poses": [
-                {"rotation": [[float(x) for x in row] for row in p.rotation],
-                 "translation": [float(x) for x in p.translation]}
-                for p in self.poses
-            ],
+            "poses": [{"rotation": r.tolist(), "translation": t.tolist()}
+                      for r, t in zip(self.rotations, self.translations)],
             "static_positions": [[float(x) for x in p] for p in self.static_positions],
             "dynamic_tracks": [[[float(x) for x in p] for p in track] for track in self.dynamic_tracks],
             "qa": self.qa,
@@ -390,14 +388,11 @@ def world_truth(world: World) -> GroundTruth:
     per_frame = spec.n_static + spec.n_dynamic
     det_to_obj = {t * per_frame + i: i for t in range(spec.n_frames) for i in range(spec.n_static)}
     r0, c0 = world.camera_rotations[0], world.camera_centers[0]
-    poses = [
-        RigidTransform(r0.T @ rk, r0.T @ (ck - c0))
-        for rk, ck in zip(world.camera_rotations, world.camera_centers)
-    ]
     return GroundTruth(
         video_id=spec.video_id,
         detection_to_object=det_to_obj,
-        poses=poses,
+        rotations=np.array([r0.T @ rk for rk in world.camera_rotations]),
+        translations=np.array([r0.T @ (ck - c0) for ck in world.camera_centers]),
         static_positions=world.static_positions,
         dynamic_tracks=world.dynamic_tracks,
     )
@@ -502,6 +497,8 @@ def generate_qa(
         raise ValidationError(f"unknown task {task!r}")
     if n_instances < 1:
         raise ValidationError(f"QA instances per world must be at least 1, got {n_instances}")
+    if seed < 0:
+        raise ValidationError(f"QA seed must not be negative, got {seed}")
     spec = world.spec
     rng = np.random.default_rng([seed, spec.seed])
     instances, derivations = [], []

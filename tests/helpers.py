@@ -5,8 +5,7 @@ import math
 
 import numpy as np
 
-from prism25d.compact import MatchParams, criterion
-from prism25d.lift import RigidTransform
+from prism25d.compact import MatchParams
 from prism25d.numcore import MlpParams, Tensor
 
 
@@ -76,6 +75,27 @@ def write_jsonl(path, records):
 
 
 # -- per-candidate merge search: the reference for compact.nearest -------------
+
+
+def iou(a, b):
+    """Intersection over union of two (x1, y1, x2, y2) boxes."""
+    ix1 = max(a[0], b[0])
+    iy1 = max(a[1], b[1])
+    ix2 = min(a[2], b[2])
+    iy2 = min(a[3], b[3])
+    iw = max(0.0, ix2 - ix1)
+    ih = max(0.0, iy2 - iy1)
+    inter = iw * ih
+    if inter == 0.0:
+        return 0.0
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
+    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    return inter / (area_a + area_b - inter)
+
+
+def criterion(v, w, params):
+    """Merge candidacy: same class and box IoU strictly above gamma."""
+    return v.class_id == w.class_id and iou(v.bbox, w.bbox) > params.gamma
 
 
 def oracle_nearest(v, graph, candidate_ids, params):
@@ -148,24 +168,17 @@ def kernel(v, w, sigma_s, sigma_t):
     return math.exp(-d2 / sigma_s**2 - dt / sigma_t)
 
 
-# -- rigid transforms -------------------------------------------------------------
+# -- rigid transforms, as (rotation (3, 3), translation (3,)) pairs -------------
+
+IDENTITY = (np.eye(3), np.zeros(3))
 
 
-def rigid_inverse(t):
-    rt = t.rotation.T
-    return RigidTransform(rt, -rt @ t.translation)
-
-
-def is_proper_rotation(t, tol=1e-9):
-    r = t.rotation
+def is_proper_rotation(r, tol=1e-9):
     return np.abs(r.T @ r - np.eye(3)).max() <= tol and abs(np.linalg.det(r) - 1.0) <= tol
 
 
 def rigid_allclose(a, b, tol=1e-9):
-    return (
-        np.linalg.norm(a.rotation - b.rotation) <= tol
-        and np.linalg.norm(a.translation - b.translation) <= tol
-    )
+    return np.linalg.norm(a[0] - b[0]) <= tol and np.linalg.norm(a[1] - b[1]) <= tol
 
 
 def oracle_rigid(src, dst):
@@ -173,17 +186,17 @@ def oracle_rigid(src, dst):
     src = np.asarray(src, dtype=np.float64).reshape(-1, 3)
     dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
     if src.shape[0] < 3:
-        return RigidTransform.identity()
+        return IDENTITY
     c_src = src.mean(axis=0)
     c_dst = dst.mean(axis=0)
     a = src - c_src
     b = dst - c_dst
     s = np.linalg.svd(a, compute_uv=False)  # rank < 2 at np.linalg.matrix_rank's default tolerance
     if np.count_nonzero(s > s.max() * (max(a.shape) * np.finfo(np.float64).eps)) < 2:
-        return RigidTransform.identity()
+        return IDENTITY
     h = a.T @ b
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(vt.T @ u.T))
     rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     trans = c_dst - rot @ c_src
-    return RigidTransform(rot, trans)
+    return rot, trans

@@ -296,8 +296,10 @@ def test_bad_qa_line_exits_one(tmp_path, capsys, monkeypatch, change):
     lambda head: head.update(seed="x"),
     lambda head: head.pop("step"),
     lambda head: head.update(params=7),
+    lambda head: head.update(seed=-1),
+    lambda head: head.update(step=-1),
 ], ids=["config-no-heads", "config-string-latent", "config-string-sigma", "config-not-an-object",
-        "string-seed", "no-step", "params-not-a-list"])
+        "string-seed", "no-step", "params-not-a-list", "negative-seed", "negative-step"])
 def test_bad_checkpoint_header_exits_one(tmp_path, capsys, monkeypatch, change):
     ckpt = tmp_path / "m.ckpt"
     save_model(ckpt, init_model(ModelConfig(d_o=2, d_a=2, vocab_size=12), seed=0), seed=0, step=3)
@@ -354,13 +356,16 @@ def test_bad_checkpoint_body_exits_one(tmp_path, capsys, monkeypatch, change, me
     ("train", ["--sigmas", "0,1"]),
     ("train", ["--sigmas", "0.1,1", "--sigma-t", "1"]),
     ("train", ["--lr", "-1"]),
+    ("train", ["--sigmas", "1,inf"]),
+    ("train", ["--sigma-t", "1,1,1,1e400"]),
+    ("train", ["--seed", "-3"]),
     ("eval", {"latent_dim": 0}),
     ("eval", {"d_o": 0}),
     ("eval", {"feature_hidden": [-1]}),
 ], ids=["zero-latent", "zero-batch", "zero-focal-length", "negative-epochs",
         "negative-standard-layers", "heads-not-dividing-latent", "zero-sigma",
-        "sigma-t-length", "negative-lr", "checkpoint-zero-latent", "checkpoint-zero-d_o",
-        "checkpoint-negative-hidden-width"])
+        "sigma-t-length", "negative-lr", "infinite-sigma", "infinite-sigma-t", "negative-seed",
+        "checkpoint-zero-latent", "checkpoint-zero-d_o", "checkpoint-negative-hidden-width"])
 def test_out_of_range_config_exits_one(tmp_path, capsys, command, change):
     """`change` is the train flags, or the checkpoint config fields eval reads."""
     det, reg, qa = _synth_corpus(tmp_path, n_worlds=1, n_frames=3)
@@ -550,6 +555,14 @@ def test_synth_rejects_an_empty_qa_request(tmp_path, capsys, count):
     assert not det.exists() and not qa.exists()
 
 
+def test_synth_rejects_a_negative_qa_seed(tmp_path, capsys):
+    det, qa = tmp_path / "d.jsonl", tmp_path / "qa.jsonl"
+    code = main(["synth", "--spec", _spec_file(tmp_path, [_world_json(5)]), "--out-detections", str(det),
+                 "--out-qa", str(qa), "--qa-seed", "-1"])
+    assert "QA seed must not be negative" in _one_error(capsys, code, kind="validation")
+    assert not det.exists() and not qa.exists()
+
+
 # the graph file that ingest wrote for OVERFLOW_DETECTIONS before registration was
 # batched, when LAPACK printed its DLASCL complaint on the way to the same fallback
 OVERFLOW_GRAPH_SHA256 = "5227db958516a6e270a1193cde4048a86287dcf143624e282bb0fe44c1a2f482"
@@ -636,6 +649,20 @@ def test_bad_config_value_exits_one(tmp_path, capsys, monkeypatch, config):
     code = main(["ingest", "--in", str(tmp_path / "d.jsonl"), "--registry", str(tmp_path / "r.json"),
                  "--out", str(tmp_path / "g.json"), "--config", str(cfg)])
     _one_error(capsys, code)
+
+
+@pytest.mark.parametrize("text, kind", [
+    ('{"seed": -3}', "validation"),
+    ('{"sigmas": [1, 1e400]}', "parse"),  # JSON reads 1e400 as infinity, which no number field takes
+], ids=["negative-seed", "infinite-sigma"])
+def test_out_of_range_train_config_file_exits_one(tmp_path, capsys, text, kind):
+    det, reg, qa = _synth_corpus(tmp_path, n_worlds=1, n_frames=3)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(text)
+    code = main(["train", "--detections", det, "--registry", reg, "--qa", qa, "--out", str(out),
+                 "--epochs", "1", "--config", str(cfg)])
+    _one_error(capsys, code, kind=kind)
+    assert not out.exists()
 
 
 def test_config_null_where_the_default_is_null(tmp_path):
@@ -784,3 +811,29 @@ def test_help_documents_flags(capsys):
             main(args)
         assert exc.value.code == 0
         assert expect in capsys.readouterr().out
+
+
+# ingest -> compact over moving cameras, pinned by the digest of both graph files:
+# every camera kind, each once without and once with box and depth jitter
+REGISTRATION_SHA256 = "5a33e20b3f673a8d21a8adadddabea3a551a16de0b2f83f5a4f6ab11b64e67cc"
+
+
+def test_registration_bytes_are_pinned(tmp_path):
+    worlds = [
+        _world_json(700 + i, n_frames=8, n_static=5, n_dynamic=2,
+                    camera=sw.CameraSpec(**camera), noise=sw.NoiseSpec(**noise))
+        for i, (camera, noise) in enumerate(
+            (camera, noise)
+            for camera in ({"kind": "stationary"}, {"kind": "translating", "velocity": (0.04, 0.015, 0.01)},
+                           {"kind": "orbiting", "angular_rate": 0.02})
+            for noise in ({}, {"bbox_px": 0.8, "depth": 0.03})
+        )
+    ]
+    det, reg = str(tmp_path / "d.jsonl"), str(tmp_path / "reg.json")
+    assert main(["synth", "--spec", _spec_file(tmp_path, worlds), "--out-detections", det,
+                 "--out-registry", reg]) == 0
+    graphs, compacted = tmp_path / "g.json", tmp_path / "c.json"
+    assert main(["ingest", "--in", det, "--registry", reg, "--out", str(graphs)]) == 0
+    assert main(["compact", "--in", str(graphs), "--out", str(compacted)]) == 0
+    digest = hashlib.sha256(graphs.read_bytes() + compacted.read_bytes()).hexdigest()
+    assert digest == REGISTRATION_SHA256

@@ -6,9 +6,6 @@ from prism25d.compact import (
     build_ancestors,
     compact,
     corpus_stats,
-    criterion,
-    iou,
-    match,
     merge_static,
     reduction_pct,
 )
@@ -18,7 +15,7 @@ from prism25d import register
 from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
 
-from helpers import oracle_ancestors, oracle_correspondences, oracle_nearest, oracle_static_by_frame
+from helpers import criterion, iou, oracle_ancestors, oracle_correspondences, oracle_static_by_frame
 
 
 
@@ -50,7 +47,7 @@ def _graph(nodes, dynamic=()):
     )
 
 
-# -- iou ----------------------------------------------------------------------
+# -- iou and criterion: the test oracles behind compact.nearest's box test -----
 
 
 def test_iou_identical_boxes():
@@ -64,9 +61,6 @@ def test_iou_disjoint_boxes():
 def test_iou_hand_computed_third():
     # intersection 1x2=2, union 4+4-2=6
     assert iou((0, 0, 2, 2), (1, 0, 3, 2)) == pytest.approx(1 / 3, abs=1e-15)
-
-
-# -- criterion ------------------------------------------------------------------
 
 
 def test_criterion_same_class_high_iou():
@@ -97,38 +91,41 @@ def test_match_params_validation():
         MatchParams(delta=0)
 
 
-# -- match ----------------------------------------------------------------------
+# -- one node's match, seen through build_ancestors --------------------------
 
 
 def test_match_prefers_nearest_centroid():
-    a = _node(0, 0, centroid=(0.1, 0, 0))
-    b = _node(1, 1, centroid=(0.5, 0, 0))
-    v = _node(2, 2, centroid=(0, 0, 0))
-    g = _graph([a, b, v])
-    assert match(v, g, MatchParams(gamma=0.5, delta=3)) == 0
+    # a and b each overlap v at IoU 0.6 but each other at 1/3, so they stay apart
+    # and v's ancestor names the one it matched, older or not
+    for near_a, want in ((True, 0), (False, 1)):
+        a = _node(0, 0, bbox=(-2.5, 0, 7.5, 10), centroid=(0.1 if near_a else 0.5, 0, 0))
+        b = _node(1, 1, bbox=(2.5, 0, 12.5, 10), centroid=(0.5 if near_a else 0.1, 0, 0))
+        v = _node(2, 2, centroid=(0, 0, 0))
+        g = _graph([a, b, v])
+        assert build_ancestors(g, MatchParams(gamma=0.5, delta=3)) == {0: 0, 1: 1, 2: want}
 
 
 def test_match_none_without_candidates():
     a = _node(0, 0, class_id=2)
     v = _node(1, 1, class_id=1)
     g = _graph([a, v])
-    assert match(v, g, MatchParams(gamma=0.5, delta=3)) is None
+    assert build_ancestors(g, MatchParams(gamma=0.5, delta=3)) == {0: 0, 1: 1}
 
 
 def test_match_window_excludes_older_frames():
     a = _node(0, 0)
     v = _node(1, 3, centroid=(0, 0, 0))
     g = _graph([a, v])
-    assert match(v, g, MatchParams(gamma=0.5, delta=3)) == 0
-    assert match(v, g, MatchParams(gamma=0.5, delta=2)) is None  # frame t-delta-1
+    assert build_ancestors(g, MatchParams(gamma=0.5, delta=3))[1] == 0
+    assert build_ancestors(g, MatchParams(gamma=0.5, delta=2))[1] == 1  # frame t-delta-1
 
 
 def test_match_tie_breaks_to_lower_node_id():
     a = _node(0, 0, centroid=(1, 0, 0))
     b = _node(1, 0, centroid=(-1, 0, 0))
     v = _node(2, 1, centroid=(0, 0, 0))
-    g = _graph([a, b, v])
-    assert match(v, g, MatchParams(gamma=0.5, delta=3)) == 0
+    g = _graph([b, a, v])  # frame 0 lists b first
+    assert build_ancestors(g, MatchParams(gamma=0.5, delta=3)) == {0: 0, 1: 1, 2: 0}
 
 
 # -- build_ancestors ---------------------------------------------------------
@@ -417,16 +414,6 @@ def test_build_ancestors_matches_per_candidate_search():
     assert seen.all()
 
 
-def test_match_is_the_one_query_search():
-    seen = 0
-    for graph, params in _grid_graphs(12, 10):
-        for vid in graph.static_nodes:
-            v = graph.nodes[vid]
-            assert match(v, graph, params) == oracle_nearest(v, graph, _window(graph, v, params), params)
-        seen = seen + _coverage(graph, params)
-    assert seen.all()
-
-
 def test_registration_correspondences_match_per_candidate_search():
     for graph, params in _grid_graphs(13, 30):
         src, dst, counts = register.frame_correspondences(graph, gamma=params.gamma)
@@ -442,7 +429,8 @@ def test_search_on_graphs_without_static_nodes():
     dynamic = [_node(i, i, motion=(1.0,)) for i in range(3)]
     g = _graph(dynamic, dynamic=(0, 1, 2))
     assert build_ancestors(g, MatchParams()) == {}
-    assert len(estimate_frame_transforms(g)) == 3
+    rotations, translations = estimate_frame_transforms(g)
+    assert rotations.shape == (3, 3, 3) and translations.shape == (3, 3)
     assert build_ancestors(_graph([]), MatchParams()) == {}
 
 
@@ -453,4 +441,5 @@ def test_search_takes_ids_and_frames_beyond_int64():
     g = _graph(nodes)
     params = MatchParams(gamma=0.5, delta=2)
     assert build_ancestors(g, params) == oracle_ancestors(g, params)
-    assert len(estimate_frame_transforms(g)) == 4
+    rotations, translations = estimate_frame_transforms(g)
+    assert rotations.shape == (4, 3, 3) and translations.shape == (4, 3)

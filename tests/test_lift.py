@@ -7,13 +7,11 @@ from scipy.spatial.transform import Rotation
 
 from prism25d.errors import ValidationError
 from prism25d.graph import ClassRegistry, graph_from_records
-from prism25d.lift import (Intrinsics, RigidTransform, default_intrinsics, estimate_rigid, fit_rigid,
-                          lift_centroid)
+from prism25d.lift import Intrinsics, default_intrinsics, estimate_rigid, fit_rigid, lift_centroid
 from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
 
-from helpers import (OVERFLOW_DETECTIONS, OVERFLOW_REGISTRY, is_proper_rotation, oracle_rigid, rigid_allclose,
-                     rigid_inverse)
+from helpers import IDENTITY, OVERFLOW_DETECTIONS, OVERFLOW_REGISTRY, is_proper_rotation, oracle_rigid, rigid_allclose
 
 
 INTR = Intrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0)
@@ -50,22 +48,21 @@ def _noncollinear_points(rng, n=6):
 
 def test_estimate_rigid_identity_on_equal_sets():
     pts = _noncollinear_points(np.random.default_rng(0))
-    t = estimate_rigid(pts, pts)
-    assert rigid_allclose(t, RigidTransform.identity(), tol=1e-12)
+    assert rigid_allclose(estimate_rigid(pts, pts), IDENTITY, tol=1e-12)
 
 
 def test_estimate_rigid_pure_translation():
     pts = _noncollinear_points(np.random.default_rng(1), n=4)
-    t = estimate_rigid(pts, pts + np.array([1.0, 2.0, 3.0]))
-    assert np.linalg.norm(t.rotation - np.eye(3)) < 1e-9
-    assert np.linalg.norm(t.translation - [1.0, 2.0, 3.0]) < 1e-9
+    rot, trans = estimate_rigid(pts, pts + np.array([1.0, 2.0, 3.0]))
+    assert np.linalg.norm(rot - np.eye(3)) < 1e-9
+    assert np.linalg.norm(trans - [1.0, 2.0, 3.0]) < 1e-9
 
 
 def test_estimate_rigid_degenerate_fallbacks():
     two = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    assert rigid_allclose(estimate_rigid(two, two + 5.0), RigidTransform.identity())
+    assert rigid_allclose(estimate_rigid(two, two + 5.0), IDENTITY)
     collinear = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-    assert rigid_allclose(estimate_rigid(collinear, collinear + 1.0), RigidTransform.identity())
+    assert rigid_allclose(estimate_rigid(collinear, collinear + 1.0), IDENTITY)
 
 
 def test_estimate_rigid_falls_back_exactly_when_matrix_rank_is_below_two():
@@ -75,7 +72,7 @@ def test_estimate_rigid_falls_back_exactly_when_matrix_rank_is_below_two():
     for k in range(60):
         scale = 10.0 ** -rng.integers(8, 19)  # around the rank tolerance of a line
         src = line + scale * rng.normal(size=line.shape) if k % 3 else rng.normal(size=(5, 3))
-        fell_back = rigid_allclose(estimate_rigid(src, src @ rot.T), RigidTransform.identity(), 0.0)
+        fell_back = rigid_allclose(estimate_rigid(src, src @ rot.T), IDENTITY, 0.0)
         assert fell_back == (np.linalg.matrix_rank(src - src.mean(axis=0)) < 2)
 
 
@@ -121,9 +118,9 @@ def test_fit_rigid_equals_one_fit_per_pair_bit_for_bit():
     counts = [len(src) for src, _ in pairs]
     rot, trans = fit_rigid(np.concatenate([src for src, _ in pairs]),
                            np.concatenate([dst for _, dst in pairs]), counts)
-    want = [oracle_rigid(src, dst) for src, dst in pairs]
-    assert rot.tobytes() == np.stack([t.rotation for t in want]).tobytes()
-    assert trans.tobytes() == np.stack([t.translation for t in want]).tobytes()
+    want_rot, want_trans = zip(*(oracle_rigid(src, dst) for src, dst in pairs))
+    assert rot.tobytes() == np.stack(want_rot).tobytes()
+    assert trans.tobytes() == np.stack(want_trans).tobytes()
     # every count from 0 to 8 came up, and of the pairs with 3 or more points some fell back and some did not
     fell_back = (rot == np.eye(3)).all(axis=(1, 2)) & (trans == 0.0).all(axis=1)
     assert set(counts) == set(range(9))
@@ -137,9 +134,9 @@ def test_estimate_rigid_recovers_random_transforms():
         trans = rng.uniform(-3, 3, size=3)
         src = _noncollinear_points(rng, n=int(rng.integers(3, 10)))
         dst = src @ rot.T + trans
-        est = estimate_rigid(src, dst)
-        assert np.linalg.norm(est.rotation - rot) < 1e-9
-        assert np.linalg.norm(est.translation - trans) < 1e-9
+        est_rot, est_trans = estimate_rigid(src, dst)
+        assert np.linalg.norm(est_rot - rot) < 1e-9
+        assert np.linalg.norm(est_trans - trans) < 1e-9
 
 
 def test_estimate_rigid_output_always_proper_rotation():
@@ -147,15 +144,8 @@ def test_estimate_rigid_output_always_proper_rotation():
     for _ in range(50):
         src = rng.normal(size=(5, 3))
         dst = rng.normal(size=(5, 3))  # arbitrary, even non-rigid pairs
-        est = estimate_rigid(src, dst)
-        assert is_proper_rotation(est, tol=1e-9)
-
-
-def test_compose_and_identity():
-    rot = Rotation.from_euler("xyz", [0.3, -0.2, 0.5]).as_matrix()
-    t = RigidTransform(rot, np.array([1.0, -2.0, 0.5]))
-    assert rigid_allclose(RigidTransform.identity().compose(t), t, tol=1e-15)
-    assert rigid_allclose(t.compose(rigid_inverse(t)), RigidTransform.identity(), tol=1e-12)
+        rot, _ = estimate_rigid(src, dst)
+        assert is_proper_rotation(rot, tol=1e-9)
 
 
 # -- registration over synthetic worlds --------------------------------------
@@ -172,8 +162,8 @@ def _world_graph(spec):
 def test_register_stationary_is_identity():
     spec = sw.WorldSpec(seed=5, video_id="s", n_frames=6, n_static=4, n_dynamic=1)
     _, _, _, g = _world_graph(spec)
-    for t in estimate_frame_transforms(g):
-        assert rigid_allclose(t, RigidTransform.identity(), tol=1e-12)
+    for t in zip(*estimate_frame_transforms(g)):
+        assert rigid_allclose(t, IDENTITY, tol=1e-12)
     registered = register_frames(g)
     for nid in g.nodes:
         assert np.allclose(registered.nodes[nid].centroid3d, g.nodes[nid].centroid3d, atol=1e-12)
@@ -235,10 +225,10 @@ def test_pose_recovery_translating_and_orbiting():
         spec = sw.WorldSpec(seed=seed, video_id=f"c{seed}", n_frames=8, n_static=5,
                             n_dynamic=1, camera=camera)
         _, _, truth, g = _world_graph(spec)
-        estimated = estimate_frame_transforms(g)
-        for est, pose in zip(estimated, truth.poses):
-            assert np.linalg.norm(est.rotation - pose.rotation) < 1e-6
-            assert np.linalg.norm(est.translation - pose.translation) < 1e-6
+        rotations, translations = estimate_frame_transforms(g)
+        assert rotations.shape == truth.rotations.shape and translations.shape == truth.translations.shape
+        assert np.linalg.norm(rotations - truth.rotations, axis=(1, 2)).max() < 1e-6
+        assert np.linalg.norm(translations - truth.translations, axis=1).max() < 1e-6
 
 
 def test_register_falls_back_silently_where_a_mean_centroid_overflows():
@@ -247,7 +237,7 @@ def test_register_falls_back_silently_where_a_mean_centroid_overflows():
         warnings.simplefilter("error")
         transforms = estimate_frame_transforms(g)
         registered = register_frames(g)
-    assert all(rigid_allclose(t, RigidTransform.identity(), 0.0) for t in transforms)
+    assert all(rigid_allclose(t, IDENTITY, 0.0) for t in zip(*transforms))
     assert registered == g
 
 
@@ -259,10 +249,11 @@ def test_registered_centroids_equal_per_point_apply():
         spec = sw.WorldSpec(seed=seed, video_id=f"a{seed}", n_frames=8, n_static=5,
                             n_dynamic=2, camera=camera)
         _, _, _, g = _world_graph(spec)
-        by_frame = dict(zip((fs.frame_index for fs in g.frames), estimate_frame_transforms(g)))
+        by_frame = dict(zip((fs.frame_index for fs in g.frames), zip(*estimate_frame_transforms(g))))
         registered = register_frames(g)
         for nid, node in g.nodes.items():
-            expect = by_frame[node.source_frames[0]].apply(node.centroid3d)
+            rot, trans = by_frame[node.source_frames[0]]
+            expect = node.centroid3d @ rot.T + trans
             assert np.array_equal(registered.nodes[nid].centroid3d, expect)
 
 

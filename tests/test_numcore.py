@@ -383,6 +383,13 @@ def test_checkpoint_save_rejects_non_finite_and_writes_nothing(tmp_path, bad):
     assert not path.exists()
 
 
+def test_checkpoint_save_refuses_a_non_json_header_and_writes_nothing(tmp_path):
+    path = tmp_path / "h.ckpt"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        nc.save_checkpoint(path, {"sigma": np.inf}, [("b", _param(np.random.default_rng(0), 1, 4))])
+    assert not path.exists()
+
+
 # -- determinism ----------------------------------------------------------------
 
 

@@ -29,9 +29,8 @@ def test_translating_truth_poses_match_spec_velocity():
     spec = sw.WorldSpec(seed=1, video_id="v", n_frames=6, n_static=4, n_dynamic=0,
                         camera=sw.CameraSpec(kind="translating", velocity=tuple(vel)))
     _, truth = sw.generate_world(spec)
-    for k, pose in enumerate(truth.poses):
-        assert np.allclose(pose.rotation, np.eye(3))
-        assert np.allclose(pose.translation, k * vel, atol=1e-12)
+    assert np.allclose(truth.rotations, np.eye(3))
+    assert np.allclose(truth.translations, np.arange(6)[:, None] * vel, atol=1e-12)
 
 
 def test_same_seed_byte_identical_files(tmp_path):

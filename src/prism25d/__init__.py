@@ -18,14 +18,11 @@ from .errors import FormatError, ParseError, PrismError, RegistryError, Validati
 from .graph import (
     ClassEntry,
     ClassRegistry,
-    FrameSet,
     SceneGraph25D,
-    SceneNode,
     graph_from_records,
     load_corpus,
     load_detection_groups,
     save_corpus,
-    split_static_dynamic,
 )
 from .lift import Intrinsics, default_intrinsics, estimate_rigid, lift_centroid
 from .numcore import Adam, MlpParams, Tensor, backward, mlp_forward, softmax_rows

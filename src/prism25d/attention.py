@@ -61,8 +61,8 @@ class GraphBundle:
     smax: list[Tensor]  # row-softmaxed kernel matrix per level, rows in ascending node id
 
 
-def _columns(vectors: list[np.ndarray]) -> np.ndarray:
-    return np.stack(vectors, axis=1) if vectors else np.zeros((0, 0))
+def _columns(rows: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(rows.T) if len(rows) else np.zeros((0, 0))
 
 
 def build_bundles(
@@ -71,20 +71,16 @@ def build_bundles(
     """One bundle per graph, with a kernel matrix for each (sigma_s, sigma_t) of `levels`."""
     bundles = {}
     for vid, graph in graphs.items():
-        nodes = graph.nodes
-        all_ids = sorted(nodes)
-        static_ids = sorted(graph.static_nodes)
-        dynamic_ids = sorted(graph.dynamic_nodes)
-        for nid in dynamic_ids:
-            if nodes[nid].motion_feature is None:
-                raise ValidationError(f"dynamic node {nid} lacks a motion feature")
-        positions = np.stack([nodes[i].centroid3d for i in all_ids]) if all_ids else np.zeros((0, 3))
-        time_obs = [np.asarray(nodes[i].timestamps, dtype=np.float64) for i in all_ids]
+        dynamic = ~graph.static
+        if len(graph.motions) != np.count_nonzero(dynamic):
+            raise ValidationError("a dynamic node lacks a motion feature")
+        cuts = graph.obs_start.tolist()
+        times = [graph.obs_times[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         bundles[vid] = GraphBundle(
-            static_cols=_columns([nodes[i].feature for i in static_ids]),
-            dynamic_cols=_columns([nodes[i].combined_feature for i in dynamic_ids]),
-            perm=np.argsort(static_ids + dynamic_ids),
-            smax=kernel_softmax_levels(positions, time_obs, levels),
+            static_cols=_columns(graph.features[graph.static]),
+            dynamic_cols=_columns(np.hstack([graph.features[dynamic], graph.motions])),
+            perm=np.argsort(np.argsort(dynamic, kind="stable")),  # static rows, then dynamic ones
+            smax=kernel_softmax_levels(graph.centroids, times, levels),
         )
     return bundles
 

@@ -223,15 +223,10 @@ def cmd_stats(args) -> int:
 
 
 def _infer_dims(graphs: dict[str, SceneGraph25D]) -> tuple[int, int]:
-    d_o = d_a = None
-    for g in graphs.values():
-        for node in g.nodes.values():
-            d_o = len(node.feature) if d_o is None else d_o
-            if node.motion_feature is not None and d_a is None:
-                d_a = len(node.motion_feature)
+    d_o = next((g.features.shape[1] for g in graphs.values() if len(g.nodes)), None)
     if d_o is None:
         raise ParseError("no nodes found; cannot infer feature dimensions")
-    return d_o, 0 if d_a is None else d_a
+    return d_o, next((g.motions.shape[1] for g in graphs.values() if len(g.motions)), 0)
 
 
 def _model_config(cfg: RunConfig, graphs: dict[str, SceneGraph25D]) -> ModelConfig:

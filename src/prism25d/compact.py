@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .graph import FrameSet, SceneGraph25D, SceneNode
+from .graph import SceneGraph25D, _starts
 
 
 @dataclass(frozen=True)
@@ -23,53 +22,33 @@ class MatchParams:
             raise ValidationError(f"delta must be >= 1, got {self.delta}")
 
 
-def _ints(values: list[int]) -> np.ndarray:
-    """Integers as an int64 array, or as an object array when one does not fit int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 @dataclass(frozen=True)
 class StaticIndex:
-    """Static node occurrences as arrays, one row per listing of a node in a frame.
+    """Static node occurrences as arrays, one per listing of a static node in a frame.
 
-    Rows are sorted by frame (stably, so a frame keeps its listing order), and
-    the occurrences of any frame range are one contiguous row range.
+    Occurrences keep the listing order: by frame, and within a frame in file order,
+    so the occurrences of any frame range are one contiguous range.
     """
 
-    ids: list[int]
+    rows: np.ndarray  # (n,) each occurrence's table row
     class_ids: np.ndarray  # (n,)
     boxes: np.ndarray  # (n, 4)
     centroids: np.ndarray  # (n, 3)
-    frames: list[int]  # ascending; a list, so any integer frame index works
-    rank: np.ndarray  # (n,) position of each id in ascending id order, for ties
-
-    def rows(self, lo_frame: int, hi_frame: int) -> tuple[int, int]:
-        """Row range [lo, hi) of the occurrences in frames lo_frame <= f < hi_frame."""
-        return bisect_left(self.frames, lo_frame), bisect_left(self.frames, hi_frame)
-
-
-def _index(nodes: list[SceneNode], frames: list[int]) -> StaticIndex:
-    ids = [n.node_id for n in nodes]
-    return StaticIndex(
-        ids=ids,
-        class_ids=_ints([n.class_id for n in nodes]),
-        boxes=np.array([n.bbox for n in nodes], dtype=np.float64).reshape(-1, 4),
-        centroids=np.array([n.centroid3d for n in nodes], dtype=np.float64).reshape(-1, 3),
-        frames=frames,
-        rank=np.argsort(np.argsort(_ints(ids), kind="stable")),  # each id's rank
-    )
+    frames: np.ndarray  # (n,) ascending
+    rank: np.ndarray  # (n,) position of each row in ascending row (so id) order, for ties
 
 
 def static_index(graph: SceneGraph25D) -> StaticIndex:
-    occurrences = sorted(
-        ((fs.frame_index, nid) for fs in graph.frames for nid in fs.node_ids
-         if nid in graph.static_nodes),
-        key=lambda occ: occ[0],
+    keep = graph.static[graph.listed_rows]
+    rows = graph.listed_rows[keep]
+    return StaticIndex(
+        rows=rows,
+        class_ids=graph.class_ids[rows],
+        boxes=graph.boxes[rows],
+        centroids=graph.centroids[rows],
+        frames=graph.listed_frames[keep],
+        rank=np.argsort(np.argsort(rows, kind="stable")),
     )
-    return _index([graph.nodes[nid] for _, nid in occurrences], [f for f, _ in occurrences])
 
 
 def nearest(
@@ -108,86 +87,81 @@ def nearest(
         dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
     best = np.where(passing, dist, np.inf).min(axis=1)
     tied = passing & (dist == best[:, None])
-    pick = np.where(tied, index.rank[cols], len(index.ids)).argmin(axis=1)
+    pick = np.where(tied, index.rank[cols], len(index.rows)).argmin(axis=1)
     return np.where(passing.any(axis=1), cols[np.arange(len(lo)), pick], -1)
 
 
-def build_ancestors(graph: SceneGraph25D, params: MatchParams) -> dict[int, int]:
-    """Map each static node id to its root ancestor's id, in one forward sweep over frames.
+def _roots(graph: SceneGraph25D, params: MatchParams) -> np.ndarray:
+    """Each row's root ancestor row, in one forward sweep over frames; a dynamic row is its own.
 
     Each occurrence's candidates are the static occurrences of frames
     [f0 - delta, f0), f0 being its node's first source frame.
     """
     index = static_index(graph)
-    f0 = [graph.nodes[nid].source_frames[0] for nid in index.ids]
-    bounds = {f: index.rows(f - params.delta, f) for f in set(f0)}
-    lo, hi = np.array([bounds[f] for f in f0], dtype=np.int64).reshape(-1, 2).T
-    matches = nearest(index, index, lo, hi, params.gamma).tolist()
-    parent: dict[int, int] = {}
-    for nid, m in zip(index.ids, matches):
-        parent[nid] = parent[index.ids[m]] if m >= 0 else nid
-    return parent
+    f0 = graph.obs_frames[graph.obs_start[index.rows]]
+    lo = np.searchsorted(index.frames, f0 - params.delta)
+    matches = nearest(index, index, lo, np.searchsorted(index.frames, f0), params.gamma)
+    roots = np.arange(len(graph.nodes))
+    roots[index.rows[matches >= 0]] = index.rows[matches[matches >= 0]]
+    while np.any(roots[roots] != roots):  # a match lies in an earlier frame: no cycles
+        roots = roots[roots]
+    return roots
 
 
-def _merge_class(members: list[SceneNode], root: SceneNode) -> SceneNode:
-    if any(n.class_id != root.class_id for n in members):
-        raise AssertionError("equivalence class mixes class ids; criterion violated")
-    obs = sorted(
-        (f, t) for n in members for f, t in zip(n.source_frames, n.timestamps)
-    )
-    feats = np.stack([n.feature for n in members])  # members sorted by node_id
-    return SceneNode(
-        node_id=root.node_id,
-        class_id=root.class_id,
-        feature=feats.mean(axis=0),
-        bbox=root.bbox,
-        centroid3d=root.centroid3d.copy(),
-        timestamps=[t for _, t in obs],
-        source_frames=[f for f, _ in obs],
-        motion_feature=None,
-    )
+def build_ancestors(graph: SceneGraph25D, params: MatchParams) -> dict[int, int]:
+    """Map each static node id to its root ancestor's id."""
+    roots = _roots(graph, params)[graph.static]
+    return dict(zip(graph.nodes[graph.static].tolist(), graph.nodes[roots].tolist()))
 
 
 def merge_static(graph: SceneGraph25D, ancestors: dict[int, int]) -> SceneGraph25D:
-    """Collapse each static equivalence class into its root-ancestor node.
+    """Collapse each static equivalence class, given as node id -> root id, into its root."""
+    roots, row = np.arange(len(graph.nodes)), {nid: r for r, nid in enumerate(graph.nodes.tolist())}
+    for nid, root in ancestors.items():
+        roots[row[nid]] = row[root]
+    return _merge(graph, roots)
 
-    Merged features are the unweighted mean over members (ascending node_id);
-    the merged centroid is the root's. Dynamic nodes pass through untouched.
+
+def _merge(graph: SceneGraph25D, roots: np.ndarray) -> SceneGraph25D:
+    """Collapse the rows of each root into the root's row.
+
+    A merged feature is the mean over its members, in ascending node id; a
+    merged node keeps its root's box and centroid and every member's observations,
+    by frame and time. A frame lists each merged node once, where it listed its
+    first member. Dynamic rows are their own roots and pass through untouched.
     """
-    classes: dict[int, list[int]] = {}
-    for nid in sorted(ancestors):
-        classes.setdefault(ancestors[nid], []).append(nid)
-
-    nodes: dict[int, SceneNode] = {}
-    for root_id, member_ids in classes.items():
-        members = [graph.nodes[m] for m in member_ids]
-        nodes[root_id] = _merge_class(members, graph.nodes[root_id])
-    for nid in graph.dynamic_nodes:
-        nodes[nid] = graph.nodes[nid]
-
-    remap = {nid: ancestors.get(nid, nid) for nid in graph.nodes}
-    frames = []
-    for fs in graph.frames:
-        seen: list[int] = []
-        for nid in fs.node_ids:
-            mapped = remap[nid]
-            if mapped not in seen:
-                seen.append(mapped)
-        frames.append(FrameSet(fs.frame_index, seen))
-
-    return SceneGraph25D(
-        video_id=graph.video_id,
-        max_frames=graph.max_frames,
-        nodes=nodes,
-        frames=frames,
-        static_nodes=set(classes),
-        dynamic_nodes=set(graph.dynamic_nodes),
-        registry_digest=graph.registry_digest,
+    if np.any(graph.class_ids[roots] != graph.class_ids):
+        raise AssertionError("equivalence class mixes class ids; criterion violated")
+    order = np.argsort(roots, kind="stable")  # members in ascending id
+    first = _starts(roots[order])
+    kept, sizes = roots[order][first], np.diff(np.append(first, len(order)))
+    members, features = graph.features[order], np.zeros((len(kept), graph.features.shape[1]))
+    for k in set(sizes.tolist()):  # one stacked mean per class size: each rounds as one class's mean
+        of_size = np.flatnonzero(sizes == k)
+        features[of_size] = members[first[of_size, None] + np.arange(k)].mean(axis=1)
+    n_obs = np.diff(graph.obs_start)
+    obs = np.lexsort((graph.obs_times, graph.obs_frames, np.repeat(roots, n_obs)))
+    frames, mapped = graph.listed_frames, roots[graph.listed_rows]
+    by_pair = np.lexsort((mapped, frames))
+    listing = np.sort(by_pair[_starts(frames[by_pair], mapped[by_pair])])
+    return replace(
+        graph,
+        nodes=graph.nodes[kept],
+        class_ids=graph.class_ids[kept],
+        static=graph.static[kept],
+        features=features,
+        boxes=graph.boxes[kept],
+        centroids=graph.centroids[kept],
+        obs_start=np.append(0, np.cumsum(np.add.reduceat(n_obs[order], first))),
+        obs_frames=graph.obs_frames[obs],
+        obs_times=graph.obs_times[obs],
+        listed_frames=frames[listing],
+        listed_rows=np.searchsorted(kept, mapped[listing]),
     )
 
 
 def compact(graph: SceneGraph25D, params: MatchParams) -> SceneGraph25D:
-    return merge_static(graph, build_ancestors(graph, params))
+    return _merge(graph, _roots(graph, params))
 
 
 def reduction_pct(full: float, after: float) -> float:
@@ -202,8 +176,8 @@ def corpus_stats(pairs: list[tuple[SceneGraph25D, SceneGraph25D]]) -> dict:
         return {"videos": 0, "full": 0.0, "static": 0.0, "dynamic": 0.0, "reduction_pct": 0.0}
     n = len(pairs)
     full = sum(len(b.nodes) for b, _ in pairs)
-    static = sum(len(a.static_nodes) for _, a in pairs)
-    dynamic = sum(len(a.dynamic_nodes) for _, a in pairs)
+    static = sum(np.count_nonzero(a.static) for _, a in pairs)
+    dynamic = sum(len(a.nodes) for _, a in pairs) - static
     return {
         "videos": n,
         "full": full / n,

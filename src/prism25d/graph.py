@@ -1,16 +1,16 @@
-"""Core (2.5+1)D scene-graph types, detection ingestion, and serialization."""
+"""Core (2.5+1)D scene-graph table, detection ingestion, and serialization."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ParseError, RegistryError, ValidationError, located
-from .lift import Bbox, Intrinsics, bad_depths, default_intrinsics, degenerate_boxes, lift_centroid
+from .lift import Intrinsics, bad_depths, default_intrinsics, degenerate_boxes, lift_centroid
 from .schema import INT, NUMBER, OBJECT, STR, check, check_rows, list_of, optional, read_jsonl
 
 STATIC = "static"
@@ -19,6 +19,9 @@ DYNAMIC = "dynamic"
 GRAPH_FORMAT = "prism25d-graph"
 GRAPH_VERSION = 1
 DEFAULT_INTRINSICS = default_intrinsics(256.0, 256.0)
+_UNIT_BOX = (0.0, 0.0, 1.0, 1.0)  # stands in for a faulty record's box
+_OBS_RULE = ("timestamps and source_frames must be nonempty, sorted and of one length, "
+             "and timestamps inside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -79,74 +82,95 @@ class ClassRegistry:
 _CLASS_FIELDS = {"id": INT, "name": STR, "kind": STR}
 
 
-@dataclass
-class SceneNode:
-    """One detected object occurrence (or a merged set of occurrences)."""
-
-    node_id: int
-    class_id: int
-    feature: np.ndarray  # (d_o,)
-    bbox: Bbox
-    centroid3d: np.ndarray  # (3,)
-    timestamps: list[float]  # sorted, normalized to [0, 1]
-    source_frames: list[int]
-    motion_feature: np.ndarray | None = None
-
-    @property
-    def combined_feature(self) -> np.ndarray:
-        """Object feature, with the motion feature appended for dynamic nodes."""
-        if self.motion_feature is None:
-            return self.feature
-        return np.concatenate([self.feature, self.motion_feature])
-
-    def __eq__(self, other) -> bool:
-        """Equal when both write the same graph-file entry."""
-        return isinstance(other, SceneNode) and _node_to_json(self) == _node_to_json(other)
+def _ints(values: list[int]) -> np.ndarray:
+    """Integers as an int64 array, or as an object array when one does not fit int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
-@dataclass
-class FrameSet:
-    frame_index: int
-    node_ids: list[int]
+def _matrix(rows: list) -> np.ndarray:
+    """Equal-length number lists as one (len(rows), width) float array; (0, 0) for none."""
+    a = np.array(rows, dtype=np.float64)
+    return a if a.ndim == 2 else a.reshape(len(rows), 0)
+
+
+def _starts(*keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of entries equal in every one of `keys`."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new)
 
 
 @dataclass
 class SceneGraph25D:
+    """One video's graph as a table of node columns: one row per node, rows in ascending id.
+
+    Row i was observed at obs_frames[obs_start[i]:obs_start[i + 1]], at the obs_times of
+    the same slice. The frame listings are (listed_frames, listed_rows) pairs, frames
+    ascending and one frame's rows in file order. Id, class and frame columns are int64,
+    or object arrays when a value does not fit int64.
+    """
+
     video_id: str
     max_frames: int
-    nodes: dict[int, SceneNode]
-    frames: list[FrameSet]
-    static_nodes: set[int] = field(default_factory=set)
-    dynamic_nodes: set[int] = field(default_factory=set)
+    nodes: np.ndarray  # (n,) node ids
+    class_ids: np.ndarray  # (n,)
+    static: np.ndarray  # (n,) bool
+    features: np.ndarray  # (n, d_o)
+    motions: np.ndarray  # (dynamic rows, d_a), in row order
+    boxes: np.ndarray  # (n, 4)
+    centroids: np.ndarray  # (n, 3)
+    obs_start: np.ndarray  # (n + 1,)
+    obs_frames: np.ndarray  # (m,)
+    obs_times: np.ndarray  # (m,)
+    listed_frames: np.ndarray  # (k,)
+    listed_rows: np.ndarray  # (k,)
     registry_digest: str | None = None
 
+    @property
+    def frames(self) -> np.ndarray:
+        """The listed frame indices, ascending."""
+        return self.listed_frames[_starts(self.listed_frames)]
+
     def validate(self, registry: ClassRegistry | None = None) -> None:
-        """Check that the graph's parts agree; with a registry, also that each node's
-        partition fits its class kind."""
-        ids = set(self.nodes)
-        if self.static_nodes | self.dynamic_nodes != ids or self.static_nodes & self.dynamic_nodes:
-            raise ValidationError("static/dynamic sets do not partition the node ids")
-        for nid, node in self.nodes.items():
-            ts, frames = node.timestamps, node.source_frames
-            if nid != node.node_id:
-                raise ValidationError(f"node keyed {nid} carries id {node.node_id}")
-            if (not ts or len(ts) != len(frames) or ts != sorted(ts) or frames != sorted(frames)
-                    or ts[0] < 0.0 or ts[-1] > 1.0):
-                raise ValidationError(f"node {nid}: timestamps and source_frames must be nonempty, "
-                                      "sorted and of one length, and timestamps inside [0, 1]")
-            if (node.motion_feature is None) == (nid in self.dynamic_nodes):
-                raise ValidationError(f"node {nid}: dynamic nodes, and only they, carry a motion feature")
-            if registry is not None and (nid in self.static_nodes) != registry.is_static(node.class_id):
-                raise ValidationError(f"node {nid} is in the wrong partition for its class kind")
-        nodes = list(self.nodes.values())
-        boxes = np.array([n.bbox for n in nodes], dtype=np.float64).reshape(-1, 4)
-        _raise_first([(degenerate_boxes(boxes), ValidationError,
-                       lambda i: f"node {nodes[i].node_id}: degenerate bbox {nodes[i].bbox}")], None)
-        for fs in self.frames:  # compaction's sweep needs each listing among its node's frames
-            for nid in fs.node_ids:
-                if nid not in ids or fs.frame_index not in self.nodes[nid].source_frames:
-                    raise ValidationError(f"frame {fs.frame_index} lists node {nid}, which is missing "
-                                          "or has no source frame there")
+        """Check that the columns agree; with a registry, also that each node's partition
+        fits its class kind. Each node is listed once in each of its source frames, and
+        in no other frame."""
+        ids, n = self.nodes, len(self.nodes)
+        t, f, counts = self.obs_times, self.obs_frames, np.diff(self.obs_start)
+        owner = np.repeat(np.arange(n), counts)
+        step = (owner[1:] == owner[:-1]) & ((t[1:] < t[:-1]) | (f[1:] < f[:-1]))
+        bad_obs = counts == 0
+        bad_obs[owner[1:][step]] = True
+        bad_obs[owner[(t < 0.0) | (t > 1.0)]] = True
+        kinds = self.static if registry is None else np.array(
+            [registry.is_static(c) for c in self.class_ids.tolist()], dtype=bool)
+        _raise_first([[
+            (bad_obs, ValidationError, lambda i: f"node {ids[i]}: {_OBS_RULE}"),
+            (kinds != self.static, ValidationError,
+             lambda i: f"node {ids[i]} is in the wrong partition for its class kind"),
+        ], [(degenerate_boxes(self.boxes), ValidationError,
+             lambda i: f"node {ids[i]}: degenerate bbox {tuple(self.boxes[i].tolist())}")]])
+        # one run per (frame, row) pair among the listings (listed) and the observations
+        frame = np.concatenate((self.listed_frames, f))
+        row = np.concatenate((self.listed_rows, owner))
+        order = np.lexsort((row, frame))
+        frame, row, listed = frame[order], row[order], (order < len(self.listed_rows)).astype(np.int64)
+        first = _starts(frame, row)
+        n_listed = np.add.reduceat(listed, first)
+        n_seen = np.diff(np.append(first, len(row))) - n_listed
+        _raise_first([[
+            (n_seen == 0, ValidationError, lambda g: f"frame {frame[first[g]]} lists node "
+             f"{ids[row[first[g]]]}, which is missing or has no source frame there"),
+            (n_listed > 1, ValidationError,
+             lambda g: f"frame {frame[first[g]]} lists node {ids[row[first[g]]]} more than once"),
+            (n_listed == 0, ValidationError,
+             lambda g: f"node {ids[row[first[g]]]} is not listed in its source frame {frame[first[g]]}"),
+        ]])
 
     def __eq__(self, other) -> bool:
         """Equal when both write the same graph-file body under the same registry digest."""
@@ -154,23 +178,20 @@ class SceneGraph25D:
                 and _graph_body(self) == _graph_body(other))
 
 
-def split_static_dynamic(graph: SceneGraph25D, registry: ClassRegistry) -> tuple[set[int], set[int]]:
-    """Partition node ids by class kind and store the partition on the graph."""
-    static, dynamic = set(), set()
-    for nid, node in graph.nodes.items():
-        (static if registry.is_static(node.class_id) else dynamic).add(nid)
-    graph.static_nodes = static
-    graph.dynamic_nodes = dynamic
-    return static, dynamic
-
-
-def _raise_first(faults, lines: list[int] | None) -> None:
-    """Raise for the first bad record; `faults` holds (bad-record mask, error class,
-    message for record i) in the order a record's own faults are reported."""
-    hits = [(int(np.argmax(bad)), k) for k, (bad, _, _) in enumerate(faults) if np.any(bad)]
+def _raise_first(stages, lines: list[int] | None = None, video: np.ndarray | None = None) -> None:
+    """Raise for the first bad record. `stages` holds lists of (bad-record mask, error class,
+    message for record i), each list in the order a record's own faults are reported.
+    The first video in `video` order with a bad record wins, then the first stage with
+    one in that video, then the record, then the fault."""
+    hits = []
+    for s, faults in enumerate(stages):
+        for k, (bad, error, message) in enumerate(faults):
+            rows = np.flatnonzero(bad)
+            if len(rows):
+                i = int(rows[0] if video is None else rows[np.argmin(video[rows])])
+                hits.append((0 if video is None else video[i], s, i, k, error, message))
     if hits:
-        i, k = min(hits)
-        _, error, message = faults[k]
+        _, _, i, _, error, message = min(hits, key=lambda h: h[:4])
         raise error(message(i), line=None if lines is None else lines[i])
 
 
@@ -193,63 +214,74 @@ def graph_from_records(
     video_ids = {str(r["video_id"]) for r in records}
     if len(video_ids) > 1:
         raise ValidationError(f"records span multiple videos {sorted(video_ids)}; split them first")
+    return _graphs(records, registry, max_frames, intrinsics, lines)[0]
+
+
+def _graphs(records, registry, max_frames, intrinsics, lines) -> list[SceneGraph25D]:
+    """One graph per video of `records` (first-appearance order), each field read for all
+    records at once. An error names the first bad record of the first video holding one."""
+    _check_widths(records, {}, lines)
+    names = [str(r["video_id"]) for r in records]
+    code = {v: k for k, v in enumerate(dict.fromkeys(names))}
+    video = np.array([code[v] for v in names], dtype=np.int64)
     frames = [int(r["frame_index"]) for r in records]
     if max_frames is None:
         max_frames = max(frames) + 1
     if max_frames <= 0:
         raise ValidationError(f"max_frames must be positive, got {max_frames}")
-
     class_ids = [int(r["class_id"]) for r in records]
-    kinds = [registry.entries[c].kind if c in registry.entries else None for c in class_ids]
-    bboxes = [tuple(float(v) for v in r["bbox"]) for r in records]
+    kind_of = {c: e.kind for c, e in registry.entries.items()}
+    kinds = [kind_of.get(c) for c in class_ids]
+    static, dynamic = (np.array([k == kind for k in kinds], dtype=bool) for kind in (STATIC, DYNAMIC))
     motions = [r.get("motion_feature") for r in records]
-    _raise_first([  # box shapes first: the checks below take the boxes as one array
-        ([len(b) != 4 for b in bboxes], ValidationError,
-         lambda i: f"bbox must have 4 coordinates, got {len(bboxes[i])}"),
-    ], lines)
-    boxes = np.array(bboxes, dtype=np.float64).reshape(-1, 4)
-    depths = np.array([float(r["depth"]) for r in records])
-    _raise_first([
-        ([k is None for k in kinds], RegistryError, lambda i: f"unknown class_id {class_ids[i]}"),
+    moving = np.array([m is not None for m in motions], dtype=bool)
+    bboxes = [r["bbox"] for r in records]
+    short = np.array([len(b) != 4 for b in bboxes], dtype=bool)  # the checks below take one box array
+    boxes = np.array([b if len(b) == 4 else _UNIT_BOX for b in bboxes] if short.any() else bboxes,
+                     dtype=np.float64).reshape(-1, 4)
+    depths = np.array([r["depth"] for r in records], dtype=np.float64)
+    checks = [
+        (~(static | dynamic), RegistryError, lambda i: f"unknown class_id {class_ids[i]}"),
         (degenerate_boxes(boxes), ValidationError,
-         lambda i: f"degenerate bbox {bboxes[i]}: requires x1 < x2 and y1 < y2"),
+         lambda i: f"degenerate bbox {tuple(map(float, bboxes[i]))}: requires x1 < x2 and y1 < y2"),
         (bad_depths(depths), ValidationError,
          lambda i: f"depth must be positive and finite, got {depths[i]}"),
-        ([k == DYNAMIC and m is None for k, m in zip(kinds, motions)], ValidationError,
+        (dynamic & ~moving, ValidationError,
          lambda i: f"dynamic detection (class {class_ids[i]}) lacks motion_feature"),
-        ([k == STATIC and m is not None for k, m in zip(kinds, motions)], ValidationError,
+        (static & moving, ValidationError,
          lambda i: f"static detection (class {class_ids[i]}) carries motion_feature"),
         ([not 0 <= f < max_frames for f in frames], ValidationError,
          lambda i: f"frame_index {frames[i]} outside [0, {max_frames})"),
-    ], lines)
-    centroids = lift_centroid(boxes, depths, intrinsics)
-    _raise_first([(~np.isfinite(centroids).all(axis=1), ValidationError,
-                   lambda i: f"lifted centroid {centroids[i].tolist()} is not finite")], lines)
+    ]
+    bad = np.logical_or.reduce([short] + [mask for mask, _, _ in checks])  # reported before a centroid
+    centroids = lift_centroid(np.where(bad[:, None], _UNIT_BOX, boxes), np.where(bad, 1.0, depths),
+                              intrinsics)
+    _raise_first([
+        [(short, ValidationError, lambda i: f"bbox must have 4 coordinates, got {len(bboxes[i])}")],
+        checks,
+        [(~np.isfinite(centroids).all(axis=1), ValidationError,
+          lambda i: f"lifted centroid {centroids[i].tolist()} is not finite")],
+    ], lines, video)
 
-    nodes: dict[int, SceneNode] = {}
-    by_frame: dict[int, list[int]] = {}
-    for node_id, (rec, frame, motion) in enumerate(zip(records, frames, motions)):
-        nodes[node_id] = SceneNode(
-            node_id=node_id,
-            class_id=class_ids[node_id],
-            feature=np.asarray(rec["feature"], dtype=np.float64),
-            bbox=bboxes[node_id],
-            centroid3d=centroids[node_id],
-            timestamps=[frame / max_frames],
-            source_frames=[frame],
-            motion_feature=None if motion is None else np.asarray(motion, dtype=np.float64),
-        )
-        by_frame.setdefault(frame, []).append(node_id)
-
-    graph = SceneGraph25D(
-        video_id=video_ids.pop(),
-        max_frames=max_frames,
-        nodes=nodes,
-        frames=[FrameSet(f, by_frame[f]) for f in sorted(by_frame)],
-        registry_digest=registry.digest(),
-    )
-    split_static_dynamic(graph, registry)
-    return graph
+    times = np.array([f / max_frames for f in frames], dtype=np.float64)
+    frame_col, class_col = _ints(frames), _ints(class_ids)
+    features = _matrix([r["feature"] for r in records])
+    motion_rows, motion_of = _matrix([m for m in motions if m is not None]), np.cumsum(moving) - 1
+    digest = registry.digest()
+    order = np.argsort(video, kind="stable")
+    cuts = np.searchsorted(video[order], np.arange(len(code) + 1))
+    graphs = []
+    for name, rows in zip(code, np.split(order, cuts[1:-1])):
+        f = frame_col[rows]
+        listing = np.argsort(f, kind="stable")
+        graphs.append(SceneGraph25D(
+            video_id=name, max_frames=max_frames, nodes=np.arange(len(rows)), class_ids=class_col[rows],
+            static=static[rows], features=features[rows], motions=motion_rows[motion_of[rows[moving[rows]]]],
+            boxes=boxes[rows], centroids=centroids[rows], obs_start=np.arange(len(rows) + 1),
+            obs_frames=f, obs_times=times[rows], listed_frames=f[listing], listed_rows=listing,
+            registry_digest=digest,
+        ))
+    return graphs
 
 
 _FEATURES = {"feature": list_of(NUMBER), "motion_feature": optional(list_of(NUMBER))}
@@ -279,59 +311,33 @@ def load_detection_groups(
     """Load a detection JSONL file into one graph per video (first-appearance order)."""
     lines, records = read_jsonl(path)
     check_rows(records, _DETECTION_FIELDS, lines)
-    _check_widths(records, {}, lines)
-    groups: dict[str, tuple[list[dict], list[int]]] = {}
-    for lineno, rec in zip(lines, records):
-        recs, video_lines = groups.setdefault(rec["video_id"], ([], []))
-        recs.append(rec)
-        video_lines.append(lineno)
-    if not groups:
+    if not records:
         raise ValidationError(f"no detections in {path}")
-    if max_frames is None:
-        max_frames = max(int(r["frame_index"]) for recs, _ in groups.values() for r in recs) + 1
-    return [
-        graph_from_records(recs, registry, max_frames, intrinsics, video_lines)
-        for recs, video_lines in groups.values()
-    ]
-
-
-def _node_to_json(node: SceneNode) -> dict:
-    return {
-        "node_id": node.node_id,
-        "class_id": node.class_id,
-        "feature": [float(v) for v in node.feature],
-        "motion_feature": None
-        if node.motion_feature is None
-        else [float(v) for v in node.motion_feature],
-        "bbox": [float(v) for v in node.bbox],
-        "centroid3d": [float(v) for v in node.centroid3d],
-        "timestamps": [float(t) for t in node.timestamps],
-        "source_frames": [int(f) for f in node.source_frames],
-    }
-
-
-def _node_from_json(obj: dict) -> SceneNode:
-    motion = obj.get("motion_feature")
-    return SceneNode(
-        node_id=obj["node_id"],
-        class_id=obj["class_id"],
-        feature=np.asarray(obj["feature"], dtype=np.float64),
-        bbox=tuple(obj["bbox"]),
-        centroid3d=np.asarray(obj["centroid3d"], dtype=np.float64),
-        timestamps=obj["timestamps"],
-        source_frames=obj["source_frames"],
-        motion_feature=None if motion is None else np.asarray(motion, dtype=np.float64),
-    )
+    return _graphs(records, registry, max_frames, intrinsics, lines)
 
 
 def _graph_body(graph: SceneGraph25D) -> dict:
+    ids = graph.nodes.tolist()
+    motions = [None] * len(ids)
+    for row, motion in zip(np.flatnonzero(~graph.static).tolist(), graph.motions.tolist()):
+        motions[row] = motion
+    cuts, times, frames = graph.obs_start.tolist(), graph.obs_times.tolist(), graph.obs_frames.tolist()
+    listed, listed_frames = graph.nodes[graph.listed_rows].tolist(), graph.listed_frames.tolist()
+    starts = _starts(graph.listed_frames).tolist() + [len(listed)]
     return {
         "video_id": graph.video_id,
         "max_frames": graph.max_frames,
-        "nodes": [_node_to_json(graph.nodes[nid]) for nid in sorted(graph.nodes)],
-        "frames": [{"frame_index": fs.frame_index, "node_ids": list(fs.node_ids)} for fs in graph.frames],
-        "static_nodes": sorted(graph.static_nodes),
-        "dynamic_nodes": sorted(graph.dynamic_nodes),
+        "nodes": [
+            {"node_id": nid, "class_id": c, "feature": f, "motion_feature": m, "bbox": b, "centroid3d": p,
+             "timestamps": times[lo:hi], "source_frames": frames[lo:hi]}
+            for nid, c, f, m, b, p, lo, hi in zip(
+                ids, graph.class_ids.tolist(), graph.features.tolist(), motions, graph.boxes.tolist(),
+                graph.centroids.tolist(), cuts, cuts[1:])
+        ],
+        "frames": [{"frame_index": listed_frames[lo], "node_ids": listed[lo:hi]}
+                   for lo, hi in zip(starts, starts[1:])],
+        "static_nodes": graph.nodes[graph.static].tolist(),
+        "dynamic_nodes": graph.nodes[~graph.static].tolist(),
     }
 
 
@@ -353,16 +359,47 @@ def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> S
         check_rows(obj["nodes"], _NODE_FIELDS)
         _check_widths(obj["nodes"], widths)
         check_rows(obj["frames"], _FRAME_FIELDS)
-        nodes = {n["node_id"]: _node_from_json(n) for n in obj["nodes"]}
-        if len(nodes) != len(obj["nodes"]):
+        ids = _ints([n["node_id"] for n in obj["nodes"]])
+        order = np.argsort(ids, kind="stable")
+        ids, nodes = ids[order], [obj["nodes"][i] for i in order.tolist()]
+        if np.any(ids[1:] == ids[:-1]):
             raise ValidationError("repeats a node id")
+        row_of = {nid: row for row, nid in enumerate(ids.tolist())}
+        static, dynamic = ({row_of.get(nid) for nid in obj[key]} for key in ("static_nodes", "dynamic_nodes"))
+        if None in static | dynamic or static & dynamic or len(static | dynamic) != len(ids):
+            raise ValidationError("static/dynamic sets do not partition the node ids")
+        is_static = np.zeros(len(ids), dtype=bool)
+        is_static[list(static)] = True
+        times, frames = [n["timestamps"] for n in nodes], [n["source_frames"] for n in nodes]
+        moving = np.array([n.get("motion_feature") is not None for n in nodes], dtype=bool)
+        _raise_first([[
+            ([not t or len(t) != len(f) for t, f in zip(times, frames)], ValidationError,
+             lambda i: f"node {ids[i]}: {_OBS_RULE}"),
+            (moving == is_static, ValidationError,
+             lambda i: f"node {ids[i]}: dynamic nodes, and only they, carry a motion feature"),
+        ]])
+        indices = [fs["frame_index"] for fs in obj["frames"]]
+        for before, after in zip(indices, indices[1:]):
+            if after <= before:
+                raise ValidationError(f"frame indices must strictly ascend, got {after} after {before}")
+        listed_ids = [nid for fs in obj["frames"] for nid in fs["node_ids"]]
+        listed_rows = [row_of.get(nid) for nid in listed_ids]
+        listed_frames = [fs["frame_index"] for fs in obj["frames"] for _ in fs["node_ids"]]
+        if None in listed_rows:
+            i = listed_rows.index(None)
+            raise ValidationError(f"frame {listed_frames[i]} lists node {listed_ids[i]}, which is missing "
+                                  "or has no source frame there")
         graph = SceneGraph25D(
-            video_id=obj["video_id"],
-            max_frames=obj["max_frames"],
-            nodes=nodes,
-            frames=[FrameSet(f["frame_index"], f["node_ids"]) for f in obj["frames"]],
-            static_nodes=set(obj["static_nodes"]),
-            dynamic_nodes=set(obj["dynamic_nodes"]),
+            video_id=obj["video_id"], max_frames=obj["max_frames"], nodes=ids,
+            class_ids=_ints([n["class_id"] for n in nodes]), static=is_static,
+            features=_matrix([n["feature"] for n in nodes]),
+            motions=_matrix([n["motion_feature"] for n in nodes if n.get("motion_feature") is not None]),
+            boxes=np.array([n["bbox"] for n in nodes], dtype=np.float64).reshape(-1, 4),
+            centroids=np.array([n["centroid3d"] for n in nodes], dtype=np.float64).reshape(-1, 3),
+            obs_start=np.cumsum([0] + [len(t) for t in times]),
+            obs_frames=_ints([f for fs in frames for f in fs]),
+            obs_times=np.array([t for ts in times for t in ts], dtype=np.float64),
+            listed_frames=_ints(listed_frames), listed_rows=np.array(listed_rows, dtype=np.int64),
             registry_digest=digest,
         )
         graph.validate()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from copy import copy
 
 import numpy as np
 
@@ -18,15 +18,14 @@ def frame_correspondences(graph: SceneGraph25D, gamma: float = 0.5) -> tuple[np.
     frame i, in src, and those candidates, in dst.
     """
     gamma = MatchParams(gamma=gamma, delta=1).gamma  # checks gamma
-    index = static_index(graph)
-    spans = np.array([index.rows(fs.frame_index, fs.frame_index + 1) for fs in graph.frames],
-                     dtype=np.int64).reshape(-1, 2)
+    index, frames = static_index(graph), graph.frames
+    spans = np.stack([np.searchsorted(index.frames, frames, side) for side in ("left", "right")], axis=1)
     prev, cur = spans[:-1], spans[1:]
     sizes = cur[:, 1] - cur[:, 0]
     pair = np.repeat(np.arange(len(cur)), sizes)
     rows = np.arange(len(pair)) + np.repeat(cur[:, 0] - (np.cumsum(sizes) - sizes), sizes)
     # each static occurrence's candidates: the static occurrences of the previous frame
-    lo, hi = np.zeros((2, len(index.ids)), dtype=np.int64)
+    lo, hi = np.zeros((2, len(index.rows)), dtype=np.int64)
     lo[rows], hi[rows] = prev[pair].T
     matches = nearest(index, index, lo, hi, gamma)[rows]
     found = matches >= 0
@@ -57,14 +56,14 @@ def register_frames(graph: SceneGraph25D, gamma: float = 0.5) -> SceneGraph25D:
     Both static and dynamic centroids are transformed; boxes, features, and
     timestamps are untouched. The transform chain links consecutive frames.
     """
-    if len(graph.frames) <= 1:
+    frames = graph.frames
+    if len(frames) <= 1:
         return graph
     rotations, translations = estimate_frame_transforms(graph, gamma=gamma)
-    position = {fs.frame_index: k for k, fs in enumerate(graph.frames)}
-    k = [position[n.source_frames[0]] for n in graph.nodes.values()]
-    points = np.array([n.centroid3d for n in graph.nodes.values()], dtype=np.float64).reshape(-1, 3)
+    k = np.searchsorted(frames, graph.obs_frames[graph.obs_start[:-1]])  # each row's first frame
     # a (1, 3) @ (3, 3) product per point rounds as one point's p @ R.T does; one
     # (n, 3) @ (3, 3) product does not
-    moved = (points[:, None, :] @ rotations[k].transpose(0, 2, 1))[:, 0, :] + translations[k]
-    registered = {nid: replace(n, centroid3d=c) for (nid, n), c in zip(graph.nodes.items(), moved)}
-    return replace(graph, nodes=registered)
+    registered = copy(graph)
+    registered.centroids = (graph.centroids[:, None, :] @ rotations[k].transpose(0, 2, 1))[:, 0, :]
+    registered.centroids += translations[k]
+    return registered

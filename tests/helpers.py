@@ -2,10 +2,12 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from prism25d.compact import MatchParams
+from prism25d.graph import SceneGraph25D, _ints, _matrix
 from prism25d.numcore import MlpParams, Tensor
 
 
@@ -74,6 +76,64 @@ def write_jsonl(path, records):
     return path
 
 
+# -- a graph's rows one node at a time, and hand-built graphs -------------------
+
+
+def node(graph, nid):
+    """Node `nid` of a graph, with the fields of its graph-file entry."""
+    row = int(np.searchsorted(graph.nodes, nid))
+    lo, hi = graph.obs_start[row], graph.obs_start[row + 1]
+    dynamic = np.flatnonzero(~graph.static)
+    return SimpleNamespace(
+        node_id=graph.nodes[row:row + 1].tolist()[0],
+        class_id=graph.class_ids[row:row + 1].tolist()[0],
+        feature=graph.features[row],
+        bbox=tuple(graph.boxes[row].tolist()),
+        centroid3d=graph.centroids[row],
+        timestamps=graph.obs_times[lo:hi].tolist(),
+        source_frames=graph.obs_frames[lo:hi].tolist(),
+        motion_feature=None if graph.static[row] else graph.motions[np.searchsorted(dynamic, row)],
+    )
+
+
+def listings(graph):
+    """The graph's frame listings as (frame index, node ids) pairs, in order."""
+    out = {}
+    for frame, nid in zip(graph.listed_frames.tolist(), graph.nodes[graph.listed_rows].tolist()):
+        out.setdefault(frame, []).append(nid)
+    return list(out.items())
+
+
+def table(nodes, dynamic=(), frames=None, video_id="t", max_frames=10, registry_digest=None):
+    """A graph from `node`-like records, unchecked. `frames` holds (frame index, node ids)
+    pairs; by default each node is listed in each of its source frames, in `nodes` order."""
+    if frames is None:
+        by_frame = {}
+        for n in nodes:
+            for f in dict.fromkeys(n.source_frames):
+                by_frame.setdefault(f, []).append(n.node_id)
+        frames = sorted(by_frame.items())
+    rows = sorted(nodes, key=lambda n: n.node_id)
+    row_of = {n.node_id: r for r, n in enumerate(rows)}
+    return SceneGraph25D(
+        video_id=video_id,
+        max_frames=max_frames,
+        nodes=_ints([n.node_id for n in rows]),
+        class_ids=_ints([n.class_id for n in rows]),
+        static=np.array([n.node_id not in dynamic for n in rows], dtype=bool),
+        features=_matrix([n.feature for n in rows]),
+        motions=_matrix([n.motion_feature for n in rows if n.node_id in dynamic]),
+        boxes=np.array([n.bbox for n in rows], dtype=np.float64).reshape(-1, 4),
+        centroids=np.array([n.centroid3d for n in rows], dtype=np.float64).reshape(-1, 3),
+        obs_start=np.cumsum([0] + [len(n.timestamps) for n in rows]),
+        obs_frames=_ints([f for n in rows for f in n.source_frames]),
+        obs_times=np.array([t for n in rows for t in n.timestamps], dtype=np.float64),
+        listed_frames=_ints([f for f, ids in frames for _ in ids]),
+        listed_rows=np.array([row_of[nid] for _, ids in frames for nid in ids], dtype=np.int64),
+        registry_digest=registry_digest,
+    )
+
+
 # -- per-candidate merge search: the reference for compact.nearest -------------
 
 
@@ -103,7 +163,7 @@ def oracle_nearest(v, graph, candidate_ids, params):
     one candidate at a time."""
     best = None
     for wid in candidate_ids:
-        w = graph.nodes[wid]
+        w = node(graph, wid)
         if not criterion(v, w, params):
             continue
         key = (float(np.linalg.norm(v.centroid3d - w.centroid3d)), wid)
@@ -113,19 +173,17 @@ def oracle_nearest(v, graph, candidate_ids, params):
 
 
 def oracle_static_by_frame(graph):
-    return {
-        fs.frame_index: [nid for nid in fs.node_ids if nid in graph.static_nodes]
-        for fs in graph.frames
-    }
+    static = set(graph.nodes[graph.static].tolist())
+    return {frame: [nid for nid in ids if nid in static] for frame, ids in listings(graph)}
 
 
 def oracle_ancestors(graph, params):
     """build_ancestors with a per-node search over the previous delta frames."""
     static_by_frame = oracle_static_by_frame(graph)
     parent = {}
-    for fs in graph.frames:
-        for nid in static_by_frame[fs.frame_index]:
-            v = graph.nodes[nid]
+    for frame, _ in listings(graph):
+        for nid in static_by_frame[frame]:
+            v = node(graph, nid)
             frames = range(v.source_frames[0] - params.delta, v.source_frames[0])
             candidates = [w for f in frames for w in static_by_frame.get(f, ())]
             m = oracle_nearest(v, graph, candidates, params)
@@ -137,16 +195,59 @@ def oracle_correspondences(graph, gamma):
     """Per consecutive frame pair, the (src, dst) centroid lists registration fits."""
     params = MatchParams(gamma=gamma, delta=1)
     static_by_frame = oracle_static_by_frame(graph)
+    frames = [frame for frame, _ in listings(graph)]
     pairs = []
-    for prev, cur in zip(graph.frames, graph.frames[1:]):
+    for prev, cur in zip(frames, frames[1:]):
         src, dst = [], []
-        for vid in static_by_frame[cur.frame_index]:
-            wid = oracle_nearest(graph.nodes[vid], graph, static_by_frame[prev.frame_index], params)
+        for vid in static_by_frame[cur]:
+            wid = oracle_nearest(node(graph, vid), graph, static_by_frame[prev], params)
             if wid is not None:
-                src.append(graph.nodes[vid].centroid3d)
-                dst.append(graph.nodes[wid].centroid3d)
+                src.append(node(graph, vid).centroid3d)
+                dst.append(node(graph, wid).centroid3d)
         pairs.append((np.array(src).reshape(-1, 3), np.array(dst).reshape(-1, 3)))
     return pairs
+
+
+# -- one loop per equivalence class: the reference for compact's segment merge --
+
+
+def _merge_class(members, root):
+    if any(n.class_id != root.class_id for n in members):
+        raise AssertionError("equivalence class mixes class ids; criterion violated")
+    obs = sorted(
+        (f, t) for n in members for f, t in zip(n.source_frames, n.timestamps)
+    )
+    feats = np.stack([n.feature for n in members])  # members sorted by node_id
+    return SimpleNamespace(
+        node_id=root.node_id,
+        class_id=root.class_id,
+        feature=feats.mean(axis=0),
+        bbox=root.bbox,
+        centroid3d=root.centroid3d.copy(),
+        timestamps=[t for _, t in obs],
+        source_frames=[f for f, _ in obs],
+        motion_feature=None,
+    )
+
+
+def oracle_merge_static(graph, ancestors):
+    """merge_static one equivalence class and one frame listing at a time."""
+    nodes = {nid: node(graph, nid) for nid in graph.nodes.tolist()}
+    dynamic = set(graph.nodes[~graph.static].tolist())
+    classes = {}
+    for nid in sorted(ancestors):
+        classes.setdefault(ancestors[nid], []).append(nid)
+    merged = [_merge_class([nodes[m] for m in members], nodes[root]) for root, members in classes.items()]
+    remap = {nid: ancestors.get(nid, nid) for nid in nodes}
+    frames = []
+    for frame, ids in listings(graph):
+        seen = []
+        for nid in ids:
+            if remap[nid] not in seen:
+                seen.append(remap[nid])
+        frames.append((frame, seen))
+    return table(merged + [nodes[nid] for nid in dynamic], dynamic=dynamic, frames=frames,
+                 video_id=graph.video_id, max_frames=graph.max_frames, registry_digest=graph.registry_digest)
 
 
 # -- pairwise kernel: the reference for attention.kernel_matrix -----------------

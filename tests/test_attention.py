@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from prism25d.errors import ValidationError
 from prism25d.graph import graph_from_records
 from prism25d.numcore import Tensor
 
-from helpers import detection, fd_gradients, kernel, max_relative_error, min_time_gap, mlp_identity
+from helpers import detection, fd_gradients, kernel, max_relative_error, min_time_gap, mlp_identity, node
 
 
 def _nodes(rng, n=5, r=8):
@@ -38,13 +39,7 @@ def _level(positions, times, sigma_s, sigma_t):
 
 
 def _node_like(pos, times):
-    from prism25d.graph import SceneNode
-
-    return SceneNode(
-        node_id=0, class_id=1, feature=np.zeros(2), bbox=(0, 0, 1, 1),
-        centroid3d=np.asarray(pos, dtype=float), timestamps=list(times),
-        source_frames=list(range(len(times))),
-    )
+    return SimpleNamespace(centroid3d=np.asarray(pos, dtype=float), timestamps=list(times))
 
 
 # -- kernel ----------------------------------------------------------------------
@@ -130,16 +125,17 @@ def test_project_node_counts_and_order(registry):
     bundle = build_bundles({"v": g}, ((0.9, 0.4),))["v"]
     features = project_nodes(bundle, mlp_s, mlp_d)
     assert features.data.shape == (4, 5)
-    assert sorted(g.nodes) == [0, 1, 2, 3, 4]
+    assert g.nodes.tolist() == [0, 1, 2, 3, 4]
     # each column equals a straight per-node evaluation
-    for col, nid in enumerate(sorted(g.nodes)):
-        node = g.nodes[nid]
-        params = mlp_s if nid in g.static_nodes else mlp_d
-        want = params.weights[0].data @ node.combined_feature + params.biases[0].data[:, 0]
+    for col, nid in enumerate(g.nodes.tolist()):
+        v = node(g, nid)
+        params = mlp_s if v.motion_feature is None else mlp_d
+        combined = v.feature if v.motion_feature is None else np.concatenate([v.feature, v.motion_feature])
+        want = params.weights[0].data @ combined + params.biases[0].data[:, 0]
         assert np.allclose(features.data[:, col], want, atol=1e-12)
     # the kernel rows and columns follow the same node order
-    positions = np.stack([g.nodes[nid].centroid3d for nid in sorted(g.nodes)])
-    times = [np.array(g.nodes[nid].timestamps) for nid in sorted(g.nodes)]
+    positions = np.stack([node(g, nid).centroid3d for nid in g.nodes.tolist()])
+    times = [np.array(node(g, nid).timestamps) for nid in g.nodes.tolist()]
     assert np.allclose(bundle.smax[0].data, _level(positions, times, 0.9, 0.4).data, atol=1e-12)
 
 
@@ -147,13 +143,13 @@ def test_project_identity_mlp_passthrough(registry):
     recs = [detection(frame=0, class_id=1), detection(frame=1, class_id=2, bbox=(60, 60, 90, 90))]
     g = graph_from_records(recs, registry)
     features = project_nodes(build_bundles({"v": g}, ((1.0, 1.0),))["v"], mlp_identity(2), mlp_identity(2))
-    for col, nid in enumerate(sorted(g.nodes)):
-        assert np.allclose(features.data[:, col], g.nodes[nid].feature)
+    for col, nid in enumerate(g.nodes.tolist()):
+        assert np.allclose(features.data[:, col], node(g, nid).feature)
 
 
 def test_build_bundles_rejects_motionless_dynamic(registry):
     g = graph_from_records([detection(class_id=101, motion=(0.5, 0.5))], registry)
-    g.nodes[0].motion_feature = None
+    g.motions = g.motions[:0]  # node 0 is dynamic
     with pytest.raises(ValidationError, match="lacks a motion feature"):
         build_bundles({"v": g}, ((1.0, 1.0),))
 

@@ -425,6 +425,27 @@ def test_bad_graph_file_exits_one(tmp_path, capsys, change, where):
     assert not (tmp_path / "c.json").exists() and not (tmp_path / "s.json").exists()
 
 
+# a graph file lists each node once in each of its source frames, and no frame twice
+@pytest.mark.parametrize("change, message", [
+    (lambda g: g.update(frames=[]), "node 0 is not listed in its source frame 0"),
+    (lambda g: g["frames"][1]["node_ids"].pop(0), "node 3 is not listed in its source frame 1"),
+    (lambda g: g["frames"][2]["node_ids"].append(6), "frame 2 lists node 6 more than once"),
+    (lambda g: g["frames"].insert(1, g["frames"][0]), "frame indices must strictly ascend, got 0 after 0"),
+], ids=["no-frames", "unlisted-node", "listed-twice", "repeated-frame"])
+def test_graph_file_listing_a_node_but_once_per_source_frame_exits_one(tmp_path, capsys, change, message):
+    det, reg, _ = _synth_corpus(tmp_path, n_worlds=1, qa=False, n_frames=5, n_static=3, n_dynamic=0)
+    graph_file, out = tmp_path / "g.json", tmp_path / "c.json"
+    assert main(["ingest", "--in", det, "--registry", reg, "--out", str(graph_file)]) == 0
+    obj = json.loads(graph_file.read_text())
+    assert obj["frames"][2]["node_ids"][0] == 6
+    change(obj)
+    graph_file.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = main(["compact", "--in", str(graph_file), "--out", str(out)])
+    assert _one_error(capsys, code, kind="validation") == f"video 'w100': {message}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["compact", "stats"])
 def test_graph_file_repeating_a_video_exits_one(tmp_path, capsys, command):
     det, reg, _ = _synth_corpus(tmp_path, n_worlds=1, qa=False, n_frames=3)
@@ -818,7 +839,8 @@ def test_help_documents_flags(capsys):
 REGISTRATION_SHA256 = "5a33e20b3f673a8d21a8adadddabea3a551a16de0b2f83f5a4f6ab11b64e67cc"
 
 
-def test_registration_bytes_are_pinned(tmp_path):
+def _moving_graph_files(tmp_path):
+    """The detections of the registration pin's six worlds, ingested and then compacted."""
     worlds = [
         _world_json(700 + i, n_frames=8, n_static=5, n_dynamic=2,
                     camera=sw.CameraSpec(**camera), noise=sw.NoiseSpec(**noise))
@@ -835,5 +857,37 @@ def test_registration_bytes_are_pinned(tmp_path):
     graphs, compacted = tmp_path / "g.json", tmp_path / "c.json"
     assert main(["ingest", "--in", det, "--registry", reg, "--out", str(graphs)]) == 0
     assert main(["compact", "--in", str(graphs), "--out", str(compacted)]) == 0
+    return graphs, compacted
+
+
+def test_registration_bytes_are_pinned(tmp_path):
+    graphs, compacted = _moving_graph_files(tmp_path)
     digest = hashlib.sha256(graphs.read_bytes() + compacted.read_bytes()).hexdigest()
     assert digest == REGISTRATION_SHA256
+
+
+# compact of the compacted file above, and of a file compacted at gamma 0.95, whose
+# nodes, each holding several observations, merge further at the default gamma; and
+# the kernel bundles of the ingested and the compacted graphs
+RECOMPACTED_SHA256 = "1b09b3f330433488c6958952a96d1341ffc1b39299c5ccf4a28c0b1183c61ca6"
+BUNDLES_SHA256 = "44be390fb8d842da0facc02419c43ec5ff7702d1d1bf020e7b093f8973bb15be"
+
+
+def test_recompaction_and_bundle_bytes_are_pinned(tmp_path):
+    from prism25d.attention import DEFAULT_BANDWIDTHS, build_bundles
+
+    graphs, compacted = _moving_graph_files(tmp_path)
+    strict, again, strict_again = tmp_path / "s.json", tmp_path / "cc.json", tmp_path / "sc.json"
+    assert main(["compact", "--in", str(compacted), "--out", str(again)]) == 0
+    assert main(["compact", "--in", str(graphs), "--out", str(strict), "--gamma", "0.95"]) == 0
+    assert main(["compact", "--in", str(strict), "--out", str(strict_again)]) == 0
+    files = again.read_bytes() + strict.read_bytes() + strict_again.read_bytes()
+    assert hashlib.sha256(files).hexdigest() == RECOMPACTED_SHA256
+    digest = hashlib.sha256()
+    levels = tuple(zip(DEFAULT_BANDWIDTHS, DEFAULT_BANDWIDTHS))
+    for path in (graphs, compacted):
+        bundles = build_bundles({g.video_id: g for g in load_corpus(path)}, levels)
+        for vid, b in bundles.items():
+            for a in (b.static_cols, b.dynamic_cols, b.perm, *(s.data for s in b.smax)):
+                digest.update(f"{vid} {a.shape} {a.dtype.str}".encode() + a.tobytes())
+    assert digest.hexdigest() == BUNDLES_SHA256

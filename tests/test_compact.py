@@ -1,3 +1,6 @@
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,18 +13,20 @@ from prism25d.compact import (
     reduction_pct,
 )
 from prism25d.errors import ValidationError
-from prism25d.graph import FrameSet, SceneGraph25D, SceneNode, graph_from_records
+from prism25d.graph import _graph_body, graph_from_records
 from prism25d import register
 from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
 
-from helpers import criterion, iou, oracle_ancestors, oracle_correspondences, oracle_static_by_frame
-
+from helpers import (
+    criterion, iou, node, oracle_ancestors, oracle_correspondences, oracle_merge_static,
+    oracle_static_by_frame, table,
+)
 
 
 def _node(nid, frame, class_id=1, bbox=(0, 0, 10, 10), centroid=(0, 0, 0),
           motion=None, max_frames=10):
-    return SceneNode(
+    return SimpleNamespace(
         node_id=nid,
         class_id=class_id,
         feature=np.array([float(nid), float(nid)]),
@@ -34,17 +39,7 @@ def _node(nid, frame, class_id=1, bbox=(0, 0, 10, 10), centroid=(0, 0, 0),
 
 
 def _graph(nodes, dynamic=()):
-    by_frame = {}
-    for n in nodes:
-        by_frame.setdefault(n.source_frames[0], []).append(n.node_id)
-    return SceneGraph25D(
-        video_id="t",
-        max_frames=10,
-        nodes={n.node_id: n for n in nodes},
-        frames=[FrameSet(f, ids) for f, ids in sorted(by_frame.items())],
-        static_nodes={n.node_id for n in nodes} - set(dynamic),
-        dynamic_nodes=set(dynamic),
-    )
+    return table(nodes, dynamic=set(dynamic))
 
 
 # -- iou and criterion: the test oracles behind compact.nearest's box test -----
@@ -165,16 +160,16 @@ def test_merge_averages_features():
     g = _graph(nodes)
     merged = compact(g, MatchParams(gamma=0.5, delta=3))
     assert len(merged.nodes) == 1
-    assert np.allclose(merged.nodes[0].feature, [2.0, 2.0], atol=1e-12)
-    assert merged.nodes[0].timestamps == [0.0, 0.1, 0.2]
-    assert merged.nodes[0].source_frames == [0, 1, 2]
+    assert np.allclose(node(merged, 0).feature, [2.0, 2.0], atol=1e-12)
+    assert node(merged, 0).timestamps == [0.0, 0.1, 0.2]
+    assert node(merged, 0).source_frames == [0, 1, 2]
 
 
 def test_merge_keeps_root_centroid_exactly():
     nodes = [_node(i, i, centroid=(0.01 * i, 0, 0)) for i in range(4)]
     g = _graph(nodes)
     merged = compact(g, MatchParams(gamma=0.5, delta=3))
-    assert np.array_equal(merged.nodes[0].centroid3d, nodes[0].centroid3d)
+    assert np.array_equal(node(merged, 0).centroid3d, nodes[0].centroid3d)
 
 
 def test_merge_singletons_is_identity():
@@ -182,7 +177,7 @@ def test_merge_singletons_is_identity():
     g = _graph(nodes)
     merged = compact(g, MatchParams(gamma=0.5, delta=3))
     assert len(merged.nodes) == 3
-    assert all(merged.nodes[i] == g.nodes[i] for i in range(3))
+    assert merged == g
 
 
 def test_merge_mixed_class_equivalence_is_internal_error():
@@ -202,8 +197,8 @@ def test_merge_on_synthetic_corpus_reaches_object_count():
         records, truth = sw.generate_world(spec)
         g = register_frames(graph_from_records(records, reg))
         merged = compact(g, MatchParams())
-        assert len(merged.static_nodes) == spec.n_static
-        assert len(merged.dynamic_nodes) == spec.n_dynamic * spec.n_frames
+        assert np.count_nonzero(merged.static) == spec.n_static
+        assert np.count_nonzero(~merged.static) == spec.n_dynamic * spec.n_frames
 
 
 # -- oracle equivalence, idempotence, determinism ------------------------------
@@ -232,7 +227,8 @@ def _random_abstract_graph(rng, n_frames=6, per_frame=4):
 
 def _brute_force_classes(g, params):
     """Independent oracle: exhaustive match search plus union-find closure."""
-    parent = {nid: nid for nid in g.static_nodes}
+    static = g.nodes[g.static].tolist()
+    parent = {nid: nid for nid in static}
 
     def find(x):
         while parent[x] != x:
@@ -240,11 +236,11 @@ def _brute_force_classes(g, params):
             x = parent[x]
         return x
 
-    for vid in sorted(g.static_nodes):
-        v = g.nodes[vid]
+    for vid in static:
+        v = node(g, vid)
         best = None
-        for wid in sorted(g.static_nodes):
-            w = g.nodes[wid]
+        for wid in static:
+            w = node(g, wid)
             gap = v.source_frames[0] - w.source_frames[0]
             if gap < 1 or gap > params.delta:
                 continue
@@ -256,7 +252,7 @@ def _brute_force_classes(g, params):
         if best is not None:
             parent[find(best[1])] = find(vid)
     groups = {}
-    for nid in g.static_nodes:
+    for nid in static:
         groups.setdefault(find(nid), set()).add(nid)
     return sorted(map(frozenset, groups.values()), key=sorted)
 
@@ -284,7 +280,7 @@ def test_compaction_monotone_on_abstract_graphs():
         g = _random_abstract_graph(rng)
         once = compact(g, params)
         assert len(once.nodes) <= len(g.nodes)
-        assert len(once.dynamic_nodes) == len(g.dynamic_nodes)
+        assert np.count_nonzero(~once.static) == np.count_nonzero(~g.static)
 
 
 def test_compaction_idempotent_on_synth_corpora():
@@ -317,7 +313,38 @@ def test_merged_feature_fixed_summation_order():
     g = _graph(nodes)
     merged = compact(g, MatchParams())
     expect = np.mean([n.feature for n in nodes], axis=0)
-    assert np.max(np.abs(merged.nodes[0].feature - expect)) < 1e-12
+    assert np.max(np.abs(node(merged, 0).feature - expect)) < 1e-12
+
+
+def _big_graph():
+    """Ids, class ids and frames beyond int64, with merges."""
+    big = 2**70
+    return _graph([_node(big + i, big + i // 2, class_id=big + i % 2,
+                         bbox=(0, 0, 10, 10 + i // 2), centroid=(i % 3, 0, 0)) for i in range(8)])
+
+
+def test_segment_merge_matches_per_class_loop():
+    rng = np.random.default_rng(17)
+    reg = sw.default_registry()
+    cases = [(_big_graph(), MatchParams(gamma=0.5, delta=2))]
+    for seed in (72, 73):
+        spec = sw.WorldSpec(seed=seed, video_id=f"j{seed}", n_frames=8, n_static=5, n_dynamic=2,
+                            noise=sw.NoiseSpec(bbox_px=1.0, depth=0.03))
+        g = register_frames(graph_from_records(sw.generate_world(spec)[0], reg))
+        cases += [(g, MatchParams()), (compact(g, MatchParams(gamma=0.95)), MatchParams())]
+    for graph, params in _grid_graphs(19, 30):
+        graph.features = rng.normal(size=graph.features.shape)
+        cases.append((graph, params))
+    # compacted graphs, compacted again over a wider window: their nodes hold several observations
+    cases += [(compact(g, p), MatchParams(gamma=p.gamma, delta=p.delta + 2)) for g, p in cases]
+    remerged = 0
+    for graph, params in cases:
+        ancestors = build_ancestors(graph, params)
+        got, want = compact(graph, params), oracle_merge_static(graph, ancestors)
+        assert json.dumps(_graph_body(got)) == json.dumps(_graph_body(want))
+        assert merge_static(graph, ancestors) == got
+        remerged += any(a != nid and len(node(graph, nid).source_frames) > 1 for nid, a in ancestors.items())
+    assert remerged >= 5
 
 
 # -- stats ---------------------------------------------------------------------
@@ -364,8 +391,9 @@ def _grid_graph(rng, n_frames=7, per_frame=6):
             spec.append((f, int(rng.integers(1, 3)), (x, y, x + w, y + h),
                          rng.integers(-1, 2, size=3), rng.random() < 0.2))
     ids = rng.permutation(len(spec)).tolist()
-    nodes = [_node(nid, f, class_id=c, bbox=b, centroid=p, max_frames=2 * n_frames)
-             for nid, (f, c, b, p, _) in zip(ids, spec)]
+    nodes = [_node(nid, f, class_id=c, bbox=b, centroid=p, motion=(1.0,) if d else None,
+                   max_frames=2 * n_frames)
+             for nid, (f, c, b, p, d) in zip(ids, spec)]
     dynamic = [nid for nid, s in zip(ids, spec) if s[4]]
     graph = _graph(nodes, dynamic=dynamic)
     graph.max_frames = 2 * n_frames
@@ -392,17 +420,17 @@ def _coverage(graph, params):
     """Counts of the cases the grids are there to produce: queries whose nearest
     candidates tie in distance, candidate boxes at IoU exactly gamma, merged nodes."""
     ties = at_gamma = 0
-    for vid in graph.static_nodes:
-        v = graph.nodes[vid]
+    for vid in graph.nodes[graph.static].tolist():
+        v = node(graph, vid)
         passing = []
         for wid in set(_window(graph, v, params)):
-            w = graph.nodes[wid]
+            w = node(graph, wid)
             at_gamma += v.class_id == w.class_id and iou(v.bbox, w.bbox) == params.gamma
             if criterion(v, w, params):
                 passing.append(float(np.linalg.norm(v.centroid3d - w.centroid3d)))
         passing.sort()
         ties += len(passing) > 1 and passing[0] == passing[1]
-    merged = sum(len(graph.nodes[n].source_frames) > 1 for n in graph.static_nodes)
+    merged = np.count_nonzero(np.diff(graph.obs_start)[graph.static] > 1)
     return np.array([ties, at_gamma, merged])
 
 
@@ -435,10 +463,7 @@ def test_search_on_graphs_without_static_nodes():
 
 
 def test_search_takes_ids_and_frames_beyond_int64():
-    big = 2**70
-    nodes = [_node(big + i, big + i // 2, class_id=big + i % 2,
-                   bbox=(0, 0, 10, 10 + i // 2), centroid=(i % 3, 0, 0)) for i in range(8)]
-    g = _graph(nodes)
+    g = _big_graph()
     params = MatchParams(gamma=0.5, delta=2)
     assert build_ancestors(g, params) == oracle_ancestors(g, params)
     rotations, translations = estimate_frame_transforms(g)

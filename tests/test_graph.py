@@ -1,18 +1,14 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from prism25d.errors import FormatError, ParseError, RegistryError, ValidationError
-from prism25d.graph import (
-    graph_from_records,
-    load_corpus,
-    load_detection_groups,
-    save_corpus,
-    split_static_dynamic,
-)
+from prism25d.attention import build_bundles
+from prism25d.graph import graph_from_records, load_corpus, load_detection_groups, save_corpus
 
-from helpers import detection, write_jsonl
+from helpers import detection, listings, node, table, write_jsonl
 
 
 def test_load_counts_two_frames_three_each(tmp_path, registry):
@@ -23,26 +19,26 @@ def test_load_counts_two_frames_three_each(tmp_path, registry):
     path = write_jsonl(tmp_path / "d.jsonl", recs)
     (g,) = load_detection_groups(path, registry)
     assert len(g.nodes) == 6
-    assert [len(fs.node_ids) for fs in g.frames] == [3, 3]
+    assert [len(ids) for _, ids in listings(g)] == [3, 3]
 
 
 def test_static_class_lands_in_static_set(tmp_path, registry):
     path = write_jsonl(tmp_path / "d.jsonl", [detection(class_id=1)])
     (g,) = load_detection_groups(path, registry)
-    assert g.static_nodes == {0} and not g.dynamic_nodes
+    assert g.nodes.tolist() == [0] and g.static.tolist() == [True]
 
 
 def test_timestamp_normalization(tmp_path, registry):
     path = write_jsonl(tmp_path / "d.jsonl", [detection(frame=5)])
     (g,) = load_detection_groups(path, registry, max_frames=10)
-    assert g.nodes[0].timestamps == [0.5]
+    assert g.obs_times.tolist() == [0.5]
 
 
 def test_last_frame_timestamp_below_one(registry):
     n = 7
     recs = [detection(frame=n - 1)]
     g = graph_from_records(recs, registry, max_frames=n)
-    assert g.nodes[0].timestamps == [(n - 1) / n] and g.nodes[0].timestamps[0] < 1.0
+    assert g.obs_times.tolist() == [(n - 1) / n] and g.obs_times[0] < 1.0
 
 
 def test_malformed_line_reports_line_number(tmp_path, registry):
@@ -93,9 +89,9 @@ def test_combined_feature_lengths(registry):
                   motion=np.arange(8.0)),
     ]
     g = graph_from_records(recs, registry)
-    assert len(g.nodes[0].combined_feature) == 16
-    assert len(g.nodes[1].combined_feature) == 24
-    assert np.array_equal(g.nodes[1].combined_feature[16:], np.arange(8.0))
+    bundle = build_bundles({"v": g}, ((1.0, 1.0),))["v"]  # object, then motion feature, per column
+    assert bundle.static_cols.shape == (16, 1) and bundle.dynamic_cols.shape == (24, 1)
+    assert np.array_equal(bundle.dynamic_cols[16:, 0], np.arange(8.0))
 
 
 def test_non_finite_depth_rejected_by_lift(registry):
@@ -109,7 +105,7 @@ def test_and_lift_applied_on_load(registry):
     g = graph_from_records(
         [detection(bbox=(118.0, 118.0, 138.0, 138.0), depth=2.0)], registry
     )
-    assert np.allclose(g.nodes[0].centroid3d, [0.0, 0.0, 2.0])
+    assert np.allclose(g.centroids[0], [0.0, 0.0, 2.0])
 
 
 def _sample_graph(registry):
@@ -125,8 +121,8 @@ def _sample_graph(registry):
 def test_roundtrip_bit_exact(tmp_path, registry):
     g = _sample_graph(registry)
     # awkward floats survive the round trip exactly (at the file's one feature width)
-    g.nodes[0].feature = np.array([0.1 + 0.2, 1e-17])
-    g.nodes[2].feature = np.array([-0.0, 1.0])
+    g.features[0] = [0.1 + 0.2, 1e-17]
+    g.features[2] = [-0.0, 1.0]
     path = tmp_path / "g.json"
     save_corpus([g], path)
     assert "graphs" not in json.loads(path.read_text())  # one graph is written flat
@@ -137,11 +133,8 @@ def test_roundtrip_bit_exact(tmp_path, registry):
 
 
 def test_roundtrip_empty_frames_graph(tmp_path, registry):
-    g = _sample_graph(registry)
-    g.nodes = {}
-    g.frames = []
-    g.static_nodes = set()
-    g.dynamic_nodes = set()
+    sample = _sample_graph(registry)
+    g = table([], video_id=sample.video_id, max_frames=sample.max_frames, registry_digest=sample.registry_digest)
     save_corpus([g], tmp_path / "g.json")
     (loaded,) = load_corpus(tmp_path / "g.json")
     assert loaded == g
@@ -196,29 +189,56 @@ def _up(values):
     return np.nextafter(np.asarray(values, dtype=np.float64), np.inf)
 
 
-# one edit per node field; node 1 is dynamic, so it carries a motion feature
+def _obs(g, row):
+    """The slice of the observation columns that holds row `row`'s."""
+    return slice(g.obs_start[row], g.obs_start[row + 1])
+
+
+def _without(g, nid):
+    """A copy of the graph without node `nid`."""
+    dynamic = set(g.nodes[~g.static].tolist())
+    return table([node(g, i) for i in g.nodes.tolist() if i != nid], dynamic=dynamic,
+                 frames=[(f, [i for i in ids if i != nid]) for f, ids in listings(g)],
+                 video_id=g.video_id, max_frames=g.max_frames, registry_digest=g.registry_digest)
+
+
+def _set(g, column, key, value):
+    getattr(g, column)[key] = value
+
+
+def _reverse_listings(g):
+    g.listed_frames, g.listed_rows = g.listed_frames[::-1], g.listed_rows[::-1]
+
+
+def _drop_motion(g):
+    """Node 1 written with a null motion feature: a static row without a motion row."""
+    g.static[1] = True
+    g.motions = g.motions[1:]
+
+
+# one edit per node field, each of row 1: node 1, which is dynamic and carries a motion feature
 _NODE_EDITS = {
-    "node_id": lambda n: setattr(n, "node_id", n.node_id + 1),
-    "class_id": lambda n: setattr(n, "class_id", n.class_id + 1),
-    "feature": lambda n: setattr(n, "feature", _up(n.feature)),
-    "bbox": lambda n: setattr(n, "bbox", tuple(_up(n.bbox))),
-    "centroid3d": lambda n: setattr(n, "centroid3d", _up(n.centroid3d)),
-    "timestamps": lambda n: setattr(n, "timestamps", _up(n.timestamps).tolist()),
-    "source_frames": lambda n: setattr(n, "source_frames", [f + 1 for f in n.source_frames]),
-    "motion_feature": lambda n: setattr(n, "motion_feature", _up(n.motion_feature)),
-    "motion_feature-dropped": lambda n: setattr(n, "motion_feature", None),
+    "node_id": lambda g: _set(g, "nodes", 1, 2),
+    "class_id": lambda g: _set(g, "class_ids", 1, g.class_ids[1] + 1),
+    "feature": lambda g: _set(g, "features", 1, _up(g.features[1])),
+    "bbox": lambda g: _set(g, "boxes", 1, _up(g.boxes[1])),
+    "centroid3d": lambda g: _set(g, "centroids", 1, _up(g.centroids[1])),
+    "timestamps": lambda g: _set(g, "obs_times", _obs(g, 1), _up(g.obs_times[_obs(g, 1)])),
+    "source_frames": lambda g: _set(g, "obs_frames", _obs(g, 1), g.obs_frames[_obs(g, 1)] + 1),
+    "motion_feature": lambda g: _set(g, "motions", 0, _up(g.motions[0])),
+    "motion_feature-dropped": _drop_motion,
 }
 
-# one edit per part of a graph besides its nodes' fields
+# one edit per part of a graph besides its nodes' fields; an edit returns a new graph or None
 _GRAPH_EDITS = {
     "video_id": lambda g: setattr(g, "video_id", g.video_id + "x"),
     "max_frames": lambda g: setattr(g, "max_frames", g.max_frames + 1),
-    "frame-order": lambda g: g.frames.reverse(),
-    "frame-listing-order": lambda g: g.frames[0].node_ids.reverse(),
-    "partition": lambda g: (g.dynamic_nodes.discard(1), g.static_nodes.add(1)),
+    "frame-order": _reverse_listings,
+    "frame-listing-order": lambda g: _set(g, "listed_rows", slice(0, 2), g.listed_rows[1::-1]),
+    "partition": lambda g: _set(g, "static", 1, True),
     "registry_digest": lambda g: setattr(g, "registry_digest", "0" * 64),
-    "node-removed": lambda g: g.nodes.pop(3),
-    "node-field": lambda g: _NODE_EDITS["centroid3d"](g.nodes[1]),
+    "node-removed": lambda g: _without(g, 3),
+    "node-field": _NODE_EDITS["centroid3d"],
 }
 
 
@@ -226,7 +246,7 @@ def test_saved_copies_are_equal(tmp_path, registry):
     g = _sample_graph(registry)
     copy = _saved_copy(g, tmp_path / "g.json")
     assert copy == g and g == copy
-    assert all(copy.nodes[nid] == node for nid, node in g.nodes.items())
+    assert all(np.array_equal(getattr(copy, f.name), getattr(g, f.name)) for f in fields(g))
     assert load_corpus(tmp_path / "g.json") == [g]
 
 
@@ -234,42 +254,40 @@ def test_saved_copies_are_equal(tmp_path, registry):
 def test_node_equality_sees_each_field(tmp_path, registry, field):
     g = _sample_graph(registry)
     copy = _saved_copy(g, tmp_path / "g.json")
-    _NODE_EDITS[field](copy.nodes[1])
-    assert copy.nodes[1] != g.nodes[1] and g.nodes[1] != copy.nodes[1]
-    assert copy != g
+    _NODE_EDITS[field](copy)
+    assert copy != g and g != copy
 
 
 @pytest.mark.parametrize("part", _GRAPH_EDITS)
 def test_graph_equality_sees_each_part(tmp_path, registry, part):
     g = _sample_graph(registry)
     copy = _saved_copy(g, tmp_path / "g.json")
-    _GRAPH_EDITS[part](copy)
+    copy = _GRAPH_EDITS[part](copy) or copy
     assert copy != g and g != copy
 
 
 def test_equality_with_another_type_is_false(registry):
     g = _sample_graph(registry)
-    for other in (None, "g", 0, g.nodes, list(g.nodes.values())):
-        assert (g == other) is False and (g.nodes[0] == other) is False
-    assert (g == g.nodes[0]) is False and (g.nodes[0] == g) is False
+    for other in (None, "g", 0, g.nodes, g.features, vars(g)):
+        assert (g == other) is False
 
 
 def test_split_all_static(registry):
     g = graph_from_records([detection(class_id=1), detection(class_id=2)], registry)
-    static, dynamic = split_static_dynamic(g, registry)
-    assert static == {0, 1} and dynamic == set()
+    assert g.static.tolist() == [True, True] and g.motions.shape == (0, 0)
 
 
-def test_split_partition_and_idempotence(registry):
+def test_split_partition_and_idempotence(tmp_path, registry):
     recs = [
         detection(class_id=1),
         detection(class_id=101, motion=(0.5,)),
         detection(class_id=101, bbox=(60, 60, 90, 90), motion=(0.5,)),
     ]
     g = graph_from_records(recs, registry)
-    first = split_static_dynamic(g, registry)
-    assert first == ({0}, {1, 2})
-    assert split_static_dynamic(g, registry) == first
+    assert g.static.tolist() == [True, False, False] and g.motions.tolist() == [[0.5], [0.5]]
+    copy = _saved_copy(g, tmp_path / "g.json")
+    assert copy.static.tolist() == g.static.tolist()
+    copy.validate(registry)
 
 
 def test_partition_property_random_graphs(registry):
@@ -287,8 +305,8 @@ def test_partition_property_random_graphs(registry):
                 )
             )
         g = graph_from_records(recs, registry)
-        assert g.static_nodes | g.dynamic_nodes == set(g.nodes)
-        assert not (g.static_nodes & g.dynamic_nodes)
+        assert g.static.tolist() == [registry.is_static(c) for c in g.class_ids.tolist()]
+        assert len(g.motions) == np.count_nonzero(~g.static)
         g.validate(registry)
 
 

@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from prism25d.lift import Intrinsics, default_intrinsics, estimate_rigid, fit_ri
 from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
 
-from helpers import IDENTITY, OVERFLOW_DETECTIONS, OVERFLOW_REGISTRY, is_proper_rotation, oracle_rigid, rigid_allclose
+from helpers import (
+    IDENTITY, OVERFLOW_DETECTIONS, OVERFLOW_REGISTRY, is_proper_rotation, listings, node, oracle_rigid,
+    rigid_allclose,
+)
 
 
 INTR = Intrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0)
@@ -165,8 +169,7 @@ def test_register_stationary_is_identity():
     for t in zip(*estimate_frame_transforms(g)):
         assert rigid_allclose(t, IDENTITY, tol=1e-12)
     registered = register_frames(g)
-    for nid in g.nodes:
-        assert np.allclose(registered.nodes[nid].centroid3d, g.nodes[nid].centroid3d, atol=1e-12)
+    assert np.allclose(registered.centroids, g.centroids, atol=1e-12)
 
 
 def test_register_translating_maps_statics_onto_frame0():
@@ -176,14 +179,15 @@ def test_register_translating_maps_statics_onto_frame0():
     )
     world, records, truth, g = _world_graph(spec)
     registered = register_frames(g)
+    static = set(registered.nodes[registered.static].tolist())
     frame0 = {
-        truth.detection_to_object[nid]: registered.nodes[nid].centroid3d
-        for nid in registered.frames[0].node_ids
-        if nid in registered.static_nodes
+        truth.detection_to_object[nid]: registered.centroids[nid]
+        for nid in listings(registered)[0][1]
+        if nid in static
     }
-    for nid in registered.static_nodes:
+    for nid in static:
         obj = truth.detection_to_object[nid]
-        assert np.linalg.norm(registered.nodes[nid].centroid3d - frame0[obj]) < 1e-6
+        assert np.linalg.norm(registered.centroids[nid] - frame0[obj]) < 1e-6
 
 
 def test_register_single_frame_unchanged():
@@ -199,13 +203,9 @@ def test_register_preserves_everything_but_centroids():
     )
     _, _, _, g = _world_graph(spec)
     registered = register_frames(g)
-    assert set(registered.nodes) == set(g.nodes)
-    for nid, node in g.nodes.items():
-        out = registered.nodes[nid]
-        assert out.class_id == node.class_id
-        assert out.bbox == node.bbox
-        assert out.timestamps == node.timestamps
-        assert np.array_equal(out.feature, node.feature)
+    for f in fields(g):
+        if f.name != "centroids":
+            assert np.array_equal(getattr(registered, f.name), getattr(g, f.name)), f.name
 
 
 def test_register_idempotent_on_stationary():
@@ -213,8 +213,7 @@ def test_register_idempotent_on_stationary():
     _, _, _, g = _world_graph(spec)
     once = register_frames(g)
     twice = register_frames(once)
-    for nid in g.nodes:
-        assert np.allclose(once.nodes[nid].centroid3d, twice.nodes[nid].centroid3d, atol=1e-12)
+    assert np.allclose(once.centroids, twice.centroids, atol=1e-12)
 
 
 def test_pose_recovery_translating_and_orbiting():
@@ -249,12 +248,12 @@ def test_registered_centroids_equal_per_point_apply():
         spec = sw.WorldSpec(seed=seed, video_id=f"a{seed}", n_frames=8, n_static=5,
                             n_dynamic=2, camera=camera)
         _, _, _, g = _world_graph(spec)
-        by_frame = dict(zip((fs.frame_index for fs in g.frames), zip(*estimate_frame_transforms(g))))
+        by_frame = dict(zip(g.frames.tolist(), zip(*estimate_frame_transforms(g))))
         registered = register_frames(g)
-        for nid, node in g.nodes.items():
-            rot, trans = by_frame[node.source_frames[0]]
-            expect = node.centroid3d @ rot.T + trans
-            assert np.array_equal(registered.nodes[nid].centroid3d, expect)
+        for nid in g.nodes.tolist():
+            rot, trans = by_frame[node(g, nid).source_frames[0]]
+            expect = g.centroids[nid] @ rot.T + trans
+            assert np.array_equal(registered.centroids[nid], expect)
 
 
 def test_lift_rows_equal_one_box_at_a_time():

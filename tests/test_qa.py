@@ -433,7 +433,7 @@ def test_evaluate_order_independent(registry):
 def test_evaluate_builds_bundles_only_for_referenced_videos(registry):
     model = init_model(_toy_config(), seed=4)
     unused = _toy_graph(registry, vid="unused")
-    unused.nodes[2].motion_feature = None  # node_inputs rejects this graph
+    unused.motions = unused.motions[:0]  # node 2 is dynamic: build_bundles rejects this graph
     graphs = {"v": _toy_graph(registry), "unused": unused}
     insts = [_instance((1, 5), [(2,), (3,), (4,)], gt=0)]
     assert evaluate(insts, graphs, model) == evaluate(insts, {"v": graphs["v"]}, model)

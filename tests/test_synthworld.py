@@ -80,7 +80,7 @@ def test_same_class_far_objects_stay_separate():
     assert len(classes) == 5
     g = register_frames(graph_from_records(records, REG))
     merged = compact(g, MatchParams())
-    assert len(merged.static_nodes) == 5  # never collapsed into one
+    assert np.count_nonzero(merged.static) == 5  # never collapsed into one
 
 
 def _compactor_classes(records, gamma):
@@ -146,19 +146,19 @@ def test_nearest_static_answer_solvable_from_compacted_graph():
     records = sw.world_detections(world)
     g = compact(register_frames(graph_from_records(records, REG)), MatchParams())
     instances, derivations = sw.generate_qa(world, truth, "nearest_static", 2, seed=0)
-    statics = sorted(g.static_nodes)
+    statics = np.flatnonzero(g.static)
     for inst, der in zip(instances, derivations):
         d = der["dynamic"]
-        dyn_nodes = [g.nodes[n] for n in g.dynamic_nodes
-                     if np.argmax(g.nodes[n].feature) == world.spec.d_o // 2 + d]
+        dyn_rows = [r for r in np.flatnonzero(~g.static)
+                    if np.argmax(g.features[r]) == world.spec.d_o // 2 + d]
         best, best_dist = None, np.inf
-        for s_nid in statics:
-            s_pos = g.nodes[s_nid].centroid3d
-            dist = min(np.linalg.norm(n.centroid3d - s_pos) for n in dyn_nodes)
+        for s_row in statics:
+            s_pos = g.centroids[s_row]
+            dist = min(np.linalg.norm(g.centroids[r] - s_pos) for r in dyn_rows)
             if dist < best_dist:
-                best, best_dist = s_nid, dist
+                best, best_dist = s_row, dist
         # static node identity encodes the world object index in its feature
-        assert int(np.argmax(g.nodes[best].feature)) == der["answer_object"]
+        assert int(np.argmax(g.features[best])) == der["answer_object"]
 
 
 def test_visited_order_answer_is_first_reached():

@@ -19,7 +19,7 @@ from .graph import (
     ClassEntry,
     ClassRegistry,
     SceneGraph25D,
-    graph_from_records,
+    graphs_from_records,
     load_corpus,
     load_detection_groups,
     save_corpus,
@@ -52,7 +52,6 @@ from .synthworld import (
     build_world,
     default_registry,
     generate_qa,
-    generate_world,
     oracle_merge,
 )
 

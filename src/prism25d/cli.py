@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import DEFAULT_BANDWIDTHS
 from .compact import MatchParams, compact, corpus_stats
 from .errors import ParseError, PrismError, ValidationError, located
 from .graph import ClassRegistry, SceneGraph25D, load_corpus, load_detection_groups, save_corpus
@@ -57,32 +56,30 @@ def _write_json(obj: dict, path: str) -> None:
 
 
 def _sigma_list(text: str) -> tuple[float, ...]:
+    """Comma-separated numbers; an empty item is an error, not a level fewer."""
     try:
-        values = tuple(float(v) for v in text.split(",") if v.strip())
+        return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
-        raise ParseError(f"bad bandwidth list {text!r}") from exc
-    if not values:
-        raise ParseError(f"bad bandwidth list {text!r}")
-    return values
+        raise ParseError(f"bad bandwidth list {text!r}: every item must be a number") from exc
 
 
 @dataclass
 class RunConfig:
     """Defaults for every tunable; config file values lose to explicit flags."""
 
-    gamma: float = 0.5  # artifact default; the merge threshold is CLI-tuned
-    delta: int = 3
-    sigmas: tuple[float, ...] = DEFAULT_BANDWIDTHS  # reference hierarchy
-    sigma_t: tuple[float, ...] | None = None  # None keeps sigma_t = sigma_s
-    heads: int = 4  # reference default
-    latent: int = 32  # desk-scale width; reference models ran 128-256
-    lr: float = 1e-3  # reference default; desk-scale runs often want 2e-3
-    batch: int = 16  # artifact default
+    gamma: float = MatchParams.gamma  # the merge threshold is CLI-tuned
+    delta: int = MatchParams.delta
+    sigmas: tuple[float, ...] = ModelConfig.sigma_s
+    sigma_t: tuple[float, ...] | None = ModelConfig.sigma_t  # None keeps sigma_t = sigma_s
+    heads: int = ModelConfig.heads
+    latent: int = ModelConfig.latent_dim  # desk-scale width; reference models ran 128-256
+    lr: float = TrainConfig.lr  # desk-scale runs often want 2e-3
+    batch: int = TrainConfig.batch_size
     epochs: int = 25  # artifact default
     seed: int = 0
     vocab: int = synthworld.VOCAB_SIZE
-    standard_layers: int = 1  # stacked plain-attention blocks in the encoder
-    combine: bool = True
+    standard_layers: int = ModelConfig.n_standard_layers  # stacked plain-attention blocks in the encoder
+    combine: bool = ModelConfig.combine
     max_frames: int | None = None
     image_w: float = 256.0
     image_h: float = 256.0
@@ -293,9 +290,11 @@ def _add_pipeline_flags(p: _Parser, delta: bool = True, detections: bool = True,
     reading detections the frame count and intrinsics. `--gamma` goes into `gamma`, a
     group of `p`, when one is given."""
     p.add_argument("--config", help="JSON config file; explicit flags override it")
-    (gamma or p).add_argument("--gamma", type=float, help="IoU merge threshold (artifact default 0.5)")
+    (gamma or p).add_argument("--gamma", type=float,
+                              help=f"IoU merge threshold (artifact default {RunConfig.gamma})")
     if delta:
-        p.add_argument("--delta", type=int, help="merge look-back window in frames (artifact default 3)")
+        p.add_argument("--delta", type=int,
+                       help=f"merge look-back window in frames (artifact default {RunConfig.delta})")
     if not detections:
         return
     p.add_argument("--max-frames", dest="max_frames", type=int,
@@ -309,15 +308,16 @@ def _add_pipeline_flags(p: _Parser, delta: bool = True, detections: bool = True,
 
 
 def _add_model_flags(p: _Parser) -> None:
+    sigmas = ",".join(f"{sigma:g}" for sigma in RunConfig.sigmas)
     p.add_argument("--sigmas", type=_sigma_list,
-                   help="spatial bandwidth hierarchy, comma-separated (reference default 0.01,0.1,1,10)")
+                   help=f"spatial bandwidth hierarchy, comma-separated (reference default {sigmas})")
     p.add_argument("--sigma-t", dest="sigma_t", type=_sigma_list,
                    help="temporal bandwidths (reference default: equal to --sigmas)")
-    p.add_argument("--heads", type=int, help="attention heads (reference default 4)")
-    p.add_argument("--latent", type=int, help="latent width r (artifact default 32)")
+    p.add_argument("--heads", type=int, help=f"attention heads (reference default {RunConfig.heads})")
+    p.add_argument("--latent", type=int, help=f"latent width r (artifact default {RunConfig.latent})")
     p.add_argument("--vocab", type=int, help="token vocabulary size")
     p.add_argument("--standard-layers", dest="standard_layers", type=int,
-                   help="stacked plain-attention blocks (artifact default 1)")
+                   help=f"stacked plain-attention blocks (artifact default {RunConfig.standard_layers})")
     p.add_argument("--no-combine", dest="no_combine", action="store_true",
                    help="condition on the hierarchical branch alone, skipping the standard-attention sum")
 
@@ -370,10 +370,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output checkpoint")
     p.add_argument("--metrics", help="write per-epoch metrics JSON here")
     p.add_argument("--save-init", dest="save_init", help="also save the untrained checkpoint here")
-    p.add_argument("--lr", type=float, help="Adam learning rate (artifact default 1e-3)")
-    p.add_argument("--batch", type=int, help="batch size (artifact default 16)")
-    p.add_argument("--epochs", type=int, help="training epochs (artifact default 25)")
-    p.add_argument("--seed", type=int, help="run seed (default 0)")
+    p.add_argument("--lr", type=float, help=f"Adam learning rate (artifact default {RunConfig.lr:g})")
+    p.add_argument("--batch", type=int, help=f"batch size (artifact default {RunConfig.batch})")
+    p.add_argument("--epochs", type=int, help=f"training epochs (artifact default {RunConfig.epochs})")
+    p.add_argument("--seed", type=int, help=f"run seed (default {RunConfig.seed})")
     _add_pipeline_flags(p)
     _add_model_flags(p)
     p.set_defaults(func=cmd_train)

@@ -38,15 +38,6 @@ class ClassEntry:
 class ClassRegistry:
     entries: dict[int, ClassEntry]
 
-    def kind(self, class_id: int) -> str:
-        entry = self.entries.get(class_id)
-        if entry is None:
-            raise RegistryError(f"unknown class id {class_id}")
-        return entry.kind
-
-    def is_static(self, class_id: int) -> bool:
-        return self.kind(class_id) == STATIC
-
     def digest(self) -> str:
         blob = json.dumps(self.to_json()["classes"], separators=(",", ":")).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
@@ -136,10 +127,9 @@ class SceneGraph25D:
         """The listed frame indices, ascending."""
         return self.listed_frames[_starts(self.listed_frames)]
 
-    def validate(self, registry: ClassRegistry | None = None) -> None:
-        """Check that the columns agree; with a registry, also that each node's partition
-        fits its class kind. Each node is listed once in each of its source frames, and
-        in no other frame."""
+    def validate(self) -> None:
+        """Check that the columns agree. Each node is listed once in each of its source
+        frames, and in no other frame."""
         ids, n = self.nodes, len(self.nodes)
         t, f, counts = self.obs_times, self.obs_frames, np.diff(self.obs_start)
         owner = np.repeat(np.arange(n), counts)
@@ -147,14 +137,9 @@ class SceneGraph25D:
         bad_obs = counts == 0
         bad_obs[owner[1:][step]] = True
         bad_obs[owner[(t < 0.0) | (t > 1.0)]] = True
-        kinds = self.static if registry is None else np.array(
-            [registry.is_static(c) for c in self.class_ids.tolist()], dtype=bool)
-        _raise_first([[
-            (bad_obs, ValidationError, lambda i: f"node {ids[i]}: {_OBS_RULE}"),
-            (kinds != self.static, ValidationError,
-             lambda i: f"node {ids[i]} is in the wrong partition for its class kind"),
-        ], [(degenerate_boxes(self.boxes), ValidationError,
-             lambda i: f"node {ids[i]}: degenerate bbox {tuple(self.boxes[i].tolist())}")]])
+        _raise_first([[(bad_obs, ValidationError, lambda i: f"node {ids[i]}: {_OBS_RULE}")],
+                      [(degenerate_boxes(self.boxes), ValidationError,
+                        lambda i: f"node {ids[i]}: degenerate bbox {tuple(self.boxes[i].tolist())}")]])
         # one run per (frame, row) pair among the listings (listed) and the observations
         frame = np.concatenate((self.listed_frames, f))
         row = np.concatenate((self.listed_rows, owner))
@@ -195,38 +180,28 @@ def _raise_first(stages, lines: list[int] | None = None, video: np.ndarray | Non
         raise error(message(i), line=None if lines is None else lines[i])
 
 
-def graph_from_records(
+def graphs_from_records(
     records: list[dict],
     registry: ClassRegistry,
     max_frames: int | None = None,
     intrinsics: Intrinsics = DEFAULT_INTRINSICS,
     lines: list[int] | None = None,
-) -> SceneGraph25D:
-    """Build a single-video graph from detection records (already-parsed JSONL lines).
+) -> list[SceneGraph25D]:
+    """One graph per video of detection records (already-parsed JSONL lines), in
+    first-appearance order, each field read for all records at once.
 
     Node ids are assigned sequentially in record order. `max_frames` is the
     dataset-wide frame count used for temporal normalization; when omitted it
-    defaults to this video's frame span. `lines` gives each record's line in
-    its file, so that an error names the first bad line.
+    defaults to the records' frame span. `lines` gives each record's line in its
+    file, so that an error names the first bad line of the first video holding one.
     """
-    if not records:
-        raise ValidationError("no detection records given")
-    video_ids = {str(r["video_id"]) for r in records}
-    if len(video_ids) > 1:
-        raise ValidationError(f"records span multiple videos {sorted(video_ids)}; split them first")
-    return _graphs(records, registry, max_frames, intrinsics, lines)[0]
-
-
-def _graphs(records, registry, max_frames, intrinsics, lines) -> list[SceneGraph25D]:
-    """One graph per video of `records` (first-appearance order), each field read for all
-    records at once. An error names the first bad record of the first video holding one."""
     _check_widths(records, {}, lines)
     names = [str(r["video_id"]) for r in records]
     code = {v: k for k, v in enumerate(dict.fromkeys(names))}
     video = np.array([code[v] for v in names], dtype=np.int64)
     frames = [int(r["frame_index"]) for r in records]
     if max_frames is None:
-        max_frames = max(frames) + 1
+        max_frames = max(frames, default=0) + 1
     if max_frames <= 0:
         raise ValidationError(f"max_frames must be positive, got {max_frames}")
     class_ids = [int(r["class_id"]) for r in records]
@@ -313,7 +288,7 @@ def load_detection_groups(
     check_rows(records, _DETECTION_FIELDS, lines)
     if not records:
         raise ValidationError(f"no detections in {path}")
-    return _graphs(records, registry, max_frames, intrinsics, lines)
+    return graphs_from_records(records, registry, max_frames, intrinsics, lines)
 
 
 def _graph_body(graph: SceneGraph25D) -> dict:
@@ -368,14 +343,14 @@ def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> S
         static, dynamic = ({row_of.get(nid) for nid in obj[key]} for key in ("static_nodes", "dynamic_nodes"))
         if None in static | dynamic or static & dynamic or len(static | dynamic) != len(ids):
             raise ValidationError("static/dynamic sets do not partition the node ids")
-        is_static = np.zeros(len(ids), dtype=bool)
-        is_static[list(static)] = True
+        static_mask = np.zeros(len(ids), dtype=bool)
+        static_mask[list(static)] = True
         times, frames = [n["timestamps"] for n in nodes], [n["source_frames"] for n in nodes]
         moving = np.array([n.get("motion_feature") is not None for n in nodes], dtype=bool)
         _raise_first([[
             ([not t or len(t) != len(f) for t, f in zip(times, frames)], ValidationError,
              lambda i: f"node {ids[i]}: {_OBS_RULE}"),
-            (moving == is_static, ValidationError,
+            (moving == static_mask, ValidationError,
              lambda i: f"node {ids[i]}: dynamic nodes, and only they, carry a motion feature"),
         ]])
         indices = [fs["frame_index"] for fs in obj["frames"]]
@@ -391,7 +366,7 @@ def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> S
                                   "or has no source frame there")
         graph = SceneGraph25D(
             video_id=obj["video_id"], max_frames=obj["max_frames"], nodes=ids,
-            class_ids=_ints([n["class_id"] for n in nodes]), static=is_static,
+            class_ids=_ints([n["class_id"] for n in nodes]), static=static_mask,
             features=_matrix([n["feature"] for n in nodes]),
             motions=_matrix([n["motion_feature"] for n in nodes if n.get("motion_feature") is not None]),
             boxes=np.array([n["bbox"] for n in nodes], dtype=np.float64).reshape(-1, 4),

@@ -8,8 +8,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-Bbox = tuple[float, float, float, float]
-
 
 @dataclass(frozen=True)
 class Intrinsics:

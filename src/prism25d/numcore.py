@@ -355,19 +355,18 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
 # optimizer
 
 
+ADAM_DECAY1, ADAM_DECAY2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's usual constants
+
+
 class Adam:
     """Standard Adam with bias correction over a fixed parameter list. Building it makes each
     parameter's `.data` a view into one flat f64 buffer, which a step updates in one pass."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         if len(set(self.params)) != len(self.params):
             raise ValidationError("adam parameter list holds a tensor twice")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._flat = np.concatenate([np.zeros(0)] + [p.data.reshape(-1) for p in self.params])
         offset = 0
@@ -385,14 +384,14 @@ class Adam:
         if any(p.grad is None for p in self.params):
             raise ValidationError("adam step with a missing gradient; run backward first")
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - ADAM_DECAY1**self.t
+        b2t = 1.0 - ADAM_DECAY2**self.t
         g = np.concatenate([np.zeros(0)] + [p.grad.reshape(-1) for p in self.params])
-        self._m = self.beta1 * self._m + (1.0 - self.beta1) * g
-        self._v = self.beta2 * self._v + (1.0 - self.beta2) * g * g
+        self._m = ADAM_DECAY1 * self._m + (1.0 - ADAM_DECAY1) * g
+        self._v = ADAM_DECAY2 * self._v + (1.0 - ADAM_DECAY2) * g * g
         m_hat = self._m / b1t
         v_hat = self._v / b2t
-        self._flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._flat -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

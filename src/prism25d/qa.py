@@ -104,7 +104,6 @@ class ModelConfig:
     heads: int = 4
     sigma_s: tuple[float, ...] = DEFAULT_BANDWIDTHS
     sigma_t: tuple[float, ...] | None = None  # None keeps sigma_t = sigma_s
-    feature_hidden: tuple[int, ...] = ()
     n_standard_layers: int = 1
     combine: bool = True  # False feeds the hierarchical branch alone downstream
 
@@ -119,8 +118,6 @@ class ModelConfig:
                           ("n_standard_layers", 0)):
             if getattr(self, name) < low:
                 raise ValidationError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if not all(width >= 1 for width in self.feature_hidden):
-            raise ValidationError(f"feature_hidden widths must be at least 1, got {self.feature_hidden}")
         if self.heads < 1 or self.latent_dim % self.heads != 0:
             raise ValidationError(
                 f"latent_dim {self.latent_dim} must divide evenly into {self.heads} heads"
@@ -170,9 +167,8 @@ class QaModel:
 def init_model(config: ModelConfig, seed: int) -> QaModel:
     rng = np.random.default_rng(seed)
     r = config.latent_dim
-    hidden = list(config.feature_hidden)
-    mlp_s = nc.mlp_init([config.d_o, *hidden, r], rng)
-    mlp_d = nc.mlp_init([config.d_o + config.d_a, *hidden, r], rng)
+    mlp_s = nc.mlp_init([config.d_o, r], rng)
+    mlp_d = nc.mlp_init([config.d_o + config.d_a, r], rng)
     encoder = encoder_init(r, len(config.sigma_s), rng, n_standard_layers=config.n_standard_layers)
     bound = 1.0 / math.sqrt(r)
     text = TextParams(

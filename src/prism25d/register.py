@@ -11,7 +11,7 @@ from .graph import SceneGraph25D
 from .lift import fit_rigid
 
 
-def frame_correspondences(graph: SceneGraph25D, gamma: float = 0.5) -> tuple[np.ndarray, ...]:
+def frame_correspondences(graph: SceneGraph25D, gamma: float) -> tuple[np.ndarray, ...]:
     """Every consecutive frame pair's static correspondences, as fit_rigid takes them:
     src (m, 3), dst (m, 3) and counts (pairs,). Pair i's counts[i] rows hold the static
     nodes of frame i + 1 that have a nearest candidate among the static nodes of
@@ -33,7 +33,9 @@ def frame_correspondences(graph: SceneGraph25D, gamma: float = 0.5) -> tuple[np.
     return index.centroids[rows[found]], index.centroids[matches[found]], counts
 
 
-def estimate_frame_transforms(graph: SceneGraph25D, gamma: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+def estimate_frame_transforms(
+    graph: SceneGraph25D, gamma: float = MatchParams.gamma
+) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative transforms mapping each frame's coordinates into frame 0's: (frames, 3, 3)
     rotations and (frames, 3) translations, frame 0's the identity.
 
@@ -50,7 +52,7 @@ def estimate_frame_transforms(graph: SceneGraph25D, gamma: float = 0.5) -> tuple
     return rotations, translations
 
 
-def register_frames(graph: SceneGraph25D, gamma: float = 0.5) -> SceneGraph25D:
+def register_frames(graph: SceneGraph25D, gamma: float = MatchParams.gamma) -> SceneGraph25D:
     """Express every node's 3D centroid in frame 0's coordinate system.
 
     Both static and dynamic centroids are transformed; boxes, features, and

@@ -129,11 +129,9 @@ class World:
     spec: WorldSpec
     static_positions: np.ndarray  # (S, 3) world coordinates
     static_classes: list[int]
-    static_extents: np.ndarray  # (S, 2) box width/height, world units
     static_features: np.ndarray  # (S, d_o)
     dynamic_tracks: np.ndarray  # (D, F, 3)
     dynamic_classes: list[int]
-    dynamic_extents: np.ndarray  # (D, 2)
     dynamic_features: np.ndarray  # (D, d_o)
     dynamic_targets: list[list[int]]  # per object, static indices its path visits
     camera_rotations: np.ndarray  # (F, 3, 3) world-from-camera rotation per frame
@@ -312,7 +310,7 @@ def build_world(spec: WorldSpec) -> World:
         statics = _sample_static_layout(spec, rng)
         if statics is None:
             continue
-        static_extents = rng.uniform(*spec.extent_range, size=(spec.n_static, 2))
+        static_sizes = rng.uniform(*spec.extent_range, size=(spec.n_static, 2))
 
         tracks, target_lists = [], []
         for _ in range(spec.n_dynamic):
@@ -328,12 +326,12 @@ def build_world(spec: WorldSpec) -> World:
         dynamic_tracks = (
             np.stack(tracks) if tracks else np.zeros((0, spec.n_frames, 3))
         )
-        dynamic_extents = rng.uniform(*spec.extent_range, size=(spec.n_dynamic, 2))
+        dynamic_sizes = rng.uniform(*spec.extent_range, size=(spec.n_dynamic, 2))
 
         # visibility of everything in every frame, on noiseless projections
         points = np.concatenate([np.broadcast_to(statics, (spec.n_frames, *statics.shape)),
                                  dynamic_tracks.transpose(1, 0, 2)], axis=1)
-        projection = _project(points, np.concatenate([static_extents, dynamic_extents]),
+        projection = _project(points, np.concatenate([static_sizes, dynamic_sizes]),
                               rotations, centers, intr)
         if projection is None or not _in_image(projection[0], spec):
             continue
@@ -347,13 +345,11 @@ def build_world(spec: WorldSpec) -> World:
             spec=spec,
             static_positions=statics,
             static_classes=static_classes,
-            static_extents=static_extents,
             static_features=np.eye(spec.n_static, spec.d_o),
             dynamic_tracks=dynamic_tracks,
             dynamic_classes=[
                 DYNAMIC_CLASS_BASE + j % spec.n_dynamic_classes for j in range(spec.n_dynamic)
             ],
-            dynamic_extents=dynamic_extents,
             dynamic_features=np.eye(spec.n_dynamic, spec.d_o, k=spec.d_o // 2),
             dynamic_targets=target_lists,
             camera_rotations=rotations,
@@ -375,12 +371,6 @@ def _motion_feature(track: np.ndarray, t: int, d_a: int) -> np.ndarray:
     out[:3] = vel
     out[3] = np.linalg.norm(vel)
     return out
-
-
-def generate_world(spec: WorldSpec) -> tuple[list[dict], GroundTruth]:
-    """Project a built world into detection records plus full ground truth."""
-    world = build_world(spec)
-    return world_detections(world), world_truth(world)
 
 
 def world_truth(world: World) -> GroundTruth:

@@ -9,6 +9,7 @@ import numpy as np
 from prism25d.compact import MatchParams
 from prism25d.graph import SceneGraph25D, _ints, _matrix
 from prism25d.numcore import MlpParams, Tensor
+from prism25d import synthworld as sw
 
 
 def detection(video_id="v", frame=0, class_id=1, bbox=(10.0, 10.0, 50.0, 50.0),
@@ -22,6 +23,12 @@ def detection(video_id="v", frame=0, class_id=1, bbox=(10.0, 10.0, 50.0, 50.0),
         "feature": list(feature),
         "motion_feature": None if motion is None else list(motion),
     }
+
+
+def generate_world(spec):
+    """A built world's detection records and ground truth."""
+    world = sw.build_world(spec)
+    return sw.world_detections(world), sw.world_truth(world)
 
 
 def mlp_identity(dim):

@@ -20,7 +20,7 @@ from prism25d.attention import (
     project_nodes,
 )
 from prism25d.errors import ValidationError
-from prism25d.graph import graph_from_records
+from prism25d.graph import graphs_from_records
 from prism25d.numcore import Tensor
 
 from helpers import detection, fd_gradients, kernel, max_relative_error, min_time_gap, mlp_identity, node
@@ -118,7 +118,7 @@ def test_project_node_counts_and_order(registry):
         detection(frame=1, class_id=102, bbox=(60, 60, 90, 90), motion=(1.0, 0.0)),
         detection(frame=1, class_id=101, bbox=(110, 60, 140, 90), motion=(0.0, 0.5)),
     ]
-    g = graph_from_records(recs, registry)
+    g = graphs_from_records(recs, registry)[0]
     rng = np.random.default_rng(0)
     mlp_s = nc.mlp_init([2, 4], rng)
     mlp_d = nc.mlp_init([4, 4], rng)
@@ -141,14 +141,14 @@ def test_project_node_counts_and_order(registry):
 
 def test_project_identity_mlp_passthrough(registry):
     recs = [detection(frame=0, class_id=1), detection(frame=1, class_id=2, bbox=(60, 60, 90, 90))]
-    g = graph_from_records(recs, registry)
+    g = graphs_from_records(recs, registry)[0]
     features = project_nodes(build_bundles({"v": g}, ((1.0, 1.0),))["v"], mlp_identity(2), mlp_identity(2))
     for col, nid in enumerate(g.nodes.tolist()):
         assert np.allclose(features.data[:, col], node(g, nid).feature)
 
 
 def test_build_bundles_rejects_motionless_dynamic(registry):
-    g = graph_from_records([detection(class_id=101, motion=(0.5, 0.5))], registry)
+    g = graphs_from_records([detection(class_id=101, motion=(0.5, 0.5))], registry)[0]
     g.motions = g.motions[:0]  # node 0 is dynamic
     with pytest.raises(ValidationError, match="lacks a motion feature"):
         build_bundles({"v": g}, ((1.0, 1.0),))
@@ -156,7 +156,7 @@ def test_build_bundles_rejects_motionless_dynamic(registry):
 
 def test_project_dim_mismatch(registry):
     recs = [detection(frame=0, class_id=1)]
-    g = graph_from_records(recs, registry)
+    g = graphs_from_records(recs, registry)[0]
     rng = np.random.default_rng(0)
     with pytest.raises(ValidationError):
         project_nodes(build_bundles({"v": g}, ((1.0, 1.0),))["v"], nc.mlp_init([7, 4], rng),

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import prism25d
 from prism25d import cli
 from prism25d.cli import main
 from prism25d.compact import MatchParams
-from prism25d.graph import DEFAULT_INTRINSICS, load_corpus
+from prism25d.graph import DEFAULT_INTRINSICS, graphs_from_records, load_corpus
 from prism25d.qa import ModelConfig, TrainConfig, init_model, save_model
 from prism25d import synthworld as sw
 
@@ -298,9 +299,13 @@ def test_bad_qa_line_exits_one(tmp_path, capsys, monkeypatch, change):
     lambda head: head.update(params=7),
     lambda head: head.update(seed=-1),
     lambda head: head.update(step=-1),
+    lambda head: head["config"].update(feature_hidden=[]),
+    lambda head: head["config"].update(feature_hidden=[-1]),
 ], ids=["config-no-heads", "config-string-latent", "config-string-sigma", "config-not-an-object",
-        "string-seed", "no-step", "params-not-a-list", "negative-seed", "negative-step"])
+        "string-seed", "no-step", "params-not-a-list", "negative-seed", "negative-step",
+        "config-feature-hidden", "checkpoint-negative-hidden-width"])
 def test_bad_checkpoint_header_exits_one(tmp_path, capsys, monkeypatch, change):
+    """A header an older build wrote, with a `feature_hidden` config field, is a parse error too."""
     ckpt = tmp_path / "m.ckpt"
     save_model(ckpt, init_model(ModelConfig(d_o=2, d_a=2, vocab_size=12), seed=0), seed=0, step=3)
     _edit_checkpoint_header(ckpt, change)
@@ -361,11 +366,10 @@ def test_bad_checkpoint_body_exits_one(tmp_path, capsys, monkeypatch, change, me
     ("train", ["--seed", "-3"]),
     ("eval", {"latent_dim": 0}),
     ("eval", {"d_o": 0}),
-    ("eval", {"feature_hidden": [-1]}),
 ], ids=["zero-latent", "zero-batch", "zero-focal-length", "negative-epochs",
         "negative-standard-layers", "heads-not-dividing-latent", "zero-sigma",
         "sigma-t-length", "negative-lr", "infinite-sigma", "infinite-sigma-t", "negative-seed",
-        "checkpoint-zero-latent", "checkpoint-zero-d_o", "checkpoint-negative-hidden-width"])
+        "checkpoint-zero-latent", "checkpoint-zero-d_o"])
 def test_out_of_range_config_exits_one(tmp_path, capsys, command, change):
     """`change` is the train flags, or the checkpoint config fields eval reads."""
     det, reg, qa = _synth_corpus(tmp_path, n_worlds=1, n_frames=3)
@@ -639,6 +643,48 @@ def test_run_config_defaults_match_the_library():
         model.combine)
     assert (run.lr, run.batch) == (train.lr, train.batch_size)
     assert run.intrinsics() == DEFAULT_INTRINSICS
+
+
+# each ModelConfig field but the inferred widths, with train flags that set it off its default
+_MODEL_FLAGS = {
+    "vocab_size": (["--vocab", "50"], 50),
+    "latent_dim": (["--latent", "16"], 16),
+    "heads": (["--heads", "2"], 2),
+    "sigma_s": (["--sigmas", "0.5,5"], (0.5, 5.0)),
+    "sigma_t": (["--sigma-t", "1,2,3,4"], (1.0, 2.0, 3.0, 4.0)),
+    "n_standard_layers": (["--standard-layers", "2"], 2),
+    "combine": (["--no-combine"], False),
+}
+
+
+def test_every_model_config_field_has_a_train_flag(registry):
+    """No config knob without a flag: each field reaches the model config from `train`'s flags."""
+    assert set(_MODEL_FLAGS) == {f.name for f in fields(ModelConfig)} - {"d_o", "d_a"}
+    graphs = {"v": graphs_from_records([detection()], registry)[0]}
+    base = ["train", "--detections", "d", "--registry", "r", "--qa", "q", "--out", "o"]
+    default = cli._model_config(cli.RunConfig.resolve(cli.build_parser().parse_args(base)), graphs)
+    for field, (flags, value) in _MODEL_FLAGS.items():
+        args = cli.build_parser().parse_args(base + flags)
+        config = cli._model_config(cli.RunConfig.resolve(args), graphs)
+        assert getattr(default, field) != value
+        assert getattr(config, field) == value, field
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--sigmas", "1,,2"),
+    ("--sigmas", "1,2,"),
+    ("--sigmas", ","),
+    ("--sigma-t", "1,2,,3"),
+    ("--sigma-t", " "),
+], ids=["sigmas-inner", "sigmas-trailing", "sigmas-only-comma", "sigma-t-inner", "sigma-t-blank"])
+def test_bandwidth_list_with_an_empty_item_exits_one(tmp_path, capsys, monkeypatch, flag, text):
+    """An empty item is an error, not a kernel level fewer."""
+    monkeypatch.setattr(cli, "_pipeline_graphs", _pipeline_must_not_run)
+    out = tmp_path / "m.ckpt"
+    code = main(["train", "--detections", "d.jsonl", "--registry", "r.json", "--qa", "q.jsonl",
+                 "--out", str(out), flag, text])
+    assert "bad bandwidth list" in _one_error(capsys, code)
+    assert not out.exists()
 
 
 def test_bad_json_config_exits_one(tmp_path, capsys):

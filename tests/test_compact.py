@@ -13,13 +13,13 @@ from prism25d.compact import (
     reduction_pct,
 )
 from prism25d.errors import ValidationError
-from prism25d.graph import _graph_body, graph_from_records
+from prism25d.graph import _graph_body, graphs_from_records
 from prism25d import register
 from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
 
 from helpers import (
-    criterion, iou, node, oracle_ancestors, oracle_correspondences, oracle_merge_static,
+    criterion, generate_world, iou, node, oracle_ancestors, oracle_correspondences, oracle_merge_static,
     oracle_static_by_frame, table,
 )
 
@@ -194,8 +194,8 @@ def test_merge_on_synthetic_corpus_reaches_object_count():
     for seed in range(4):
         spec = sw.WorldSpec(seed=seed + 50, video_id=f"m{seed}", n_frames=8,
                             n_static=5, n_dynamic=2)
-        records, truth = sw.generate_world(spec)
-        g = register_frames(graph_from_records(records, reg))
+        records, truth = generate_world(spec)
+        g = register_frames(graphs_from_records(records, reg)[0])
         merged = compact(g, MatchParams())
         assert np.count_nonzero(merged.static) == spec.n_static
         assert np.count_nonzero(~merged.static) == spec.n_dynamic * spec.n_frames
@@ -289,8 +289,8 @@ def test_compaction_idempotent_on_synth_corpora():
     for seed, noise in ((70, sw.NoiseSpec()), (71, sw.NoiseSpec(bbox_px=2.0, depth=0.05))):
         spec = sw.WorldSpec(seed=seed, video_id=f"i{seed}", n_frames=8, n_static=5,
                             n_dynamic=2, extent_range=(1.4, 1.6), noise=noise)
-        records, _ = sw.generate_world(spec)
-        g = register_frames(graph_from_records(records, reg))
+        records, _ = generate_world(spec)
+        g = register_frames(graphs_from_records(records, reg)[0])
         once = compact(g, params)
         twice = compact(once, params)
         assert twice == once
@@ -330,7 +330,7 @@ def test_segment_merge_matches_per_class_loop():
     for seed in (72, 73):
         spec = sw.WorldSpec(seed=seed, video_id=f"j{seed}", n_frames=8, n_static=5, n_dynamic=2,
                             noise=sw.NoiseSpec(bbox_px=1.0, depth=0.03))
-        g = register_frames(graph_from_records(sw.generate_world(spec)[0], reg))
+        g = register_frames(graphs_from_records(generate_world(spec)[0], reg)[0])
         cases += [(g, MatchParams()), (compact(g, MatchParams(gamma=0.95)), MatchParams())]
     for graph, params in _grid_graphs(19, 30):
         graph.features = rng.normal(size=graph.features.shape)

@@ -6,7 +6,7 @@ import pytest
 
 from prism25d.errors import FormatError, ParseError, RegistryError, ValidationError
 from prism25d.attention import build_bundles
-from prism25d.graph import graph_from_records, load_corpus, load_detection_groups, save_corpus
+from prism25d.graph import STATIC, graphs_from_records, load_corpus, load_detection_groups, save_corpus
 
 from helpers import detection, listings, node, table, write_jsonl
 
@@ -37,7 +37,7 @@ def test_timestamp_normalization(tmp_path, registry):
 def test_last_frame_timestamp_below_one(registry):
     n = 7
     recs = [detection(frame=n - 1)]
-    g = graph_from_records(recs, registry, max_frames=n)
+    g = graphs_from_records(recs, registry, max_frames=n)[0]
     assert g.obs_times.tolist() == [(n - 1) / n] and g.obs_times[0] < 1.0
 
 
@@ -77,9 +77,9 @@ def test_graph_check_names_the_first_bad_line(tmp_path, registry):
 
 def test_motion_feature_kind_mismatch_rejected(registry):
     with pytest.raises(ValidationError):
-        graph_from_records([detection(class_id=1, motion=(0.1,))], registry)
+        graphs_from_records([detection(class_id=1, motion=(0.1,))], registry)[0]
     with pytest.raises(ValidationError):
-        graph_from_records([detection(class_id=101, motion=None)], registry)
+        graphs_from_records([detection(class_id=101, motion=None)], registry)[0]
 
 
 def test_combined_feature_lengths(registry):
@@ -88,7 +88,7 @@ def test_combined_feature_lengths(registry):
         detection(frame=0, class_id=101, bbox=(60, 10, 90, 40), feature=np.arange(16.0),
                   motion=np.arange(8.0)),
     ]
-    g = graph_from_records(recs, registry)
+    g = graphs_from_records(recs, registry)[0]
     bundle = build_bundles({"v": g}, ((1.0, 1.0),))["v"]  # object, then motion feature, per column
     assert bundle.static_cols.shape == (16, 1) and bundle.dynamic_cols.shape == (24, 1)
     assert np.array_equal(bundle.dynamic_cols[16:, 0], np.arange(8.0))
@@ -97,14 +97,14 @@ def test_combined_feature_lengths(registry):
 def test_non_finite_depth_rejected_by_lift(registry):
     for depth in (float("nan"), float("inf")):
         with pytest.raises(ValidationError):
-            graph_from_records([detection(depth=depth)], registry)
+            graphs_from_records([detection(depth=depth)], registry)[0]
 
 
 def test_and_lift_applied_on_load(registry):
     # bbox centered on the principal point lifts onto the optical axis
-    g = graph_from_records(
+    g = graphs_from_records(
         [detection(bbox=(118.0, 118.0, 138.0, 138.0), depth=2.0)], registry
-    )
+    )[0]
     assert np.allclose(g.centroids[0], [0.0, 0.0, 2.0])
 
 
@@ -115,7 +115,7 @@ def _sample_graph(registry):
         detection(frame=1, class_id=2, bbox=(12, 11, 52, 49)),
         detection(frame=1, class_id=102, bbox=(61, 12, 91, 41), motion=(0.0, 1.0)),
     ]
-    return graph_from_records(recs, registry)
+    return graphs_from_records(recs, registry)[0]
 
 
 def test_roundtrip_bit_exact(tmp_path, registry):
@@ -159,7 +159,7 @@ def test_wrong_version_rejected(tmp_path, registry):
 def test_corpus_roundtrip(tmp_path, registry):
     g1 = _sample_graph(registry)
     recs = [detection(video_id="w2", class_id=2)]
-    g2 = graph_from_records(recs, registry)
+    g2 = graphs_from_records(recs, registry)[0]
     path = tmp_path / "c.json"
     save_corpus([g1, g2], path)
     loaded = load_corpus(path)
@@ -169,7 +169,7 @@ def test_corpus_roundtrip(tmp_path, registry):
 
 def test_save_corpus_rejects_mixed_registry_digests(tmp_path, registry):
     g1 = _sample_graph(registry)
-    g2 = graph_from_records([detection(video_id="w2", class_id=2)], registry)
+    g2 = graphs_from_records([detection(video_id="w2", class_id=2)], registry)[0]
     g2.registry_digest = "0" * 64
     path = tmp_path / "c.json"
     with pytest.raises(ValidationError) as exc:
@@ -273,7 +273,7 @@ def test_equality_with_another_type_is_false(registry):
 
 
 def test_split_all_static(registry):
-    g = graph_from_records([detection(class_id=1), detection(class_id=2)], registry)
+    g = graphs_from_records([detection(class_id=1), detection(class_id=2)], registry)[0]
     assert g.static.tolist() == [True, True] and g.motions.shape == (0, 0)
 
 
@@ -283,11 +283,11 @@ def test_split_partition_and_idempotence(tmp_path, registry):
         detection(class_id=101, motion=(0.5,)),
         detection(class_id=101, bbox=(60, 60, 90, 90), motion=(0.5,)),
     ]
-    g = graph_from_records(recs, registry)
+    g = graphs_from_records(recs, registry)[0]
     assert g.static.tolist() == [True, False, False] and g.motions.tolist() == [[0.5], [0.5]]
     copy = _saved_copy(g, tmp_path / "g.json")
     assert copy.static.tolist() == g.static.tolist()
-    copy.validate(registry)
+    copy.validate()
 
 
 def test_partition_property_random_graphs(registry):
@@ -304,10 +304,16 @@ def test_partition_property_random_graphs(registry):
                     motion=(0.1,) if cid >= 101 else None,
                 )
             )
-        g = graph_from_records(recs, registry)
-        assert g.static.tolist() == [registry.is_static(c) for c in g.class_ids.tolist()]
+        g = graphs_from_records(recs, registry)[0]
+        assert g.static.tolist() == [registry.entries[c].kind == STATIC for c in g.class_ids.tolist()]
         assert len(g.motions) == np.count_nonzero(~g.static)
-        g.validate(registry)
+        g.validate()
+
+
+def test_no_records_give_no_graphs_but_an_empty_file_is_an_error(tmp_path, registry):
+    assert graphs_from_records([], registry) == []
+    with pytest.raises(ValidationError, match="no detections in"):
+        load_detection_groups(write_jsonl(tmp_path / "d.jsonl", []), registry)
 
 
 def test_multi_video_file_loads_one_graph_per_video(tmp_path, registry):

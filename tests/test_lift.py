@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from prism25d.errors import ValidationError
-from prism25d.graph import ClassRegistry, graph_from_records
+from prism25d.graph import ClassRegistry, graphs_from_records
 from prism25d.lift import Intrinsics, default_intrinsics, estimate_rigid, fit_rigid, lift_centroid
 from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
@@ -159,7 +159,7 @@ def _world_graph(spec):
     world = sw.build_world(spec)
     records = sw.world_detections(world)
     truth = sw.world_truth(world)
-    g = graph_from_records(records, sw.default_registry())
+    g = graphs_from_records(records, sw.default_registry())[0]
     return world, records, truth, g
 
 
@@ -231,7 +231,7 @@ def test_pose_recovery_translating_and_orbiting():
 
 
 def test_register_falls_back_silently_where_a_mean_centroid_overflows():
-    g = graph_from_records(OVERFLOW_DETECTIONS, ClassRegistry.from_json(OVERFLOW_REGISTRY))
+    g = graphs_from_records(OVERFLOW_DETECTIONS, ClassRegistry.from_json(OVERFLOW_REGISTRY))[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         transforms = estimate_frame_transforms(g)

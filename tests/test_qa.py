@@ -6,7 +6,7 @@ import pytest
 from prism25d import numcore as nc
 from prism25d.attention import attention_init
 from prism25d.errors import ValidationError
-from prism25d.graph import graph_from_records
+from prism25d.graph import graphs_from_records
 from prism25d.numcore import Tensor
 from prism25d.qa import (
     ModelConfig,
@@ -343,7 +343,7 @@ def _toy_graph(registry, vid="v"):
         detection(video_id=vid, frame=1, class_id=101, bbox=(60, 60, 90, 90), feature=(1, 1),
                   motion=(0.3, 0.1)),
     ]
-    return graph_from_records(recs, registry)
+    return graphs_from_records(recs, registry)[0]
 
 
 def _toy_config(**kw):
@@ -481,7 +481,7 @@ def _second_graph(registry):
         detection(video_id="u", frame=2, class_id=101, bbox=(50, 64, 80, 99), depth=2.4,
                   feature=(0.3, 1), motion=(-0.3, 0.2)),
     ]
-    return graph_from_records(recs, registry)
+    return graphs_from_records(recs, registry)[0]
 
 
 def _mixed_batch():

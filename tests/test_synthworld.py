@@ -6,17 +6,19 @@ import pytest
 
 from prism25d.compact import MatchParams, build_ancestors, compact
 from prism25d.errors import ValidationError
-from prism25d.graph import graph_from_records
+from prism25d.graph import graphs_from_records
 from prism25d.qa import save_qa
 from prism25d.register import register_frames
 from prism25d import synthworld as sw
+
+from helpers import generate_world
 
 REG = sw.default_registry()
 
 
 def test_stationary_single_object_projects_identically():
     spec = sw.WorldSpec(seed=0, video_id="v", n_frames=10, n_static=1, n_dynamic=0)
-    records, _ = sw.generate_world(spec)
+    records, _ = generate_world(spec)
     assert len(records) == 10
     first = records[0]
     for rec in records[1:]:
@@ -28,7 +30,7 @@ def test_translating_truth_poses_match_spec_velocity():
     vel = np.array([0.04, 0.01, 0.0])
     spec = sw.WorldSpec(seed=1, video_id="v", n_frames=6, n_static=4, n_dynamic=0,
                         camera=sw.CameraSpec(kind="translating", velocity=tuple(vel)))
-    _, truth = sw.generate_world(spec)
+    _, truth = generate_world(spec)
     assert np.allclose(truth.rotations, np.eye(3))
     assert np.allclose(truth.translations, np.arange(6)[:, None] * vel, atol=1e-12)
 
@@ -37,7 +39,7 @@ def test_same_seed_byte_identical_files(tmp_path):
     spec = sw.WorldSpec(seed=2, video_id="v", n_frames=6, n_static=4, n_dynamic=2,
                         noise=sw.NoiseSpec(bbox_px=1.0, depth=0.05))
     for name in ("a", "b"):
-        records, _ = sw.generate_world(spec)
+        records, _ = generate_world(spec)
         sw.write_detections(records, tmp_path / f"{name}.jsonl")
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
@@ -48,7 +50,7 @@ def test_all_detections_inside_image():
                          (5, sw.CameraSpec(kind="orbiting", angular_rate=0.02))):
         spec = sw.WorldSpec(seed=seed, video_id="v", n_frames=8, n_static=5, n_dynamic=2,
                             camera=camera)
-        records, _ = sw.generate_world(spec)
+        records, _ = generate_world(spec)
         w, h = spec.image_size
         for rec in records:
             x1, y1, x2, y2 = rec["bbox"]
@@ -58,14 +60,14 @@ def test_all_detections_inside_image():
 
 def test_oracle_merge_single_object():
     spec = sw.WorldSpec(seed=6, video_id="v", n_frames=10, n_static=1, n_dynamic=0)
-    records, truth = sw.generate_world(spec)
+    records, truth = generate_world(spec)
     classes = sw.oracle_merge(records, truth)
     assert len(classes) == 1 and len(classes[0]) == 10
 
 
 def test_oracle_merge_three_objects():
     spec = sw.WorldSpec(seed=7, video_id="v", n_frames=5, n_static=3, n_dynamic=0)
-    records, truth = sw.generate_world(spec)
+    records, truth = generate_world(spec)
     classes = sw.oracle_merge(records, truth)
     assert sorted(classes) == [0, 1, 2]
     assert all(len(v) == 5 for v in classes.values())
@@ -75,16 +77,16 @@ def test_same_class_far_objects_stay_separate():
     # two objects share a class id whenever n_static exceeds the class pool
     spec = sw.WorldSpec(seed=8, video_id="v", n_frames=6, n_static=5, n_dynamic=0,
                         n_static_classes=2)
-    records, truth = sw.generate_world(spec)
+    records, truth = generate_world(spec)
     classes = sw.oracle_merge(records, truth)
     assert len(classes) == 5
-    g = register_frames(graph_from_records(records, REG))
+    g = register_frames(graphs_from_records(records, REG)[0])
     merged = compact(g, MatchParams())
     assert np.count_nonzero(merged.static) == 5  # never collapsed into one
 
 
 def _compactor_classes(records, gamma):
-    g = register_frames(graph_from_records(records, REG), gamma=gamma)
+    g = register_frames(graphs_from_records(records, REG)[0], gamma=gamma)
     anc = build_ancestors(g, MatchParams(gamma=gamma, delta=3))
     groups = {}
     for nid, root in anc.items():
@@ -94,7 +96,7 @@ def _compactor_classes(records, gamma):
 
 def test_compactor_recovers_oracle_for_any_gamma_when_stationary():
     spec = sw.WorldSpec(seed=9, video_id="v", n_frames=8, n_static=5, n_dynamic=2)
-    records, truth = sw.generate_world(spec)
+    records, truth = generate_world(spec)
     want = sorted(map(frozenset, sw.oracle_merge(records, truth).values()), key=sorted)
     for gamma in (0.05, 0.3, 0.7, 0.95):
         assert _compactor_classes(records, gamma) == want
@@ -105,7 +107,7 @@ def test_compactor_recovers_oracle_after_registration_moving_camera():
                          (11, sw.CameraSpec(kind="orbiting", angular_rate=0.02))):
         spec = sw.WorldSpec(seed=seed, video_id="v", n_frames=8, n_static=5, n_dynamic=1,
                             camera=camera)
-        records, truth = sw.generate_world(spec)
+        records, truth = generate_world(spec)
         want = sorted(map(frozenset, sw.oracle_merge(records, truth).values()), key=sorted)
         for gamma in (0.3, 0.5):
             assert _compactor_classes(records, gamma) == want
@@ -144,7 +146,7 @@ def test_nearest_static_answer_matches_designated_target():
 def test_nearest_static_answer_solvable_from_compacted_graph():
     world, truth = _world(14, n_frames=8, n_static=6, n_dynamic=2)
     records = sw.world_detections(world)
-    g = compact(register_frames(graph_from_records(records, REG)), MatchParams())
+    g = compact(register_frames(graphs_from_records(records, REG)[0]), MatchParams())
     instances, derivations = sw.generate_qa(world, truth, "nearest_static", 2, seed=0)
     statics = np.flatnonzero(g.static)
     for inst, der in zip(instances, derivations):

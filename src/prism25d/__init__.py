@@ -25,7 +25,7 @@ from .graph import (
     save_corpus,
 )
 from .lift import Intrinsics, default_intrinsics, estimate_rigid, lift_centroid
-from .numcore import Adam, MlpParams, Tensor, backward, mlp_forward, softmax_rows
+from .numcore import Adam, Affine, Tensor, backward, softmax_rows
 from .qa import (
     ModelConfig,
     QaInstance,

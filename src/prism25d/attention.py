@@ -11,7 +11,7 @@ import numpy as np
 from . import numcore as nc
 from .errors import ValidationError
 from .graph import SceneGraph25D
-from .numcore import MlpParams, Tensor
+from .numcore import Affine, Tensor
 
 DEFAULT_BANDWIDTHS = (0.01, 0.1, 1.0, 10.0)
 MASK_LOGIT = -1e30  # additive score mask for pairs that may not attend
@@ -85,19 +85,19 @@ def build_bundles(
     return bundles
 
 
-def project_nodes(bundle: GraphBundle, mlp_s: MlpParams, mlp_d: MlpParams) -> Tensor:
+def project_nodes(bundle: GraphBundle, mlp_s: Affine, mlp_d: Affine) -> Tensor:
     """Latent node features as (r, n) columns in ascending node id: static nodes projected
     by `mlp_s`, dynamic nodes (object and motion features) by `mlp_d`."""
+    if mlp_s.w.shape[0] != mlp_d.w.shape[0]:
+        raise ValidationError("static and dynamic projections disagree on latent width")
     blocks = []
     if bundle.static_cols.shape[1] > 0:
-        blocks.append(nc.mlp_forward(mlp_s, Tensor(bundle.static_cols)))
+        blocks.append(mlp_s(Tensor(bundle.static_cols)))
     if bundle.dynamic_cols.shape[1] > 0:
-        blocks.append(nc.mlp_forward(mlp_d, Tensor(bundle.dynamic_cols)))
+        blocks.append(mlp_d(Tensor(bundle.dynamic_cols)))
     if not blocks:
         raise ValidationError("graph has no nodes to project")
     stacked = blocks[0] if len(blocks) == 1 else nc.concat(blocks, axis=1)
-    if mlp_s.out_dim != mlp_d.out_dim:
-        raise ValidationError("static and dynamic projections disagree on latent width")
     return nc.gather_cols(stacked, bundle.perm)
 
 
@@ -187,19 +187,19 @@ def kernel_attention(features: Tensor, value_weights: Tensor, smax: Tensor) -> T
 
 def hierarchical_attention(
     features: Tensor,
-    level_mlps: list[MlpParams],
+    levels: list[Affine],
     value_weights: Tensor,
     smax_levels: list[Tensor],
 ) -> Tensor:
-    """Sum of per-bandwidth kernel attentions, each re-embedded by its own MLP.
+    """Sum of per-bandwidth kernel attentions, each re-embedded by its own affine layer.
 
-    `smax_levels` holds one `kernel_softmax_levels` matrix per level MLP.
+    `smax_levels` holds one `kernel_softmax_levels` matrix per level layer.
     """
-    if len(level_mlps) != len(smax_levels):
-        raise ValidationError(f"{len(level_mlps)} level MLPs but {len(smax_levels)} kernel matrices")
+    if len(levels) != len(smax_levels):
+        raise ValidationError(f"{len(levels)} level layers but {len(smax_levels)} kernel matrices")
     out = None
-    for mlp, smax in zip(level_mlps, smax_levels):
-        branch = nc.mlp_forward(mlp, kernel_attention(features, value_weights, smax))
+    for level, smax in zip(levels, smax_levels):
+        branch = level(kernel_attention(features, value_weights, smax))
         out = branch if out is None else nc.add(out, branch)
     return out
 
@@ -210,17 +210,17 @@ class EncoderParams:
 
     standard: list[AttentionParams]  # stacked plain-attention blocks
     kernel_values: Tensor  # (r, r) value projection shared by every kernel level
-    level_mlps: list[MlpParams]
-    comb_mlp: MlpParams  # re-embeds the standard branch before the sum
+    levels: list[Affine]  # re-embed each kernel level's attention
+    comb: Affine  # re-embeds the standard branch before the sum
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = []
         for i, blk in enumerate(self.standard):
             out += blk.named_parameters(f"std{i}")
         out.append(("kernel.wv", self.kernel_values))
-        for j, mlp in enumerate(self.level_mlps):
-            out += mlp.named_parameters(f"level{j}")
-        return out + self.comb_mlp.named_parameters("comb")
+        for j, level in enumerate(self.levels):
+            out += level.named_parameters(f"level{j}")
+        return out + self.comb.named_parameters("comb")
 
 
 def encoder_init(
@@ -230,8 +230,8 @@ def encoder_init(
     return EncoderParams(
         standard=[attention_init(r, rng) for _ in range(n_standard_layers)],
         kernel_values=Tensor(rng.uniform(-bound, bound, size=(r, r)), requires_grad=True),
-        level_mlps=[nc.mlp_init([r, r], rng) for _ in range(n_levels)],
-        comb_mlp=nc.mlp_init([r, r], rng),
+        levels=[nc.affine_init(r, r, rng) for _ in range(n_levels)],
+        comb=nc.affine_init(r, r, rng),
     )
 
 
@@ -241,9 +241,9 @@ def combined_encoding(
     params: EncoderParams,
     smax_levels: list[Tensor],
 ) -> Tensor:
-    """Hierarchical kernel encoding plus the MLP-re-embedded standard branch."""
-    hier = hierarchical_attention(features, params.level_mlps, params.kernel_values, smax_levels)
+    """Hierarchical kernel encoding plus the re-embedded standard branch."""
+    hier = hierarchical_attention(features, params.levels, params.kernel_values, smax_levels)
     std = features
     for blk in params.standard:
         std = multihead_attention(std, std, blk, heads)
-    return nc.add(hier, nc.mlp_forward(params.comb_mlp, std))
+    return nc.add(hier, params.comb(std))

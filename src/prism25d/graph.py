@@ -53,13 +53,12 @@ class ClassRegistry:
     @staticmethod
     def from_json(obj: dict) -> "ClassRegistry":
         check(obj, {"classes": list_of(OBJECT)})
-        check_rows(obj["classes"], _CLASS_FIELDS)
+        cols = check_rows(obj["classes"], _CLASS_FIELDS)
         entries = {}
-        for item in obj["classes"]:
-            cid = item["id"]
+        for cid, name, kind in zip(cols["id"], cols["name"], cols["kind"]):
             if cid in entries:
                 raise ValidationError(f"duplicate class id {cid} in registry")
-            entries[cid] = ClassEntry(item["name"], item["kind"])
+            entries[cid] = ClassEntry(name, kind)
         return ClassRegistry(entries)
 
     def save(self, path: str | Path) -> None:
@@ -128,8 +127,9 @@ class SceneGraph25D:
         return self.listed_frames[_starts(self.listed_frames)]
 
     def validate(self) -> None:
-        """Check that the columns agree. Each node is listed once in each of its source
-        frames, and in no other frame."""
+        """Check that the columns agree. `max_frames` is at least 1, every source frame lies
+        in [0, max_frames), and each node is listed once in each of its source frames, and
+        in no other frame."""
         ids, n = self.nodes, len(self.nodes)
         t, f, counts = self.obs_times, self.obs_frames, np.diff(self.obs_start)
         owner = np.repeat(np.arange(n), counts)
@@ -137,9 +137,15 @@ class SceneGraph25D:
         bad_obs = counts == 0
         bad_obs[owner[1:][step]] = True
         bad_obs[owner[(t < 0.0) | (t > 1.0)]] = True
-        _raise_first([[(bad_obs, ValidationError, lambda i: f"node {ids[i]}: {_OBS_RULE}")],
+        outside = np.zeros(n, dtype=bool)
+        outside[owner[(f < 0) | (f >= self.max_frames)]] = True
+        _raise_first([[(bad_obs, ValidationError, lambda i: f"node {ids[i]}: {_OBS_RULE}"),
+                       (outside, ValidationError,
+                        lambda i: f"node {ids[i]}: source frames must lie in [0, {self.max_frames})")],
                       [(degenerate_boxes(self.boxes), ValidationError,
                         lambda i: f"node {ids[i]}: degenerate bbox {tuple(self.boxes[i].tolist())}")]])
+        if self.max_frames < 1:
+            raise ValidationError(f"max_frames must be positive, got {self.max_frames}")
         # one run per (frame, row) pair among the listings (listed) and the observations
         frame = np.concatenate((self.listed_frames, f))
         row = np.concatenate((self.listed_rows, owner))
@@ -187,34 +193,34 @@ def graphs_from_records(
     intrinsics: Intrinsics = DEFAULT_INTRINSICS,
     lines: list[int] | None = None,
 ) -> list[SceneGraph25D]:
-    """One graph per video of detection records (already-parsed JSONL lines), in
-    first-appearance order, each field read for all records at once.
+    """One graph per video of detection records (parsed JSON lines: JSON types only, so a
+    float is a Python float), in first-appearance order, each field read for all records
+    at once. The records are checked as a detection file's lines are, with the same errors.
 
     Node ids are assigned sequentially in record order. `max_frames` is the
     dataset-wide frame count used for temporal normalization; when omitted it
     defaults to the records' frame span. `lines` gives each record's line in its
     file, so that an error names the first bad line of the first video holding one.
     """
-    _check_widths(records, {}, lines)
-    names = [str(r["video_id"]) for r in records]
+    cols = check_rows(records, _DETECTION_FIELDS, lines)
+    _check_widths(cols, {}, lines)
+    names, frames, class_ids = cols["video_id"], cols["frame_index"], cols["class_id"]
     code = {v: k for k, v in enumerate(dict.fromkeys(names))}
     video = np.array([code[v] for v in names], dtype=np.int64)
-    frames = [int(r["frame_index"]) for r in records]
     if max_frames is None:
         max_frames = max(frames, default=0) + 1
     if max_frames <= 0:
         raise ValidationError(f"max_frames must be positive, got {max_frames}")
-    class_ids = [int(r["class_id"]) for r in records]
     kind_of = {c: e.kind for c, e in registry.entries.items()}
     kinds = [kind_of.get(c) for c in class_ids]
     static, dynamic = (np.array([k == kind for k in kinds], dtype=bool) for kind in (STATIC, DYNAMIC))
-    motions = [r.get("motion_feature") for r in records]
+    motions = cols["motion_feature"]
     moving = np.array([m is not None for m in motions], dtype=bool)
-    bboxes = [r["bbox"] for r in records]
+    bboxes = cols["bbox"]
     short = np.array([len(b) != 4 for b in bboxes], dtype=bool)  # the checks below take one box array
     boxes = np.array([b if len(b) == 4 else _UNIT_BOX for b in bboxes] if short.any() else bboxes,
                      dtype=np.float64).reshape(-1, 4)
-    depths = np.array([r["depth"] for r in records], dtype=np.float64)
+    depths = np.array(cols["depth"], dtype=np.float64)
     checks = [
         (~(static | dynamic), RegistryError, lambda i: f"unknown class_id {class_ids[i]}"),
         (degenerate_boxes(boxes), ValidationError,
@@ -240,7 +246,7 @@ def graphs_from_records(
 
     times = np.array([f / max_frames for f in frames], dtype=np.float64)
     frame_col, class_col = _ints(frames), _ints(class_ids)
-    features = _matrix([r["feature"] for r in records])
+    features = _matrix(cols["feature"])
     motion_rows, motion_of = _matrix([m for m in motions if m is not None]), np.cumsum(moving) - 1
     digest = registry.digest()
     order = np.argsort(video, kind="stable")
@@ -266,14 +272,14 @@ _DETECTION_FIELDS = {
 }
 
 
-def _check_widths(records: list[dict], widths: dict[str, int], lines: list[int] | None = None) -> None:
-    """One feature width per key and file: `widths` holds the width of each key's first use."""
+def _check_widths(cols: dict[str, list], widths: dict[str, int], lines: list[int] | None = None) -> None:
+    """One feature width per key and file over `check_rows` columns: `widths` holds the width
+    of each key's first use."""
     for key in _FEATURES:
-        sizes = [len(r[key]) for r in records if r.get(key) is not None]
+        sizes = [len(v) for v in cols[key] if v is not None]
         if sizes and set(sizes) != {widths.setdefault(key, sizes[0])}:
-            i = next(i for i, r in enumerate(records)
-                     if r.get(key) is not None and len(r[key]) != widths[key])
-            raise ParseError(f"{key} has {len(records[i][key])} values, not {widths[key]}",
+            i = next(i for i, v in enumerate(cols[key]) if v is not None and len(v) != widths[key])
+            raise ParseError(f"{key} has {len(cols[key][i])} values, not {widths[key]}",
                              line=None if lines is None else lines[i])
 
 
@@ -285,7 +291,6 @@ def load_detection_groups(
 ) -> list[SceneGraph25D]:
     """Load a detection JSONL file into one graph per video (first-appearance order)."""
     lines, records = read_jsonl(path)
-    check_rows(records, _DETECTION_FIELDS, lines)
     if not records:
         raise ValidationError(f"no detections in {path}")
     return graphs_from_records(records, registry, max_frames, intrinsics, lines)
@@ -331,12 +336,12 @@ _CORPUS_FIELDS = {"registry_digest": optional(STR), "graphs": list_of(OBJECT)}
 def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> SceneGraph25D:
     check(obj, _GRAPH_FIELDS)
     with located(f"video {obj['video_id']!r}"):
-        check_rows(obj["nodes"], _NODE_FIELDS)
-        _check_widths(obj["nodes"], widths)
-        check_rows(obj["frames"], _FRAME_FIELDS)
-        ids = _ints([n["node_id"] for n in obj["nodes"]])
+        cols = check_rows(obj["nodes"], _NODE_FIELDS)
+        _check_widths(cols, widths)
+        frame_cols = check_rows(obj["frames"], _FRAME_FIELDS)
+        ids = _ints(cols["node_id"])
         order = np.argsort(ids, kind="stable")
-        ids, nodes = ids[order], [obj["nodes"][i] for i in order.tolist()]
+        ids, rows = ids[order], order.tolist()
         if np.any(ids[1:] == ids[:-1]):
             raise ValidationError("repeats a node id")
         row_of = {nid: row for row, nid in enumerate(ids.tolist())}
@@ -345,32 +350,32 @@ def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> S
             raise ValidationError("static/dynamic sets do not partition the node ids")
         static_mask = np.zeros(len(ids), dtype=bool)
         static_mask[list(static)] = True
-        times, frames = [n["timestamps"] for n in nodes], [n["source_frames"] for n in nodes]
-        moving = np.array([n.get("motion_feature") is not None for n in nodes], dtype=bool)
+        times, frames = ([cols[key][i] for i in rows] for key in ("timestamps", "source_frames"))
+        motions = [cols["motion_feature"][i] for i in rows]
         _raise_first([[
             ([not t or len(t) != len(f) for t, f in zip(times, frames)], ValidationError,
              lambda i: f"node {ids[i]}: {_OBS_RULE}"),
-            (moving == static_mask, ValidationError,
+            (np.array([m is not None for m in motions], dtype=bool) == static_mask, ValidationError,
              lambda i: f"node {ids[i]}: dynamic nodes, and only they, carry a motion feature"),
         ]])
-        indices = [fs["frame_index"] for fs in obj["frames"]]
+        indices, node_ids = frame_cols["frame_index"], frame_cols["node_ids"]
         for before, after in zip(indices, indices[1:]):
             if after <= before:
                 raise ValidationError(f"frame indices must strictly ascend, got {after} after {before}")
-        listed_ids = [nid for fs in obj["frames"] for nid in fs["node_ids"]]
+        listed_ids = [nid for listing in node_ids for nid in listing]
         listed_rows = [row_of.get(nid) for nid in listed_ids]
-        listed_frames = [fs["frame_index"] for fs in obj["frames"] for _ in fs["node_ids"]]
+        listed_frames = [f for f, listing in zip(indices, node_ids) for _ in listing]
         if None in listed_rows:
             i = listed_rows.index(None)
             raise ValidationError(f"frame {listed_frames[i]} lists node {listed_ids[i]}, which is missing "
                                   "or has no source frame there")
         graph = SceneGraph25D(
             video_id=obj["video_id"], max_frames=obj["max_frames"], nodes=ids,
-            class_ids=_ints([n["class_id"] for n in nodes]), static=static_mask,
-            features=_matrix([n["feature"] for n in nodes]),
-            motions=_matrix([n["motion_feature"] for n in nodes if n.get("motion_feature") is not None]),
-            boxes=np.array([n["bbox"] for n in nodes], dtype=np.float64).reshape(-1, 4),
-            centroids=np.array([n["centroid3d"] for n in nodes], dtype=np.float64).reshape(-1, 3),
+            class_ids=_ints(cols["class_id"])[order], static=static_mask,
+            features=_matrix(cols["feature"])[order],
+            motions=_matrix([m for m in motions if m is not None]),
+            boxes=np.array(cols["bbox"], dtype=np.float64).reshape(-1, 4)[order],
+            centroids=np.array(cols["centroid3d"], dtype=np.float64).reshape(-1, 3)[order],
             obs_start=np.cumsum([0] + [len(t) for t in times]),
             obs_frames=_ints([f for fs in frames for f in fs]),
             obs_times=np.array([t for ts in times for t in ts], dtype=np.float64),

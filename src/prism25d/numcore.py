@@ -1,4 +1,4 @@
-"""Dense f64 tensors with reverse-mode autodiff, MLP layers, Adam, checkpoints."""
+"""Dense f64 tensors with reverse-mode autodiff, affine layers, Adam, checkpoints."""
 
 from __future__ import annotations
 
@@ -298,57 +298,25 @@ def backward(loss: Tensor) -> None:
 
 
 @dataclass
-class MlpParams:
-    """Affine stack with a relu between layers and none after the last."""
+class Affine:
+    """One learned affine map `w @ x + b` of features-as-columns input (in, n)."""
 
-    weights: list[Tensor]  # each (out, in)
-    biases: list[Tensor]  # each (out, 1)
+    w: Tensor  # (out, in)
+    b: Tensor  # (out, 1)
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases):
-            raise ValidationError("mlp layer lists differ in length")
-        for i in range(1, len(self.weights)):
-            if self.weights[i].shape[1] != self.weights[i - 1].shape[0]:
-                raise ValidationError("mlp layer dims do not chain")
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
+    def __call__(self, x: Tensor) -> Tensor:
+        return add(matmul(self.w, x), self.b)
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out += [(f"{prefix}.w{i}", w), (f"{prefix}.b{i}", b)]
-        return out
-
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters("")]
+        """`<prefix>.w0` and `<prefix>.b0`, the names checkpoints carry."""
+        return [(f"{prefix}.w0", self.w), (f"{prefix}.b0", self.b)]
 
 
-def mlp_init(dims: list[int], rng: np.random.Generator) -> MlpParams:
-    """Uniform(+-1/sqrt(fan_in)) initialization."""
-    if len(dims) < 2:
-        raise ValidationError("mlp needs at least input and output dims")
-    weights, biases = [], []
-    for i in range(len(dims) - 1):
-        bound = 1.0 / math.sqrt(dims[i])
-        weights.append(Tensor(rng.uniform(-bound, bound, size=(dims[i + 1], dims[i])), requires_grad=True))
-        biases.append(Tensor(rng.uniform(-bound, bound, size=(dims[i + 1], 1)), requires_grad=True))
-    return MlpParams(weights, biases)
-
-
-def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
-    """Apply the stack to features-as-columns input (in_dim, n)."""
-    if x.data.shape[0] != params.in_dim:
-        raise ValidationError(f"mlp expects {params.in_dim} input rows, got {x.data.shape[0]}")
-    out = add(matmul(params.weights[0], x), params.biases[0])
-    for w, b in zip(params.weights[1:], params.biases[1:]):
-        out = add(matmul(w, relu(out)), b)
-    return out
+def affine_init(n_in: int, n_out: int, rng: np.random.Generator) -> Affine:
+    """Uniform(+-1/sqrt(n_in)) initialization, the weight drawn before the bias."""
+    bound = 1.0 / math.sqrt(n_in)
+    return Affine(Tensor(rng.uniform(-bound, bound, size=(n_out, n_in)), requires_grad=True),
+                  Tensor(rng.uniform(-bound, bound, size=(n_out, 1)), requires_grad=True))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +330,7 @@ class Adam:
     """Standard Adam with bias correction over a fixed parameter list. Building it makes each
     parameter's `.data` a view into one flat f64 buffer, which a step updates in one pass."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
         if len(set(self.params)) != len(self.params):
             raise ValidationError("adam parameter list holds a tensor twice")
@@ -432,15 +400,14 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         if header.get("version") != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported version {header.get('version')!r}")
         check(header, {"params": list_of(OBJECT)})
-        check_rows(header["params"], _MANIFEST_ENTRY)
+        cols = check_rows(header["params"], _MANIFEST_ENTRY)
         arrays: dict[str, np.ndarray] = {}
-        for item in header["params"]:
-            shape = tuple(item["shape"])
-            count = int(np.prod(shape)) if shape else 1
+        for name, shape in zip(cols["name"], cols["shape"]):
+            count = int(np.prod(shape))
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
-                raise FormatError(f"{path}: truncated parameter blob at {item['name']}")
-            arrays[item["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-            if not np.isfinite(arrays[item["name"]]).all():
-                raise ValidationError(f"{path}: parameter {item['name']} holds a non-finite value")
+                raise FormatError(f"{path}: truncated parameter blob at {name}")
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(arrays[name]).all():
+                raise ValidationError(f"{path}: parameter {name} holds a non-finite value")
     return header, arrays

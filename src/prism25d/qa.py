@@ -27,7 +27,7 @@ from .attention import (
 )
 from .errors import ParseError, ValidationError
 from .graph import SceneGraph25D
-from .numcore import Adam, MlpParams, Tensor
+from .numcore import Adam, Affine, Tensor
 from .schema import COUNT, INT, STR, check, check_rows, list_of, read, read_jsonl
 
 METRICS_FORMAT = "prism25d-metrics"
@@ -60,15 +60,12 @@ def load_qa(path: str | Path) -> list[QaInstance]:
     """Read a QA JSONL file; a line with a missing or mistyped field is a ParseError."""
     out = []
     lines, records = read_jsonl(path)
-    check_rows(records, _QA_FIELDS, lines)
-    for lineno, rec in zip(lines, records):
+    cols = check_rows(records, _QA_FIELDS, lines)
+    for lineno, vid, question, candidates, gt in zip(
+        lines, cols["video_id"], cols["question"], cols["candidates"], cols["gt"]
+    ):
         try:
-            inst = QaInstance(
-                video_id=rec["video_id"],
-                question=tuple(rec["question"]),
-                candidates=tuple(tuple(c) for c in rec["candidates"]),
-                gt_index=rec["gt"],
-            )
+            inst = QaInstance(vid, tuple(question), tuple(map(tuple, candidates)), gt)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno) from exc
         out.append(inst)
@@ -140,14 +137,14 @@ class ModelConfig:
 class TextParams:
     embedding: Tensor  # (vocab, r)
     q_attn: AttentionParams
-    answer_mlp: MlpParams  # tail of the candidate encoder
+    answer: Affine  # tail of the candidate encoder
 
 
 @dataclass
 class QaModel:
     config: ModelConfig
-    mlp_s: MlpParams
-    mlp_d: MlpParams
+    mlp_s: Affine
+    mlp_d: Affine
     encoder: EncoderParams
     text: TextParams
     cross: AttentionParams
@@ -157,7 +154,7 @@ class QaModel:
         out += [(f"enc.{n}", t) for n, t in self.encoder.named_parameters()]
         out.append(("text.embedding", self.text.embedding))
         out += self.text.q_attn.named_parameters("text.q")
-        out += self.text.answer_mlp.named_parameters("text.answer")
+        out += self.text.answer.named_parameters("text.answer")
         return out + self.cross.named_parameters("cross")
 
     def parameters(self) -> list[Tensor]:
@@ -167,14 +164,14 @@ class QaModel:
 def init_model(config: ModelConfig, seed: int) -> QaModel:
     rng = np.random.default_rng(seed)
     r = config.latent_dim
-    mlp_s = nc.mlp_init([config.d_o, r], rng)
-    mlp_d = nc.mlp_init([config.d_o + config.d_a, r], rng)
+    mlp_s = nc.affine_init(config.d_o, r, rng)
+    mlp_d = nc.affine_init(config.d_o + config.d_a, r, rng)
     encoder = encoder_init(r, len(config.sigma_s), rng, n_standard_layers=config.n_standard_layers)
     bound = 1.0 / math.sqrt(r)
     text = TextParams(
         embedding=Tensor(rng.uniform(-bound, bound, size=(config.vocab_size, r)), requires_grad=True),
         q_attn=attention_init(r, rng),
-        answer_mlp=nc.mlp_init([r, r], rng),
+        answer=nc.affine_init(r, r, rng),
     )
     cross = attention_init(r, rng)
     return QaModel(config, mlp_s, mlp_d, encoder, text, cross)
@@ -238,7 +235,7 @@ def condition_on_questions(
 
 
 def encode_candidates(instances: list[QaInstance], text: TextParams) -> Tensor:
-    """Every candidate of the instances, in order: lookup of question||answer, mean-pool, MLP.
+    """Every candidate of the instances, in order: lookup of question||answer, mean-pool, affine.
 
     Returns (r, total candidates).
     """
@@ -247,7 +244,7 @@ def encode_candidates(instances: list[QaInstance], text: TextParams) -> Tensor:
     _check_tokens(tokens, text.embedding.data.shape[0])
     emb = nc.transpose(nc.gather_rows(text.embedding, tokens))  # (r, tokens)
     pooled = nc.matmul(emb, Tensor(_segment_mean([len(seq) for seq in seqs])))
-    return nc.mlp_forward(text.answer_mlp, pooled)
+    return text.answer(pooled)
 
 
 def score_answers(fq: Tensor, answers: Tensor) -> Tensor:
@@ -307,7 +304,7 @@ def encode_graph(model: QaModel, bundle: GraphBundle) -> Tensor:
     if model.config.combine:
         return combined_encoding(features, model.config.heads, model.encoder, bundle.smax)
     return hierarchical_attention(
-        features, model.encoder.level_mlps, model.encoder.kernel_values, bundle.smax
+        features, model.encoder.levels, model.encoder.kernel_values, bundle.smax
     )
 
 

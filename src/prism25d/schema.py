@@ -86,13 +86,13 @@ def check(record, fields: dict[str, Spec], line: int | None = None) -> None:
     check_rows([record], fields, None if line is None else [line])
 
 
-def check_rows(records: list, fields: dict[str, Spec], lines: list[int] | None = None) -> None:
-    """`check` every record of a list, one field of all records at a time; the error
-    names the first bad record, by its line in `lines` when given."""
-    if OBJECT.each(records) and all(
-        spec.each([r.get(key) for r in records]) for key, spec in fields.items()
-    ):
-        return
+def check_rows(records: list, fields: dict[str, Spec], lines: list[int] | None = None) -> dict[str, list]:
+    """`check` every record of a list, one field of all records at a time, and return each
+    field's column: its values in record order, None where absent. The error names the
+    first bad record, by its line in `lines` when given."""
+    columns = {key: [r.get(key) for r in records] for key in fields} if OBJECT.each(records) else None
+    if columns is not None and all(spec.each(columns[key]) for key, spec in fields.items()):
+        return columns
     for i, record in enumerate(records):
         line = None if lines is None else lines[i]
         if type(record) is not dict:
@@ -103,6 +103,7 @@ def check_rows(records: list, fields: dict[str, Spec], lines: list[int] | None =
                 if key not in record:
                     raise ParseError(f"missing field {key!r}", line=line)
                 raise ParseError(f"{key} must be {spec.want}, got {value!r}", line=line)
+    return columns
 
 
 def read_jsonl(path: str | Path) -> tuple[list[int], list]:

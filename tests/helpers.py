@@ -8,7 +8,7 @@ import numpy as np
 
 from prism25d.compact import MatchParams
 from prism25d.graph import SceneGraph25D, _ints, _matrix
-from prism25d.numcore import MlpParams, Tensor
+from prism25d.numcore import Affine, Tensor
 from prism25d import synthworld as sw
 
 
@@ -31,12 +31,9 @@ def generate_world(spec):
     return sw.world_detections(world), sw.world_truth(world)
 
 
-def mlp_identity(dim):
-    """Single exact-identity layer, a neutral element for the MLP stages."""
-    return MlpParams(
-        [Tensor(np.eye(dim), requires_grad=True)],
-        [Tensor(np.zeros((dim, 1)), requires_grad=True)],
-    )
+def affine_identity(dim):
+    """Exact-identity affine layer, a neutral element for the learned maps."""
+    return Affine(Tensor(np.eye(dim), requires_grad=True), Tensor(np.zeros((dim, 1)), requires_grad=True))
 
 
 def fd_gradients(f, params, h=1e-5):

@@ -31,7 +31,7 @@ from prism25d.qa import (
 from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
 
-from helpers import fd_gradients, generate_world, max_relative_error, mlp_identity
+from helpers import affine_identity, fd_gradients, generate_world, max_relative_error
 
 REGISTRY = sw.default_registry()
 PARAMS = MatchParams(gamma=0.5, delta=3)
@@ -254,8 +254,8 @@ def test_c5_kernel_attention_property_suite():
              multihead_attention(f_p, f_p, enc.standard[0], 2)),
             (kernel_attention(f, enc.kernel_values, smax[0]),
              kernel_attention(f_p, enc.kernel_values, smax_p[0])),
-            (hierarchical_attention(f, enc.level_mlps, enc.kernel_values, smax),
-             hierarchical_attention(f_p, enc.level_mlps, enc.kernel_values, smax_p)),
+            (hierarchical_attention(f, enc.levels, enc.kernel_values, smax),
+             hierarchical_attention(f_p, enc.levels, enc.kernel_values, smax_p)),
             (combined_encoding(f, 2, enc, smax), combined_encoding(f_p, 2, enc, smax_p)),
         )
         for base, after in outs:
@@ -269,7 +269,7 @@ def test_c5_kernel_attention_property_suite():
         sigma = float(rng.uniform(0.05, 5.0))
         wv = Tensor(rng.normal(size=(8, 8)))
         smax = kernel_softmax_levels(positions, times, ((sigma, sigma),))
-        hier = hierarchical_attention(f, [mlp_identity(8)], wv, smax)
+        hier = hierarchical_attention(f, [affine_identity(8)], wv, smax)
         ka = kernel_attention(f, wv, smax[0])
         assert np.allclose(hier.data, ka.data, atol=1e-12)
         cases += 1

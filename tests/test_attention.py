@@ -23,7 +23,7 @@ from prism25d.errors import ValidationError
 from prism25d.graph import graphs_from_records
 from prism25d.numcore import Tensor
 
-from helpers import detection, fd_gradients, kernel, max_relative_error, min_time_gap, mlp_identity, node
+from helpers import affine_identity, detection, fd_gradients, kernel, max_relative_error, min_time_gap, node
 
 
 def _nodes(rng, n=5, r=8):
@@ -120,8 +120,8 @@ def test_project_node_counts_and_order(registry):
     ]
     g = graphs_from_records(recs, registry)[0]
     rng = np.random.default_rng(0)
-    mlp_s = nc.mlp_init([2, 4], rng)
-    mlp_d = nc.mlp_init([4, 4], rng)
+    mlp_s = nc.affine_init(2, 4, rng)
+    mlp_d = nc.affine_init(4, 4, rng)
     bundle = build_bundles({"v": g}, ((0.9, 0.4),))["v"]
     features = project_nodes(bundle, mlp_s, mlp_d)
     assert features.data.shape == (4, 5)
@@ -131,7 +131,7 @@ def test_project_node_counts_and_order(registry):
         v = node(g, nid)
         params = mlp_s if v.motion_feature is None else mlp_d
         combined = v.feature if v.motion_feature is None else np.concatenate([v.feature, v.motion_feature])
-        want = params.weights[0].data @ combined + params.biases[0].data[:, 0]
+        want = params.w.data @ combined + params.b.data[:, 0]
         assert np.allclose(features.data[:, col], want, atol=1e-12)
     # the kernel rows and columns follow the same node order
     positions = np.stack([node(g, nid).centroid3d for nid in g.nodes.tolist()])
@@ -142,7 +142,7 @@ def test_project_node_counts_and_order(registry):
 def test_project_identity_mlp_passthrough(registry):
     recs = [detection(frame=0, class_id=1), detection(frame=1, class_id=2, bbox=(60, 60, 90, 90))]
     g = graphs_from_records(recs, registry)[0]
-    features = project_nodes(build_bundles({"v": g}, ((1.0, 1.0),))["v"], mlp_identity(2), mlp_identity(2))
+    features = project_nodes(build_bundles({"v": g}, ((1.0, 1.0),))["v"], affine_identity(2), affine_identity(2))
     for col, nid in enumerate(g.nodes.tolist()):
         assert np.allclose(features.data[:, col], node(g, nid).feature)
 
@@ -159,8 +159,8 @@ def test_project_dim_mismatch(registry):
     g = graphs_from_records(recs, registry)[0]
     rng = np.random.default_rng(0)
     with pytest.raises(ValidationError):
-        project_nodes(build_bundles({"v": g}, ((1.0, 1.0),))["v"], nc.mlp_init([7, 4], rng),
-                      nc.mlp_init([4, 4], rng))
+        project_nodes(build_bundles({"v": g}, ((1.0, 1.0),))["v"], nc.affine_init(7, 4, rng),
+                      nc.affine_init(4, 4, rng))
 
 
 # -- standard attention ------------------------------------------------------------
@@ -258,7 +258,7 @@ def test_hierarchical_single_level_identity_mlp_reduces_to_kernel_attention():
     rng = np.random.default_rng(8)
     f, pos, times = _nodes(rng)
     wv = Tensor(rng.normal(size=(8, 8)))
-    hier = hierarchical_attention(f, [mlp_identity(8)], wv, [_level(pos, times, 0.7, 0.7)])
+    hier = hierarchical_attention(f, [affine_identity(8)], wv, [_level(pos, times, 0.7, 0.7)])
     ka = kernel_attention(f, wv, _level(pos, times, 0.7, 0.7))
     assert np.allclose(hier.data, ka.data, atol=1e-12)
 
@@ -268,13 +268,10 @@ def test_hierarchical_zero_second_branch():
     f, pos, times = _nodes(rng)
     levels = ((0.5, 0.5), (2.0, 2.0))
     wv = Tensor(rng.normal(size=(8, 8)))
-    mlp1 = nc.mlp_init([8, 8], rng)
-    zero = nc.MlpParams(
-        [Tensor(np.zeros((8, 8)), requires_grad=True)],
-        [Tensor(np.zeros((8, 1)), requires_grad=True)],
-    )
+    mlp1 = nc.affine_init(8, 8, rng)
+    zero = nc.Affine(Tensor(np.zeros((8, 8)), requires_grad=True), Tensor(np.zeros((8, 1)), requires_grad=True))
     hier = hierarchical_attention(f, [mlp1, zero], wv, kernel_softmax_levels(pos, times, levels))
-    branch1 = nc.mlp_forward(mlp1, kernel_attention(f, wv, _level(pos, times, 0.5, 0.5)))
+    branch1 = mlp1(kernel_attention(f, wv, _level(pos, times, 0.5, 0.5)))
     assert np.allclose(hier.data, branch1.data, atol=1e-12)
 
 
@@ -283,12 +280,12 @@ def test_hierarchical_default_bandwidths_match_brute_force_sum():
     f, pos, times = _nodes(rng, n=6)
     levels = tuple((s, s) for s in DEFAULT_BANDWIDTHS)
     wv = Tensor(rng.normal(size=(8, 8)))
-    mlps = [nc.mlp_init([8, 8], rng) for _ in range(4)]
+    mlps = [nc.affine_init(8, 8, rng) for _ in range(4)]
     got = hierarchical_attention(f, mlps, wv, kernel_softmax_levels(pos, times, levels)).data
     want = np.zeros_like(got)
     for (s, t), mlp in zip(levels, mlps):
         branch = _brute_kernel_attention(f, pos, times, s, t, wv, 2)
-        want += mlp.weights[0].data @ branch + mlp.biases[0].data
+        want += mlp.w.data @ branch + mlp.b.data
     assert np.allclose(got, want, atol=1e-10)
 
 
@@ -297,7 +294,7 @@ def test_hierarchical_level_count_mismatch():
     f, pos, times = _nodes(rng)
     smax = kernel_softmax_levels(pos, times, ((0.5, 0.5), (2.0, 2.0)))
     with pytest.raises(ValidationError):
-        hierarchical_attention(f, [mlp_identity(8)], Tensor(np.eye(8)), smax)
+        hierarchical_attention(f, [affine_identity(8)], Tensor(np.eye(8)), smax)
 
 
 # -- combined -----------------------------------------------------------------------
@@ -307,11 +304,11 @@ def test_combined_zero_comb_mlp_equals_hierarchical():
     rng = np.random.default_rng(12)
     f, pos, times = _nodes(rng)
     enc = encoder_init(8, 1, rng)
-    enc.comb_mlp.weights[0].data[:] = 0.0
-    enc.comb_mlp.biases[0].data[:] = 0.0
+    enc.comb.w.data[:] = 0.0
+    enc.comb.b.data[:] = 0.0
     smax = [_level(pos, times, 0.5, 0.5)]
     out = combined_encoding(f, 2, enc, smax)
-    hier = hierarchical_attention(f, enc.level_mlps, enc.kernel_values, smax)
+    hier = hierarchical_attention(f, enc.levels, enc.kernel_values, smax)
     assert np.allclose(out.data, hier.data, atol=1e-12)
 
 
@@ -322,11 +319,11 @@ def test_combined_matches_independent_evaluation():
     enc = encoder_init(8, len(levels), rng)
     got = combined_encoding(f, 2, enc, kernel_softmax_levels(pos, times, levels)).data
     want = np.zeros_like(got)
-    for (s, t), mlp in zip(levels, enc.level_mlps):
+    for (s, t), mlp in zip(levels, enc.levels):
         branch = _brute_kernel_attention(f, pos, times, s, t, enc.kernel_values, 2)
-        want += mlp.weights[0].data @ branch + mlp.biases[0].data
+        want += mlp.w.data @ branch + mlp.b.data
     std = _brute_standard(f.data, enc.standard[0], 2)
-    want += enc.comb_mlp.weights[0].data @ std + enc.comb_mlp.biases[0].data
+    want += enc.comb.w.data @ std + enc.comb.b.data
     assert np.allclose(got, want, atol=1e-10)
 
 
@@ -348,8 +345,8 @@ def test_permutation_equivariance_all_encoders():
              multihead_attention(f_p, f_p, enc.standard[0], 2)),
             (kernel_attention(f, enc.kernel_values, smax[0]),
              kernel_attention(f_p, enc.kernel_values, smax_p[0])),
-            (hierarchical_attention(f, enc.level_mlps, enc.kernel_values, smax),
-             hierarchical_attention(f_p, enc.level_mlps, enc.kernel_values, smax_p)),
+            (hierarchical_attention(f, enc.levels, enc.kernel_values, smax),
+             hierarchical_attention(f_p, enc.levels, enc.kernel_values, smax_p)),
             (combined_encoding(f, 2, enc, smax), combined_encoding(f_p, 2, enc, smax_p)),
         ]
         for base, after in pairs:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -20,7 +21,8 @@ import prism25d
 from prism25d import cli
 from prism25d.cli import main
 from prism25d.compact import MatchParams
-from prism25d.graph import DEFAULT_INTRINSICS, graphs_from_records, load_corpus
+from prism25d.errors import ParseError, PrismError
+from prism25d.graph import DEFAULT_INTRINSICS, graphs_from_records, load_corpus, load_detection_groups
 from prism25d.qa import ModelConfig, TrainConfig, init_model, save_model
 from prism25d import synthworld as sw
 
@@ -405,17 +407,29 @@ def test_bad_registry_exits_one(tmp_path, capsys, registry):
     assert not (tmp_path / "g.json").exists()
 
 
-@pytest.mark.parametrize("change, where", [
-    (lambda obj: obj["graphs"][0]["nodes"][0].pop("bbox"), "video 'w100': "),
+def _shift_frames(graph, by):
+    """Move every frame index of a graph-file body by `by`, listings and node sources alike."""
+    for n in graph["nodes"]:
+        n["source_frames"] = [f + by for f in n["source_frames"]]
+    for listing in graph["frames"]:
+        listing["frame_index"] += by
+
+
+@pytest.mark.parametrize("change, kind, where", [
+    (lambda obj: obj["graphs"][0]["nodes"][0].pop("bbox"), "parse", "video 'w100': "),
     (lambda obj: obj["graphs"][0]["nodes"][0]["centroid3d"].__setitem__(2, float("nan")),
-     "video 'w100': "),
-    (lambda obj: obj["graphs"][1]["nodes"][0].update(node_id="0"), "video 'w101': "),
-    (lambda obj: obj.update(graphs=7), ""),
-    (lambda obj: obj["graphs"][0]["nodes"][1].update(bbox=[10.0, 10.0, 50.0]), "video 'w100': "),
-    (lambda obj: obj["graphs"][1]["nodes"][0].pop("bbox"), "video 'w101': missing field 'bbox'"),
+     "parse", "video 'w100': "),
+    (lambda obj: obj["graphs"][1]["nodes"][0].update(node_id="0"), "parse", "video 'w101': "),
+    (lambda obj: obj.update(graphs=7), "parse", ""),
+    (lambda obj: obj["graphs"][0]["nodes"][1].update(bbox=[10.0, 10.0, 50.0]), "parse", "video 'w100': "),
+    (lambda obj: obj["graphs"][1]["nodes"][0].pop("bbox"), "parse", "video 'w101': missing field 'bbox'"),
+    (lambda obj: obj["graphs"][1].update(max_frames=-5), "validation",
+     "video 'w101': node 0: source frames must lie in [0, -5)"),
+    (lambda obj: _shift_frames(obj["graphs"][0], -10), "validation",
+     "video 'w100': node 0: source frames must lie in [0, 3)"),
 ], ids=["no-bbox", "nan-centroid", "string-node-id", "graphs-not-a-list", "three-value-bbox",
-        "second-video-no-bbox"])
-def test_bad_graph_file_exits_one(tmp_path, capsys, change, where):
+        "second-video-no-bbox", "negative-max-frames", "negative-frames"])
+def test_bad_graph_file_exits_one(tmp_path, capsys, change, kind, where):
     det, reg, _ = _synth_corpus(tmp_path, n_worlds=2, qa=False, n_frames=3)
     graph_file = tmp_path / "g.json"
     assert main(["ingest", "--in", det, "--registry", reg, "--out", str(graph_file)]) == 0
@@ -425,7 +439,7 @@ def test_bad_graph_file_exits_one(tmp_path, capsys, change, where):
     capsys.readouterr()
     code = main(["compact", "--in", str(graph_file), "--out", str(tmp_path / "c.json"),
                  "--stats", str(tmp_path / "s.json")])
-    assert _one_error(capsys, code).startswith(where)
+    assert _one_error(capsys, code, kind=kind).startswith(where)
     assert not (tmp_path / "c.json").exists() and not (tmp_path / "s.json").exists()
 
 
@@ -806,6 +820,40 @@ def test_ingest_fuzzed_detection_line(text):
                   "--out", str(tmp / "g.json")])
         if (tmp / "g.json").exists():
             json.loads((tmp / "g.json").read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+def _outcome(build):
+    """None when `build()` returns, else the class and message, without its line prefix, of
+    the PrismError it raises; numpy overflow stays silent, as in `main`."""
+    try:
+        with np.errstate(all="ignore"):
+            build()
+    except PrismError as exc:
+        return type(exc), re.sub(r"^line \d+: ", "", str(exc))
+    return None
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_mutated_detections())
+def test_in_memory_ingest_agrees_with_the_file(text):
+    registry = sw.default_registry()
+    records = [json.loads(line) for line in text.splitlines()]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        registry.save(tmp / "reg.json")
+        (tmp / "d.jsonl").write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["ingest", "--in", str(tmp / "d.jsonl"), "--registry", str(tmp / "reg.json"),
+                         "--out", str(tmp / "g.json")])
+        from_file = _outcome(lambda: load_detection_groups(tmp / "d.jsonl", registry))
+    in_memory = _outcome(lambda: graphs_from_records(records, registry))
+    assert in_memory == from_file
+    assert (code == 0) == (in_memory is None)
+    if in_memory is not None:
+        error = json.loads(err.getvalue())
+        assert re.sub(r"^line \d+: ", "", error["message"]) == in_memory[1]
+        assert error["error"] == ("parse" if in_memory[0] is ParseError else "validation")
 
 
 @functools.cache

@@ -84,9 +84,9 @@ def test_motion_feature_kind_mismatch_rejected(registry):
 
 def test_combined_feature_lengths(registry):
     recs = [
-        detection(frame=0, class_id=1, feature=np.arange(16.0)),
-        detection(frame=0, class_id=101, bbox=(60, 10, 90, 40), feature=np.arange(16.0),
-                  motion=np.arange(8.0)),
+        detection(frame=0, class_id=1, feature=np.arange(16.0).tolist()),
+        detection(frame=0, class_id=101, bbox=(60, 10, 90, 40), feature=np.arange(16.0).tolist(),
+                  motion=np.arange(8.0).tolist()),
     ]
     g = graphs_from_records(recs, registry)[0]
     bundle = build_bundles({"v": g}, ((1.0, 1.0),))["v"]  # object, then motion feature, per column
@@ -95,8 +95,9 @@ def test_combined_feature_lengths(registry):
 
 
 def test_non_finite_depth_rejected_by_lift(registry):
+    # the in-memory ingest checks its records as a detection file's lines are
     for depth in (float("nan"), float("inf")):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ParseError, match="depth must be a finite number"):
             graphs_from_records([detection(depth=depth)], registry)[0]
 
 

@@ -41,6 +41,13 @@ def test_lift_rejects_nonpositive_depth():
         lift_centroid(bbox, -1.0, INTR)
 
 
+def test_lift_rejects_non_finite_depth():
+    boxes = np.array([[0.0, 0.0, 10.0, 10.0]] * 2)
+    for depth in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="depth must be positive and finite"):
+            lift_centroid(boxes, np.array([2.0, depth]), INTR)
+
+
 def test_default_intrinsics():
     intr = default_intrinsics(640, 480)
     assert (intr.fx, intr.fy, intr.cx, intr.cy) == (640.0, 640.0, 320.0, 240.0)

@@ -6,7 +6,7 @@ from prism25d import numcore as nc
 from prism25d.errors import FormatError, ValidationError
 from prism25d.numcore import Adam, Tensor
 
-from helpers import fd_gradients, max_relative_error, mlp_identity
+from helpers import affine_identity, fd_gradients, max_relative_error
 
 
 def _param(rng, *shape):
@@ -65,41 +65,34 @@ def test_softmax_rows_sum_to_one_and_shift_invariant(seed):
     assert np.allclose(y, shifted, atol=1e-12)
 
 
-# -- mlp -------------------------------------------------------------------------
+# -- affine layer ------------------------------------------------------------------
 
 
 def test_mlp_identity_layer():
     x = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
-    out = nc.mlp_forward(mlp_identity(4), x)
+    out = affine_identity(4)(x)
     assert np.allclose(out.data, x.data)
 
 
 def test_mlp_zero_weights_give_bias():
-    params = nc.MlpParams(
-        [Tensor(np.zeros((2, 3)), requires_grad=True)],
-        [Tensor(np.array([[5.0], [7.0]]), requires_grad=True)],
-    )
-    out = nc.mlp_forward(params, Tensor(np.ones((3, 4))))
+    layer = nc.Affine(Tensor(np.zeros((2, 3)), requires_grad=True),
+                      Tensor(np.array([[5.0], [7.0]]), requires_grad=True))
+    out = layer(Tensor(np.ones((3, 4))))
     assert np.array_equal(out.data, [[5.0] * 4, [7.0] * 4])
 
 
 def test_mlp_double_evaluation():
     rng = np.random.default_rng(2)
-    params = nc.mlp_init([3, 5, 2], rng)
+    layer = nc.affine_init(3, 5, rng)
     x = rng.normal(size=(3, 7))
-    got = nc.mlp_forward(params, Tensor(x)).data
-    h = np.maximum(params.weights[0].data @ x + params.biases[0].data, 0.0)
-    want = params.weights[1].data @ h + params.biases[1].data
-    assert np.allclose(got, want, atol=1e-12)
+    assert layer.w.shape == (5, 3) and layer.b.shape == (5, 1)
+    assert np.allclose(layer(Tensor(x)).data, layer.w.data @ x + layer.b.data, atol=1e-12)
 
 
 def test_mlp_shape_errors():
-    rng = np.random.default_rng(0)
-    params = nc.mlp_init([3, 2], rng)
+    layer = nc.affine_init(3, 2, np.random.default_rng(0))
     with pytest.raises(ValidationError):
-        nc.mlp_forward(params, Tensor(np.zeros((4, 1))))
-    with pytest.raises(ValidationError):
-        nc.mlp_init([3], rng)
+        layer(Tensor(np.zeros((4, 1))))
 
 
 # -- backward ---------------------------------------------------------------------
@@ -114,7 +107,7 @@ def test_backward_sum_of_squares():
 
 def test_backward_constant_loss_leaves_grads_zero():
     x = Tensor(np.ones(3), requires_grad=True)
-    opt = Adam([x])
+    opt = Adam([x], lr=1e-3)
     opt.zero_grad()
     nc.backward(Tensor(5.0))
     assert np.array_equal(x.grad, np.zeros(3))
@@ -207,14 +200,14 @@ def test_gradcheck_attention_mlp_stack():
 
     rng = np.random.default_rng(9)
     params = attention_init(8, rng)
-    mlp = nc.mlp_init([8, 8], rng)
+    mlp = nc.affine_init(8, 8, rng)
     x = np.random.default_rng(10).normal(size=(8, 5))
 
     def build():
         enc = multihead_attention(Tensor(x), Tensor(x), params, heads=2)
-        return nc.tsum(nc.mul(nc.mlp_forward(mlp, enc), 0.1))
+        return nc.tsum(nc.mul(mlp(enc), 0.1))
 
-    _gradcheck(build, params.parameters() + mlp.parameters())
+    _gradcheck(build, params.parameters() + [mlp.w, mlp.b])
 
 
 def test_backward_gives_constants_no_gradient():
@@ -285,7 +278,7 @@ def test_adam_flat_buffer_matches_per_tensor_reference():
 def test_adam_rejects_a_repeated_parameter():
     x = Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(ValidationError, match="twice"):
-        Adam([x, x])
+        Adam([x, x], lr=1e-3)
 
 
 
@@ -300,7 +293,7 @@ def test_adam_zero_gradient_keeps_params():
 
 def test_adam_missing_gradient_rejected():
     x = Tensor(np.ones(2), requires_grad=True)
-    opt = Adam([x])
+    opt = Adam([x], lr=1e-3)
     with pytest.raises(ValidationError):
         opt.step()
 
@@ -394,7 +387,7 @@ def test_checkpoint_save_refuses_a_non_json_header_and_writes_nothing(tmp_path):
 
 
 def test_seeded_init_deterministic():
-    a = nc.mlp_init([4, 8, 2], np.random.default_rng(42))
-    b = nc.mlp_init([4, 8, 2], np.random.default_rng(42))
-    for wa, wb in zip(a.parameters(), b.parameters()):
+    a = nc.affine_init(4, 8, np.random.default_rng(42))
+    b = nc.affine_init(4, 8, np.random.default_rng(42))
+    for (_, wa), (_, wb) in zip(a.named_parameters("a"), b.named_parameters("b")):
         assert wa.data.tobytes() == wb.data.tobytes()

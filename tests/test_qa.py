@@ -28,7 +28,7 @@ from prism25d.qa import (
     train,
 )
 
-from helpers import detection, fd_gradients, max_relative_error, mlp_identity
+from helpers import affine_identity, detection, fd_gradients, max_relative_error
 
 
 def _probabilities(logits):
@@ -40,7 +40,7 @@ def _text_params(rng, vocab=12, r=8):
     return TextParams(
         embedding=Tensor(rng.normal(size=(vocab, r)), requires_grad=True),
         q_attn=attention_init(r, rng),
-        answer_mlp=nc.mlp_init([r, r], rng),
+        answer=nc.affine_init(r, r, rng),
     )
 
 
@@ -53,7 +53,7 @@ def _identity_text(vocab=12, r=None):
     return TextParams(
         embedding=Tensor(np.eye(vocab), requires_grad=True),
         q_attn=attention_init(vocab, np.random.default_rng(0)),
-        answer_mlp=mlp_identity(vocab),
+        answer=affine_identity(vocab),
     )
 
 
@@ -396,7 +396,7 @@ def test_evaluate_perfect_and_tied_models(registry):
 
     # constant logits: ties resolve to candidate 0, so rank is gt_index + 1
     tied = init_model(cfg, seed=0)
-    for layer in (tied.text.answer_mlp.weights[0], tied.text.answer_mlp.biases[0]):
+    for layer in (tied.text.answer.w, tied.text.answer.b):
         layer.data[:] = 0.0
     res = evaluate(insts, graphs, tied)
     assert res["accuracy"] == pytest.approx(2 / 6)

@@ -25,16 +25,15 @@ def kernel_distances(
     positions: np.ndarray, time_obs: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Squared 3D distances and smallest time gaps between every pair of nodes, (n, n) each."""
-    n = positions.shape[0]
     diff = positions[:, None, :] - positions[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    # dt[i, j] = min |t - t'| over t in time_obs[i], t' in time_obs[j]: node i's gap to each
-    # observation, min-reduced per node block; the empty array and reshape give (0, 0) for no nodes
+    # dt[i, j] = min |t - t'| over t in time_obs[i], t' in time_obs[j]: node j's gap to each distinct
+    # time, min-reduced over node i's times, in (observations x distinct times or nodes) arrays
     t_all = np.concatenate([np.zeros(0), *time_obs])
-    starts = np.cumsum([0] + [t.size for t in time_obs[:-1]])
-    dt = np.array(
-        [np.minimum.reduceat(np.abs(t[:, None] - t_all).min(axis=0), starts) for t in time_obs]
-    ).reshape(n, n)
+    starts = np.cumsum([0] + [t.size for t in time_obs])[:-1]
+    distinct = np.array(sorted(set(t_all.tolist())), dtype=np.float64)  # np.unique would import numpy.ma
+    gap = np.minimum.reduceat(np.abs(t_all[:, None] - distinct), starts, axis=0).T  # (distinct, n)
+    dt = np.minimum.reduceat(gap[np.searchsorted(distinct, t_all)], starts, axis=0)
     return d2, dt
 
 

@@ -24,6 +24,7 @@ from .qa import (
     load_model,
     load_qa,
     save_model,
+    save_qa,
     train,
 )
 from .register import register_frames
@@ -165,8 +166,6 @@ def cmd_synth(args) -> int:
         truths[spec.video_id] = truth.to_json()
     synthworld.write_detections(all_records, args.out_detections)  # after every world is built
     if args.out_qa:
-        from .qa import save_qa
-
         save_qa(all_instances, args.out_qa)
     if args.out_truth:
         _write_json({"format": "prism25d-truth", "version": 1, "videos": truths}, args.out_truth)
@@ -243,8 +242,8 @@ def _model_config(cfg: RunConfig, graphs: dict[str, SceneGraph25D]) -> ModelConf
 
 def cmd_train(args) -> int:
     cfg = RunConfig.resolve(args)
-    train_set = load_qa(args.qa)
-    val_set = load_qa(args.val) if args.val else None
+    train_set = load_qa(args.qa, cfg.vocab)
+    val_set = load_qa(args.val, cfg.vocab) if args.val else None
     graphs = _pipeline_graphs(args.detections, args.registry, cfg)
     model_cfg = _model_config(cfg, graphs)
     model, metrics = train(
@@ -271,8 +270,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = RunConfig.resolve(args)
-    instances = load_qa(args.qa)
     model, _header = load_model(args.model)
+    instances = load_qa(args.qa, model.config.vocab_size)
     graphs = _pipeline_graphs(args.detections, args.registry, cfg)
     result = evaluate(instances, graphs, model)
     if args.out:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .graph import SceneGraph25D, _starts
+from .graph import SceneGraph25D, run_starts
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,8 @@ class StaticIndex:
     """Static node occurrences as arrays, one per listing of a static node in a frame.
 
     Occurrences keep the listing order: by frame, and within a frame in file order,
-    so the occurrences of any frame range are one contiguous range.
+    so the occurrences of any frame range are one contiguous range. Table rows ascend
+    by node id, so ties break on `rows`: two occurrences of one row share its centroid.
     """
 
     rows: np.ndarray  # (n,) each occurrence's table row
@@ -35,7 +36,6 @@ class StaticIndex:
     boxes: np.ndarray  # (n, 4)
     centroids: np.ndarray  # (n, 3)
     frames: np.ndarray  # (n,) ascending
-    rank: np.ndarray  # (n,) position of each row in ascending row (so id) order, for ties
 
 
 def static_index(graph: SceneGraph25D) -> StaticIndex:
@@ -47,7 +47,6 @@ def static_index(graph: SceneGraph25D) -> StaticIndex:
         boxes=graph.boxes[rows],
         centroids=graph.centroids[rows],
         frames=graph.listed_frames[keep],
-        rank=np.argsort(np.argsort(rows, kind="stable")),
     )
 
 
@@ -87,7 +86,7 @@ def nearest(
         dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
     best = np.where(passing, dist, np.inf).min(axis=1)
     tied = passing & (dist == best[:, None])
-    pick = np.where(tied, index.rank[cols], len(index.rows)).argmin(axis=1)
+    pick = np.where(tied, index.rows[cols], np.iinfo(np.int64).max).argmin(axis=1)
     return np.where(passing.any(axis=1), cols[np.arange(len(lo)), pick], -1)
 
 
@@ -133,7 +132,7 @@ def _merge(graph: SceneGraph25D, roots: np.ndarray) -> SceneGraph25D:
     if np.any(graph.class_ids[roots] != graph.class_ids):
         raise AssertionError("equivalence class mixes class ids; criterion violated")
     order = np.argsort(roots, kind="stable")  # members in ascending id
-    first = _starts(roots[order])
+    first = run_starts(roots[order])
     kept, sizes = roots[order][first], np.diff(np.append(first, len(order)))
     members, features = graph.features[order], np.zeros((len(kept), graph.features.shape[1]))
     for k in set(sizes.tolist()):  # one stacked mean per class size: each rounds as one class's mean
@@ -143,7 +142,7 @@ def _merge(graph: SceneGraph25D, roots: np.ndarray) -> SceneGraph25D:
     obs = np.lexsort((graph.obs_times, graph.obs_frames, np.repeat(roots, n_obs)))
     frames, mapped = graph.listed_frames, roots[graph.listed_rows]
     by_pair = np.lexsort((mapped, frames))
-    listing = np.sort(by_pair[_starts(frames[by_pair], mapped[by_pair])])
+    listing = np.sort(by_pair[run_starts(frames[by_pair], mapped[by_pair])])
     return replace(
         graph,
         nodes=graph.nodes[kept],

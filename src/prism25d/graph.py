@@ -86,7 +86,7 @@ def _matrix(rows: list) -> np.ndarray:
     return a if a.ndim == 2 else a.reshape(len(rows), 0)
 
 
-def _starts(*keys: np.ndarray) -> np.ndarray:
+def run_starts(*keys: np.ndarray) -> np.ndarray:
     """Index of the first entry of each run of entries equal in every one of `keys`."""
     new = np.zeros(len(keys[0]), dtype=bool)
     new[:1] = True
@@ -124,7 +124,7 @@ class SceneGraph25D:
     @property
     def frames(self) -> np.ndarray:
         """The listed frame indices, ascending."""
-        return self.listed_frames[_starts(self.listed_frames)]
+        return self.listed_frames[run_starts(self.listed_frames)]
 
     def validate(self) -> None:
         """Check that the columns agree. `max_frames` is at least 1, every source frame lies
@@ -139,11 +139,13 @@ class SceneGraph25D:
         bad_obs[owner[(t < 0.0) | (t > 1.0)]] = True
         outside = np.zeros(n, dtype=bool)
         outside[owner[(f < 0) | (f >= self.max_frames)]] = True
-        _raise_first([[(bad_obs, ValidationError, lambda i: f"node {ids[i]}: {_OBS_RULE}"),
-                       (outside, ValidationError,
-                        lambda i: f"node {ids[i]}: source frames must lie in [0, {self.max_frames})")],
-                      [(degenerate_boxes(self.boxes), ValidationError,
-                        lambda i: f"node {ids[i]}: degenerate bbox {tuple(self.boxes[i].tolist())}")]])
+        _raise_first([
+            (bad_obs, ValidationError, lambda i: f"node {ids[i]}: {_OBS_RULE}"),
+            (outside, ValidationError,
+             lambda i: f"node {ids[i]}: source frames must lie in [0, {self.max_frames})"),
+            (degenerate_boxes(self.boxes), ValidationError,
+             lambda i: f"node {ids[i]}: degenerate bbox {tuple(self.boxes[i].tolist())}"),
+        ])
         if self.max_frames < 1:
             raise ValidationError(f"max_frames must be positive, got {self.max_frames}")
         # one run per (frame, row) pair among the listings (listed) and the observations
@@ -151,17 +153,17 @@ class SceneGraph25D:
         row = np.concatenate((self.listed_rows, owner))
         order = np.lexsort((row, frame))
         frame, row, listed = frame[order], row[order], (order < len(self.listed_rows)).astype(np.int64)
-        first = _starts(frame, row)
+        first = run_starts(frame, row)
         n_listed = np.add.reduceat(listed, first)
         n_seen = np.diff(np.append(first, len(row))) - n_listed
-        _raise_first([[
+        _raise_first([
             (n_seen == 0, ValidationError, lambda g: f"frame {frame[first[g]]} lists node "
              f"{ids[row[first[g]]]}, which is missing or has no source frame there"),
             (n_listed > 1, ValidationError,
              lambda g: f"frame {frame[first[g]]} lists node {ids[row[first[g]]]} more than once"),
             (n_listed == 0, ValidationError,
              lambda g: f"node {ids[row[first[g]]]} is not listed in its source frame {frame[first[g]]}"),
-        ]])
+        ])
 
     def __eq__(self, other) -> bool:
         """Equal when both write the same graph-file body under the same registry digest."""
@@ -169,20 +171,14 @@ class SceneGraph25D:
                 and _graph_body(self) == _graph_body(other))
 
 
-def _raise_first(stages, lines: list[int] | None = None, video: np.ndarray | None = None) -> None:
-    """Raise for the first bad record. `stages` holds lists of (bad-record mask, error class,
-    message for record i), each list in the order a record's own faults are reported.
-    The first video in `video` order with a bad record wins, then the first stage with
-    one in that video, then the record, then the fault."""
-    hits = []
-    for s, faults in enumerate(stages):
-        for k, (bad, error, message) in enumerate(faults):
-            rows = np.flatnonzero(bad)
-            if len(rows):
-                i = int(rows[0] if video is None else rows[np.argmin(video[rows])])
-                hits.append((0 if video is None else video[i], s, i, k, error, message))
+def _raise_first(faults, lines: list[int] | None = None) -> None:
+    """Raise for the first bad record, as `check_rows` does: `faults` holds (bad-record mask,
+    error class, message for record i) in the order a record's own faults are reported.
+    The first record with a fault wins, then its first fault."""
+    hits = [(int(np.flatnonzero(bad)[0]), k) for k, (bad, _, _) in enumerate(faults) if np.any(bad)]
     if hits:
-        _, _, i, _, error, message = min(hits, key=lambda h: h[:4])
+        i, k = min(hits)
+        _, error, message = faults[k]
         raise error(message(i), line=None if lines is None else lines[i])
 
 
@@ -200,13 +196,11 @@ def graphs_from_records(
     Node ids are assigned sequentially in record order. `max_frames` is the
     dataset-wide frame count used for temporal normalization; when omitted it
     defaults to the records' frame span. `lines` gives each record's line in its
-    file, so that an error names the first bad line of the first video holding one.
+    file, so that an error names the first bad line.
     """
     cols = check_rows(records, _DETECTION_FIELDS, lines)
     _check_widths(cols, {}, lines)
     names, frames, class_ids = cols["video_id"], cols["frame_index"], cols["class_id"]
-    code = {v: k for k, v in enumerate(dict.fromkeys(names))}
-    video = np.array([code[v] for v in names], dtype=np.int64)
     if max_frames is None:
         max_frames = max(frames, default=0) + 1
     if max_frames <= 0:
@@ -216,15 +210,12 @@ def graphs_from_records(
     static, dynamic = (np.array([k == kind for k in kinds], dtype=bool) for kind in (STATIC, DYNAMIC))
     motions = cols["motion_feature"]
     moving = np.array([m is not None for m in motions], dtype=bool)
-    bboxes = cols["bbox"]
-    short = np.array([len(b) != 4 for b in bboxes], dtype=bool)  # the checks below take one box array
-    boxes = np.array([b if len(b) == 4 else _UNIT_BOX for b in bboxes] if short.any() else bboxes,
-                     dtype=np.float64).reshape(-1, 4)
+    boxes = np.array(cols["bbox"], dtype=np.float64).reshape(-1, 4)
     depths = np.array(cols["depth"], dtype=np.float64)
     checks = [
         (~(static | dynamic), RegistryError, lambda i: f"unknown class_id {class_ids[i]}"),
         (degenerate_boxes(boxes), ValidationError,
-         lambda i: f"degenerate bbox {tuple(map(float, bboxes[i]))}: requires x1 < x2 and y1 < y2"),
+         lambda i: f"degenerate bbox {tuple(boxes[i].tolist())}: requires x1 < x2 and y1 < y2"),
         (bad_depths(depths), ValidationError,
          lambda i: f"depth must be positive and finite, got {depths[i]}"),
         (dynamic & ~moving, ValidationError,
@@ -234,21 +225,19 @@ def graphs_from_records(
         ([not 0 <= f < max_frames for f in frames], ValidationError,
          lambda i: f"frame_index {frames[i]} outside [0, {max_frames})"),
     ]
-    bad = np.logical_or.reduce([short] + [mask for mask, _, _ in checks])  # reported before a centroid
+    bad = np.logical_or.reduce([mask for mask, _, _ in checks])  # reported before a centroid
     centroids = lift_centroid(np.where(bad[:, None], _UNIT_BOX, boxes), np.where(bad, 1.0, depths),
                               intrinsics)
-    _raise_first([
-        [(short, ValidationError, lambda i: f"bbox must have 4 coordinates, got {len(bboxes[i])}")],
-        checks,
-        [(~np.isfinite(centroids).all(axis=1), ValidationError,
-          lambda i: f"lifted centroid {centroids[i].tolist()} is not finite")],
-    ], lines, video)
+    _raise_first(checks + [(~np.isfinite(centroids).all(axis=1), ValidationError,
+                            lambda i: f"lifted centroid {centroids[i].tolist()} is not finite")], lines)
 
     times = np.array([f / max_frames for f in frames], dtype=np.float64)
     frame_col, class_col = _ints(frames), _ints(class_ids)
     features = _matrix(cols["feature"])
     motion_rows, motion_of = _matrix([m for m in motions if m is not None]), np.cumsum(moving) - 1
     digest = registry.digest()
+    code = {v: k for k, v in enumerate(dict.fromkeys(names))}
+    video = np.array([code[v] for v in names], dtype=np.int64)
     order = np.argsort(video, kind="stable")
     cuts = np.searchsorted(video[order], np.arange(len(code) + 1))
     graphs = []
@@ -267,7 +256,7 @@ def graphs_from_records(
 
 _FEATURES = {"feature": list_of(NUMBER), "motion_feature": optional(list_of(NUMBER))}
 _DETECTION_FIELDS = {
-    "video_id": STR, "frame_index": INT, "class_id": INT, "bbox": list_of(NUMBER), "depth": NUMBER,
+    "video_id": STR, "frame_index": INT, "class_id": INT, "bbox": list_of(NUMBER, 4), "depth": NUMBER,
     **_FEATURES,
 }
 
@@ -303,7 +292,7 @@ def _graph_body(graph: SceneGraph25D) -> dict:
         motions[row] = motion
     cuts, times, frames = graph.obs_start.tolist(), graph.obs_times.tolist(), graph.obs_frames.tolist()
     listed, listed_frames = graph.nodes[graph.listed_rows].tolist(), graph.listed_frames.tolist()
-    starts = _starts(graph.listed_frames).tolist() + [len(listed)]
+    starts = run_starts(graph.listed_frames).tolist() + [len(listed)]
     return {
         "video_id": graph.video_id,
         "max_frames": graph.max_frames,
@@ -352,12 +341,12 @@ def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> S
         static_mask[list(static)] = True
         times, frames = ([cols[key][i] for i in rows] for key in ("timestamps", "source_frames"))
         motions = [cols["motion_feature"][i] for i in rows]
-        _raise_first([[
+        _raise_first([
             ([not t or len(t) != len(f) for t, f in zip(times, frames)], ValidationError,
              lambda i: f"node {ids[i]}: {_OBS_RULE}"),
             (np.array([m is not None for m in motions], dtype=bool) == static_mask, ValidationError,
              lambda i: f"node {ids[i]}: dynamic nodes, and only they, carry a motion feature"),
-        ]])
+        ])
         indices, node_ids = frame_cols["frame_index"], frame_cols["node_ids"]
         for before, after in zip(indices, indices[1:]):
             if after <= before:

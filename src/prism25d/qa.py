@@ -56,8 +56,11 @@ _QA_FIELDS = {
 }
 
 
-def load_qa(path: str | Path) -> list[QaInstance]:
-    """Read a QA JSONL file; a line with a missing or mistyped field is a ParseError."""
+def load_qa(path: str | Path, vocab: int | None = None) -> list[QaInstance]:
+    """Read a QA JSONL file; a line with a missing or mistyped field, or a token outside
+    [0, vocab) when `vocab` is given, is a ParseError naming the line."""
+    if vocab is not None and vocab < 1:  # ModelConfig's range, checked before any line
+        raise ValidationError(f"vocab_size must be at least 1, got {vocab}")
     out = []
     lines, records = read_jsonl(path)
     cols = check_rows(records, _QA_FIELDS, lines)
@@ -66,6 +69,8 @@ def load_qa(path: str | Path) -> list[QaInstance]:
     ):
         try:
             inst = QaInstance(vid, tuple(question), tuple(map(tuple, candidates)), gt)
+            if vocab is not None:
+                _check_tokens(question + [t for c in candidates for t in c], vocab)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno) from exc
         out.append(inst)

@@ -19,18 +19,13 @@ def frame_correspondences(graph: SceneGraph25D, gamma: float) -> tuple[np.ndarra
     """
     gamma = MatchParams(gamma=gamma, delta=1).gamma  # checks gamma
     index, frames = static_index(graph), graph.frames
-    spans = np.stack([np.searchsorted(index.frames, frames, side) for side in ("left", "right")], axis=1)
-    prev, cur = spans[:-1], spans[1:]
-    sizes = cur[:, 1] - cur[:, 0]
-    pair = np.repeat(np.arange(len(cur)), sizes)
-    rows = np.arange(len(pair)) + np.repeat(cur[:, 0] - (np.cumsum(sizes) - sizes), sizes)
-    # each static occurrence's candidates: the static occurrences of the previous frame
-    lo, hi = np.zeros((2, len(index.rows)), dtype=np.int64)
-    lo[rows], hi[rows] = prev[pair].T
-    matches = nearest(index, index, lo, hi, gamma)[rows]
+    # occurrence o lies in listed frame k[o] and so in pair k[o] - 1; its candidates are the
+    # static occurrences of listed frame k[o] - 1, [starts[k[o] - 1], starts[k[o]]), none for k = 0
+    k, starts = np.searchsorted(frames, index.frames), np.searchsorted(index.frames, frames)
+    matches = nearest(index, index, starts[np.maximum(k - 1, 0)], starts[k], gamma)
     found = matches >= 0
-    counts = np.bincount(pair[found], minlength=len(cur))
-    return index.centroids[rows[found]], index.centroids[matches[found]], counts
+    counts = np.bincount(k[found], minlength=len(frames))[1:]
+    return index.centroids[found], index.centroids[matches[found]], counts
 
 
 def estimate_frame_transforms(
@@ -58,11 +53,10 @@ def register_frames(graph: SceneGraph25D, gamma: float = MatchParams.gamma) -> S
     Both static and dynamic centroids are transformed; boxes, features, and
     timestamps are untouched. The transform chain links consecutive frames.
     """
-    frames = graph.frames
-    if len(frames) <= 1:
+    rotations, translations = estimate_frame_transforms(graph, gamma=gamma)  # checks gamma first
+    if len(rotations) <= 1:
         return graph
-    rotations, translations = estimate_frame_transforms(graph, gamma=gamma)
-    k = np.searchsorted(frames, graph.obs_frames[graph.obs_start[:-1]])  # each row's first frame
+    k = np.searchsorted(graph.frames, graph.obs_frames[graph.obs_start[:-1]])  # each row's first frame
     # a (1, 3) @ (3, 3) product per point rounds as one point's p @ R.T does; one
     # (n, 3) @ (3, 3) product does not
     registered = copy(graph)

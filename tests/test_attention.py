@@ -93,6 +93,7 @@ def test_kernel_matrix_matches_pairwise_kernel():
         [np.sort(rng.uniform(0, 1, size=rng.integers(1, 4))) for _ in range(6)],  # mixed
         [np.array([t]) for t in rng.uniform(0, 1, size=6)],  # all singletons
         [grid, grid[:1], np.sort(rng.choice(grid, 24 - 7, replace=False)), grid[5:6], grid],
+        [grid[3:9]] * 5 + [grid[::4]],  # one shared time grid
     ]
     for times in node_times:
         n = len(times)

@@ -275,8 +275,10 @@ def _edit_checkpoint_header(ckpt, change):
     lambda rec: rec.update(gt=9),
     lambda rec: rec.update(candidates=rec["candidates"][:1], gt=0),
     lambda rec: rec.update(question=[]),
+    lambda rec: rec.update(question=[1, sw.VOCAB_SIZE]),
+    lambda rec: rec["candidates"][1].append(-1),
 ], ids=["no-gt", "string-gt", "string-token", "float-token", "candidates-not-a-list",
-        "gt-out-of-range", "one-candidate", "empty-question"])
+        "gt-out-of-range", "one-candidate", "empty-question", "token-past-vocab", "negative-token"])
 def test_bad_qa_line_exits_one(tmp_path, capsys, monkeypatch, change):
     det, reg, qa = _synth_corpus(tmp_path, n_worlds=1)
     monkeypatch.setattr(cli, "_pipeline_graphs", _pipeline_must_not_run)
@@ -289,6 +291,27 @@ def test_bad_qa_line_exits_one(tmp_path, capsys, monkeypatch, change):
                  "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"])
     _one_error(capsys, code, line=2)
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_checks_the_vocabulary_size_before_the_qa_file(tmp_path, capsys, monkeypatch):
+    det, reg, qa = _synth_corpus(tmp_path, n_worlds=1)
+    monkeypatch.setattr(cli, "_pipeline_graphs", _pipeline_must_not_run)
+    code = main(["train", "--detections", det, "--registry", reg, "--qa", qa,
+                 "--out", str(tmp_path / "m.ckpt"), "--vocab", "0"])
+    assert _one_error(capsys, code, kind="validation") == "vocab_size must be at least 1, got 0"
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_eval_checks_qa_tokens_against_the_checkpoint_vocabulary(tmp_path, capsys, monkeypatch):
+    qa, ckpt = tmp_path / "q.jsonl", tmp_path / "m.ckpt"
+    write_jsonl(qa, [{"video_id": "v", "question": [1, 11], "candidates": [[2], [3]], "gt": 0},
+                     {"video_id": "v", "question": [12], "candidates": [[2], [3]], "gt": 0}])
+    save_model(ckpt, init_model(ModelConfig(d_o=2, d_a=2, vocab_size=12), seed=0), seed=0, step=3)
+    monkeypatch.setattr(cli, "_pipeline_graphs", _pipeline_must_not_run)
+    code = main(["eval", "--detections", "d.jsonl", "--registry", "r.json", "--qa", str(qa),
+                 "--model", str(ckpt), "--out", str(tmp_path / "e.json")])
+    assert "token id 12 outside vocabulary of size 12" in _one_error(capsys, code, line=2)
+    assert not (tmp_path / "e.json").exists()
 
 
 @pytest.mark.parametrize("change", [
@@ -415,6 +438,13 @@ def _shift_frames(graph, by):
         listing["frame_index"] += by
 
 
+def _degenerate_box_then_bad_time(obj):
+    """A degenerate box at node 0 and, on node 3, a timestamp outside [0, 1]."""
+    nodes = obj["graphs"][0]["nodes"]
+    nodes[0]["bbox"] = [50.0, 10.0, 10.0, 50.0]
+    nodes[3]["timestamps"] = [1.5] * len(nodes[3]["timestamps"])
+
+
 @pytest.mark.parametrize("change, kind, where", [
     (lambda obj: obj["graphs"][0]["nodes"][0].pop("bbox"), "parse", "video 'w100': "),
     (lambda obj: obj["graphs"][0]["nodes"][0]["centroid3d"].__setitem__(2, float("nan")),
@@ -427,8 +457,9 @@ def _shift_frames(graph, by):
      "video 'w101': node 0: source frames must lie in [0, -5)"),
     (lambda obj: _shift_frames(obj["graphs"][0], -10), "validation",
      "video 'w100': node 0: source frames must lie in [0, 3)"),
+    (_degenerate_box_then_bad_time, "validation", "video 'w100': node 0: degenerate bbox"),
 ], ids=["no-bbox", "nan-centroid", "string-node-id", "graphs-not-a-list", "three-value-bbox",
-        "second-video-no-bbox", "negative-max-frames", "negative-frames"])
+        "second-video-no-bbox", "negative-max-frames", "negative-frames", "first-bad-node"])
 def test_bad_graph_file_exits_one(tmp_path, capsys, change, kind, where):
     det, reg, _ = _synth_corpus(tmp_path, n_worlds=2, qa=False, n_frames=3)
     graph_file = tmp_path / "g.json"
@@ -630,6 +661,17 @@ def test_ingest_no_register_takes_no_gamma(tmp_path, capsys):
         main(["ingest", "--in", str(det), "--registry", str(reg), "--out", str(out),
               "--no-register", "--gamma", "5"])
     _one_error(capsys, exc.value.code, kind="usage")
+    assert not out.exists()
+
+
+def test_ingest_checks_gamma_when_every_video_has_one_frame(tmp_path, capsys):
+    reg = tmp_path / "reg.json"
+    sw.default_registry().save(reg)
+    det = write_jsonl(tmp_path / "d.jsonl", [detection(video_id=v, class_id=sw.STATIC_CLASS_BASE)
+                                              for v in ("a", "b")])
+    out = tmp_path / "g.json"
+    code = main(["ingest", "--in", str(det), "--registry", str(reg), "--out", str(out), "--gamma", "5"])
+    assert "gamma must lie in (0, 1)" in _one_error(capsys, code, kind="validation")
     assert not out.exists()
 
 

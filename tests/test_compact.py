@@ -453,6 +453,23 @@ def test_registration_correspondences_match_per_candidate_search():
             assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
 
 
+def test_tie_breaks_on_the_lower_id_when_a_node_is_listed_in_several_window_frames():
+    # node 2's window (frames 0 and 1) lists node 1 twice, before node 0; both lie at distance 1
+    one = _node(1, 0, bbox=(-2, 0, 8, 10), centroid=(-1, 0, 0))
+    one.timestamps, one.source_frames = [0.0, 0.1], [0, 1]
+    nodes = [_node(0, 1, bbox=(2, 0, 12, 10), centroid=(1, 0, 0)), one, _node(2, 2)]
+    g = table(nodes, frames=[(0, [1]), (1, [1, 0]), (2, [2])])
+    params = MatchParams(gamma=0.5, delta=2)
+    assert build_ancestors(g, params) == oracle_ancestors(g, params) == {0: 0, 1: 1, 2: 0}
+
+
+def test_register_checks_gamma_on_a_one_frame_graph():
+    g = _graph([_node(0, 0), _node(1, 0)])
+    with pytest.raises(ValidationError, match="gamma"):
+        register_frames(g, gamma=5.0)
+    assert register_frames(g) is g
+
+
 def test_search_on_graphs_without_static_nodes():
     dynamic = [_node(i, i, motion=(1.0,)) for i in range(3)]
     g = _graph(dynamic, dynamic=(0, 1, 2))

@@ -75,6 +75,24 @@ def test_graph_check_names_the_first_bad_line(tmp_path, registry):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("recs, error, message", [
+    # video b's fault comes before video a's, though a appears first
+    ([detection(video_id="a"), detection(video_id="b", class_id=999), detection(video_id="a", depth=-2.0)],
+     RegistryError, "class_id 999"),
+    # a centroid overflow is reported before a class fault on a later line
+    ([detection(), detection(bbox=(0.0, 0.0, 1.0, 1.0), depth=1e308), detection(class_id=999)],
+     ValidationError, "lifted centroid"),
+    # a box of 3 values is a parse error, as any mistyped field
+    ([detection(), detection(frame=1, bbox=(10.0, 10.0, 50.0)), detection(class_id=999)],
+     ParseError, "bbox must be a list of 4 items"),
+], ids=["interleaved-videos", "centroid-overflow", "three-value-bbox"])
+def test_first_bad_line_in_the_file_is_reported(tmp_path, registry, recs, error, message):
+    path = write_jsonl(tmp_path / "d.jsonl", recs)
+    with pytest.raises(error, match=message) as exc, np.errstate(over="ignore"):
+        load_detection_groups(path, registry)
+    assert exc.value.line == 2
+
+
 def test_motion_feature_kind_mismatch_rejected(registry):
     with pytest.raises(ValidationError):
         graphs_from_records([detection(class_id=1, motion=(0.1,))], registry)[0]

@@ -225,8 +225,9 @@ def _infer_dims(graphs: dict[str, SceneGraph25D]) -> tuple[int, int]:
     return d_o, next((g.motions.shape[1] for g in graphs.values() if len(g.motions)), 0)
 
 
-def _model_config(cfg: RunConfig, graphs: dict[str, SceneGraph25D]) -> ModelConfig:
-    d_o, d_a = _infer_dims(graphs)
+def _model_config(cfg: RunConfig, d_o: int = 1, d_a: int = 0) -> ModelConfig:
+    """The model knobs of `cfg`, range-checked; the widths come from the graphs, and their
+    defaults, the least ModelConfig takes, check the other knobs before any graph exists."""
     return ModelConfig(
         d_o=d_o,
         d_a=d_a,
@@ -242,10 +243,11 @@ def _model_config(cfg: RunConfig, graphs: dict[str, SceneGraph25D]) -> ModelConf
 
 def cmd_train(args) -> int:
     cfg = RunConfig.resolve(args)
+    _model_config(cfg)
     train_set = load_qa(args.qa, cfg.vocab)
     val_set = load_qa(args.val, cfg.vocab) if args.val else None
     graphs = _pipeline_graphs(args.detections, args.registry, cfg)
-    model_cfg = _model_config(cfg, graphs)
+    model_cfg = _model_config(cfg, *_infer_dims(graphs))
     model, metrics = train(
         train_set,
         graphs,

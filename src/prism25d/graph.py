@@ -126,10 +126,11 @@ class SceneGraph25D:
         """The listed frame indices, ascending."""
         return self.listed_frames[run_starts(self.listed_frames)]
 
-    def validate(self) -> None:
+    def validate(self, node_faults=()) -> None:
         """Check that the columns agree. `max_frames` is at least 1, every source frame lies
         in [0, max_frames), and each node is listed once in each of its source frames, and
-        in no other frame."""
+        in no other frame. `node_faults` holds more node rules as (bad-row mask, error
+        class, message for row i), reported after these in the same first-bad-node pass."""
         ids, n = self.nodes, len(self.nodes)
         t, f, counts = self.obs_times, self.obs_frames, np.diff(self.obs_start)
         owner = np.repeat(np.arange(n), counts)
@@ -145,6 +146,7 @@ class SceneGraph25D:
              lambda i: f"node {ids[i]}: source frames must lie in [0, {self.max_frames})"),
             (degenerate_boxes(self.boxes), ValidationError,
              lambda i: f"node {ids[i]}: degenerate bbox {tuple(self.boxes[i].tolist())}"),
+            *node_faults,
         ])
         if self.max_frames < 1:
             raise ValidationError(f"max_frames must be positive, got {self.max_frames}")
@@ -340,13 +342,10 @@ def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> S
         static_mask = np.zeros(len(ids), dtype=bool)
         static_mask[list(static)] = True
         times, frames = ([cols[key][i] for i in rows] for key in ("timestamps", "source_frames"))
+        # a node whose lists differ in length keeps neither, which breaks the same observation rule
+        uneven = [len(t) != len(f) for t, f in zip(times, frames)]
+        times, frames = ([[] if u else v for u, v in zip(uneven, vs)] for vs in (times, frames))
         motions = [cols["motion_feature"][i] for i in rows]
-        _raise_first([
-            ([not t or len(t) != len(f) for t, f in zip(times, frames)], ValidationError,
-             lambda i: f"node {ids[i]}: {_OBS_RULE}"),
-            (np.array([m is not None for m in motions], dtype=bool) == static_mask, ValidationError,
-             lambda i: f"node {ids[i]}: dynamic nodes, and only they, carry a motion feature"),
-        ])
         indices, node_ids = frame_cols["frame_index"], frame_cols["node_ids"]
         for before, after in zip(indices, indices[1:]):
             if after <= before:
@@ -371,7 +370,10 @@ def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> S
             listed_frames=_ints(listed_frames), listed_rows=np.array(listed_rows, dtype=np.int64),
             registry_digest=digest,
         )
-        graph.validate()
+        graph.validate([
+            (np.array([m is not None for m in motions], dtype=bool) == static_mask, ValidationError,
+             lambda i: f"node {ids[i]}: dynamic nodes, and only they, carry a motion feature"),
+        ])
     return graph
 
 

@@ -59,8 +59,6 @@ _QA_FIELDS = {
 def load_qa(path: str | Path, vocab: int | None = None) -> list[QaInstance]:
     """Read a QA JSONL file; a line with a missing or mistyped field, or a token outside
     [0, vocab) when `vocab` is given, is a ParseError naming the line."""
-    if vocab is not None and vocab < 1:  # ModelConfig's range, checked before any line
-        raise ValidationError(f"vocab_size must be at least 1, got {vocab}")
     out = []
     lines, records = read_jsonl(path)
     cols = check_rows(records, _QA_FIELDS, lines)

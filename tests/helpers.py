@@ -305,3 +305,59 @@ def oracle_rigid(src, dst):
     rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     trans = c_dst - rot @ c_src
     return rot, trans
+
+
+# -- the world sampler one candidate at a time: the reference for synthworld's arrays ----
+
+
+def oracle_static_layout(spec, rng):
+    """Static positions drawn one candidate at a time, each taken when it lies at least
+    `static_separation` from every object placed before it; None when 80 fail."""
+    half = sw._placement_box(spec)
+    pts = []
+    for _ in range(spec.n_static):
+        for _ in range(80):
+            p = rng.uniform(-half, half)
+            if all(np.linalg.norm(p - q) >= spec.static_separation for q in pts):
+                pts.append(p)
+                break
+        else:
+            return None
+    return np.stack(pts)
+
+
+def oracle_norms(d):
+    """np.linalg.norm of each vector along the last axis, one at a time: a trajectory's
+    start check measured with it takes one distance per static object."""
+    d = np.asarray(d)
+    return np.array([np.linalg.norm(v) for v in d.reshape(-1, 3)]).reshape(d.shape[:-1])
+
+
+def oracle_motion_feature(track, t, d_a):
+    """The motion feature of a track at frame t: its step into t (frame 0 takes frame 1's,
+    a one-frame track none), then the step's length."""
+    if track.shape[0] == 1:
+        vel = np.zeros(3)
+    elif t == 0:
+        vel = track[1] - track[0]
+    else:
+        vel = track[t] - track[t - 1]
+    out = np.zeros(d_a)
+    out[:3] = vel
+    out[3] = np.linalg.norm(vel)
+    return out
+
+
+def oracle_detections(world):
+    """A noiseless world's detection records, built one detection at a time."""
+    spec = world.spec
+    classes = world.static_classes + world.dynamic_classes
+    features = np.concatenate([world.static_features, world.dynamic_features])
+    return [
+        {"video_id": spec.video_id, "frame_index": t, "class_id": cls,
+         "bbox": world.boxes[t, n].tolist(), "depth": float(world.depths[t, n]),
+         "feature": features[n].tolist(),
+         "motion_feature": None if n < spec.n_static else oracle_motion_feature(
+             world.dynamic_tracks[n - spec.n_static], t, spec.d_a).tolist()}
+        for t in range(spec.n_frames) for n, cls in enumerate(classes)
+    ]

@@ -293,12 +293,17 @@ def test_bad_qa_line_exits_one(tmp_path, capsys, monkeypatch, change):
     assert not (tmp_path / "m.ckpt").exists()
 
 
-def test_train_checks_the_vocabulary_size_before_the_qa_file(tmp_path, capsys, monkeypatch):
-    det, reg, qa = _synth_corpus(tmp_path, n_worlds=1)
+@pytest.mark.parametrize("flags, message", [
+    (["--vocab", "0"], "vocab_size must be at least 1, got 0"),
+    (["--heads", "0"], "latent_dim 32 must divide evenly into 0 heads"),
+], ids=["vocab", "heads"])
+def test_train_checks_its_model_knobs_before_reading_any_input(tmp_path, capsys, monkeypatch, flags,
+                                                               message):
+    _, reg, qa = _synth_corpus(tmp_path, n_worlds=1)
     monkeypatch.setattr(cli, "_pipeline_graphs", _pipeline_must_not_run)
-    code = main(["train", "--detections", det, "--registry", reg, "--qa", qa,
-                 "--out", str(tmp_path / "m.ckpt"), "--vocab", "0"])
-    assert _one_error(capsys, code, kind="validation") == "vocab_size must be at least 1, got 0"
+    code = main(["train", "--detections", str(tmp_path / "missing.jsonl"), "--registry", reg,
+                 "--qa", qa, "--out", str(tmp_path / "m.ckpt"), *flags])
+    assert _one_error(capsys, code, kind="validation") == message
     assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -438,11 +443,17 @@ def _shift_frames(graph, by):
         listing["frame_index"] += by
 
 
-def _degenerate_box_then_bad_time(obj):
-    """A degenerate box at node 0 and, on node 3, a timestamp outside [0, 1]."""
-    nodes = obj["graphs"][0]["nodes"]
-    nodes[0]["bbox"] = [50.0, 10.0, 10.0, 50.0]
-    nodes[3]["timestamps"] = [1.5] * len(nodes[3]["timestamps"])
+def _degenerate_box_then(fault):
+    """A graph-file change: a degenerate box at node 0 and `fault` on node 3."""
+    def change(obj):
+        nodes = obj["graphs"][0]["nodes"]
+        nodes[0]["bbox"] = [50.0, 10.0, 10.0, 50.0]
+        fault(nodes[3])
+    return change
+
+
+_degenerate_box_then_bad_time = _degenerate_box_then(
+    lambda node: node.update(timestamps=[1.5] * len(node["timestamps"])))
 
 
 @pytest.mark.parametrize("change, kind, where", [
@@ -458,8 +469,13 @@ def _degenerate_box_then_bad_time(obj):
     (lambda obj: _shift_frames(obj["graphs"][0], -10), "validation",
      "video 'w100': node 0: source frames must lie in [0, 3)"),
     (_degenerate_box_then_bad_time, "validation", "video 'w100': node 0: degenerate bbox"),
+    (_degenerate_box_then(lambda node: node["timestamps"].append(node["timestamps"][-1])),
+     "validation", "video 'w100': node 0: degenerate bbox"),
+    (_degenerate_box_then(lambda node: node.update(motion_feature=[0.0] * 8)),
+     "validation", "video 'w100': node 0: degenerate bbox"),
 ], ids=["no-bbox", "nan-centroid", "string-node-id", "graphs-not-a-list", "three-value-bbox",
-        "second-video-no-bbox", "negative-max-frames", "negative-frames", "first-bad-node"])
+        "second-video-no-bbox", "negative-max-frames", "negative-frames", "first-bad-node",
+        "first-bad-node-before-uneven-lists", "first-bad-node-before-motion-kind"])
 def test_bad_graph_file_exits_one(tmp_path, capsys, change, kind, where):
     det, reg, _ = _synth_corpus(tmp_path, n_worlds=2, qa=False, n_frames=3)
     graph_file = tmp_path / "g.json"
@@ -713,15 +729,14 @@ _MODEL_FLAGS = {
 }
 
 
-def test_every_model_config_field_has_a_train_flag(registry):
+def test_every_model_config_field_has_a_train_flag():
     """No config knob without a flag: each field reaches the model config from `train`'s flags."""
     assert set(_MODEL_FLAGS) == {f.name for f in fields(ModelConfig)} - {"d_o", "d_a"}
-    graphs = {"v": graphs_from_records([detection()], registry)[0]}
     base = ["train", "--detections", "d", "--registry", "r", "--qa", "q", "--out", "o"]
-    default = cli._model_config(cli.RunConfig.resolve(cli.build_parser().parse_args(base)), graphs)
+    default = cli._model_config(cli.RunConfig.resolve(cli.build_parser().parse_args(base)))
     for field, (flags, value) in _MODEL_FLAGS.items():
         args = cli.build_parser().parse_args(base + flags)
-        config = cli._model_config(cli.RunConfig.resolve(args), graphs)
+        config = cli._model_config(cli.RunConfig.resolve(args))
         assert getattr(default, field) != value
         assert getattr(config, field) == value, field
 

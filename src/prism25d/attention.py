@@ -73,8 +73,12 @@ def build_bundles(
         dynamic = ~graph.static
         if len(graph.motions) != np.count_nonzero(dynamic):
             raise ValidationError("a dynamic node lacks a motion feature")
-        cuts = graph.obs_start.tolist()
-        times = [graph.obs_times[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        # a node's times are its frames / max_frames, each rounded once as Python divides integers:
+        # numpy's float division rounds alike on exact floats, integers up to 2**53 (and -2**63,
+        # which np.abs leaves negative); split at each node's end, dropping the empty tail
+        f, m = graph.obs_frames, graph.max_frames
+        exact = f.dtype != object and max(abs(m), np.abs(f).max(initial=0)) <= 2**53
+        times = np.split(f / m if exact else np.array([x / m for x in f.tolist()]), graph.obs_start[1:])[:-1]
         bundles[vid] = GraphBundle(
             static_cols=_columns(graph.features[graph.static]),
             dynamic_cols=_columns(np.hstack([graph.features[dynamic], graph.motions])),

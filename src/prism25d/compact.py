@@ -126,7 +126,7 @@ def _merge(graph: SceneGraph25D, roots: np.ndarray) -> SceneGraph25D:
 
     A merged feature is the mean over its members, in ascending node id; a
     merged node keeps its root's box and centroid and every member's observations,
-    by frame and time. A frame lists each merged node once, where it listed its
+    by frame. A frame lists each merged node once, where it listed its
     first member. Dynamic rows are their own roots and pass through untouched.
     """
     if np.any(graph.class_ids[roots] != graph.class_ids):
@@ -139,7 +139,7 @@ def _merge(graph: SceneGraph25D, roots: np.ndarray) -> SceneGraph25D:
         of_size = np.flatnonzero(sizes == k)
         features[of_size] = members[first[of_size, None] + np.arange(k)].mean(axis=1)
     n_obs = np.diff(graph.obs_start)
-    obs = np.lexsort((graph.obs_times, graph.obs_frames, np.repeat(roots, n_obs)))
+    obs = np.lexsort((graph.obs_frames, np.repeat(roots, n_obs)))
     frames, mapped = graph.listed_frames, roots[graph.listed_rows]
     by_pair = np.lexsort((mapped, frames))
     listing = np.sort(by_pair[run_starts(frames[by_pair], mapped[by_pair])])
@@ -153,7 +153,6 @@ def _merge(graph: SceneGraph25D, roots: np.ndarray) -> SceneGraph25D:
         centroids=graph.centroids[kept],
         obs_start=np.append(0, np.cumsum(np.add.reduceat(n_obs[order], first))),
         obs_frames=graph.obs_frames[obs],
-        obs_times=graph.obs_times[obs],
         listed_frames=frames[listing],
         listed_rows=np.searchsorted(kept, mapped[listing]),
     )

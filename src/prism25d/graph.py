@@ -17,11 +17,9 @@ STATIC = "static"
 DYNAMIC = "dynamic"
 
 GRAPH_FORMAT = "prism25d-graph"
-GRAPH_VERSION = 1
+GRAPH_VERSION = 2
 DEFAULT_INTRINSICS = default_intrinsics(256.0, 256.0)
 _UNIT_BOX = (0.0, 0.0, 1.0, 1.0)  # stands in for a faulty record's box
-_OBS_RULE = ("timestamps and source_frames must be nonempty, sorted and of one length, "
-             "and timestamps inside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -99,8 +97,8 @@ def run_starts(*keys: np.ndarray) -> np.ndarray:
 class SceneGraph25D:
     """One video's graph as a table of node columns: one row per node, rows in ascending id.
 
-    Row i was observed at obs_frames[obs_start[i]:obs_start[i + 1]], at the obs_times of
-    the same slice. The frame listings are (listed_frames, listed_rows) pairs, frames
+    Row i was observed at obs_frames[obs_start[i]:obs_start[i + 1]]; a frame's time is
+    frame / max_frames. The frame listings are (listed_frames, listed_rows) pairs, frames
     ascending and one frame's rows in file order. Id, class and frame columns are int64,
     or object arrays when a value does not fit int64.
     """
@@ -116,7 +114,6 @@ class SceneGraph25D:
     centroids: np.ndarray  # (n, 3)
     obs_start: np.ndarray  # (n + 1,)
     obs_frames: np.ndarray  # (m,)
-    obs_times: np.ndarray  # (m,)
     listed_frames: np.ndarray  # (k,)
     listed_rows: np.ndarray  # (k,)
     registry_digest: str | None = None
@@ -127,21 +124,21 @@ class SceneGraph25D:
         return self.listed_frames[run_starts(self.listed_frames)]
 
     def validate(self, node_faults=()) -> None:
-        """Check that the columns agree. `max_frames` is at least 1, every source frame lies
-        in [0, max_frames), and each node is listed once in each of its source frames, and
-        in no other frame. `node_faults` holds more node rules as (bad-row mask, error
-        class, message for row i), reported after these in the same first-bad-node pass."""
-        ids, n = self.nodes, len(self.nodes)
-        t, f, counts = self.obs_times, self.obs_frames, np.diff(self.obs_start)
-        owner = np.repeat(np.arange(n), counts)
-        step = (owner[1:] == owner[:-1]) & ((t[1:] < t[:-1]) | (f[1:] < f[:-1]))
+        """Check that the columns agree: the rules of `check_nodes`, then of `check_listings`."""
+        self.check_nodes(node_faults)
+        self.check_listings()
+
+    def check_nodes(self, node_faults=()) -> None:
+        """Raise for the first bad node, then for a `max_frames` below 1. A node's source frames
+        must be nonempty, sorted and in [0, max_frames); `node_faults` holds more node rules as
+        (bad-row mask, error class, message for row i), reported after these in the same pass."""
+        ids, f, counts = self.nodes, self.obs_frames, np.diff(self.obs_start)
+        owner = np.repeat(np.arange(len(ids)), counts)
         bad_obs = counts == 0
-        bad_obs[owner[1:][step]] = True
-        bad_obs[owner[(t < 0.0) | (t > 1.0)]] = True
-        outside = np.zeros(n, dtype=bool)
-        outside[owner[(f < 0) | (f >= self.max_frames)]] = True
+        bad_obs[owner[1:][(owner[1:] == owner[:-1]) & (f[1:] < f[:-1])]] = True
+        outside = np.bincount(owner[(f < 0) | (f >= self.max_frames)], minlength=len(ids)) > 0
         _raise_first([
-            (bad_obs, ValidationError, lambda i: f"node {ids[i]}: {_OBS_RULE}"),
+            (bad_obs, ValidationError, lambda i: f"node {ids[i]}: source_frames must be nonempty and sorted"),
             (outside, ValidationError,
              lambda i: f"node {ids[i]}: source frames must lie in [0, {self.max_frames})"),
             (degenerate_boxes(self.boxes), ValidationError,
@@ -150,9 +147,13 @@ class SceneGraph25D:
         ])
         if self.max_frames < 1:
             raise ValidationError(f"max_frames must be positive, got {self.max_frames}")
+
+    def check_listings(self) -> None:
+        """Raise unless each node is listed once in each of its source frames, and nowhere else."""
+        ids, counts = self.nodes, np.diff(self.obs_start)
         # one run per (frame, row) pair among the listings (listed) and the observations
-        frame = np.concatenate((self.listed_frames, f))
-        row = np.concatenate((self.listed_rows, owner))
+        frame = np.concatenate((self.listed_frames, self.obs_frames))
+        row = np.concatenate((self.listed_rows, np.repeat(np.arange(len(ids)), counts)))
         order = np.lexsort((row, frame))
         frame, row, listed = frame[order], row[order], (order < len(self.listed_rows)).astype(np.int64)
         first = run_starts(frame, row)
@@ -196,7 +197,7 @@ def graphs_from_records(
     at once. The records are checked as a detection file's lines are, with the same errors.
 
     Node ids are assigned sequentially in record order. `max_frames` is the
-    dataset-wide frame count used for temporal normalization; when omitted it
+    dataset-wide frame count that scales frames to times; when omitted it
     defaults to the records' frame span. `lines` gives each record's line in its
     file, so that an error names the first bad line.
     """
@@ -233,7 +234,6 @@ def graphs_from_records(
     _raise_first(checks + [(~np.isfinite(centroids).all(axis=1), ValidationError,
                             lambda i: f"lifted centroid {centroids[i].tolist()} is not finite")], lines)
 
-    times = np.array([f / max_frames for f in frames], dtype=np.float64)
     frame_col, class_col = _ints(frames), _ints(class_ids)
     features = _matrix(cols["feature"])
     motion_rows, motion_of = _matrix([m for m in motions if m is not None]), np.cumsum(moving) - 1
@@ -250,7 +250,7 @@ def graphs_from_records(
             video_id=name, max_frames=max_frames, nodes=np.arange(len(rows)), class_ids=class_col[rows],
             static=static[rows], features=features[rows], motions=motion_rows[motion_of[rows[moving[rows]]]],
             boxes=boxes[rows], centroids=centroids[rows], obs_start=np.arange(len(rows) + 1),
-            obs_frames=f, obs_times=times[rows], listed_frames=f[listing], listed_rows=listing,
+            obs_frames=f, listed_frames=f[listing], listed_rows=listing,
             registry_digest=digest,
         ))
     return graphs
@@ -292,7 +292,7 @@ def _graph_body(graph: SceneGraph25D) -> dict:
     motions = [None] * len(ids)
     for row, motion in zip(np.flatnonzero(~graph.static).tolist(), graph.motions.tolist()):
         motions[row] = motion
-    cuts, times, frames = graph.obs_start.tolist(), graph.obs_times.tolist(), graph.obs_frames.tolist()
+    cuts, frames = graph.obs_start.tolist(), graph.obs_frames.tolist()
     listed, listed_frames = graph.nodes[graph.listed_rows].tolist(), graph.listed_frames.tolist()
     starts = run_starts(graph.listed_frames).tolist() + [len(listed)]
     return {
@@ -300,7 +300,7 @@ def _graph_body(graph: SceneGraph25D) -> dict:
         "max_frames": graph.max_frames,
         "nodes": [
             {"node_id": nid, "class_id": c, "feature": f, "motion_feature": m, "bbox": b, "centroid3d": p,
-             "timestamps": times[lo:hi], "source_frames": frames[lo:hi]}
+             "source_frames": frames[lo:hi]}
             for nid, c, f, m, b, p, lo, hi in zip(
                 ids, graph.class_ids.tolist(), graph.features.tolist(), motions, graph.boxes.tolist(),
                 graph.centroids.tolist(), cuts, cuts[1:])
@@ -314,7 +314,7 @@ def _graph_body(graph: SceneGraph25D) -> dict:
 
 _NODE_FIELDS = {
     "node_id": INT, "class_id": INT, **_FEATURES, "bbox": list_of(NUMBER, 4),
-    "centroid3d": list_of(NUMBER, 3), "timestamps": list_of(NUMBER), "source_frames": list_of(INT),
+    "centroid3d": list_of(NUMBER, 3), "source_frames": list_of(INT),
 }
 _FRAME_FIELDS = {"frame_index": INT, "node_ids": list_of(INT)}
 _GRAPH_FIELDS = {
@@ -334,29 +334,20 @@ def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> S
         order = np.argsort(ids, kind="stable")
         ids, rows = ids[order], order.tolist()
         if np.any(ids[1:] == ids[:-1]):
-            raise ValidationError("repeats a node id")
+            raise ValidationError(f"repeats node id {ids[1:][ids[1:] == ids[:-1]][0]}")
         row_of = {nid: row for row, nid in enumerate(ids.tolist())}
-        static, dynamic = ({row_of.get(nid) for nid in obj[key]} for key in ("static_nodes", "dynamic_nodes"))
-        if None in static | dynamic or static & dynamic or len(static | dynamic) != len(ids):
-            raise ValidationError("static/dynamic sets do not partition the node ids")
-        static_mask = np.zeros(len(ids), dtype=bool)
-        static_mask[list(static)] = True
-        times, frames = ([cols[key][i] for i in rows] for key in ("timestamps", "source_frames"))
-        # a node whose lists differ in length keeps neither, which breaks the same observation rule
-        uneven = [len(t) != len(f) for t, f in zip(times, frames)]
-        times, frames = ([[] if u else v for u, v in zip(uneven, vs)] for vs in (times, frames))
-        motions = [cols["motion_feature"][i] for i in rows]
+        static, dynamic = (set(obj[key]) for key in ("static_nodes", "dynamic_nodes"))
+        # the first listed id that is no node or is in both sets, else the first node in neither
+        stray = [nid for nid in obj["static_nodes"] + obj["dynamic_nodes"] + list(row_of)
+                 if nid not in row_of or (nid in static) == (nid in dynamic)]
+        if stray:
+            raise ValidationError(f"static/dynamic sets do not partition the node ids at node {stray[0]}")
+        static_mask = np.array([nid in static for nid in row_of], dtype=bool)
+        frames, motions = ([cols[key][i] for i in rows] for key in ("source_frames", "motion_feature"))
         indices, node_ids = frame_cols["frame_index"], frame_cols["node_ids"]
-        for before, after in zip(indices, indices[1:]):
-            if after <= before:
-                raise ValidationError(f"frame indices must strictly ascend, got {after} after {before}")
         listed_ids = [nid for listing in node_ids for nid in listing]
-        listed_rows = [row_of.get(nid) for nid in listed_ids]
+        listed_rows = np.array([row_of.get(nid, -1) for nid in listed_ids], dtype=np.int64)  # -1: missing
         listed_frames = [f for f, listing in zip(indices, node_ids) for _ in listing]
-        if None in listed_rows:
-            i = listed_rows.index(None)
-            raise ValidationError(f"frame {listed_frames[i]} lists node {listed_ids[i]}, which is missing "
-                                  "or has no source frame there")
         graph = SceneGraph25D(
             video_id=obj["video_id"], max_frames=obj["max_frames"], nodes=ids,
             class_ids=_ints(cols["class_id"])[order], static=static_mask,
@@ -364,16 +355,21 @@ def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> S
             motions=_matrix([m for m in motions if m is not None]),
             boxes=np.array(cols["bbox"], dtype=np.float64).reshape(-1, 4)[order],
             centroids=np.array(cols["centroid3d"], dtype=np.float64).reshape(-1, 3)[order],
-            obs_start=np.cumsum([0] + [len(t) for t in times]),
+            obs_start=np.cumsum([0] + [len(fs) for fs in frames]),
             obs_frames=_ints([f for fs in frames for f in fs]),
-            obs_times=np.array([t for ts in times for t in ts], dtype=np.float64),
-            listed_frames=_ints(listed_frames), listed_rows=np.array(listed_rows, dtype=np.int64),
+            listed_frames=_ints(listed_frames), listed_rows=listed_rows,
             registry_digest=digest,
         )
-        graph.validate([
+        graph.check_nodes([
             (np.array([m is not None for m in motions], dtype=bool) == static_mask, ValidationError,
              lambda i: f"node {ids[i]}: dynamic nodes, and only they, carry a motion feature"),
         ])
+        for before, after in zip(indices, indices[1:]):
+            if after <= before:
+                raise ValidationError(f"frame indices must strictly ascend, got {after} after {before}")
+        _raise_first([(listed_rows < 0, ValidationError, lambda i: f"frame {listed_frames[i]} lists node "
+                       f"{listed_ids[i]}, which is missing or has no source frame there")])
+        graph.check_listings()
     return graph
 
 

@@ -50,8 +50,8 @@ def estimate_frame_transforms(
 def register_frames(graph: SceneGraph25D, gamma: float = MatchParams.gamma) -> SceneGraph25D:
     """Express every node's 3D centroid in frame 0's coordinate system.
 
-    Both static and dynamic centroids are transformed; boxes, features, and
-    timestamps are untouched. The transform chain links consecutive frames.
+    Both static and dynamic centroids are transformed; boxes, features and
+    source frames are untouched. The transform chain links consecutive frames.
     """
     rotations, translations = estimate_frame_transforms(graph, gamma=gamma)  # checks gamma first
     if len(rotations) <= 1:

@@ -94,7 +94,6 @@ def node(graph, nid):
         feature=graph.features[row],
         bbox=tuple(graph.boxes[row].tolist()),
         centroid3d=graph.centroids[row],
-        timestamps=graph.obs_times[lo:hi].tolist(),
         source_frames=graph.obs_frames[lo:hi].tolist(),
         motion_feature=None if graph.static[row] else graph.motions[np.searchsorted(dynamic, row)],
     )
@@ -129,9 +128,8 @@ def table(nodes, dynamic=(), frames=None, video_id="t", max_frames=10, registry_
         motions=_matrix([n.motion_feature for n in rows if n.node_id in dynamic]),
         boxes=np.array([n.bbox for n in rows], dtype=np.float64).reshape(-1, 4),
         centroids=np.array([n.centroid3d for n in rows], dtype=np.float64).reshape(-1, 3),
-        obs_start=np.cumsum([0] + [len(n.timestamps) for n in rows]),
+        obs_start=np.cumsum([0] + [len(n.source_frames) for n in rows]),
         obs_frames=_ints([f for n in rows for f in n.source_frames]),
-        obs_times=np.array([t for n in rows for t in n.timestamps], dtype=np.float64),
         listed_frames=_ints([f for f, ids in frames for _ in ids]),
         listed_rows=np.array([row_of[nid] for _, ids in frames for nid in ids], dtype=np.int64),
         registry_digest=registry_digest,
@@ -218,9 +216,6 @@ def oracle_correspondences(graph, gamma):
 def _merge_class(members, root):
     if any(n.class_id != root.class_id for n in members):
         raise AssertionError("equivalence class mixes class ids; criterion violated")
-    obs = sorted(
-        (f, t) for n in members for f, t in zip(n.source_frames, n.timestamps)
-    )
     feats = np.stack([n.feature for n in members])  # members sorted by node_id
     return SimpleNamespace(
         node_id=root.node_id,
@@ -228,8 +223,7 @@ def _merge_class(members, root):
         feature=feats.mean(axis=0),
         bbox=root.bbox,
         centroid3d=root.centroid3d.copy(),
-        timestamps=[t for _, t in obs],
-        source_frames=[f for f, _ in obs],
+        source_frames=sorted(f for n in members for f in n.source_frames),
         motion_feature=None,
     )
 
@@ -260,16 +254,17 @@ def oracle_merge_static(graph, ancestors):
 def min_time_gap(ta, tb):
     """Smallest |t - t'| across the two observation lists.
 
-    Unmerged nodes carry one timestamp each, so this reduces to the plain
+    Unmerged nodes carry one time each, so this reduces to the plain
     temporal distance; merged static nodes contribute their closest sighting.
     """
     return float(np.abs(np.asarray(ta)[:, None] - np.asarray(tb)[None, :]).min())
 
 
-def kernel(v, w, sigma_s, sigma_t):
-    """Spatio-temporal proximity of two nodes in (0, 1]; 1 exactly when v and w coincide."""
+def kernel(v, w, sigma_s, sigma_t, max_frames):
+    """Spatio-temporal proximity of two nodes in (0, 1]; 1 exactly when v and w coincide.
+    A node's times are its source frames / max_frames."""
     d2 = float(np.sum((v.centroid3d - w.centroid3d) ** 2))
-    dt = min_time_gap(np.asarray(v.timestamps), np.asarray(w.timestamps))
+    dt = min_time_gap(np.asarray(v.source_frames) / max_frames, np.asarray(w.source_frames) / max_frames)
     return math.exp(-d2 / sigma_s**2 - dt / sigma_t)
 
 

@@ -38,73 +38,74 @@ def _level(positions, times, sigma_s, sigma_t):
     return kernel_softmax_levels(positions, times, ((sigma_s, sigma_t),))[0]
 
 
-def _node_like(pos, times):
-    return SimpleNamespace(centroid3d=np.asarray(pos, dtype=float), timestamps=list(times))
+def _node_like(pos, frames):
+    return SimpleNamespace(centroid3d=np.asarray(pos, dtype=float), source_frames=list(frames))
 
 
 # -- kernel ----------------------------------------------------------------------
 
 
 def test_kernel_self_similarity_is_one():
-    v = _node_like((0.3, -1.0, 2.0), [0.25])
-    assert kernel(v, v, 1.0, 1.0) == 1.0
+    v = _node_like((0.3, -1.0, 2.0), [25])
+    assert kernel(v, v, 1.0, 1.0, 100) == 1.0
 
 
 def test_kernel_one_sigma_spatial():
-    v = _node_like((0.0, 0.0, 0.0), [0.5])
-    w = _node_like((0.7, 0.0, 0.0), [0.5])
-    assert kernel(v, w, 0.7, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    v = _node_like((0.0, 0.0, 0.0), [50])
+    w = _node_like((0.7, 0.0, 0.0), [50])
+    assert kernel(v, w, 0.7, 1.0, 100) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_kernel_one_sigma_temporal():
-    v = _node_like((1.0, 1.0, 1.0), [0.2])
-    w = _node_like((1.0, 1.0, 1.0), [0.5])
-    assert kernel(v, w, 1.0, 0.3) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    v = _node_like((1.0, 1.0, 1.0), [20])
+    w = _node_like((1.0, 1.0, 1.0), [50])
+    assert kernel(v, w, 1.0, 0.3, 100) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_kernel_merged_nodes_use_min_time_gap():
-    v = _node_like((0.0, 0.0, 0.0), [0.1, 0.5, 0.9])
-    w = _node_like((0.0, 0.0, 0.0), [0.45])
-    assert min_time_gap(np.array(v.timestamps), np.array(w.timestamps)) == pytest.approx(0.05)
-    assert kernel(v, w, 1.0, 1.0) == pytest.approx(math.exp(-0.05), rel=1e-12)
+    v = _node_like((0.0, 0.0, 0.0), [10, 50, 90])
+    w = _node_like((0.0, 0.0, 0.0), [45])
+    gap = min_time_gap(np.array(v.source_frames) / 100, np.array(w.source_frames) / 100)
+    assert gap == pytest.approx(0.05)
+    assert kernel(v, w, 1.0, 1.0, 100) == pytest.approx(math.exp(-0.05), rel=1e-12)
 
 
 def test_kernel_symmetry_and_monotonicity():
     rng = np.random.default_rng(0)
-    base = _node_like((0.0, 0.0, 0.0), [0.5])
+    base = _node_like((0.0, 0.0, 0.0), [50])
     for _ in range(50):
-        a = _node_like(rng.uniform(-3, 3, 3), [rng.uniform(0, 1)])
-        b = _node_like(rng.uniform(-3, 3, 3), [rng.uniform(0, 1)])
-        assert kernel(a, b, 0.8, 0.4) == pytest.approx(kernel(b, a, 0.8, 0.4), rel=1e-14)
+        a = _node_like(rng.uniform(-3, 3, 3), [rng.integers(0, 100)])
+        b = _node_like(rng.uniform(-3, 3, 3), [rng.integers(0, 100)])
+        assert kernel(a, b, 0.8, 0.4, 100) == pytest.approx(kernel(b, a, 0.8, 0.4, 100), rel=1e-14)
     # strictly decreasing in spatial distance at fixed time
     dists = np.linspace(0.1, 3.0, 12)
-    vals = [kernel(base, _node_like((d, 0, 0), [0.5]), 1.0, 1.0) for d in dists]
+    vals = [kernel(base, _node_like((d, 0, 0), [50]), 1.0, 1.0, 100) for d in dists]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     # strictly decreasing in temporal gap at fixed position
-    gaps = np.linspace(0.05, 0.9, 10)
-    vals_t = [kernel(base, _node_like((0, 0, 0), [0.5 + g / 2]), 1.0, 0.7) for g in gaps]
+    gaps = np.arange(1, 50, 5)
+    vals_t = [kernel(base, _node_like((0, 0, 0), [50 + g]), 1.0, 0.7, 100) for g in gaps]
     assert all(a > b for a, b in zip(vals_t, vals_t[1:]))
 
 
 def test_kernel_matrix_matches_pairwise_kernel():
     rng = np.random.default_rng(1)
-    grid = np.arange(24) / 24
-    node_times = [
-        [np.sort(rng.uniform(0, 1, size=rng.integers(1, 4))) for _ in range(6)],  # mixed
-        [np.array([t]) for t in rng.uniform(0, 1, size=6)],  # all singletons
+    grid = np.arange(24)
+    node_frames = [
+        [np.sort(rng.choice(1000, size=rng.integers(1, 4), replace=False)) for _ in range(6)],  # mixed
+        [np.array([f]) for f in rng.integers(0, 1000, size=6)],  # all singletons
         [grid, grid[:1], np.sort(rng.choice(grid, 24 - 7, replace=False)), grid[5:6], grid],
-        [grid[3:9]] * 5 + [grid[::4]],  # one shared time grid
+        [grid[3:9]] * 5 + [grid[::4]],  # one shared frame grid
     ]
-    for times in node_times:
-        n = len(times)
+    for frames, max_frames in zip(node_frames, (1000, 1000, 24, 24)):
+        n = len(frames)
         positions = rng.uniform(-2, 2, size=(n, 3))
-        mat = kernel_matrix(*kernel_distances(positions, times), 0.9, 0.4)
+        mat = kernel_matrix(*kernel_distances(positions, [f / max_frames for f in frames]), 0.9, 0.4)
         assert mat.shape == (n, n)
         for i in range(n):
             for j in range(n):
-                vi = _node_like(positions[i], times[i])
-                vj = _node_like(positions[j], times[j])
-                assert mat[i, j] == pytest.approx(kernel(vi, vj, 0.9, 0.4), rel=1e-12)
+                vi = _node_like(positions[i], frames[i])
+                vj = _node_like(positions[j], frames[j])
+                assert mat[i, j] == pytest.approx(kernel(vi, vj, 0.9, 0.4, max_frames), rel=1e-12)
     assert kernel_matrix(*kernel_distances(np.zeros((0, 3)), []), 0.9, 0.4).shape == (0, 0)
 
 
@@ -136,8 +137,25 @@ def test_project_node_counts_and_order(registry):
         assert np.allclose(features.data[:, col], want, atol=1e-12)
     # the kernel rows and columns follow the same node order
     positions = np.stack([node(g, nid).centroid3d for nid in g.nodes.tolist()])
-    times = [np.array(node(g, nid).timestamps) for nid in g.nodes.tolist()]
+    times = [np.array(node(g, nid).source_frames) / g.max_frames for nid in g.nodes.tolist()]
     assert np.allclose(bundle.smax[0].data, _level(positions, times, 0.9, 0.4).data, atol=1e-12)
+
+
+@pytest.mark.parametrize("max_frames, frames", [
+    (3 * 2**60 + 1, [2**60, 2**60 + 33]),
+    (10**20 + 1, [91596660008221686412, 91596660008221695546]),
+], ids=["int64-beyond-2**53", "object-column"])
+def test_bundle_times_divide_frames_as_python_does(registry, max_frames, frames):
+    # float(f) / float(max_frames) rounds twice here and puts both nodes at one time; Python's
+    # f / max_frames rounds once and sets them one ulp apart, which sigma_t = 1e-16 makes visible
+    g = graphs_from_records([detection(frame=f) for f in frames], registry, max_frames=max_frames)[0]
+    assert (g.obs_frames.dtype == object) == (max_frames > 2**63)
+    levels = ((1.0, 1e-16),)
+    got = build_bundles({"v": g}, levels)["v"].smax[0].data
+    times = [np.array([f / max_frames]) for f in frames]
+    assert np.array_equal(got, kernel_softmax_levels(g.centroids, times, levels)[0].data)
+    rounded_twice = [np.array([float(f) / float(max_frames)]) for f in frames]
+    assert not np.array_equal(got, kernel_softmax_levels(g.centroids, rounded_twice, levels)[0].data)
 
 
 def test_project_identity_mlp_passthrough(registry):

@@ -452,8 +452,11 @@ def _degenerate_box_then(fault):
     return change
 
 
-_degenerate_box_then_bad_time = _degenerate_box_then(
-    lambda node: node.update(timestamps=[1.5] * len(node["timestamps"])))
+def _degenerate_box_and_repeated_frame(obj):
+    """A degenerate box at node 0, and the first frame listed twice."""
+    _degenerate_box_then(lambda node: None)(obj)
+    frames = obj["graphs"][0]["frames"]
+    frames.insert(1, frames[0])
 
 
 @pytest.mark.parametrize("change, kind, where", [
@@ -468,14 +471,24 @@ _degenerate_box_then_bad_time = _degenerate_box_then(
      "video 'w101': node 0: source frames must lie in [0, -5)"),
     (lambda obj: _shift_frames(obj["graphs"][0], -10), "validation",
      "video 'w100': node 0: source frames must lie in [0, 3)"),
-    (_degenerate_box_then_bad_time, "validation", "video 'w100': node 0: degenerate bbox"),
-    (_degenerate_box_then(lambda node: node["timestamps"].append(node["timestamps"][-1])),
+    (_degenerate_box_then(lambda node: node.update(source_frames=[2, 0])),
+     "validation", "video 'w100': node 0: degenerate bbox"),
+    (_degenerate_box_then(lambda node: node.update(source_frames=[])),
      "validation", "video 'w100': node 0: degenerate bbox"),
     (_degenerate_box_then(lambda node: node.update(motion_feature=[0.0] * 8)),
      "validation", "video 'w100': node 0: degenerate bbox"),
+    (_degenerate_box_and_repeated_frame, "validation", "video 'w100': node 0: degenerate bbox"),
+    (lambda obj: obj["graphs"][0]["nodes"][2].update(node_id=1), "validation",
+     "video 'w100': repeats node id 1"),
+    (lambda obj: obj["graphs"][0]["dynamic_nodes"].append(2), "validation",
+     "video 'w100': static/dynamic sets do not partition the node ids at node 2"),
+    (lambda obj: obj["graphs"][0]["static_nodes"].remove(2), "validation",
+     "video 'w100': static/dynamic sets do not partition the node ids at node 2"),
 ], ids=["no-bbox", "nan-centroid", "string-node-id", "graphs-not-a-list", "three-value-bbox",
         "second-video-no-bbox", "negative-max-frames", "negative-frames", "first-bad-node",
-        "first-bad-node-before-uneven-lists", "first-bad-node-before-motion-kind"])
+        "first-bad-node-before-empty-source-frames", "first-bad-node-before-motion-kind",
+        "first-bad-node-before-repeated-frame", "repeated-node-id", "node-in-both-sets",
+        "node-in-neither-set"])
 def test_bad_graph_file_exits_one(tmp_path, capsys, change, kind, where):
     det, reg, _ = _synth_corpus(tmp_path, n_worlds=2, qa=False, n_frames=3)
     graph_file = tmp_path / "g.json"
@@ -508,6 +521,22 @@ def test_graph_file_listing_a_node_but_once_per_source_frame_exits_one(tmp_path,
     capsys.readouterr()
     code = main(["compact", "--in", str(graph_file), "--out", str(out)])
     assert _one_error(capsys, code, kind="validation") == f"video 'w100': {message}"
+    assert not out.exists()
+
+
+def test_version_1_graph_file_exits_one(tmp_path, capsys):
+    # a graph file as version 1 wrote it: each node's times also stored, as "timestamps"
+    det, reg, _ = _synth_corpus(tmp_path, n_worlds=1, qa=False, n_frames=3)
+    graph_file, out = tmp_path / "g.json", tmp_path / "c.json"
+    assert main(["ingest", "--in", det, "--registry", reg, "--out", str(graph_file)]) == 0
+    obj = json.loads(graph_file.read_text())
+    obj["version"] = 1
+    for node in obj["nodes"]:
+        node["timestamps"] = [f / obj["max_frames"] for f in node["source_frames"]]
+    graph_file.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = main(["compact", "--in", str(graph_file), "--out", str(out)])
+    assert _one_error(capsys, code, kind="validation") == f"{graph_file}: unsupported version 1"
     assert not out.exists()
 
 
@@ -651,7 +680,7 @@ def test_synth_rejects_a_negative_qa_seed(tmp_path, capsys):
 
 # the graph file that ingest wrote for OVERFLOW_DETECTIONS before registration was
 # batched, when LAPACK printed its DLASCL complaint on the way to the same fallback
-OVERFLOW_GRAPH_SHA256 = "5227db958516a6e270a1193cde4048a86287dcf143624e282bb0fe44c1a2f482"
+OVERFLOW_GRAPH_SHA256 = "15bd197abd61bccc7bbdd6c3aac9cbfbc71fbce3e19874b028b737e5bb6e9023"
 
 
 def test_ingest_keeps_lapack_off_an_overflowing_mean_centroid(tmp_path):
@@ -987,7 +1016,7 @@ def test_help_documents_flags(capsys):
 
 # ingest -> compact over moving cameras, pinned by the digest of both graph files:
 # every camera kind, each once without and once with box and depth jitter
-REGISTRATION_SHA256 = "5a33e20b3f673a8d21a8adadddabea3a551a16de0b2f83f5a4f6ab11b64e67cc"
+REGISTRATION_SHA256 = "d57e4ad8425fcb394e29329d4f078b5ecd659271f83741e2e9ae46ac80e4b231"
 
 
 def _moving_graph_files(tmp_path):
@@ -1020,7 +1049,7 @@ def test_registration_bytes_are_pinned(tmp_path):
 # compact of the compacted file above, and of a file compacted at gamma 0.95, whose
 # nodes, each holding several observations, merge further at the default gamma; and
 # the kernel bundles of the ingested and the compacted graphs
-RECOMPACTED_SHA256 = "1b09b3f330433488c6958952a96d1341ffc1b39299c5ccf4a28c0b1183c61ca6"
+RECOMPACTED_SHA256 = "9f17cac4260521bbd30fb787d6c222f368f332b357b3a9202bf1aaea8c17c8b6"
 BUNDLES_SHA256 = "44be390fb8d842da0facc02419c43ec5ff7702d1d1bf020e7b093f8973bb15be"
 
 

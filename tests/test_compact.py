@@ -24,15 +24,13 @@ from helpers import (
 )
 
 
-def _node(nid, frame, class_id=1, bbox=(0, 0, 10, 10), centroid=(0, 0, 0),
-          motion=None, max_frames=10):
+def _node(nid, frame, class_id=1, bbox=(0, 0, 10, 10), centroid=(0, 0, 0), motion=None):
     return SimpleNamespace(
         node_id=nid,
         class_id=class_id,
         feature=np.array([float(nid), float(nid)]),
         bbox=tuple(float(v) for v in bbox),
         centroid3d=np.array(centroid, dtype=float),
-        timestamps=[frame / max_frames],
         source_frames=[frame],
         motion_feature=None if motion is None else np.array(motion, dtype=float),
     )
@@ -161,7 +159,6 @@ def test_merge_averages_features():
     merged = compact(g, MatchParams(gamma=0.5, delta=3))
     assert len(merged.nodes) == 1
     assert np.allclose(node(merged, 0).feature, [2.0, 2.0], atol=1e-12)
-    assert node(merged, 0).timestamps == [0.0, 0.1, 0.2]
     assert node(merged, 0).source_frames == [0, 1, 2]
 
 
@@ -391,8 +388,7 @@ def _grid_graph(rng, n_frames=7, per_frame=6):
             spec.append((f, int(rng.integers(1, 3)), (x, y, x + w, y + h),
                          rng.integers(-1, 2, size=3), rng.random() < 0.2))
     ids = rng.permutation(len(spec)).tolist()
-    nodes = [_node(nid, f, class_id=c, bbox=b, centroid=p, motion=(1.0,) if d else None,
-                   max_frames=2 * n_frames)
+    nodes = [_node(nid, f, class_id=c, bbox=b, centroid=p, motion=(1.0,) if d else None)
              for nid, (f, c, b, p, d) in zip(ids, spec)]
     dynamic = [nid for nid, s in zip(ids, spec) if s[4]]
     graph = _graph(nodes, dynamic=dynamic)
@@ -456,7 +452,7 @@ def test_registration_correspondences_match_per_candidate_search():
 def test_tie_breaks_on_the_lower_id_when_a_node_is_listed_in_several_window_frames():
     # node 2's window (frames 0 and 1) lists node 1 twice, before node 0; both lie at distance 1
     one = _node(1, 0, bbox=(-2, 0, 8, 10), centroid=(-1, 0, 0))
-    one.timestamps, one.source_frames = [0.0, 0.1], [0, 1]
+    one.source_frames = [0, 1]
     nodes = [_node(0, 1, bbox=(2, 0, 12, 10), centroid=(1, 0, 0)), one, _node(2, 2)]
     g = table(nodes, frames=[(0, [1]), (1, [1, 0]), (2, [2])])
     params = MatchParams(gamma=0.5, delta=2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prism25d.errors import FormatError, ParseError, RegistryError, ValidationError
-from prism25d.attention import build_bundles
+from prism25d.attention import build_bundles, kernel_softmax_levels
 from prism25d.graph import STATIC, graphs_from_records, load_corpus, load_detection_groups, save_corpus
 
 from helpers import detection, listings, node, table, write_jsonl
@@ -28,17 +28,25 @@ def test_static_class_lands_in_static_set(tmp_path, registry):
     assert g.nodes.tolist() == [0] and g.static.tolist() == [True]
 
 
+def _bundle_has_times(g, times):
+    """Whether the kernel bundle of `g` is, bit for bit, the kernel over nodes observed at `times`."""
+    levels = ((1.0, 0.1),)
+    got = build_bundles({"v": g}, levels)["v"].smax[0].data
+    want = kernel_softmax_levels(g.centroids, [np.array(t) for t in times], levels)[0].data
+    return np.array_equal(got, want)
+
+
 def test_timestamp_normalization(tmp_path, registry):
-    path = write_jsonl(tmp_path / "d.jsonl", [detection(frame=5)])
+    path = write_jsonl(tmp_path / "d.jsonl", [detection(frame=0), detection(frame=5)])
     (g,) = load_detection_groups(path, registry, max_frames=10)
-    assert g.obs_times.tolist() == [0.5]
+    assert _bundle_has_times(g, [[0.0], [0.5]]) and not _bundle_has_times(g, [[0.0], [0.4]])
 
 
 def test_last_frame_timestamp_below_one(registry):
     n = 7
-    recs = [detection(frame=n - 1)]
+    recs = [detection(frame=0), detection(frame=n - 1)]
     g = graphs_from_records(recs, registry, max_frames=n)[0]
-    assert g.obs_times.tolist() == [(n - 1) / n] and g.obs_times[0] < 1.0
+    assert _bundle_has_times(g, [[0.0], [(n - 1) / n]]) and (n - 1) / n < 1.0
 
 
 def test_malformed_line_reports_line_number(tmp_path, registry):
@@ -168,7 +176,7 @@ def test_wrong_version_rejected(tmp_path, registry):
     path.write_text(json.dumps(obj))
     with pytest.raises(FormatError):
         load_corpus(path)
-    obj["version"] = 1
+    obj["version"] = 2
     obj["format"] = "something-else"
     path.write_text(json.dumps(obj))
     with pytest.raises(FormatError):
@@ -242,7 +250,6 @@ _NODE_EDITS = {
     "feature": lambda g: _set(g, "features", 1, _up(g.features[1])),
     "bbox": lambda g: _set(g, "boxes", 1, _up(g.boxes[1])),
     "centroid3d": lambda g: _set(g, "centroids", 1, _up(g.centroids[1])),
-    "timestamps": lambda g: _set(g, "obs_times", _obs(g, 1), _up(g.obs_times[_obs(g, 1)])),
     "source_frames": lambda g: _set(g, "obs_frames", _obs(g, 1), g.obs_frames[_obs(g, 1)] + 1),
     "motion_feature": lambda g: _set(g, "motions", 0, _up(g.motions[0])),
     "motion_feature-dropped": _drop_motion,

@@ -67,9 +67,12 @@ def _columns(rows: np.ndarray) -> np.ndarray:
 def build_bundles(
     graphs: dict[str, SceneGraph25D], levels: tuple[tuple[float, float], ...]
 ) -> dict[str, GraphBundle]:
-    """One bundle per graph, with a kernel matrix for each (sigma_s, sigma_t) of `levels`."""
+    """One bundle per graph, with a kernel matrix for each (sigma_s, sigma_t) of `levels`;
+    a graph without nodes is a ValidationError naming its video."""
     bundles = {}
     for vid, graph in graphs.items():
+        if not len(graph.nodes):
+            raise ValidationError(f"video {vid!r}: graph has no nodes")
         dynamic = ~graph.static
         if len(graph.motions) != np.count_nonzero(dynamic):
             raise ValidationError("a dynamic node lacks a motion feature")

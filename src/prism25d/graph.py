@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .errors import FormatError, ParseError, RegistryError, ValidationError, located
 from .lift import Intrinsics, bad_depths, default_intrinsics, degenerate_boxes, lift_centroid
-from .schema import INT, NUMBER, OBJECT, STR, check, check_rows, list_of, optional, read_jsonl
+from .schema import INT, NUMBER, OBJECT, STR, check, check_rows, jsonl_blocks, list_of, optional, typed_prefix
 
 STATIC = "static"
 DYNAMIC = "dynamic"
@@ -182,7 +183,7 @@ def _raise_first(faults, lines: list[int] | None = None) -> None:
     if hits:
         i, k = min(hits)
         _, error, message = faults[k]
-        raise error(message(i), line=None if lines is None else lines[i])
+        raise error(message(i), line=None if lines is None else int(lines[i]))
 
 
 def graphs_from_records(
@@ -190,31 +191,101 @@ def graphs_from_records(
     registry: ClassRegistry,
     max_frames: int | None = None,
     intrinsics: Intrinsics = DEFAULT_INTRINSICS,
-    lines: list[int] | None = None,
 ) -> list[SceneGraph25D]:
     """One graph per video of detection records (parsed JSON lines: JSON types only, so a
-    float is a Python float), in first-appearance order, each field read for all records
-    at once. The records are checked as a detection file's lines are, with the same errors.
+    float is a Python float), in first-appearance order. The records are checked as one
+    block of a detection file's lines is, with the same errors, less the line numbers.
 
     Node ids are assigned sequentially in record order. `max_frames` is the
     dataset-wide frame count that scales frames to times; when omitted it
-    defaults to the records' frame span. `lines` gives each record's line in its
-    file, so that an error names the first bad line.
+    defaults to the records' frame span.
     """
-    cols = check_rows(records, _DETECTION_FIELDS, lines)
-    _check_widths(cols, {}, lines)
-    names, frames, class_ids = cols["video_id"], cols["frame_index"], cols["class_id"]
+    names: dict[str, int] = {}
+    return _assemble(_detection_block(records, None, {}, names), names, registry, max_frames, intrinsics)
+
+
+def load_detection_groups(
+    path: str | Path,
+    registry: ClassRegistry,
+    max_frames: int | None = None,
+    intrinsics: Intrinsics = DEFAULT_INTRINSICS,
+) -> list[SceneGraph25D]:
+    """Load a detection JSONL file into one graph per video (first-appearance order), as
+    `graphs_from_records` would from all its lines, holding the parsed lines of one block
+    at a time; an error names the first bad line."""
+    widths: dict[str, int] = {}  # feature widths of the file's first line with each key
+    names: dict[str, int] = {}  # video ids in first-appearance order
+    cols = _join([_detection_block(records, lines, widths, names) for lines, records in jsonl_blocks(path)])
+    if not names:
+        raise ValidationError(f"no detections in {path}")
+    return _assemble(cols, names, registry, max_frames, intrinsics)
+
+
+_FEATURES = {"feature": list_of(NUMBER), "motion_feature": optional(list_of(NUMBER))}
+_DETECTION_FIELDS = {
+    "video_id": STR, "frame_index": INT, "class_id": INT, "bbox": list_of(NUMBER, 4), "depth": NUMBER,
+    **_FEATURES,
+}
+
+
+def _feature_rows(
+    records: list, fields: dict, widths: dict[str, int], lines: list[int] | None = None
+) -> dict[str, list]:
+    """`check_rows` columns whose feature keys keep one width per file: `widths` holds the
+    width of each key's first use. The first bad record is reported, and in it a missing
+    or mistyped field before a width."""
+    cols, fault = typed_prefix(records, fields, lines)
+    for key in _FEATURES:
+        sizes = [len(v) for v in cols[key] if v is not None]
+        if sizes and set(sizes) != {widths.setdefault(key, sizes[0])}:
+            i = next(i for i, v in enumerate(cols[key]) if v is not None and len(v) != widths[key])
+            raise ParseError(f"{key} has {len(cols[key][i])} values, not {widths[key]}",
+                             line=None if lines is None else lines[i])
+    if fault is not None:
+        raise fault
+    return cols
+
+
+def _detection_block(records: list, lines: list[int] | None, widths: dict[str, int],
+                     names: dict[str, int]) -> dict[str, np.ndarray]:
+    """A block of detection records, parse-checked (`_feature_rows`), as column arrays;
+    `names` numbers the video ids in first-appearance order over the blocks."""
+    cols = _feature_rows(records, _DETECTION_FIELDS, widths, lines)
+    motions = cols["motion_feature"]
+    block = {
+        "video": np.array([names.setdefault(v, len(names)) for v in cols["video_id"]], dtype=np.int64),
+        "frame": _ints(cols["frame_index"]),
+        "class": _ints(cols["class_id"]),
+        "box": np.array(cols["bbox"], dtype=np.float64).reshape(-1, 4),
+        "depth": np.array(cols["depth"], dtype=np.float64),
+        "feature": _matrix(cols["feature"]),
+        "moving": np.array([m is not None for m in motions], dtype=bool),
+        "motion": _matrix([m for m in motions if m is not None]),
+    }
+    if lines is not None:
+        block["line"] = np.array(lines, dtype=np.int64)
+    return block
+
+
+def _join(blocks: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """The columns of all blocks, each joined over the blocks with rows in it."""
+    return {key: np.concatenate([b[key] for b in blocks if len(b[key])] or [blocks[0][key]])
+            for key in (blocks[0] if blocks else ())}
+
+
+def _assemble(cols: dict[str, np.ndarray], names: dict[str, int], registry: ClassRegistry,
+              max_frames: int | None, intrinsics: Intrinsics) -> list[SceneGraph25D]:
+    """Check the parsed detection columns of one file as a whole (class, box, depth, motion
+    kind, frame range, then the lifted centroid, first bad record first), and split them
+    into one graph per video."""
+    frames, class_ids, boxes, depths, moving = (cols[k] for k in ("frame", "class", "box", "depth", "moving"))
     if max_frames is None:
-        max_frames = max(frames, default=0) + 1
+        max_frames = int(frames.max()) + 1 if len(frames) else 1
     if max_frames <= 0:
         raise ValidationError(f"max_frames must be positive, got {max_frames}")
     kind_of = {c: e.kind for c, e in registry.entries.items()}
-    kinds = [kind_of.get(c) for c in class_ids]
+    kinds = [kind_of.get(c) for c in class_ids.tolist()]
     static, dynamic = (np.array([k == kind for k in kinds], dtype=bool) for kind in (STATIC, DYNAMIC))
-    motions = cols["motion_feature"]
-    moving = np.array([m is not None for m in motions], dtype=bool)
-    boxes = np.array(cols["bbox"], dtype=np.float64).reshape(-1, 4)
-    depths = np.array(cols["depth"], dtype=np.float64)
     checks = [
         (~(static | dynamic), RegistryError, lambda i: f"unknown class_id {class_ids[i]}"),
         (degenerate_boxes(boxes), ValidationError,
@@ -225,66 +296,33 @@ def graphs_from_records(
          lambda i: f"dynamic detection (class {class_ids[i]}) lacks motion_feature"),
         (static & moving, ValidationError,
          lambda i: f"static detection (class {class_ids[i]}) carries motion_feature"),
-        ([not 0 <= f < max_frames for f in frames], ValidationError,
+        ((frames < 0) | (frames >= max_frames), ValidationError,
          lambda i: f"frame_index {frames[i]} outside [0, {max_frames})"),
     ]
     bad = np.logical_or.reduce([mask for mask, _, _ in checks])  # reported before a centroid
     centroids = lift_centroid(np.where(bad[:, None], _UNIT_BOX, boxes), np.where(bad, 1.0, depths),
                               intrinsics)
-    _raise_first(checks + [(~np.isfinite(centroids).all(axis=1), ValidationError,
-                            lambda i: f"lifted centroid {centroids[i].tolist()} is not finite")], lines)
+    checks.append((~np.isfinite(centroids).all(axis=1), ValidationError,
+                   lambda i: f"lifted centroid {centroids[i].tolist()} is not finite"))
+    _raise_first(checks, cols.get("line"))
 
-    frame_col, class_col = _ints(frames), _ints(class_ids)
-    features = _matrix(cols["feature"])
-    motion_rows, motion_of = _matrix([m for m in motions if m is not None]), np.cumsum(moving) - 1
+    features, motion_rows, video = cols["feature"], cols["motion"], cols["video"]
+    motion_of = np.cumsum(moving) - 1
     digest = registry.digest()
-    code = {v: k for k, v in enumerate(dict.fromkeys(names))}
-    video = np.array([code[v] for v in names], dtype=np.int64)
     order = np.argsort(video, kind="stable")
-    cuts = np.searchsorted(video[order], np.arange(len(code) + 1))
+    cuts = np.searchsorted(video[order], np.arange(len(names) + 1))
     graphs = []
-    for name, rows in zip(code, np.split(order, cuts[1:-1])):
-        f = frame_col[rows]
+    for name, rows in zip(names, np.split(order, cuts[1:-1])):
+        f = frames[rows]
         listing = np.argsort(f, kind="stable")
         graphs.append(SceneGraph25D(
-            video_id=name, max_frames=max_frames, nodes=np.arange(len(rows)), class_ids=class_col[rows],
+            video_id=name, max_frames=max_frames, nodes=np.arange(len(rows)), class_ids=class_ids[rows],
             static=static[rows], features=features[rows], motions=motion_rows[motion_of[rows[moving[rows]]]],
             boxes=boxes[rows], centroids=centroids[rows], obs_start=np.arange(len(rows) + 1),
             obs_frames=f, listed_frames=f[listing], listed_rows=listing,
             registry_digest=digest,
         ))
     return graphs
-
-
-_FEATURES = {"feature": list_of(NUMBER), "motion_feature": optional(list_of(NUMBER))}
-_DETECTION_FIELDS = {
-    "video_id": STR, "frame_index": INT, "class_id": INT, "bbox": list_of(NUMBER, 4), "depth": NUMBER,
-    **_FEATURES,
-}
-
-
-def _check_widths(cols: dict[str, list], widths: dict[str, int], lines: list[int] | None = None) -> None:
-    """One feature width per key and file over `check_rows` columns: `widths` holds the width
-    of each key's first use."""
-    for key in _FEATURES:
-        sizes = [len(v) for v in cols[key] if v is not None]
-        if sizes and set(sizes) != {widths.setdefault(key, sizes[0])}:
-            i = next(i for i, v in enumerate(cols[key]) if v is not None and len(v) != widths[key])
-            raise ParseError(f"{key} has {len(cols[key][i])} values, not {widths[key]}",
-                             line=None if lines is None else lines[i])
-
-
-def load_detection_groups(
-    path: str | Path,
-    registry: ClassRegistry,
-    max_frames: int | None = None,
-    intrinsics: Intrinsics = DEFAULT_INTRINSICS,
-) -> list[SceneGraph25D]:
-    """Load a detection JSONL file into one graph per video (first-appearance order)."""
-    lines, records = read_jsonl(path)
-    if not records:
-        raise ValidationError(f"no detections in {path}")
-    return graphs_from_records(records, registry, max_frames, intrinsics, lines)
 
 
 def _graph_body(graph: SceneGraph25D) -> dict:
@@ -327,8 +365,7 @@ _CORPUS_FIELDS = {"registry_digest": optional(STR), "graphs": list_of(OBJECT)}
 def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> SceneGraph25D:
     check(obj, _GRAPH_FIELDS)
     with located(f"video {obj['video_id']!r}"):
-        cols = check_rows(obj["nodes"], _NODE_FIELDS)
-        _check_widths(cols, widths)
+        cols = _feature_rows(obj["nodes"], _NODE_FIELDS, widths)
         frame_cols = check_rows(obj["frames"], _FRAME_FIELDS)
         ids = _ints(cols["node_id"])
         order = np.argsort(ids, kind="stable")
@@ -336,12 +373,14 @@ def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> S
         if np.any(ids[1:] == ids[:-1]):
             raise ValidationError(f"repeats node id {ids[1:][ids[1:] == ids[:-1]][0]}")
         row_of = {nid: row for row, nid in enumerate(ids.tolist())}
-        static, dynamic = (set(obj[key]) for key in ("static_nodes", "dynamic_nodes"))
-        # the first listed id that is no node or is in both sets, else the first node in neither
-        stray = [nid for nid in obj["static_nodes"] + obj["dynamic_nodes"] + list(row_of)
-                 if nid not in row_of or (nid in static) == (nid in dynamic)]
+        listed = obj["static_nodes"] + obj["dynamic_nodes"]
+        count = Counter(listed)
+        # the first listed id that is no node or is listed twice (in one list or both), else the
+        # first node in neither
+        stray = [nid for nid in listed + list(row_of) if nid not in row_of or count[nid] != 1]
         if stray:
             raise ValidationError(f"static/dynamic sets do not partition the node ids at node {stray[0]}")
+        static = set(obj["static_nodes"])
         static_mask = np.array([nid in static for nid in row_of], dtype=bool)
         frames, motions = ([cols[key][i] for i in rows] for key in ("source_frames", "motion_feature"))
         indices, node_ids = frame_cols["frame_index"], frame_cols["node_ids"]

@@ -28,7 +28,7 @@ from .attention import (
 from .errors import ParseError, ValidationError
 from .graph import SceneGraph25D
 from .numcore import Adam, Affine, Tensor
-from .schema import COUNT, INT, STR, check, check_rows, list_of, read, read_jsonl
+from .schema import COUNT, INT, STR, check, jsonl_blocks, list_of, read, typed_prefix
 
 METRICS_FORMAT = "prism25d-metrics"
 METRICS_VERSION = 1
@@ -58,20 +58,22 @@ _QA_FIELDS = {
 
 def load_qa(path: str | Path, vocab: int | None = None) -> list[QaInstance]:
     """Read a QA JSONL file; a line with a missing or mistyped field, or a token outside
-    [0, vocab) when `vocab` is given, is a ParseError naming the line."""
+    [0, vocab) when `vocab` is given, is a ParseError naming the first such line."""
     out = []
-    lines, records = read_jsonl(path)
-    cols = check_rows(records, _QA_FIELDS, lines)
-    for lineno, vid, question, candidates, gt in zip(
-        lines, cols["video_id"], cols["question"], cols["candidates"], cols["gt"]
-    ):
-        try:
-            inst = QaInstance(vid, tuple(question), tuple(map(tuple, candidates)), gt)
-            if vocab is not None:
-                _check_tokens(question + [t for c in candidates for t in c], vocab)
-        except ValidationError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        out.append(inst)
+    for lines, records in jsonl_blocks(path):
+        cols, fault = typed_prefix(records, _QA_FIELDS, lines)
+        for lineno, vid, question, candidates, gt in zip(
+            lines, cols["video_id"], cols["question"], cols["candidates"], cols["gt"]
+        ):
+            try:
+                inst = QaInstance(vid, tuple(question), tuple(map(tuple, candidates)), gt)
+                if vocab is not None:
+                    _check_tokens(question + [t for c in candidates for t in c], vocab)
+            except ValidationError as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+            out.append(inst)
+        if fault is not None:
+            raise fault
     return out
 
 

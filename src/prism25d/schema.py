@@ -3,7 +3,8 @@
 Each boundary declares its fields once: as a dict of field name -> `Spec`
 passed to `check` (one record) or `check_rows` (a list of records), or as a
 dataclass whose annotations `read` turns into specs. Every failure is a
-`ParseError` naming the field.
+`ParseError` naming the field. JSONL files are read a block of lines at a
+time (`jsonl_blocks`).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import types
 import typing
+from collections.abc import Iterator
 from itertools import chain
 from pathlib import Path
 
@@ -90,24 +92,51 @@ def check_rows(records: list, fields: dict[str, Spec], lines: list[int] | None =
     """`check` every record of a list, one field of all records at a time, and return each
     field's column: its values in record order, None where absent. The error names the
     first bad record, by its line in `lines` when given."""
-    columns = {key: [r.get(key) for r in records] for key in fields} if OBJECT.each(records) else None
-    if columns is not None and all(spec.each(columns[key]) for key, spec in fields.items()):
-        return columns
-    for i, record in enumerate(records):
-        line = None if lines is None else lines[i]
-        if type(record) is not dict:
-            raise ParseError("expected a JSON object", line=line)
-        for key, spec in fields.items():
-            value = record.get(key)
-            if not spec.test(value):
-                if key not in record:
-                    raise ParseError(f"missing field {key!r}", line=line)
-                raise ParseError(f"{key} must be {spec.want}, got {value!r}", line=line)
+    columns, fault = typed_prefix(records, fields, lines)
+    if fault is not None:
+        raise fault
     return columns
 
 
-def read_jsonl(path: str | Path) -> tuple[list[int], list]:
-    """The line numbers and the values of the non-blank lines of a JSONL file."""
+def typed_prefix(
+    records: list, fields: dict[str, Spec], lines: list[int] | None = None
+) -> tuple[dict[str, list], ParseError | None]:
+    """The `check_rows` columns of the records before the first one that lacks or breaks one
+    of `fields`, and that record's ParseError (None when every record passes). A caller with
+    rules of its own runs them on the prefix before it raises the fault, so that the first
+    bad record is reported whatever its fault."""
+    columns = {key: [r.get(key) for r in records] for key in fields} if OBJECT.each(records) else None
+    if columns is not None and all(spec.each(columns[key]) for key, spec in fields.items()):
+        return columns, None
+    for i, record in enumerate(records):
+        fault = _fault(record, fields)
+        if fault is not None:
+            prefix = {key: [r.get(key) for r in records[:i]] for key in fields}
+            return prefix, ParseError(fault, line=None if lines is None else lines[i])
+    return columns, None
+
+
+def _fault(record, fields: dict[str, Spec]) -> str | None:
+    """Why `record` is not a JSON object with `fields`: its first missing or mistyped field."""
+    if type(record) is not dict:
+        return "expected a JSON object"
+    for key, spec in fields.items():
+        value = record.get(key)
+        if not spec.test(value):
+            if key not in record:
+                return f"missing field {key!r}"
+            return f"{key} must be {spec.want}, got {value!r}"
+    return None
+
+
+_BLOCK_LINES = 1000  # values of a JSONL file that `jsonl_blocks` holds at once
+
+
+def jsonl_blocks(path: str | Path) -> Iterator[tuple[list[int], list]]:
+    """The line numbers and the values of a JSONL file's non-blank lines, `_BLOCK_LINES`
+    lines at a time. A line that is not JSON ends its block early and is raised when the
+    next block is asked for, so a caller that checks each block before the next reports
+    an earlier line's fault first."""
     lines, values = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -116,9 +145,15 @@ def read_jsonl(path: str | Path) -> tuple[list[int], list]:
             try:
                 values.append(json.loads(line))
             except json.JSONDecodeError as exc:
+                if values:
+                    yield lines, values
                 raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
             lines.append(lineno)
-    return lines, values
+            if len(values) == _BLOCK_LINES:
+                yield lines, values
+                lines, values = [], []
+    if values:
+        yield lines, values
 
 
 def _field(hint, partial: bool):

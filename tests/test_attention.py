@@ -23,7 +23,9 @@ from prism25d.errors import ValidationError
 from prism25d.graph import graphs_from_records
 from prism25d.numcore import Tensor
 
-from helpers import affine_identity, detection, fd_gradients, kernel, max_relative_error, min_time_gap, node
+from helpers import (
+    affine_identity, detection, fd_gradients, kernel, max_relative_error, min_time_gap, node, table,
+)
 
 
 def _nodes(rng, n=5, r=8):
@@ -171,6 +173,11 @@ def test_build_bundles_rejects_motionless_dynamic(registry):
     g.motions = g.motions[:0]  # node 0 is dynamic
     with pytest.raises(ValidationError, match="lacks a motion feature"):
         build_bundles({"v": g}, ((1.0, 1.0),))
+
+
+def test_build_bundles_rejects_a_graph_without_nodes():
+    with pytest.raises(ValidationError, match="^video 'e': graph has no nodes$"):
+        build_bundles({"e": table([], video_id="e")}, ((1.0, 1.0),))
 
 
 def test_project_dim_mismatch(registry):

@@ -12,13 +12,14 @@ import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import prism25d
-from prism25d import cli
+from prism25d import cli, schema
 from prism25d.cli import main
 from prism25d.compact import MatchParams
 from prism25d.errors import ParseError, PrismError
@@ -484,11 +485,13 @@ def _degenerate_box_and_repeated_frame(obj):
      "video 'w100': static/dynamic sets do not partition the node ids at node 2"),
     (lambda obj: obj["graphs"][0]["static_nodes"].remove(2), "validation",
      "video 'w100': static/dynamic sets do not partition the node ids at node 2"),
+    (lambda obj: obj["graphs"][0]["static_nodes"].append(0), "validation",
+     "video 'w100': static/dynamic sets do not partition the node ids at node 0"),
 ], ids=["no-bbox", "nan-centroid", "string-node-id", "graphs-not-a-list", "three-value-bbox",
         "second-video-no-bbox", "negative-max-frames", "negative-frames", "first-bad-node",
         "first-bad-node-before-empty-source-frames", "first-bad-node-before-motion-kind",
         "first-bad-node-before-repeated-frame", "repeated-node-id", "node-in-both-sets",
-        "node-in-neither-set"])
+        "node-in-neither-set", "node-listed-twice"])
 def test_bad_graph_file_exits_one(tmp_path, capsys, change, kind, where):
     det, reg, _ = _synth_corpus(tmp_path, n_worlds=2, qa=False, n_frames=3)
     graph_file = tmp_path / "g.json"
@@ -932,7 +935,8 @@ def test_in_memory_ingest_agrees_with_the_file(text):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["ingest", "--in", str(tmp / "d.jsonl"), "--registry", str(tmp / "reg.json"),
                          "--out", str(tmp / "g.json")])
-        from_file = _outcome(lambda: load_detection_groups(tmp / "d.jsonl", registry))
+        with mock.patch.object(schema, "_BLOCK_LINES", 2):  # the file in two blocks
+            from_file = _outcome(lambda: load_detection_groups(tmp / "d.jsonl", registry))
     in_memory = _outcome(lambda: graphs_from_records(records, registry))
     assert in_memory == from_file
     assert (code == 0) == (in_memory is None)

@@ -1,12 +1,15 @@
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from prism25d import schema
 from prism25d.errors import FormatError, ParseError, RegistryError, ValidationError
 from prism25d.attention import build_bundles, kernel_softmax_levels
 from prism25d.graph import STATIC, graphs_from_records, load_corpus, load_detection_groups, save_corpus
+from prism25d.qa import load_qa
 
 from helpers import detection, listings, node, table, write_jsonl
 
@@ -83,7 +86,20 @@ def test_graph_check_names_the_first_bad_line(tmp_path, registry):
     assert exc.value.line == 2
 
 
-@pytest.mark.parametrize("recs, error, message", [
+def _lines(items):
+    """JSONL text: a str item is written as it is, anything else as JSON."""
+    return "".join((item if isinstance(item, str) else json.dumps(item)) + "\n" for item in items)
+
+
+def _qa(gt=0):
+    return {"video_id": "v", "question": [1], "candidates": [[2], [3]], "gt": gt}
+
+
+def _without(rec, key):
+    return {k: v for k, v in rec.items() if k != key}
+
+
+@pytest.mark.parametrize("items, error, message", [
     # video b's fault comes before video a's, though a appears first
     ([detection(video_id="a"), detection(video_id="b", class_id=999), detection(video_id="a", depth=-2.0)],
      RegistryError, "class_id 999"),
@@ -93,12 +109,84 @@ def test_graph_check_names_the_first_bad_line(tmp_path, registry):
     # a box of 3 values is a parse error, as any mistyped field
     ([detection(), detection(frame=1, bbox=(10.0, 10.0, 50.0)), detection(class_id=999)],
      ParseError, "bbox must be a list of 4 items"),
-], ids=["interleaved-videos", "centroid-overflow", "three-value-bbox"])
-def test_first_bad_line_in_the_file_is_reported(tmp_path, registry, recs, error, message):
-    path = write_jsonl(tmp_path / "d.jsonl", recs)
+    # a missing field before a line that is not JSON
+    ([detection(), _without(detection(), "depth"), detection(), '{"video_id": "v", "fra'],
+     ParseError, "missing field 'depth'"),
+    # a feature width before a mistyped field on a later line
+    ([detection(), detection(feature=(1.0, 0.0, 0.0)), detection(), detection(class_id="x")],
+     ParseError, "feature has 3 values, not 2"),
+    # a QA line's own fault before a mistyped field and a line that is not JSON
+    ([_qa(), _qa(gt=5), _qa(gt="0"), "{broken"], ParseError, "gt index 5 outside candidate range"),
+], ids=["interleaved-videos", "centroid-overflow", "three-value-bbox", "missing-field-before-bad-json",
+        "width-before-mistyped-field", "qa-instance-before-mistyped-field-and-bad-json"])
+def test_first_bad_line_in_the_file_is_reported(tmp_path, registry, items, error, message):
+    path = tmp_path / "d.jsonl"
+    path.write_text(_lines(items), encoding="utf-8")
+    load = load_qa if "question" in items[0] else lambda p: load_detection_groups(p, registry)
     with pytest.raises(error, match=message) as exc, np.errstate(over="ignore"):
-        load_detection_groups(path, registry)
+        load(path)
     assert exc.value.line == 2
+
+
+def _video(video_id, frames):
+    """A video's detection records: one static and one dynamic object per frame."""
+    return [detection(video_id=video_id, frame=f, class_id=c, bbox=(10 + 60 * k + f, 10, 50 + 60 * k + f, 50),
+                      motion=(0.5, float(f)) if c == 101 else None)
+            for f in range(frames) for k, c in enumerate((1, 101))]
+
+
+def test_videos_spanning_blocks_load_as_one_block(tmp_path, registry, monkeypatch):
+    monkeypatch.setattr(schema, "_BLOCK_LINES", 3)
+    recs = _video("a", 3) + _video("b", 2) + _video("a", 1)  # 14 lines, "a" in the first and last block
+    items = recs[:3] + ["", "  "] + recs[3:]  # blank lines after the first block's last line
+    path = tmp_path / "d.jsonl"
+    path.write_text(_lines(items), encoding="utf-8")
+    graphs = load_detection_groups(path, registry)
+    assert [g.video_id for g in graphs] == ["a", "b"] and len(graphs[0].nodes) == 8
+    assert graphs == graphs_from_records(recs, registry)
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ("{broken", ParseError, "invalid JSON"),
+    (detection(depth="2"), ParseError, "depth must be a finite number"),
+    (detection(feature=(1.0, 0.0, 0.0)), ParseError, "feature has 3 values, not 2"),
+    (detection(class_id=999), RegistryError, "class_id 999"),
+    (detection(frame=-1), ValidationError, "frame_index -1"),
+], ids=["bad-json", "mistyped-field", "feature-width", "unknown-class", "frame-range"])
+def test_a_bad_line_in_a_later_block_is_named_by_its_line(tmp_path, registry, monkeypatch, bad, error,
+                                                          message):
+    monkeypatch.setattr(schema, "_BLOCK_LINES", 3)
+    # two full blocks, a blank line, then the bad item on line 8, first in the third block
+    items = _video("a", 3) + [""] + [bad] + [detection(class_id=998)]
+    path = tmp_path / "d.jsonl"
+    path.write_text(_lines(items), encoding="utf-8")
+    with pytest.raises(error, match=message) as exc:
+        load_detection_groups(path, registry)
+    assert exc.value.line == 8
+
+
+def _corpus_peak(path, lines, registry):
+    """The tracemalloc peak of loading a `lines`-line detection file of 8-line videos, with the
+    benchmark corpus's feature widths: 16, and 8 for motion on every fourth line."""
+    features = np.eye(16).tolist()
+    write_jsonl(path, (detection(video_id=f"w{i // 8}", frame=i % 8 // 4, class_id=101 if k == 3 else 1,
+                                 bbox=(10.0 + k * 60, 10.0, 50.0 + k * 60, 50.0), feature=features[k],
+                                 motion=[0.25] * 8 if k == 3 else None)
+                       for i, k in ((i, i % 4) for i in range(lines))))
+    tracemalloc.start()
+    try:
+        load_detection_groups(path, registry)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reader_memory_per_line(tmp_path, registry):
+    # a line of this corpus is about 230 bytes on disk and peaks at about 2,400 when the whole
+    # file is parsed before any of it becomes columns; read a block at a time, the peak grows
+    # by a line's columns alone (about 260 bytes)
+    small, large = (_corpus_peak(tmp_path / f"d{n}.jsonl", n, registry) for n in (3000, 6000))
+    assert (large - small) / 3000 < 1000
 
 
 def test_motion_feature_kind_mismatch_rejected(registry):

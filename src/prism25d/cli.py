@@ -151,11 +151,10 @@ def cmd_synth(args) -> int:
             specs.append(spec)
     else:
         specs = [synthworld.WorldSpec.from_json(obj)]
-    all_records, all_instances = [], []
-    truths = {}
+    worlds, all_instances, truths = [], [], {}
     for spec in specs:
         world = synthworld.build_world(spec)
-        all_records.extend(synthworld.world_detections(world))
+        worlds.append(world)
         truth = synthworld.world_truth(world)
         if args.out_qa:
             instances, derivations = synthworld.generate_qa(
@@ -164,7 +163,12 @@ def cmd_synth(args) -> int:
             all_instances.extend(instances)
             truth.qa = derivations
         truths[spec.video_id] = truth.to_json()
-    synthworld.write_detections(all_records, args.out_detections)  # after every world is built
+    columns = [synthworld.detection_columns(world) for world in worlds]
+    for world, cols in zip(worlds, columns):
+        synthworld.check_detections(world, cols)
+    # once every world is built and checked, one world's records at a time
+    synthworld.write_detections((rec for world, cols in zip(worlds, columns)
+                                 for rec in synthworld.world_detections(world, cols)), args.out_detections)
     if args.out_qa:
         save_qa(all_instances, args.out_qa)
     if args.out_truth:

@@ -419,26 +419,35 @@ def _check_header(obj: dict, path: str | Path) -> None:
         raise FormatError(f"{path}: unsupported version {obj.get('version')!r}")
 
 
+# the float columns of a graph, by the node field that writes them
+_FLOAT_COLUMNS = {"feature": "features", "motion_feature": "motions", "bbox": "boxes", "centroid3d": "centroids"}
+
+
 def save_corpus(graphs: list[SceneGraph25D], path: str | Path) -> None:
-    """Write one graph's body at the top level, or several under "graphs"; write the file
-    only once all of it is known to be valid JSON: no NaN or infinity. The graphs must
-    share one registry digest, which the file carries once."""
+    """Write one graph's body at the top level, or several under "graphs", encoding and
+    writing one body at a time. The graphs must share one registry digest, which the file
+    carries once, and hold only finite numbers (JSON has no NaN or infinity); both are
+    checked before the first byte, so a refused corpus leaves a file at `path` as it was."""
     digests = list(dict.fromkeys(g.registry_digest for g in graphs))
     if len(digests) > 1:
         raise ValidationError(f"graphs carry different registry digests {digests}; "
                               "a graph file holds one")
-    body = _graph_body(graphs[0]) if len(graphs) == 1 else {"graphs": [_graph_body(g) for g in graphs]}
-    obj = {
-        "format": GRAPH_FORMAT,
-        "version": GRAPH_VERSION,
-        "registry_digest": digests[0] if digests else None,
-        **body,
-    }
-    try:
-        text = json.dumps(obj, allow_nan=False)
-    except ValueError as exc:
-        raise ValidationError(f"graph holds a non-finite number: {exc}") from exc
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    for g in graphs:
+        for key, column in _FLOAT_COLUMNS.items():
+            if not np.isfinite(getattr(g, column)).all():
+                raise ValidationError(f"video {g.video_id!r}: graph holds a non-finite number in {key}")
+    encode = json.JSONEncoder(allow_nan=False, check_circular=False).encode  # bodies are built fresh
+    header = encode({"format": GRAPH_FORMAT, "version": GRAPH_VERSION,
+                     "registry_digest": digests[0] if digests else None})[:-1]  # without its "}"
+    with open(path, "w", encoding="utf-8") as fh:
+        if len(graphs) == 1:
+            fh.write(f"{header}, {encode(_graph_body(graphs[0]))[1:]}")  # the body's keys join the header's
+        else:
+            fh.write(f'{header}, "graphs": [')
+            for i, g in enumerate(graphs):
+                fh.write(", " * (i > 0) + encode(_graph_body(g)))
+            fh.write("]}")
+        fh.write("\n")
 
 
 def load_corpus(path: str | Path) -> list[SceneGraph25D]:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
+import tempfile
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -384,15 +387,17 @@ def world_truth(world: World) -> GroundTruth:
     )
 
 
-def world_detections(world: World) -> list[dict]:
-    """Noiseless projection plus seeded post-projection jitter, frame-major order."""
+def detection_columns(world: World) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The jittered boxes (F, S + D, 4) and depths (F, S + D) of a world's detections, and
+    the motion features (F, D, d_a) of its dynamic ones: the noiseless projection plus
+    seeded post-projection jitter."""
     spec = world.spec
     noise = spec.noise
     boxes, depths = world.boxes, world.depths
     # per object, frame-major: 4 box draws, then 1 depth draw, each while its noise is on
     sigmas = [noise.bbox_px] * 4 * (noise.bbox_px > 0) + [noise.depth] * (noise.depth > 0)
     draws = np.random.default_rng([spec.seed, 7]).standard_normal((*depths.shape, len(sigmas)))
-    with np.errstate(over="ignore"):  # an infinite jitter is left to write_detections to reject
+    with np.errstate(over="ignore"):  # an infinite jitter is left to the writer to reject
         jitter = np.asarray(sigmas) * draws
     if noise.bbox_px > 0:
         boxes = boxes + jitter[..., :4]
@@ -402,14 +407,22 @@ def world_detections(world: World) -> list[dict]:
     if noise.depth > 0:
         depths = depths + jitter[..., -1]
         depths = np.where(0.05 > depths, 0.05, depths)
-    classes = world.static_classes + world.dynamic_classes
-    features = np.concatenate([world.static_features, world.dynamic_features])
     # motion: the step into each frame (frame 0 takes frame 1's, a lone frame none), its length
     motion = np.zeros((spec.n_frames, spec.n_dynamic, spec.d_a))
     if spec.n_frames > 1:
         step = np.diff(world.dynamic_tracks.transpose(1, 0, 2), axis=0)
         motion[..., :3] = np.concatenate([step[:1], step])
     motion[..., 3] = _norms(motion[..., :3])
+    return boxes, depths, motion
+
+
+def world_detections(world: World, columns: tuple | None = None) -> list[dict]:
+    """The world's detection records, frame-major, from its `detection_columns` (made here
+    when not given). Every record holds its own lists."""
+    spec = world.spec
+    boxes, depths, motion = (detection_columns(world) if columns is None else columns)
+    classes = world.static_classes + world.dynamic_classes
+    features = np.concatenate([world.static_features, world.dynamic_features])
     boxes, depths, motion = boxes.tolist(), depths.tolist(), motion.tolist()
     features = np.broadcast_to(features, (spec.n_frames, *features.shape)).tolist()
     records = []
@@ -429,14 +442,46 @@ def world_detections(world: World) -> list[dict]:
     return records
 
 
-def write_detections(records: list[dict], path: str | Path) -> None:
-    encode = json.JSONEncoder(allow_nan=False).encode  # one encoder for every line
+def check_detections(world: World, columns: tuple) -> None:
+    """Refuse a world whose `detection_columns` hold a non-finite number, as
+    `write_detections` refuses the first record holding one."""
+    if all(np.isfinite(c).all() for c in columns):
+        return
+    encode = json.JSONEncoder(allow_nan=False).encode
+    for rec in world_detections(world, columns):
+        _line(encode, rec)
+
+
+def _line(encode, rec: dict) -> str:
+    """A detection record's JSONL line; a non-finite number is a validation error naming
+    the record's video, frame and field."""
     try:
-        lines = [encode(rec) + "\n" for rec in records]
-    except ValueError as exc:  # noise can push a box or depth beyond the float range
-        raise ValidationError(f"detections hold a non-finite number: {exc}") from exc
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        return encode(rec) + "\n"
+    except ValueError:  # noise can push a box or depth beyond the float range
+        field = next(key for key, value in rec.items() if _refused(encode, value))
+        raise ValidationError(f"video {rec['video_id']!r}, frame {rec['frame_index']}: "
+                              f"detection holds a non-finite number in {field}") from None
+
+
+def _refused(encode, value) -> bool:
+    try:
+        encode(value)
+    except ValueError:
+        return True
+    return False
+
+
+def write_detections(records: Iterable[dict], path: str | Path) -> None:
+    """Write detection records as JSONL, each line as soon as it is encoded. The lines go
+    to an unnamed file beside `path` and are copied to `path` once every record is
+    written, so a refused record (see `_line`) leaves a file at `path` as it was."""
+    encode = json.JSONEncoder(allow_nan=False).encode  # one encoder for every line
+    with tempfile.TemporaryFile("w+", encoding="utf-8", dir=Path(path).parent) as tmp:
+        for rec in records:
+            tmp.write(_line(encode, rec))
+        tmp.seek(0)
+        with open(path, "w", encoding="utf-8") as fh:
+            shutil.copyfileobj(tmp, fh)
 
 
 def oracle_merge(records: list[dict], truth: GroundTruth) -> dict[int, list[int]]:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from prism25d.compact import MatchParams
-from prism25d.graph import SceneGraph25D, _ints, _matrix
+from prism25d.graph import GRAPH_FORMAT, GRAPH_VERSION, SceneGraph25D, _graph_body, _ints, _matrix
 from prism25d.numcore import Affine, Tensor
 from prism25d import synthworld as sw
 
@@ -134,6 +134,28 @@ def table(nodes, dynamic=(), frames=None, video_id="t", max_frames=10, registry_
         listed_rows=np.array([row_of[nid] for _, ids in frames for nid in ids], dtype=np.int64),
         registry_digest=registry_digest,
     )
+
+
+# -- whole-file writers: the references for the streaming save_corpus and write_detections --
+
+
+def oracle_graph_text(graphs):
+    """The graph file of `graphs` built whole: every body as dicts, then one string."""
+    digests = list(dict.fromkeys(g.registry_digest for g in graphs))
+    body = _graph_body(graphs[0]) if len(graphs) == 1 else {"graphs": [_graph_body(g) for g in graphs]}
+    obj = {
+        "format": GRAPH_FORMAT,
+        "version": GRAPH_VERSION,
+        "registry_digest": digests[0] if digests else None,
+        **body,
+    }
+    return json.dumps(obj, allow_nan=False) + "\n"
+
+
+def oracle_detection_lines(records):
+    """The detection file of `records`, every line encoded before any is joined."""
+    encode = json.JSONEncoder(allow_nan=False).encode
+    return "".join([encode(rec) + "\n" for rec in records])
 
 
 # -- per-candidate merge search: the reference for compact.nearest -------------

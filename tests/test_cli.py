@@ -601,6 +601,16 @@ def test_synth_writes_nothing_when_a_world_fails(tmp_path, capsys):
     assert not (tmp_path / "d.jsonl").exists()
 
 
+def test_synth_names_the_first_non_finite_detection_and_writes_nothing(tmp_path, capsys):
+    det, qa = tmp_path / "d.jsonl", tmp_path / "qa.jsonl"
+    det.write_bytes(b"earlier bytes\n")
+    spec = _spec_file(tmp_path, [_world_json(1, n_frames=3), _world_json(57, noise=sw.NoiseSpec(bbox_px=1e308))])
+    code = main(["synth", "--spec", spec, "--out-detections", str(det), "--out-qa", str(qa)])
+    message = _one_error(capsys, code, kind="validation")
+    assert message == "video 'w57', frame 0: detection holds a non-finite number in bbox"
+    assert det.read_bytes() == b"earlier bytes\n" and not qa.exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "ingest"])
 def test_overflowing_input_gives_one_error_line_and_no_file(tmp_path, capsys, command):
     """Finite inputs whose arithmetic overflows: no numpy warning, and the non-finite

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ import pytest
 from prism25d import schema
 from prism25d.errors import FormatError, ParseError, RegistryError, ValidationError
 from prism25d.attention import build_bundles, kernel_softmax_levels
-from prism25d.graph import STATIC, graphs_from_records, load_corpus, load_detection_groups, save_corpus
+from prism25d.compact import MatchParams, compact
+from prism25d.graph import STATIC, _graph_body, graphs_from_records, load_corpus, load_detection_groups, save_corpus
 from prism25d.qa import load_qa
+from prism25d.register import register_frames
+from prism25d import synthworld as sw
 
-from helpers import detection, listings, node, table, write_jsonl
+from helpers import detection, listings, node, oracle_graph_text, table, write_jsonl
 
 
 def test_load_counts_two_frames_three_each(tmp_path, registry):
@@ -280,6 +284,85 @@ def test_corpus_roundtrip(tmp_path, registry):
     loaded = load_corpus(path)
     assert len(loaded) == 2
     assert loaded[0] == g1 and loaded[1] == g2
+
+
+def _world_graphs(video_id, noise=sw.NoiseSpec()):
+    """The graphs of one synthetic world's detections: 4 static objects and 2 dynamic ones, seen
+    by a translating camera."""
+    world = sw.build_world(sw.WorldSpec(seed=5, video_id=video_id, n_frames=6, n_static=4, n_dynamic=2,
+                                        camera=sw.CameraSpec(kind="translating", velocity=(0.02, 0.0, 0.0)),
+                                        noise=noise))
+    return graphs_from_records(sw.world_detections(world), sw.default_registry())
+
+
+def _jittered(video_id):
+    return _world_graphs(video_id, sw.NoiseSpec(bbox_px=1.0, depth=0.03))
+
+
+def _big_ids():
+    """A graph whose node and class ids do not fit int64, so its id columns are object arrays."""
+    big = 2**64
+    nodes = [SimpleNamespace(node_id=big + k, class_id=2**70 + k, feature=[0.5, float(k)], bbox=(0, 0, 10, 10 + k),
+                             centroid3d=np.array([k, 0.0, 1.0]), source_frames=[k],
+                             motion_feature=[0.25] if k == 1 else None)
+             for k in range(3)]
+    return table(nodes, dynamic={big + 1}, max_frames=4)
+
+
+# graph lists for the writer: each a function of the registry fixture
+_CORPORA = {
+    "no-graphs": lambda reg: [],
+    "one-graph": lambda reg: [_sample_graph(reg)],
+    "several-graphs": lambda reg: [replace(_sample_graph(reg), video_id=v) for v in "abc"]
+    + graphs_from_records([detection(video_id="d", class_id=2)], reg),
+    "no-registry-digest": lambda reg: [replace(_sample_graph(reg), registry_digest=None)],
+    "no-nodes": lambda reg: [table([], video_id="e")],
+    "no-dynamic-nodes": lambda reg: graphs_from_records(
+        [detection(class_id=1), detection(frame=1, class_id=2, bbox=(60, 10, 90, 40))], reg),
+    "ids-beyond-int64": lambda reg: [_big_ids()],
+    "registered": lambda reg: [register_frames(g) for g in _jittered("r")],
+    "compacted": lambda reg: [compact(register_frames(g), MatchParams()) for g in _jittered("c")],
+    "jittered": lambda reg: _jittered("j1") + _jittered("j2"),
+}
+
+
+@pytest.mark.parametrize("corpus", _CORPORA)
+def test_save_corpus_writes_the_whole_file_writers_bytes(tmp_path, registry, corpus):
+    graphs = _CORPORA[corpus](registry)
+    save_corpus(graphs, tmp_path / "g.json")
+    assert (tmp_path / "g.json").read_bytes() == oracle_graph_text(graphs).encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field, column", [("feature", "features"), ("motion_feature", "motions"),
+                                           ("bbox", "boxes"), ("centroid3d", "centroids")])
+def test_a_non_finite_number_is_refused_before_the_first_byte(tmp_path, registry, field, column, value):
+    graphs = [replace(_sample_graph(registry), video_id=v) for v in "abc"]
+    getattr(graphs[-1], column)[-1, -1] = value
+    path = tmp_path / "g.json"
+    path.write_bytes(b"earlier bytes\n")
+    with pytest.raises(ValidationError, match=f"^video 'c': graph holds a non-finite number in {field}$"):
+        save_corpus(graphs, path)
+    assert path.read_bytes() == b"earlier bytes\n"
+
+
+def _save_peak(graphs, path):
+    tracemalloc.start()
+    try:
+        save_corpus(graphs, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_corpus_memory_per_graph(tmp_path):
+    # written whole, every graph adds its body's dicts and text (about 9 times the text alone)
+    # to the peak, and streamed, none of it
+    (g,) = _world_graphs("m")
+    graphs = [replace(g, video_id=f"m{i}") for i in range(48)]
+    save_corpus(graphs[:1], tmp_path / "warm.json")
+    small, large = (_save_peak(graphs[:n], tmp_path / f"g{n}.json") for n in (4, 48))
+    assert large - small < len(json.dumps(_graph_body(g)))
 
 
 def test_save_corpus_rejects_mixed_registry_digests(tmp_path, registry):

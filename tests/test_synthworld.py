@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,14 @@ from prism25d.qa import save_qa
 from prism25d.register import register_frames
 from prism25d import synthworld as sw
 
-from helpers import generate_world, oracle_detections, oracle_norms, oracle_static_layout
+from helpers import (
+    detection,
+    generate_world,
+    oracle_detection_lines,
+    oracle_detections,
+    oracle_norms,
+    oracle_static_layout,
+)
 
 REG = sw.default_registry()
 
@@ -43,6 +51,52 @@ def test_same_seed_byte_identical_files(tmp_path):
         records, _ = generate_world(spec)
         sw.write_detections(records, tmp_path / f"{name}.jsonl")
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+
+def test_write_detections_writes_the_whole_file_writers_bytes(tmp_path):
+    # static records carry a null motion_feature, dynamic ones a list; one world is jittered
+    records = [rec for seed, noise in ((2, sw.NoiseSpec()), (3, sw.NoiseSpec(bbox_px=1.0, depth=0.05)))
+               for rec in generate_world(sw.WorldSpec(seed=seed, video_id=f"v{seed}", n_frames=4, n_static=4,
+                                                      n_dynamic=2, noise=noise))[0]]
+    assert {rec["motion_feature"] is None for rec in records} == {True, False}
+    sw.write_detections(iter(records), tmp_path / "d.jsonl")  # a stream, read once
+    assert (tmp_path / "d.jsonl").read_bytes() == oracle_detection_lines(records).encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["bbox", "depth", "feature", "motion_feature"])
+def test_a_non_finite_detection_is_refused_and_leaves_the_file(tmp_path, field, value):
+    records, _ = generate_world(sw.WorldSpec(seed=2, video_id="v", n_frames=4, n_static=4, n_dynamic=2))
+    if field == "depth":
+        records[-1]["depth"] = value
+    else:
+        records[-1][field][-1] = value
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b"earlier bytes\n")
+    with pytest.raises(ValidationError, match=f"^video 'v', frame 3: detection holds a non-finite number in {field}$"):
+        sw.write_detections(iter(records), path)
+    assert path.read_bytes() == b"earlier bytes\n"
+    assert list(tmp_path.iterdir()) == [path]  # no file left beside it
+
+
+def _write_peak(records, path):
+    tracemalloc.start()
+    try:
+        sw.write_detections(records, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_detections_memory_per_line(tmp_path):
+    # lines of about 160 bytes; encoded all before the first is written, each holds about 220
+    features = np.eye(4).tolist()
+    records = [detection(video_id=f"w{i // 8}", frame=i % 8 // 4, class_id=101 if i % 4 == 3 else 1,
+                         feature=features[i % 4], motion=[0.25] * 4 if i % 4 == 3 else None)
+               for i in range(6000)]
+    sw.write_detections(records[:8], tmp_path / "warm.jsonl")
+    small, large = (_write_peak(records[:n], tmp_path / f"d{n}.jsonl") for n in (3000, 6000))
+    assert (large - small) / 3000 < 100
 
 
 def test_all_detections_inside_image():
@@ -264,8 +318,9 @@ _PINNED_SPECS = [
     {"view_distance": 0.3},
     {"noise": {"bbox_px": 1e308}},
 ]
-# recorded from the per-object generator that the array projection replaced
-PINNED_DIGEST = "14f4ca2769d748b78f6af0fd37b5deb58747bc9404e0bd27ab5f9f6d7a9221ba"
+# recorded from the per-object generator that the array projection replaced, with the last
+# spec's refusal naming its video, frame and field
+PINNED_DIGEST = "6d865b56aa2b4113e3997ea57482976868b34ed9bacbafcb752672542992c8cc"
 
 
 def _generated_bytes(spec_json: dict, tmp_path) -> bytes:

@@ -163,12 +163,9 @@ def cmd_synth(args) -> int:
             all_instances.extend(instances)
             truth.qa = derivations
         truths[spec.video_id] = truth.to_json()
-    columns = [synthworld.detection_columns(world) for world in worlds]
-    for world, cols in zip(worlds, columns):
-        synthworld.check_detections(world, cols)
-    # once every world is built and checked, one world's records at a time
-    synthworld.write_detections((rec for world, cols in zip(worlds, columns)
-                                 for rec in synthworld.world_detections(world, cols)), args.out_detections)
+    # once every world is built, one world's records at a time; a refused record leaves no file
+    synthworld.write_detections((rec for world in worlds for rec in synthworld.world_detections(world)),
+                                args.out_detections)
     if args.out_qa:
         save_qa(all_instances, args.out_qa)
     if args.out_truth:

@@ -387,17 +387,16 @@ def world_truth(world: World) -> GroundTruth:
     )
 
 
-def detection_columns(world: World) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The jittered boxes (F, S + D, 4) and depths (F, S + D) of a world's detections, and
-    the motion features (F, D, d_a) of its dynamic ones: the noiseless projection plus
-    seeded post-projection jitter."""
+def world_detections(world: World) -> list[dict]:
+    """Noiseless projection plus seeded post-projection jitter, frame-major order. Every
+    record holds its own lists."""
     spec = world.spec
     noise = spec.noise
     boxes, depths = world.boxes, world.depths
     # per object, frame-major: 4 box draws, then 1 depth draw, each while its noise is on
     sigmas = [noise.bbox_px] * 4 * (noise.bbox_px > 0) + [noise.depth] * (noise.depth > 0)
     draws = np.random.default_rng([spec.seed, 7]).standard_normal((*depths.shape, len(sigmas)))
-    with np.errstate(over="ignore"):  # an infinite jitter is left to the writer to reject
+    with np.errstate(over="ignore"):  # an infinite jitter is left to write_detections to reject
         jitter = np.asarray(sigmas) * draws
     if noise.bbox_px > 0:
         boxes = boxes + jitter[..., :4]
@@ -407,22 +406,14 @@ def detection_columns(world: World) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if noise.depth > 0:
         depths = depths + jitter[..., -1]
         depths = np.where(0.05 > depths, 0.05, depths)
+    classes = world.static_classes + world.dynamic_classes
+    features = np.concatenate([world.static_features, world.dynamic_features])
     # motion: the step into each frame (frame 0 takes frame 1's, a lone frame none), its length
     motion = np.zeros((spec.n_frames, spec.n_dynamic, spec.d_a))
     if spec.n_frames > 1:
         step = np.diff(world.dynamic_tracks.transpose(1, 0, 2), axis=0)
         motion[..., :3] = np.concatenate([step[:1], step])
     motion[..., 3] = _norms(motion[..., :3])
-    return boxes, depths, motion
-
-
-def world_detections(world: World, columns: tuple | None = None) -> list[dict]:
-    """The world's detection records, frame-major, from its `detection_columns` (made here
-    when not given). Every record holds its own lists."""
-    spec = world.spec
-    boxes, depths, motion = (detection_columns(world) if columns is None else columns)
-    classes = world.static_classes + world.dynamic_classes
-    features = np.concatenate([world.static_features, world.dynamic_features])
     boxes, depths, motion = boxes.tolist(), depths.tolist(), motion.tolist()
     features = np.broadcast_to(features, (spec.n_frames, *features.shape)).tolist()
     records = []
@@ -440,16 +431,6 @@ def world_detections(world: World, columns: tuple | None = None) -> list[dict]:
                 }
             )
     return records
-
-
-def check_detections(world: World, columns: tuple) -> None:
-    """Refuse a world whose `detection_columns` hold a non-finite number, as
-    `write_detections` refuses the first record holding one."""
-    if all(np.isfinite(c).all() for c in columns):
-        return
-    encode = json.JSONEncoder(allow_nan=False).encode
-    for rec in world_detections(world, columns):
-        _line(encode, rec)
 
 
 def _line(encode, rec: dict) -> str:
@@ -471,12 +452,22 @@ def _refused(encode, value) -> bool:
     return False
 
 
+def _unnamed_file(path: str | Path):
+    """A file for the lines bound for `path`: beside it, so they sit on the target's file
+    system and not on a temp dir that may be held in memory, or in the default temp dir
+    when `path`'s directory cannot be written (a target such as /dev/stdout)."""
+    try:
+        return tempfile.TemporaryFile("w+", encoding="utf-8", dir=Path(path).parent)
+    except OSError:
+        return tempfile.TemporaryFile("w+", encoding="utf-8")
+
+
 def write_detections(records: Iterable[dict], path: str | Path) -> None:
     """Write detection records as JSONL, each line as soon as it is encoded. The lines go
-    to an unnamed file beside `path` and are copied to `path` once every record is
+    to an unnamed file (see `_unnamed_file`) and are copied to `path` once every record is
     written, so a refused record (see `_line`) leaves a file at `path` as it was."""
     encode = json.JSONEncoder(allow_nan=False).encode  # one encoder for every line
-    with tempfile.TemporaryFile("w+", encoding="utf-8", dir=Path(path).parent) as tmp:
+    with _unnamed_file(path) as tmp:
         for rec in records:
             tmp.write(_line(encode, rec))
         tmp.seek(0)

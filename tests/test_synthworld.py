@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -60,6 +61,21 @@ def test_write_detections_writes_the_whole_file_writers_bytes(tmp_path):
                                                       n_dynamic=2, noise=noise))[0]]
     assert {rec["motion_feature"] is None for rec in records} == {True, False}
     sw.write_detections(iter(records), tmp_path / "d.jsonl")  # a stream, read once
+    assert (tmp_path / "d.jsonl").read_bytes() == oracle_detection_lines(records).encode("utf-8")
+
+
+def test_write_detections_to_a_target_whose_directory_cannot_be_written(tmp_path, monkeypatch):
+    # a target such as /dev/stdout: its own file takes writes, its directory no new file
+    made = tempfile.TemporaryFile
+
+    def nothing_beside_the_target(*args, dir=None, **kwargs):
+        if dir is not None:
+            raise PermissionError(13, "Permission denied", str(dir))
+        return made(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", nothing_beside_the_target)
+    records, _ = generate_world(sw.WorldSpec(seed=2, video_id="v", n_frames=3, n_static=4, n_dynamic=2))
+    sw.write_detections(records, tmp_path / "d.jsonl")
     assert (tmp_path / "d.jsonl").read_bytes() == oracle_detection_lines(records).encode("utf-8")
 
 

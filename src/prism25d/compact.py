@@ -22,51 +22,26 @@ class MatchParams:
             raise ValidationError(f"delta must be >= 1, got {self.delta}")
 
 
-@dataclass(frozen=True)
-class StaticIndex:
-    """Static node occurrences as arrays, one per listing of a static node in a frame.
-
-    Occurrences keep the listing order: by frame, and within a frame in file order,
-    so the occurrences of any frame range are one contiguous range. Table rows ascend
-    by node id, so ties break on `rows`: two occurrences of one row share its centroid.
-    """
-
-    rows: np.ndarray  # (n,) each occurrence's table row
-    class_ids: np.ndarray  # (n,)
-    boxes: np.ndarray  # (n, 4)
-    centroids: np.ndarray  # (n, 3)
-    frames: np.ndarray  # (n,) ascending
-
-
-def static_index(graph: SceneGraph25D) -> StaticIndex:
-    keep = graph.static[graph.listed_rows]
-    rows = graph.listed_rows[keep]
-    return StaticIndex(
-        rows=rows,
-        class_ids=graph.class_ids[rows],
-        boxes=graph.boxes[rows],
-        centroids=graph.centroids[rows],
-        frames=graph.listed_frames[keep],
-    )
-
-
 def nearest(
-    index: StaticIndex, queries: StaticIndex, lo: np.ndarray, hi: np.ndarray, gamma: float
+    graph: SceneGraph25D, occ: np.ndarray, lo: np.ndarray, hi: np.ndarray, gamma: float
 ) -> np.ndarray:
-    """Row of `index` nearest in 3D to each query row among its rows [lo, hi) that pass
-    the merge criterion (ties to the lower id), or -1 where none does.
+    """Table row nearest in 3D to each static occurrence among the occurrences [lo, hi)
+    that pass the merge criterion with it (ties to the lower row, so the lower id), or -1
+    where none does.
 
-    Works on one (queries x widest window) block, so memory grows with the window,
-    not with the square of the graph.
+    `occ` holds each occurrence's table row, one per listing of a static node in a frame,
+    in listing order: by frame, and within a frame in file order, so the occurrences of
+    any frame range are one contiguous range. Works on one (occurrences x widest window)
+    block, so memory grows with the window, not with the square of the graph.
     """
     width = int(np.max(hi - lo, initial=0))
     if width == 0:
         return np.full(len(lo), -1, dtype=np.int64)
     cols = lo[:, None] + np.arange(width)
     valid = cols < hi[:, None]
-    cols = np.where(valid, cols, 0)  # padding reads row 0 and is masked out
-    a = queries.boxes[:, None, :]
-    b = index.boxes[cols]
+    cand = occ[np.where(valid, cols, 0)]  # padding reads occurrence 0 and is masked out
+    a = graph.boxes[occ][:, None, :]
+    b = graph.boxes[cand]
     # box IoU, elementwise: an empty intersection divides 0 by a positive union
     iw = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]))
     ih = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]))
@@ -75,19 +50,18 @@ def nearest(
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     passing = (
         valid
-        & (index.class_ids[cols] == queries.class_ids[:, None])
+        & (graph.class_ids[cand] == graph.class_ids[occ][:, None])
         & (inter / (area_a + area_b - inter) > gamma)
     )
     # one BLAS dot per pair, as np.linalg.norm takes per vector: a plain sum of
     # squares differs from it in the last bit on about a tenth of vectors. Far
     # finite centroids overflow to an infinite distance, which ranks last.
     with np.errstate(over="ignore"):
-        diff = queries.centroids[:, None, :] - index.centroids[cols]
+        diff = graph.centroids[occ][:, None, :] - graph.centroids[cand]
         dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
     best = np.where(passing, dist, np.inf).min(axis=1)
     tied = passing & (dist == best[:, None])
-    pick = np.where(tied, index.rows[cols], np.iinfo(np.int64).max).argmin(axis=1)
-    return np.where(passing.any(axis=1), cols[np.arange(len(lo)), pick], -1)
+    return np.where(passing.any(axis=1), np.where(tied, cand, np.iinfo(np.int64).max).min(axis=1), -1)
 
 
 def _roots(graph: SceneGraph25D, params: MatchParams) -> np.ndarray:
@@ -96,12 +70,13 @@ def _roots(graph: SceneGraph25D, params: MatchParams) -> np.ndarray:
     Each occurrence's candidates are the static occurrences of frames
     [f0 - delta, f0), f0 being its node's first source frame.
     """
-    index = static_index(graph)
-    f0 = graph.obs_frames[graph.obs_start[index.rows]]
-    lo = np.searchsorted(index.frames, f0 - params.delta)
-    matches = nearest(index, index, lo, np.searchsorted(index.frames, f0), params.gamma)
+    keep = graph.static[graph.listed_rows]
+    occ, frames = graph.listed_rows[keep], graph.listed_frames[keep]
+    f0 = graph.obs_frames[graph.obs_start[occ]]
+    matches = nearest(graph, occ, np.searchsorted(frames, f0 - params.delta), np.searchsorted(frames, f0),
+                      params.gamma)
     roots = np.arange(len(graph.nodes))
-    roots[index.rows[matches >= 0]] = index.rows[matches[matches >= 0]]
+    roots[occ[matches >= 0]] = matches[matches >= 0]
     while np.any(roots[roots] != roots):  # a match lies in an earlier frame: no cycles
         roots = roots[roots]
     return roots

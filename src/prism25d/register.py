@@ -6,7 +6,7 @@ from copy import copy
 
 import numpy as np
 
-from .compact import MatchParams, nearest, static_index
+from .compact import MatchParams, nearest
 from .graph import SceneGraph25D
 from .lift import fit_rigid
 
@@ -18,14 +18,15 @@ def frame_correspondences(graph: SceneGraph25D, gamma: float) -> tuple[np.ndarra
     frame i, in src, and those candidates, in dst.
     """
     gamma = MatchParams(gamma=gamma, delta=1).gamma  # checks gamma
-    index, frames = static_index(graph), graph.frames
+    keep, frames = graph.static[graph.listed_rows], graph.frames
+    occ, occ_frames = graph.listed_rows[keep], graph.listed_frames[keep]  # the static occurrences
     # occurrence o lies in listed frame k[o] and so in pair k[o] - 1; its candidates are the
     # static occurrences of listed frame k[o] - 1, [starts[k[o] - 1], starts[k[o]]), none for k = 0
-    k, starts = np.searchsorted(frames, index.frames), np.searchsorted(index.frames, frames)
-    matches = nearest(index, index, starts[np.maximum(k - 1, 0)], starts[k], gamma)
+    k, starts = np.searchsorted(frames, occ_frames), np.searchsorted(occ_frames, frames)
+    matches = nearest(graph, occ, starts[np.maximum(k - 1, 0)], starts[k], gamma)
     found = matches >= 0
     counts = np.bincount(k[found], minlength=len(frames))[1:]
-    return index.centroids[found], index.centroids[matches[found]], counts
+    return graph.centroids[occ[found]], graph.centroids[matches[found]], counts
 
 
 def estimate_frame_transforms(

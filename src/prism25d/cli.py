@@ -28,7 +28,7 @@ from .qa import (
     train,
 )
 from .register import register_frames
-from .schema import OBJECT, check, list_of, read
+from .schema import OBJECT, check, list_of, read, read_json
 from . import synthworld
 
 STATS_FORMAT = "prism25d-stats"
@@ -46,10 +46,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit_error(kind: str, exc: BaseException) -> None:
     print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
-
-
-def _read_json(path: str) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _write_json(obj: dict, path: str) -> None:
@@ -91,7 +87,7 @@ class RunConfig:
 
     @staticmethod
     def resolve(args) -> "RunConfig":
-        file_values = _read_json(args.config) if getattr(args, "config", None) else {}
+        file_values = read_json(args.config) if getattr(args, "config", None) else {}
         cfg = read(RunConfig, file_values, partial=True)
         for key in vars(cfg):
             flag = getattr(args, key, None)
@@ -139,7 +135,7 @@ def cmd_synth(args) -> int:
         flags = ", ".join("--" + key.replace("_", "-") for key in given)
         args.usage_error(f"{flags} given without --out-qa")
     qa = {**_QA_DEFAULTS, **given}
-    obj = _read_json(args.spec)  # one world, or {"worlds": [...]}
+    obj = read_json(args.spec)  # one world, or {"worlds": [...]}
     if isinstance(obj, dict) and "worlds" in obj:
         check(obj, {"worlds": list_of(OBJECT)})
         specs, first = [], {}  # first: the index of each video_id's first world
@@ -399,7 +395,7 @@ def main(argv=None) -> int:
         # overflow to inf or NaN stays silent: the checks and writers reject non-finite values
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ParseError, json.JSONDecodeError) as exc:
+    except ParseError as exc:
         _emit_error("parse", exc)
         return 1
     except PrismError as exc:

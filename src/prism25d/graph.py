@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import FormatError, ParseError, RegistryError, ValidationError, located
 from .lift import Intrinsics, bad_depths, default_intrinsics, degenerate_boxes, lift_centroid
-from .schema import INT, NUMBER, OBJECT, STR, check, check_rows, jsonl_blocks, list_of, optional, typed_prefix
+from .schema import (INT, NUMBER, OBJECT, STR, check, check_rows, jsonl_blocks, list_of, optional,
+                     read_json, typed_prefix)
 
 STATIC = "static"
 DYNAMIC = "dynamic"
@@ -65,7 +66,7 @@ class ClassRegistry:
 
     @staticmethod
     def load(path: str | Path) -> "ClassRegistry":
-        return ClassRegistry.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        return ClassRegistry.from_json(read_json(path))
 
 
 _CLASS_FIELDS = {"id": INT, "name": STR, "kind": STR}
@@ -457,7 +458,7 @@ def load_corpus(path: str | Path) -> list[SceneGraph25D]:
     disagree (see `SceneGraph25D.validate`) or a repeated video is a
     ValidationError.
     """
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    obj = read_json(path)
     _check_header(obj, path)
     if "graphs" not in obj:
         obj = {"registry_digest": obj.get("registry_digest"), "graphs": [obj]}

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
-from .schema import COUNT, OBJECT, STR, check, check_rows, list_of
+from .errors import FormatError, ParseError, ValidationError
+from .schema import COUNT, OBJECT, STR, check, check_rows, list_of, parse_json
 
 CHECKPOINT_FORMAT = "prism25d-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -392,22 +392,25 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Header and named parameters; a non-finite value is a ValidationError."""
     with open(path, "rb") as fh:
         try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file") from exc
+            header = parse_json(fh.readline())
+        except ParseError as exc:
+            if isinstance(exc.__cause__, UnicodeDecodeError):  # bytes, not a text header
+                raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file") from exc
+            raise
         if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
         if header.get("version") != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported version {header.get('version')!r}")
         check(header, {"params": list_of(OBJECT)})
         cols = check_rows(header["params"], _MANIFEST_ENTRY)
-        arrays: dict[str, np.ndarray] = {}
-        for name, shape in zip(cols["name"], cols["shape"]):
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise FormatError(f"{path}: truncated parameter blob at {name}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-            if not np.isfinite(arrays[name]).all():
-                raise ValidationError(f"{path}: parameter {name} holds a non-finite value")
+        blob = fh.read()  # bytes after the last parameter are accepted
+    arrays, offset = {}, 0
+    for name, shape in zip(cols["name"], cols["shape"]):
+        count = math.prod(shape)  # a Python int, which cannot wrap as an int64 product does
+        if count > (len(blob) - offset) // 8:
+            raise FormatError(f"{path}: truncated parameter blob at {name}")
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        offset += 8 * count
+        if not np.isfinite(arrays[name]).all():
+            raise ValidationError(f"{path}: parameter {name} holds a non-finite value")
     return header, arrays

@@ -3,8 +3,8 @@
 Each boundary declares its fields once: as a dict of field name -> `Spec`
 passed to `check` (one record) or `check_rows` (a list of records), or as a
 dataclass whose annotations `read` turns into specs. Every failure is a
-`ParseError` naming the field. JSONL files are read a block of lines at a
-time (`jsonl_blocks`).
+`ParseError` naming the field. Every JSON input is read by one rule
+(`parse_json`), and JSONL files a block of lines at a time (`jsonl_blocks`).
 """
 
 from __future__ import annotations
@@ -129,25 +129,48 @@ def _fault(record, fields: dict[str, Spec]) -> str | None:
     return None
 
 
+def parse_json(data: bytes, line: int | None = None):
+    """The JSON value of `data`: strict UTF-8, then `json.loads`. Bytes that are not UTF-8,
+    and text that is not JSON, nests too deeply or holds too long an integer, are each a
+    ParseError naming `line`, a JSONL line's number, when given, else the fault's line
+    where it is known."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason}", line=line or data.count(b"\n", 0, exc.start) + 1) from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=line or exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply", line=line) from exc
+    except ValueError as exc:  # an integer of more digits than Python converts
+        raise ParseError("invalid JSON: an integer too long to read", line=line) from exc
+
+
+def read_json(path: str | Path):
+    """The JSON value of a whole file, by `parse_json`."""
+    return parse_json(Path(path).read_bytes())
+
+
 _BLOCK_LINES = 1000  # values of a JSONL file that `jsonl_blocks` holds at once
 
 
 def jsonl_blocks(path: str | Path) -> Iterator[tuple[list[int], list]]:
     """The line numbers and the values of a JSONL file's non-blank lines, `_BLOCK_LINES`
-    lines at a time. A line that is not JSON ends its block early and is raised when the
-    next block is asked for, so a caller that checks each block before the next reports
-    an earlier line's fault first."""
+    lines at a time, each line read by `parse_json`'s rule. Lines end at a line feed only.
+    A line that is not JSON ends its block early and is raised when the next block is
+    asked for, so a caller that checks each block before the next reports an earlier
+    line's fault first."""
     lines, values = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+    with open(path, "rb") as fh:
+        for lineno, data in enumerate(fh, start=1):
+            if not data.strip():  # ASCII whitespace only
                 continue
             try:
-                values.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+                values.append(parse_json(data, lineno))
+            except ParseError:
                 if values:
                     yield lines, values
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+                raise
             lines.append(lineno)
             if len(values) == _BLOCK_LINES:
                 yield lines, values

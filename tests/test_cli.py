@@ -358,6 +358,11 @@ def _repeated_entry(ckpt):
     _edit_checkpoint_header(ckpt, lambda head: head["params"][1].update(name=head["params"][0]["name"]))
 
 
+def _first_entry_shape(shape):
+    """A checkpoint change: the manifest's first entry claims `shape`."""
+    return lambda ckpt: _edit_checkpoint_header(ckpt, lambda head: head["params"][0].update(shape=shape))
+
+
 def _nan_weight(ckpt):
     data = ckpt.read_bytes()
     start = data.index(b"\n") + 1
@@ -368,7 +373,9 @@ def _nan_weight(ckpt):
     (_extra_entry, "checkpoint manifest entry"),
     (_repeated_entry, "checkpoint manifest entry 1 is 'mlp_s.w0', the model's is 'mlp_s.b0'"),
     (_nan_weight, "holds a non-finite value"),
-], ids=["extra-entry", "repeated-entry", "nan-weight"])
+    (_first_entry_shape([2**32, 2**32]), "truncated parameter blob at mlp_s.w0"),  # wraps to 0 in int64
+    (_first_entry_shape([2**36]), "truncated parameter blob at mlp_s.w0"),  # 512 GB
+], ids=["extra-entry", "repeated-entry", "nan-weight", "int64-wrapping-entry", "entry-beyond-the-file"])
 def test_bad_checkpoint_body_exits_one(tmp_path, capsys, monkeypatch, change, message):
     ckpt = tmp_path / "m.ckpt"
     save_model(ckpt, init_model(ModelConfig(d_o=2, d_a=2, vocab_size=12), seed=0), seed=0, step=3)
@@ -808,6 +815,58 @@ def test_bad_json_config_exits_one(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "parse"
 
 
+# bytes that no JSON input takes, and their errors: not UTF-8, nesting 100,000 deep, not
+# JSON, and an integer of more digits than Python converts
+_UNREADABLE = {
+    "not-utf8": (b'{"a": "\xff"}', "not UTF-8: invalid start byte"),
+    "deep": (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: nested too deeply"),
+    "broken": (b"{broken", "invalid JSON: Expecting property name enclosed in double quotes"),
+    "long-int": (b'{"a": ' + b"1" * 5000 + b"}", "invalid JSON: an integer too long to read"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_UNREADABLE))
+@pytest.mark.parametrize("boundary", ["detections", "qa", "registry", "config", "spec", "graph",
+                                      "checkpoint"])
+def test_unreadable_json_input_exits_one(tmp_path, boundary, bad):
+    """Every JSON input reads its bytes by one rule, and each fault is a parse error, naming
+    its line where that is known; a checkpoint whose header is not text is not a checkpoint."""
+    data, message = _UNREADABLE[bad]
+    reg, ckpt, bad_file, out = (tmp_path / name for name in ("reg.json", "m.ckpt", "bad", "out"))
+    sw.default_registry().save(reg)
+    det = write_jsonl(tmp_path / "d.jsonl",
+                      [detection(frame=f, class_id=sw.STATIC_CLASS_BASE) for f in range(3)])
+    qa = write_jsonl(tmp_path / "qa.jsonl",
+                     [{"video_id": "v", "question": [1], "candidates": [[2], [3]], "gt": 0}] * 3)
+    save_model(ckpt, init_model(ModelConfig(d_o=2, d_a=2, vocab_size=12), seed=0), seed=0, step=3)
+    located = bad in ("not-utf8", "broken")  # a whole file's fault has a known line
+    if boundary in ("detections", "qa"):
+        lines = (det if boundary == "detections" else qa).read_bytes().splitlines(keepends=True)
+        bad_file.write_bytes(lines[0] + data + b"\n" + lines[2])
+        line = 2
+    elif boundary == "checkpoint":
+        bad_file.write_bytes(data + b"\n" + ckpt.read_bytes().split(b"\n", 1)[1])
+        line = 1 if located else None
+    else:
+        bad_file.write_bytes(b"\n" + data)  # the fault on the second line
+        line = 2 if located else None
+    kind, message = "parse", message if line is None else f"line {line}: {message}"
+    if boundary == "checkpoint" and bad == "not-utf8":
+        kind, message = "validation", f"{bad_file}: not a prism25d-checkpoint file"
+    argv = {
+        "detections": ["ingest", "--in", bad_file, "--registry", reg, "--out", out],
+        "qa": ["train", "--detections", det, "--registry", reg, "--qa", bad_file, "--out", out],
+        "registry": ["ingest", "--in", det, "--registry", bad_file, "--out", out],
+        "config": ["ingest", "--in", det, "--registry", reg, "--out", out, "--config", bad_file],
+        "spec": ["synth", "--spec", bad_file, "--out-detections", out],
+        "graph": ["compact", "--in", bad_file, "--out", out],
+        "checkpoint": ["eval", "--detections", det, "--registry", reg, "--qa", qa, "--model", bad_file,
+                       "--out", out],
+    }[boundary]
+    assert _cli_error(argv) == (1, {"error": kind, "message": message})
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [
     {"heads": "x"},
     {"gamma": "0.5"},
@@ -896,16 +955,21 @@ def _reject_constant(token):
     raise AssertionError(f"written file holds {token}")
 
 
-def _run_cli(argv):
-    """Exit code of one in-process run, after checking the error contract: exit 0, 1 or 2,
-    and at most one stderr line, a JSON error."""
+def _cli_error(argv):
+    """Exit code and JSON error (None when there is none) of one in-process run, after
+    checking the error contract: exit 0, 1 or 2, and at most one stderr line, a JSON error."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main([str(arg) for arg in argv])
     assert code in (0, 1, 2)
     lines = err.getvalue().splitlines()
     assert len(lines) <= 1 and all(json.loads(line)["error"] for line in lines)
-    return code
+    return code, json.loads(lines[0]) if lines else None
+
+
+def _run_cli(argv):
+    """Exit code of one in-process run, after checking the error contract (`_cli_error`)."""
+    return _cli_error(argv)[0]
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -919,6 +983,41 @@ def test_ingest_fuzzed_detection_line(text):
                   "--out", str(tmp / "g.json")])
         if (tmp / "g.json").exists():
             json.loads((tmp / "g.json").read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+@st.composite
+def _spliced_detections(draw):
+    """A valid three-line detection file with random bytes, no line feed among them,
+    spliced into one line: the file, and that line's number and bytes."""
+    lines = [json.dumps(detection(frame=f, class_id=sw.STATIC_CLASS_BASE)).encode() for f in range(3)]
+    k = draw(st.integers(0, len(lines) - 1))
+    at = draw(st.integers(0, len(lines[k])))
+    splice = draw(st.binary(min_size=1, max_size=8)).replace(b"\n", b"\xff")
+    lines[k] = lines[k][:at] + splice + lines[k][at:]
+    return b"".join(line + b"\n" for line in lines), k + 1, lines[k]
+
+
+def _is_json(data):
+    try:
+        json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_spliced_detections())
+def test_ingest_detection_line_with_spliced_bytes(case):
+    """A line that is not UTF-8 JSON is a parse error naming it; any other keeps the contract."""
+    data, lineno, line = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        sw.default_registry().save(tmp / "reg.json")
+        (tmp / "d.jsonl").write_bytes(data)
+        code, error = _cli_error(["ingest", "--in", tmp / "d.jsonl", "--registry", tmp / "reg.json",
+                                  "--out", tmp / "g.json"])
+    if not _is_json(line):
+        assert code == 1 and error["error"] == "parse" and error["message"].startswith(f"line {lineno}: ")
 
 
 def _outcome(build):

@@ -150,6 +150,16 @@ def test_videos_spanning_blocks_load_as_one_block(tmp_path, registry, monkeypatc
     assert graphs == graphs_from_records(recs, registry)
 
 
+def test_a_line_ends_at_a_line_feed(tmp_path, registry):
+    """CRLF files read as LF files, blank lines included; a lone carriage return ends no line."""
+    text = _lines(_video("a", 1) + ["", " \t"] + _video("a", 2)[2:])
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        (tmp_path / name).write_bytes(text.replace("\n", newline).encode())
+    assert load_detection_groups(tmp_path / "crlf", registry) == load_detection_groups(tmp_path / "lf", registry)
+    with pytest.raises(ParseError, match="^line 1: invalid JSON: Extra data$"):
+        load_detection_groups(tmp_path / "cr", registry)
+
+
 @pytest.mark.parametrize("bad, error, message", [
     ("{broken", ParseError, "invalid JSON"),
     (detection(depth="2"), ParseError, "depth must be a finite number"),

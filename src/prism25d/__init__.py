@@ -1,12 +1,6 @@
 """(2.5+1)D spatio-temporal scene graphs with hierarchical kernel-transformer QA."""
 
-from .attention import (
-    DEFAULT_BANDWIDTHS,
-    combined_encoding,
-    hierarchical_attention,
-    kernel_attention,
-    multihead_attention,
-)
+from .attention import DEFAULT_BANDWIDTHS
 from .compact import (
     MatchParams,
     build_ancestors,
@@ -31,16 +25,12 @@ from .qa import (
     QaInstance,
     QaModel,
     TrainConfig,
-    augmented_loss,
-    condition_on_questions,
-    encode_questions,
     evaluate,
     init_model,
     load_model,
     load_qa,
     save_model,
     save_qa,
-    score_answers,
     train,
 )
 from .register import estimate_frame_transforms, register_frames

@@ -94,15 +94,11 @@ def build_bundles(
 def project_nodes(bundle: GraphBundle, mlp_s: Affine, mlp_d: Affine) -> Tensor:
     """Latent node features as (r, n) columns in ascending node id: static nodes projected
     by `mlp_s`, dynamic nodes (object and motion features) by `mlp_d`."""
-    if mlp_s.w.shape[0] != mlp_d.w.shape[0]:
-        raise ValidationError("static and dynamic projections disagree on latent width")
     blocks = []
     if bundle.static_cols.shape[1] > 0:
         blocks.append(mlp_s(Tensor(bundle.static_cols)))
     if bundle.dynamic_cols.shape[1] > 0:
         blocks.append(mlp_d(Tensor(bundle.dynamic_cols)))
-    if not blocks:
-        raise ValidationError("graph has no nodes to project")
     stacked = blocks[0] if len(blocks) == 1 else nc.concat(blocks, axis=1)
     return nc.gather_cols(stacked, bundle.perm)
 
@@ -152,8 +148,6 @@ def multihead_attention(
     scores: 0 where a query may attend to a key, MASK_LOGIT where not.
     """
     r, m = queries.data.shape
-    if r % heads != 0:
-        raise ValidationError(f"latent width {r} not divisible by {heads} heads")
     repeat, head_rows, scaled_rows = head_masks(r, heads, m)
     q = nc.matmul(params.wq, queries)
     k = nc.matmul(params.wk, keys)

@@ -409,7 +409,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         count = math.prod(shape)  # a Python int, which cannot wrap as an int64 product does
         if count > (len(blob) - offset) // 8:
             raise FormatError(f"{path}: truncated parameter blob at {name}")
-        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        try:  # numpy refuses too many axes, and an empty shape whose other dimensions overflow
+            arrays[name] = values.reshape(shape).copy()
+        except ValueError as exc:
+            raise FormatError(f"{path}: parameter {name} has shape {shape}: {exc}") from exc
         offset += 8 * count
         if not np.isfinite(arrays[name]).all():
             raise ValidationError(f"{path}: parameter {name} holds a non-finite value")

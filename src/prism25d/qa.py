@@ -56,6 +56,12 @@ _QA_FIELDS = {
 }
 
 
+def _check_tokens(tokens, vocab: int) -> None:
+    for t in tokens:
+        if not (0 <= t < vocab):
+            raise ValidationError(f"token id {t} outside vocabulary of size {vocab}")
+
+
 def load_qa(path: str | Path, vocab: int | None = None) -> list[QaInstance]:
     """Read a QA JSONL file; a line with a missing or mistyped field, or a token outside
     [0, vocab) when `vocab` is given, is a ParseError naming the first such line."""
@@ -186,12 +192,6 @@ def init_model(config: ModelConfig, seed: int) -> QaModel:
 # forward pieces
 
 
-def _check_tokens(tokens, vocab: int) -> None:
-    for t in tokens:
-        if not (0 <= t < vocab):
-            raise ValidationError(f"token id {t} outside vocabulary of size {vocab}")
-
-
 def _segment_ids(lengths: list[int]) -> np.ndarray:
     return np.repeat(np.arange(len(lengths)), lengths)
 
@@ -210,10 +210,7 @@ def encode_questions(questions: list[tuple[int, ...]], text: TextParams, heads: 
     Columns are token positions, question after question; a block mask keeps
     each token's attention inside its own question.
     """
-    if not questions or not all(questions):
-        raise ValidationError("cannot encode an empty question")
     tokens = [t for q in questions for t in q]
-    _check_tokens(tokens, text.embedding.data.shape[0])
     seg = _segment_ids([len(q) for q in questions])
     mask = np.where(seg[:, None] == seg[None, :], 0.0, MASK_LOGIT)
     emb = nc.transpose(nc.gather_rows(text.embedding, tokens))  # (r, tokens)
@@ -228,13 +225,6 @@ def condition_on_questions(
     `lengths` splits the token columns into questions; each question's
     attended tokens are mean-pooled into its column.
     """
-    r, n = graph_feats.data.shape
-    if q_feats.data.shape[0] != r:
-        raise ValidationError("question and graph features disagree on latent width")
-    if n == 0 or q_feats.data.shape[1] == 0:
-        raise ValidationError("conditioning requires nonempty graph and question features")
-    if sum(lengths) != q_feats.data.shape[1]:
-        raise ValidationError("question lengths do not cover the question token columns")
     attended = multihead_attention(q_feats, graph_feats, cross, heads)
     return nc.matmul(attended, Tensor(_segment_mean(lengths)))
 
@@ -246,7 +236,6 @@ def encode_candidates(instances: list[QaInstance], text: TextParams) -> Tensor:
     """
     seqs = [inst.question + cand for inst in instances for cand in inst.candidates]
     tokens = [t for seq in seqs for t in seq]
-    _check_tokens(tokens, text.embedding.data.shape[0])
     emb = nc.transpose(nc.gather_rows(text.embedding, tokens))  # (r, tokens)
     pooled = nc.matmul(emb, Tensor(_segment_mean([len(seq) for seq in seqs])))
     return text.answer(pooled)
@@ -254,8 +243,6 @@ def encode_candidates(instances: list[QaInstance], text: TextParams) -> Tensor:
 
 def score_answers(fq: Tensor, answers: Tensor) -> Tensor:
     """Inner-product logits, (candidates, features): every answer column against every fq column."""
-    if answers.data.shape[0] != fq.data.shape[0]:
-        raise ValidationError("answer embeddings and conditioned feature widths differ")
     return nc.matmul(nc.transpose(answers), fq)
 
 
@@ -273,10 +260,6 @@ def augmented_loss(
     lower, or equal and later, so rank 1 is `np.argmax` on finite logits and
     an instance with a NaN logit never ranks 1.
     """
-    if not batch:
-        raise ValidationError("empty batch")
-    if fq.data.shape[1] != len(batch):
-        raise ValidationError("one conditioned feature is needed per instance")
     logits = score_answers(fq, encode_candidates(batch, text))  # (C, B)
     counts = [len(inst.candidates) for inst in batch]
     cols = np.arange(len(batch))
@@ -328,8 +311,6 @@ def question_features(
         by_video.setdefault(inst.video_id, []).append(i)
     blocks = []
     for vid, idxs in by_video.items():
-        if vid not in bundles:
-            raise ValidationError(f"instance references unknown video {vid!r}")
         questions = [instances[i].question for i in idxs]
         q_feats = encode_questions(questions, model.text, heads)
         graph_feats = encode_graph(model, bundles[vid])
@@ -380,6 +361,25 @@ def _epoch_order(instances: list[QaInstance], seed: int, epoch: int) -> list[int
     return order
 
 
+def _check_inputs(
+    instances: list[QaInstance], graphs: dict[str, SceneGraph25D], config: ModelConfig
+) -> None:
+    """The first instance, in list order, that the forward pass cannot take is a ValidationError:
+    its video is not among `graphs`, a token lies outside [0, vocab_size), or its graph's feature
+    or (with dynamic nodes) motion width is not the model's. The forward pass trusts what passes."""
+    for inst in instances:
+        vid, graph = inst.video_id, graphs.get(inst.video_id)
+        if graph is None:
+            raise ValidationError(f"instance references unknown video {vid!r}")
+        _check_tokens(inst.question + sum(inst.candidates, ()), config.vocab_size)
+        if graph.features.shape[1] != config.d_o:
+            raise ValidationError(f"video {vid!r}: nodes carry {graph.features.shape[1]} feature "
+                                  f"values, the model takes {config.d_o}")
+        if len(graph.motions) and graph.motions.shape[1] != config.d_a:
+            raise ValidationError(f"video {vid!r}: dynamic nodes carry {graph.motions.shape[1]} "
+                                  f"motion values, the model takes {config.d_a}")
+
+
 def train(
     instances: list[QaInstance],
     graphs: dict[str, SceneGraph25D],
@@ -398,6 +398,7 @@ def train(
         raise ValidationError(f"seed must not be negative, got {seed}")
     model = init_model(model_config, seed)
     bundles = build_bundles(graphs, model_config.kernel_config())
+    _check_inputs(instances + (val_instances or []), graphs, model_config)
     opt = Adam(model.parameters(), lr=train_config.lr)
     epoch_records = []
     for epoch in range(epochs):
@@ -438,7 +439,8 @@ def evaluate(
     bundles: dict[str, GraphBundle] | None = None,
 ) -> dict:
     """Accuracy and 1-based mean rank of the ground-truth answer, ranked by `augmented_loss` in
-    chunks of `EVAL_BATCH` instances; records no autodiff tape."""
+    chunks of `EVAL_BATCH` instances; records no autodiff tape. `bundles`, when given, are
+    `build_bundles` of `graphs`; the instances pass `_check_inputs` first."""
     if not instances:
         raise ValidationError("empty evaluation dataset")
     if bundles is None:
@@ -446,6 +448,7 @@ def evaluate(
         bundles = build_bundles(
             {v: g for v, g in graphs.items() if v in used}, model.config.kernel_config()
         )
+    _check_inputs(instances, graphs, model.config)
     with nc.no_grad():
         fq = question_features(model, bundles, instances).data
         spans = [slice(lo, lo + EVAL_BATCH) for lo in range(0, len(instances), EVAL_BATCH)]

@@ -320,6 +320,22 @@ def test_eval_checks_qa_tokens_against_the_checkpoint_vocabulary(tmp_path, capsy
     assert not (tmp_path / "e.json").exists()
 
 
+@pytest.mark.parametrize("widths, message", [
+    ({"d_o": 12}, "video 'w100': nodes carry 16 feature values, the model takes 12"),
+    ({"d_a": 6}, "video 'w100': dynamic nodes carry 8 motion values, the model takes 6"),
+], ids=["feature-width", "motion-width"])
+def test_eval_checks_graph_widths_against_the_checkpoint(tmp_path, capsys, widths, message):
+    det, reg, qa = _synth_corpus(tmp_path, n_worlds=1, n_frames=3)
+    ckpt, out = tmp_path / "m.ckpt", tmp_path / "e.json"
+    config = ModelConfig(**{"d_o": 16, "d_a": 8, **widths}, vocab_size=sw.VOCAB_SIZE)
+    save_model(ckpt, init_model(config, seed=0), seed=0, step=0)
+    capsys.readouterr()
+    code = main(["eval", "--detections", det, "--registry", reg, "--qa", qa, "--model", str(ckpt),
+                 "--out", str(out)])
+    assert _one_error(capsys, code, kind="validation") == message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("change", [
     lambda head: head["config"].pop("heads"),
     lambda head: head["config"].update(latent_dim="32"),
@@ -375,7 +391,10 @@ def _nan_weight(ckpt):
     (_nan_weight, "holds a non-finite value"),
     (_first_entry_shape([2**32, 2**32]), "truncated parameter blob at mlp_s.w0"),  # wraps to 0 in int64
     (_first_entry_shape([2**36]), "truncated parameter blob at mlp_s.w0"),  # 512 GB
-], ids=["extra-entry", "repeated-entry", "nan-weight", "int64-wrapping-entry", "entry-beyond-the-file"])
+    (_first_entry_shape([0, 2**70]), f"parameter mlp_s.w0 has shape [0, {2**70}]"),
+    (_first_entry_shape([1] * 65), "parameter mlp_s.w0 has shape [1, 1"),  # one value on more axes than numpy takes
+], ids=["extra-entry", "repeated-entry", "nan-weight", "int64-wrapping-entry", "entry-beyond-the-file",
+        "zero-and-huge-dimension", "too-many-dimensions"])
 def test_bad_checkpoint_body_exits_one(tmp_path, capsys, monkeypatch, change, message):
     ckpt = tmp_path / "m.ckpt"
     save_model(ckpt, init_model(ModelConfig(d_o=2, d_a=2, vocab_size=12), seed=0), seed=0, step=3)

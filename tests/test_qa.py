@@ -94,14 +94,6 @@ def test_encode_question_double_evaluation():
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_encode_question_rejects_bad_input():
-    text = _text_params(np.random.default_rng(3))
-    with pytest.raises(ValidationError):
-        encode_questions([()], text, heads=2)
-    with pytest.raises(ValidationError):
-        encode_questions([(99,)], text, heads=2)
-
-
 # -- conditioning --------------------------------------------------------------------
 
 
@@ -144,12 +136,6 @@ def test_condition_matches_brute_force():
         cols[i * rk:(i + 1) * rk] = vi @ a.T
     want = cols.mean(axis=1, keepdims=True)
     assert np.allclose(got, want, atol=1e-12)
-
-
-def test_condition_rejects_empty_sides():
-    cross = attention_init(8, np.random.default_rng(7))
-    with pytest.raises(ValidationError):
-        condition_on_questions(Tensor(np.zeros((8, 0))), Tensor(np.zeros((8, 2))), [2], cross, 2)
 
 
 # -- scoring --------------------------------------------------------------------------
@@ -562,6 +548,40 @@ def test_unknown_video_rejected(registry):
     model = init_model(_toy_config(), seed=0)
     with pytest.raises(ValidationError):
         evaluate([_instance((1,), [(2,), (3,)], 0, vid="missing")], {}, model)
+
+
+@pytest.fixture
+def forward_passes(monkeypatch):
+    """The instance count of each `qa.question_features` call; it opens every forward pass,
+    `batch_forward`'s and `evaluate`'s."""
+    from prism25d import qa
+
+    calls = []
+    features = qa.question_features
+    monkeypatch.setattr(qa, "question_features", lambda *args: calls.append(len(args[2])) or features(*args))
+    return calls
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("train", "video"), ("train --val", "video"), ("evaluate", "video"), ("evaluate", "token"),
+], ids=["train", "train-val", "evaluate-video", "evaluate-token"])
+def test_inputs_are_checked_before_the_first_forward_pass(registry, forward_passes, command, bad):
+    """A bad last instance fails before any forward pass, with the message of its fault."""
+    graphs = {"v": _toy_graph(registry)}
+    good = [_instance((1, 5 + i % 3), [(2,), (3,), (4,)], gt=i % 3) for i in range(4)]
+    if bad == "video":
+        insts, message = good + [_instance((1,), [(2,), (3,)], 0, vid="x")], "unknown video 'x'"
+    else:
+        insts, message = good + [_instance((1, -1), [(2,), (3,)], 0)], "token id -1 outside vocabulary"
+    cfg, one_per_step = _toy_config(), TrainConfig(batch_size=1)
+    with pytest.raises(ValidationError, match=message):
+        if command == "train":
+            train(insts, graphs, cfg, one_per_step, epochs=1, seed=0)
+        elif command == "train --val":
+            train(good, graphs, cfg, one_per_step, epochs=1, seed=0, val_instances=insts)
+        else:
+            evaluate(insts, graphs, init_model(cfg, seed=0))
+    assert forward_passes == []
 
 
 # -- checkpoint + end-to-end gradient -------------------------------------------------

@@ -22,18 +22,18 @@ MASK_LOGIT = -1e30  # additive score mask for pairs that may not attend
 
 
 def kernel_distances(
-    positions: np.ndarray, time_obs: list[np.ndarray]
+    positions: np.ndarray, times: np.ndarray, obs_start: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Squared 3D distances and smallest time gaps between every pair of nodes, (n, n) each."""
+    """Squared 3D distances and smallest time gaps between every pair of nodes, (n, n) each.
+    `times` holds every node's observation times, node i's at [obs_start[i], obs_start[i + 1])."""
     diff = positions[:, None, :] - positions[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    # dt[i, j] = min |t - t'| over t in time_obs[i], t' in time_obs[j]: node j's gap to each distinct
+    # dt[i, j] = min |t - t'| over node i's times t and node j's t': node j's gap to each distinct
     # time, min-reduced over node i's times, in (observations x distinct times or nodes) arrays
-    t_all = np.concatenate([np.zeros(0), *time_obs])
-    starts = np.cumsum([0] + [t.size for t in time_obs])[:-1]
-    distinct = np.array(sorted(set(t_all.tolist())), dtype=np.float64)  # np.unique would import numpy.ma
-    gap = np.minimum.reduceat(np.abs(t_all[:, None] - distinct), starts, axis=0).T  # (distinct, n)
-    dt = np.minimum.reduceat(gap[np.searchsorted(distinct, t_all)], starts, axis=0)
+    starts = obs_start[:-1]
+    distinct = np.array(sorted(set(times.tolist())), dtype=np.float64)  # np.unique would import numpy.ma
+    gap = np.minimum.reduceat(np.abs(times[:, None] - distinct), starts, axis=0).T  # (distinct, n)
+    dt = np.minimum.reduceat(gap[np.searchsorted(distinct, times)], starts, axis=0)
     return d2, dt
 
 
@@ -43,10 +43,11 @@ def kernel_matrix(d2: np.ndarray, dt: np.ndarray, sigma_s: float, sigma_t: float
 
 
 def kernel_softmax_levels(
-    positions: np.ndarray, time_obs: list[np.ndarray], levels: tuple[tuple[float, float], ...]
+    positions: np.ndarray, times: np.ndarray, obs_start: np.ndarray, levels: tuple[tuple[float, float], ...]
 ) -> list[Tensor]:
-    """Row-softmaxed kernel matrix per (sigma_s, sigma_t) level; parameter-free, safe to cache."""
-    d2, dt = kernel_distances(positions, time_obs)
+    """Row-softmaxed kernel matrix per (sigma_s, sigma_t) level, over the distances of
+    `kernel_distances`; parameter-free, safe to cache."""
+    d2, dt = kernel_distances(positions, times, obs_start)
     return [nc.softmax_rows(Tensor(kernel_matrix(d2, dt, s, t))) for s, t in levels]
 
 
@@ -78,15 +79,15 @@ def build_bundles(
             raise ValidationError("a dynamic node lacks a motion feature")
         # a node's times are its frames / max_frames, each rounded once as Python divides integers:
         # numpy's float division rounds alike on exact floats, integers up to 2**53 (and -2**63,
-        # which np.abs leaves negative); split at each node's end, dropping the empty tail
+        # which np.abs leaves negative)
         f, m = graph.obs_frames, graph.max_frames
         exact = f.dtype != object and max(abs(m), np.abs(f).max(initial=0)) <= 2**53
-        times = np.split(f / m if exact else np.array([x / m for x in f.tolist()]), graph.obs_start[1:])[:-1]
+        times = f / m if exact else np.array([x / m for x in f.tolist()])
         bundles[vid] = GraphBundle(
             static_cols=_columns(graph.features[graph.static]),
             dynamic_cols=_columns(np.hstack([graph.features[dynamic], graph.motions])),
             perm=np.argsort(np.argsort(dynamic, kind="stable")),  # static rows, then dynamic ones
-            smax=kernel_softmax_levels(graph.centroids, times, levels),
+            smax=kernel_softmax_levels(graph.centroids, times, graph.obs_start, levels),
         )
     return bundles
 

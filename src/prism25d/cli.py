@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,23 +106,14 @@ class RunConfig:
         return Intrinsics(self.fx, self.fy, self.cx, self.cy)
 
 
-def _load_graphs(detections: str, registry: str, cfg: RunConfig) -> list[SceneGraph25D]:
-    """One lifted graph per video of a detection file, classed by a registry file."""
-    return load_detection_groups(
-        detections,
-        ClassRegistry.load(registry),
-        max_frames=cfg.max_frames,
-        intrinsics=cfg.intrinsics(),
-    )
-
-
-def _pipeline_graphs(detections: str, registry: str, cfg: RunConfig) -> dict[str, SceneGraph25D]:
-    """ingest -> register -> compact for every video in the file."""
-    params = MatchParams(gamma=cfg.gamma, delta=cfg.delta)
-    return {
-        g.video_id: compact(register_frames(g, gamma=cfg.gamma), params)
-        for g in _load_graphs(detections, registry, cfg)
-    }
+def _pipeline_graphs(detections: str, registry: str, config: ModelConfig) -> dict[str, SceneGraph25D]:
+    """ingest -> register -> compact for every video in the file, by the pipeline that
+    `config` records; a registry other than its recorded one is a ValidationError."""
+    classes = ClassRegistry.load(registry)
+    if config.registry_digest not in (None, classes.digest()):
+        raise ValidationError(f"registry {registry} is not the one the checkpoint was trained with")
+    graphs = load_detection_groups(detections, classes, config.max_frames, config.intrinsics)
+    return {g.video_id: compact(register_frames(g, gamma=config.match.gamma), config.match) for g in graphs}
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +165,8 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     cfg = RunConfig.resolve(args)
-    graphs = _load_graphs(args.inp, args.registry, cfg)
+    graphs = load_detection_groups(args.inp, ClassRegistry.load(args.registry), cfg.max_frames,
+                                   cfg.intrinsics())
     if not args.no_register:
         graphs = [register_frames(g, gamma=cfg.gamma) for g in graphs]
     save_corpus(graphs, args.out)
@@ -215,19 +207,23 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _infer_dims(graphs: dict[str, SceneGraph25D]) -> tuple[int, int]:
+def _inferred(graphs: dict[str, SceneGraph25D]) -> dict:
+    """The ModelConfig fields `train` takes from its graphs: the feature and motion widths,
+    the frame count their times were scaled by, and their registry's digest."""
     d_o = next((g.features.shape[1] for g in graphs.values() if len(g.nodes)), None)
     if d_o is None:
         raise ParseError("no nodes found; cannot infer feature dimensions")
-    return d_o, next((g.motions.shape[1] for g in graphs.values() if len(g.motions)), 0)
+    first = next(iter(graphs.values()))
+    return dict(d_o=d_o, d_a=next((g.motions.shape[1] for g in graphs.values() if len(g.motions)), 0),
+                max_frames=first.max_frames, registry_digest=first.registry_digest)
 
 
-def _model_config(cfg: RunConfig, d_o: int = 1, d_a: int = 0) -> ModelConfig:
-    """The model knobs of `cfg`, range-checked; the widths come from the graphs, and their
-    defaults, the least ModelConfig takes, check the other knobs before any graph exists."""
+def _model_config(cfg: RunConfig) -> ModelConfig:
+    """The model and pipeline knobs of `cfg`, range-checked before any input is read; the
+    widths are the least ModelConfig takes until `_inferred` replaces them."""
     return ModelConfig(
-        d_o=d_o,
-        d_a=d_a,
+        d_o=1,
+        d_a=0,
         vocab_size=cfg.vocab,
         latent_dim=cfg.latent,
         heads=cfg.heads,
@@ -235,16 +231,19 @@ def _model_config(cfg: RunConfig, d_o: int = 1, d_a: int = 0) -> ModelConfig:
         sigma_t=None if cfg.sigma_t is None else tuple(cfg.sigma_t),
         n_standard_layers=cfg.standard_layers,
         combine=cfg.combine,
+        match=MatchParams(gamma=cfg.gamma, delta=cfg.delta),
+        intrinsics=cfg.intrinsics(),
+        max_frames=cfg.max_frames,
     )
 
 
 def cmd_train(args) -> int:
     cfg = RunConfig.resolve(args)
-    _model_config(cfg)
+    pipeline = _model_config(cfg)
     train_set = load_qa(args.qa, cfg.vocab)
     val_set = load_qa(args.val, cfg.vocab) if args.val else None
-    graphs = _pipeline_graphs(args.detections, args.registry, cfg)
-    model_cfg = _model_config(cfg, *_infer_dims(graphs))
+    graphs = _pipeline_graphs(args.detections, args.registry, pipeline)
+    model_cfg = replace(pipeline, **_inferred(graphs))
     model, metrics = train(
         train_set,
         graphs,
@@ -268,10 +267,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = RunConfig.resolve(args)
     model, _header = load_model(args.model)
     instances = load_qa(args.qa, model.config.vocab_size)
-    graphs = _pipeline_graphs(args.detections, args.registry, cfg)
+    graphs = _pipeline_graphs(args.detections, args.registry, model.config)
     result = evaluate(instances, graphs, model)
     if args.out:
         _write_json({"format": METRICS_FORMAT, "version": METRICS_VERSION, **result}, args.out)
@@ -382,7 +380,6 @@ def build_parser() -> _Parser:
     p.add_argument("--qa", required=True)
     p.add_argument("--model", required=True, help="checkpoint from train")
     p.add_argument("--out", help="write metrics JSON here")
-    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_eval)
 
     return parser

@@ -53,13 +53,15 @@ def nearest(
         & (graph.class_ids[cand] == graph.class_ids[occ][:, None])
         & (inter / (area_a + area_b - inter) > gamma)
     )
-    # one BLAS dot per pair, as np.linalg.norm takes per vector: a plain sum of
-    # squares differs from it in the last bit on about a tenth of vectors. Far
-    # finite centroids overflow to an infinite distance, which ranks last.
+    # one BLAS dot per passing pair, as np.linalg.norm takes per vector: a plain
+    # sum of squares differs from it in the last bit on about a tenth of vectors.
+    # Far finite centroids overflow to an infinite distance, which ranks last.
+    rows, slots = np.nonzero(passing)
+    dist = np.full(passing.shape, np.inf)
     with np.errstate(over="ignore"):
-        diff = graph.centroids[occ][:, None, :] - graph.centroids[cand]
-        dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-    best = np.where(passing, dist, np.inf).min(axis=1)
+        diff = graph.centroids[occ[rows]] - graph.centroids[cand[rows, slots]]
+        dist[rows, slots] = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    best = dist.min(axis=1)
     tied = passing & (dist == best[:, None])
     return np.where(passing.any(axis=1), np.where(tied, cand, np.iinfo(np.int64).max).min(axis=1), -1)
 

@@ -25,8 +25,10 @@ from .attention import (
     DEFAULT_BANDWIDTHS,
     MASK_LOGIT,
 )
+from .compact import MatchParams
 from .errors import ParseError, ValidationError
-from .graph import SceneGraph25D
+from .graph import DEFAULT_INTRINSICS, SceneGraph25D
+from .lift import Intrinsics
 from .numcore import Adam, Affine, Tensor
 from .schema import COUNT, INT, STR, check, jsonl_blocks, list_of, read, typed_prefix
 
@@ -114,6 +116,11 @@ class ModelConfig:
     sigma_t: tuple[float, ...] | None = None  # None keeps sigma_t = sigma_s
     n_standard_layers: int = 1
     combine: bool = True  # False feeds the hierarchical branch alone downstream
+    # the pipeline that built the training graphs, by which `eval` builds its own
+    match: MatchParams = MatchParams()
+    intrinsics: Intrinsics = DEFAULT_INTRINSICS
+    max_frames: int | None = None  # None: each detection file's frame span
+    registry_digest: str | None = None  # None: any registry
 
     def __post_init__(self):
         if self.sigma_t is not None and len(self.sigma_t) != len(self.sigma_s):
@@ -123,9 +130,10 @@ class ModelConfig:
         if not all(0.0 < sigma < math.inf for sigma in (*self.sigma_s, *(self.sigma_t or ()))):
             raise ValidationError("kernel bandwidths must be positive and finite")
         for name, low in (("d_o", 1), ("d_a", 0), ("vocab_size", 1), ("latent_dim", 1),
-                          ("n_standard_layers", 0)):
-            if getattr(self, name) < low:
-                raise ValidationError(f"{name} must be at least {low}, got {getattr(self, name)}")
+                          ("n_standard_layers", 0), ("max_frames", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:  # only max_frames may be None
+                raise ValidationError(f"{name} must be at least {low}, got {value}")
         if self.heads < 1 or self.latent_dim % self.heads != 0:
             raise ValidationError(
                 f"latent_dim {self.latent_dim} must divide evenly into {self.heads} heads"

@@ -273,6 +273,12 @@ def oracle_merge_static(graph, ancestors):
 # -- pairwise kernel: the reference for attention.kernel_matrix -----------------
 
 
+def flat_times(time_obs):
+    """Per-node observation times as `attention.kernel_distances` takes them: one flat column,
+    and each node's start in it followed by the column's end."""
+    return np.concatenate([np.zeros(0), *time_obs]), np.cumsum([0] + [len(t) for t in time_obs])
+
+
 def min_time_gap(ta, tb):
     """Smallest |t - t'| across the two observation lists.
 

@@ -31,7 +31,7 @@ from prism25d.qa import (
 from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
 
-from helpers import affine_identity, fd_gradients, generate_world, max_relative_error
+from helpers import affine_identity, fd_gradients, flat_times, generate_world, max_relative_error
 
 REGISTRY = sw.default_registry()
 PARAMS = MatchParams(gamma=0.5, delta=3)
@@ -220,7 +220,7 @@ def test_c5_kernel_attention_property_suite():
         n = int(rng.integers(2, 7))
         _, positions, times = random_nodes(n, multi_time=True)
         sigma = float(rng.uniform(0.05, 5.0))
-        d2, dt = kernel_distances(positions, times)
+        d2, dt = kernel_distances(positions, *flat_times(times))
         k = kernel_matrix(d2, dt, sigma, sigma)
         assert np.allclose(k, k.T, atol=1e-12)
         assert np.allclose(np.diag(k), 1.0, atol=1e-12)
@@ -234,7 +234,7 @@ def test_c5_kernel_attention_property_suite():
         n = int(rng.integers(2, 8))
         _, positions, times = random_nodes(n)
         sigma = float(rng.uniform(0.01, 10.0))
-        k = kernel_matrix(*kernel_distances(positions, times), sigma, sigma)
+        k = kernel_matrix(*kernel_distances(positions, *flat_times(times)), sigma, sigma)
         s = nc.softmax_rows(Tensor(k))
         assert np.all(np.abs(s.data.sum(axis=1) - 1.0) <= 1e-9)
         cases += 1
@@ -247,8 +247,8 @@ def test_c5_kernel_attention_property_suite():
         enc = encoder_init(8, len(levels), rng)
         perm = rng.permutation(n)
         f_p = Tensor(f.data[:, perm].copy())
-        smax = kernel_softmax_levels(positions, times, levels)
-        smax_p = kernel_softmax_levels(positions[perm].copy(), [times[i] for i in perm], levels)
+        smax = kernel_softmax_levels(positions, *flat_times(times), levels)
+        smax_p = kernel_softmax_levels(positions[perm].copy(), *flat_times([times[i] for i in perm]), levels)
         outs = (
             (multihead_attention(f, f, enc.standard[0], 2),
              multihead_attention(f_p, f_p, enc.standard[0], 2)),
@@ -268,7 +268,7 @@ def test_c5_kernel_attention_property_suite():
         f, positions, times = random_nodes(n, multi_time=True)
         sigma = float(rng.uniform(0.05, 5.0))
         wv = Tensor(rng.normal(size=(8, 8)))
-        smax = kernel_softmax_levels(positions, times, ((sigma, sigma),))
+        smax = kernel_softmax_levels(positions, *flat_times(times), ((sigma, sigma),))
         hier = hierarchical_attention(f, [affine_identity(8)], wv, smax)
         ka = kernel_attention(f, wv, smax[0])
         assert np.allclose(hier.data, ka.data, atol=1e-12)
@@ -448,9 +448,10 @@ def test_c9_determinism_and_roundtrips(tmp_path):
               f"detections, graphs, checkpoints, metrics byte-identical; round-trips exact; {elapsed:.1f}s")
 
 
-# re-recorded when `feature_hidden` left the checkpoint header; the body digest
-# below, recorded before that, shows the parameters and metrics kept their bytes
-TRAIN_VAL_DIGEST = "c7e85c7a476157f6bdd8abc89ccfee53c32d114f9e19a958017a28482d721eb3"
+# re-recorded when `feature_hidden` left the checkpoint header, and again when the
+# header's config gained the pipeline (match, intrinsics, max_frames, registry_digest);
+# the body digest below, recorded before both, shows the parameters and metrics kept their bytes
+TRAIN_VAL_DIGEST = "eb867ccb278e29a1ed8271aefa1487de08e8bee1c59fa0f9f126922ff15ce332"
 # the same run without the checkpoint's header line: parameters and metrics only
 TRAIN_BODY_DIGEST = "9a955a68ee86eea08ba6e9b4f08afd17a0f40244b9c7990fbdf6c6e629be3e89"
 

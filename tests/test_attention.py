@@ -24,7 +24,8 @@ from prism25d.graph import graphs_from_records
 from prism25d.numcore import Tensor
 
 from helpers import (
-    affine_identity, detection, fd_gradients, kernel, max_relative_error, min_time_gap, node, table,
+    affine_identity, detection, fd_gradients, flat_times, kernel, max_relative_error, min_time_gap, node,
+    table,
 )
 
 
@@ -37,7 +38,7 @@ def _nodes(rng, n=5, r=8):
 
 def _level(positions, times, sigma_s, sigma_t):
     """The row-softmaxed kernel matrix of one (sigma_s, sigma_t) level."""
-    return kernel_softmax_levels(positions, times, ((sigma_s, sigma_t),))[0]
+    return kernel_softmax_levels(positions, *flat_times(times), ((sigma_s, sigma_t),))[0]
 
 
 def _node_like(pos, frames):
@@ -101,14 +102,14 @@ def test_kernel_matrix_matches_pairwise_kernel():
     for frames, max_frames in zip(node_frames, (1000, 1000, 24, 24)):
         n = len(frames)
         positions = rng.uniform(-2, 2, size=(n, 3))
-        mat = kernel_matrix(*kernel_distances(positions, [f / max_frames for f in frames]), 0.9, 0.4)
+        mat = kernel_matrix(*kernel_distances(positions, *flat_times([f / max_frames for f in frames])), 0.9, 0.4)
         assert mat.shape == (n, n)
         for i in range(n):
             for j in range(n):
                 vi = _node_like(positions[i], frames[i])
                 vj = _node_like(positions[j], frames[j])
                 assert mat[i, j] == pytest.approx(kernel(vi, vj, 0.9, 0.4, max_frames), rel=1e-12)
-    assert kernel_matrix(*kernel_distances(np.zeros((0, 3)), []), 0.9, 0.4).shape == (0, 0)
+    assert kernel_matrix(*kernel_distances(np.zeros((0, 3)), *flat_times([])), 0.9, 0.4).shape == (0, 0)
 
 
 # -- projection ---------------------------------------------------------------
@@ -155,9 +156,9 @@ def test_bundle_times_divide_frames_as_python_does(registry, max_frames, frames)
     levels = ((1.0, 1e-16),)
     got = build_bundles({"v": g}, levels)["v"].smax[0].data
     times = [np.array([f / max_frames]) for f in frames]
-    assert np.array_equal(got, kernel_softmax_levels(g.centroids, times, levels)[0].data)
+    assert np.array_equal(got, kernel_softmax_levels(g.centroids, *flat_times(times), levels)[0].data)
     rounded_twice = [np.array([float(f) / float(max_frames)]) for f in frames]
-    assert not np.array_equal(got, kernel_softmax_levels(g.centroids, rounded_twice, levels)[0].data)
+    assert not np.array_equal(got, kernel_softmax_levels(g.centroids, *flat_times(rounded_twice), levels)[0].data)
 
 
 def test_project_identity_mlp_passthrough(registry):
@@ -296,7 +297,7 @@ def test_hierarchical_zero_second_branch():
     wv = Tensor(rng.normal(size=(8, 8)))
     mlp1 = nc.affine_init(8, 8, rng)
     zero = nc.Affine(Tensor(np.zeros((8, 8)), requires_grad=True), Tensor(np.zeros((8, 1)), requires_grad=True))
-    hier = hierarchical_attention(f, [mlp1, zero], wv, kernel_softmax_levels(pos, times, levels))
+    hier = hierarchical_attention(f, [mlp1, zero], wv, kernel_softmax_levels(pos, *flat_times(times), levels))
     branch1 = mlp1(kernel_attention(f, wv, _level(pos, times, 0.5, 0.5)))
     assert np.allclose(hier.data, branch1.data, atol=1e-12)
 
@@ -307,7 +308,7 @@ def test_hierarchical_default_bandwidths_match_brute_force_sum():
     levels = tuple((s, s) for s in DEFAULT_BANDWIDTHS)
     wv = Tensor(rng.normal(size=(8, 8)))
     mlps = [nc.affine_init(8, 8, rng) for _ in range(4)]
-    got = hierarchical_attention(f, mlps, wv, kernel_softmax_levels(pos, times, levels)).data
+    got = hierarchical_attention(f, mlps, wv, kernel_softmax_levels(pos, *flat_times(times), levels)).data
     want = np.zeros_like(got)
     for (s, t), mlp in zip(levels, mlps):
         branch = _brute_kernel_attention(f, pos, times, s, t, wv, 2)
@@ -318,7 +319,7 @@ def test_hierarchical_default_bandwidths_match_brute_force_sum():
 def test_hierarchical_level_count_mismatch():
     rng = np.random.default_rng(11)
     f, pos, times = _nodes(rng)
-    smax = kernel_softmax_levels(pos, times, ((0.5, 0.5), (2.0, 2.0)))
+    smax = kernel_softmax_levels(pos, *flat_times(times), ((0.5, 0.5), (2.0, 2.0)))
     with pytest.raises(ValidationError):
         hierarchical_attention(f, [affine_identity(8)], Tensor(np.eye(8)), smax)
 
@@ -343,7 +344,7 @@ def test_combined_matches_independent_evaluation():
     f, pos, times = _nodes(rng, n=5)
     levels = ((0.3, 0.3), (3.0, 3.0))
     enc = encoder_init(8, len(levels), rng)
-    got = combined_encoding(f, 2, enc, kernel_softmax_levels(pos, times, levels)).data
+    got = combined_encoding(f, 2, enc, kernel_softmax_levels(pos, *flat_times(times), levels)).data
     want = np.zeros_like(got)
     for (s, t), mlp in zip(levels, enc.levels):
         branch = _brute_kernel_attention(f, pos, times, s, t, enc.kernel_values, 2)
@@ -364,8 +365,8 @@ def test_permutation_equivariance_all_encoders():
         enc = encoder_init(8, len(levels), rng)
         perm = rng.permutation(6)
         f_p = Tensor(f.data[:, perm].copy())
-        smax = kernel_softmax_levels(pos, times, levels)
-        smax_p = kernel_softmax_levels(pos[perm].copy(), [times[i] for i in perm], levels)
+        smax = kernel_softmax_levels(pos, *flat_times(times), levels)
+        smax_p = kernel_softmax_levels(pos[perm].copy(), *flat_times([times[i] for i in perm]), levels)
         pairs = [
             (multihead_attention(f, f, enc.standard[0], 2),
              multihead_attention(f_p, f_p, enc.standard[0], 2)),
@@ -386,7 +387,7 @@ def test_attention_rows_stochastic():
         positions = rng.uniform(-2, 2, size=(n, 3))
         times = [np.array([t]) for t in rng.uniform(0, 1, n)]
         for sigma in (0.1, 1.0, 10.0):
-            kmat = kernel_matrix(*kernel_distances(positions, times), sigma, sigma)
+            kmat = kernel_matrix(*kernel_distances(positions, *flat_times(times)), sigma, sigma)
             s = nc.softmax_rows(Tensor(kmat)).data
             assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-9)
 
@@ -399,7 +400,7 @@ def test_smaller_bandwidth_concentrates_attention():
         times = [np.array([t]) for t in rng.uniform(0, 1, n)]
         entropies = []
         for sigma in (10.0, 1.0, 0.1, 0.01):
-            kmat = kernel_matrix(*kernel_distances(positions, times), sigma, sigma)
+            kmat = kernel_matrix(*kernel_distances(positions, *flat_times(times)), sigma, sigma)
             s = nc.softmax_rows(Tensor(kmat)).data
             entropies.append(float(-(s * np.log(s)).sum(axis=1).mean()))
         assert all(a >= b - 1e-12 for a, b in zip(entropies, entropies[1:]))
@@ -411,7 +412,7 @@ def test_encoder_gradients_match_finite_differences():
     f, pos, times = _nodes(rng, n=4)
     params = [t for _, t in enc.named_parameters()]
     weights = np.random.default_rng(18).normal(size=(8, 4))
-    smax = kernel_softmax_levels(pos, times, ((0.5, 0.5), (2.0, 2.0)))
+    smax = kernel_softmax_levels(pos, *flat_times(times), ((0.5, 0.5), (2.0, 2.0)))
 
     def build():
         out = combined_encoding(f, 2, enc, smax)

@@ -24,6 +24,7 @@ from prism25d.cli import main
 from prism25d.compact import MatchParams
 from prism25d.errors import ParseError, PrismError
 from prism25d.graph import DEFAULT_INTRINSICS, graphs_from_records, load_corpus, load_detection_groups
+from prism25d.lift import Intrinsics
 from prism25d.qa import ModelConfig, TrainConfig, init_model, save_model
 from prism25d import synthworld as sw
 
@@ -168,6 +169,88 @@ def test_config_file_with_flag_override(tmp_path):
     model, header = load_model(ckpt)
     assert model.config.latent_dim == 16  # from the config file
     assert header["step"] > 0
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A checkpoint trained on a file of 8-frame videos: (directory, detections, registry, qa, checkpoint)."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    det, reg, qa = _synth_corpus(tmp_path, n_worlds=2, n_frames=8)
+    ckpt = str(tmp_path / "m.ckpt")
+    assert main(["train", "--detections", det, "--registry", reg, "--qa", qa, "--out", ckpt,
+                 "--epochs", "1", "--latent", "16", "--heads", "2"]) == 0
+    return tmp_path, det, reg, qa, ckpt
+
+
+def _with_companion(tmp_path, det, n_frames):
+    """The detection file `det` with an unrelated world's video of `n_frames` frames after its
+    lines, and the companion's own lines."""
+    extra = tmp_path / f"extra-{n_frames}.jsonl"
+    assert main(["synth", "--spec", _spec_file(tmp_path, [_world_json(200, n_frames=n_frames)]),
+                 "--out-detections", str(extra)]) == 0
+    both = tmp_path / f"with-{n_frames}.jsonl"
+    both.write_bytes(Path(det).read_bytes() + extra.read_bytes())
+    return str(both), extra.read_text().splitlines()
+
+
+def test_eval_builds_graphs_by_the_checkpoint_pipeline(trained, capsys):
+    """A video's answers do not depend on the other videos of its file: a shorter companion
+    changes no byte, and a longer one runs past the recorded frame count."""
+    tmp_path, det, reg, qa, ckpt = trained
+    outs = {}
+    for name, n_frames in (("alone", None), ("short", 6)):
+        dets = det if n_frames is None else _with_companion(tmp_path, det, n_frames)[0]
+        outs[name] = tmp_path / f"eval-{name}.json"
+        assert main(["eval", "--detections", dets, "--registry", reg, "--qa", qa, "--model", ckpt,
+                     "--out", str(outs[name])]) == 0
+    assert outs["alone"].read_bytes() == outs["short"].read_bytes()
+
+    dets, extra = _with_companion(tmp_path, det, 24)
+    first = next(i for i, line in enumerate(extra) if json.loads(line)["frame_index"] >= 8)
+    line = len(Path(det).read_text().splitlines()) + first + 1
+    out = tmp_path / "eval-long.json"
+    capsys.readouterr()
+    code = main(["eval", "--detections", dets, "--registry", reg, "--qa", qa, "--model", ckpt,
+                 "--out", str(out)])
+    assert _one_error(capsys, code, kind="validation") == f"line {line}: frame_index 8 outside [0, 8)"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--config", "cfg.json"], ["--gamma", "0.5"], ["--delta", "3"],
+                                  ["--max-frames", "24"], ["--image-w", "512"], ["--image-h", "512"],
+                                  ["--fx", "1"], ["--fy", "1"], ["--cx", "1"], ["--cy", "1"]],
+                         ids=lambda flag: flag[0])
+def test_eval_takes_no_pipeline_flag(tmp_path, capsys, flag):
+    out = tmp_path / "e.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--detections", "d.jsonl", "--registry", "r.json", "--qa", "q.jsonl",
+              "--model", "m.ckpt", "--out", str(out), *flag])
+    assert flag[0] in _one_error(capsys, exc.value.code, kind="usage")
+    assert not out.exists()
+
+
+def test_eval_refuses_a_registry_other_than_the_checkpoint_one(trained, capsys):
+    tmp_path, det, reg, qa, ckpt = trained
+    renamed = json.loads(Path(reg).read_text())
+    renamed["classes"][0]["name"] += "-renamed"
+    other, out = tmp_path / "renamed.json", tmp_path / "eval-renamed.json"
+    other.write_text(json.dumps(renamed))
+    capsys.readouterr()
+    code = main(["eval", "--detections", det, "--registry", str(other), "--qa", qa, "--model", ckpt,
+                 "--out", str(out)])
+    assert _one_error(capsys, code, kind="validation") == (
+        f"registry {other} is not the one the checkpoint was trained with")
+    assert not out.exists()
+
+
+def test_train_records_its_pipeline_in_the_checkpoint(trained):
+    from prism25d.graph import ClassRegistry
+    from prism25d.qa import load_model
+
+    _, _, reg, _, ckpt = trained
+    config = load_model(ckpt)[0].config
+    assert (config.match, config.intrinsics, config.max_frames) == (MatchParams(), DEFAULT_INTRINSICS, 8)
+    assert config.registry_digest == ClassRegistry.load(reg).digest()
 
 
 def test_unknown_flag_exits_one(capsys):
@@ -348,11 +431,16 @@ def test_eval_checks_graph_widths_against_the_checkpoint(tmp_path, capsys, width
     lambda head: head.update(step=-1),
     lambda head: head["config"].update(feature_hidden=[]),
     lambda head: head["config"].update(feature_hidden=[-1]),
+    lambda head: [head["config"].pop(key) for key in ("match", "intrinsics", "max_frames", "registry_digest")],
+    lambda head: head["config"].update(match={"gamma": 0.5}),
+    lambda head: head["config"].update(registry_digest=7),
 ], ids=["config-no-heads", "config-string-latent", "config-string-sigma", "config-not-an-object",
         "string-seed", "no-step", "params-not-a-list", "negative-seed", "negative-step",
-        "config-feature-hidden", "checkpoint-negative-hidden-width"])
+        "config-feature-hidden", "checkpoint-negative-hidden-width", "config-no-pipeline",
+        "config-match-no-delta", "config-numeric-registry-digest"])
 def test_bad_checkpoint_header_exits_one(tmp_path, capsys, monkeypatch, change):
-    """A header an older build wrote, with a `feature_hidden` config field, is a parse error too."""
+    """A header an older build wrote, with a `feature_hidden` config field or without the
+    pipeline fields, is a parse error too."""
     ckpt = tmp_path / "m.ckpt"
     save_model(ckpt, init_model(ModelConfig(d_o=2, d_a=2, vocab_size=12), seed=0), seed=0, step=3)
     _edit_checkpoint_header(ckpt, change)
@@ -423,10 +511,14 @@ def test_bad_checkpoint_body_exits_one(tmp_path, capsys, monkeypatch, change, me
     ("train", ["--seed", "-3"]),
     ("eval", {"latent_dim": 0}),
     ("eval", {"d_o": 0}),
+    ("eval", {"match": {"gamma": 1.5, "delta": 3}}),
+    ("eval", {"intrinsics": {"fx": 0.0, "fy": 256.0, "cx": 128.0, "cy": 128.0}}),
+    ("eval", {"max_frames": 0}),
 ], ids=["zero-latent", "zero-batch", "zero-focal-length", "negative-epochs",
         "negative-standard-layers", "heads-not-dividing-latent", "zero-sigma",
         "sigma-t-length", "negative-lr", "infinite-sigma", "infinite-sigma-t", "negative-seed",
-        "checkpoint-zero-latent", "checkpoint-zero-d_o"])
+        "checkpoint-zero-latent", "checkpoint-zero-d_o", "checkpoint-gamma", "checkpoint-zero-fx",
+        "checkpoint-zero-max-frames"])
 def test_out_of_range_config_exits_one(tmp_path, capsys, command, change):
     """`change` is the train flags, or the checkpoint config fields eval reads."""
     det, reg, qa = _synth_corpus(tmp_path, n_worlds=1, n_frames=3)
@@ -783,9 +875,11 @@ def test_run_config_defaults_match_the_library():
         model.combine)
     assert (run.lr, run.batch) == (train.lr, train.batch_size)
     assert run.intrinsics() == DEFAULT_INTRINSICS
+    assert (model.match, model.intrinsics, model.max_frames) == (match, DEFAULT_INTRINSICS, run.max_frames)
 
 
-# each ModelConfig field but the inferred widths, with train flags that set it off its default
+# each ModelConfig field but those inferred from the graphs, with train flags that set it off its
+# default: the widths and the registry digest have none, and max_frames is the frame span without one
 _MODEL_FLAGS = {
     "vocab_size": (["--vocab", "50"], 50),
     "latent_dim": (["--latent", "16"], 16),
@@ -794,12 +888,15 @@ _MODEL_FLAGS = {
     "sigma_t": (["--sigma-t", "1,2,3,4"], (1.0, 2.0, 3.0, 4.0)),
     "n_standard_layers": (["--standard-layers", "2"], 2),
     "combine": (["--no-combine"], False),
+    "match": (["--gamma", "0.7", "--delta", "2"], MatchParams(gamma=0.7, delta=2)),
+    "intrinsics": (["--fx", "100", "--fy", "90", "--cx", "50", "--cy", "40"], Intrinsics(100.0, 90.0, 50.0, 40.0)),
+    "max_frames": (["--max-frames", "12"], 12),
 }
 
 
 def test_every_model_config_field_has_a_train_flag():
     """No config knob without a flag: each field reaches the model config from `train`'s flags."""
-    assert set(_MODEL_FLAGS) == {f.name for f in fields(ModelConfig)} - {"d_o", "d_a"}
+    assert set(_MODEL_FLAGS) == {f.name for f in fields(ModelConfig)} - {"d_o", "d_a", "registry_digest"}
     base = ["train", "--detections", "d", "--registry", "r", "--qa", "q", "--out", "o"]
     default = cli._model_config(cli.RunConfig.resolve(cli.build_parser().parse_args(base)))
     for field, (flags, value) in _MODEL_FLAGS.items():
@@ -901,7 +998,7 @@ def test_unreadable_json_input_exits_one(tmp_path, boundary, bad):
 ], ids=["string-int", "string-float", "not-an-object", "string-list", "list-with-string",
         "float-int", "bool-int", "nan", "int-bool", "null-float", "null-list"])
 def test_bad_config_value_exits_one(tmp_path, capsys, monkeypatch, config):
-    monkeypatch.setattr(cli, "_load_graphs", _pipeline_must_not_run)
+    monkeypatch.setattr(cli, "load_detection_groups", _pipeline_must_not_run)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code = main(["ingest", "--in", str(tmp_path / "d.jsonl"), "--registry", str(tmp_path / "r.json"),

@@ -15,7 +15,7 @@ from prism25d.qa import load_qa
 from prism25d.register import register_frames
 from prism25d import synthworld as sw
 
-from helpers import detection, listings, node, oracle_graph_text, table, write_jsonl
+from helpers import detection, flat_times, listings, node, oracle_graph_text, table, write_jsonl
 
 
 def test_load_counts_two_frames_three_each(tmp_path, registry):
@@ -39,7 +39,7 @@ def _bundle_has_times(g, times):
     """Whether the kernel bundle of `g` is, bit for bit, the kernel over nodes observed at `times`."""
     levels = ((1.0, 0.1),)
     got = build_bundles({"v": g}, levels)["v"].smax[0].data
-    want = kernel_softmax_levels(g.centroids, [np.array(t) for t in times], levels)[0].data
+    want = kernel_softmax_levels(g.centroids, *flat_times(times), levels)[0].data
     return np.array_equal(got, want)
 
 

@@ -93,8 +93,6 @@ class RunConfig:
             flag = getattr(args, key, None)
             if flag is not None:
                 setattr(cfg, key, flag)
-        if getattr(args, "no_combine", False):
-            cfg.combine = False
         return cfg
 
     def intrinsics(self) -> Intrinsics:
@@ -129,6 +127,8 @@ def cmd_synth(args) -> int:
     obj = read_json(args.spec)  # one world, or {"worlds": [...]}
     if isinstance(obj, dict) and "worlds" in obj:
         check(obj, {"worlds": list_of(OBJECT)})
+        if extra := [key for key in obj if key != "worlds"]:
+            raise ParseError(f"unknown spec field {extra[0]!r} beside 'worlds'")
         specs, first = [], {}  # first: the index of each video_id's first world
         for i, world in enumerate(obj["worlds"]):
             with located(f"worlds[{i}]"):
@@ -210,11 +210,9 @@ def cmd_stats(args) -> int:
 def _inferred(graphs: dict[str, SceneGraph25D]) -> dict:
     """The ModelConfig fields `train` takes from its graphs: the feature and motion widths,
     the frame count their times were scaled by, and their registry's digest."""
-    d_o = next((g.features.shape[1] for g in graphs.values() if len(g.nodes)), None)
-    if d_o is None:
-        raise ParseError("no nodes found; cannot infer feature dimensions")
     first = next(iter(graphs.values()))
-    return dict(d_o=d_o, d_a=next((g.motions.shape[1] for g in graphs.values() if len(g.motions)), 0),
+    return dict(d_o=first.features.shape[1],
+                d_a=next((g.motions.shape[1] for g in graphs.values() if len(g.motions)), 0),
                 max_frames=first.max_frames, registry_digest=first.registry_digest)
 
 
@@ -314,7 +312,7 @@ def _add_model_flags(p: _Parser) -> None:
     p.add_argument("--vocab", type=int, help="token vocabulary size")
     p.add_argument("--standard-layers", dest="standard_layers", type=int,
                    help=f"stacked plain-attention blocks (artifact default {RunConfig.standard_layers})")
-    p.add_argument("--no-combine", dest="no_combine", action="store_true",
+    p.add_argument("--no-combine", dest="combine", action="store_false", default=None,
                    help="condition on the hierarchical branch alone, skipping the standard-attention sum")
 
 

@@ -125,11 +125,6 @@ class SceneGraph25D:
         """The listed frame indices, ascending."""
         return self.listed_frames[run_starts(self.listed_frames)]
 
-    def validate(self, node_faults=()) -> None:
-        """Check that the columns agree: the rules of `check_nodes`, then of `check_listings`."""
-        self.check_nodes(node_faults)
-        self.check_listings()
-
     def check_nodes(self, node_faults=()) -> None:
         """Raise for the first bad node, then for a `max_frames` below 1. A node's source frames
         must be nonempty, sorted and in [0, max_frames); `node_faults` holds more node rules as
@@ -455,8 +450,8 @@ def load_corpus(path: str | Path) -> list[SceneGraph25D]:
     """Load a graph file holding either one video or a multi-video corpus.
 
     A missing or mistyped field is a ParseError, and a graph whose parts
-    disagree (see `SceneGraph25D.validate`) or a repeated video is a
-    ValidationError.
+    disagree (see `SceneGraph25D.check_nodes` and `check_listings`) or a
+    repeated video is a ValidationError.
     """
     obj = read_json(path)
     _check_header(obj, path)

@@ -23,13 +23,12 @@ _recording = ContextVar("recording", default=True)  # False inside no_grad()
 class Tensor:
     """Numpy-backed f64 tensor; tracked ops record a backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_leaf", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._leaf = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
@@ -78,7 +77,6 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
         return out
     if _recording.get():
         out.requires_grad = True
-        out._leaf = False
         out._parents = parents
         out._backward = backward_fn
     return out
@@ -278,7 +276,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode accumulation from a scalar; frees the tape afterwards."""
+    """Reverse-mode accumulation from a scalar; frees the tape. A node whose closure runs here
+    loses its gradient; the rest keep theirs: parameters, and nodes an earlier backward ran."""
     if loss.data.size != 1:
         raise ValidationError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     topo = _toposort(loss)
@@ -289,7 +288,7 @@ def backward(loss: Tensor) -> None:
             fn(node.grad)
         node._backward = None
         node._parents = ()
-        if not node._leaf:
+        if fn is not None:  # op outputs free their gradients; parameters keep theirs
             node.grad = None
 
 

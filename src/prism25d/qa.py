@@ -143,14 +143,6 @@ class ModelConfig:
         """The (sigma_s, sigma_t) pair of each kernel level."""
         return tuple(zip(self.sigma_s, self.sigma_s if self.sigma_t is None else self.sigma_t))
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json(obj) -> "ModelConfig":
-        """Config from a checkpoint header; a missing or mistyped field is a ParseError."""
-        return read(ModelConfig, obj)
-
 
 @dataclass
 class TextParams:
@@ -471,7 +463,7 @@ def evaluate(
 
 
 def save_model(path: str | Path, model: QaModel, seed: int, step: int) -> None:
-    header = {"config": model.config.to_json(), "seed": seed, "step": step}
+    header = {"config": asdict(model.config), "seed": seed, "step": step}
     nc.save_checkpoint(path, header, model.named_parameters())
 
 
@@ -479,7 +471,7 @@ def load_model(path: str | Path) -> tuple[QaModel, dict]:
     """A checkpoint's model, whose manifest lists its parameters in order; see `nc.load_checkpoint`."""
     header, arrays = nc.load_checkpoint(path)
     check(header, {"seed": COUNT, "step": COUNT})
-    config = ModelConfig.from_json(header.get("config"))
+    config = read(ModelConfig, header.get("config"))  # a missing or mistyped field is a ParseError
     model = init_model(config, seed=header["seed"])
     listed = [item["name"] for item in header["params"]]
     for i, (got, want) in enumerate(zip_longest(listed, (n for n, _ in model.named_parameters()))):

@@ -248,6 +248,13 @@ def _sample_static_layout(spec: WorldSpec, rng: np.random.Generator) -> np.ndarr
     return pts
 
 
+def _near(rng: np.random.Generator, point: np.ndarray, spec: WorldSpec) -> np.ndarray:
+    """`point` moved a uniform `pass_distance` along a normal-drawn unit direction."""
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    return point + direction * rng.uniform(*spec.pass_distance)
+
+
 def _sample_trajectory(
     spec: WorldSpec,
     rng: np.random.Generator,
@@ -257,9 +264,7 @@ def _sample_trajectory(
     half = _placement_box(spec)
     for _ in range(40):
         if spec.n_frames == 1:
-            direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            start = statics[targets[0]] + direction * rng.uniform(*spec.pass_distance)
+            start = _near(rng, statics[targets[0]], spec)
         else:
             start = rng.uniform(-half, half)
             if _norms(start - statics).min() < 0.8:
@@ -269,10 +274,7 @@ def _sample_trajectory(
         for tgt in targets:
             picks = 2 if len(targets) == 1 else 1  # single-target paths dwell near the target
             for _ in range(picks):
-                direction = rng.normal(size=3)
-                direction /= np.linalg.norm(direction)
-                dist = rng.uniform(*spec.pass_distance)
-                wp = statics[tgt] + direction * dist
+                wp = _near(rng, statics[tgt], spec)
                 if np.any(np.abs(wp) > half + 0.4):
                     ok = False
                     break

@@ -171,6 +171,20 @@ def test_config_file_with_flag_override(tmp_path):
     assert header["step"] > 0
 
 
+@pytest.mark.parametrize("config, flags, combine", [
+    ({"combine": True}, ["--no-combine"], False),
+    ({"combine": False}, [], False),
+    (None, [], True),
+], ids=["flag-beats-file", "file-alone", "neither"])
+def test_no_combine_flag_and_config_file(tmp_path, config, flags, combine):
+    argv = ["train", "--detections", "d", "--registry", "r", "--qa", "q", "--out", "o", *flags]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    cfg = cli.RunConfig.resolve(cli.build_parser().parse_args(argv))
+    assert cfg.combine is combine and cli._model_config(cfg).combine is combine
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A checkpoint trained on a file of 8-frame videos: (directory, detections, registry, qa, checkpoint)."""
@@ -701,8 +715,10 @@ def test_synth_repeating_a_video_id_exits_one(tmp_path, capsys):
     ({"seed": 1, "video_id": "w", "n_frame": 3}, ""),
     ({"worlds": [{"seed": 1, "video_id": "a"}, {"seed": "x", "video_id": "b"}]},
      "worlds[1]: seed must be an integer"),
+    ({"worlds": [{"seed": 1, "video_id": "a"}], "noise": {"bbox_px": 5.0}},
+     "unknown spec field 'noise' beside 'worlds'"),
 ], ids=["string-seed", "bool-seed", "float-frames", "nan-velocity", "string-image-size",
-        "top-level-list", "misspelt-key", "second-world-string-seed"])
+        "top-level-list", "misspelt-key", "second-world-string-seed", "key-beside-worlds"])
 def test_bad_world_spec_exits_one(tmp_path, capsys, spec, where):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

@@ -494,7 +494,8 @@ def test_split_partition_and_idempotence(tmp_path, registry):
     assert g.static.tolist() == [True, False, False] and g.motions.tolist() == [[0.5], [0.5]]
     copy = _saved_copy(g, tmp_path / "g.json")
     assert copy.static.tolist() == g.static.tolist()
-    copy.validate()
+    copy.check_nodes()
+    copy.check_listings()
 
 
 def test_partition_property_random_graphs(registry):
@@ -514,7 +515,8 @@ def test_partition_property_random_graphs(registry):
         g = graphs_from_records(recs, registry)[0]
         assert g.static.tolist() == [registry.entries[c].kind == STATIC for c in g.class_ids.tolist()]
         assert len(g.motions) == np.count_nonzero(~g.static)
-        g.validate()
+        g.check_nodes()
+        g.check_listings()
 
 
 def test_no_records_give_no_graphs_but_an_empty_file_is_an_error(tmp_path, registry):

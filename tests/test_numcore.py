@@ -234,6 +234,23 @@ def test_backward_gives_constants_no_gradient():
         assert p.grad.tobytes() == g.tobytes()
 
 
+def test_backward_frees_op_output_gradients_and_keeps_parameter_ones():
+    rng = np.random.default_rng(13)
+    w, bias = _param(rng, 3, 4), _param(rng, 3, 1)
+    x = Tensor(rng.normal(size=(4, 5)))
+    h = nc.matmul(w, x)
+    outputs = [h, nc.add(h, bias)]
+    outputs.append(nc.mul(outputs[-1], outputs[-1]))
+    outputs.append(nc.tsum(outputs[-1]))
+    nc.backward(outputs[-1])
+    assert all(t.requires_grad and t.grad is None for t in outputs)
+    assert all(p.grad is not None and p.grad.shape == p.shape for p in (w, bias))
+    assert x.grad is None
+    # an op output an earlier backward ran has no closure left, so it keeps a gradient
+    nc.backward(nc.tsum(h))
+    assert h.grad is not None and h.grad.tobytes() == np.ones_like(h.data).tobytes()
+
+
 def test_head_masks_are_read_only():
     from prism25d.attention import head_masks
 

@@ -1,8 +1,8 @@
 """Source hygiene, read from the syntax trees of `src/prism25d/*.py`: every module uses
-each name it imports, every private module-level name is referenced somewhere in
-`src/`, and every public module-level function or class is referenced there or
-re-exported by the package. `from __future__` imports and the package's re-exports are
-exempt from the first rule."""
+each name it imports, and every private module-level name and every public module-level
+function or class is used by a reference that resolves to its own module (the package's
+re-exports are such references). `from __future__` imports and the package's re-exports
+are exempt from the first rule."""
 
 import ast
 from pathlib import Path
@@ -10,19 +10,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "prism25d"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
          for path in sorted(SRC.glob("*.py"))}
-
-
-def _references(tree) -> set[str]:
-    """Every name a module reads: bare names, attribute names and names imported from a module."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
-    return names
 
 
 def _bound_imports(tree):
@@ -46,22 +33,59 @@ def test_every_import_is_used():
 
 # numcore operations nothing in `src/` calls, which perfbench/spans.py's NUMCORE_OPS still
 # looks up by name; they can go once the benchmark stops naming them (ROADMAP item 1)
-UNUSED_BUT_BENCHMARKED = {"relu", "tmean", "take"}
+UNUSED_BUT_BENCHMARKED = {"relu", "tmean", "take", "rows", "reshape"}
+
+
+def _module_uses(trees) -> set[tuple[str, str]]:
+    """(module, name) for each use of a module's name: a bare name in the module itself, a
+    name imported from the module, or an attribute of the module imported whole (`nc.take`).
+    A local variable or an attribute of anything else in another module that shares the name
+    is no use; in the defining module every bare name counts, a local one too."""
+    uses = set()
+    for filename, tree in trees.items():
+        whole = {}  # local name -> the sibling module it binds, from `from . import m as x`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    whole.update((alias.asname or alias.name, alias.name) for alias in node.names)
+                else:
+                    uses.update((node.module, alias.name) for alias in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                uses.add((filename.removesuffix(".py"), node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in whole):
+                uses.add((whole[node.value.id], node.attr))
+    return uses
+
+
+def _unused_public(trees, exempt=frozenset()) -> list[str]:
+    """`file:line name` for each public module-level function or class of `trees` with no use;
+    `__init__.py`'s imports are uses, so a re-export is one."""
+    uses = _module_uses(trees)
+    return [f"{filename}:{node.lineno} {node.name}" for filename, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in exempt
+            and (filename.removesuffix(".py"), node.name) not in uses]
 
 
 def test_every_public_module_level_function_or_class_is_used_or_exported():
-    # __init__.py's imports count as references, so a re-export is one
-    referenced = set().union(*map(_references, TREES.values())) | UNUSED_BUT_BENCHMARKED
-    unused = []
-    for name, tree in TREES.items():
-        unused += [f"{name}:{node.lineno} {node.name}" for node in tree.body
-                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                   and not node.name.startswith("_") and node.name not in referenced]
-    assert not unused
+    assert not _unused_public(TREES, UNUSED_BUT_BENCHMARKED)
+
+
+def test_a_name_shared_with_a_local_or_another_attribute_is_no_use():
+    trees = {
+        "ops.py": ast.parse("def rows(x):\n    return x\n\ndef take(x):\n    return x\n"
+                            "\ndef used(x):\n    return x\n"),
+        "user.py": ast.parse("from . import ops as o\nfrom .ops import used\n\n"
+                             "def _f(a):\n    rows = a.reshape(2)\n    return used(rows), a.take, o.take\n"),
+    }
+    assert _unused_public(trees) == ["ops.py:1 rows"]
 
 
 def test_every_private_module_level_name_is_referenced():
-    referenced = set().union(*map(_references, TREES.values()))
+    uses = _module_uses(TREES)
     unreferenced = []
     for name, tree in TREES.items():
         for node in tree.body:
@@ -73,5 +97,6 @@ def test_every_private_module_level_name_is_referenced():
             else:
                 continue
             unreferenced += [f"{name}:{node.lineno} {d}" for d in defined
-                             if d.startswith("_") and not d.startswith("__") and d not in referenced]
+                             if d.startswith("_") and not d.startswith("__")
+                             and (name.removesuffix(".py"), d) not in uses]
     assert not unreferenced

@@ -75,8 +75,6 @@ def build_bundles(
         if not len(graph.nodes):
             raise ValidationError(f"video {vid!r}: graph has no nodes")
         dynamic = ~graph.static
-        if len(graph.motions) != np.count_nonzero(dynamic):
-            raise ValidationError("a dynamic node lacks a motion feature")
         # a node's times are its frames / max_frames, each rounded once as Python divides integers:
         # numpy's float division rounds alike on exact floats, integers up to 2**53 (and -2**63,
         # which np.abs leaves negative)

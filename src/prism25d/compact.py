@@ -107,7 +107,7 @@ def _merge(graph: SceneGraph25D, roots: np.ndarray) -> SceneGraph25D:
     first member. Dynamic rows are their own roots and pass through untouched.
     """
     if np.any(graph.class_ids[roots] != graph.class_ids):
-        raise AssertionError("equivalence class mixes class ids; criterion violated")
+        raise ValidationError("equivalence class mixes class ids; criterion violated")
     order = np.argsort(roots, kind="stable")  # members in ascending id
     first = run_starts(roots[order])
     kept, sizes = roots[order][first], np.diff(np.append(first, len(order)))

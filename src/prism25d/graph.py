@@ -21,7 +21,6 @@ DYNAMIC = "dynamic"
 GRAPH_FORMAT = "prism25d-graph"
 GRAPH_VERSION = 2
 DEFAULT_INTRINSICS = default_intrinsics(256.0, 256.0)
-_UNIT_BOX = (0.0, 0.0, 1.0, 1.0)  # stands in for a faulty record's box
 
 
 @dataclass(frozen=True)
@@ -295,9 +294,7 @@ def _assemble(cols: dict[str, np.ndarray], names: dict[str, int], registry: Clas
         ((frames < 0) | (frames >= max_frames), ValidationError,
          lambda i: f"frame_index {frames[i]} outside [0, {max_frames})"),
     ]
-    bad = np.logical_or.reduce([mask for mask, _, _ in checks])  # reported before a centroid
-    centroids = lift_centroid(np.where(bad[:, None], _UNIT_BOX, boxes), np.where(bad, 1.0, depths),
-                              intrinsics)
+    centroids = lift_centroid(boxes, depths, intrinsics)  # checked last: a record's other fault wins
     checks.append((~np.isfinite(centroids).all(axis=1), ValidationError,
                    lambda i: f"lifted centroid {centroids[i].tolist()} is not finite"))
     _raise_first(checks, cols.get("line"))

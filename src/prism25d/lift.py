@@ -41,13 +41,6 @@ def lift_centroid(bbox, depth, intrinsics: Intrinsics) -> np.ndarray:
     """Back-project (..., 4) bbox centers at (...) depths to (..., 3) camera-frame points."""
     boxes = np.asarray(bbox, dtype=np.float64)
     depth = np.asarray(depth, dtype=np.float64)
-    bad = degenerate_boxes(boxes)
-    if bad.any():
-        box = tuple(boxes[bad][0].tolist())  # the first degenerate box
-        raise ValidationError(f"degenerate bbox {box}: requires x1 < x2 and y1 < y2")
-    bad = bad_depths(depth)
-    if bad.any():
-        raise ValidationError(f"depth must be positive and finite, got {depth[bad][0]}")
     u = (boxes[..., 0] + boxes[..., 2]) / 2.0
     v = (boxes[..., 1] + boxes[..., 3]) / 2.0
     x = (u - intrinsics.cx) * depth / intrinsics.fx

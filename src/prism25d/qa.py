@@ -26,7 +26,7 @@ from .attention import (
     MASK_LOGIT,
 )
 from .compact import MatchParams
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, located
 from .graph import DEFAULT_INTRINSICS, SceneGraph25D
 from .lift import Intrinsics
 from .numcore import Adam, Affine, Tensor
@@ -283,6 +283,12 @@ def augmented_loss(
     return nc.tsum(lse - picked) * (1.0 / len(batch)), 1 + ahead.sum(axis=0)
 
 
+def _check_finite(loss: Tensor, where: str) -> None:
+    """A non-finite loss, as any non-finite answer score makes it, is a ValidationError."""
+    if not math.isfinite(loss.item()):
+        raise ValidationError(f"{where}: the model's answer scores are not finite (loss {loss.item()})")
+
+
 # ---------------------------------------------------------------------------
 # the full forward pass
 
@@ -389,9 +395,12 @@ def train(
     seed: int,
     val_instances: list[QaInstance] | None = None,
 ) -> tuple[QaModel, dict]:
-    """Full pipeline training; deterministic in (configs, seed, data)."""
+    """Full pipeline training; deterministic in (configs, seed, data). A non-finite loss is a
+    ValidationError naming its epoch and its step or `evaluate`'s validation chunk, from 0."""
     if not instances:
         raise ValidationError("empty training dataset")
+    if val_instances == []:
+        raise ValidationError("empty validation dataset")
     if epochs < 0:
         raise ValidationError(f"epochs must not be negative, got {epochs}")
     if seed < 0:
@@ -410,6 +419,7 @@ def train(
             batch = [instances[i] for i in order[lo : lo + train_config.batch_size]]
             opt.zero_grad()
             loss, correct = batch_forward(model, bundles, batch)
+            _check_finite(loss, f"epoch {epoch}, step {n_batches}")
             nc.backward(loss)
             opt.step()
             total_loss += loss.item()
@@ -421,7 +431,8 @@ def train(
             "train_accuracy": total_correct / len(instances),
         }
         if val_instances is not None:
-            record["val_accuracy"] = evaluate(val_instances, graphs, model, bundles)["accuracy"]
+            with located(f"epoch {epoch}, validation"):
+                record["val_accuracy"] = evaluate(val_instances, graphs, model, bundles)["accuracy"]
         epoch_records.append(record)
     metrics = {
         "format": METRICS_FORMAT,
@@ -440,7 +451,8 @@ def evaluate(
 ) -> dict:
     """Accuracy and 1-based mean rank of the ground-truth answer, ranked by `augmented_loss` in
     chunks of `EVAL_BATCH` instances; records no autodiff tape. `bundles`, when given, are
-    `build_bundles` of `graphs`; the instances pass `_check_inputs` first."""
+    `build_bundles` of `graphs`; the instances pass `_check_inputs` first. A chunk whose loss is
+    not finite is a ValidationError naming the chunk's first instance, counted from 0."""
     if not instances:
         raise ValidationError("empty evaluation dataset")
     if bundles is None:
@@ -452,9 +464,10 @@ def evaluate(
     with nc.no_grad():
         fq = question_features(model, bundles, instances).data
         spans = [slice(lo, lo + EVAL_BATCH) for lo in range(0, len(instances), EVAL_BATCH)]
-        ranks = np.concatenate(
-            [augmented_loss(instances[s], Tensor(fq[:, s]), model.text)[1] for s in spans]
-        )
+        scored = [augmented_loss(instances[s], Tensor(fq[:, s]), model.text) for s in spans]
+    for s, (loss, _) in zip(spans, scored):
+        _check_finite(loss, f"instance {s.start} of {len(instances)}")
+    ranks = np.concatenate([chunk_ranks for _, chunk_ranks in scored])
     return {"accuracy": int(np.sum(ranks == 1)) / len(ranks), "mean_rank": int(ranks.sum()) / len(ranks)}
 
 

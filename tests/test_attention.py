@@ -169,25 +169,9 @@ def test_project_identity_mlp_passthrough(registry):
         assert np.allclose(features.data[:, col], node(g, nid).feature)
 
 
-def test_build_bundles_rejects_motionless_dynamic(registry):
-    g = graphs_from_records([detection(class_id=101, motion=(0.5, 0.5))], registry)[0]
-    g.motions = g.motions[:0]  # node 0 is dynamic
-    with pytest.raises(ValidationError, match="lacks a motion feature"):
-        build_bundles({"v": g}, ((1.0, 1.0),))
-
-
 def test_build_bundles_rejects_a_graph_without_nodes():
     with pytest.raises(ValidationError, match="^video 'e': graph has no nodes$"):
         build_bundles({"e": table([], video_id="e")}, ((1.0, 1.0),))
-
-
-def test_project_dim_mismatch(registry):
-    recs = [detection(frame=0, class_id=1)]
-    g = graphs_from_records(recs, registry)[0]
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValidationError):
-        project_nodes(build_bundles({"v": g}, ((1.0, 1.0),))["v"], nc.affine_init(7, 4, rng),
-                      nc.affine_init(4, 4, rng))
 
 
 # -- standard attention ------------------------------------------------------------

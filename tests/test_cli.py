@@ -140,6 +140,42 @@ def test_diverged_train_writes_nothing(tmp_path, capsys, monkeypatch):
     assert not any(path.exists() for path in outs)
 
 
+NON_FINITE_SCORES = r"the model's answer scores are not finite \(loss (nan|inf|-inf)\)$"
+
+
+@pytest.mark.parametrize("val, where", [
+    (False, "epoch 0, step 1: "), (True, "epoch 0, validation: instance 0 of 4: "),
+], ids=["step", "validation"])
+def test_train_whose_scores_overflow_writes_nothing(tmp_path, capsys, val, where):
+    """With lr 1e200 one Adam step leaves weights whose scores overflow: the next step, or with
+    one batch per epoch the epoch's validation, reports it."""
+    det, reg, qa = _synth_corpus(tmp_path, n_worlds=1, n_frames=4, n_static=5, n_dynamic=2)
+    outs = [tmp_path / name for name in ("m.ckpt", "init.ckpt", "metrics.json")]
+    capsys.readouterr()
+    code = main(["train", "--detections", det, "--registry", reg, "--qa", qa,
+                 "--out", str(outs[0]), "--save-init", str(outs[1]), "--metrics", str(outs[2]),
+                 "--lr", "1e200", "--epochs", "2", "--latent", "16", "--heads", "2",
+                 *(["--val", qa] if val else ["--batch", "1"])])
+    assert re.match(where + NON_FINITE_SCORES, _one_error(capsys, code, kind="validation"))
+    assert not any(path.exists() for path in outs)
+
+
+def test_eval_of_a_model_whose_scores_overflow_writes_nothing(trained, capsys):
+    from prism25d.qa import load_model
+
+    tmp_path, det, reg, qa, ckpt = trained
+    model, header = load_model(ckpt)
+    for _, tensor in model.named_parameters():
+        tensor.data = tensor.data * 1e200
+    scaled, out = tmp_path / "scaled.ckpt", tmp_path / "eval-scaled.json"
+    save_model(scaled, model, seed=header["seed"], step=header["step"])
+    capsys.readouterr()
+    code = main(["eval", "--detections", det, "--registry", reg, "--qa", qa, "--model", str(scaled),
+                 "--out", str(out)])
+    assert re.match("instance 0 of 8: " + NON_FINITE_SCORES, _one_error(capsys, code, kind="validation"))
+    assert not out.exists()
+
+
 def test_train_eval_cycle_and_eval_determinism(tmp_path, capsys):
     det, reg, qa = _synth_corpus(tmp_path, n_worlds=3, n_frames=5, n_static=5, n_dynamic=2)
     ckpt = str(tmp_path / "m.ckpt")

@@ -177,12 +177,12 @@ def test_merge_singletons_is_identity():
     assert merged == g
 
 
-def test_merge_mixed_class_equivalence_is_internal_error():
+def test_merge_mixed_class_equivalence_is_a_validation_error():
     anc = {0: 0, 1: 0}
     v1 = _node(0, 0, class_id=1)
     v2 = _node(1, 1, class_id=2)
     g = _graph([v1, v2])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValidationError, match="mixes class ids"):
         merge_static(g, anc)
 
 

@@ -33,21 +33,6 @@ def test_lift_one_focal_length_off_axis():
     assert np.allclose(lift_centroid(bbox, 3.0, INTR), [3.0, 0.0, 3.0])
 
 
-def test_lift_rejects_nonpositive_depth():
-    bbox = (0.0, 0.0, 10.0, 10.0)
-    with pytest.raises(ValidationError):
-        lift_centroid(bbox, 0.0, INTR)
-    with pytest.raises(ValidationError):
-        lift_centroid(bbox, -1.0, INTR)
-
-
-def test_lift_rejects_non_finite_depth():
-    boxes = np.array([[0.0, 0.0, 10.0, 10.0]] * 2)
-    for depth in (float("nan"), float("inf")):
-        with pytest.raises(ValidationError, match="depth must be positive and finite"):
-            lift_centroid(boxes, np.array([2.0, depth]), INTR)
-
-
 def test_default_intrinsics():
     intr = default_intrinsics(640, 480)
     assert (intr.fx, intr.fy, intr.cx, intr.cy) == (640.0, 640.0, 320.0, 240.0)
@@ -275,5 +260,3 @@ def test_lift_rows_equal_one_box_at_a_time():
         u, v = (x1 + x2) / 2.0, (y1 + y2) / 2.0
         expect = [(u - INTR.cx) * depth / INTR.fx, (v - INTR.cy) * depth / INTR.fy, depth]
         assert row.tolist() == expect
-    with pytest.raises(ValidationError, match="depth"):
-        lift_centroid(boxes, np.where(np.arange(50) == 7, -1.0, depths), INTR)

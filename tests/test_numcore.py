@@ -27,11 +27,6 @@ def test_matmul_hand_example():
     assert np.array_equal(out.data, [[3.0], [7.0]])
 
 
-def test_matmul_shape_mismatch():
-    with pytest.raises(ValidationError):
-        nc.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-
-
 # -- softmax ---------------------------------------------------------------------
 
 
@@ -47,11 +42,6 @@ def test_softmax_closed_form():
 
 def test_softmax_singleton():
     assert np.array_equal(nc.softmax_rows(Tensor([[42.0]])).data, [[1.0]])
-
-
-def test_softmax_rejects_nan():
-    with pytest.raises(ValidationError):
-        nc.softmax_rows(Tensor([[np.nan, 1.0]]))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -87,12 +77,6 @@ def test_mlp_double_evaluation():
     x = rng.normal(size=(3, 7))
     assert layer.w.shape == (5, 3) and layer.b.shape == (5, 1)
     assert np.allclose(layer(Tensor(x)).data, layer.w.data @ x + layer.b.data, atol=1e-12)
-
-
-def test_mlp_shape_errors():
-    layer = nc.affine_init(3, 2, np.random.default_rng(0))
-    with pytest.raises(ValidationError):
-        layer(Tensor(np.zeros((4, 1))))
 
 
 # -- backward ---------------------------------------------------------------------

@@ -563,14 +563,18 @@ def forward_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("command, bad", [
-    ("train", "video"), ("train --val", "video"), ("evaluate", "video"), ("evaluate", "token"),
-], ids=["train", "train-val", "evaluate-video", "evaluate-token"])
+    ("train", "video"), ("train --val", "video"), ("train --val", "empty"), ("evaluate", "video"),
+    ("evaluate", "token"),
+], ids=["train", "train-val", "train-empty-val", "evaluate-video", "evaluate-token"])
 def test_inputs_are_checked_before_the_first_forward_pass(registry, forward_passes, command, bad):
-    """A bad last instance fails before any forward pass, with the message of its fault."""
+    """A bad last instance, or an empty validation set, fails before any forward pass, with the
+    message of its fault."""
     graphs = {"v": _toy_graph(registry)}
     good = [_instance((1, 5 + i % 3), [(2,), (3,), (4,)], gt=i % 3) for i in range(4)]
     if bad == "video":
         insts, message = good + [_instance((1,), [(2,), (3,)], 0, vid="x")], "unknown video 'x'"
+    elif bad == "empty":
+        insts, message = [], "^empty validation dataset$"
     else:
         insts, message = good + [_instance((1, -1), [(2,), (3,)], 0)], "token id -1 outside vocabulary"
     cfg, one_per_step = _toy_config(), TrainConfig(batch_size=1)

@@ -2,9 +2,11 @@
 each name it imports, and every private module-level name and every public module-level
 function or class is used by a reference that resolves to its own module (the package's
 re-exports are such references). `from __future__` imports and the package's re-exports
-are exempt from the first rule."""
+are exempt from the first rule. Every `raise` names no builtin exception, so that what the
+package raises is a `PrismError`; the CLI parser's `SystemExit` is exempt."""
 
 import ast
+import builtins
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "prism25d"
@@ -100,3 +102,49 @@ def test_every_private_module_level_name_is_referenced():
                              if d.startswith("_") and not d.startswith("__")
                              and (name.removesuffix(".py"), d) not in uses]
     assert not unreferenced
+
+
+BUILTIN_EXCEPTIONS = {name for name, value in vars(builtins).items()
+                      if isinstance(value, type) and issubclass(value, BaseException)}
+RAISE_EXEMPT = {("cli.py", "SystemExit")}  # the argument parser's usage-error exit
+
+
+def _builtin_raises(trees) -> list[str]:
+    """`file:line name` for each `raise` of a builtin exception class, called or not; a bare
+    re-raise, a raise of a variable and a raise of a `PrismError` subclass name none."""
+    found = []
+    for filename, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if (isinstance(exc, ast.Name) and exc.id in BUILTIN_EXCEPTIONS
+                        and (filename, exc.id) not in RAISE_EXEMPT):
+                    found.append(f"{filename}:{node.lineno} {exc.id}")
+    return found
+
+
+def test_every_raise_is_a_package_error():
+    assert not _builtin_raises(TREES)
+
+
+PLANTED_RAISES = """from .errors import ValidationError
+
+
+def f(x, fault):
+    if x < 0:
+        raise ValidationError("negative x")
+    if fault is not None:
+        raise fault
+    try:
+        return 1 / x
+    except TypeError:
+        raise
+    except ZeroDivisionError:
+        raise ValueError("zero x")
+"""
+
+
+def test_a_planted_builtin_raise_is_flagged():
+    trees = {"ops.py": ast.parse(PLANTED_RAISES),
+             "cli.py": ast.parse("def error():\n    raise SystemExit(1)\n")}
+    assert _builtin_raises(trees) == ["ops.py:14 ValueError"]

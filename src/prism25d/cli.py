@@ -19,6 +19,7 @@ from .qa import (
     METRICS_VERSION,
     ModelConfig,
     TrainConfig,
+    check_schedule,
     evaluate,
     init_model,
     load_model,
@@ -238,6 +239,8 @@ def _model_config(cfg: RunConfig) -> ModelConfig:
 def cmd_train(args) -> int:
     cfg = RunConfig.resolve(args)
     pipeline = _model_config(cfg)
+    train_config = TrainConfig(lr=cfg.lr, batch_size=cfg.batch)
+    check_schedule(cfg.epochs, cfg.seed)
     train_set = load_qa(args.qa, cfg.vocab)
     val_set = load_qa(args.val, cfg.vocab) if args.val else None
     graphs = _pipeline_graphs(args.detections, args.registry, pipeline)
@@ -246,7 +249,7 @@ def cmd_train(args) -> int:
         train_set,
         graphs,
         model_cfg,
-        TrainConfig(lr=cfg.lr, batch_size=cfg.batch),
+        train_config,
         epochs=cfg.epochs,
         seed=cfg.seed,
         val_instances=val_set,

@@ -386,6 +386,15 @@ def _check_inputs(
                                   f"motion values, the model takes {config.d_a}")
 
 
+def check_schedule(epochs: int, seed: int) -> None:
+    """`train`'s range checks on its epoch count and seed, which the `train` command also
+    runs before it reads any input."""
+    if epochs < 0:
+        raise ValidationError(f"epochs must not be negative, got {epochs}")
+    if seed < 0:
+        raise ValidationError(f"seed must not be negative, got {seed}")
+
+
 def train(
     instances: list[QaInstance],
     graphs: dict[str, SceneGraph25D],
@@ -401,10 +410,7 @@ def train(
         raise ValidationError("empty training dataset")
     if val_instances == []:
         raise ValidationError("empty validation dataset")
-    if epochs < 0:
-        raise ValidationError(f"epochs must not be negative, got {epochs}")
-    if seed < 0:
-        raise ValidationError(f"seed must not be negative, got {seed}")
+    check_schedule(epochs, seed)
     model = init_model(model_config, seed)
     bundles = build_bundles(graphs, model_config.kernel_config())
     _check_inputs(instances + (val_instances or []), graphs, model_config)

@@ -229,22 +229,33 @@ def _norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
 
+def _uniform(rng: np.random.Generator, half: np.ndarray, shape) -> np.ndarray:
+    """`rng.uniform(-half, half, shape)` bit for bit, scaled as Generator.uniform scales
+    `rng.random`'s draws, at a fraction of its call cost."""
+    return -half + (half - -half) * rng.random(shape)
+
+
 def _sample_static_layout(spec: WorldSpec, rng: np.random.Generator) -> np.ndarray | None:
     """Each static object at the first of 80 uniform candidates `static_separation` or more
-    from every one placed before it, or None. The 80 are drawn as one block, then the stream
-    is rewound and redrawn up to the one taken: it stands where a one-at-a-time draw leaves it."""
+    from every one placed before it, or None. One block per layout attempt holds every
+    object's candidates: each object's 80 are the rows after those its predecessors took.
+    The stream is then rewound and redrawn by the rows taken, 80 for an object none of whose
+    candidates passes, so it stands where a one-at-a-time draw leaves it."""
     half = _placement_box(spec)
-    pts = np.zeros((0, 3))
-    for _ in range(spec.n_static):
-        state = rng.bit_generator.state
-        candidates = rng.uniform(-half, half, size=(80, 3))
-        far = (_norms(candidates[:, None] - pts) >= spec.static_separation).all(axis=1)
+    state = rng.bit_generator.state  # a restore keeps the buffered 32-bit half; advance() clears it
+    candidates = _uniform(rng, half, (80 * spec.n_static, 3))
+    pts, taken = np.empty((spec.n_static, 3)), 0
+    for i in range(spec.n_static):
+        window = candidates[taken:taken + 80]
+        far = (_norms(window[:, None] - pts[:i]) >= spec.static_separation).all(axis=1)
         if not far.any():
-            return None
+            pts, taken = None, taken + 80
+            break
         j = int(far.argmax())
-        rng.bit_generator.state = state
-        rng.uniform(-half, half, size=(j + 1, 3))
-        pts = np.vstack([pts, candidates[j]])
+        pts[i] = window[j]
+        taken += j + 1
+    rng.bit_generator.state = state
+    rng.random((taken, 3))
     return pts
 
 
@@ -262,20 +273,24 @@ def _sample_trajectory(
     targets: list[int],
 ) -> np.ndarray | None:
     half = _placement_box(spec)
+    bound = half + 0.4
+    picks = 2 if len(targets) == 1 else 1  # single-target paths dwell near the target
+    knots = np.linspace(0.0, 1.0, 1 + picks * len(targets))
+    s = np.linspace(0.0, 1.0, spec.n_frames)
+    others = [i for i in range(len(statics)) if i not in targets]
     for _ in range(40):
         if spec.n_frames == 1:
             start = _near(rng, statics[targets[0]], spec)
         else:
-            start = rng.uniform(-half, half)
+            start = _uniform(rng, half, 3)
             if _norms(start - statics).min() < 0.8:
                 continue
         waypoints = [start]
         ok = True
         for tgt in targets:
-            picks = 2 if len(targets) == 1 else 1  # single-target paths dwell near the target
             for _ in range(picks):
                 wp = _near(rng, statics[tgt], spec)
-                if np.any(np.abs(wp) > half + 0.4):
+                if np.any(np.abs(wp) > bound):
                     ok = False
                     break
                 waypoints.append(wp)
@@ -283,15 +298,12 @@ def _sample_trajectory(
                 break
         if not ok:
             continue
-        knots = np.linspace(0.0, 1.0, len(waypoints))
-        s = np.linspace(0.0, 1.0, spec.n_frames)
         track = np.stack(
             [np.interp(s, knots, [w[a] for w in waypoints]) for a in range(3)], axis=1
         )
 
         dists = np.linalg.norm(track[:, None, :] - statics[None, :, :], axis=2)  # (F, S)
         min_per_static = dists.min(axis=0)
-        others = [i for i in range(len(statics)) if i not in targets]
         if others and min_per_static[others].min() < 0.8:
             continue
         if any(min_per_static[t] > spec.pass_distance[1] + 0.05 for t in targets):

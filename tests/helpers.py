@@ -349,6 +349,53 @@ def oracle_static_layout(spec, rng):
     return np.stack(pts)
 
 
+def oracle_trajectory(spec, rng, statics, targets):
+    """A dynamic track drawn with one `rng.uniform` start per try, and the knots, frame
+    times, other statics and waypoint bound worked out afresh each try: the reference for
+    `_sample_trajectory`."""
+    half = sw._placement_box(spec)
+    for _ in range(40):
+        if spec.n_frames == 1:
+            start = sw._near(rng, statics[targets[0]], spec)
+        else:
+            start = rng.uniform(-half, half)
+            if sw._norms(start - statics).min() < 0.8:
+                continue
+        waypoints = [start]
+        ok = True
+        for tgt in targets:
+            picks = 2 if len(targets) == 1 else 1
+            for _ in range(picks):
+                wp = sw._near(rng, statics[tgt], spec)
+                if np.any(np.abs(wp) > half + 0.4):
+                    ok = False
+                    break
+                waypoints.append(wp)
+            if not ok:
+                break
+        if not ok:
+            continue
+        knots = np.linspace(0.0, 1.0, len(waypoints))
+        s = np.linspace(0.0, 1.0, spec.n_frames)
+        track = np.stack([np.interp(s, knots, [w[a] for w in waypoints]) for a in range(3)], axis=1)
+        dists = np.linalg.norm(track[:, None, :] - statics[None, :, :], axis=2)
+        min_per_static = dists.min(axis=0)
+        others = [i for i in range(len(statics)) if i not in targets]
+        if others and min_per_static[others].min() < 0.8:
+            continue
+        if any(min_per_static[t] > spec.pass_distance[1] + 0.05 for t in targets):
+            continue
+        if len(targets) == 2:
+            first = np.argmax(dists[:, targets[0]] < sw.REACH_RADIUS)
+            second = np.argmax(dists[:, targets[1]] < sw.REACH_RADIUS)
+            if not (dists[:, targets[0]] < sw.REACH_RADIUS).any():
+                continue
+            if (dists[:, targets[1]] < sw.REACH_RADIUS).any() and second <= first:
+                continue
+        return track
+    return None
+
+
 def oracle_norms(d):
     """np.linalg.norm of each vector along the last axis, one at a time: a trajectory's
     start check measured with it takes one distance per static object."""

@@ -430,13 +430,18 @@ def test_bad_qa_line_exits_one(tmp_path, capsys, monkeypatch, change):
 @pytest.mark.parametrize("flags, message", [
     (["--vocab", "0"], "vocab_size must be at least 1, got 0"),
     (["--heads", "0"], "latent_dim 32 must divide evenly into 0 heads"),
-], ids=["vocab", "heads"])
+    (["--lr", "-1"], "lr must be finite and not negative, got -1.0"),
+    (["--batch", "0"], "batch_size must be at least 1, got 0"),
+    (["--epochs", "-1"], "epochs must not be negative, got -1"),
+    (["--seed", "-1"], "seed must not be negative, got -1"),
+], ids=["vocab", "heads", "lr", "batch", "epochs", "seed"])
 def test_train_checks_its_model_knobs_before_reading_any_input(tmp_path, capsys, monkeypatch, flags,
                                                                message):
-    _, reg, qa = _synth_corpus(tmp_path, n_worlds=1)
+    """Every input file is missing: a knob out of range is reported before any is opened."""
     monkeypatch.setattr(cli, "_pipeline_graphs", _pipeline_must_not_run)
-    code = main(["train", "--detections", str(tmp_path / "missing.jsonl"), "--registry", reg,
-                 "--qa", qa, "--out", str(tmp_path / "m.ckpt"), *flags])
+    code = main(["train", "--detections", str(tmp_path / "missing.jsonl"),
+                 "--registry", str(tmp_path / "missing.json"), "--qa", str(tmp_path / "missing-qa.jsonl"),
+                 "--out", str(tmp_path / "m.ckpt"), *flags])
     assert _one_error(capsys, code, kind="validation") == message
     assert not (tmp_path / "m.ckpt").exists()
 

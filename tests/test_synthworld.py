@@ -21,6 +21,7 @@ from helpers import (
     oracle_detections,
     oracle_norms,
     oracle_static_layout,
+    oracle_trajectory,
 )
 
 REG = sw.default_registry()
@@ -395,6 +396,24 @@ def test_crowded_detections_are_pinned(tmp_path):
     assert digest.hexdigest() == CROWDED_DIGEST
 
 
+@pytest.mark.parametrize("n_static, separation, abandoned", [(4, 1.0, False), (8, 1.8, True)],
+                         ids=["placed", "abandoned"])
+def test_layout_sampler_leaves_the_stream_where_one_at_a_time_draws_do(n_static, separation,
+                                                                      abandoned):
+    """From a stream holding a buffered 32-bit half, as `rng.choice` leaves it, the block
+    sampler ends on the one-at-a-time sampler's whole state, buffer included."""
+    spec = sw.WorldSpec(seed=3, video_id="s", n_static=n_static, static_separation=separation)
+    ends = []
+    for sample in (oracle_static_layout, sw._sample_static_layout):
+        rng = np.random.default_rng(spec.seed)
+        rng.choice(6, size=1, replace=False)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        layout = sample(spec, rng)
+        assert (layout is None) == abandoned
+        ends.append((None if layout is None else layout.tobytes(), rng.bit_generator.state))
+    assert ends[1] == ends[0]
+
+
 def _built(spec):
     """A spec's world, or the message of the error that refuses it."""
     try:
@@ -416,6 +435,7 @@ def test_block_sampler_matches_one_candidate_at_a_time(seed, n_static, separatio
     })
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sw, "_sample_static_layout", oracle_static_layout)
+        patch.setattr(sw, "_sample_trajectory", oracle_trajectory)
         patch.setattr(sw, "_norms", oracle_norms)
         want = _built(spec)
     got = _built(spec)

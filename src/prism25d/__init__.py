@@ -6,9 +6,8 @@ from .compact import (
     build_ancestors,
     compact,
     corpus_stats,
-    merge_static,
 )
-from .errors import FormatError, ParseError, PrismError, RegistryError, ValidationError
+from .errors import ParseError, PrismError, ValidationError
 from .graph import (
     ClassEntry,
     ClassRegistry,

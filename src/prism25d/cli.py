@@ -19,7 +19,6 @@ from .qa import (
     METRICS_VERSION,
     ModelConfig,
     TrainConfig,
-    check_schedule,
     evaluate,
     init_model,
     load_model,
@@ -73,8 +72,8 @@ class RunConfig:
     latent: int = ModelConfig.latent_dim  # desk-scale width; reference models ran 128-256
     lr: float = TrainConfig.lr  # desk-scale runs often want 2e-3
     batch: int = TrainConfig.batch_size
-    epochs: int = 25  # artifact default
-    seed: int = 0
+    epochs: int = TrainConfig.epochs
+    seed: int = TrainConfig.seed
     vocab: int = synthworld.VOCAB_SIZE
     standard_layers: int = ModelConfig.n_standard_layers  # stacked plain-attention blocks in the encoder
     combine: bool = ModelConfig.combine
@@ -103,6 +102,9 @@ class RunConfig:
         if any(v is None for v in given):
             raise ParseError("intrinsics need all of --fx --fy --cx --cy")
         return Intrinsics(self.fx, self.fy, self.cx, self.cy)
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(lr=self.lr, batch_size=self.batch, epochs=self.epochs, seed=self.seed)
 
 
 def _pipeline_graphs(detections: str, registry: str, config: ModelConfig) -> dict[str, SceneGraph25D]:
@@ -133,12 +135,12 @@ def cmd_synth(args) -> int:
         specs, first = [], {}  # first: the index of each video_id's first world
         for i, world in enumerate(obj["worlds"]):
             with located(f"worlds[{i}]"):
-                spec = synthworld.WorldSpec.from_json(world)
+                spec = read(synthworld.WorldSpec, world, partial=True)
                 if (j := first.setdefault(spec.video_id, i)) != i:
                     raise ValidationError(f"video_id {spec.video_id!r} repeats worlds[{j}]")
             specs.append(spec)
     else:
-        specs = [synthworld.WorldSpec.from_json(obj)]
+        specs = [read(synthworld.WorldSpec, obj, partial=True)]
     worlds, all_instances, truths = [], [], {}
     for spec in specs:
         world = synthworld.build_world(spec)
@@ -239,8 +241,7 @@ def _model_config(cfg: RunConfig) -> ModelConfig:
 def cmd_train(args) -> int:
     cfg = RunConfig.resolve(args)
     pipeline = _model_config(cfg)
-    train_config = TrainConfig(lr=cfg.lr, batch_size=cfg.batch)
-    check_schedule(cfg.epochs, cfg.seed)
+    train_config = cfg.train_config()  # range-checked, as the model knobs are, before any input is read
     train_set = load_qa(args.qa, cfg.vocab)
     val_set = load_qa(args.val, cfg.vocab) if args.val else None
     graphs = _pipeline_graphs(args.detections, args.registry, pipeline)
@@ -250,8 +251,6 @@ def cmd_train(args) -> int:
         graphs,
         model_cfg,
         train_config,
-        epochs=cfg.epochs,
-        seed=cfg.seed,
         val_instances=val_set,
     )
     save_model(args.out, model, seed=cfg.seed, step=metrics["steps"])  # refuses a diverged model first

@@ -75,7 +75,9 @@ def _roots(graph: SceneGraph25D, params: MatchParams) -> np.ndarray:
     keep = graph.static[graph.listed_rows]
     occ, frames = graph.listed_rows[keep], graph.listed_frames[keep]
     f0 = graph.obs_frames[graph.obs_start[occ]]
-    matches = nearest(graph, occ, np.searchsorted(frames, f0 - params.delta), np.searchsorted(frames, f0),
+    # frames are >= 0, so a look-back past the latest first frame adds nothing, and could overflow int64
+    delta = min(params.delta, int(f0.max(initial=0)))
+    matches = nearest(graph, occ, np.searchsorted(frames, f0 - delta), np.searchsorted(frames, f0),
                       params.gamma)
     roots = np.arange(len(graph.nodes))
     roots[occ[matches >= 0]] = matches[matches >= 0]
@@ -90,14 +92,6 @@ def build_ancestors(graph: SceneGraph25D, params: MatchParams) -> dict[int, int]
     return dict(zip(graph.nodes[graph.static].tolist(), graph.nodes[roots].tolist()))
 
 
-def merge_static(graph: SceneGraph25D, ancestors: dict[int, int]) -> SceneGraph25D:
-    """Collapse each static equivalence class, given as node id -> root id, into its root."""
-    roots, row = np.arange(len(graph.nodes)), {nid: r for r, nid in enumerate(graph.nodes.tolist())}
-    for nid, root in ancestors.items():
-        roots[row[nid]] = row[root]
-    return _merge(graph, roots)
-
-
 def _merge(graph: SceneGraph25D, roots: np.ndarray) -> SceneGraph25D:
     """Collapse the rows of each root into the root's row.
 
@@ -106,8 +100,6 @@ def _merge(graph: SceneGraph25D, roots: np.ndarray) -> SceneGraph25D:
     by frame. A frame lists each merged node once, where it listed its
     first member. Dynamic rows are their own roots and pass through untouched.
     """
-    if np.any(graph.class_ids[roots] != graph.class_ids):
-        raise ValidationError("equivalence class mixes class ids; criterion violated")
     order = np.argsort(roots, kind="stable")  # members in ascending id
     first = run_starts(roots[order])
     kept, sizes = roots[order][first], np.diff(np.append(first, len(order)))

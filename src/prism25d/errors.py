@@ -31,11 +31,3 @@ class ValidationError(PrismError):
 
 class ParseError(PrismError):
     """Malformed input file."""
-
-
-class RegistryError(PrismError):
-    """Reference to a class id missing from the class registry."""
-
-
-class FormatError(PrismError):
-    """File has the wrong format marker or an unsupported version."""

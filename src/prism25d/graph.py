@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParseError, RegistryError, ValidationError, located
+from .errors import ParseError, ValidationError, located
 from .lift import Intrinsics, bad_depths, default_intrinsics, degenerate_boxes, lift_centroid
 from .schema import (INT, NUMBER, OBJECT, STR, check, check_rows, jsonl_blocks, list_of, optional,
                      read_json, typed_prefix)
@@ -282,7 +282,7 @@ def _assemble(cols: dict[str, np.ndarray], names: dict[str, int], registry: Clas
     kinds = [kind_of.get(c) for c in class_ids.tolist()]
     static, dynamic = (np.array([k == kind for k in kinds], dtype=bool) for kind in (STATIC, DYNAMIC))
     checks = [
-        (~(static | dynamic), RegistryError, lambda i: f"unknown class_id {class_ids[i]}"),
+        (~(static | dynamic), ValidationError, lambda i: f"unknown class_id {class_ids[i]}"),
         (degenerate_boxes(boxes), ValidationError,
          lambda i: f"degenerate bbox {tuple(boxes[i].tolist())}: requires x1 < x2 and y1 < y2"),
         (bad_depths(depths), ValidationError,
@@ -407,9 +407,9 @@ def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> S
 
 def _check_header(obj: dict, path: str | Path) -> None:
     if not isinstance(obj, dict) or obj.get("format") != GRAPH_FORMAT:
-        raise FormatError(f"{path}: not a {GRAPH_FORMAT} file")
+        raise ValidationError(f"{path}: not a {GRAPH_FORMAT} file")
     if obj.get("version") != GRAPH_VERSION:
-        raise FormatError(f"{path}: unsupported version {obj.get('version')!r}")
+        raise ValidationError(f"{path}: unsupported version {obj.get('version')!r}")
 
 
 # the float columns of a graph, by the node field that writes them

@@ -19,6 +19,8 @@ class Intrinsics:
     def __post_init__(self):
         if not (0.0 < self.fx < np.inf and 0.0 < self.fy < np.inf):
             raise ValidationError(f"focal lengths must be positive and finite, got {self.fx}, {self.fy}")
+        if not (-np.inf < self.cx < np.inf and -np.inf < self.cy < np.inf):
+            raise ValidationError(f"principal point must be finite, got {self.cx}, {self.cy}")
 
 
 def default_intrinsics(width: float, height: float) -> Intrinsics:

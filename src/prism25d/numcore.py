@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .schema import COUNT, OBJECT, STR, check, check_rows, list_of, parse_json
 
 CHECKPOINT_FORMAT = "prism25d-checkpoint"
@@ -380,12 +380,12 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             header = parse_json(fh.readline())
         except ParseError as exc:
             if isinstance(exc.__cause__, UnicodeDecodeError):  # bytes, not a text header
-                raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file") from exc
+                raise ValidationError(f"{path}: not a {CHECKPOINT_FORMAT} file") from exc
             raise
         if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-            raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+            raise ValidationError(f"{path}: not a {CHECKPOINT_FORMAT} file")
         if header.get("version") != CHECKPOINT_VERSION:
-            raise FormatError(f"{path}: unsupported version {header.get('version')!r}")
+            raise ValidationError(f"{path}: unsupported version {header.get('version')!r}")
         check(header, {"params": list_of(OBJECT)})
         cols = check_rows(header["params"], _MANIFEST_ENTRY)
         blob = fh.read()  # bytes after the last parameter are accepted
@@ -393,12 +393,12 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     for name, shape in zip(cols["name"], cols["shape"]):
         count = math.prod(shape)  # a Python int, which cannot wrap as an int64 product does
         if count > (len(blob) - offset) // 8:
-            raise FormatError(f"{path}: truncated parameter blob at {name}")
+            raise ValidationError(f"{path}: truncated parameter blob at {name}")
         values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         try:  # numpy refuses too many axes, and an empty shape whose other dimensions overflow
             arrays[name] = values.reshape(shape).copy()
         except ValueError as exc:
-            raise FormatError(f"{path}: parameter {name} has shape {shape}: {exc}") from exc
+            raise ValidationError(f"{path}: parameter {name} has shape {shape}: {exc}") from exc
         offset += 8 * count
         if not np.isfinite(arrays[name]).all():
             raise ValidationError(f"{path}: parameter {name} holds a non-finite value")

@@ -343,12 +343,18 @@ def batch_forward(
 class TrainConfig:
     lr: float = 1e-3
     batch_size: int = 16
+    epochs: int = 25  # artifact default
+    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.lr < math.inf:
             raise ValidationError(f"lr must be finite and not negative, got {self.lr}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValidationError(f"epochs must not be negative, got {self.epochs}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must not be negative, got {self.seed}")
 
 
 def _epoch_order(instances: list[QaInstance], seed: int, epoch: int) -> list[int]:
@@ -386,38 +392,26 @@ def _check_inputs(
                                   f"motion values, the model takes {config.d_a}")
 
 
-def check_schedule(epochs: int, seed: int) -> None:
-    """`train`'s range checks on its epoch count and seed, which the `train` command also
-    runs before it reads any input."""
-    if epochs < 0:
-        raise ValidationError(f"epochs must not be negative, got {epochs}")
-    if seed < 0:
-        raise ValidationError(f"seed must not be negative, got {seed}")
-
-
 def train(
     instances: list[QaInstance],
     graphs: dict[str, SceneGraph25D],
     model_config: ModelConfig,
     train_config: TrainConfig,
-    epochs: int,
-    seed: int,
     val_instances: list[QaInstance] | None = None,
 ) -> tuple[QaModel, dict]:
-    """Full pipeline training; deterministic in (configs, seed, data). A non-finite loss is a
+    """Full pipeline training; deterministic in (configs, data). A non-finite loss is a
     ValidationError naming its epoch and its step or `evaluate`'s validation chunk, from 0."""
     if not instances:
         raise ValidationError("empty training dataset")
     if val_instances == []:
         raise ValidationError("empty validation dataset")
-    check_schedule(epochs, seed)
-    model = init_model(model_config, seed)
+    model = init_model(model_config, train_config.seed)
     bundles = build_bundles(graphs, model_config.kernel_config())
     _check_inputs(instances + (val_instances or []), graphs, model_config)
     opt = Adam(model.parameters(), lr=train_config.lr)
     epoch_records = []
-    for epoch in range(epochs):
-        order = _epoch_order(instances, seed, epoch)
+    for epoch in range(train_config.epochs):
+        order = _epoch_order(instances, train_config.seed, epoch)
         total_loss = 0.0
         total_correct = 0
         n_batches = 0

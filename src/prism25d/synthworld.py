@@ -7,7 +7,7 @@ import math
 import shutil
 import tempfile
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,6 @@ from .errors import ValidationError
 from .graph import DYNAMIC, STATIC, ClassEntry, ClassRegistry
 from .lift import Intrinsics, default_intrinsics
 from .qa import QaInstance
-from .schema import read
 
 STATIC_CLASS_BASE = 1
 DYNAMIC_CLASS_BASE = 101
@@ -117,14 +116,6 @@ class WorldSpec:
 
     def intrinsics(self) -> Intrinsics:
         return default_intrinsics(*self.image_size)
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json(obj: dict) -> "WorldSpec":
-        """Spec from a JSON object; fields with defaults may be left out."""
-        return read(WorldSpec, obj, partial=True)
 
 
 @dataclass

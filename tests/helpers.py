@@ -251,7 +251,8 @@ def _merge_class(members, root):
 
 
 def oracle_merge_static(graph, ancestors):
-    """merge_static one equivalence class and one frame listing at a time."""
+    """The graph with each static equivalence class, given as node id -> root id, collapsed
+    into its root: `compact`'s merge, one equivalence class and one frame listing at a time."""
     nodes = {nid: node(graph, nid) for nid in graph.nodes.tolist()}
     dynamic = set(graph.nodes[~graph.static].tolist())
     classes = {}

@@ -7,6 +7,7 @@ training-backed criteria share their runs through module-level caches.
 import hashlib
 import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def _c3_world_specs():
 def test_c3_node_reduction_metric_shape(tmp_path):
     start = time.perf_counter()
     spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({"worlds": [s.to_json() for s in _c3_world_specs()]}))
+    spec_file.write_text(json.dumps({"worlds": [asdict(s) for s in _c3_world_specs()]}))
     det = tmp_path / "d.jsonl"
     reg = tmp_path / "reg.json"
     graphs = tmp_path / "g.json"
@@ -365,8 +366,8 @@ def _learning_run(sigmas, seed):
     config = ModelConfig(d_o=16, d_a=8, vocab_size=sw.VOCAB_SIZE, latent_dim=32,
                          heads=4, sigma_s=sigmas)
     start = time.perf_counter()
-    _model, metrics = train(train_insts, graphs, config, TrainConfig(lr=2e-3, batch_size=16),
-                            epochs=50, seed=seed, val_instances=val_insts)
+    schedule = TrainConfig(lr=2e-3, batch_size=16, epochs=50, seed=seed)
+    _model, metrics = train(train_insts, graphs, config, schedule, val_instances=val_insts)
     _LEARN_CACHE[key] = (metrics, time.perf_counter() - start)
     return _LEARN_CACHE[key]
 
@@ -430,7 +431,7 @@ def test_c9_determinism_and_roundtrips(tmp_path):
                          sigma_s=(0.1, 1.0))
     outputs = []
     for name in ("a", "b"):
-        model, metrics = train(instances, graphs, config, TrainConfig(), epochs=2, seed=7,
+        model, metrics = train(instances, graphs, config, TrainConfig(epochs=2, seed=7),
                                val_instances=instances)
         ckpt = tmp_path / f"m-{name}.ckpt"
         save_model(ckpt, model, seed=7, step=metrics["steps"])
@@ -469,7 +470,7 @@ def test_train_val_bytes_are_pinned(tmp_path):
     instances, _ = sw.generate_qa(world, sw.world_truth(world), "nearest_static", 6, seed=0)
     config = ModelConfig(d_o=16, d_a=8, vocab_size=sw.VOCAB_SIZE, latent_dim=16, heads=2,
                          sigma_s=(0.1, 1.0))
-    model, metrics = train(instances, {"d0": graph}, config, TrainConfig(), epochs=2, seed=7,
+    model, metrics = train(instances, {"d0": graph}, config, TrainConfig(epochs=2, seed=7),
                            val_instances=instances)
     save_model(tmp_path / "m.ckpt", model, seed=7, step=metrics["steps"])
     ckpt = (tmp_path / "m.ckpt").read_bytes()

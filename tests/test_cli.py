@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from unittest import mock
 
@@ -38,7 +38,7 @@ def _spec_file(tmp_path, worlds):
 
 
 def _world_json(seed, **kw):
-    obj = sw.WorldSpec(seed=seed, video_id=f"w{seed}", **kw).to_json()
+    obj = asdict(sw.WorldSpec(seed=seed, video_id=f"w{seed}", **kw))
     return obj
 
 
@@ -434,7 +434,9 @@ def test_bad_qa_line_exits_one(tmp_path, capsys, monkeypatch, change):
     (["--batch", "0"], "batch_size must be at least 1, got 0"),
     (["--epochs", "-1"], "epochs must not be negative, got -1"),
     (["--seed", "-1"], "seed must not be negative, got -1"),
-], ids=["vocab", "heads", "lr", "batch", "epochs", "seed"])
+    (["--fx", "256", "--fy", "256", "--cx", "inf", "--cy", "128"],
+     "principal point must be finite, got inf, 128.0"),
+], ids=["vocab", "heads", "lr", "batch", "epochs", "seed", "principal-point"])
 def test_train_checks_its_model_knobs_before_reading_any_input(tmp_path, capsys, monkeypatch, flags,
                                                                message):
     """Every input file is missing: a knob out of range is reported before any is opened."""
@@ -908,6 +910,39 @@ def test_ingest_checks_gamma_when_every_video_has_one_frame(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--fx", "256", "--fy", "256", "--cx", "nan", "--cy", "128"],
+     "principal point must be finite, got nan, 128.0"),
+    (["--image-h", "nan"], "principal point must be finite, got 128.0, nan"),
+], ids=["cx", "image-h"])
+def test_ingest_blames_a_non_finite_principal_point_on_its_flag(tmp_path, capsys, flags, message):
+    """Not on the first detection it would lift."""
+    det, reg, _ = _synth_corpus(tmp_path, n_worlds=1, qa=False, n_frames=3)
+    out = tmp_path / "g.json"
+    code = main(["ingest", "--in", det, "--registry", reg, "--out", str(out), *flags])
+    assert _one_error(capsys, code, kind="validation") == message
+    assert not out.exists()
+
+
+def test_a_merge_window_past_the_video_is_the_whole_video(tmp_path):
+    """A `--delta` beyond any int64 frame difference merges as one that reaches frame 0 does,
+    in `compact` and in the pipeline that `eval` runs from a checkpoint."""
+    det, reg, qa = _synth_corpus(tmp_path, n_worlds=2, n_frames=8)
+    graph_file = tmp_path / "g.json"
+    assert main(["ingest", "--in", det, "--registry", reg, "--out", str(graph_file)]) == 0
+    digests, metrics = set(), set()
+    for delta in (8, 1000, 10**20 - 1):
+        out, ckpt, scores = (tmp_path / f"{kind}{delta}" for kind in ("c", "m", "e"))
+        assert main(["compact", "--in", str(graph_file), "--out", str(out), "--delta", str(delta)]) == 0
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+        config = ModelConfig(d_o=16, d_a=8, vocab_size=sw.VOCAB_SIZE, match=MatchParams(delta=delta))
+        save_model(ckpt, init_model(config, seed=0), seed=0, step=0)
+        assert main(["eval", "--detections", det, "--registry", reg, "--qa", qa, "--model", str(ckpt),
+                     "--out", str(scores)]) == 0
+        metrics.add(scores.read_bytes())
+    assert len(digests) == 1 and len(metrics) == 1
+
+
 @pytest.mark.parametrize("flag", [["--task", "count_dynamic"], ["--task", "nearest_static"],
                                   ["--qa-per-world", "0"], ["--qa-per-world", "4"],
                                   ["--qa-seed", "3"]])
@@ -930,7 +965,7 @@ def test_run_config_defaults_match_the_library():
     assert (run.sigmas, run.sigma_t, run.heads, run.latent, run.standard_layers, run.combine) == (
         model.sigma_s, model.sigma_t, model.heads, model.latent_dim, model.n_standard_layers,
         model.combine)
-    assert (run.lr, run.batch) == (train.lr, train.batch_size)
+    assert (run.lr, run.batch, run.epochs, run.seed) == (train.lr, train.batch_size, train.epochs, train.seed)
     assert run.intrinsics() == DEFAULT_INTRINSICS
     assert (model.match, model.intrinsics, model.max_frames) == (match, DEFAULT_INTRINSICS, run.max_frames)
 
@@ -959,6 +994,26 @@ def test_every_model_config_field_has_a_train_flag():
     for field, (flags, value) in _MODEL_FLAGS.items():
         args = cli.build_parser().parse_args(base + flags)
         config = cli._model_config(cli.RunConfig.resolve(args))
+        assert getattr(default, field) != value
+        assert getattr(config, field) == value, field
+
+
+# each TrainConfig field, with train flags that set it off its default
+_TRAIN_FLAGS = {
+    "lr": (["--lr", "0.002"], 0.002),
+    "batch_size": (["--batch", "4"], 4),
+    "epochs": (["--epochs", "3"], 3),
+    "seed": (["--seed", "5"], 5),
+}
+
+
+def test_every_train_config_field_has_a_train_flag():
+    """No schedule knob outside the config: each field reaches the train config from `train`'s flags."""
+    assert set(_TRAIN_FLAGS) == {f.name for f in fields(TrainConfig)}
+    base = ["train", "--detections", "d", "--registry", "r", "--qa", "q", "--out", "o"]
+    default = cli.RunConfig.resolve(cli.build_parser().parse_args(base)).train_config()
+    for field, (flags, value) in _TRAIN_FLAGS.items():
+        config = cli.RunConfig.resolve(cli.build_parser().parse_args(base + flags)).train_config()
         assert getattr(default, field) != value
         assert getattr(config, field) == value, field
 

@@ -9,7 +9,6 @@ from prism25d.compact import (
     build_ancestors,
     compact,
     corpus_stats,
-    merge_static,
     reduction_pct,
 )
 from prism25d.errors import ValidationError
@@ -147,7 +146,7 @@ def test_ancestor_skips_gap_frame():
     assert anc[2] == 0
 
 
-# -- merge_static -------------------------------------------------------------
+# -- merging ------------------------------------------------------------------
 
 
 def test_merge_averages_features():
@@ -175,15 +174,6 @@ def test_merge_singletons_is_identity():
     merged = compact(g, MatchParams(gamma=0.5, delta=3))
     assert len(merged.nodes) == 3
     assert merged == g
-
-
-def test_merge_mixed_class_equivalence_is_a_validation_error():
-    anc = {0: 0, 1: 0}
-    v1 = _node(0, 0, class_id=1)
-    v2 = _node(1, 1, class_id=2)
-    g = _graph([v1, v2])
-    with pytest.raises(ValidationError, match="mixes class ids"):
-        merge_static(g, anc)
 
 
 def test_merge_on_synthetic_corpus_reaches_object_count():
@@ -339,7 +329,6 @@ def test_segment_merge_matches_per_class_loop():
         ancestors = build_ancestors(graph, params)
         got, want = compact(graph, params), oracle_merge_static(graph, ancestors)
         assert json.dumps(_graph_body(got)) == json.dumps(_graph_body(want))
-        assert merge_static(graph, ancestors) == got
         remerged += any(a != nid and len(node(graph, nid).source_frames) > 1 for nid, a in ancestors.items())
     assert remerged >= 5
 
@@ -403,7 +392,7 @@ def _grid_graphs(seed, count):
         params = MatchParams(gamma=(1 / 3, 0.5)[k % 2], delta=int(rng.integers(1, 4)))
         yield graph, params
         # merged nodes: each listed in several frames, first source frame its root's
-        yield merge_static(graph, oracle_ancestors(graph, params)), params
+        yield oracle_merge_static(graph, oracle_ancestors(graph, params)), params
 
 
 def _window(graph, v, params):

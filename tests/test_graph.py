@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prism25d import schema
-from prism25d.errors import FormatError, ParseError, RegistryError, ValidationError
+from prism25d.errors import ParseError, ValidationError
 from prism25d.attention import build_bundles, kernel_softmax_levels
 from prism25d.compact import MatchParams, compact
 from prism25d.graph import STATIC, _graph_body, graphs_from_records, load_corpus, load_detection_groups, save_corpus
@@ -66,7 +66,7 @@ def test_malformed_line_reports_line_number(tmp_path, registry):
 
 def test_unknown_class_rejected(tmp_path, registry):
     path = write_jsonl(tmp_path / "d.jsonl", [detection(class_id=999)])
-    with pytest.raises(RegistryError):
+    with pytest.raises(ValidationError, match="unknown class_id 999"):
         load_detection_groups(path, registry)
 
 
@@ -85,7 +85,7 @@ def test_graph_check_names_the_first_bad_line(tmp_path, registry):
         load_detection_groups(path, registry)
     assert exc.value.line == 2
     path = write_jsonl(tmp_path / "d.jsonl", [recs[0], recs[2], recs[3]])
-    with pytest.raises(RegistryError, match="class_id 999") as exc:
+    with pytest.raises(ValidationError, match="class_id 999") as exc:
         load_detection_groups(path, registry)
     assert exc.value.line == 2
 
@@ -106,7 +106,7 @@ def _without(rec, key):
 @pytest.mark.parametrize("items, error, message", [
     # video b's fault comes before video a's, though a appears first
     ([detection(video_id="a"), detection(video_id="b", class_id=999), detection(video_id="a", depth=-2.0)],
-     RegistryError, "class_id 999"),
+     ValidationError, "class_id 999"),
     # a centroid overflow is reported before a class fault on a later line
     ([detection(), detection(bbox=(0.0, 0.0, 1.0, 1.0), depth=1e308), detection(class_id=999)],
      ValidationError, "lifted centroid"),
@@ -164,7 +164,7 @@ def test_a_line_ends_at_a_line_feed(tmp_path, registry):
     ("{broken", ParseError, "invalid JSON"),
     (detection(depth="2"), ParseError, "depth must be a finite number"),
     (detection(feature=(1.0, 0.0, 0.0)), ParseError, "feature has 3 values, not 2"),
-    (detection(class_id=999), RegistryError, "class_id 999"),
+    (detection(class_id=999), ValidationError, "class_id 999"),
     (detection(frame=-1), ValidationError, "frame_index -1"),
 ], ids=["bad-json", "mistyped-field", "feature-width", "unknown-class", "frame-range"])
 def test_a_bad_line_in_a_later_block_is_named_by_its_line(tmp_path, registry, monkeypatch, bad, error,
@@ -276,12 +276,12 @@ def test_wrong_version_rejected(tmp_path, registry):
     obj = json.loads(path.read_text())
     obj["version"] = 99
     path.write_text(json.dumps(obj))
-    with pytest.raises(FormatError):
+    with pytest.raises(ValidationError, match="unsupported version 99"):
         load_corpus(path)
     obj["version"] = 2
     obj["format"] = "something-else"
     path.write_text(json.dumps(obj))
-    with pytest.raises(FormatError):
+    with pytest.raises(ValidationError, match="not a prism25d-graph file"):
         load_corpus(path)
 
 

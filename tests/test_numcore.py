@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prism25d import numcore as nc
-from prism25d.errors import FormatError, ValidationError
+from prism25d.errors import ValidationError
 from prism25d.numcore import Adam, Tensor
 
 from helpers import affine_identity, fd_gradients, max_relative_error
@@ -352,7 +352,7 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
     path = tmp_path / "bad.ckpt"
     for head in (b'{"format": "other", "version": 1, "params": []}\n', b"\xff\xfe\n", b"[]\n"):
         path.write_bytes(head)
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError, match="not a prism25d-checkpoint file"):
             nc.load_checkpoint(path)
 
 
@@ -362,7 +362,7 @@ def test_checkpoint_rejects_truncated_blob(tmp_path):
     nc.save_checkpoint(path, {}, [("w", _param(rng, 4, 4))])
     data = path.read_bytes()
     path.write_bytes(data[:-8])
-    with pytest.raises(FormatError):
+    with pytest.raises(ValidationError, match="truncated parameter blob at w"):
         nc.load_checkpoint(path)
 
 

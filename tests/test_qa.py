@@ -343,7 +343,7 @@ def test_train_lr_zero_keeps_parameters(registry):
     insts = [_instance((1, 5), [(2,), (3,), (4,)], gt=0)]
     cfg = _toy_config()
     before = init_model(cfg, seed=3)
-    model, metrics = train(insts, graphs, cfg, TrainConfig(lr=0.0), epochs=3, seed=3)
+    model, metrics = train(insts, graphs, cfg, TrainConfig(lr=0.0, epochs=3, seed=3))
     for (_, a), (_, b) in zip(before.named_parameters(), model.named_parameters()):
         assert a.data.tobytes() == b.data.tobytes()
     assert metrics["steps"] == 0
@@ -352,15 +352,14 @@ def test_train_lr_zero_keeps_parameters(registry):
 def test_train_overfits_single_instance(registry):
     graphs = {"v": _toy_graph(registry)}
     insts = [_instance((1, 5), [(2,), (3,), (4,)], gt=1)]
-    model, metrics = train(insts, graphs, _toy_config(), TrainConfig(lr=1e-3, batch_size=1),
-                           epochs=200, seed=0)
+    model, metrics = train(insts, graphs, _toy_config(), TrainConfig(lr=1e-3, batch_size=1, epochs=200))
     assert metrics["epochs"][-1]["train_accuracy"] == 1.0
     assert metrics["epochs"][-1]["train_loss"] < metrics["epochs"][0]["train_loss"]
 
 
 def test_train_rejects_empty_dataset(registry):
     with pytest.raises(ValidationError):
-        train([], {"v": _toy_graph(registry)}, _toy_config(), TrainConfig(), 1, 0)
+        train([], {"v": _toy_graph(registry)}, _toy_config(), TrainConfig(epochs=1))
 
 
 def test_train_and_loss_deterministic(registry):
@@ -369,7 +368,7 @@ def test_train_and_loss_deterministic(registry):
         _instance((1, 5), [(2,), (3,), (4,)], gt=0),
         _instance((1, 6), [(2,), (3,), (4,)], gt=2),
     ]
-    runs = [train(insts, graphs, _toy_config(), TrainConfig(), epochs=3, seed=11) for _ in range(2)]
+    runs = [train(insts, graphs, _toy_config(), TrainConfig(epochs=3, seed=11)) for _ in range(2)]
     for (_, a), (_, b) in zip(runs[0][0].named_parameters(), runs[1][0].named_parameters()):
         assert a.data.tobytes() == b.data.tobytes()
     assert runs[0][1] == runs[1][1]
@@ -389,7 +388,7 @@ def test_evaluate_perfect_and_tied_models(registry):
     assert res["mean_rank"] == pytest.approx(np.mean([i % 3 + 1 for i in range(6)]))
 
     # an overfit model is a perfect model on its own instance
-    model, _ = train(insts[:1], graphs, cfg, TrainConfig(lr=1e-3, batch_size=1), epochs=200, seed=0)
+    model, _ = train(insts[:1], graphs, cfg, TrainConfig(lr=1e-3, batch_size=1, epochs=200))
     res1 = evaluate(insts[:1], graphs, model)
     assert res1 == {"accuracy": 1.0, "mean_rank": 1.0}
 
@@ -577,12 +576,12 @@ def test_inputs_are_checked_before_the_first_forward_pass(registry, forward_pass
         insts, message = [], "^empty validation dataset$"
     else:
         insts, message = good + [_instance((1, -1), [(2,), (3,)], 0)], "token id -1 outside vocabulary"
-    cfg, one_per_step = _toy_config(), TrainConfig(batch_size=1)
+    cfg, one_per_step = _toy_config(), TrainConfig(batch_size=1, epochs=1)
     with pytest.raises(ValidationError, match=message):
         if command == "train":
-            train(insts, graphs, cfg, one_per_step, epochs=1, seed=0)
+            train(insts, graphs, cfg, one_per_step)
         elif command == "train --val":
-            train(good, graphs, cfg, one_per_step, epochs=1, seed=0, val_instances=insts)
+            train(good, graphs, cfg, one_per_step, val_instances=insts)
         else:
             evaluate(insts, graphs, init_model(cfg, seed=0))
     assert forward_passes == []
@@ -595,7 +594,7 @@ def test_model_checkpoint_roundtrip(tmp_path, registry):
     graphs = {"v": _toy_graph(registry)}
     insts = [_instance((1, 5), [(2,), (3,), (4,)], gt=0)]
     cfg = _toy_config()
-    model, metrics = train(insts, graphs, cfg, TrainConfig(), epochs=2, seed=1)
+    model, metrics = train(insts, graphs, cfg, TrainConfig(epochs=2, seed=1))
     path = tmp_path / "m.ckpt"
     save_model(path, model, seed=1, step=metrics["steps"])
     loaded, header = load_model(path)

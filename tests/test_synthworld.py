@@ -2,6 +2,7 @@ import hashlib
 import json
 import tempfile
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from prism25d.errors import ValidationError
 from prism25d.graph import graphs_from_records
 from prism25d.qa import save_qa
 from prism25d.register import register_frames
+from prism25d.schema import read
 from prism25d import synthworld as sw
 
 from helpers import (
@@ -308,9 +310,10 @@ def test_world_spec_json_round_trip():
     spec = sw.WorldSpec(seed=3, video_id="r", n_frames=5, image_size=(320, 240),
                         camera=sw.CameraSpec("orbiting", angular_rate=0.02),
                         noise=sw.NoiseSpec(bbox_px=1.5), extent_range=(1, 2))
-    assert sw.WorldSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+    assert read(sw.WorldSpec, json.loads(json.dumps(asdict(spec))), partial=True) == spec
     # a partial spec takes the defaults, ints given for floats included
-    assert sw.WorldSpec.from_json({"seed": 3, "video_id": "r", "view_distance": 6}) == sw.WorldSpec(3, "r")
+    partial = {"seed": 3, "video_id": "r", "view_distance": 6}
+    assert read(sw.WorldSpec, partial, partial=True) == sw.WorldSpec(3, "r")
 
 
 
@@ -343,7 +346,7 @@ PINNED_DIGEST = "6d865b56aa2b4113e3997ea57482976868b34ed9bacbafcb752672542992c8c
 def _generated_bytes(spec_json: dict, tmp_path) -> bytes:
     """Detections, then per task the QA file and the truth file with its derivations."""
     try:
-        world = sw.build_world(sw.WorldSpec.from_json(spec_json))
+        world = sw.build_world(read(sw.WorldSpec, spec_json, partial=True))
         sw.write_detections(sw.world_detections(world), tmp_path / "d.jsonl")
     except ValidationError as exc:
         return f"rejected: {exc}".encode()
@@ -383,10 +386,10 @@ CROWDED_DIGEST = "5819c8b38bcef858e19d04f4c256be39cad78bb66def1b0fe5b89bb1d09566
 def test_crowded_detections_are_pinned(tmp_path):
     digest = hashlib.sha256()
     for k in range(24):
-        spec = sw.WorldSpec.from_json({
+        spec = read(sw.WorldSpec, {
             "seed": 500 + k, "video_id": f"c{k}", "n_frames": 16, "n_static": 6, "n_dynamic": 2,
             "camera": _CROWDED_CAMERAS[k % 3], "noise": {"bbox_px": 1.0 if (k // 3) % 2 else 0.0},
-        })
+        }, partial=True)
         try:
             sw.write_detections(sw.world_detections(sw.build_world(spec)), tmp_path / "d.jsonl")
         except ValidationError as exc:
@@ -428,11 +431,11 @@ def _built(spec):
        n_dynamic=st.integers(0, 4), traj_targets=st.integers(1, 2))
 def test_block_sampler_matches_one_candidate_at_a_time(seed, n_static, separation, camera, n_frames,
                                                         n_dynamic, traj_targets):
-    spec = sw.WorldSpec.from_json({
+    spec = read(sw.WorldSpec, {
         "seed": seed, "video_id": "o", "n_frames": n_frames, "n_static": n_static,
         "n_dynamic": n_dynamic, "static_separation": separation, "camera": camera,
         "traj_targets": traj_targets,
-    })
+    }, partial=True)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sw, "_sample_static_layout", oracle_static_layout)
         patch.setattr(sw, "_sample_trajectory", oracle_trajectory)

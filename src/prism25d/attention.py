@@ -114,21 +114,6 @@ class AttentionParams:
     wk: Tensor
     wv: Tensor
 
-    def parameters(self) -> list[Tensor]:
-        return [self.wq, self.wk, self.wv]
-
-    def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.wq", self.wq), (f"{prefix}.wk", self.wk), (f"{prefix}.wv", self.wv)]
-
-
-def attention_init(r: int, rng: np.random.Generator) -> AttentionParams:
-    bound = 1.0 / math.sqrt(r)
-
-    def w():
-        return Tensor(rng.uniform(-bound, bound, size=(r, r)), requires_grad=True)
-
-    return AttentionParams(w(), w(), w())
-
 
 def multihead_attention(
     queries: Tensor,
@@ -194,8 +179,6 @@ def hierarchical_attention(
 
     `smax_levels` holds one `kernel_softmax_levels` matrix per level layer.
     """
-    if len(levels) != len(smax_levels):
-        raise ValidationError(f"{len(levels)} level layers but {len(smax_levels)} kernel matrices")
     out = None
     for level, smax in zip(levels, smax_levels):
         branch = level(kernel_attention(features, value_weights, smax))
@@ -211,27 +194,6 @@ class EncoderParams:
     kernel_values: Tensor  # (r, r) value projection shared by every kernel level
     levels: list[Affine]  # re-embed each kernel level's attention
     comb: Affine  # re-embeds the standard branch before the sum
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, blk in enumerate(self.standard):
-            out += blk.named_parameters(f"std{i}")
-        out.append(("kernel.wv", self.kernel_values))
-        for j, level in enumerate(self.levels):
-            out += level.named_parameters(f"level{j}")
-        return out + self.comb.named_parameters("comb")
-
-
-def encoder_init(
-    r: int, n_levels: int, rng: np.random.Generator, n_standard_layers: int = 1
-) -> EncoderParams:
-    bound = 1.0 / math.sqrt(r)
-    return EncoderParams(
-        standard=[attention_init(r, rng) for _ in range(n_standard_layers)],
-        kernel_values=Tensor(rng.uniform(-bound, bound, size=(r, r)), requires_grad=True),
-        levels=[nc.affine_init(r, r, rng) for _ in range(n_levels)],
-        comb=nc.affine_init(r, r, rng),
-    )
 
 
 def combined_encoding(

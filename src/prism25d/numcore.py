@@ -292,17 +292,6 @@ class Affine:
     def __call__(self, x: Tensor) -> Tensor:
         return add(matmul(self.w, x), self.b)
 
-    def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        """`<prefix>.w0` and `<prefix>.b0`, the names checkpoints carry."""
-        return [(f"{prefix}.w0", self.w), (f"{prefix}.b0", self.b)]
-
-
-def affine_init(n_in: int, n_out: int, rng: np.random.Generator) -> Affine:
-    """Uniform(+-1/sqrt(n_in)) initialization, the weight drawn before the bias."""
-    bound = 1.0 / math.sqrt(n_in)
-    return Affine(Tensor(rng.uniform(-bound, bound, size=(n_out, n_in)), requires_grad=True),
-                  Tensor(rng.uniform(-bound, bound, size=(n_out, 1)), requires_grad=True))
-
 
 # ---------------------------------------------------------------------------
 # optimizer

@@ -15,10 +15,8 @@ from .attention import (
     AttentionParams,
     EncoderParams,
     GraphBundle,
-    attention_init,
     build_bundles,
     combined_encoding,
-    encoder_init,
     hierarchical_attention,
     multihead_attention,
     project_nodes,
@@ -35,6 +33,9 @@ from .schema import COUNT, INT, STR, check, jsonl_blocks, list_of, read, typed_p
 METRICS_FORMAT = "prism25d-metrics"
 METRICS_VERSION = 1
 EVAL_BATCH = 16  # instances `evaluate` scores at once, as many as a default training batch
+# Most parameters a ModelConfig may imply: 134 MB per f64 copy, and training holds about five
+# (data, gradient, Adam's m and v, the flat gradient)
+MAX_PARAMETERS = 2**24
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,9 @@ class ModelConfig:
             raise ValidationError(
                 f"latent_dim {self.latent_dim} must divide evenly into {self.heads} heads"
             )
+        count = sum(math.prod(shape) for _, shape in _manifest(self))
+        if count > MAX_PARAMETERS:
+            raise ValidationError(f"the model's {count} parameters exceed the limit of {MAX_PARAMETERS}")
 
     def kernel_config(self) -> tuple[tuple[float, float], ...]:
         """The (sigma_s, sigma_t) pair of each kernel level."""
@@ -159,33 +163,60 @@ class QaModel:
     encoder: EncoderParams
     text: TextParams
     cross: AttentionParams
+    params: dict[str, Tensor]  # every parameter above by its checkpoint name, in manifest order
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = self.mlp_s.named_parameters("mlp_s") + self.mlp_d.named_parameters("mlp_d")
-        out += [(f"enc.{n}", t) for n, t in self.encoder.named_parameters()]
-        out.append(("text.embedding", self.text.embedding))
-        out += self.text.q_attn.named_parameters("text.q")
-        out += self.text.answer.named_parameters("text.answer")
-        return out + self.cross.named_parameters("cross")
+        return list(self.params.items())
 
     def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
+        return list(self.params.values())
+
+
+def _build(config: ModelConfig, make) -> QaModel:
+    """The model `config` describes, each parameter the result of `make(name, shape, fan_in)`,
+    called in manifest order; `fan_in` sets the parameter's init bound, 1/sqrt(fan_in)."""
+    r = config.latent_dim
+    params = {}
+
+    def tensor(name, shape, fan_in):
+        params[name] = made = make(name, shape, fan_in)
+        return made
+
+    def affine(name, n_in, n_out):
+        return Affine(tensor(f"{name}.w0", (n_out, n_in), n_in), tensor(f"{name}.b0", (n_out, 1), n_in))
+
+    def attention(name):
+        return AttentionParams(*(tensor(f"{name}.{w}", (r, r), r) for w in ("wq", "wk", "wv")))
+
+    mlp_s = affine("mlp_s", config.d_o, r)
+    mlp_d = affine("mlp_d", config.d_o + config.d_a, r)
+    encoder = EncoderParams(
+        standard=[attention(f"enc.std{i}") for i in range(config.n_standard_layers)],
+        kernel_values=tensor("enc.kernel.wv", (r, r), r),
+        levels=[affine(f"enc.level{j}", r, r) for j in range(len(config.sigma_s))],
+        comb=affine("enc.comb", r, r),
+    )
+    text = TextParams(tensor("text.embedding", (config.vocab_size, r), r), attention("text.q"),
+                      affine("text.answer", r, r))
+    return QaModel(config, mlp_s, mlp_d, encoder, text, attention("cross"), params)
+
+
+def _manifest(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """The (name, shape) of every parameter of `config`'s model, in manifest order; allocates none."""
+    manifest = []
+    _build(config, lambda name, shape, fan_in: manifest.append((name, shape)))
+    return manifest
 
 
 def init_model(config: ModelConfig, seed: int) -> QaModel:
+    """Every parameter drawn Uniform(+-1/sqrt(fan_in)) from `seed`'s generator, in manifest order."""
     rng = np.random.default_rng(seed)
-    r = config.latent_dim
-    mlp_s = nc.affine_init(config.d_o, r, rng)
-    mlp_d = nc.affine_init(config.d_o + config.d_a, r, rng)
-    encoder = encoder_init(r, len(config.sigma_s), rng, n_standard_layers=config.n_standard_layers)
-    bound = 1.0 / math.sqrt(r)
-    text = TextParams(
-        embedding=Tensor(rng.uniform(-bound, bound, size=(config.vocab_size, r)), requires_grad=True),
-        q_attn=attention_init(r, rng),
-        answer=nc.affine_init(r, r, rng),
-    )
-    cross = attention_init(r, rng)
-    return QaModel(config, mlp_s, mlp_d, encoder, text, cross)
+
+    def draw(name, shape, fan_in):
+        bound = 1.0 / math.sqrt(fan_in)
+        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+    return _build(config, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +512,18 @@ def save_model(path: str | Path, model: QaModel, seed: int, step: int) -> None:
 
 
 def load_model(path: str | Path) -> tuple[QaModel, dict]:
-    """A checkpoint's model, whose manifest lists its parameters in order; see `nc.load_checkpoint`."""
+    """A checkpoint's model, whose manifest lists its parameters in order; see `nc.load_checkpoint`.
+    The manifest is compared with the config's parameter list before any parameter is built, and
+    loading draws no random numbers."""
     header, arrays = nc.load_checkpoint(path)
     check(header, {"seed": COUNT, "step": COUNT})
     config = read(ModelConfig, header.get("config"))  # a missing or mistyped field is a ParseError
-    model = init_model(config, seed=header["seed"])
+    manifest = _manifest(config)
     listed = [item["name"] for item in header["params"]]
-    for i, (got, want) in enumerate(zip_longest(listed, (n for n, _ in model.named_parameters()))):
+    for i, (got, want) in enumerate(zip_longest(listed, (n for n, _ in manifest))):
         if got != want:
             raise ValidationError(f"checkpoint manifest entry {i} is {got!r}, the model's is {want!r}")
-    for name, tensor in model.named_parameters():
-        if arrays[name].shape != tensor.data.shape:
+    for name, shape in manifest:
+        if arrays[name].shape != shape:
             raise ValidationError(f"checkpoint parameter {name} has the wrong shape")
-        tensor.data = arrays[name]
-    return model, header
+    return _build(config, lambda name, shape, fan_in: Tensor(arrays[name], requires_grad=True)), header

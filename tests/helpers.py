@@ -6,9 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from prism25d.attention import AttentionParams
 from prism25d.compact import MatchParams
 from prism25d.graph import GRAPH_FORMAT, GRAPH_VERSION, SceneGraph25D, _graph_body, _ints, _matrix
 from prism25d.numcore import Affine, Tensor
+from prism25d.qa import ModelConfig, init_model
 from prism25d import synthworld as sw
 
 
@@ -34,6 +36,28 @@ def generate_world(spec):
 def affine_identity(dim):
     """Exact-identity affine layer, a neutral element for the learned maps."""
     return Affine(Tensor(np.eye(dim), requires_grad=True), Tensor(np.zeros((dim, 1)), requires_grad=True))
+
+
+def uniform(rng, fan_in, *shape):
+    """A trainable tensor drawn Uniform(+-1/sqrt(fan_in)), as `init_model` draws each parameter."""
+    bound = 1.0 / math.sqrt(fan_in)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
+def uniform_affine(n_in, n_out, rng):
+    """An affine layer drawn as `init_model` draws one, the weight before the bias."""
+    return Affine(uniform(rng, n_in, n_out, n_in), uniform(rng, n_in, n_out, 1))
+
+
+def uniform_attention(r, rng):
+    """Q/K/V projections drawn as `init_model` draws them."""
+    return AttentionParams(*(uniform(rng, r, r, r) for _ in range(3)))
+
+
+def small_model(n_levels, seed):
+    """`init_model` of an 8-wide, 2-head model with one standard layer and `n_levels` kernel levels."""
+    config = ModelConfig(d_o=1, d_a=0, vocab_size=1, latent_dim=8, heads=2, sigma_s=(1.0,) * n_levels)
+    return init_model(config, seed)
 
 
 def fd_gradients(f, params, h=1e-5):

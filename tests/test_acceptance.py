@@ -32,7 +32,7 @@ from prism25d.qa import (
 from prism25d.register import estimate_frame_transforms, register_frames
 from prism25d import synthworld as sw
 
-from helpers import affine_identity, fd_gradients, flat_times, generate_world, max_relative_error
+from helpers import affine_identity, fd_gradients, flat_times, generate_world, max_relative_error, small_model
 
 REGISTRY = sw.default_registry()
 PARAMS = MatchParams(gamma=0.5, delta=3)
@@ -196,7 +196,6 @@ def test_c4_registration_recovery():
 def test_c5_kernel_attention_property_suite():
     from prism25d.attention import (
         combined_encoding,
-        encoder_init,
         hierarchical_attention,
         kernel_attention,
         kernel_softmax_levels,
@@ -242,10 +241,10 @@ def test_c5_kernel_attention_property_suite():
 
     # permutation equivariance of all four encoders (200 cases)
     levels = ((0.5, 0.5), (2.0, 2.0))
-    for _ in range(200):
+    for seed in range(200):
         n = int(rng.integers(2, 7))
         f, positions, times = random_nodes(n, multi_time=True)
-        enc = encoder_init(8, len(levels), rng)
+        enc = small_model(len(levels), seed).encoder
         perm = rng.permutation(n)
         f_p = Tensor(f.data[:, perm].copy())
         smax = kernel_softmax_levels(positions, *flat_times(times), levels)

@@ -7,10 +7,8 @@ import pytest
 from prism25d import numcore as nc
 from prism25d.attention import (
     DEFAULT_BANDWIDTHS,
-    attention_init,
     build_bundles,
     combined_encoding,
-    encoder_init,
     hierarchical_attention,
     kernel_attention,
     kernel_distances,
@@ -24,8 +22,8 @@ from prism25d.graph import graphs_from_records
 from prism25d.numcore import Tensor
 
 from helpers import (
-    affine_identity, detection, fd_gradients, flat_times, kernel, max_relative_error, min_time_gap, node,
-    table,
+    affine_identity, detection, fd_gradients, flat_times, kernel, max_relative_error, min_time_gap,
+    node, small_model, table, uniform_affine, uniform_attention,
 )
 
 
@@ -125,8 +123,8 @@ def test_project_node_counts_and_order(registry):
     ]
     g = graphs_from_records(recs, registry)[0]
     rng = np.random.default_rng(0)
-    mlp_s = nc.affine_init(2, 4, rng)
-    mlp_d = nc.affine_init(4, 4, rng)
+    mlp_s = uniform_affine(2, 4, rng)
+    mlp_d = uniform_affine(4, 4, rng)
     bundle = build_bundles({"v": g}, ((0.9, 0.4),))["v"]
     features = project_nodes(bundle, mlp_s, mlp_d)
     assert features.data.shape == (4, 5)
@@ -194,7 +192,7 @@ def _brute_standard(f, params, heads):
 
 def test_standard_attention_single_node_is_value_projection():
     rng = np.random.default_rng(2)
-    params = attention_init(8, rng)
+    params = uniform_attention(8, rng)
     f = Tensor(rng.normal(size=(8, 1)))
     out = multihead_attention(f, f, params, heads=2)
     assert np.allclose(out.data, params.wv.data @ f.data, atol=1e-12)
@@ -202,7 +200,7 @@ def test_standard_attention_single_node_is_value_projection():
 
 def test_standard_attention_identical_columns():
     rng = np.random.default_rng(3)
-    params = attention_init(8, rng)
+    params = uniform_attention(8, rng)
     col = rng.normal(size=(8, 1))
     f = Tensor(np.tile(col, (1, 2)))
     out = multihead_attention(f, f, params, heads=4)
@@ -211,7 +209,7 @@ def test_standard_attention_identical_columns():
 
 def test_standard_attention_matches_brute_force():
     rng = np.random.default_rng(4)
-    params = attention_init(8, rng)
+    params = uniform_attention(8, rng)
     f = rng.normal(size=(8, 4))
     out = multihead_attention(Tensor(f), Tensor(f), params, heads=2)
     assert np.allclose(out.data, _brute_standard(f, params, heads=2), atol=1e-12)
@@ -279,7 +277,7 @@ def test_hierarchical_zero_second_branch():
     f, pos, times = _nodes(rng)
     levels = ((0.5, 0.5), (2.0, 2.0))
     wv = Tensor(rng.normal(size=(8, 8)))
-    mlp1 = nc.affine_init(8, 8, rng)
+    mlp1 = uniform_affine(8, 8, rng)
     zero = nc.Affine(Tensor(np.zeros((8, 8)), requires_grad=True), Tensor(np.zeros((8, 1)), requires_grad=True))
     hier = hierarchical_attention(f, [mlp1, zero], wv, kernel_softmax_levels(pos, *flat_times(times), levels))
     branch1 = mlp1(kernel_attention(f, wv, _level(pos, times, 0.5, 0.5)))
@@ -291,7 +289,7 @@ def test_hierarchical_default_bandwidths_match_brute_force_sum():
     f, pos, times = _nodes(rng, n=6)
     levels = tuple((s, s) for s in DEFAULT_BANDWIDTHS)
     wv = Tensor(rng.normal(size=(8, 8)))
-    mlps = [nc.affine_init(8, 8, rng) for _ in range(4)]
+    mlps = [uniform_affine(8, 8, rng) for _ in range(4)]
     got = hierarchical_attention(f, mlps, wv, kernel_softmax_levels(pos, *flat_times(times), levels)).data
     want = np.zeros_like(got)
     for (s, t), mlp in zip(levels, mlps):
@@ -300,21 +298,13 @@ def test_hierarchical_default_bandwidths_match_brute_force_sum():
     assert np.allclose(got, want, atol=1e-10)
 
 
-def test_hierarchical_level_count_mismatch():
-    rng = np.random.default_rng(11)
-    f, pos, times = _nodes(rng)
-    smax = kernel_softmax_levels(pos, *flat_times(times), ((0.5, 0.5), (2.0, 2.0)))
-    with pytest.raises(ValidationError):
-        hierarchical_attention(f, [affine_identity(8)], Tensor(np.eye(8)), smax)
-
-
 # -- combined -----------------------------------------------------------------------
 
 
 def test_combined_zero_comb_mlp_equals_hierarchical():
     rng = np.random.default_rng(12)
     f, pos, times = _nodes(rng)
-    enc = encoder_init(8, 1, rng)
+    enc = small_model(1, seed=12).encoder
     enc.comb.w.data[:] = 0.0
     enc.comb.b.data[:] = 0.0
     smax = [_level(pos, times, 0.5, 0.5)]
@@ -327,7 +317,7 @@ def test_combined_matches_independent_evaluation():
     rng = np.random.default_rng(13)
     f, pos, times = _nodes(rng, n=5)
     levels = ((0.3, 0.3), (3.0, 3.0))
-    enc = encoder_init(8, len(levels), rng)
+    enc = small_model(len(levels), seed=13).encoder
     got = combined_encoding(f, 2, enc, kernel_softmax_levels(pos, *flat_times(times), levels)).data
     want = np.zeros_like(got)
     for (s, t), mlp in zip(levels, enc.levels):
@@ -344,9 +334,9 @@ def test_combined_matches_independent_evaluation():
 def test_permutation_equivariance_all_encoders():
     rng = np.random.default_rng(14)
     levels = ((0.5, 0.5), (2.0, 2.0))
-    for _ in range(10):
+    for seed in range(10):
         f, pos, times = _nodes(rng, n=6)
-        enc = encoder_init(8, len(levels), rng)
+        enc = small_model(len(levels), seed).encoder
         perm = rng.permutation(6)
         f_p = Tensor(f.data[:, perm].copy())
         smax = kernel_softmax_levels(pos, *flat_times(times), levels)
@@ -392,9 +382,10 @@ def test_smaller_bandwidth_concentrates_attention():
 
 def test_encoder_gradients_match_finite_differences():
     rng = np.random.default_rng(17)
-    enc = encoder_init(8, 2, rng)
+    model = small_model(2, seed=17)
+    enc = model.encoder
     f, pos, times = _nodes(rng, n=4)
-    params = [t for _, t in enc.named_parameters()]
+    params = [t for name, t in model.named_parameters() if name.startswith("enc.")]
     weights = np.random.default_rng(18).normal(size=(8, 4))
     smax = kernel_softmax_levels(pos, *flat_times(times), ((0.5, 0.5), (2.0, 2.0)))
 

@@ -436,7 +436,11 @@ def test_bad_qa_line_exits_one(tmp_path, capsys, monkeypatch, change):
     (["--seed", "-1"], "seed must not be negative, got -1"),
     (["--fx", "256", "--fy", "256", "--cx", "inf", "--cy", "128"],
      "principal point must be finite, got inf, 128.0"),
-], ids=["vocab", "heads", "lr", "batch", "epochs", "seed", "principal-point"])
+    (["--latent", "4000000", "--heads", "1"],
+     "the model's 256000440000000 parameters exceed the limit of 16777216"),
+    (["--vocab", "100000000000000000000"],
+     "the model's 3200000000000000016704 parameters exceed the limit of 16777216"),
+], ids=["vocab", "heads", "lr", "batch", "epochs", "seed", "principal-point", "latent-size", "vocab-size"])
 def test_train_checks_its_model_knobs_before_reading_any_input(tmp_path, capsys, monkeypatch, flags,
                                                                message):
     """Every input file is missing: a knob out of range is reported before any is opened."""
@@ -476,28 +480,31 @@ def test_eval_checks_graph_widths_against_the_checkpoint(tmp_path, capsys, width
     assert not out.exists()
 
 
-@pytest.mark.parametrize("change", [
-    lambda head: head["config"].pop("heads"),
-    lambda head: head["config"].update(latent_dim="32"),
-    lambda head: head["config"].update(sigma_s=["a"]),
-    lambda head: head.update(config=[]),
-    lambda head: head.update(seed="x"),
-    lambda head: head.pop("step"),
-    lambda head: head.update(params=7),
-    lambda head: head.update(seed=-1),
-    lambda head: head.update(step=-1),
-    lambda head: head["config"].update(feature_hidden=[]),
-    lambda head: head["config"].update(feature_hidden=[-1]),
-    lambda head: [head["config"].pop(key) for key in ("match", "intrinsics", "max_frames", "registry_digest")],
-    lambda head: head["config"].update(match={"gamma": 0.5}),
-    lambda head: head["config"].update(registry_digest=7),
+@pytest.mark.parametrize("change, kind", [
+    (lambda head: head["config"].pop("heads"), "parse"),
+    (lambda head: head["config"].update(latent_dim="32"), "parse"),
+    (lambda head: head["config"].update(sigma_s=["a"]), "parse"),
+    (lambda head: head.update(config=[]), "parse"),
+    (lambda head: head.update(seed="x"), "parse"),
+    (lambda head: head.pop("step"), "parse"),
+    (lambda head: head.update(params=7), "parse"),
+    (lambda head: head.update(seed=-1), "parse"),
+    (lambda head: head.update(step=-1), "parse"),
+    (lambda head: head["config"].update(feature_hidden=[]), "parse"),
+    (lambda head: head["config"].update(feature_hidden=[-1]), "parse"),
+    (lambda head: [head["config"].pop(key) for key in ("match", "intrinsics", "max_frames", "registry_digest")],
+     "parse"),
+    (lambda head: head["config"].update(match={"gamma": 0.5}), "parse"),
+    (lambda head: head["config"].update(registry_digest=7), "parse"),
+    (lambda head: head["config"].update(latent_dim=4_000_000, heads=1), "validation"),
 ], ids=["config-no-heads", "config-string-latent", "config-string-sigma", "config-not-an-object",
         "string-seed", "no-step", "params-not-a-list", "negative-seed", "negative-step",
         "config-feature-hidden", "checkpoint-negative-hidden-width", "config-no-pipeline",
-        "config-match-no-delta", "config-numeric-registry-digest"])
-def test_bad_checkpoint_header_exits_one(tmp_path, capsys, monkeypatch, change):
+        "config-match-no-delta", "config-numeric-registry-digest", "config-too-many-parameters"])
+def test_bad_checkpoint_header_exits_one(tmp_path, capsys, monkeypatch, change, kind):
     """A header an older build wrote, with a `feature_hidden` config field or without the
-    pipeline fields, is a parse error too."""
+    pipeline fields, is a parse error too; a config whose model is past the parameter limit
+    is a validation error, found before any parameter is allocated."""
     ckpt = tmp_path / "m.ckpt"
     save_model(ckpt, init_model(ModelConfig(d_o=2, d_a=2, vocab_size=12), seed=0), seed=0, step=3)
     _edit_checkpoint_header(ckpt, change)
@@ -506,7 +513,7 @@ def test_bad_checkpoint_header_exits_one(tmp_path, capsys, monkeypatch, change):
     monkeypatch.setattr(cli, "_pipeline_graphs", _pipeline_must_not_run)
     code = main(["eval", "--detections", "d.jsonl", "--registry", "r.json", "--qa", str(qa),
                  "--model", str(ckpt), "--out", str(tmp_path / "e.json")])
-    _one_error(capsys, code)
+    _one_error(capsys, code, kind=kind)
     assert not (tmp_path / "e.json").exists()
 
 

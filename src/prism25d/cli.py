@@ -107,14 +107,18 @@ class RunConfig:
         return TrainConfig(lr=self.lr, batch_size=self.batch, epochs=self.epochs, seed=self.seed)
 
 
-def _pipeline_graphs(detections: str, registry: str, config: ModelConfig) -> dict[str, SceneGraph25D]:
-    """ingest -> register -> compact for every video in the file, by the pipeline that
-    `config` records; a registry other than its recorded one is a ValidationError."""
+def _pipeline_graphs(
+    detections: str, registry: str, config: ModelConfig, videos: set[str] | None = None
+) -> dict[str, SceneGraph25D]:
+    """ingest -> register -> compact by the pipeline that `config` records, for every video in
+    the file, or only those of `videos` when given (every line is still read and checked); a
+    registry other than its recorded one is a ValidationError."""
     classes = ClassRegistry.load(registry)
     if config.registry_digest not in (None, classes.digest()):
         raise ValidationError(f"registry {registry} is not the one the checkpoint was trained with")
     graphs = load_detection_groups(detections, classes, config.max_frames, config.intrinsics)
-    return {g.video_id: compact(register_frames(g, gamma=config.match.gamma), config.match) for g in graphs}
+    return {g.video_id: compact(register_frames(g, gamma=config.match.gamma), config.match)
+            for g in graphs if videos is None or g.video_id in videos}
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +273,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, _header = load_model(args.model)
     instances = load_qa(args.qa, model.config.vocab_size)
-    graphs = _pipeline_graphs(args.detections, args.registry, model.config)
+    graphs = _pipeline_graphs(args.detections, args.registry, model.config,
+                              {inst.video_id for inst in instances})
     result = evaluate(instances, graphs, model)
     if args.out:
         _write_json({"format": METRICS_FORMAT, "version": METRICS_VERSION, **result}, args.out)

@@ -340,7 +340,8 @@ def question_features(
 
     Instances are grouped by video: each graph is encoded once, and all of
     its questions are self-attended and then cross-attended over its nodes
-    together.
+    together. `bundles[vid]` is looked up once per video, as that video's
+    block begins, and the block is finished before the next lookup.
     """
     heads = model.config.heads
     by_video: dict[str, list[int]] = {}
@@ -474,6 +475,17 @@ def train(
     return model, metrics
 
 
+class _BuiltOnLookup:
+    """`bundles[vid]` as `build_bundles` of `graphs[vid]` alone, built afresh on each lookup
+    and kept by nothing here."""
+
+    def __init__(self, graphs: dict[str, SceneGraph25D], levels: tuple[tuple[float, float], ...]):
+        self.graphs, self.levels = graphs, levels
+
+    def __getitem__(self, vid: str) -> GraphBundle:
+        return build_bundles({vid: self.graphs[vid]}, self.levels)[vid]
+
+
 def evaluate(
     instances: list[QaInstance],
     graphs: dict[str, SceneGraph25D],
@@ -482,16 +494,15 @@ def evaluate(
 ) -> dict:
     """Accuracy and 1-based mean rank of the ground-truth answer, ranked by `augmented_loss` in
     chunks of `EVAL_BATCH` instances; records no autodiff tape. `bundles`, when given, are
-    `build_bundles` of `graphs`; the instances pass `_check_inputs` first. A chunk whose loss is
-    not finite is a ValidationError naming the chunk's first instance, counted from 0."""
+    `build_bundles` of `graphs`; otherwise each video's bundle is built when that video is
+    encoded and dropped after, so one bundle is held at a time. The instances pass
+    `_check_inputs` first. A chunk whose loss is not finite is a ValidationError naming the
+    chunk's first instance, counted from 0."""
     if not instances:
         raise ValidationError("empty evaluation dataset")
-    if bundles is None:
-        used = {inst.video_id for inst in instances}
-        bundles = build_bundles(
-            {v: g for v, g in graphs.items() if v in used}, model.config.kernel_config()
-        )
     _check_inputs(instances, graphs, model.config)
+    if bundles is None:
+        bundles = _BuiltOnLookup(graphs, model.config.kernel_config())
     with nc.no_grad():
         fq = question_features(model, bundles, instances).data
         spans = [slice(lo, lo + EVAL_BATCH) for lo in range(0, len(instances), EVAL_BATCH)]

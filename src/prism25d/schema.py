@@ -151,7 +151,7 @@ def read_json(path: str | Path):
     return parse_json(Path(path).read_bytes())
 
 
-_BLOCK_LINES = 1000  # values of a JSONL file that `jsonl_blocks` holds at once
+_BLOCK_LINES = 250  # values of a JSONL file that `jsonl_blocks` holds at once
 
 
 def jsonl_blocks(path: str | Path) -> Iterator[tuple[list[int], list]]:

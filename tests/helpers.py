@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,6 +59,16 @@ def small_model(n_levels, seed):
     """`init_model` of an 8-wide, 2-head model with one standard layer and `n_levels` kernel levels."""
     config = ModelConfig(d_o=1, d_a=0, vocab_size=1, latent_dim=8, heads=2, sigma_s=(1.0,) * n_levels)
     return init_model(config, seed)
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of the blocks allocated while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fd_gradients(f, params, h=1e-5):

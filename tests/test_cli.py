@@ -266,6 +266,20 @@ def test_eval_builds_graphs_by_the_checkpoint_pipeline(trained, capsys):
     assert not out.exists()
 
 
+def test_eval_compacts_only_the_videos_its_questions_reference(trained, monkeypatch):
+    tmp_path, det, reg, qa, ckpt = trained
+    lines = Path(qa).read_text().splitlines()
+    assert {json.loads(line)["video_id"] for line in lines} == {"w100", "w101"}
+    one = tmp_path / "qa-w101.jsonl"
+    one.write_text("".join(line + "\n" for line in lines if json.loads(line)["video_id"] == "w101"))
+    compacted = []
+    compact = cli.compact
+    monkeypatch.setattr(cli, "compact", lambda graph, params: compacted.append(graph.video_id)
+                        or compact(graph, params))
+    assert main(["eval", "--detections", det, "--registry", reg, "--qa", str(one), "--model", ckpt]) == 0
+    assert compacted == ["w101"]
+
+
 @pytest.mark.parametrize("flag", [["--config", "cfg.json"], ["--gamma", "0.5"], ["--delta", "3"],
                                   ["--max-frames", "24"], ["--image-w", "512"], ["--image-h", "512"],
                                   ["--fx", "1"], ["--fy", "1"], ["--cx", "1"], ["--cy", "1"]],

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -15,7 +14,9 @@ from prism25d.qa import load_qa
 from prism25d.register import register_frames
 from prism25d import synthworld as sw
 
-from helpers import detection, flat_times, listings, node, oracle_graph_text, table, write_jsonl
+from helpers import (
+    detection, flat_times, listings, node, oracle_graph_text, table, traced_peak, write_jsonl,
+)
 
 
 def test_load_counts_two_frames_three_each(tmp_path, registry):
@@ -187,20 +188,17 @@ def _corpus_peak(path, lines, registry):
                                  bbox=(10.0 + k * 60, 10.0, 50.0 + k * 60, 50.0), feature=features[k],
                                  motion=[0.25] * 8 if k == 3 else None)
                        for i, k in ((i, i % 4) for i in range(lines))))
-    tracemalloc.start()
-    try:
-        load_detection_groups(path, registry)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: load_detection_groups(path, registry))
 
 
 def test_reader_memory_per_line(tmp_path, registry):
-    # a line of this corpus is about 230 bytes on disk and peaks at about 2,400 when the whole
-    # file is parsed before any of it becomes columns; read a block at a time, the peak grows
-    # by a line's columns alone (about 260 bytes)
+    # a line of this corpus is about 230 bytes on disk and about 1,600 parsed into JSON objects.
+    # Read 250 lines at a time, the peak is set by assembling the videos, which holds about three
+    # copies of the columns (about 740 bytes per line), not by a block's parsed lines; so half
+    # the lines take about half the memory
     small, large = (_corpus_peak(tmp_path / f"d{n}.jsonl", n, registry) for n in (3000, 6000))
     assert (large - small) / 3000 < 1000
+    assert small < 0.75 * large
 
 
 def test_motion_feature_kind_mismatch_rejected(registry):
@@ -356,22 +354,13 @@ def test_a_non_finite_number_is_refused_before_the_first_byte(tmp_path, registry
     assert path.read_bytes() == b"earlier bytes\n"
 
 
-def _save_peak(graphs, path):
-    tracemalloc.start()
-    try:
-        save_corpus(graphs, path)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_save_corpus_memory_per_graph(tmp_path):
     # written whole, every graph adds its body's dicts and text (about 9 times the text alone)
     # to the peak, and streamed, none of it
     (g,) = _world_graphs("m")
     graphs = [replace(g, video_id=f"m{i}") for i in range(48)]
     save_corpus(graphs[:1], tmp_path / "warm.json")
-    small, large = (_save_peak(graphs[:n], tmp_path / f"g{n}.json") for n in (4, 48))
+    small, large = (traced_peak(lambda: save_corpus(graphs[:n], tmp_path / f"g{n}.json")) for n in (4, 48))
     assert large - small < len(json.dumps(_graph_body(g)))
 
 

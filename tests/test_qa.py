@@ -1,10 +1,13 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from prism25d import numcore as nc
+from prism25d import synthworld as sw
+from prism25d.compact import MatchParams, compact
 from prism25d.errors import ValidationError
 from prism25d.graph import graphs_from_records
 from prism25d.numcore import Tensor
@@ -28,8 +31,11 @@ from prism25d.qa import (
     train,
 )
 
+from prism25d.register import register_frames
+
 from helpers import (
-    affine_identity, detection, fd_gradients, max_relative_error, uniform_affine, uniform_attention,
+    affine_identity, detection, fd_gradients, generate_world, max_relative_error, table, traced_peak,
+    uniform_affine, uniform_attention,
 )
 
 
@@ -424,6 +430,49 @@ def test_evaluate_builds_bundles_only_for_referenced_videos(registry):
     graphs = {"v": _toy_graph(registry), "unused": unused}
     insts = [_instance((1, 5), [(2,), (3,), (4,)], gt=0)]
     assert evaluate(insts, graphs, model) == evaluate(insts, {"v": graphs["v"]}, model)
+
+
+def test_evaluate_holds_one_kernel_bundle_at_a_time():
+    """Each added video raises `evaluate`'s peak by less than a quarter of one video's kernel
+    values; building every bundle before the first encode would add about one bundle each."""
+    records, _ = generate_world(sw.WorldSpec(seed=3, video_id="w", n_frames=12))
+    graph = compact(register_frames(graphs_from_records(records, sw.default_registry())[0]), MatchParams())
+    config = ModelConfig(d_o=graph.features.shape[1], d_a=graph.motions.shape[1], vocab_size=12)
+    model = init_model(config, seed=0)
+
+    def peak(k):  # k copies of the world's graph, their instances interleaved
+        graphs = {f"w{i}": replace(graph, video_id=f"w{i}") for i in range(k)}
+        insts = [_instance((1, 2 + i % 5), [(2,), (3,), (4,)], gt=i % 3, vid=f"w{i % k}")
+                 for i in range(3 * k)]
+        return traced_peak(lambda: evaluate(insts, graphs, model))
+
+    k = 4
+    peak(1)
+    small, large = peak(k), peak(2 * k)
+    kernel_values = len(config.sigma_s) * len(graph.nodes) ** 2 * 8
+    assert (large - small) / k < kernel_values / 4
+
+
+def test_evaluate_builds_each_bundle_as_the_given_bundles_are(registry):
+    graphs = {vid: _toy_graph(registry, vid=vid) for vid in ("v", "w")}
+    graphs["u"] = _second_graph(registry)
+    insts = [_instance((1, 2 + i % 7), [(2,), (3,), (4,), (5,)], gt=i % 4, vid="vwu"[i % 3])
+             for i in range(40)]
+    model = init_model(_toy_config(), seed=12)
+    given = evaluate(insts, graphs, model, build_bundles(graphs, model.config.kernel_config()))
+    assert evaluate(insts, graphs, model) == given
+
+
+def test_evaluate_checks_its_inputs_before_it_meets_a_graph_without_nodes(registry):
+    """A referenced graph without nodes is refused when its video is reached, after any fault
+    that `_check_inputs` finds in a later instance."""
+    graphs = {"v": _toy_graph(registry), "e": replace(table([], video_id="e"), features=np.zeros((0, 2)))}
+    insts = [_instance((1,), [(2,), (3,)], 0, vid=vid) for vid in ("v", "e")]
+    model = init_model(_toy_config(), seed=4)
+    with pytest.raises(ValidationError, match="^video 'e': graph has no nodes$"):
+        evaluate(insts, graphs, model)
+    with pytest.raises(ValidationError, match="^instance references unknown video 'x'$"):
+        evaluate(insts + [_instance((1,), [(2,), (3,)], 0, vid="x")], graphs, model)
 
 
 def test_evaluate_records_no_tape_and_training_still_gets_gradients(registry, monkeypatch):

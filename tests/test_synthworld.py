@@ -1,7 +1,6 @@
 import hashlib
 import json
 import tempfile
-import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -24,6 +23,7 @@ from helpers import (
     oracle_norms,
     oracle_static_layout,
     oracle_trajectory,
+    traced_peak,
 )
 
 REG = sw.default_registry()
@@ -98,15 +98,6 @@ def test_a_non_finite_detection_is_refused_and_leaves_the_file(tmp_path, field, 
     assert list(tmp_path.iterdir()) == [path]  # no file left beside it
 
 
-def _write_peak(records, path):
-    tracemalloc.start()
-    try:
-        sw.write_detections(records, path)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_write_detections_memory_per_line(tmp_path):
     # lines of about 160 bytes; encoded all before the first is written, each holds about 220
     features = np.eye(4).tolist()
@@ -114,7 +105,8 @@ def test_write_detections_memory_per_line(tmp_path):
                          feature=features[i % 4], motion=[0.25] * 4 if i % 4 == 3 else None)
                for i in range(6000)]
     sw.write_detections(records[:8], tmp_path / "warm.jsonl")
-    small, large = (_write_peak(records[:n], tmp_path / f"d{n}.jsonl") for n in (3000, 6000))
+    small, large = (traced_peak(lambda: sw.write_detections(records[:n], tmp_path / f"d{n}.jsonl"))
+                    for n in (3000, 6000))
     assert (large - small) / 3000 < 100
 
 

@@ -32,7 +32,7 @@ from .qa import (
     save_qa,
     train,
 )
-from .register import estimate_frame_transforms, register_frames
+from .register import estimate_frame_transforms, register_frames, register_graphs
 from .synthworld import (
     CameraSpec,
     GroundTruth,

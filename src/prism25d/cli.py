@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -27,7 +28,7 @@ from .qa import (
     save_qa,
     train,
 )
-from .register import register_frames
+from .register import register_graphs
 from .schema import OBJECT, check, list_of, read, read_json
 from . import synthworld
 
@@ -117,8 +118,8 @@ def _pipeline_graphs(
     if config.registry_digest not in (None, classes.digest()):
         raise ValidationError(f"registry {registry} is not the one the checkpoint was trained with")
     graphs = load_detection_groups(detections, classes, config.max_frames, config.intrinsics)
-    return {g.video_id: compact(register_frames(g, gamma=config.match.gamma), config.match)
-            for g in graphs if videos is None or g.video_id in videos}
+    kept = [g for g in graphs if videos is None or g.video_id in videos]
+    return {g.video_id: compact(g, config.match) for g in register_graphs(kept, config.match.gamma)}
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,7 @@ def cmd_ingest(args) -> int:
     graphs = load_detection_groups(args.inp, ClassRegistry.load(args.registry), cfg.max_frames,
                                    cfg.intrinsics())
     if not args.no_register:
-        graphs = [register_frames(g, gamma=cfg.gamma) for g in graphs]
+        graphs = register_graphs(graphs, gamma=cfg.gamma)
     save_corpus(graphs, args.out)
     print(f"ingested {len(graphs)} videos -> {args.out}")
     return 0
@@ -323,6 +324,7 @@ def _add_model_flags(p: _Parser) -> None:
                    help="condition on the hierarchical branch alone, skipping the standard-attention sum")
 
 
+@functools.cache  # parse_args leaves the parser as it is
 def build_parser() -> _Parser:
     parser = _Parser(prog="prism25d", description="(2.5+1)D scene-graph QA pipeline")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -29,6 +29,30 @@ def frame_correspondences(graph: SceneGraph25D, gamma: float) -> tuple[np.ndarra
     return graph.centroids[occ[found]], graph.centroids[matches[found]], counts
 
 
+def _chains(graphs: list[SceneGraph25D], gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`estimate_frame_transforms` of every graph, end to end over the graphs' F frames:
+    (F, 3, 3) rotations, (F, 3) translations and each graph's first frame, with F last. One
+    `fit_rigid` call takes every graph's frame pairs, and step k of every chain is one
+    stacked product over the graphs of more than k frames."""
+    gamma = MatchParams(gamma=gamma, delta=1).gamma  # checks gamma, before any fit
+    pairs = [frame_correspondences(g, gamma) for g in graphs]
+    lengths = np.array([len(g.frames) for g in graphs], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    rotations, translations = np.tile(np.eye(3), (starts[-1], 1, 1)), np.zeros((starts[-1], 3))
+    if not pairs:
+        return rotations, translations, starts
+    step_r, step_t = fit_rigid(*(np.concatenate(column) for column in zip(*pairs)))  # frame cur -> prev
+    steps = np.maximum(lengths - 1, 0)  # each graph's frame pairs
+    first_pair = np.cumsum(steps) - steps
+    for k in range(1, int(lengths.max())):  # frame k -> k - 1, then k - 1 -> 0
+        live = np.flatnonzero(lengths > k)
+        cur, step = starts[live] + k, first_pair[live] + k - 1
+        prev = rotations[cur - 1]
+        rotations[cur] = prev @ step_r[step]
+        translations[cur] = (prev @ step_t[step, :, None])[:, :, 0] + translations[cur - 1]
+    return rotations, translations, starts
+
+
 def estimate_frame_transforms(
     graph: SceneGraph25D, gamma: float = MatchParams.gamma
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -39,13 +63,26 @@ def estimate_frame_transforms(
     fit per correspondence count; pairs with too few matches fall back to the
     identity, keeping the chain intact.
     """
-    step_r, step_t = fit_rigid(*frame_correspondences(graph, gamma))  # frame cur -> prev
-    rotations = np.tile(np.eye(3), (len(step_r) + 1, 1, 1))
-    translations = np.zeros((len(step_r) + 1, 3))
-    for k, (r, t) in enumerate(zip(step_r, step_t), start=1):  # frame k -> k - 1, then k - 1 -> 0
-        rotations[k] = rotations[k - 1] @ r
-        translations[k] = rotations[k - 1] @ t + translations[k - 1]
+    rotations, translations, _ = _chains([graph], gamma)
     return rotations, translations
+
+
+def register_graphs(graphs: list[SceneGraph25D], gamma: float = MatchParams.gamma) -> list[SceneGraph25D]:
+    """`register_frames` of each graph, with one rigid fit and one transform chain for all
+    of them; a graph of one frame or none is returned as it is."""
+    rotations, translations, starts = _chains(graphs, gamma)  # checks gamma first
+    registered = []
+    for graph, a, b in zip(graphs, starts[:-1].tolist(), starts[1:].tolist()):
+        if b - a > 1:
+            # each row's first frame, in the flat frame order
+            k = a + np.searchsorted(graph.frames, graph.obs_frames[graph.obs_start[:-1]])
+            # a (1, 3) @ (3, 3) product per point rounds as one point's p @ R.T does; one
+            # (n, 3) @ (3, 3) product does not
+            graph = copy(graph)
+            graph.centroids = (graph.centroids[:, None, :] @ rotations[k].transpose(0, 2, 1))[:, 0, :]
+            graph.centroids += translations[k]
+        registered.append(graph)
+    return registered
 
 
 def register_frames(graph: SceneGraph25D, gamma: float = MatchParams.gamma) -> SceneGraph25D:
@@ -54,13 +91,4 @@ def register_frames(graph: SceneGraph25D, gamma: float = MatchParams.gamma) -> S
     Both static and dynamic centroids are transformed; boxes, features and
     source frames are untouched. The transform chain links consecutive frames.
     """
-    rotations, translations = estimate_frame_transforms(graph, gamma=gamma)  # checks gamma first
-    if len(rotations) <= 1:
-        return graph
-    k = np.searchsorted(graph.frames, graph.obs_frames[graph.obs_start[:-1]])  # each row's first frame
-    # a (1, 3) @ (3, 3) product per point rounds as one point's p @ R.T does; one
-    # (n, 3) @ (3, 3) product does not
-    registered = copy(graph)
-    registered.centroids = (graph.centroids[:, None, :] @ rotations[k].transpose(0, 2, 1))[:, 0, :]
-    registered.centroids += translations[k]
-    return registered
+    return register_graphs([graph], gamma)[0]

@@ -152,6 +152,21 @@ def read_json(path: str | Path):
 
 
 _BLOCK_LINES = 250  # values of a JSONL file that `jsonl_blocks` holds at once
+_JSON_SPACE = " \t\n\r"  # what json.loads skips around a value
+_scan = json.JSONDecoder().raw_decode  # json.loads's decoder, called without its wrapping
+
+
+def _line_value(data: bytes, lineno: int):
+    """`parse_json(data, lineno)`, by the C scanner alone when the line is one JSON value
+    between JSON whitespace; any other line goes to `parse_json` for its value or error."""
+    try:
+        text = data.decode("utf-8").strip(_JSON_SPACE)
+        value, end = _scan(text)
+        if end == len(text):
+            return value
+    except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError among them
+        pass
+    return parse_json(data, lineno)
 
 
 def jsonl_blocks(path: str | Path) -> Iterator[tuple[list[int], list]]:
@@ -166,7 +181,7 @@ def jsonl_blocks(path: str | Path) -> Iterator[tuple[list[int], list]]:
             if not data.strip():  # ASCII whitespace only
                 continue
             try:
-                values.append(parse_json(data, lineno))
+                values.append(_line_value(data, lineno))
             except ParseError:
                 if values:
                     yield lines, values

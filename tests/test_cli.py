@@ -920,6 +920,22 @@ def test_ingest_no_register_takes_no_gamma(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_one_parser_serves_each_command_of_a_process(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    reg = tmp_path / "reg.json"
+    sw.default_registry().save(reg)
+    det = write_jsonl(tmp_path / "d.jsonl", [detection(class_id=sw.STATIC_CLASS_BASE, frame=f) for f in (0, 1)])
+    out = tmp_path / "g.json"
+    ingest = ["ingest", "--in", str(det), "--registry", str(reg), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(ingest + ["--no-register", "--gamma", "0.5"])
+    _one_error(capsys, exc.value.code, kind="usage")
+    assert main(ingest + ["--no-register"]) == 0
+    assert capsys.readouterr() == (f"ingested 1 videos -> {out}\n", "")
+    # were --no-register left over from the last command, this one would register nothing
+    assert "gamma must lie in (0, 1)" in _one_error(capsys, main(ingest + ["--gamma", "5"]), kind="validation")
+
+
 def test_ingest_checks_gamma_when_every_video_has_one_frame(tmp_path, capsys):
     reg = tmp_path / "reg.json"
     sw.default_registry().save(reg)

@@ -1,9 +1,14 @@
+import io
 import json
+import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from prism25d import schema
 from prism25d.errors import ParseError, ValidationError
@@ -159,6 +164,86 @@ def test_a_line_ends_at_a_line_feed(tmp_path, registry):
     assert load_detection_groups(tmp_path / "crlf", registry) == load_detection_groups(tmp_path / "lf", registry)
     with pytest.raises(ParseError, match="^line 1: invalid JSON: Extra data$"):
         load_detection_groups(tmp_path / "cr", registry)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_ODD_LINES = {
+    "two-values": ["{} {}", "1, 2", '"a" "b"', "[] 1"],
+    "deep": ["[" * 100_000, "[" * 100_000 + "]" * 100_000, '{"a": ' * 50_000],
+    "long-int": ["1" * 5000, "-" + "9" * 5000, "[" + "1" * 5000 + "]"],
+    "constant": ["NaN", "[NaN, Infinity, -Infinity]", "nan", "Infinity1"],
+    "blank": ["", " \t\r", "\x0b", "\xa0"],
+}
+
+
+@st.composite
+def _jsonl_line(draw) -> bytes:
+    """One line, without its line feed: a JSON value padded with JSON whitespace (most
+    often), behind a prefix that json.loads does not skip, or cut short; an `_ODD_LINES`
+    line; or bytes that are not UTF-8."""
+    text = json.dumps(draw(_JSON_VALUES), ensure_ascii=draw(st.booleans()))
+    kind = draw(st.sampled_from(["padded"] * 4 + ["prefixed", "cut", "not-utf-8", *_ODD_LINES]))
+    if kind == "padded":
+        pad = st.text(" \t\r", max_size=3)
+        text = draw(pad) + text + draw(pad)
+    elif kind == "prefixed":
+        text = draw(st.sampled_from(["\x0b", "\x0c", "\ufeff", " \ufeff"])) + text
+    elif kind == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif kind in _ODD_LINES:
+        text = draw(st.sampled_from(_ODD_LINES[kind]))
+    data = text.encode("utf-8")
+    if kind == "not-utf-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80"])) + data[at:]
+    return data
+
+
+def _read_one_at_a_time(data: bytes):
+    """(line, value) of each non-blank line by `parse_json(line, lineno)`, then the first
+    error's message and line, or None."""
+    read = []
+    for lineno, line in enumerate(io.BytesIO(data), start=1):
+        if line.strip():
+            try:
+                read.append((lineno, schema.parse_json(line, lineno)))
+            except ParseError as exc:
+                return read, (str(exc), exc.line)
+    return read, None
+
+
+def _read_by_blocks(path):
+    """What `jsonl_blocks` gives, in `_read_one_at_a_time`'s form."""
+    read = []
+    try:
+        for lines, values in schema.jsonl_blocks(path):
+            read += zip(lines, values)
+    except ParseError as exc:
+        return read, (str(exc), exc.line)
+    return read, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_jsonl_line(), min_size=1, max_size=8), end=st.sampled_from([b"", b"\n", b"\r\n"]))
+@example(lines=[b"{}", b"[" * 100_000], end=b"\n")
+@example(lines=[b" \t1\r", b"", b"1" * 5000], end=b"")
+@example(lines=[b"\x0c{}"], end=b"\n")
+@example(lines=[b"\xef\xbb\xbf{}"], end=b"\n")
+@example(lines=[b"NaN", b"{} {}"], end=b"\r\n")
+def test_block_reader_reads_each_line_as_parse_json_does(lines, end):
+    data = b"\n".join(lines) + end
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(schema, "_BLOCK_LINES", 2):
+        path = Path(tmp) / "d.jsonl"
+        path.write_bytes(data)
+        got, fault = _read_by_blocks(path)
+    want, want_fault = _read_one_at_a_time(data)
+    assert fault == want_fault
+    # json.dumps tells 1, 1.0 and true apart and writes NaN, which equals nothing
+    assert json.dumps(got) == json.dumps(want)
 
 
 @pytest.mark.parametrize("bad, error, message", [

@@ -9,7 +9,9 @@ from scipy.spatial.transform import Rotation
 from prism25d.errors import ValidationError
 from prism25d.graph import ClassRegistry, graphs_from_records
 from prism25d.lift import Intrinsics, default_intrinsics, estimate_rigid, fit_rigid, lift_centroid
-from prism25d.register import estimate_frame_transforms, register_frames
+from prism25d.register import (
+    estimate_frame_transforms, frame_correspondences, register_frames, register_graphs,
+)
 from prism25d import synthworld as sw
 
 from helpers import (
@@ -246,6 +248,41 @@ def test_registered_centroids_equal_per_point_apply():
             rot, trans = by_frame[node(g, nid).source_frames[0]]
             expect = g.centroids[nid] @ rot.T + trans
             assert np.array_equal(registered.centroids[nid], expect)
+
+
+def _stacked_worlds():
+    """Graphs of 8, 1, 2 and 8 frames, under a translating and an orbiting camera with 1 px
+    box jitter; the 2-frame world has two static objects, so its one pair falls back."""
+    jitter = sw.NoiseSpec(bbox_px=1.0)
+    specs = [
+        sw.WorldSpec(seed=51, video_id="t8", n_frames=8, n_static=5, n_dynamic=2, noise=jitter,
+                     camera=sw.CameraSpec(kind="translating", velocity=(0.04, 0.02, 0.01))),
+        sw.WorldSpec(seed=52, video_id="one", n_frames=1, n_static=3, n_dynamic=1),
+        sw.WorldSpec(seed=53, video_id="few", n_frames=2, n_static=2, n_dynamic=1, noise=jitter,
+                     camera=sw.CameraSpec(kind="translating", velocity=(0.04, 0.0, 0.0))),
+        sw.WorldSpec(seed=54, video_id="o8", n_frames=8, n_static=5, n_dynamic=2, noise=jitter,
+                     camera=sw.CameraSpec(kind="orbiting", angular_rate=0.02)),
+    ]
+    return [_world_graph(spec)[3] for spec in specs]
+
+
+def test_stacked_registration_equals_one_video_at_a_time():
+    graphs = _stacked_worlds()
+    assert [len(g.frames) for g in graphs] == [8, 1, 2, 8]
+    assert frame_correspondences(graphs[2], 0.5)[2].tolist() == [2]  # the identity fallback
+    for order in (graphs, graphs[::-1]):
+        stacked = register_graphs(order)
+        assert len(stacked) == len(order)
+        for graph, registered in zip(order, stacked):
+            assert registered.centroids.tobytes() == register_frames(graph).centroids.tobytes()
+    assert register_graphs(graphs)[1] is graphs[1]
+    assert not np.array_equal(register_graphs(graphs)[3].centroids, graphs[3].centroids)
+
+
+def test_stacked_registration_of_no_graphs_checks_gamma():
+    assert register_graphs([]) == []
+    with pytest.raises(ValidationError, match="gamma must lie in"):
+        register_graphs([], gamma=1.5)
 
 
 def test_lift_rows_equal_one_box_at_a_time():

@@ -3,7 +3,8 @@ each name it imports, and every private module-level name and every public modul
 function or class is used by a reference that resolves to its own module (the package's
 re-exports are such references). `from __future__` imports and the package's re-exports
 are exempt from the first rule. Every `raise` names no builtin exception, so that what the
-package raises is a `PrismError`; the CLI parser's `SystemExit` is exempt."""
+package raises is a `PrismError`; the CLI parser's `SystemExit` is exempt. JSON text is
+decoded in `schema.py` only, so that every JSON input is read by its one rule."""
 
 import ast
 import builtins
@@ -148,3 +149,51 @@ def test_a_planted_builtin_raise_is_flagged():
     trees = {"ops.py": ast.parse(PLANTED_RAISES),
              "cli.py": ast.parse("def error():\n    raise SystemExit(1)\n")}
     assert _builtin_raises(trees) == ["ops.py:14 ValueError"]
+
+
+JSON_DECODERS = {"JSONDecoder", "raw_decode"}  # flagged however they are reached
+JSON_READERS = {"loads", "load"}  # flagged as attributes of `json`
+
+
+def _json_decoding(trees) -> list[str]:
+    """`file:line name` for each place outside `schema.py` that names a JSON decoder:
+    `json.loads`, `json.load`, `JSONDecoder` or `raw_decode`, or imports one from `json`."""
+    found = []
+    for filename, tree in trees.items():
+        if filename == "schema.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                names = [alias.name for alias in node.names if alias.name in JSON_DECODERS | JSON_READERS]
+            elif isinstance(node, ast.Attribute):
+                json_attr = isinstance(node.value, ast.Name) and node.value.id == "json"
+                names = [node.attr] if node.attr in JSON_DECODERS or json_attr and node.attr in JSON_READERS else []
+            elif isinstance(node, ast.Name):
+                names = [node.id] if node.id in JSON_DECODERS else []
+            else:
+                names = []
+            found += [f"{filename}:{node.lineno} {name}" for name in names]
+    return sorted(found)
+
+
+def test_json_text_is_decoded_in_schema_only():
+    assert not _json_decoding(TREES)
+
+
+PLANTED_DECODES = """import json
+from json import loads as parse
+
+import numpy as np
+
+
+def f(path, text):
+    np.load(path)
+    return json.loads(text), json.JSONDecoder().raw_decode(text), parse(text), json.dumps(text)
+"""
+
+
+def test_a_planted_json_decode_is_flagged():
+    trees = {"ops.py": ast.parse(PLANTED_DECODES),
+             "schema.py": ast.parse("import json\n\nvalue = json.loads('1')\n")}
+    assert _json_decoding(trees) == ["ops.py:2 loads", "ops.py:9 JSONDecoder", "ops.py:9 loads",
+                                     "ops.py:9 raw_decode"]

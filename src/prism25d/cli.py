@@ -13,7 +13,8 @@ import numpy as np
 
 from .compact import MatchParams, compact, corpus_stats
 from .errors import ParseError, PrismError, ValidationError, located
-from .graph import ClassRegistry, SceneGraph25D, load_corpus, load_detection_groups, save_corpus
+from .graph import (ClassRegistry, SceneGraph25D, _check_max_frames, load_corpus, load_detection_groups,
+                    save_corpus)
 from .lift import Intrinsics, default_intrinsics
 from .qa import (
     METRICS_FORMAT,
@@ -173,10 +174,12 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     cfg = RunConfig.resolve(args)
-    graphs = load_detection_groups(args.inp, ClassRegistry.load(args.registry), cfg.max_frames,
-                                   cfg.intrinsics())
-    if not args.no_register:
-        graphs = register_graphs(graphs, gamma=cfg.gamma)
+    match = None if args.no_register else MatchParams(gamma=cfg.gamma)  # the knobs, before any input
+    intrinsics = cfg.intrinsics()
+    _check_max_frames(cfg.max_frames)
+    graphs = load_detection_groups(args.inp, ClassRegistry.load(args.registry), cfg.max_frames, intrinsics)
+    if match is not None:
+        graphs = register_graphs(graphs, gamma=match.gamma)
     save_corpus(graphs, args.out)
     print(f"ingested {len(graphs)} videos -> {args.out}")
     return 0

@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import SceneGraph25D, run_starts
+from .lift import norms
 
 
 @dataclass(frozen=True)
@@ -53,14 +54,11 @@ def nearest(
         & (graph.class_ids[cand] == graph.class_ids[occ][:, None])
         & (inter / (area_a + area_b - inter) > gamma)
     )
-    # one BLAS dot per passing pair, as np.linalg.norm takes per vector: a plain
-    # sum of squares differs from it in the last bit on about a tenth of vectors.
-    # Far finite centroids overflow to an infinite distance, which ranks last.
+    # far finite centroids overflow to an infinite distance, which ranks last
     rows, slots = np.nonzero(passing)
     dist = np.full(passing.shape, np.inf)
     with np.errstate(over="ignore"):
-        diff = graph.centroids[occ[rows]] - graph.centroids[cand[rows, slots]]
-        dist[rows, slots] = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+        dist[rows, slots] = norms(graph.centroids[occ[rows]] - graph.centroids[cand[rows, slots]])
     best = dist.min(axis=1)
     tied = passing & (dist == best[:, None])
     return np.where(passing.any(axis=1), np.where(tied, cand, np.iinfo(np.int64).max).min(axis=1), -1)

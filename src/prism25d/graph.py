@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import ParseError, ValidationError, located
 from .lift import Intrinsics, bad_depths, default_intrinsics, degenerate_boxes, lift_centroid
-from .schema import (INT, NUMBER, OBJECT, STR, check, check_rows, jsonl_blocks, list_of, optional,
-                     read_json, typed_prefix)
+from .schema import (INT, NUMBER, OBJECT, STR, check, check_header, check_rows, jsonl_blocks, list_of,
+                     optional, read_json, typed_prefix)
 
 STATIC = "static"
 DYNAMIC = "dynamic"
@@ -141,8 +141,7 @@ class SceneGraph25D:
              lambda i: f"node {ids[i]}: degenerate bbox {tuple(self.boxes[i].tolist())}"),
             *node_faults,
         ])
-        if self.max_frames < 1:
-            raise ValidationError(f"max_frames must be positive, got {self.max_frames}")
+        _check_max_frames(self.max_frames)
 
     def check_listings(self) -> None:
         """Raise unless each node is listed once in each of its source frames, and nowhere else."""
@@ -168,6 +167,11 @@ class SceneGraph25D:
         """Equal when both write the same graph-file body under the same registry digest."""
         return (isinstance(other, SceneGraph25D) and self.registry_digest == other.registry_digest
                 and _graph_body(self) == _graph_body(other))
+
+
+def _check_max_frames(max_frames: int | None) -> None:
+    if max_frames is not None and max_frames < 1:  # None: the detections' frame span
+        raise ValidationError(f"max_frames must be positive, got {max_frames}")
 
 
 def _raise_first(faults, lines: list[int] | None = None) -> None:
@@ -276,8 +280,7 @@ def _assemble(cols: dict[str, np.ndarray], names: dict[str, int], registry: Clas
     frames, class_ids, boxes, depths, moving = (cols[k] for k in ("frame", "class", "box", "depth", "moving"))
     if max_frames is None:
         max_frames = int(frames.max()) + 1 if len(frames) else 1
-    if max_frames <= 0:
-        raise ValidationError(f"max_frames must be positive, got {max_frames}")
+    _check_max_frames(max_frames)
     kind_of = {c: e.kind for c, e in registry.entries.items()}
     kinds = [kind_of.get(c) for c in class_ids.tolist()]
     static, dynamic = (np.array([k == kind for k in kinds], dtype=bool) for kind in (STATIC, DYNAMIC))
@@ -405,13 +408,6 @@ def _graph_from_body(obj: dict, digest: str | None, widths: dict[str, int]) -> S
     return graph
 
 
-def _check_header(obj: dict, path: str | Path) -> None:
-    if not isinstance(obj, dict) or obj.get("format") != GRAPH_FORMAT:
-        raise ValidationError(f"{path}: not a {GRAPH_FORMAT} file")
-    if obj.get("version") != GRAPH_VERSION:
-        raise ValidationError(f"{path}: unsupported version {obj.get('version')!r}")
-
-
 # the float columns of a graph, by the node field that writes them
 _FLOAT_COLUMNS = {"feature": "features", "motion_feature": "motions", "bbox": "boxes", "centroid3d": "centroids"}
 
@@ -451,7 +447,7 @@ def load_corpus(path: str | Path) -> list[SceneGraph25D]:
     repeated video is a ValidationError.
     """
     obj = read_json(path)
-    _check_header(obj, path)
+    check_header(obj, path, GRAPH_FORMAT, GRAPH_VERSION)
     if "graphs" not in obj:
         obj = {"registry_digest": obj.get("registry_digest"), "graphs": [obj]}
     check(obj, _CORPUS_FIELDS)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .schema import COUNT, OBJECT, STR, check, check_rows, list_of, parse_json
+from .schema import COUNT, OBJECT, STR, check, check_header, check_rows, list_of, parse_json
 
 CHECKPOINT_FORMAT = "prism25d-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -51,7 +51,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, _wrap(other))
-
 
 
 def _wrap(x) -> Tensor:
@@ -153,11 +152,8 @@ def log(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     def bw(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(gg, a.data.shape).copy())
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
 
@@ -368,13 +364,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         try:
             header = parse_json(fh.readline())
         except ParseError as exc:
-            if isinstance(exc.__cause__, UnicodeDecodeError):  # bytes, not a text header
-                raise ValidationError(f"{path}: not a {CHECKPOINT_FORMAT} file") from exc
-            raise
-        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-            raise ValidationError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValidationError(f"{path}: unsupported version {header.get('version')!r}")
+            if not isinstance(exc.__cause__, UnicodeDecodeError):
+                raise
+            header = None  # bytes, not a text header
+        check_header(header, path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
         check(header, {"params": list_of(OBJECT)})
         cols = check_rows(header["params"], _MANIFEST_ENTRY)
         blob = fh.read()  # bytes after the last parameter are accepted

@@ -333,6 +333,14 @@ def encode_graph(model: QaModel, bundle: GraphBundle) -> Tensor:
     )
 
 
+def _by_video(instances: list[QaInstance]) -> dict[str, list[int]]:
+    """Each video's instance indices, in list order; videos in first-appearance order."""
+    by_video: dict[str, list[int]] = {}
+    for i, inst in enumerate(instances):
+        by_video.setdefault(inst.video_id, []).append(i)
+    return by_video
+
+
 def question_features(
     model: QaModel, bundles: dict[str, GraphBundle], instances: list[QaInstance]
 ) -> Tensor:
@@ -344,9 +352,7 @@ def question_features(
     block begins, and the block is finished before the next lookup.
     """
     heads = model.config.heads
-    by_video: dict[str, list[int]] = {}
-    for i, inst in enumerate(instances):
-        by_video.setdefault(inst.video_id, []).append(i)
+    by_video = _by_video(instances)
     blocks = []
     for vid, idxs in by_video.items():
         questions = [instances[i].question for i in idxs]
@@ -392,16 +398,13 @@ class TrainConfig:
 def _epoch_order(instances: list[QaInstance], seed: int, epoch: int) -> list[int]:
     """Deterministic shuffle keeping each video's instances adjacent."""
     rng = np.random.default_rng([seed, epoch])
-    by_video: dict[str, list[int]] = {}
-    for idx, inst in enumerate(instances):
-        by_video.setdefault(inst.video_id, []).append(idx)
+    by_video = _by_video(instances)
     vids = sorted(by_video)
     rng.shuffle(vids)
     order: list[int] = []
     for vid in vids:
-        idxs = by_video[vid][:]
-        rng.shuffle(idxs)
-        order.extend(idxs)
+        rng.shuffle(by_video[vid])
+        order.extend(by_video[vid])
     return order
 
 

@@ -11,45 +11,38 @@ from .graph import SceneGraph25D
 from .lift import fit_rigid
 
 
-def frame_correspondences(graph: SceneGraph25D, gamma: float) -> tuple[np.ndarray, ...]:
-    """Every consecutive frame pair's static correspondences, as fit_rigid takes them:
-    src (m, 3), dst (m, 3) and counts (pairs,). Pair i's counts[i] rows hold the static
-    nodes of frame i + 1 that have a nearest candidate among the static nodes of
-    frame i, in src, and those candidates, in dst.
-    """
-    gamma = MatchParams(gamma=gamma, delta=1).gamma  # checks gamma
+def _correspondences(graph: SceneGraph25D, gamma: float) -> tuple[np.ndarray, ...]:
+    """Each listed frame's static correspondences with the listed frame before it, as fit_rigid
+    takes them: src (m, 3), dst (m, 3) and counts (frames,). Frame k's counts[k] rows hold the
+    static nodes of frame k with a nearest candidate among those of frame k - 1, in src, and
+    those candidates, in dst; frame 0 has none, so fit_rigid fits it as the identity."""
     keep, frames = graph.static[graph.listed_rows], graph.frames
     occ, occ_frames = graph.listed_rows[keep], graph.listed_frames[keep]  # the static occurrences
-    # occurrence o lies in listed frame k[o] and so in pair k[o] - 1; its candidates are the
-    # static occurrences of listed frame k[o] - 1, [starts[k[o] - 1], starts[k[o]]), none for k = 0
+    # static occurrence o of listed frame k[o] has the candidates [starts[k[o] - 1], starts[k[o]])
     k, starts = np.searchsorted(frames, occ_frames), np.searchsorted(occ_frames, frames)
     matches = nearest(graph, occ, starts[np.maximum(k - 1, 0)], starts[k], gamma)
     found = matches >= 0
-    counts = np.bincount(k[found], minlength=len(frames))[1:]
+    counts = np.bincount(k[found], minlength=len(frames))
     return graph.centroids[occ[found]], graph.centroids[matches[found]], counts
 
 
 def _chains(graphs: list[SceneGraph25D], gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`estimate_frame_transforms` of every graph, end to end over the graphs' F frames:
-    (F, 3, 3) rotations, (F, 3) translations and each graph's first frame, with F last. One
-    `fit_rigid` call takes every graph's frame pairs, and step k of every chain is one
-    stacked product over the graphs of more than k frames."""
+    """`estimate_frame_transforms` of every graph, end to end over the graphs' F frames: (F, 3, 3)
+    rotations, (F, 3) translations and each graph's first frame, with F last. One `fit_rigid` call
+    fits each frame's step into the frame before it (the identity for a first frame), and step k
+    of the chains turns each frame k's step into its transform to frame 0 in one stacked product."""
     gamma = MatchParams(gamma=gamma, delta=1).gamma  # checks gamma, before any fit
-    pairs = [frame_correspondences(g, gamma) for g in graphs]
+    pairs = [_correspondences(g, gamma) for g in graphs]
     lengths = np.array([len(g.frames) for g in graphs], dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(lengths)))
-    rotations, translations = np.tile(np.eye(3), (starts[-1], 1, 1)), np.zeros((starts[-1], 3))
     if not pairs:
-        return rotations, translations, starts
-    step_r, step_t = fit_rigid(*(np.concatenate(column) for column in zip(*pairs)))  # frame cur -> prev
-    steps = np.maximum(lengths - 1, 0)  # each graph's frame pairs
-    first_pair = np.cumsum(steps) - steps
+        return np.zeros((0, 3, 3)), np.zeros((0, 3)), starts
+    rotations, translations = fit_rigid(*(np.concatenate(column) for column in zip(*pairs)))
     for k in range(1, int(lengths.max())):  # frame k -> k - 1, then k - 1 -> 0
-        live = np.flatnonzero(lengths > k)
-        cur, step = starts[live] + k, first_pair[live] + k - 1
+        cur = starts[:-1][lengths > k] + k
         prev = rotations[cur - 1]
-        rotations[cur] = prev @ step_r[step]
-        translations[cur] = (prev @ step_t[step, :, None])[:, :, 0] + translations[cur - 1]
+        translations[cur] = (prev @ translations[cur, :, None])[:, :, 0] + translations[cur - 1]
+        rotations[cur] = prev @ rotations[cur]
     return rotations, translations, starts
 
 

@@ -1,4 +1,4 @@
-"""Field specs for the JSON inputs, and the one check every input boundary runs.
+"""Field specs for the JSON inputs, the one check every input boundary runs, and the header check.
 
 Each boundary declares its fields once: as a dict of field name -> `Spec`
 passed to `check` (one record) or `check_rows` (a list of records), or as a
@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from itertools import chain
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 
 class Spec:
@@ -29,9 +29,6 @@ class Spec:
     def __init__(self, want: str, each):
         self.want = want
         self.each = each
-
-    def test(self, value) -> bool:
-        return self.each((value,))
 
 
 def _typed(want: str, kind: type) -> Spec:
@@ -83,16 +80,15 @@ def optional(spec: Spec) -> Spec:
     return Spec(f"{spec.want} or null", lambda values: spec.each([v for v in values if v is not None]))
 
 
-def check(record, fields: dict[str, Spec], line: int | None = None) -> None:
+def check(record, fields: dict[str, Spec]) -> None:
     """Raise a ParseError naming the first of `fields` that `record` lacks or breaks."""
-    check_rows([record], fields, None if line is None else [line])
+    check_rows([record], fields)
 
 
-def check_rows(records: list, fields: dict[str, Spec], lines: list[int] | None = None) -> dict[str, list]:
-    """`check` every record of a list, one field of all records at a time, and return each
-    field's column: its values in record order, None where absent. The error names the
-    first bad record, by its line in `lines` when given."""
-    columns, fault = typed_prefix(records, fields, lines)
+def check_rows(records: list, fields: dict[str, Spec]) -> dict[str, list]:
+    """`check` every record of a list, one field of all records at a time, and return each field's
+    column: its values in record order, None where absent. The error names the first bad record."""
+    columns, fault = typed_prefix(records, fields)
     if fault is not None:
         raise fault
     return columns
@@ -122,11 +118,19 @@ def _fault(record, fields: dict[str, Spec]) -> str | None:
         return "expected a JSON object"
     for key, spec in fields.items():
         value = record.get(key)
-        if not spec.test(value):
+        if not spec.each((value,)):
             if key not in record:
                 return f"missing field {key!r}"
             return f"{key} must be {spec.want}, got {value!r}"
     return None
+
+
+def check_header(obj, path: str | Path, fmt: str, version: int) -> None:
+    """Raise a ValidationError unless file header `obj` is a JSON object of `fmt` and `version`."""
+    if not isinstance(obj, dict) or obj.get("format") != fmt:
+        raise ValidationError(f"{path}: not a {fmt} file")
+    if obj.get("version") != version:
+        raise ValidationError(f"{path}: unsupported version {obj.get('version')!r}")
 
 
 def parse_json(data: bytes, line: int | None = None):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import DYNAMIC, STATIC, ClassEntry, ClassRegistry
-from .lift import Intrinsics, default_intrinsics
+from .lift import Intrinsics, default_intrinsics, norms
 from .qa import QaInstance
 
 STATIC_CLASS_BASE = 1
@@ -214,12 +214,6 @@ def _placement_box(spec: WorldSpec) -> np.ndarray:
     return half
 
 
-def _norms(d: np.ndarray) -> np.ndarray:
-    """Norms over the last axis, one BLAS dot each as np.linalg.norm takes per vector (a
-    plain sum of squares differs in the last bit on about a tenth of vectors)."""
-    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
-
-
 def _uniform(rng: np.random.Generator, half: np.ndarray, shape) -> np.ndarray:
     """`rng.uniform(-half, half, shape)` bit for bit, scaled as Generator.uniform scales
     `rng.random`'s draws, at a fraction of its call cost."""
@@ -238,7 +232,7 @@ def _sample_static_layout(spec: WorldSpec, rng: np.random.Generator) -> np.ndarr
     pts, taken = np.empty((spec.n_static, 3)), 0
     for i in range(spec.n_static):
         window = candidates[taken:taken + 80]
-        far = (_norms(window[:, None] - pts[:i]) >= spec.static_separation).all(axis=1)
+        far = (norms(window[:, None] - pts[:i]) >= spec.static_separation).all(axis=1)
         if not far.any():
             pts, taken = None, taken + 80
             break
@@ -265,8 +259,8 @@ def _sample_trajectory(
 ) -> np.ndarray | None:
     half = _placement_box(spec)
     bound = half + 0.4
-    picks = 2 if len(targets) == 1 else 1  # single-target paths dwell near the target
-    knots = np.linspace(0.0, 1.0, 1 + picks * len(targets))
+    aims = targets * 2 if len(targets) == 1 else targets  # single-target paths dwell near the target
+    knots = np.linspace(0.0, 1.0, 1 + len(aims))
     s = np.linspace(0.0, 1.0, spec.n_frames)
     others = [i for i in range(len(statics)) if i not in targets]
     for _ in range(40):
@@ -274,20 +268,15 @@ def _sample_trajectory(
             start = _near(rng, statics[targets[0]], spec)
         else:
             start = _uniform(rng, half, 3)
-            if _norms(start - statics).min() < 0.8:
+            if norms(start - statics).min() < 0.8:
                 continue
         waypoints = [start]
-        ok = True
-        for tgt in targets:
-            for _ in range(picks):
-                wp = _near(rng, statics[tgt], spec)
-                if np.any(np.abs(wp) > bound):
-                    ok = False
-                    break
-                waypoints.append(wp)
-            if not ok:
+        for tgt in aims:
+            wp = _near(rng, statics[tgt], spec)
+            if np.any(np.abs(wp) > bound):
                 break
-        if not ok:
+            waypoints.append(wp)
+        if len(waypoints) <= len(aims):  # a waypoint fell out of bounds
             continue
         track = np.stack(
             [np.interp(s, knots, [w[a] for w in waypoints]) for a in range(3)], axis=1
@@ -418,7 +407,7 @@ def world_detections(world: World) -> list[dict]:
     if spec.n_frames > 1:
         step = np.diff(world.dynamic_tracks.transpose(1, 0, 2), axis=0)
         motion[..., :3] = np.concatenate([step[:1], step])
-    motion[..., 3] = _norms(motion[..., :3])
+    motion[..., 3] = norms(motion[..., :3])
     boxes, depths, motion = boxes.tolist(), depths.tolist(), motion.tolist()
     features = np.broadcast_to(features, (spec.n_frames, *features.shape)).tolist()
     records = []

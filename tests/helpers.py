@@ -395,7 +395,7 @@ def oracle_trajectory(spec, rng, statics, targets):
             start = sw._near(rng, statics[targets[0]], spec)
         else:
             start = rng.uniform(-half, half)
-            if sw._norms(start - statics).min() < 0.8:
+            if sw.norms(start - statics).min() < 0.8:
                 continue
         waypoints = [start]
         ok = True

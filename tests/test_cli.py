@@ -466,6 +466,52 @@ def test_train_checks_its_model_knobs_before_reading_any_input(tmp_path, capsys,
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--gamma", "5"], "gamma must lie in (0, 1), got 5.0"),
+    (["--max-frames", "0"], "max_frames must be positive, got 0"),
+    (["--fx", "-1", "--fy", "1", "--cx", "0", "--cy", "0"],
+     "focal lengths must be positive and finite, got -1.0, 1.0"),
+], ids=["gamma", "max-frames", "focal-length"])
+def test_ingest_checks_its_knobs_before_reading_any_input(tmp_path, capsys, flags, message):
+    """Every input file is missing: a knob out of range is reported before any is opened."""
+    out = tmp_path / "g.json"
+    code = main(["ingest", "--in", str(tmp_path / "missing.jsonl"),
+                 "--registry", str(tmp_path / "missing.json"), "--out", str(out), *flags])
+    assert _one_error(capsys, code, kind="validation") == message
+    assert not out.exists()
+
+
+def test_ingest_given_part_of_the_intrinsics_exits_one(tmp_path, capsys):
+    reg, out = tmp_path / "reg.json", tmp_path / "g.json"
+    sw.default_registry().save(reg)
+    det = write_jsonl(tmp_path / "d.jsonl", [detection(class_id=sw.STATIC_CLASS_BASE)])
+    code = main(["ingest", "--in", str(det), "--registry", str(reg), "--out", str(out), "--fx", "100"])
+    assert _one_error(capsys, code) == "intrinsics need all of --fx --fy --cx --cy"
+    assert not out.exists()
+
+
+def test_a_depth_past_the_float_range_exits_one(tmp_path, capsys):
+    """A 401-digit JSON integer is read exactly but has no float: the finite-number check
+    counts the OverflowError of converting it as a fault."""
+    reg, out = tmp_path / "reg.json", tmp_path / "g.json"
+    sw.default_registry().save(reg)
+    det = write_jsonl(tmp_path / "d.jsonl", [detection(class_id=sw.STATIC_CLASS_BASE, depth=10**400)])
+    code = main(["ingest", "--in", str(det), "--registry", str(reg), "--out", str(out)])
+    assert _one_error(capsys, code, line=1) == f"line 1: depth must be a finite number, got {10**400}"
+    assert not out.exists()
+
+
+def test_eval_on_an_empty_qa_file_exits_one(tmp_path, capsys):
+    det, reg, _ = _synth_corpus(tmp_path, n_worlds=1, qa=False, n_frames=3)
+    ckpt, qa, out = tmp_path / "m.ckpt", tmp_path / "qa.jsonl", tmp_path / "e.json"
+    save_model(ckpt, init_model(ModelConfig(d_o=16, d_a=8, vocab_size=sw.VOCAB_SIZE), seed=0), seed=0, step=0)
+    qa.write_text("")
+    code = main(["eval", "--detections", det, "--registry", reg, "--qa", str(qa), "--model", str(ckpt),
+                 "--out", str(out)])
+    assert _one_error(capsys, code, kind="validation") == "empty evaluation dataset"
+    assert not out.exists()
+
+
 def test_eval_checks_qa_tokens_against_the_checkpoint_vocabulary(tmp_path, capsys, monkeypatch):
     qa, ckpt = tmp_path / "q.jsonl", tmp_path / "m.ckpt"
     write_jsonl(qa, [{"video_id": "v", "question": [1, 11], "candidates": [[2], [3]], "gt": 0},
@@ -494,28 +540,35 @@ def test_eval_checks_graph_widths_against_the_checkpoint(tmp_path, capsys, width
     assert not out.exists()
 
 
-@pytest.mark.parametrize("change, kind", [
-    (lambda head: head["config"].pop("heads"), "parse"),
-    (lambda head: head["config"].update(latent_dim="32"), "parse"),
-    (lambda head: head["config"].update(sigma_s=["a"]), "parse"),
-    (lambda head: head.update(config=[]), "parse"),
-    (lambda head: head.update(seed="x"), "parse"),
-    (lambda head: head.pop("step"), "parse"),
-    (lambda head: head.update(params=7), "parse"),
-    (lambda head: head.update(seed=-1), "parse"),
-    (lambda head: head.update(step=-1), "parse"),
-    (lambda head: head["config"].update(feature_hidden=[]), "parse"),
-    (lambda head: head["config"].update(feature_hidden=[-1]), "parse"),
+@pytest.mark.parametrize("change, kind, message", [
+    (lambda head: head["config"].pop("heads"), "parse", "missing ModelConfig field 'heads'"),
+    (lambda head: head["config"].update(latent_dim="32"), "parse", "latent_dim must be an integer, got '32'"),
+    (lambda head: head["config"].update(sigma_s=["a"]), "parse",
+     "sigma_s must be a list, each a finite number, got ['a']"),
+    (lambda head: head.update(config=[]), "parse", "ModelConfig must be a JSON object, got []"),
+    (lambda head: head.update(seed="x"), "parse", "seed must be a non-negative integer, got 'x'"),
+    (lambda head: head.pop("step"), "parse", "missing field 'step'"),
+    (lambda head: head.update(params=7), "parse", "params must be a list, each a JSON object, got 7"),
+    (lambda head: head.update(seed=-1), "parse", "seed must be a non-negative integer, got -1"),
+    (lambda head: head.update(step=-1), "parse", "step must be a non-negative integer, got -1"),
+    (lambda head: head["config"].update(feature_hidden=[]), "parse",
+     "unknown ModelConfig field 'feature_hidden'"),
+    (lambda head: head["config"].update(feature_hidden=[-1]), "parse",
+     "unknown ModelConfig field 'feature_hidden'"),
     (lambda head: [head["config"].pop(key) for key in ("match", "intrinsics", "max_frames", "registry_digest")],
-     "parse"),
-    (lambda head: head["config"].update(match={"gamma": 0.5}), "parse"),
-    (lambda head: head["config"].update(registry_digest=7), "parse"),
-    (lambda head: head["config"].update(latent_dim=4_000_000, heads=1), "validation"),
+     "parse", "missing ModelConfig field 'match'"),
+    (lambda head: head["config"].update(match={"gamma": 0.5}), "parse", "missing MatchParams field 'delta'"),
+    (lambda head: head["config"].update(registry_digest=7), "parse",
+     "registry_digest must be a string or null, got 7"),
+    (lambda head: head["config"].update(latent_dim=4_000_000, heads=1), "validation",
+     "the model's 256000104000000 parameters exceed the limit of 16777216"),
+    (lambda head: head.update(version=2), "validation", "unsupported version 2"),
 ], ids=["config-no-heads", "config-string-latent", "config-string-sigma", "config-not-an-object",
         "string-seed", "no-step", "params-not-a-list", "negative-seed", "negative-step",
         "config-feature-hidden", "checkpoint-negative-hidden-width", "config-no-pipeline",
-        "config-match-no-delta", "config-numeric-registry-digest", "config-too-many-parameters"])
-def test_bad_checkpoint_header_exits_one(tmp_path, capsys, monkeypatch, change, kind):
+        "config-match-no-delta", "config-numeric-registry-digest", "config-too-many-parameters",
+        "version-2"])
+def test_bad_checkpoint_header_exits_one(tmp_path, capsys, monkeypatch, change, kind, message):
     """A header an older build wrote, with a `feature_hidden` config field or without the
     pipeline fields, is a parse error too; a config whose model is past the parameter limit
     is a validation error, found before any parameter is allocated."""
@@ -527,7 +580,7 @@ def test_bad_checkpoint_header_exits_one(tmp_path, capsys, monkeypatch, change, 
     monkeypatch.setattr(cli, "_pipeline_graphs", _pipeline_must_not_run)
     code = main(["eval", "--detections", "d.jsonl", "--registry", "r.json", "--qa", str(qa),
                  "--model", str(ckpt), "--out", str(tmp_path / "e.json")])
-    _one_error(capsys, code, kind=kind)
+    assert _one_error(capsys, code, kind=kind).removeprefix(f"{ckpt}: ") == message
     assert not (tmp_path / "e.json").exists()
 
 
@@ -559,8 +612,9 @@ def _nan_weight(ckpt):
     (_first_entry_shape([2**36]), "truncated parameter blob at mlp_s.w0"),  # 512 GB
     (_first_entry_shape([0, 2**70]), f"parameter mlp_s.w0 has shape [0, {2**70}]"),
     (_first_entry_shape([1] * 65), "parameter mlp_s.w0 has shape [1, 1"),  # one value on more axes than numpy takes
+    (_first_entry_shape([2, 32]), "checkpoint parameter mlp_s.w0 has the wrong shape"),  # [32, 2] reversed
 ], ids=["extra-entry", "repeated-entry", "nan-weight", "int64-wrapping-entry", "entry-beyond-the-file",
-        "zero-and-huge-dimension", "too-many-dimensions"])
+        "zero-and-huge-dimension", "too-many-dimensions", "reversed-shape"])
 def test_bad_checkpoint_body_exits_one(tmp_path, capsys, monkeypatch, change, message):
     ckpt = tmp_path / "m.ckpt"
     save_model(ckpt, init_model(ModelConfig(d_o=2, d_a=2, vocab_size=12), seed=0), seed=0, step=3)
@@ -574,30 +628,36 @@ def test_bad_checkpoint_body_exits_one(tmp_path, capsys, monkeypatch, change, me
     assert not (tmp_path / "e.json").exists()
 
 
-@pytest.mark.parametrize("command, change", [
-    ("train", ["--latent", "0"]),
-    ("train", ["--batch", "0"]),
-    ("train", ["--fx", "0", "--fy", "1", "--cx", "0", "--cy", "0"]),
-    ("train", ["--epochs", "-1"]),
-    ("train", ["--standard-layers", "-1"]),
-    ("train", ["--heads", "3", "--latent", "32"]),
-    ("train", ["--sigmas", "0,1"]),
-    ("train", ["--sigmas", "0.1,1", "--sigma-t", "1"]),
-    ("train", ["--lr", "-1"]),
-    ("train", ["--sigmas", "1,inf"]),
-    ("train", ["--sigma-t", "1,1,1,1e400"]),
-    ("train", ["--seed", "-3"]),
-    ("eval", {"latent_dim": 0}),
-    ("eval", {"d_o": 0}),
-    ("eval", {"match": {"gamma": 1.5, "delta": 3}}),
-    ("eval", {"intrinsics": {"fx": 0.0, "fy": 256.0, "cx": 128.0, "cy": 128.0}}),
-    ("eval", {"max_frames": 0}),
+_BANDWIDTHS = "kernel bandwidths must be positive and finite"
+
+
+@pytest.mark.parametrize("command, change, message", [
+    ("train", ["--latent", "0"], "latent_dim must be at least 1, got 0"),
+    ("train", ["--batch", "0"], "batch_size must be at least 1, got 0"),
+    ("train", ["--fx", "0", "--fy", "1", "--cx", "0", "--cy", "0"],
+     "focal lengths must be positive and finite, got 0.0, 1.0"),
+    ("train", ["--epochs", "-1"], "epochs must not be negative, got -1"),
+    ("train", ["--standard-layers", "-1"], "n_standard_layers must be at least 0, got -1"),
+    ("train", ["--heads", "3", "--latent", "32"], "latent_dim 32 must divide evenly into 3 heads"),
+    ("train", ["--sigmas", "0,1"], _BANDWIDTHS),
+    ("train", ["--sigmas", "0.1,1", "--sigma-t", "1"], "sigma_s and sigma_t hierarchies differ in length"),
+    ("train", ["--lr", "-1"], "lr must be finite and not negative, got -1.0"),
+    ("train", ["--sigmas", "1,inf"], _BANDWIDTHS),
+    ("train", ["--sigma-t", "1,1,1,1e400"], _BANDWIDTHS),
+    ("train", ["--seed", "-3"], "seed must not be negative, got -3"),
+    ("eval", {"latent_dim": 0}, "latent_dim must be at least 1, got 0"),
+    ("eval", {"d_o": 0}, "d_o must be at least 1, got 0"),
+    ("eval", {"match": {"gamma": 1.5, "delta": 3}}, "gamma must lie in (0, 1), got 1.5"),
+    ("eval", {"intrinsics": {"fx": 0.0, "fy": 256.0, "cx": 128.0, "cy": 128.0}},
+     "focal lengths must be positive and finite, got 0.0, 256.0"),
+    ("eval", {"max_frames": 0}, "max_frames must be at least 1, got 0"),
+    ("eval", {"sigma_s": []}, "kernel hierarchy needs at least one level"),
 ], ids=["zero-latent", "zero-batch", "zero-focal-length", "negative-epochs",
         "negative-standard-layers", "heads-not-dividing-latent", "zero-sigma",
         "sigma-t-length", "negative-lr", "infinite-sigma", "infinite-sigma-t", "negative-seed",
         "checkpoint-zero-latent", "checkpoint-zero-d_o", "checkpoint-gamma", "checkpoint-zero-fx",
-        "checkpoint-zero-max-frames"])
-def test_out_of_range_config_exits_one(tmp_path, capsys, command, change):
+        "checkpoint-zero-max-frames", "checkpoint-no-kernel-level"])
+def test_out_of_range_config_exits_one(tmp_path, capsys, command, change, message):
     """`change` is the train flags, or the checkpoint config fields eval reads."""
     det, reg, qa = _synth_corpus(tmp_path, n_worlds=1, n_frames=3)
     out, init = tmp_path / "out", tmp_path / "init.ckpt"
@@ -611,24 +671,28 @@ def test_out_of_range_config_exits_one(tmp_path, capsys, command, change):
         _edit_checkpoint_header(ckpt, lambda head: head["config"].update(change))
         args += ["--model", str(ckpt)]
     capsys.readouterr()
-    _one_error(capsys, main(args), kind="validation")
+    assert _one_error(capsys, main(args), kind="validation") == message
     assert not out.exists() and not init.exists()
 
 
-@pytest.mark.parametrize("registry", [
-    {"kinds": []},
-    {"classes": [{"id": 1, "name": "a"}]},
-    {"classes": [{"id": "1", "name": "a", "kind": "static"}]},
-    [],
-], ids=["no-classes", "no-kind", "string-id", "not-an-object"])
-def test_bad_registry_exits_one(tmp_path, capsys, registry):
+@pytest.mark.parametrize("registry, kind, message", [
+    ({"kinds": []}, "parse", "missing field 'classes'"),
+    ({"classes": [{"id": 1, "name": "a"}]}, "parse", "missing field 'kind'"),
+    ({"classes": [{"id": "1", "name": "a", "kind": "static"}]}, "parse", "id must be an integer, got '1'"),
+    ([], "parse", "expected a JSON object"),
+    ({"classes": [{"id": 1, "name": "a", "kind": "moving"}]}, "validation",
+     "class kind must be 'static' or 'dynamic', got 'moving'"),
+    ({"classes": [{"id": 1, "name": "a", "kind": "static"}, {"id": 1, "name": "b", "kind": "dynamic"}]},
+     "validation", "duplicate class id 1 in registry"),
+], ids=["no-classes", "no-kind", "string-id", "not-an-object", "unknown-kind", "repeated-id"])
+def test_bad_registry_exits_one(tmp_path, capsys, registry, kind, message):
     reg = tmp_path / "reg.json"
     reg.write_text(json.dumps(registry))
     det = tmp_path / "d.jsonl"
     det.write_text(json.dumps(detection(class_id=sw.STATIC_CLASS_BASE)) + "\n")
     code = main(["ingest", "--in", str(det), "--registry", str(reg),
                  "--out", str(tmp_path / "g.json")])
-    _one_error(capsys, code)
+    assert _one_error(capsys, code, kind=kind) == message
     assert not (tmp_path / "g.json").exists()
 
 
@@ -708,7 +772,12 @@ def test_bad_graph_file_exits_one(tmp_path, capsys, change, kind, where):
     (lambda g: g["frames"][1]["node_ids"].pop(0), "node 3 is not listed in its source frame 1"),
     (lambda g: g["frames"][2]["node_ids"].append(6), "frame 2 lists node 6 more than once"),
     (lambda g: g["frames"].insert(1, g["frames"][0]), "frame indices must strictly ascend, got 0 after 0"),
-], ids=["no-frames", "unlisted-node", "listed-twice", "repeated-frame"])
+    (lambda g: g["frames"][0]["node_ids"].append(6),
+     "frame 0 lists node 6, which is missing or has no source frame there"),
+    (lambda g: g["frames"][0]["node_ids"].append(999),
+     "frame 0 lists node 999, which is missing or has no source frame there"),
+], ids=["no-frames", "unlisted-node", "listed-twice", "repeated-frame", "listed-outside-its-frames",
+        "listed-id-no-node"])
 def test_graph_file_listing_a_node_but_once_per_source_frame_exits_one(tmp_path, capsys, change, message):
     det, reg, _ = _synth_corpus(tmp_path, n_worlds=1, qa=False, n_frames=5, n_static=3, n_dynamic=0)
     graph_file, out = tmp_path / "g.json", tmp_path / "c.json"
@@ -736,6 +805,19 @@ def test_version_1_graph_file_exits_one(tmp_path, capsys):
     capsys.readouterr()
     code = main(["compact", "--in", str(graph_file), "--out", str(out)])
     assert _one_error(capsys, code, kind="validation") == f"{graph_file}: unsupported version 1"
+    assert not out.exists()
+
+
+def test_stats_whose_after_file_lacks_a_video_exits_one(tmp_path, capsys):
+    det, reg, _ = _synth_corpus(tmp_path, n_worlds=2, qa=False, n_frames=3)
+    before, after, out = tmp_path / "g.json", tmp_path / "after.json", tmp_path / "s.json"
+    assert main(["ingest", "--in", det, "--registry", reg, "--out", str(before)]) == 0
+    obj = json.loads(before.read_text())
+    obj["graphs"] = obj["graphs"][:1]
+    after.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = main(["stats", "--before", str(before), "--after", str(after), "--out", str(out)])
+    assert _one_error(capsys, code) == "after-file lacks videos ['w101']"
     assert not out.exists()
 
 
@@ -768,26 +850,40 @@ def test_synth_repeating_a_video_id_exits_one(tmp_path, capsys):
     assert not any(path.exists() for path in outs.values())
 
 
-@pytest.mark.parametrize("spec, where", [
-    ({"seed": "x", "video_id": "w"}, ""),
-    ({"seed": True, "video_id": "w"}, ""),
-    ({"seed": 1, "video_id": "w", "n_frames": 2.7}, ""),
+@pytest.mark.parametrize("spec, where, kind", [
+    ({"seed": "x", "video_id": "w"}, "", "parse"),
+    ({"seed": True, "video_id": "w"}, "", "parse"),
+    ({"seed": 1, "video_id": "w", "n_frames": 2.7}, "", "parse"),
     ({"seed": 1, "video_id": "w", "camera": {"kind": "translating", "velocity": [float("nan"), 0, 0]}},
-     ""),
-    ({"seed": 1, "video_id": "w", "image_size": ["a", 3]}, ""),
-    ([{"seed": 1, "video_id": "w"}], ""),
-    ({"seed": 1, "video_id": "w", "n_frame": 3}, ""),
+     "", "parse"),
+    ({"seed": 1, "video_id": "w", "image_size": ["a", 3]}, "", "parse"),
+    ([{"seed": 1, "video_id": "w"}], "", "parse"),
+    ({"seed": 1, "video_id": "w", "n_frame": 3}, "", "parse"),
     ({"worlds": [{"seed": 1, "video_id": "a"}, {"seed": "x", "video_id": "b"}]},
-     "worlds[1]: seed must be an integer"),
+     "worlds[1]: seed must be an integer", "parse"),
     ({"worlds": [{"seed": 1, "video_id": "a"}], "noise": {"bbox_px": 5.0}},
-     "unknown spec field 'noise' beside 'worlds'"),
+     "unknown spec field 'noise' beside 'worlds'", "parse"),
+    ({"seed": -1, "video_id": "w"}, "seed must not be negative, got -1", "validation"),
+    ({"seed": 1, "video_id": "w", "camera": {"kind": "spinning"}}, "unknown camera kind 'spinning'",
+     "validation"),
+    ({"seed": 1, "video_id": "w", "n_static": 9, "d_o": 16},
+     "too many objects for the identity-coded feature width", "validation"),
+    ({"seed": 1, "video_id": "w", "image_size": [0, 256]}, "image sides must be 1 to 65536 pixels",
+     "validation"),
+    ({"seed": 1, "video_id": "w", "extent_range": [1.5, 1.0]},
+     "extent_range and pass_distance must be (low, high) with 0 < low <= high", "validation"),
+    ({"seed": 1, "video_id": "w", "traj_targets": 3}, "traj_targets must be 1 or 2", "validation"),
+    ({"seed": 1, "video_id": "w", "n_static_classes": 0},
+     "class counts must be 1 to the number of registered classes", "validation"),
 ], ids=["string-seed", "bool-seed", "float-frames", "nan-velocity", "string-image-size",
-        "top-level-list", "misspelt-key", "second-world-string-seed", "key-beside-worlds"])
-def test_bad_world_spec_exits_one(tmp_path, capsys, spec, where):
+        "top-level-list", "misspelt-key", "second-world-string-seed", "key-beside-worlds",
+        "negative-seed", "unknown-camera-kind", "too-many-statics", "zero-image-side",
+        "reversed-extent-range", "three-targets", "no-static-classes"])
+def test_bad_world_spec_exits_one(tmp_path, capsys, spec, where, kind):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     code = main(["synth", "--spec", str(path), "--out-detections", str(tmp_path / "d.jsonl")])
-    assert _one_error(capsys, code).startswith(where)
+    assert _one_error(capsys, code, kind=kind).startswith(where)
     assert not (tmp_path / "d.jsonl").exists()
 
 
@@ -1318,6 +1414,25 @@ def test_in_memory_ingest_agrees_with_the_file(text):
         error = json.loads(err.getvalue())
         assert re.sub(r"^line \d+: ", "", error["message"]) == in_memory[1]
         assert error["error"] == ("parse" if in_memory[0] is ParseError else "validation")
+
+
+def test_in_memory_ingest_agrees_with_the_file_under_given_intrinsics(tmp_path):
+    """`graphs_from_records` and `load_detection_groups` lift by the intrinsics they are given,
+    as `ingest --fx --fy --cx --cy` does; a focal length small enough to overflow a lifted
+    centroid is the same error each way."""
+    det, reg, _ = _synth_corpus(tmp_path, n_worlds=2, qa=False, n_frames=3)
+    registry, out = sw.default_registry(), tmp_path / "g.json"
+    records = [json.loads(line) for line in Path(det).read_text(encoding="utf-8").splitlines()]
+    assert main(["ingest", "--in", det, "--registry", reg, "--out", str(out), "--no-register",
+                 "--fx", "300", "--fy", "200", "--cx", "100", "--cy", "140"]) == 0
+    given = Intrinsics(fx=300.0, fy=200.0, cx=100.0, cy=140.0)
+    in_memory = graphs_from_records(records, registry, intrinsics=given)
+    assert in_memory == load_detection_groups(det, registry, intrinsics=given) == load_corpus(out)
+    assert in_memory != graphs_from_records(records, registry)
+    tiny = Intrinsics(fx=1e-308, fy=1e-308, cx=0.0, cy=0.0)
+    fault = _outcome(lambda: graphs_from_records(records, registry, intrinsics=tiny))
+    assert fault == _outcome(lambda: load_detection_groups(det, registry, intrinsics=tiny))
+    assert fault is not None and fault[1].startswith("lifted centroid [")
 
 
 @functools.cache

@@ -429,8 +429,9 @@ def test_build_ancestors_matches_per_candidate_search():
 
 def test_registration_correspondences_match_per_candidate_search():
     for graph, params in _grid_graphs(13, 30):
-        src, dst, counts = register.frame_correspondences(graph, gamma=params.gamma)
-        ends = np.cumsum(counts)
+        src, dst, counts = register._correspondences(graph, gamma=params.gamma)
+        assert counts[0] == 0  # frame 0 has no frame before it
+        ends = np.cumsum(counts[1:])
         seen = list(zip(np.split(src, ends[:-1]), np.split(dst, ends[:-1])))
         expected = oracle_correspondences(graph, params.gamma)
         assert len(seen) == len(expected) == len(graph.frames) - 1 and counts.sum() == len(src) == len(dst)

@@ -10,7 +10,7 @@ from prism25d.errors import ValidationError
 from prism25d.graph import ClassRegistry, graphs_from_records
 from prism25d.lift import Intrinsics, default_intrinsics, estimate_rigid, fit_rigid, lift_centroid
 from prism25d.register import (
-    estimate_frame_transforms, frame_correspondences, register_frames, register_graphs,
+    _correspondences, estimate_frame_transforms, register_frames, register_graphs,
 )
 from prism25d import synthworld as sw
 
@@ -269,7 +269,7 @@ def _stacked_worlds():
 def test_stacked_registration_equals_one_video_at_a_time():
     graphs = _stacked_worlds()
     assert [len(g.frames) for g in graphs] == [8, 1, 2, 8]
-    assert frame_correspondences(graphs[2], 0.5)[2].tolist() == [2]  # the identity fallback
+    assert _correspondences(graphs[2], 0.5)[2].tolist() == [0, 2]  # the identity fallback
     for order in (graphs, graphs[::-1]):
         stacked = register_graphs(order)
         assert len(stacked) == len(order)

@@ -4,13 +4,16 @@ function or class is used by a reference that resolves to its own module (the pa
 re-exports are such references). `from __future__` imports and the package's re-exports
 are exempt from the first rule. Every `raise` names no builtin exception, so that what the
 package raises is a `PrismError`; the CLI parser's `SystemExit` is exempt. JSON text is
-decoded in `schema.py` only, so that every JSON input is read by its one rule."""
+decoded in `schema.py` only, so that every JSON input is read by its one rule. Every
+parameter with a default is passed by some call in `src/`, `tests/` or `perfbench/`."""
 
 import ast
 import builtins
+import math
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "prism25d"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "prism25d"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
          for path in sorted(SRC.glob("*.py"))}
 
@@ -197,3 +200,109 @@ def test_a_planted_json_decode_is_flagged():
              "schema.py": ast.parse("import json\n\nvalue = json.loads('1')\n")}
     assert _json_decoding(trees) == ["ops.py:2 loads", "ops.py:9 JSONDecoder", "ops.py:9 loads",
                                      "ops.py:9 raw_decode"]
+
+
+# every module whose calls can pass a parameter of `src/`
+CALLERS = {str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+           for folder in ("src", "tests", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
+def _defaulted_parameters(trees):
+    """(file:line, names, parameter, position) for each parameter with a default of every
+    function and method of `trees`. `names` are the names a call uses: the function's own, or
+    for an `__init__` its class's and every subclass's. `position` is the parameter's index
+    among the arguments a call passes by position (after `self` or `cls`), None when it is
+    keyword-only."""
+    subclasses = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for base in node.bases:
+                    if isinstance(base, ast.Name):
+                        subclasses.setdefault(base.id, []).append(node.name)
+
+    def class_names(name):
+        return [name] + [n for sub in subclasses.get(name, []) for n in class_names(sub)]
+
+    found = []
+    for filename, tree in trees.items():
+        owner = {item: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(fn)
+            names = class_names(cls.name) if cls is not None and fn.name == "__init__" else [fn.name]
+            positional = fn.args.posonlyargs + fn.args.args
+            if cls is not None and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                           for d in fn.decorator_list):
+                positional = positional[1:]
+            first = len(positional) - len(fn.args.defaults)
+            found += [(f"{filename}:{arg.lineno}", names, arg.arg, i)
+                      for i, arg in enumerate(positional) if i >= first]
+            found += [(f"{filename}:{arg.lineno}", names, arg.arg, None)
+                      for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+    return found
+
+
+def _unpassed_defaults(trees, callers) -> list[str]:
+    """`file:line name(parameter=)` for each parameter with a default of `trees` that no call in
+    `callers` passes, by keyword or by position. A call matches by the name it calls, bare or as
+    an attribute; its `*args` passes every position and its `**kwargs` every keyword."""
+    keywords, positions = {}, {}
+    for tree in callers.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+                keywords.setdefault(name, set()).update(k.arg for k in call.keywords)  # None: **kwargs
+                count = math.inf if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+                positions[name] = max(positions.get(name, 0), count)
+    return [f"{where} {names[0]}({param}=)" for where, names, param, position in _defaulted_parameters(trees)
+            if not any({param, None} & keywords.get(name, set())
+                       or position is not None and position < positions.get(name, 0) for name in names)]
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    assert not _unpassed_defaults(TREES, CALLERS)
+
+
+PLANTED_DEFAULTS = """class Base:
+    def __init__(self, a, b=1):
+        self.a = a
+
+
+class Child(Base):
+    pass
+
+
+def f(x, y=0, *, z=None):
+    return x
+
+
+def g(x, y=0, z=0):
+    return x
+
+
+class Tool:
+    def run(self, a, b=2):
+        return a
+
+    @staticmethod
+    def make(a, b=3):
+        return a
+"""
+PLANTED_CALLS = """from .ops import Child, Tool, f, g
+
+Child(1, 2)
+f(1, z=3)
+g(1, 2)
+Tool().run(1)
+Tool.make(1, 2)
+"""
+
+
+def test_a_planted_unpassed_default_is_flagged():
+    trees = {"ops.py": ast.parse(PLANTED_DEFAULTS)}
+    callers = {**trees, "user.py": ast.parse(PLANTED_CALLS)}
+    assert _unpassed_defaults(trees, callers) == ["ops.py:10 f(y=)", "ops.py:14 g(z=)", "ops.py:19 run(b=)"]
+    more = ast.parse("f(1, y=2)\ng(*[1, 2, 3])\nTool().run(**{'b': 1})\n")
+    assert _unpassed_defaults(trees, {**callers, "more.py": more}) == []

@@ -431,7 +431,7 @@ def test_block_sampler_matches_one_candidate_at_a_time(seed, n_static, separatio
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sw, "_sample_static_layout", oracle_static_layout)
         patch.setattr(sw, "_sample_trajectory", oracle_trajectory)
-        patch.setattr(sw, "_norms", oracle_norms)
+        patch.setattr(sw, "norms", oracle_norms)
         want = _built(spec)
     got = _built(spec)
     if isinstance(want, str):

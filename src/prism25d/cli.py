@@ -1,4 +1,4 @@
-"""prism25d command line: synth, ingest, compact, stats, train, eval."""
+"""prism25d command line: synth, ingest, compact, train, eval."""
 
 from __future__ import annotations
 
@@ -13,16 +13,15 @@ import numpy as np
 
 from .compact import MatchParams, compact, corpus_stats
 from .errors import ParseError, PrismError, ValidationError, located
-from .graph import (ClassRegistry, SceneGraph25D, _check_max_frames, load_corpus, load_detection_groups,
-                    save_corpus)
-from .lift import Intrinsics, default_intrinsics
+from .graph import (DEFAULT_INTRINSICS, ClassRegistry, SceneGraph25D, _check_max_frames, load_corpus,
+                    load_detection_groups, save_corpus)
+from .lift import Intrinsics
 from .qa import (
     METRICS_FORMAT,
     METRICS_VERSION,
     ModelConfig,
     TrainConfig,
     evaluate,
-    init_model,
     load_model,
     load_qa,
     save_model,
@@ -80,8 +79,6 @@ class RunConfig:
     standard_layers: int = ModelConfig.n_standard_layers  # stacked plain-attention blocks in the encoder
     combine: bool = ModelConfig.combine
     max_frames: int | None = None
-    image_w: float = 256.0
-    image_h: float = 256.0
     fx: float | None = None
     fy: float | None = None
     cx: float | None = None
@@ -100,7 +97,7 @@ class RunConfig:
     def intrinsics(self) -> Intrinsics:
         given = [self.fx, self.fy, self.cx, self.cy]
         if all(v is None for v in given):
-            return default_intrinsics(self.image_w, self.image_h)
+            return DEFAULT_INTRINSICS
         if any(v is None for v in given):
             raise ParseError("intrinsics need all of --fx --fy --cx --cy")
         return Intrinsics(self.fx, self.fy, self.cx, self.cy)
@@ -202,22 +199,6 @@ def cmd_compact(args) -> int:
     return 0
 
 
-def cmd_stats(args) -> int:
-    before = load_corpus(args.before)
-    after = load_corpus(args.after)
-    by_id = {g.video_id: g for g in after}
-    missing = [g.video_id for g in before if g.video_id not in by_id]
-    if missing:
-        raise ParseError(f"after-file lacks videos {missing}")
-    stats = corpus_stats([(g, by_id[g.video_id]) for g in before])
-    for key in ("videos", "full", "static", "dynamic", "reduction_pct"):
-        value = stats[key]
-        print(f"{key:<14} {value:.2f}" if isinstance(value, float) else f"{key:<14} {value}")
-    if args.out:
-        _write_json({"format": STATS_FORMAT, "version": STATS_VERSION, **stats}, args.out)
-    return 0
-
-
 def _inferred(graphs: dict[str, SceneGraph25D]) -> dict:
     """The ModelConfig fields `train` takes from its graphs: the feature and motion widths,
     the frame count their times were scaled by, and their registry's digest."""
@@ -262,8 +243,6 @@ def cmd_train(args) -> int:
         val_instances=val_set,
     )
     save_model(args.out, model, seed=cfg.seed, step=metrics["steps"])  # refuses a diverged model first
-    if args.save_init:  # init_model is deterministic, so the untrained model can be rebuilt
-        save_model(args.save_init, init_model(model_cfg, cfg.seed), seed=cfg.seed, step=0)
     if args.metrics:
         _write_json(metrics, args.metrics)
     last = metrics["epochs"][-1] if metrics["epochs"] else {}
@@ -304,8 +283,6 @@ def _add_pipeline_flags(p: _Parser, delta: bool = True, detections: bool = True,
         return
     p.add_argument("--max-frames", dest="max_frames", type=int,
                    help="dataset-wide frame count for temporal normalization")
-    p.add_argument("--image-w", dest="image_w", type=float, help="image width for default intrinsics")
-    p.add_argument("--image-h", dest="image_h", type=float, help="image height for default intrinsics")
     p.add_argument("--fx", type=float, help="focal length x, pixels")
     p.add_argument("--fy", type=float, help="focal length y, pixels")
     p.add_argument("--cx", type=float, help="principal point x, pixels")
@@ -362,12 +339,6 @@ def build_parser() -> _Parser:
     _add_pipeline_flags(p, detections=False)
     p.set_defaults(func=cmd_compact)
 
-    p = sub.add_parser("stats", help="node counts and reduction for a graph pair")
-    p.add_argument("--before", required=True)
-    p.add_argument("--after", required=True)
-    p.add_argument("--out", help="write stats JSON here")
-    p.set_defaults(func=cmd_stats)
-
     p = sub.add_parser("train", help="run the full pipeline and train the QA model")
     p.add_argument("--detections", required=True)
     p.add_argument("--registry", required=True)
@@ -375,7 +346,6 @@ def build_parser() -> _Parser:
     p.add_argument("--val", help="held-out QA JSONL evaluated each epoch")
     p.add_argument("--out", required=True, help="output checkpoint")
     p.add_argument("--metrics", help="write per-epoch metrics JSON here")
-    p.add_argument("--save-init", dest="save_init", help="also save the untrained checkpoint here")
     p.add_argument("--lr", type=float, help=f"Adam learning rate (artifact default {RunConfig.lr:g})")
     p.add_argument("--batch", type=int, help=f"batch size (artifact default {RunConfig.batch})")
     p.add_argument("--epochs", type=int, help=f"training epochs (artifact default {RunConfig.epochs})")

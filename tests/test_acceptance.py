@@ -146,9 +146,7 @@ def test_c3_node_reduction_metric_shape(tmp_path):
     assert main(["synth", "--spec", str(spec_file), "--out-detections", str(det),
                  "--out-registry", str(reg)]) == 0
     assert main(["ingest", "--in", str(det), "--registry", str(reg), "--out", str(graphs)]) == 0
-    assert main(["compact", "--in", str(graphs), "--out", str(compacted)]) == 0
-    assert main(["stats", "--before", str(graphs), "--after", str(compacted),
-                 "--out", str(stats_file)]) == 0
+    assert main(["compact", "--in", str(graphs), "--out", str(compacted), "--stats", str(stats_file)]) == 0
     stats = json.loads(stats_file.read_text())
 
     # compaction must be recovering the oracle classes for the statistic to count
@@ -160,7 +158,7 @@ def test_c3_node_reduction_metric_shape(tmp_path):
     assert abs(stats["reduction_pct"] - 53.6) <= 0.1, stats
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
     _passline(3, "node-reduction metric shape",
-              f"cmd_stats reduction_pct={stats['reduction_pct']:.4f} (target 53.6±0.1), {elapsed:.1f}s")
+              f"compact --stats reduction_pct={stats['reduction_pct']:.4f} (target 53.6±0.1), {elapsed:.1f}s")
 
 
 # -- criterion 4: registration recovery ----------------------------------------------
